@@ -212,7 +212,6 @@ def solve_adjoint_finite(
 
     for j in range(steps - 1, -1, -1):
         Xj = ensemble.states[:, j]
-        Uj = u_bar.evaluate(j * dt, Xj)
         reg = _StepRegressor(basis, Xj, j)
         p_next = Pbuf[j + 1]
 
@@ -223,9 +222,9 @@ def solve_adjoint_finite(
 
         driver = drift_jacT_apply(model, Xj, p_next)          # D_xb^T p_{j+1}
         if not constant_sigma:
-            gam = diffusion_jac_x(model, Xj, Uj)              # (M, d, n, n)
+            gam = diffusion_jac_x(model, Xj)                  # (M, d, n, n)
             driver = driver + (gam * Qbuf[j][:, :, :, None]).sum(axis=(1, 2))
-        driver = driver + cost_grad_x(model, Xj, Uj)
+        driver = driver + cost_grad_x(model, Xj)
         if not np.isfinite(driver).all():
             raise AdjointError(f"non-finite driver at step {j}")
 
@@ -257,7 +256,6 @@ def extend_to_infinite(
     M: int,
     seed: int,
     basis: Optional[RegressionBasis] = None,
-    workers: int = 1,
 ) -> AdjointSolution:
     """Infinite-horizon costate on [0, T_report] via a buffered truncation.
 
@@ -269,7 +267,7 @@ def extend_to_infinite(
     if T_buffer <= 0:
         raise AdjointError("T_buffer must be positive")
     grid = TimeGrid.from_horizon(T_report + T_buffer, dt)
-    ensemble = simulate_state(model, u_bar, x0, grid, M, seed, workers=workers)
+    ensemble = simulate_state(model, u_bar, x0, grid, M, seed)
     full = solve_adjoint_finite(model, ensemble, u_bar, basis=basis, nu=None)
     return full.restricted(T_report)
 

@@ -63,7 +63,6 @@ def _add_common(sub, dt_default=0.01, m_default=4096):
     sub.add_argument("--M", type=int, default=m_default, help="number of paths")
     sub.add_argument("--control", default=None, help="control law as JSON (default: zero)")
     sub.add_argument("--x0", default=None, help="initial state, comma-separated")
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out-dir", default=".")
 
 
@@ -151,8 +150,7 @@ def _cmd_simulate(args, model) -> int:
     _positive(args, ["T", "dt", "M"])
     law = parse_control_law(args.control, model.control_set)
     grid = TimeGrid.from_horizon(args.T, args.dt)
-    ens = simulate_state(model, law, _parse_x0(model, args.x0), grid, args.M, args.seed,
-                         workers=args.workers)
+    ens = simulate_state(model, law, _parse_x0(model, args.x0), grid, args.M, args.seed)
     formats = {f.strip() for f in args.formats.split(",") if f.strip()}
     unknown = formats - {"csv", "bin"}
     if unknown:
@@ -175,8 +173,7 @@ def _cmd_cost(args, model) -> int:
     _positive(args, ["T", "dt", "M"])
     law = parse_control_law(args.control, model.control_set)
     report = estimate_ergodic_cost(model, law, _parse_x0(model, args.x0), args.T,
-                                   args.M, args.seed, window=args.window, dt=args.dt,
-                                   workers=args.workers)
+                                   args.M, args.seed, window=args.window, dt=args.dt)
     _write_json(_out(args, "cost_report.json"), report.to_dict())
     print(f"tail_min={report.tail_min:.6f} tail_max={report.tail_max:.6f} ci={report.ci:.2e}")
     return EXIT_OK
@@ -187,7 +184,7 @@ def _cmd_adjoint(args, model) -> int:
     law = parse_control_law(args.control, model.control_set)
     basis = RegressionBasis(degree=args.degree, ridge=args.ridge)
     sol = extend_to_infinite(model, law, _parse_x0(model, args.x0), args.T, args.buffer,
-                             args.dt, args.M, args.seed, basis=basis, workers=args.workers)
+                             args.dt, args.M, args.seed, basis=basis)
     _write_json(_out(args, "adjoint_coefficients.json"), adjoint_coefficients_dict(sol))
     adjoint_to_csv(sol, _out(args, "adjoint_paths.csv"))
     print(f"sup_t E|p_t|^2 = {sol.sup_p_sq:.6f}")
@@ -208,7 +205,7 @@ def _cmd_duality(args, model) -> int:
         rho = None
         if args.rho_channel is not None:
             probe = simulate_state(model, law, x0 if x0 is not None else np.ones(model.n),
-                                   grid, args.M, args.seed, workers=args.workers)
+                                   grid, args.M, args.seed)
             rho = build_rho(probe, model.n, model.d,
                             {args.rho_channel: np.full(model.n, args.rho_value)},
                             t_start=args.rho_start,
@@ -218,11 +215,10 @@ def _cmd_duality(args, model) -> int:
             T_support=args.rho_end if args.rho_end is not None else args.T,
             eta=args.eta, rho=rho, T_report=args.T, T_buffer=args.buffer,
             M=args.M, seed=args.seed, dt=args.dt, basis=basis, x0=x0,
-            workers=args.workers,
         )
     else:
         base = simulate_state(model, law, x0 if x0 is not None else np.ones(model.n),
-                              grid, args.M, args.seed, workers=args.workers)
+                              grid, args.M, args.seed)
         gamma = None
         if args.gamma_const is not None:
             gamma = build_gamma(base, model.n, value=np.full(model.n, args.gamma_const),
@@ -249,7 +245,7 @@ def _cmd_smp_check(args, model) -> int:
     reports = evaluate_variational_inequality(
         model, law, battery, args.T, args.M, args.seed, window=args.window,
         dt=args.dt, buffer=args.buffer, basis=basis,
-        x0=_parse_x0(model, args.x0), workers=args.workers,
+        x0=_parse_x0(model, args.x0),
     )
     _write_json(_out(args, "smp_report.json"),
                 {"schema_version": 1, "reports": [r.to_dict() for r in reports]})
@@ -266,7 +262,6 @@ def _cmd_sufficiency(args, model) -> int:
     report = check_sufficiency(
         model, law, args.T, args.M, args.seed, probes=args.probes, window=args.window,
         dt=args.dt, buffer=args.buffer, basis=basis, x0=_parse_x0(model, args.x0),
-        workers=args.workers,
     )
     _write_json(_out(args, "sufficiency_report.json"), report.to_dict())
     print(f"convexity_min_eigen={report.convexity_min_eigen:.4f} "
@@ -289,7 +284,6 @@ def _cmd_optimize(args, model) -> int:
     result = optimize_control(
         model, init, args.gamma, args.iters, args.T, args.M, args.seed,
         dt=args.dt, buffer=args.buffer, basis=basis, x0=_parse_x0(model, args.x0),
-        workers=args.workers,
     )
     trace_path = _out(args, "optimize_trace.csv")
     keys = sorted({k for row in result.trace for k in row})

@@ -132,11 +132,6 @@ def build_rho(
     return rho
 
 
-def _psi_along(model: ModelSpec, ensemble: PathEnsemble, u_bar: ControlLaw, j: int) -> np.ndarray:
-    xj = ensemble.states[:, j]
-    return cost_grad_x(model, xj, u_bar.evaluate(j * ensemble.grid.dt, xj))
-
-
 def verify_duality_finite(
     model: ModelSpec,
     u_bar: ControlLaw,
@@ -151,7 +146,6 @@ def verify_duality_finite(
     dt: float = 0.01,
     basis: Optional[RegressionBasis] = None,
     x0=None,
-    workers: int = 1,
     base: Optional[PathEnsemble] = None,
 ) -> DualityReport:
     """Check the finite-horizon pairing identity on shared noise:
@@ -160,13 +154,14 @@ def verify_duality_finite(
             = E int_t^T <Ycal, Psi> + E<nu, Ycal_T>.
 
     `gamma`/`rho` are full-grid forcing arrays (see build_gamma/build_rho);
-    `eta` is a family name or array.  Left-endpoint quadrature throughout.
+    `eta` is a family name or array; Psi = D_xf along the base path.
+    Left-endpoint quadrature throughout.
     """
     if x0 is None:
         x0 = np.ones(model.n)
     if base is None:
         grid = TimeGrid.from_horizon(T, dt)
-        base = simulate_state(model, u_bar, x0, grid, M, seed, workers=workers)
+        base = simulate_state(model, u_bar, x0, grid, M, seed)
     else:
         if base.grid.dt != dt or base.grid.index_of(T) != base.grid.steps:
             raise SimulationError("base ensemble grid does not match (T, dt)")
@@ -184,7 +179,8 @@ def verify_duality_finite(
             lhs += dt * float((sol.p[:, j] * gamma[:, j]).sum(axis=-1).mean())
         if rho is not None:
             lhs += dt * float((sol.q[:, j] * rho[:, j]).sum(axis=(-1, -2)).mean())
-        rhs += dt * float((dual.values[:, j] * _psi_along(model, base, u_bar, j)).sum(axis=-1).mean())
+        psi = cost_grad_x(model, base.states[:, j])
+        rhs += dt * float((dual.values[:, j] * psi).sum(axis=-1).mean())
     if nu is not None:
         nu_arr = np.asarray(nu, dtype=float)
         rhs += float((nu_arr * dual.values[:, grid.steps]).sum(axis=-1).mean())
@@ -213,7 +209,6 @@ def verify_duality_infinite(
     dt: float = 0.01,
     basis: Optional[RegressionBasis] = None,
     x0=None,
-    workers: int = 1,
 ) -> DualityReport:
     """Infinite-horizon pairing: E int_t^inf <Ycal, Psi> equals
     sum_i E int <q^i, rho^i> + E<eta, p_t> for rho supported in [t, T_support].
@@ -228,7 +223,7 @@ def verify_duality_infinite(
         x0 = np.ones(model.n)
     T_end = T_report + T_buffer
     grid = TimeGrid.from_horizon(T_end, dt)
-    base = simulate_state(model, u_bar, x0, grid, M, seed, workers=workers)
+    base = simulate_state(model, u_bar, x0, grid, M, seed)
     sol = solve_adjoint_finite(model, base, u_bar, basis=basis)
     j0 = grid.index_of(t)
     j_support = grid.index_of(T_support)
@@ -244,7 +239,7 @@ def verify_duality_infinite(
     lhs = 0.0
     psi_sup = 0.0
     for j in range(j0, grid.steps):
-        psi = _psi_along(model, base, u_bar, j)
+        psi = cost_grad_x(model, base.states[:, j])
         psi_sup = max(psi_sup, float((psi**2).sum(axis=-1).mean()))
         lhs += dt * float((dual.values[:, j] * psi).sum(axis=-1).mean())
     rhs = float((sol.p[:, j0] * eta_arr).sum(axis=-1).mean())

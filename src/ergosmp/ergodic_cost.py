@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .forward import PathEnsemble, SimulationError, TimeGrid, simulate_perturbed, simulate_state
+from .forward import PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, simulate_perturbed, simulate_state
 from .model import ControlLaw, ModelSpec, cost_at, cost_grad_u, cost_grad_x
 
 __all__ = [
@@ -124,9 +124,7 @@ def ergodic_report_from_ensemble(
         )
     sums = _cost_sums_at(model, ensemble, control, indices)
     values = sums.mean(axis=0) / ts
-    per_path_final = sums[:, -1] / ts[-1]
-    m = ensemble.n_paths
-    ci = float(1.96 * per_path_final.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    ci = _ci95_halfwidth(sums[:, -1] / ts[-1])
     tail_mask = ts >= (1.0 - window) * T_max - 1e-9
     return ErgodicCostReport(
         checkpoints=tuple((float(t), float(v)) for t, v in zip(ts, values)),
@@ -148,11 +146,10 @@ def estimate_ergodic_cost(
     seed: int,
     window: float = 0.25,
     dt: float = 0.01,
-    workers: int = 1,
 ) -> ErgodicCostReport:
     """Simulate under `control` and report the J_T/T checkpoint ladder."""
     grid = TimeGrid.from_horizon(T_max, dt)
-    ensemble = simulate_state(model, control, x0, grid, M, seed, workers=workers)
+    ensemble = simulate_state(model, control, x0, grid, M, seed)
     return ergodic_report_from_ensemble(model, ensemble, control, window)
 
 
@@ -210,8 +207,8 @@ def estimate_gateaux(
         j_base += cost_at(model, xb, ub).mean()
         j_pert += cost_at(model, pert.states[:, j], utheta).mean()
         linear += (
-            (cost_grad_x(model, xb, ub) * Y.states[:, j]).sum(axis=-1)
-            + (cost_grad_u(model, xb, ub) * v[:, j]).sum(axis=-1)
+            (cost_grad_x(model, xb) * Y.states[:, j]).sum(axis=-1)
+            + (cost_grad_u(model, ub) * v[:, j]).sum(axis=-1)
         ).mean()
     j_base *= dt
     j_pert *= dt
@@ -303,11 +300,10 @@ def local_perturbation_null_test(
     sums_patch = _cost_sums_at(model, ens_patch, patched, [j_mid, j_end])
     diff_mid = sums_patch[:, 0] - sums_base[:, 0]
     diff_end = (sums_patch[:, 1] - sums_base[:, 1]) / T_max
-    m = M
     tail_difference = float(diff_end.mean())
-    ci = float(1.96 * diff_end.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    ci = _ci95_halfwidth(diff_end)
     transient = float(diff_mid.mean())
-    ci_mid = float(1.96 * diff_mid.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    ci_mid = _ci95_halfwidth(diff_mid)
     bound = 2.0 * ci + 1.5 * (abs(transient) + 2.0 * ci_mid) / T_max + 1e-6
     shrink_reference = abs(transient) / (j_mid * dt)
     shrink_ok = abs(tail_difference) <= max(0.5 * shrink_reference, 2.0 * ci + 1e-6)

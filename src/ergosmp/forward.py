@@ -3,14 +3,14 @@
 All simulators consume one Brownian-increment array per ensemble so that
 coupled runs (perturbed state, first variation, affine dual) differ only by
 systematic effects, never by sampling noise.  Increments are generated from
-counter-based Philox streams keyed by (seed, path index), which makes every
-ensemble bit-reproducible regardless of how paths are chunked across workers.
+counter-based Philox streams keyed by (seed, path index), so every ensemble
+is bit-reproducible and its first k paths equal the k-path ensemble.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,10 +21,10 @@ from .model import (
     ModelSpec,
     _mat_vec,
     diffusion_at,
+    diffusion_jac_x,
     drift_at,
-    drift_jac_u,
     drift_jac_x,
-    cost_at,
+    drift_jacU_apply,
 )
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
 
 _BINARY_MAGIC = b"ERGP"
 _BINARY_VERSION = 1
+_BINARY_HEADER = struct.Struct("<IQQQQQd")  # version, M, steps, n, d, seed, dt
 
 
 class SimulationError(RuntimeError):
@@ -90,45 +91,25 @@ class TimeGrid:
         return TimeGrid(dt=dt, steps=steps)
 
 
-def _chunk_ranges(m: int, workers: int):
-    workers = max(1, min(int(workers), m))
-    bounds = np.linspace(0, m, workers + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _run_chunked(fn, m: int, workers: int):
-    ranges = _chunk_ranges(m, workers)
-    if len(ranges) == 1:
-        fn(*ranges[0])
-        return
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        list(pool.map(lambda r: fn(*r), ranges))
-
-
 def _time_major(arr: np.ndarray) -> np.ndarray:
     """View with the path axis first; the underlying buffer is time-major so
     per-step slices arr[:, j] stay contiguous."""
     return arr.transpose(1, 0, *range(2, arr.ndim))
 
 
-def brownian_increments(seed: int, M: int, grid: TimeGrid, d: int, workers: int = 1) -> np.ndarray:
+def brownian_increments(seed: int, M: int, grid: TimeGrid, d: int) -> np.ndarray:
     """Increments of shape (M, steps, d) with per-cell variance dt.
 
-    Path i draws from Philox keyed by (seed, i); the result is independent of
-    the worker count by construction.
+    Path i draws from Philox keyed by (seed, i), so path i's increments do not
+    depend on M.
     """
     if not (0 <= int(seed) < 2**63):
         raise SimulationError("seed must be a nonnegative 63-bit integer")
     buf = np.empty((grid.steps, M, d))
-    root = np.sqrt(grid.dt)
-
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            gen = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-            buf[:, i, :] = gen.standard_normal((grid.steps, d))
-        buf[:, lo:hi, :] *= root
-
-    _run_chunked(fill, M, workers)
+    for i in range(M):
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        buf[:, i, :] = gen.standard_normal((grid.steps, d))
+    buf *= np.sqrt(grid.dt)
     return _time_major(buf)
 
 
@@ -203,6 +184,29 @@ def _check_finite(X, step, what):
         raise SimulationError(f"{what}: non-finite value at step {step}, path {path}")
 
 
+def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, what: str) -> np.ndarray:
+    """Tamed Euler recursion on the increments dW (M, steps, d) from x0.
+
+    The drift increment is dt*b / (1 + dt*|b|), which keeps the scheme stable
+    for the odd-polynomial drifts of the cubic family; the diffusion term is
+    standard Euler.  `control_at(j, x_j)` returns the (M, l) controls of step
+    j.  Returns the states (M, steps+1, n) on a time-major buffer.
+    """
+    M, steps = dW.shape[:2]
+    Xbuf = np.empty((steps + 1, M, model.n))
+    Xbuf[0] = x0
+    for j in range(steps):
+        xj = Xbuf[j]
+        uj = control_at(j, xj)
+        b = drift_at(model, xj, uj)
+        bnorm = np.sqrt((b * b).sum(axis=-1, keepdims=True))
+        sig = diffusion_at(model, xj, uj)
+        noise = (sig * dW[:, j][:, None, :]).sum(axis=-1)
+        Xbuf[j + 1] = xj + dt * b / (1.0 + dt * bnorm) + noise
+        _check_finite(Xbuf[j + 1], j + 1, what)
+    return _time_major(Xbuf)
+
+
 def simulate_state(
     model: ModelSpec,
     control: ControlLaw,
@@ -210,40 +214,22 @@ def simulate_state(
     grid: TimeGrid,
     M: int,
     seed: int,
-    workers: int = 1,
 ) -> PathEnsemble:
     """Tamed Euler simulation of the controlled state equation.
 
-    The drift increment is dt*b / (1 + dt*|b|), which keeps the scheme stable
-    for the odd-polynomial drifts of the cubic family; the diffusion term is
-    standard Euler.  Deterministic for fixed (seed, M, grid) at any worker
-    count.
+    Deterministic for fixed (seed, M, grid); the first k paths equal the
+    k-path ensemble.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.n,):
         raise SimulationError(f"x0 must have shape ({model.n},)")
     if not np.isfinite(x0).all():
         raise SimulationError("x0 must be finite")
-    dW = brownian_increments(seed, M, grid, model.d, workers=workers)
-    Xbuf = np.empty((grid.steps + 1, M, model.n))
-    Xbuf[0] = x0
+    dW = brownian_increments(seed, M, grid, model.d)
     dt = grid.dt
-
-    def run(lo, hi):
-        sel = slice(lo, hi)
-        for j in range(grid.steps):
-            xj = Xbuf[j, sel]
-            uj = control.evaluate(j * dt, xj)
-            b = drift_at(model, xj, uj)
-            bnorm = np.sqrt((b * b).sum(axis=-1, keepdims=True))
-            sig = diffusion_at(model, xj, uj)
-            noise = (sig * dW[sel, j][:, None, :]).sum(axis=-1)
-            Xbuf[j + 1, sel] = xj + dt * b / (1.0 + dt * bnorm) + noise
-            _check_finite(Xbuf[j + 1, sel], j + 1, "simulate_state")
-
-    _run_chunked(run, M, workers)
+    states = _tamed_euler(model, x0, dW, dt, lambda j, xj: control.evaluate(j * dt, xj), "simulate_state")
     return PathEnsemble(
-        grid=grid, states=_time_major(Xbuf), increments=dW, seed=int(seed),
+        grid=grid, states=states, increments=dW, seed=int(seed),
         control_id=control.describe(), x0=x0,
     )
 
@@ -272,25 +258,16 @@ def simulate_perturbed(
     if not (0.0 <= theta <= 1.0):
         raise SimulationError("theta must lie in [0, 1]")
     _require_base_under(base, u_bar, "simulate_perturbed")
-    grid, dW = base.grid, base.increments
-    M = base.n_paths
-    dt = grid.dt
-    Xbuf = np.empty((grid.steps + 1, M, base.n))
-    Xbuf[0] = base.states[:, 0]
-    for j in range(grid.steps):
+    dt = base.grid.dt
+
+    def control_at(j, xj):
         xb = base.states[:, j]
         ub = u_bar.evaluate(j * dt, xb)
-        ua = u_alt.evaluate(j * dt, xb)
-        uj = ub + theta * (ua - ub)
-        xj = Xbuf[j]
-        b = drift_at(model, xj, uj)
-        bnorm = np.sqrt((b * b).sum(axis=-1, keepdims=True))
-        sig = diffusion_at(model, xj, uj)
-        noise = (sig * dW[:, j][:, None, :]).sum(axis=-1)
-        Xbuf[j + 1] = xj + dt * b / (1.0 + dt * bnorm) + noise
-        _check_finite(Xbuf[j + 1], j + 1, "simulate_perturbed")
+        return ub + theta * (u_alt.evaluate(j * dt, xb) - ub)
+
+    states = _tamed_euler(model, base.states[:, 0], base.increments, dt, control_at, "simulate_perturbed")
     return PathEnsemble(
-        grid=grid, states=_time_major(Xbuf), increments=dW, seed=base.seed,
+        grid=base.grid, states=states, increments=base.increments, seed=base.seed,
         control_id=f"perturbed(theta={theta!r}, base={base.control_id}, alt={u_alt.describe()})",
         x0=base.x0,
     )
@@ -358,7 +335,8 @@ def simulate_first_variation(
     """Linearized response of the state to the control direction v.
 
     Euler recursion Y_{j+1} = Y_j + dt(D_xb Y_j + D_ub v_j) + sum_i
-    (D_xsigma^i Y_j + D_usigma^i v_j) dW^i_j on the base increments, Y_0 = 0.
+    D_xsigma^i Y_j dW^i_j on the base increments, Y_0 = 0 (sigma does not
+    depend on u, so v does not enter the noise term).
     """
     _require_base_under(base, u_bar, "simulate_first_variation")
     grid = base.grid
@@ -368,43 +346,25 @@ def simulate_first_variation(
         raise SimulationError(
             f"direction process must have shape ({M}, {grid.steps}, {model.l}), got {v.shape}"
         )
-    controls = [u_bar.evaluate(j * grid.dt, base.states[:, j]) for j in range(grid.steps)]
-    constant_sigma = model.diffusion.family == "constant"
-
-    def lam(j):
-        return drift_jac_x(model, base.states[:, j], controls[j])
-
-    def drift_force(j):
-        return _mat_vec(drift_jac_u(model, base.states[:, j], controls[j]), v[:, j])
-
-    # Constant-diffusion families contribute no noise terms to the recursion.
-    gam = None if constant_sigma else _model_gam(model, base, controls)
-    noise_force = None if constant_sigma else _model_noise_force(model, base, controls, v)
-
     Y = _affine_forward(
         grid, base.increments, np.zeros((M, model.n)), 0,
-        lam, drift_force, gam, noise_force, what="simulate_first_variation",
+        _lam(model, base), lambda j: drift_jacU_apply(model, v[:, j]), _gam(model, base),
+        what="simulate_first_variation",
     )
     return FirstVariationEnsemble(grid=grid, states=Y, base_seed=base.seed)
 
 
-def _model_gam(model, base, controls):
-    from .model import diffusion_jac_x
-
-    def gam(j):
-        return diffusion_jac_x(model, base.states[:, j], controls[j])
-
-    return gam
+def _lam(model, base):
+    """D_x b along the base path, as a per-step callback."""
+    return lambda j: drift_jac_x(model, base.states[:, j])
 
 
-def _model_noise_force(model, base, controls, v):
-    from .model import diffusion_jac_u
-
-    def noise_force(j):
-        ju = diffusion_jac_u(model, base.states[:, j], controls[j])  # (M, d, n, l)
-        return (ju * v[:, j][:, None, None, :]).sum(axis=-1)
-
-    return noise_force
+def _gam(model, base):
+    """D_x sigma along the base path, or None: constant-diffusion families
+    contribute no state-dependent noise term."""
+    if model.diffusion.family == "constant":
+        return None
+    return lambda j: diffusion_jac_x(model, base.states[:, j])
 
 
 def simulate_affine_dual(
@@ -436,18 +396,10 @@ def simulate_affine_dual(
         raise SimulationError(f"gamma must have shape ({M}, {grid.steps}, {model.n})")
     if rho is not None and np.asarray(rho).shape != (M, grid.steps, model.d, model.n):
         raise SimulationError(f"rho must have shape ({M}, {grid.steps}, {model.d}, {model.n})")
-    controls = [u_bar.evaluate(j * grid.dt, base.states[:, j]) for j in range(grid.steps)]
-    constant_sigma = model.diffusion.family == "constant"
-
-    def lam(j):
-        return drift_jac_x(model, base.states[:, j], controls[j])
-
     drift_force = None if gamma is None else (lambda j: gamma[:, j])
     noise_force = None if rho is None else (lambda j: rho[:, j])
-    gam = None if constant_sigma else _model_gam(model, base, controls)
-
     values = _affine_forward(
-        grid, base.increments, eta, j0, lam, drift_force, gam, noise_force,
+        grid, base.increments, eta, j0, _lam(model, base), drift_force, _gam(model, base), noise_force,
         what="simulate_affine_dual",
     )
     return DualEnsemble(grid=grid, values=values, start_index=j0, base_seed=base.seed)
@@ -460,12 +412,18 @@ def estimate_moment(ensemble: PathEnsemble, q: int, t: float):
     j = ensemble.grid.index_of(t)
     r = np.linalg.norm(ensemble.states[:, j], axis=-1)
     vals = r**q
-    est = float(vals.mean())
-    if len(vals) > 1:
-        half = float(1.96 * vals.std(ddof=1) / np.sqrt(len(vals)))
-    else:
-        half = 0.0
-    return est, half
+    return float(vals.mean()), _ci95_halfwidth(vals)
+
+
+def _ci95_halfwidth(values: np.ndarray) -> float:
+    """95% normal CI half-width of the mean of per-path values.
+
+    Undefined below 2 paths, where it raises rather than report a confident 0.
+    """
+    m = len(values)
+    if m < 2:
+        raise SimulationError(f"a confidence interval needs at least 2 paths, got {m}")
+    return float(1.96 * values.std(ddof=1) / np.sqrt(m))
 
 
 @dataclass(frozen=True)
@@ -546,13 +504,20 @@ def ensemble_to_csv(ensemble: PathEnsemble, path: str) -> None:
 
 
 def ensemble_to_binary(ensemble: PathEnsemble, path: str) -> None:
-    """Compact dump; see README for the exact little-endian layout."""
+    """Compact dump.  Little-endian layout, no padding:
+
+    * 4 bytes   magic ``ERGP``;
+    * uint32    format version (1);
+    * uint64 x5 M, steps, n, d, seed; float64 dt;
+    * float64   x0, n values;
+    * float64   states, M*(steps+1)*n values in (path, step, coordinate) order;
+    * float64   increments, M*steps*d values in (path, step, channel) order.
+    """
     with open(path, "wb") as fh:
         fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<I", _BINARY_VERSION))
         fh.write(
-            struct.pack(
-                "<QQQQQd",
+            _BINARY_HEADER.pack(
+                _BINARY_VERSION,
                 ensemble.n_paths,
                 ensemble.grid.steps,
                 ensemble.n,
@@ -567,14 +532,24 @@ def ensemble_to_binary(ensemble: PathEnsemble, path: str) -> None:
 
 
 def ensemble_from_binary(path: str) -> PathEnsemble:
+    """Load a dump written by `ensemble_to_binary`; a file whose header or
+    length does not match that layout raises SimulationError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != _BINARY_MAGIC:
             raise SimulationError("not an ensemble dump (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(_BINARY_HEADER.size)
+        if len(header) != _BINARY_HEADER.size:
+            raise SimulationError("truncated ensemble dump: incomplete header")
+        version, m, steps, n, d, seed, dt = _BINARY_HEADER.unpack(header)
         if version != _BINARY_VERSION:
             raise SimulationError(f"unsupported dump version {version}")
-        m, steps, n, d, seed, dt = struct.unpack("<QQQQQd", fh.read(48))
+        expected = 4 + len(header) + 8 * (n + m * (steps + 1) * n + m * steps * d)
+        if size != expected:
+            raise SimulationError(
+                f"ensemble dump is {size} bytes, its header (M={m}, steps={steps}, n={n}, d={d}) "
+                f"implies {expected}"
+            )
         x0 = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(float)
         states = np.frombuffer(fh.read(8 * m * (steps + 1) * n), dtype="<f8")
         states = states.reshape(m, steps + 1, n).astype(float)
@@ -588,13 +563,3 @@ def ensemble_from_binary(path: str) -> PathEnsemble:
         states=states, increments=incr, seed=seed,
         control_id="imported", x0=x0,
     )
-
-
-def running_cost(model: ModelSpec, ensemble: PathEnsemble, control: ControlLaw) -> np.ndarray:
-    """Pathwise running cost f(X_j, u_j) at the left endpoints, shape (M, steps)."""
-    grid = ensemble.grid
-    out = np.empty((ensemble.n_paths, grid.steps))
-    for j in range(grid.steps):
-        xj = ensemble.states[:, j]
-        out[:, j] = cost_at(model, xj, control.evaluate(j * grid.dt, xj))
-    return out

@@ -46,8 +46,9 @@ def _as_array(x, shape, name):
 
 
 def _mat_vec(mat, vec):
-    # Row-wise contraction with a fixed reduction order over the last axis so
-    # results do not depend on how the batch is chunked across workers.
+    # Row-wise contraction with a fixed reduction order over the last axis, so
+    # each path's result does not depend on the batch it is computed in: the
+    # first k paths of an M-path ensemble equal the k-path ensemble bitwise.
     return (mat * vec[..., None, :]).sum(axis=-1)
 
 
@@ -368,10 +369,6 @@ class ModelSpec:
         sym = 0.5 * (self.drift.A + self.drift.A.T)
         return float(np.linalg.eigvalsh(sym).max())
 
-    def cost_lower_bound(self) -> float:
-        """Quadratic PSD cost is bounded below by zero."""
-        return 0.0
-
 
 # ---------------------------------------------------------------------------
 # Batched coefficient evaluation (used by the simulators)
@@ -385,8 +382,8 @@ def drift_at(model: ModelSpec, X, U) -> np.ndarray:
     return out
 
 
-def drift_jac_x(model: ModelSpec, X, U) -> np.ndarray:
-    """D_x b, shape (M, n, n)."""
+def drift_jac_x(model: ModelSpec, X) -> np.ndarray:
+    """D_x b, shape (M, n, n) (independent of u in both families)."""
     m = X.shape[0]
     jac = np.broadcast_to(model.drift.A, (m, model.n, model.n)).copy()
     if model.drift.family == "cubic":
@@ -396,9 +393,9 @@ def drift_jac_x(model: ModelSpec, X, U) -> np.ndarray:
     return jac
 
 
-def drift_jac_u(model: ModelSpec, X, U) -> np.ndarray:
-    """D_u b, shape (M, n, l) (constant in both families)."""
-    return np.broadcast_to(model.drift.B, (X.shape[0], model.n, model.l)).copy()
+def drift_jacU_apply(model: ModelSpec, V) -> np.ndarray:
+    """(D_u b) V for V of shape (M, l); D_u b is the constant matrix B."""
+    return _mat_vec(model.drift.B[None, :, :], V)
 
 
 def drift_jacT_apply(model: ModelSpec, X, P) -> np.ndarray:
@@ -419,14 +416,13 @@ def diffusion_at(model: ModelSpec, X, U) -> np.ndarray:
     return np.broadcast_to(model.diffusion.S, (X.shape[0], model.n, model.d)).copy()
 
 
-def diffusion_jac_x(model: ModelSpec, X, U) -> np.ndarray:
-    """D_x sigma^i stacked over channels, shape (M, d, n, n)."""
+def diffusion_jac_x(model: ModelSpec, X) -> np.ndarray:
+    """D_x sigma^i stacked over channels, shape (M, d, n, n).
+
+    sigma never depends on u, so there is no D_u sigma helper: that term of
+    D_u H and of the first-variation equation is identically zero.
+    """
     return np.zeros((X.shape[0], model.d, model.n, model.n))
-
-
-def diffusion_jac_u(model: ModelSpec, X, U) -> np.ndarray:
-    """D_u sigma^i stacked over channels, shape (M, d, n, l)."""
-    return np.zeros((X.shape[0], model.d, model.n, model.l))
 
 
 def cost_at(model: ModelSpec, X, U) -> np.ndarray:
@@ -436,11 +432,11 @@ def cost_at(model: ModelSpec, X, U) -> np.ndarray:
     return (X * qx).sum(axis=-1) + (U * ru).sum(axis=-1)
 
 
-def cost_grad_x(model: ModelSpec, X, U) -> np.ndarray:
+def cost_grad_x(model: ModelSpec, X) -> np.ndarray:
     return 2.0 * _mat_vec(model.cost.Q[None, :, :], X)
 
 
-def cost_grad_u(model: ModelSpec, X, U) -> np.ndarray:
+def cost_grad_u(model: ModelSpec, U) -> np.ndarray:
     return 2.0 * _mat_vec(model.cost.R[None, :, :], U)
 
 
@@ -479,12 +475,12 @@ def eval_model(model: ModelSpec, x, u) -> EvalResult:
         b=drift_at(model, X, U)[0],
         sigma=diffusion_at(model, X, U)[0],
         f=float(cost_at(model, X, U)[0]),
-        D_xb=drift_jac_x(model, X, U)[0],
-        D_ub=drift_jac_u(model, X, U)[0],
-        D_xsigma=diffusion_jac_x(model, X, U)[0],
-        D_usigma=diffusion_jac_u(model, X, U)[0],
-        D_xf=cost_grad_x(model, X, U)[0],
-        D_uf=cost_grad_u(model, X, U)[0],
+        D_xb=drift_jac_x(model, X)[0],
+        D_ub=model.drift.B.copy(),
+        D_xsigma=diffusion_jac_x(model, X)[0],
+        D_usigma=np.zeros((model.d, model.n, model.l)),
+        D_xf=cost_grad_x(model, X)[0],
+        D_uf=cost_grad_u(model, U)[0],
     )
     for name in ("b", "sigma", "f", "D_xb", "D_ub", "D_xf", "D_uf"):
         if not np.all(np.isfinite(getattr(res, name))):
@@ -528,13 +524,13 @@ def check_dissipativity(model: ModelSpec, probes: int = 512, seed: int = 0) -> D
         raise ModelError("check_dissipativity: probes must be >= 1")
     rng = np.random.default_rng(seed)
     X = 3.0 * rng.standard_normal((probes, model.n))
-    U = model.control_set.sample(rng, probes)
+    model.control_set.sample(rng, probes)  # u-probes: no family's x-derivatives read u
     Y = rng.standard_normal((probes, model.n))
     Y /= np.maximum(np.linalg.norm(Y, axis=-1, keepdims=True), 1e-300)
 
-    jac = drift_jac_x(model, X, U)
+    jac = drift_jac_x(model, X)
     quad = (Y * _mat_vec(jac, Y)).sum(axis=-1)
-    gam = diffusion_jac_x(model, X, U)  # (M, d, n, n)
+    gam = diffusion_jac_x(model, X)  # (M, d, n, n)
     gy = (gam * Y[:, None, None, :]).sum(axis=-1)  # (M, d, n)
     quad = quad + model.k * (gy * gy).sum(axis=(-1, -2))
 

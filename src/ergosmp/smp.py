@@ -16,14 +16,13 @@ import numpy as np
 
 from .adjoint import AdjointSolution, RegressionBasis, extend_to_infinite, solve_adjoint_finite
 from .ergodic_cost import checkpoint_times, ergodic_report_from_ensemble
-from .forward import SimulationError, TimeGrid, simulate_state
+from .forward import SimulationError, TimeGrid, _ci95_halfwidth, simulate_state
 from .model import (
     ControlLaw,
     ModelSpec,
     cost_at,
     cost_grad_u,
     diffusion_at,
-    diffusion_jac_u,
     drift_at,
     drift_jacU_T_apply,
 )
@@ -57,21 +56,19 @@ def hamiltonian(model: ModelSpec, x, u, p, q) -> float:
 
 
 def grad_u_hamiltonian(model: ModelSpec, x, u, p, q) -> np.ndarray:
-    """D_u H = (D_u b)^T p + sum_i (D_u sigma^i)^T q^i + D_u f, shape (l,)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    """D_u H = (D_u b)^T p + sum_i (D_u sigma^i)^T q^i + D_u f, shape (l,).
+
+    sigma does not depend on u, so D_u H reads neither x nor q; both are
+    accepted so the signature matches `hamiltonian`.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))[None, :]
     p = np.atleast_1d(np.asarray(p, dtype=float))[None, :]
-    q = np.asarray(q, dtype=float).reshape(1, model.d, model.n)
-    return _grad_u_batch(model, x, u, p, q)[0]
+    return _grad_u_batch(model, u, p)[0]
 
 
-def _grad_u_batch(model, X, U, P, Q) -> np.ndarray:
-    """Batched D_u H over (M, ...) arrays; Q has shape (M, d, n)."""
-    out = drift_jacU_T_apply(model, P)                       # (D_u b)^T p
-    if model.diffusion.family != "constant":
-        ju = diffusion_jac_u(model, X, U)                    # (M, d, n, l)
-        out = out + (ju * Q[:, :, :, None]).sum(axis=(1, 2))
-    return out + cost_grad_u(model, X, U)
+def _grad_u_batch(model, U, P) -> np.ndarray:
+    """Batched D_u H = (D_u b)^T p + D_u f over (M, ...) arrays."""
+    return drift_jacU_T_apply(model, P) + cost_grad_u(model, U)
 
 
 @dataclass(frozen=True)
@@ -121,23 +118,23 @@ def candidate_battery(
     return battery
 
 
-def _pairing_series(model, sol: AdjointSolution, u_bar, candidate: ControlLaw):
+def _pairing_series(model, sol: AdjointSolution, u_bar, candidates: Sequence[ControlLaw]):
     """Per-step ensemble mean of <D_u H, u_cand - u_bar> along the base path,
-    plus the per-path time average for the CI."""
+    shape (candidates, steps), plus the per-path time averages for the CIs,
+    shape (candidates, M).  One pass over the steps serves every candidate."""
     ens = sol.ensemble
     grid = ens.grid
     dt = grid.dt
-    m = ens.n_paths
-    series = np.empty(grid.steps)
-    per_path = np.zeros(m)
+    series = np.empty((len(candidates), grid.steps))
+    per_path = np.zeros((len(candidates), ens.n_paths))
     for j in range(grid.steps):
         xj = ens.states[:, j]
         ub = u_bar.evaluate(j * dt, xj)
-        grad = _grad_u_batch(model, xj, ub, sol.p[:, j], sol.q[:, j])
-        delta = candidate.evaluate(j * dt, xj) - ub
-        vals = (grad * delta).sum(axis=-1)
-        series[j] = vals.mean()
-        per_path += vals
+        grad = _grad_u_batch(model, ub, sol.p[:, j])
+        for c, cand in enumerate(candidates):
+            vals = (grad * (cand.evaluate(j * dt, xj) - ub)).sum(axis=-1)
+            series[c, j] = vals.mean()
+            per_path[c] += vals
     per_path *= dt / grid.horizon
     return series, per_path
 
@@ -155,7 +152,6 @@ def evaluate_variational_inequality(
     basis: Optional[RegressionBasis] = None,
     x0=None,
     adjoint: Optional[AdjointSolution] = None,
-    workers: int = 1,
 ) -> List[SmpReport]:
     """Necessary-condition check against a battery of candidate directions.
 
@@ -166,20 +162,17 @@ def evaluate_variational_inequality(
     if x0 is None:
         x0 = np.zeros(model.n)
     if adjoint is None:
-        adjoint = extend_to_infinite(
-            model, u_bar, x0, T_max, buffer, dt, M, seed, basis=basis, workers=workers
-        )
+        adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed, basis=basis)
     grid = adjoint.grid
     ts = checkpoint_times(grid.horizon, grid.dt, window)
     indices = np.round(ts / grid.dt).astype(int)
     tail_mask = ts >= (1.0 - window) * grid.horizon - 1e-9
+    series, per_path = _pairing_series(model, adjoint, u_bar, [cand for _, cand in u_candidates])
     reports = []
-    for name, cand in u_candidates:
-        series, per_path = _pairing_series(model, adjoint, u_bar, cand)
-        cum = np.concatenate([[0.0], np.cumsum(series)]) * grid.dt
+    for c, (name, _) in enumerate(u_candidates):
+        cum = np.concatenate([[0.0], np.cumsum(series[c])]) * grid.dt
         values = cum[indices] / ts
-        m = len(per_path)
-        ci = float(1.96 * per_path.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+        ci = _ci95_halfwidth(per_path[c])
         tail_min = float(values[tail_mask].min())
         tolerance = max(0.01, 2.0 * ci)
         verdict = "violated" if tail_min < -tolerance else "consistent"
@@ -258,15 +251,12 @@ def check_sufficiency(
     candidates: Optional[Sequence[Tuple[str, ControlLaw]]] = None,
     tolerance: float = 0.02,
     eigen_tolerance: float = 1e-3,
-    workers: int = 1,
 ) -> SufficiencyReport:
     """Sufficient-condition check: sampled convexity of the Hamiltonian along
     the solved costate plus the minimality tail over a direction battery."""
     if x0 is None:
         x0 = np.zeros(model.n)
-    adjoint = extend_to_infinite(
-        model, u_bar, x0, T_max, buffer, dt, M, seed, basis=basis, workers=workers
-    )
+    adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed, basis=basis)
     if candidates is None:
         candidates = candidate_battery(model, u_bar, seed=seed)
     reports = evaluate_variational_inequality(
@@ -342,7 +332,6 @@ def optimize_control(
     basis: Optional[RegressionBasis] = None,
     x0=None,
     patience: int = 8,
-    workers: int = 1,
 ) -> OptimizeResult:
     """Projected adjoint-gradient descent over feedback laws.
 
@@ -374,16 +363,15 @@ def optimize_control(
     status = "completed"
 
     for it in range(iterations):
-        ensemble = simulate_state(model, law, x0, grid_full, M, seed, workers=workers)
+        ensemble = simulate_state(model, law, x0, grid_full, M, seed)
         sol = solve_adjoint_finite(model, ensemble, law, basis=basis)
         report = ergodic_report_from_ensemble(model, ensemble.restricted(T), law, window)
 
         xs, gs = [], []
         for j in range(j_burn, j_top):
             xj = ensemble.states[:, j]
-            uj = law.evaluate(j * dt, xj)
             xs.append(xj)
-            gs.append(_grad_u_batch(model, xj, uj, sol.p[:, j], sol.q[:, j]))
+            gs.append(_grad_u_batch(model, law.evaluate(j * dt, xj), sol.p[:, j]))
         X_pool = np.concatenate(xs, axis=0)
         G_pool = np.concatenate(gs, axis=0)
 

@@ -92,11 +92,10 @@ def test_martingale_residual_orthogonality(lq1, lq1_zero, lq1_base8):
     for j in (150, 400):
         fit = sol.fits[j]
         xj = lq1_base8.states[:, j]
-        uj = lq1_zero.evaluate(j * dt, xj)
         raw = basis.features(xj)
         F = (raw - fit.mean) / fit.std
         p_next = sol.p[:, j + 1]
-        driver = drift_jacT_apply(lq1, xj, p_next) + cost_grad_x(lq1, xj, uj)
+        driver = drift_jacT_apply(lq1, xj, p_next) + cost_grad_x(lq1, xj)
         resid = (p_next + dt * driver) - F @ fit.coef_p
         moment = F.T @ resid  # normal equations: F^T r = ridge * D * coef
         expected = basis.ridge * fit.coef_p

@@ -1,0 +1,144 @@
+"""Fingerprint every numeric output of the library at fixed seeds.
+
+Prints a JSON object mapping each output (ensembles, costates, dual and
+first-variation sweeps, VI reports, duality sides, optimizer traces, Gateaux
+and expansion reports, CLI artifacts) to a short SHA-256 of its bytes, on
+lq1, cubic1 and a 3-state LQ model at small sizes (a few seconds).  A
+refactor that must keep outputs byte-identical runs it on both trees and
+diffs the results:
+
+    PYTHONPATH=<old>/src python tools/fingerprint.py > old.json
+    PYTHONPATH=<new>/src python tools/fingerprint.py > new.json
+    diff old.json new.json
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+import ergosmp as E
+from ergosmp import cli
+from ergosmp.ergodic_cost import ergodic_report_from_ensemble
+
+
+def _digest(obj) -> str:
+    if isinstance(obj, np.ndarray):
+        b = np.ascontiguousarray(obj).tobytes() + str(obj.shape).encode()
+    else:
+        b = json.dumps(obj, sort_keys=True, default=repr).encode()
+    return hashlib.sha256(b).hexdigest()[:16]
+
+
+def fingerprint() -> dict:
+    out = {}
+
+    def h(name, obj):
+        out[name] = _digest(obj)
+
+    lq1, cubic1 = E.ModelSpec.lq1(), E.ModelSpec.cubic1()
+    lq3 = E.ModelSpec.lq(
+        A=[[-1, 0.4, 0], [0, -1.2, 0.4], [0, 0, -0.8]], B=[[1, 0], [0, 0], [0, 1]],
+        S=[[0.6, 0], [0.3, 0.5], [0, 0.4]], Q=np.eye(3), R=np.eye(2),
+        control_set=E.ConvexSet.box([-5, -5], [5, 5]))
+    K3 = np.array([[-0.4, -0.1, 0.0], [0.0, -0.05, -0.3]])
+    models = {
+        "lq1": (lq1, E.ControlLaw.affine([[-0.4]], [0.1], lq1.control_set), E.ControlLaw.constant([1.0], lq1.control_set)),
+        "cubic1": (cubic1, E.ControlLaw.tabulated([-1, 0, 1], [[0.3], [-0.3]], cubic1.control_set),
+                   E.ControlLaw.affine([[-0.5]], [0.0], cubic1.control_set)),
+        "lq3": (lq3, E.ControlLaw.affine(K3, [0.1, 0], lq3.control_set), E.ControlLaw.constant([1.0, -1.0], lq3.control_set)),
+    }
+    for name, (model, law, alt) in models.items():
+        n = model.n
+        x0 = np.full(n, 0.7)
+        grid = E.TimeGrid(dt=0.02, steps=150)
+        ens = E.simulate_state(model, law, x0, grid, 96, seed=3)
+        h(f"{name}.states", ens.states)
+        h(f"{name}.incr", ens.increments)
+        sol = E.solve_adjoint_finite(model, ens, law)
+        h(f"{name}.p", sol.p)
+        h(f"{name}.q", sol.q)
+        nu = np.full((96, n), 0.3)
+        sol2 = E.solve_adjoint_finite(model, ens, law, nu=nu, basis=E.RegressionBasis(degree=2))
+        h(f"{name}.p_nu", sol2.p)
+        h(f"{name}.q_nu", sol2.q)
+        for th in (0.0, 0.5):
+            h(f"{name}.pert{th}", E.simulate_perturbed(model, law, alt, th, ens).states)
+        v = E.direction_from_laws(law, alt, ens)
+        h(f"{name}.v", v)
+        h(f"{name}.Y", E.simulate_first_variation(model, ens, law, v).states)
+        gamma = E.build_gamma(ens, n, value=np.ones(n), t_start=0.5, t_end=2.0, state_matrix=np.eye(n) * 0.2)
+        rho = E.build_rho(ens, n, model.d, {0: np.ones(n)}, t_start=0.4, t_end=1.6)
+        h(f"{name}.dual", E.simulate_affine_dual(model, ens, law, 0.4, np.ones(n), gamma=gamma, rho=rho).values)
+        h(f"{name}.expansion", E.verify_expansion_residual(model, law, alt, [0.5, 0.25, 0.1], ens).to_dict())
+        h(f"{name}.gateaux", E.estimate_gateaux(model, law, alt, 0.1, 2.0, 64, seed=4, dt=0.02).to_dict())
+        h(f"{name}.moment", E.estimate_moment(ens, 2, 3.0))
+        h(f"{name}.ergrep", ergodic_report_from_ensemble(model, ens, law).to_dict())
+        h(f"{name}.ergcost", E.estimate_ergodic_cost(model, law, x0, 3.0, 64, 5, dt=0.02).to_dict())
+        h(f"{name}.null", E.local_perturbation_null_test(model, law, alt, 0.5, 3.0, 64, 5, dt=0.02).to_dict())
+        h(f"{name}.costT", E.estimate_cost_T(model, ens, law, 2.0))
+        bat = E.candidate_battery(model, law, seed=2)
+        vi = E.evaluate_variational_inequality(model, law, bat, 2.0, 96, 6, dt=0.02, buffer=1.0, x0=x0)
+        h(f"{name}.vi", [r.to_dict() for r in vi])
+        vi2 = E.evaluate_variational_inequality(model, law, bat, 2.0, 96, 6, dt=0.02, buffer=1.0, adjoint=sol.restricted(2.0))
+        h(f"{name}.vi_adj", [r.to_dict() for r in vi2])
+        h(f"{name}.suff", E.check_sufficiency(model, law, 2.0, 96, 6, probes=20, dt=0.02, buffer=1.0).to_dict())
+        d = E.verify_duality_finite(model, law, 0.4, 3.0, eta="state", gamma=gamma, rho=rho, nu=nu, dt=0.02, base=ens)
+        h(f"{name}.dualfin", [d.lhs, d.rhs, d.to_dict()])
+        d = E.verify_duality_finite(model, law, 0.0, 2.0, eta="one", M=64, seed=9, dt=0.02)
+        h(f"{name}.dualfin2", [d.lhs, d.rhs])
+        gi = E.TimeGrid.from_horizon(3.0, 0.02)
+        probe = E.simulate_state(model, law, np.ones(n), gi, 64, 9)
+        rho_i = E.build_rho(probe, n, model.d, {0: np.ones(n)}, t_start=0.2, t_end=1.0)
+        d = E.verify_duality_infinite(model, law, 0.2, 1.0, eta="one", rho=rho_i, T_report=2.0, T_buffer=1.0, M=64, seed=9, dt=0.02)
+        h(f"{name}.dualinf", [d.lhs, d.rhs, d.to_dict()])
+        if model.n == 1:
+            init = (E.ControlLaw.affine([[0.0]], [0.0], model.control_set) if name == "lq1"
+                    else E.ControlLaw.tabulated([-1, 0, 1], [[0.0], [0.0]], model.control_set))
+            res = E.optimize_control(model, init, 0.5, 3, 3.0, 128, 7, dt=0.02, buffer=1.0)
+            h(f"{name}.opt", res.to_dict())
+        else:
+            init = E.ControlLaw.affine(np.zeros((2, 3)), [0.0, 0.0], model.control_set)
+            res = E.optimize_control(model, init, 0.5, 2, 3.0, 128, 7, dt=0.02, buffer=1.0)
+            h(f"{name}.opt", res.to_dict())
+        h(f"{name}.diss", E.check_dissipativity(model, probes=64, seed=1).to_dict())
+        r = E.eval_model(model, x0, law.evaluate(0.0, x0[None])[0])
+        h(f"{name}.eval", {k: np.asarray(getattr(r, k)).tolist() for k in r.__dataclass_fields__})
+        h(f"{name}.incr_direct", E.forward.brownian_increments(11, 17, grid, model.d))
+        ci = E.check_truncation_consistency(model, law, 1.0, 2.0, 0.02, 64, 3, x0=x0)
+        h(f"{name}.trunc", ci.to_dict())
+
+    # CLI artifacts
+    with tempfile.TemporaryDirectory() as td:
+        cfg = os.path.join(td, "m.json")
+        E.save_model_config(cubic1, cfg)
+        cmds = [
+            ["simulate", "--T", "1", "--M", "16", "--formats", "csv,bin"],
+            ["cost", "--T", "3", "--M", "32"],
+            ["adjoint", "--T", "1", "--M", "32", "--buffer", "1"],
+            ["duality-check", "--T", "1", "--M", "32", "--gamma-const", "1", "--rho-channel", "0"],
+            ["duality-check", "--T", "1", "--M", "32", "--infinite", "--buffer", "1", "--rho-channel", "0", "--rho-end", "0.5"],
+            ["smp-check", "--T", "2", "--M", "32", "--buffer", "1"],
+            ["sufficiency", "--T", "2", "--M", "32", "--buffer", "1", "--probes", "10"],
+            ["optimize", "--T", "3", "--M", "32", "--iters", "2", "--buffer", "1"],
+        ]
+        for i, c in enumerate(cmds):
+            od = os.path.join(td, f"o{i}")
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.run_command(c + ["--model", cfg, "--seed", "3", "--dt", "0.02", "--out-dir", od])
+            h(f"cli.{c[0]}.{i}.code", [code, buf.getvalue()])
+            for fn in sorted(os.listdir(od)):
+                with open(os.path.join(od, fn), "rb") as fh:
+                    h(f"cli.{c[0]}.{i}.{fn}", fh.read().hex())
+
+    return out
+
+
+if __name__ == "__main__":
+    json.dump(fingerprint(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
