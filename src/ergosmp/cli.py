@@ -195,42 +195,27 @@ def _cmd_duality(args, model) -> int:
     _positive(args, ["T", "dt", "M"])
     law = parse_control_law(args.control, model.control_set)
     basis = RegressionBasis(degree=args.degree, ridge=args.ridge)
-    x0 = _parse_x0(model, args.x0) if args.x0 is not None else None
+    x0 = _parse_x0(model, args.x0) if args.x0 is not None else np.ones(model.n)
+    horizon = args.T + args.buffer if args.infinite else args.T
+    base = simulate_state(model, law, x0, TimeGrid.from_horizon(horizon, args.dt), args.M, args.seed)
+    rho_end = args.T if args.rho_end is None else args.rho_end
+    rho = None
+    if args.rho_channel is not None:
+        rho = build_rho(base, model.n, model.d, {args.rho_channel: np.full(model.n, args.rho_value)},
+                        t_start=args.rho_start, t_end=rho_end)
     if args.infinite:
-        grid = TimeGrid.from_horizon(args.T + args.buffer, args.dt)
-    else:
-        grid = TimeGrid.from_horizon(args.T, args.dt)
-    # Forcing arrays are built on a probe ensemble-sized grid lazily below.
-    if args.infinite:
-        rho = None
-        if args.rho_channel is not None:
-            probe = simulate_state(model, law, x0 if x0 is not None else np.ones(model.n),
-                                   grid, args.M, args.seed)
-            rho = build_rho(probe, model.n, model.d,
-                            {args.rho_channel: np.full(model.n, args.rho_value)},
-                            t_start=args.rho_start,
-                            t_end=args.rho_end if args.rho_end is not None else args.T)
         report = verify_duality_infinite(
-            model, law, args.t,
-            T_support=args.rho_end if args.rho_end is not None else args.T,
-            eta=args.eta, rho=rho, T_report=args.T, T_buffer=args.buffer,
-            M=args.M, seed=args.seed, dt=args.dt, basis=basis, x0=x0,
+            model, law, args.t, T_support=rho_end, eta=args.eta, rho=rho,
+            T_report=args.T, T_buffer=args.buffer, dt=args.dt, basis=basis, base=base,
         )
     else:
-        base = simulate_state(model, law, x0 if x0 is not None else np.ones(model.n),
-                              grid, args.M, args.seed)
         gamma = None
         if args.gamma_const is not None:
             gamma = build_gamma(base, model.n, value=np.full(model.n, args.gamma_const),
                                 t_start=args.gamma_start, t_end=args.gamma_end)
-        rho = None
-        if args.rho_channel is not None:
-            rho = build_rho(base, model.n, model.d,
-                            {args.rho_channel: np.full(model.n, args.rho_value)},
-                            t_start=args.rho_start, t_end=args.rho_end)
         report = verify_duality_finite(
             model, law, args.t, args.T, eta=args.eta, gamma=gamma, rho=rho,
-            nu=None, M=args.M, seed=args.seed, dt=args.dt, basis=basis, base=base,
+            dt=args.dt, basis=basis, base=base,
         )
     _write_json(_out(args, "duality_report.json"), report.to_dict())
     print(f"lhs={report.lhs:.6f} rhs={report.rhs:.6f} rel_residual={report.rel_residual:.4f}")

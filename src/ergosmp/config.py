@@ -73,13 +73,13 @@ def parse_model_config(obj: dict, where="config") -> ModelSpec:
             )
         else:
             raise ConfigError(f"{where}: family must be 'lq' or 'cubic', got {family!r}")
+        for name, expect in (("n", model.n), ("d", model.d), ("l", model.l)):
+            if int(obj[name]) != expect:
+                raise ConfigError(f"{where}: field {name}={obj[name]} does not match coefficient shapes ({expect})")
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    for name, expect in (("n", model.n), ("d", model.d), ("l", model.l)):
-        if int(obj[name]) != expect:
-            raise ConfigError(f"{where}: field {name}={obj[name]} does not match coefficient shapes ({expect})")
     return model
 
 
@@ -150,6 +150,6 @@ def parse_control_law(spec, control_set: ConvexSet, where="control") -> ControlL
             return ControlLaw.tabulated(spec["edges"], spec["values"], control_set)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}: unknown control kind {kind!r}")

@@ -3,7 +3,7 @@
 Both sides of the identity are evaluated under the same time discretization
 and the same Brownian increments, so the reported residual measures solver
 bias (regression + quadrature), not Monte Carlo noise between independent
-runs.
+runs.  Both forms share one core, whose time integrals are per-path sums.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .adjoint import AdjointError, RegressionBasis, solve_adjoint_finite
-from .forward import PathEnsemble, SimulationError, TimeGrid, simulate_affine_dual, simulate_state
+from .forward import PathEnsemble, SimulationError, TimeGrid, _path_integrals, simulate_affine_dual, simulate_state
 from .model import ControlLaw, ModelSpec, cost_grad_x
 
 __all__ = [
@@ -132,6 +132,44 @@ def build_rho(
     return rho
 
 
+def _base_ensemble(model, u_bar, base, T, dt, M, seed, x0) -> PathEnsemble:
+    """The base ensemble on [0, T]: simulated from x0 (default: ones) when
+    `base` is None, otherwise checked to lie on the grid of (T, dt)."""
+    if base is None:
+        x0 = np.ones(model.n) if x0 is None else x0
+        return simulate_state(model, u_bar, x0, TimeGrid.from_horizon(T, dt), M, seed)
+    if base.grid.dt != dt or base.grid.index_of(T) != base.grid.steps:
+        raise SimulationError("base ensemble grid does not match (T, dt)")
+    return base
+
+
+def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=None):
+    """Both sides of the pairing identity on [t, T], T the end of the base grid:
+    (E<p_t, eta> + E int <p, gamma> + sum_i E int <q^i, rho^i>,
+    E int <Ycal, Psi> + E<nu, Ycal_T>, the dual ensemble, max_j E|Psi_j|^2)."""
+    grid = base.grid
+    j0 = grid.index_of(t)
+    eta_arr = build_eta(eta, base, t, model.n)
+    dual = simulate_affine_dual(model, base, u_bar, t, eta_arr, gamma=gamma, rho=rho)
+    psi_sq = np.zeros(grid.steps)
+
+    def rows(j):
+        psi = cost_grad_x(model, base.states[:, j])
+        psi_sq[j] = (psi**2).sum(axis=-1).mean()
+        forcing = np.zeros(base.n_paths)
+        if gamma is not None:
+            forcing = forcing + (sol.p[:, j] * gamma[:, j]).sum(axis=-1)
+        if rho is not None:
+            forcing = forcing + (sol.q[:, j] * rho[:, j]).sum(axis=(-1, -2))
+        return np.stack([forcing, (dual.values[:, j] * psi).sum(axis=-1)])
+
+    forcing, pairing = _path_integrals(grid, rows, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
+    p_side = float(((sol.p[:, j0] * eta_arr).sum(axis=-1) + forcing).mean())
+    if nu is not None:
+        pairing = pairing + (np.asarray(nu, dtype=float) * dual.values[:, grid.steps]).sum(axis=-1)
+    return p_side, float(pairing.mean()), dual, float(psi_sq.max())
+
+
 def verify_duality_finite(
     model: ModelSpec,
     u_bar: ControlLaw,
@@ -155,35 +193,12 @@ def verify_duality_finite(
 
     `gamma`/`rho` are full-grid forcing arrays (see build_gamma/build_rho);
     `eta` is a family name or array; Psi = D_xf along the base path.
-    Left-endpoint quadrature throughout.
+    Left-endpoint quadrature throughout, as per-path running sums.
     """
-    if x0 is None:
-        x0 = np.ones(model.n)
-    if base is None:
-        grid = TimeGrid.from_horizon(T, dt)
-        base = simulate_state(model, u_bar, x0, grid, M, seed)
-    else:
-        if base.grid.dt != dt or base.grid.index_of(T) != base.grid.steps:
-            raise SimulationError("base ensemble grid does not match (T, dt)")
-        M, seed = base.n_paths, base.seed
-    grid = base.grid
-    j0 = grid.index_of(t)
+    base = _base_ensemble(model, u_bar, base, T, dt, M, seed, x0)
+    M, seed = base.n_paths, base.seed
     sol = solve_adjoint_finite(model, base, u_bar, basis=basis, nu=nu)
-    eta_arr = build_eta(eta, base, t, model.n)
-    dual = simulate_affine_dual(model, base, u_bar, t, eta_arr, gamma=gamma, rho=rho)
-
-    lhs = float((sol.p[:, j0] * eta_arr).sum(axis=-1).mean())
-    rhs = 0.0
-    for j in range(j0, grid.steps):
-        if gamma is not None:
-            lhs += dt * float((sol.p[:, j] * gamma[:, j]).sum(axis=-1).mean())
-        if rho is not None:
-            lhs += dt * float((sol.q[:, j] * rho[:, j]).sum(axis=(-1, -2)).mean())
-        psi = cost_grad_x(model, base.states[:, j])
-        rhs += dt * float((dual.values[:, j] * psi).sum(axis=-1).mean())
-    if nu is not None:
-        nu_arr = np.asarray(nu, dtype=float)
-        rhs += float((nu_arr * dual.values[:, grid.steps]).sum(axis=-1).mean())
+    lhs, rhs, _, _ = _pairing_sides(model, u_bar, base, sol, t, eta, gamma=gamma, rho=rho, nu=nu)
 
     config = {
         "t": t, "T": T, "M": M, "seed": seed, "dt": dt,
@@ -209,43 +224,30 @@ def verify_duality_infinite(
     dt: float = 0.01,
     basis: Optional[RegressionBasis] = None,
     x0=None,
+    base: Optional[PathEnsemble] = None,
 ) -> DualityReport:
     """Infinite-horizon pairing: E int_t^inf <Ycal, Psi> equals
     sum_i E int <q^i, rho^i> + E<eta, p_t> for rho supported in [t, T_support].
 
-    The time integral is truncated at T_report + T_buffer; the discarded tail
-    is bounded analytically through the exponential decay of the dual process
-    and reported as `tail_bound`.
+    This is the finite-horizon pairing on [t, T_report + T_buffer] with
+    gamma = nu = 0; past T_support rho is zero, so its sum adds nothing.  The
+    discarded tail is bounded analytically through the exponential decay of
+    the dual process and reported as `tail_bound`.  `base` reuses an ensemble
+    on [0, T_report + T_buffer] instead of simulating one.
     """
     if T_support > T_report:
         raise SimulationError("rho support must end by T_report")
-    if x0 is None:
-        x0 = np.ones(model.n)
-    T_end = T_report + T_buffer
-    grid = TimeGrid.from_horizon(T_end, dt)
-    base = simulate_state(model, u_bar, x0, grid, M, seed)
+    base = _base_ensemble(model, u_bar, base, T_report + T_buffer, dt, M, seed, x0)
+    M, seed = base.n_paths, base.seed
+    grid = base.grid
     sol = solve_adjoint_finite(model, base, u_bar, basis=basis)
-    j0 = grid.index_of(t)
-    j_support = grid.index_of(T_support)
     if rho is not None:
         rho = np.asarray(rho, dtype=float)
         if rho.shape != (M, grid.steps, model.d, model.n):
             raise SimulationError("rho must be a full-grid forcing array")
-        if np.any(rho[:, j_support:] != 0.0):
+        if np.any(rho[:, grid.index_of(T_support):] != 0.0):
             raise AdjointError("rho with support beyond T_support is rejected")
-    eta_arr = build_eta(eta, base, t, model.n)
-    dual = simulate_affine_dual(model, base, u_bar, t, eta_arr, gamma=None, rho=rho)
-
-    lhs = 0.0
-    psi_sup = 0.0
-    for j in range(j0, grid.steps):
-        psi = cost_grad_x(model, base.states[:, j])
-        psi_sup = max(psi_sup, float((psi**2).sum(axis=-1).mean()))
-        lhs += dt * float((dual.values[:, j] * psi).sum(axis=-1).mean())
-    rhs = float((sol.p[:, j0] * eta_arr).sum(axis=-1).mean())
-    if rho is not None:
-        for j in range(j0, j_support):
-            rhs += dt * float((sol.q[:, j] * rho[:, j]).sum(axis=(-1, -2)).mean())
+    rhs, lhs, dual, psi_sup = _pairing_sides(model, u_bar, base, sol, t, eta, rho=rho)
 
     c_p = model.certified_dissipativity_bound()
     beta = -c_p if c_p < 0 else float("nan")

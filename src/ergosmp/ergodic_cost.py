@@ -8,11 +8,11 @@ liminf/limsup proxies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .forward import PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, simulate_perturbed, simulate_state
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals,
+                      direction_from_laws, simulate_first_variation, simulate_perturbed, simulate_state)
 from .model import ControlLaw, ModelSpec, cost_at, cost_grad_u, cost_grad_x
 
 __all__ = [
@@ -50,26 +50,31 @@ def checkpoint_times(T_max: float, dt: float, window: float = 0.25) -> np.ndarra
     return np.asarray(idx, dtype=int) * dt
 
 
+def _checkpoint_ladder(grid: TimeGrid, window: float):
+    """Checkpoint times on `grid`, their grid indices and the tail-window mask.
+
+    Raises SimulationError when fewer than 5 checkpoints fall in the tail
+    window [(1-window)T, T], where no tail statistic is meaningful.
+    """
+    ts = checkpoint_times(grid.horizon, grid.dt, window)
+    indices = np.round(ts / grid.dt).astype(int)
+    tail_mask = ts >= (1.0 - window) * grid.horizon - 1e-9
+    if tail_mask.sum() < 5:
+        raise SimulationError(f"only {tail_mask.sum()} checkpoints fall in the tail window; increase T_max")
+    return ts, indices, tail_mask
+
+
 def _cost_sums_at(model, ensemble, control, indices) -> np.ndarray:
     """Per-path left-endpoint quadrature of the running cost at the given
-    grid indices, shape (M, len(indices))."""
-    grid = ensemble.grid
-    indices = np.asarray(indices, dtype=int)
-    out = np.empty((ensemble.n_paths, len(indices)))
-    acc = np.zeros(ensemble.n_paths)
-    pos = 0
-    order = np.argsort(indices)
-    sorted_idx = indices[order]
-    for j in range(grid.steps):
-        while pos < len(sorted_idx) and sorted_idx[pos] == j:
-            out[:, order[pos]] = acc
-            pos += 1
+    grid indices, shape (M, len(indices)): per-path running sums from
+    `_path_integrals`, the summation order every time average shares."""
+    dt = ensemble.grid.dt
+
+    def running_cost(j):
         xj = ensemble.states[:, j]
-        acc = acc + grid.dt * cost_at(model, xj, control.evaluate(j * grid.dt, xj))
-    while pos < len(sorted_idx):
-        out[:, order[pos]] = acc
-        pos += 1
-    return out
+        return cost_at(model, xj, control.evaluate(j * dt, xj))
+
+    return _path_integrals(ensemble.grid, running_cost, indices, (ensemble.n_paths,))
 
 
 def estimate_cost_T(model: ModelSpec, ensemble: PathEnsemble, control: ControlLaw, T: float) -> float:
@@ -113,19 +118,10 @@ def ergodic_report_from_ensemble(
     window: float = 0.25,
 ) -> ErgodicCostReport:
     """Checkpointed J_T/T ladder evaluated on an existing ensemble."""
-    grid = ensemble.grid
-    T_max = grid.horizon
-    ts = checkpoint_times(T_max, grid.dt, window)
-    indices = np.round(ts / grid.dt).astype(int)
-    tail_count = int(np.sum(ts >= (1.0 - window) * T_max - 1e-9))
-    if tail_count < 5:
-        raise SimulationError(
-            f"only {tail_count} checkpoints fall in the tail window; increase T_max"
-        )
+    ts, indices, tail_mask = _checkpoint_ladder(ensemble.grid, window)
     sums = _cost_sums_at(model, ensemble, control, indices)
     values = sums.mean(axis=0) / ts
     ci = _ci95_halfwidth(sums[:, -1] / ts[-1])
-    tail_mask = ts >= (1.0 - window) * T_max - 1e-9
     return ErgodicCostReport(
         checkpoints=tuple((float(t), float(v)) for t, v in zip(ts, values)),
         tail_min=float(values[tail_mask].min()),
@@ -185,10 +181,9 @@ def estimate_gateaux(
 
     The finite difference perturbs the control along v = u_alt - u_bar on
     shared noise; the linearized value pairs the cost gradients with the
-    first-variation process on the same paths.
+    first-variation process on the same paths.  The base cost, the perturbed
+    cost and the pairing are per-path running sums of one three-row integrand.
     """
-    from .forward import direction_from_laws, simulate_first_variation
-
     if x0 is None:
         x0 = np.zeros(model.n)
     grid = TimeGrid.from_horizon(T, dt)
@@ -197,23 +192,19 @@ def estimate_gateaux(
     v = direction_from_laws(u_bar, u_alt, base)
     Y = simulate_first_variation(model, base, u_bar, v)
 
-    j_base = 0.0
-    j_pert = 0.0
-    linear = 0.0
-    for j in range(grid.steps):
+    def rows(j):
         xb = base.states[:, j]
         ub = u_bar.evaluate(j * dt, xb)
-        utheta = ub + theta * v[:, j]
-        j_base += cost_at(model, xb, ub).mean()
-        j_pert += cost_at(model, pert.states[:, j], utheta).mean()
-        linear += (
+        return np.stack([
+            cost_at(model, xb, ub),
+            cost_at(model, pert.states[:, j], ub + theta * v[:, j]),
             (cost_grad_x(model, xb) * Y.states[:, j]).sum(axis=-1)
-            + (cost_grad_u(model, ub) * v[:, j]).sum(axis=-1)
-        ).mean()
-    j_base *= dt
-    j_pert *= dt
-    linear *= dt / T
-    fd = (j_pert - j_base) / (theta * T)
+            + (cost_grad_u(model, ub) * v[:, j]).sum(axis=-1),
+        ])
+
+    j_base, j_pert, pairing = _path_integrals(grid, rows, [grid.steps], (3, M))[:, :, 0].mean(axis=1)
+    fd = float((j_pert - j_base) / (theta * T))
+    linear = float(pairing / T)
     return GateauxReport(theta=theta, finite_difference=fd, linearized=linear, gap=abs(fd - linear))
 
 

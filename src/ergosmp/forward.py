@@ -97,6 +97,32 @@ def _time_major(arr: np.ndarray) -> np.ndarray:
     return arr.transpose(1, 0, *range(2, arr.ndim))
 
 
+def _path_integrals(grid: TimeGrid, integrand, indices, shape, start: int = 0) -> np.ndarray:
+    """Per-path left-endpoint sums sum_{start <= j < i} dt * g_j at each grid
+    index i in `indices`, shape `shape + (len(indices),)`.
+
+    `integrand(j)` returns g_j with shape `shape`, paths on the last axis.
+    Every time average along an ensemble goes through this one running sum
+    acc = acc + dt * g_j, so they all share one summation order.  Indices may
+    be unsorted or repeated; an index equal to `start` reads 0.
+    """
+    indices = np.asarray(indices, dtype=int)
+    if indices.size and (indices.min() < start or indices.max() > grid.steps):
+        raise SimulationError(f"integration indices must lie in [{start}, {grid.steps}]")
+    out = np.empty(tuple(shape) + (len(indices),))
+    acc = np.zeros(shape)
+    order = np.argsort(indices, kind="stable")
+    pos = 0
+    for j in range(start, grid.steps + 1):
+        while pos < len(order) and indices[order[pos]] == j:
+            out[..., order[pos]] = acc
+            pos += 1
+        if pos == len(order):
+            break
+        acc = acc + grid.dt * integrand(j)
+    return out
+
+
 def brownian_increments(seed: int, M: int, grid: TimeGrid, d: int) -> np.ndarray:
     """Increments of shape (M, steps, d) with per-cell variance dt.
 

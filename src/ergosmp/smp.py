@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adjoint import AdjointSolution, RegressionBasis, extend_to_infinite, solve_adjoint_finite
-from .ergodic_cost import checkpoint_times, ergodic_report_from_ensemble
-from .forward import SimulationError, TimeGrid, _ci95_halfwidth, simulate_state
+from .ergodic_cost import _checkpoint_ladder, ergodic_report_from_ensemble
+from .forward import SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals, _time_major, simulate_state
 from .model import (
     ControlLaw,
     ModelSpec,
@@ -118,27 +118,6 @@ def candidate_battery(
     return battery
 
 
-def _pairing_series(model, sol: AdjointSolution, u_bar, candidates: Sequence[ControlLaw]):
-    """Per-step ensemble mean of <D_u H, u_cand - u_bar> along the base path,
-    shape (candidates, steps), plus the per-path time averages for the CIs,
-    shape (candidates, M).  One pass over the steps serves every candidate."""
-    ens = sol.ensemble
-    grid = ens.grid
-    dt = grid.dt
-    series = np.empty((len(candidates), grid.steps))
-    per_path = np.zeros((len(candidates), ens.n_paths))
-    for j in range(grid.steps):
-        xj = ens.states[:, j]
-        ub = u_bar.evaluate(j * dt, xj)
-        grad = _grad_u_batch(model, ub, sol.p[:, j])
-        for c, cand in enumerate(candidates):
-            vals = (grad * (cand.evaluate(j * dt, xj) - ub)).sum(axis=-1)
-            series[c, j] = vals.mean()
-            per_path[c] += vals
-    per_path *= dt / grid.horizon
-    return series, per_path
-
-
 def evaluate_variational_inequality(
     model: ModelSpec,
     u_bar: ControlLaw,
@@ -155,24 +134,32 @@ def evaluate_variational_inequality(
 ) -> List[SmpReport]:
     """Necessary-condition check against a battery of candidate directions.
 
-    A tail value below -max(0.01, 2 CI) certifies non-optimality of u_bar
-    (contrapositive use of the variational inequality); nonnegative tails are
-    merely consistent with optimality.
+    Per-path running sums of <D_u H, u_c - u_bar>, one row per candidate c,
+    give each checkpoint value and the CI.  A tail value below -max(0.01,
+    2 CI) certifies non-optimality of u_bar (contrapositive use of the
+    variational inequality); nonnegative tails are merely consistent with
+    optimality.
     """
     if x0 is None:
         x0 = np.zeros(model.n)
     if adjoint is None:
         adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed, basis=basis)
     grid = adjoint.grid
-    ts = checkpoint_times(grid.horizon, grid.dt, window)
-    indices = np.round(ts / grid.dt).astype(int)
-    tail_mask = ts >= (1.0 - window) * grid.horizon - 1e-9
-    series, per_path = _pairing_series(model, adjoint, u_bar, [cand for _, cand in u_candidates])
+    ens = adjoint.ensemble
+    ts, indices, tail_mask = _checkpoint_ladder(grid, window)
+    candidates = [cand for _, cand in u_candidates]
+
+    def pairings(j):
+        xj = ens.states[:, j]
+        ub = u_bar.evaluate(j * grid.dt, xj)
+        grad = _grad_u_batch(model, ub, adjoint.p[:, j])
+        return np.stack([(grad * (cand.evaluate(j * grid.dt, xj) - ub)).sum(axis=-1) for cand in candidates])
+
+    sums = _path_integrals(grid, pairings, indices, (len(candidates), ens.n_paths))
+    ladders = sums.mean(axis=1) / ts
     reports = []
-    for c, (name, _) in enumerate(u_candidates):
-        cum = np.concatenate([[0.0], np.cumsum(series[c])]) * grid.dt
-        values = cum[indices] / ts
-        ci = _ci95_halfwidth(per_path[c])
+    for (name, _), values, final in zip(u_candidates, ladders, sums[:, :, -1]):
+        ci = _ci95_halfwidth(final / ts[-1])
         tail_min = float(values[tail_mask].min())
         tolerance = max(0.01, 2.0 * ci)
         verdict = "violated" if tail_min < -tolerance else "consistent"
@@ -268,7 +255,7 @@ def check_sufficiency(
     grid = adjoint.grid
     ens = adjoint.ensemble
     rng = np.random.default_rng(seed + 101)
-    j_lo = grid.index_of(min(1.0, grid.horizon / 4.0)) if grid.horizon > dt else 0
+    j_lo = int(round(min(1.0, grid.horizon / 4.0) / grid.dt))
     paths = rng.integers(0, ens.n_paths, size=probes)
     steps = rng.integers(j_lo, grid.steps, size=probes)
     min_eig = np.inf
@@ -367,13 +354,11 @@ def optimize_control(
         sol = solve_adjoint_finite(model, ensemble, law, basis=basis)
         report = ergodic_report_from_ensemble(model, ensemble.restricted(T), law, window)
 
-        xs, gs = [], []
-        for j in range(j_burn, j_top):
-            xj = ensemble.states[:, j]
-            xs.append(xj)
-            gs.append(_grad_u_batch(model, law.evaluate(j * dt, xj), sol.p[:, j]))
-        X_pool = np.concatenate(xs, axis=0)
-        G_pool = np.concatenate(gs, axis=0)
+        # Pool the steps [j_burn, j_top) of the time-major buffers; affine and
+        # tabulated laws ignore t, so one evaluation serves every step.
+        X_pool = _time_major(ensemble.states)[j_burn:j_top].reshape(-1, model.n)
+        P_pool = _time_major(sol.p)[j_burn:j_top].reshape(-1, model.n)
+        G_pool = _grad_u_batch(model, law.evaluate(j_burn * dt, X_pool), P_pool)
 
         if law.kind == "affine_feedback":
             W, w = _fit_affine_gradient(X_pool, G_pool)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from ergosmp import ModelSpec, ensemble_from_binary, save_model_config
+import ergosmp.cli
+import ergosmp.duality
+from ergosmp import ModelSpec, ensemble_from_binary, save_model_config, simulate_state
 from ergosmp.cli import run_command
 
 
@@ -55,21 +57,51 @@ def test_verify_suite_all_passes_and_writes_json(lq1_config, tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["cost", *COMMON, "--T", "4", "--x0", "0.1,0.2"],
-        ["cost", "--seed", "3", "--dt", "0.05", "--M", "1", "--T", "4"],
-        ["smp-check", "--seed", "3", "--dt", "0.05", "--M", "1", "--T", "4", "--buffer", "1"],
-        ["simulate", *COMMON, "--T", "1", "--workers", "2"],
-    ],
-    ids=["x0-length", "cost-M1", "smp-check-M1", "workers-removed"],
-)
-def test_bad_input_exits_1_without_traceback(lq1_config, tmp_path, capsys, argv):
-    assert _run(lq1_config, tmp_path, *argv) == 1
+def _patched_config(config, tmp_path, patch):
+    with open(config) as fh:
+        obj = json.load(fh)
+    obj.update(patch)
+    path = tmp_path / "patched.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+# (id, argv, config patch or None): wrong values and wrong types alike.
+BAD_INPUT = [
+    ("x0-length", ["cost", *COMMON, "--T", "4", "--x0", "0.1,0.2"], None),
+    ("cost-M1", ["cost", "--seed", "3", "--dt", "0.05", "--M", "1", "--T", "4"], None),
+    ("smp-check-M1", ["smp-check", "--seed", "3", "--dt", "0.05", "--M", "1", "--T", "4", "--buffer", "1"], None),
+    ("workers-removed", ["simulate", *COMMON, "--T", "1", "--workers", "2"], None),
+    ("config-n-string", ["cost", *COMMON, "--T", "4"], {"n": "x"}),
+    ("config-n-list", ["cost", *COMMON, "--T", "4"], {"n": [1]}),
+    ("config-m-list", ["cost", *COMMON, "--T", "4"], {"m": [0]}),
+    ("config-p-null", ["cost", *COMMON, "--T", "4"], {"p": None}),
+    ("config-A-object", ["cost", *COMMON, "--T", "4"], {"A": {"x": 1}}),
+    ("control-value-object", ["cost", *COMMON, "--T", "4", "--control", '{"kind":"constant","value":{"a":1}}'], None),
+]
+
+
+@pytest.mark.parametrize("argv,patch", [case[1:] for case in BAD_INPUT], ids=[case[0] for case in BAD_INPUT])
+def test_bad_input_exits_1_without_traceback(lq1_config, tmp_path, capsys, argv, patch):
+    config = lq1_config if patch is None else _patched_config(lq1_config, tmp_path, patch)
+    assert _run(config, tmp_path, *argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_infinite_duality_check_simulates_once(lq1_config, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simulate_state(*args, **kwargs)
+
+    monkeypatch.setattr(ergosmp.cli, "simulate_state", counting)
+    monkeypatch.setattr(ergosmp.duality, "simulate_state", counting)
+    argv = ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1", "--rho-channel", "0"]
+    assert _run(lq1_config, tmp_path, *argv) in {0, 2}
+    assert len(calls) == 1
 
 
 def test_unknown_config_key_exits_1(lq1_config, tmp_path, capsys):

@@ -10,6 +10,7 @@ from ergosmp import (
     build_gamma,
     build_rho,
     simulate_state,
+    solve_adjoint_finite,
     verify_duality_finite,
     verify_duality_infinite,
 )
@@ -95,6 +96,33 @@ def test_bilinearity_in_eta(cubic1):
         assert np.isclose(reps[lam].rhs, lam * reps[1.0].rhs, rtol=1e-10)
 
 
+def test_finite_sides_recomputed(lq1):
+    law = ControlLaw.affine([[-0.4]], [0.1], lq1.control_set)
+    grid = TimeGrid(dt=0.02, steps=150)
+    dt, M, j0 = grid.dt, 128, 20
+    base = simulate_state(lq1, law, [0.7], grid, M, seed=3)
+    gamma = build_gamma(base, 1, value=[1.0], t_start=0.5, t_end=2.0, state_matrix=[[0.2]])
+    rho = build_rho(base, 1, 1, {0: [1.0]}, t_start=0.4, t_end=1.6)
+    nu = np.full((M, 1), 0.3)
+    rep = verify_duality_finite(lq1, law, j0 * dt, 3.0, eta="state", gamma=gamma, rho=rho, nu=nu,
+                                dt=dt, base=base)
+    X = np.asarray(base.states)
+    eta = X[:, j0]
+    sol = solve_adjoint_finite(lq1, base, law, nu=nu)
+    p, q = np.asarray(sol.p), np.asarray(sol.q)
+    lhs = ((p[:, j0] * eta).sum(axis=-1).mean()
+           + dt * (p[:, j0:-1] * gamma[:, j0:]).sum(axis=-1).mean(axis=0).sum()
+           + dt * (q[:, j0:] * rho[:, j0:]).sum(axis=(-1, -2)).mean(axis=0).sum())
+    # lq1 dual: dYcal = (-Ycal + gamma) dt + rho dW from Ycal = eta; Psi = 2x.
+    Y = np.zeros_like(X)
+    Y[:, j0] = eta
+    for j in range(j0, grid.steps):
+        Y[:, j + 1] = Y[:, j] + dt * (-Y[:, j] + gamma[:, j]) + rho[:, j, 0] * base.increments[:, j]
+    rhs = dt * (Y[:, j0:-1] * 2.0 * X[:, j0:-1]).sum(axis=-1).mean(axis=0).sum() + (nu * Y[:, -1]).sum(axis=-1).mean()
+    assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+    assert rep.rhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
 def test_base_grid_mismatch_rejected(lq1, lq1_zero, lq1_base8):
     with pytest.raises(SimulationError):
         verify_duality_finite(lq1, lq1_zero, 0.0, 4.0, eta="one",
@@ -131,6 +159,20 @@ def test_infinite_rho_indicator(lq1, lq1_zero):
                                   T_report=8.0, T_buffer=4.0, M=4096, seed=2, dt=0.01)
     assert abs(rep.rhs - 1.0) < 0.08  # E int <q, rho> with q = 1
     assert rep.rel_residual < 0.05
+
+
+def test_infinite_base_reuses_the_ensemble(lq1):
+    law = ControlLaw.affine([[-0.4]], [0.1], lq1.control_set)
+    grid = TimeGrid.from_horizon(3.0, 0.02)
+    ens = simulate_state(lq1, law, [1.0], grid, 64, seed=9)
+    rho = build_rho(ens, 1, 1, {0: [1.0]}, t_start=0.2, t_end=1.0)
+    kwargs = dict(eta="one", rho=rho, T_report=2.0, T_buffer=1.0, dt=0.02)
+    fresh = verify_duality_infinite(lq1, law, 0.2, 1.0, M=64, seed=9, **kwargs)
+    reused = verify_duality_infinite(lq1, law, 0.2, 1.0, base=ens, **kwargs)
+    assert reused.to_dict() == fresh.to_dict()
+    assert (reused.lhs, reused.rhs) == (fresh.lhs, fresh.rhs)
+    with pytest.raises(SimulationError):
+        verify_duality_infinite(lq1, law, 0.2, 1.0, base=ens, eta="one", T_report=2.0, T_buffer=2.0, dt=0.02)
 
 
 def test_infinite_rejects_late_support(lq1, lq1_zero):

@@ -17,7 +17,7 @@ from ergosmp import (
     simulate_state,
     verify_expansion_residual,
 )
-from ergosmp.forward import _affine_forward, brownian_increments
+from ergosmp.forward import _affine_forward, _path_integrals, brownian_increments
 
 
 def test_grid_validation():
@@ -105,6 +105,30 @@ def test_bitwise_determinism_across_runs_and_path_prefixes(lq1, lq1_zero):
     assert np.array_equal(a.increments[:24], b.increments)
     assert np.array_equal(a.states, c.states)
     assert np.array_equal(a.increments, c.increments)
+
+
+def test_path_integrals_match_cumsum():
+    grid = TimeGrid(dt=0.1, steps=20)
+    g = np.random.default_rng(4).standard_normal((2, 5, grid.steps))
+    start = 3
+    indices = [17, 3, 9, 12, 9]  # unsorted, repeated, one equal to start
+    called = []
+
+    def integrand(j):
+        called.append(j)
+        return g[..., j]
+
+    out = _path_integrals(grid, integrand, indices, (2, 5), start=start)
+    cum = np.concatenate([np.zeros((2, 5, 1)), np.cumsum(grid.dt * g[..., start:], axis=-1)], axis=-1)
+    assert out.shape == (2, 5, 5)
+    # The running sum acc + dt * g_j is np.cumsum's order, so the match is exact.
+    np.testing.assert_array_equal(out, cum[..., np.asarray(indices) - start])
+    assert np.all(out[..., 1] == 0.0)
+    assert called == list(range(start, max(indices)))
+    with pytest.raises(SimulationError):
+        _path_integrals(grid, integrand, [2, 5], (2, 5), start=start)
+    with pytest.raises(SimulationError):
+        _path_integrals(grid, integrand, [grid.steps + 1], (2, 5))
 
 
 def test_increment_statistics(lq1):

@@ -9,6 +9,7 @@ from ergosmp import (
     candidate_battery,
     check_sufficiency,
     evaluate_variational_inequality,
+    extend_to_infinite,
     grad_u_hamiltonian,
     hamiltonian,
     optimize_control,
@@ -72,6 +73,33 @@ def test_vi_zero_direction(lq1, lq1_zero):
     assert rep.verdict == "consistent"
 
 
+def test_vi_ladder_recomputed_from_costate(lq1):
+    law = ControlLaw.affine([[-0.4]], [0.1], lq1.control_set)
+    battery = candidate_battery(lq1, law, seed=2)
+    T, dt, M = 3.0, 0.02, 256
+    adjoint = extend_to_infinite(lq1, law, np.zeros(1), T, 1.0, dt, M, 6)
+    reports = evaluate_variational_inequality(lq1, law, battery, T, M, 6, dt=dt, adjoint=adjoint)
+    # lq1: D_u H = p + 2u on the box [-5, 5].
+    X = np.asarray(adjoint.ensemble.states)[:, :-1]
+    u_bar = np.clip(-0.4 * X + 0.1, -5.0, 5.0)
+    grad = np.asarray(adjoint.p)[:, :-1] + 2.0 * u_bar
+    for (name, cand), rep in zip(battery, reports):
+        u = cand.const if cand.kind == "constant" else X @ cand.gain.T + cand.offset
+        pairing = (grad * (np.clip(u, -5.0, 5.0) - u_bar)).sum(axis=-1)
+        cum = np.concatenate([[0.0], np.cumsum(pairing.mean(axis=0))]) * dt
+        ts = np.array([t for t, _ in rep.checkpoints])
+        assert ts[-1] == pytest.approx(T)
+        np.testing.assert_allclose([v for _, v in rep.checkpoints], cum[np.round(ts / dt).astype(int)] / ts,
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
+        final = dt * pairing.sum(axis=1) / T
+        assert rep.ci == pytest.approx(1.96 * final.std(ddof=1) / np.sqrt(M), rel=1e-12)
+
+
+def test_vi_needs_tail_checkpoints(lq1, lq1_zero):
+    with pytest.raises(SimulationError, match="tail window"):
+        evaluate_variational_inequality(lq1, lq1_zero, [("self", lq1_zero)], 0.05, 64, 3, dt=0.01, buffer=0.5)
+
+
 def test_vi_flags_suboptimal_zero_control(lq1, lq1_zero):
     battery = candidate_battery(lq1, lq1_zero, seed=5)
     reports = evaluate_variational_inequality(
@@ -100,6 +128,15 @@ def test_sufficiency_certifies_riccati(lq1, riccati_p):
     assert rep.verdict == "certified"
     assert abs(rep.convexity_min_eigen - 2.0) < 0.01  # Hessian of x^2+u^2 terms
     assert rep.minimality_tail >= -0.02
+
+
+def test_sufficiency_horizon_quarter_off_grid(lq1, riccati_p):
+    # T_max / 4 = 0.625 is not a multiple of dt = 0.01; the probe window
+    # starts at the nearest grid index instead.
+    law = ControlLaw.affine([[-riccati_p]], [0.0], lq1.control_set)
+    rep = check_sufficiency(lq1, law, 2.5, 256, 3, probes=20, dt=0.01, buffer=1.0)
+    assert rep.probe_count == 20
+    assert abs(rep.convexity_min_eigen - 2.0) < 0.01
 
 
 def test_sufficiency_affine_hamiltonian_passes(lq1_zero):

@@ -10,20 +10,30 @@ diffs the results:
     PYTHONPATH=<old>/src python tools/fingerprint.py > old.json
     PYTHONPATH=<new>/src python tools/fingerprint.py > new.json
     diff old.json new.json
+
+With --values it prints the numbers behind each hash instead: arrays as
+lists, reports as their dicts, JSON artifacts of the CLI parsed (other
+artifacts stay hashed).  When a change reorders a sum, compare two trees at
+a tolerance: every number within tol * max(1, |old|), everything else equal.
+
+    PYTHONPATH=<old>/src python tools/fingerprint.py --values > old.json
+    PYTHONPATH=<new>/src python tools/fingerprint.py --values > new.json
+    python tools/fingerprint.py --compare old.json new.json --tol 1e-12
+
+--compare lists every entry that is not identical with its largest scaled
+difference, and exits 1 if any entry is beyond the tolerance.
 """
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 
 import numpy as np
-
-import ergosmp as E
-from ergosmp import cli
-from ergosmp.ergodic_cost import ergodic_report_from_ensemble
 
 
 def _digest(obj) -> str:
@@ -34,11 +44,56 @@ def _digest(obj) -> str:
     return hashlib.sha256(b).hexdigest()[:16]
 
 
-def fingerprint() -> dict:
+def _plain(obj):
+    """JSON form of the numpy values the outputs hold."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return repr(obj)
+
+
+def _gap(old, new) -> float:
+    """Largest |old - new| / max(1, |old|) over the numbers of two values;
+    inf when their structure or any non-number differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            return math.inf
+        return max((_gap(old[k], new[k]) for k in old), default=0.0)
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return math.inf
+        return max((_gap(a, b) for a, b in zip(old, new)), default=0.0)
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        if old == new or (math.isnan(old) and math.isnan(new)):
+            return 0.0
+        if not (math.isfinite(old) and math.isfinite(new)):
+            return math.inf
+        return abs(old - new) / max(1.0, abs(old))
+    return 0.0 if old == new else math.inf
+
+
+def compare(old: dict, new: dict, tol: float) -> int:
+    """Print each entry that is not identical with its scaled gap; 1 if any
+    gap exceeds tol (or an entry is missing on one side), else 0."""
+    beyond = 0
+    for name in sorted(set(old) | set(new)):
+        gap = _gap(old[name], new[name]) if name in old and name in new else math.inf
+        if gap > 0.0:
+            beyond += gap > tol
+            print(f"{'FAIL' if gap > tol else 'ok  '} {name}: {gap:.3g}")
+    print(f"{beyond} of {len(set(old) | set(new))} entries beyond tol={tol:g}")
+    return 1 if beyond else 0
+
+
+def fingerprint(values: bool = False) -> dict:
+    # Imported here so that --compare runs without the library on the path.
+    import ergosmp as E
+    from ergosmp import cli
+    from ergosmp.ergodic_cost import ergodic_report_from_ensemble
+
     out = {}
 
     def h(name, obj):
-        out[name] = _digest(obj)
+        out[name] = obj if values else _digest(obj)
 
     lq1, cubic1 = E.ModelSpec.lq1(), E.ModelSpec.cubic1()
     lq3 = E.ModelSpec.lq(
@@ -134,11 +189,23 @@ def fingerprint() -> dict:
             h(f"cli.{c[0]}.{i}.code", [code, buf.getvalue()])
             for fn in sorted(os.listdir(od)):
                 with open(os.path.join(od, fn), "rb") as fh:
-                    h(f"cli.{c[0]}.{i}.{fn}", fh.read().hex())
+                    data = fh.read()
+                if values and fn.endswith(".json"):
+                    h(f"cli.{c[0]}.{i}.{fn}", json.loads(data))
+                else:
+                    out[f"cli.{c[0]}.{i}.{fn}"] = _digest(data.hex())
 
     return out
 
 
 if __name__ == "__main__":
-    json.dump(fingerprint(), sys.stdout, indent=1, sort_keys=True)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--values", action="store_true", help="print the values behind each hash")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two --values outputs")
+    ap.add_argument("--tol", type=float, default=1e-12, help="relative tolerance of --compare")
+    args = ap.parse_args()
+    if args.compare:
+        with open(args.compare[0]) as f_old, open(args.compare[1]) as f_new:
+            sys.exit(compare(json.load(f_old), json.load(f_new), args.tol))
+    json.dump(fingerprint(args.values), sys.stdout, indent=1, sort_keys=True, default=_plain)
     sys.stdout.write("\n")
