@@ -7,10 +7,11 @@ The costate pair (p, q^1..q^d) solves, on [0, T],
     q^i_j = E[ p_{j+1} * dW^i_j / dt | X_j ],
 
 with conditional expectations estimated by ridge-regularized least squares on
-polynomial features of the current state (q is fitted first and reused inside
-the p driver).  The infinite-horizon solution is realized by solving with
-zero terminal data on an extended horizon and discarding a buffer: the
-terminal layer decays exponentially under dissipativity.
+polynomial features of the current state.  sigma is constant, so the
+D_xsigma^T q term of the driver vanishes.  The infinite-horizon solution is
+realized by solving with zero terminal data on an extended horizon and
+discarding a buffer: the terminal layer decays exponentially under
+dissipativity.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .forward import PathEnsemble, TimeGrid, simulate_state
-from .model import ControlLaw, ModelSpec, cost_grad_x, diffusion_jac_x, drift_jacT_apply
+from .forward import PathEnsemble, TimeGrid, _paths_to_csv, simulate_state
+from .model import ControlLaw, ModelSpec, cost_grad_x, drift_jacT_apply
 
 __all__ = [
     "AdjointError",
@@ -207,7 +208,6 @@ def solve_adjoint_finite(
             raise AdjointError(f"nu must have shape ({M}, {n})")
         Pbuf[steps] = nu
         terminal_id = "custom"
-    constant_sigma = model.diffusion.family == "constant"
     fits: List[Optional[_StepFit]] = [None] * steps
 
     for j in range(steps - 1, -1, -1):
@@ -220,11 +220,7 @@ def solve_adjoint_finite(
         coef_q, q_fit = reg.fit(q_targets)
         Qbuf[j] = q_fit.reshape(M, d, n)
 
-        driver = drift_jacT_apply(model, Xj, p_next)          # D_xb^T p_{j+1}
-        if not constant_sigma:
-            gam = diffusion_jac_x(model, Xj)                  # (M, d, n, n)
-            driver = driver + (gam * Qbuf[j][:, :, :, None]).sum(axis=(1, 2))
-        driver = driver + cost_grad_x(model, Xj)
+        driver = drift_jacT_apply(model, Xj, p_next) + cost_grad_x(model, Xj)
         if not np.isfinite(driver).all():
             raise AdjointError(f"non-finite driver at step {j}")
 
@@ -407,20 +403,8 @@ def adjoint_coefficients_dict(sol: AdjointSolution) -> dict:
 def adjoint_to_csv(sol: AdjointSolution, path: str) -> None:
     """Pathwise dump: path, step, t, p_1..p_n, q^1_1..q^d_n (q blank at the
     terminal step)."""
-    m, steps_plus, n = sol.p.shape
-    d = sol.q.shape[2]
+    n, d = sol.p.shape[2], sol.q.shape[2]
     header = ["path", "step", "t"]
     header += [f"p_{i + 1}" for i in range(n)]
     header += [f"q{i + 1}_{k + 1}" for i in range(d) for k in range(n)]
-    dt = sol.grid.dt
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(m):
-            for j in range(steps_plus):
-                row = [str(i), str(j), repr(j * dt)]
-                row += [repr(float(v)) for v in sol.p[i, j]]
-                if j < steps_plus - 1:
-                    row += [repr(float(v)) for v in sol.q[i, j].ravel()]
-                else:
-                    row += [""] * (d * n)
-                fh.write(",".join(row) + "\n")
+    _paths_to_csv(path, header, sol.grid.dt, [sol.p, sol.q])

@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t", type=float, default=0.0)
     s.add_argument("--eta", default="zero", choices=["zero", "one", "state"])
     s.add_argument("--gamma-const", type=float, default=None, help="constant drift forcing value")
-    s.add_argument("--gamma-start", type=float, default=0.0)
+    s.add_argument("--gamma-start", type=float, default=None, help="default 0")
     s.add_argument("--gamma-end", type=float, default=None)
     s.add_argument("--rho-channel", type=int, default=None)
     s.add_argument("--rho-value", type=float, default=1.0)
@@ -196,6 +196,9 @@ def _cmd_duality(args, model) -> int:
     law = parse_control_law(args.control, model.control_set)
     basis = RegressionBasis(degree=args.degree, ridge=args.ridge)
     x0 = _parse_x0(model, args.x0) if args.x0 is not None else np.ones(model.n)
+    if args.infinite and any(v is not None for v in (args.gamma_const, args.gamma_start, args.gamma_end)):
+        raise ConfigError("--gamma-const/--gamma-start/--gamma-end do not apply to --infinite "
+                          "(the infinite-horizon form has no drift forcing)")
     horizon = args.T + args.buffer if args.infinite else args.T
     base = simulate_state(model, law, x0, TimeGrid.from_horizon(horizon, args.dt), args.M, args.seed)
     rho_end = args.T if args.rho_end is None else args.rho_end
@@ -212,11 +215,14 @@ def _cmd_duality(args, model) -> int:
         gamma = None
         if args.gamma_const is not None:
             gamma = build_gamma(base, model.n, value=np.full(model.n, args.gamma_const),
-                                t_start=args.gamma_start, t_end=args.gamma_end)
+                                t_start=args.gamma_start or 0.0, t_end=args.gamma_end)
         report = verify_duality_finite(
             model, law, args.t, args.T, eta=args.eta, gamma=gamma, rho=rho,
             dt=args.dt, basis=basis, base=base,
         )
+    if np.isnan(report.rel_residual):
+        raise ConfigError("both duality sides are exactly 0, so the identity is not exercised: "
+                          "give a nonzero --eta, --gamma-const or --rho-channel")
     _write_json(_out(args, "duality_report.json"), report.to_dict())
     print(f"lhs={report.lhs:.6f} rhs={report.rhs:.6f} rel_residual={report.rel_residual:.4f}")
     return EXIT_OK if report.rel_residual < args.threshold else EXIT_VERDICT_FAIL

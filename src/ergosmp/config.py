@@ -8,7 +8,7 @@ parse(serialize(model)) reproduces every numeric bit.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from functools import partial
 
 import numpy as np
 
@@ -51,28 +51,22 @@ def _parse_control_set(obj, where="control_set") -> ConvexSet:
 
 
 def parse_model_config(obj: dict, where="config") -> ModelSpec:
+    """Model from a config object.  `family` is "lq" or "cubic"; only "cubic"
+    takes (and requires) the `cubic` coefficients alpha."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected a JSON object")
     family = obj.get("family")
-    common = ("family", "n", "d", "l", "A", "B", "Sigma", "Q", "R", "control_set", "m", "p", "k")
+    if family not in ("lq", "cubic"):
+        raise ConfigError(f"{where}: family must be 'lq' or 'cubic', got {family!r}")
+    keys = ("family", "n", "d", "l", "A", "B", "Sigma", "Q", "R", "control_set", "m", "p", "k")
+    _require_keys(obj, keys + (("cubic",) if family == "cubic" else ()), where=where)
     try:
-        if family == "lq":
-            _require_keys(obj, common, where=where)
-            model = ModelSpec.lq(
-                A=obj["A"], B=obj["B"], S=obj["Sigma"], Q=obj["Q"], R=obj["R"],
-                control_set=_parse_control_set(obj["control_set"]),
-                m=int(obj["m"]), p=float(obj["p"]), k=float(obj["k"]),
-            )
-        elif family == "cubic":
-            _require_keys(obj, common + ("cubic",), where=where)
-            model = ModelSpec.cubic(
-                alpha=obj["cubic"], A=obj["A"], B=obj["B"], S=obj["Sigma"],
-                Q=obj["Q"], R=obj["R"],
-                control_set=_parse_control_set(obj["control_set"]),
-                m=int(obj["m"]), p=float(obj["p"]), k=float(obj["k"]),
-            )
-        else:
-            raise ConfigError(f"{where}: family must be 'lq' or 'cubic', got {family!r}")
+        build = partial(ModelSpec.cubic, obj["cubic"]) if family == "cubic" else ModelSpec.lq
+        model = build(
+            A=obj["A"], B=obj["B"], S=obj["Sigma"], Q=obj["Q"], R=obj["R"],
+            control_set=_parse_control_set(obj["control_set"]),
+            m=int(obj["m"]), p=float(obj["p"]), k=float(obj["k"]),
+        )
         for name, expect in (("n", model.n), ("d", model.d), ("l", model.l)):
             if int(obj[name]) != expect:
                 raise ConfigError(f"{where}: field {name}={obj[name]} does not match coefficient shapes ({expect})")
@@ -101,22 +95,22 @@ def model_config_dict(model: ModelSpec) -> dict:
     else:
         control_set = {"kind": "ball", "center": cs.center.tolist(), "radius": cs.radius}
     obj = {
-        "family": "lq" if model.drift.family == "linear" else "cubic",
+        "family": "cubic" if model.has_cubic else "lq",
         "n": model.n,
         "d": model.d,
         "l": model.l,
-        "A": model.drift.A.tolist(),
-        "B": model.drift.B.tolist(),
-        "Sigma": model.diffusion.S.tolist(),
-        "Q": model.cost.Q.tolist(),
-        "R": model.cost.R.tolist(),
+        "A": model.A.tolist(),
+        "B": model.B.tolist(),
+        "Sigma": model.S.tolist(),
+        "Q": model.Q.tolist(),
+        "R": model.R.tolist(),
         "control_set": control_set,
         "m": model.m,
         "p": model.p,
         "k": model.k,
     }
-    if model.drift.family == "cubic":
-        obj["cubic"] = model.drift.cubic.tolist()
+    if model.has_cubic:
+        obj["cubic"] = model.alpha.tolist()
     return obj
 
 

@@ -32,7 +32,7 @@ class DualityReport:
     lhs: float
     rhs: float
     abs_residual: float
-    rel_residual: float
+    rel_residual: float  # NaN (unavailable) when both sides are exactly 0
     config: dict
     tail_bound: float = 0.0  # analytic bound on the discarded time tail (infinite form)
 
@@ -42,15 +42,17 @@ class DualityReport:
             "lhs": self.lhs,
             "rhs": self.rhs,
             "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
+            "rel_residual": None if np.isnan(self.rel_residual) else self.rel_residual,
             "tail_bound": self.tail_bound,
             "config": self.config,
         }
 
 
 def _report(lhs: float, rhs: float, config: dict, tail_bound: float = 0.0) -> DualityReport:
+    """Residuals of the identity; rel_residual is NaN (unavailable) when both
+    sides are exactly 0, i.e. when all-zero data left it unexercised."""
     abs_res = abs(lhs - rhs)
-    rel_res = abs_res / max(abs(lhs), abs(rhs), 1e-12)
+    rel_res = float("nan") if lhs == rhs == 0.0 else abs_res / max(abs(lhs), abs(rhs), 1e-12)
     return DualityReport(
         lhs=lhs, rhs=rhs, abs_residual=abs_res, rel_residual=rel_res,
         config=config, tail_bound=tail_bound,

@@ -20,8 +20,6 @@ from .model import (
     ControlLaw,
     ModelSpec,
     _mat_vec,
-    diffusion_at,
-    diffusion_jac_x,
     drift_at,
     drift_jac_x,
     drift_jacU_apply,
@@ -214,9 +212,9 @@ def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, wh
     """Tamed Euler recursion on the increments dW (M, steps, d) from x0.
 
     The drift increment is dt*b / (1 + dt*|b|), which keeps the scheme stable
-    for the odd-polynomial drifts of the cubic family; the diffusion term is
-    standard Euler.  `control_at(j, x_j)` returns the (M, l) controls of step
-    j.  Returns the states (M, steps+1, n) on a time-major buffer.
+    for the cubic drift term; the diffusion term is standard Euler.
+    `control_at(j, x_j)` returns the (M, l) controls of step j.  Returns the
+    states (M, steps+1, n) on a time-major buffer.
     """
     M, steps = dW.shape[:2]
     Xbuf = np.empty((steps + 1, M, model.n))
@@ -226,8 +224,7 @@ def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, wh
         uj = control_at(j, xj)
         b = drift_at(model, xj, uj)
         bnorm = np.sqrt((b * b).sum(axis=-1, keepdims=True))
-        sig = diffusion_at(model, xj, uj)
-        noise = (sig * dW[:, j][:, None, :]).sum(axis=-1)
+        noise = _mat_vec(model.S[None, :, :], dW[:, j])
         Xbuf[j + 1] = xj + dt * b / (1.0 + dt * bnorm) + noise
         _check_finite(Xbuf[j + 1], j + 1, what)
     return _time_major(Xbuf)
@@ -360,9 +357,9 @@ def simulate_first_variation(
 ) -> FirstVariationEnsemble:
     """Linearized response of the state to the control direction v.
 
-    Euler recursion Y_{j+1} = Y_j + dt(D_xb Y_j + D_ub v_j) + sum_i
-    D_xsigma^i Y_j dW^i_j on the base increments, Y_0 = 0 (sigma does not
-    depend on u, so v does not enter the noise term).
+    Euler recursion Y_{j+1} = Y_j + dt(D_xb Y_j + D_ub v_j) on the base
+    increments, Y_0 = 0 (sigma is constant, so neither Y nor v enters a
+    noise term).
     """
     _require_base_under(base, u_bar, "simulate_first_variation")
     grid = base.grid
@@ -374,7 +371,7 @@ def simulate_first_variation(
         )
     Y = _affine_forward(
         grid, base.increments, np.zeros((M, model.n)), 0,
-        _lam(model, base), lambda j: drift_jacU_apply(model, v[:, j]), _gam(model, base),
+        _lam(model, base), lambda j: drift_jacU_apply(model, v[:, j]),
         what="simulate_first_variation",
     )
     return FirstVariationEnsemble(grid=grid, states=Y, base_seed=base.seed)
@@ -383,14 +380,6 @@ def simulate_first_variation(
 def _lam(model, base):
     """D_x b along the base path, as a per-step callback."""
     return lambda j: drift_jac_x(model, base.states[:, j])
-
-
-def _gam(model, base):
-    """D_x sigma along the base path, or None: constant-diffusion families
-    contribute no state-dependent noise term."""
-    if model.diffusion.family == "constant":
-        return None
-    return lambda j: diffusion_jac_x(model, base.states[:, j])
 
 
 def simulate_affine_dual(
@@ -405,9 +394,9 @@ def simulate_affine_dual(
     """Affine dual forward equation on [t0, T] driven by the base noise.
 
     dYcal = (Lam Ycal + gamma)dt + sum_i (Gam^i Ycal + rho^i)dW^i with
-    Ycal_{t0} = eta.  `gamma` has shape (M, steps, n) and `rho` has shape
-    (M, steps, d, n), both indexed on the full grid (entries before t0 are
-    ignored).
+    Ycal_{t0} = eta, where Gam^i = D_x sigma^i = 0 (sigma is constant).
+    `gamma` has shape (M, steps, n) and `rho` has shape (M, steps, d, n),
+    both indexed on the full grid (entries before t0 are ignored).
     """
     _require_base_under(base, u_bar, "simulate_affine_dual")
     grid = base.grid
@@ -425,7 +414,7 @@ def simulate_affine_dual(
     drift_force = None if gamma is None else (lambda j: gamma[:, j])
     noise_force = None if rho is None else (lambda j: rho[:, j])
     values = _affine_forward(
-        grid, base.increments, eta, j0, _lam(model, base), drift_force, _gam(model, base), noise_force,
+        grid, base.increments, eta, j0, _lam(model, base), drift_force, noise_force=noise_force,
         what="simulate_affine_dual",
     )
     return DualEnsemble(grid=grid, values=values, start_index=j0, base_seed=base.seed)
@@ -516,17 +505,28 @@ def verify_expansion_residual(
 # Ensemble export
 
 
+def _paths_to_csv(path: str, header, dt: float, blocks) -> None:
+    """Write one CSV row per (path, step): path, step, t, then each block's
+    values at that step.  `blocks` are (M, steps_b, ...) arrays, trailing
+    axes flattened; the first spans every step and a shorter block leaves
+    its cells blank past its end."""
+    steps_plus = blocks[0].shape[1]
+    times = [repr(j * dt) for j in range(steps_plus)]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(blocks[0].shape[0]):
+            columns = []
+            for block in blocks:
+                rows = block[i].reshape(block.shape[1], -1)
+                cells = [",".join(map(repr, row)) for row in rows.tolist()]
+                columns.append(cells + ["," * (rows.shape[1] - 1)] * (steps_plus - len(cells)))
+            fh.writelines(f"{i},{j},{times[j]},{','.join(row)}\n" for j, row in enumerate(zip(*columns)))
+
+
 def ensemble_to_csv(ensemble: PathEnsemble, path: str) -> None:
     """Write states as CSV with columns path, step, t, x_1..x_n."""
-    n = ensemble.n
-    header = "path,step,t," + ",".join(f"x_{i + 1}" for i in range(n))
-    dt = ensemble.grid.dt
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i in range(ensemble.n_paths):
-            for j in range(ensemble.grid.steps + 1):
-                coords = ",".join(repr(float(v)) for v in ensemble.states[i, j])
-                fh.write(f"{i},{j},{repr(j * dt)},{coords}\n")
+    header = ["path", "step", "t"] + [f"x_{i + 1}" for i in range(ensemble.n)]
+    _paths_to_csv(path, header, ensemble.grid.dt, [ensemble.states])
 
 
 def ensemble_to_binary(ensemble: PathEnsemble, path: str) -> None:

@@ -1,19 +1,21 @@
-"""Problem instances: coefficient families, convex control sets, feedback laws.
+"""Problem instances: one coefficient form, convex control sets, feedback laws.
 
-A model bundles drift b(x,u), diffusion sigma(x,u), running cost f(x,u), the
-admissible control set U, and the structural constants (m, p, k) that the
-rest of the library relies on.  Two built-in families are provided:
+A model is the controlled SDE dX = b(X,u) dt + sigma dW with running cost f,
 
-* ``lq``    -- b = A x + B u, constant sigma, quadratic cost.
-* ``cubic`` -- componentwise odd-polynomial drift b_i = -alpha_i x_i^3 +
-  (A x)_i + (B u)_i, constant sigma, quadratic cost.
+    b(x, u) = A x + B u - alpha * x^3   (componentwise cube, alpha >= 0),
+    sigma   = S                          (constant, n x d),
+    f(x, u) = <Q x, x> + <R u, u>,
 
-Both families expose exact analytic first derivatives of every coefficient.
+together with the admissible control set U and the structural constants
+(m, p, k) that the rest of the library relies on.  alpha = 0 is the
+linear-quadratic model.  Every coefficient has exact analytic first
+derivatives; sigma depends on neither x nor u, so D_x sigma = D_u sigma = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -22,9 +24,6 @@ __all__ = [
     "ModelError",
     "ConvexSet",
     "ControlLaw",
-    "Drift",
-    "Diffusion",
-    "Cost",
     "ModelSpec",
     "EvalResult",
     "DissipativityReport",
@@ -218,28 +217,7 @@ class ControlLaw:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient families
-
-
-@dataclass(frozen=True)
-class Drift:
-    family: str  # "linear" | "cubic"
-    A: np.ndarray
-    B: np.ndarray
-    cubic: Optional[np.ndarray] = None  # (n,) nonnegative, cubic family only
-
-
-@dataclass(frozen=True)
-class Diffusion:
-    family: str  # "constant"
-    S: np.ndarray  # (n, d)
-
-
-@dataclass(frozen=True)
-class Cost:
-    family: str  # "quadratic"
-    Q: np.ndarray  # (n, n) symmetric PSD
-    R: np.ndarray  # (l, l) symmetric PSD
+# Problem instances
 
 
 def _check_psd(mat, name):
@@ -252,24 +230,29 @@ def _check_psd(mat, name):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A controlled-SDE problem instance.
+    """A controlled-SDE problem instance: b = Ax + Bu - alpha*x^3, sigma = S,
+    f = <Qx,x> + <Ru,u> on the control set U.
 
+    The dimensions n, l (from B) and d (from S) are read off the data.
     Structural constants are validated strictly: p > max(4m+2, 4) and
     k > (p-1)/2.
     """
 
-    n: int
-    d: int
-    l: int
-    drift: Drift
-    diffusion: Diffusion
-    cost: Cost
+    A: np.ndarray      # (n, n)
+    B: np.ndarray      # (n, l)
+    S: np.ndarray      # (n, d)
+    Q: np.ndarray      # (n, n) symmetric PSD
+    R: np.ndarray      # (l, l) symmetric PSD
+    alpha: np.ndarray  # (n,) nonnegative cubic damping; zero for LQ
     control_set: ConvexSet
     m: int
     p: float
     k: float
 
     def __post_init__(self):
+        for name in ("A", "B", "S", "Q", "R"):
+            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
+        object.__setattr__(self, "alpha", np.atleast_1d(np.asarray(self.alpha, dtype=float)))
         if min(self.n, self.d, self.l) < 1:
             raise ModelError("state, noise and control dimensions must be >= 1")
         if self.m < 0 or int(self.m) != self.m:
@@ -278,60 +261,43 @@ class ModelSpec:
             raise ModelError(f"moment order p={self.p} must exceed max(4m+2, 4)={max(4 * self.m + 2, 4)}")
         if not self.k > (self.p - 1) / 2:
             raise ModelError(f"dissipativity weight k={self.k} must exceed (p-1)/2={(self.p - 1) / 2}")
-        _as_array(self.drift.A, (self.n, self.n), "A")
-        _as_array(self.drift.B, (self.n, self.l), "B")
-        if self.drift.family == "cubic":
-            alpha = _as_array(self.drift.cubic, (self.n,), "cubic coefficients")
-            if np.any(alpha < 0):
-                raise ModelError("cubic coefficients must be nonnegative")
-        elif self.drift.family != "linear":
-            raise ModelError(f"unknown drift family {self.drift.family!r}")
-        if self.diffusion.family != "constant":
-            raise ModelError(f"unknown diffusion family {self.diffusion.family!r}")
-        _as_array(self.diffusion.S, (self.n, self.d), "Sigma")
-        if self.cost.family != "quadratic":
-            raise ModelError(f"unknown cost family {self.cost.family!r}")
-        _check_psd(_as_array(self.cost.Q, (self.n, self.n), "Q"), "Q")
-        _check_psd(_as_array(self.cost.R, (self.l, self.l), "R"), "R")
+        _as_array(self.A, (self.n, self.n), "A")
+        _as_array(self.B, (self.n, self.l), "B")
+        if np.any(_as_array(self.alpha, (self.n,), "cubic coefficients") < 0):
+            raise ModelError("cubic coefficients must be nonnegative")
+        _as_array(self.S, (self.n, self.d), "Sigma")
+        _check_psd(_as_array(self.Q, (self.n, self.n), "Q"), "Q")
+        _check_psd(_as_array(self.R, (self.l, self.l), "R"), "R")
         if self.control_set.dim != self.l:
             raise ModelError("control set dimension must match l")
+
+    @property
+    def n(self) -> int:
+        return self.B.shape[0]
+
+    @property
+    def l(self) -> int:
+        return self.B.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self.S.shape[1]
+
+    @cached_property
+    def has_cubic(self) -> bool:
+        """Whether any alpha_i > 0; LQ models skip the cubic terms entirely."""
+        return bool(self.alpha.any())
 
     # -- canonical builders -------------------------------------------------
 
     @staticmethod
     def lq(A, B, S, Q, R, control_set, m=0, p=6.0, k=3.0) -> "ModelSpec":
-        A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
-        S = np.atleast_2d(np.asarray(S, dtype=float))
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        R = np.atleast_2d(np.asarray(R, dtype=float))
-        n, l = B.shape
-        d = S.shape[1]
-        return ModelSpec(
-            n=n, d=d, l=l,
-            drift=Drift(family="linear", A=A, B=B),
-            diffusion=Diffusion(family="constant", S=S),
-            cost=Cost(family="quadratic", Q=Q, R=R),
-            control_set=control_set, m=m, p=p, k=k,
-        )
+        return ModelSpec.cubic(np.zeros(B.shape[0]), A, B, S, Q, R, control_set, m=m, p=p, k=k)
 
     @staticmethod
     def cubic(alpha, A, B, S, Q, R, control_set, m=1, p=8.0, k=4.0) -> "ModelSpec":
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        S = np.atleast_2d(np.asarray(S, dtype=float))
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        R = np.atleast_2d(np.asarray(R, dtype=float))
-        n, l = B.shape
-        d = S.shape[1]
-        return ModelSpec(
-            n=n, d=d, l=l,
-            drift=Drift(family="cubic", A=A, B=B, cubic=alpha),
-            diffusion=Diffusion(family="constant", S=S),
-            cost=Cost(family="quadratic", Q=Q, R=R),
-            control_set=control_set, m=m, p=p, k=k,
-        )
+        return ModelSpec(A=A, B=B, S=S, Q=Q, R=R, alpha=alpha, control_set=control_set, m=m, p=p, k=k)
 
     @staticmethod
     def lq1(sigma=1.0, u_bound=5.0) -> "ModelSpec":
@@ -353,20 +319,13 @@ class ModelSpec:
         return ControlLaw.constant(np.zeros(self.l), self.control_set)
 
     def with_diffusion(self, S) -> "ModelSpec":
-        """Copy of the model with the constant diffusion matrix replaced."""
-        S = np.atleast_2d(np.asarray(S, dtype=float))
-        return ModelSpec(
-            n=self.n, d=S.shape[1], l=self.l,
-            drift=self.drift,
-            diffusion=Diffusion(family="constant", S=S),
-            cost=self.cost, control_set=self.control_set,
-            m=self.m, p=self.p, k=self.k,
-        )
+        """Copy of the model with the diffusion matrix replaced."""
+        return replace(self, S=S)
 
     def certified_dissipativity_bound(self) -> float:
-        """Largest eigenvalue of sym(A): a valid c_p for both built-in families
-        (constant sigma and nonnegative cubic damping only tighten it)."""
-        sym = 0.5 * (self.drift.A + self.drift.A.T)
+        """Largest eigenvalue of sym(A): a valid c_p (constant sigma and
+        nonnegative cubic damping only tighten it)."""
+        sym = 0.5 * (self.A + self.A.T)
         return float(np.linalg.eigvalsh(sym).max())
 
 
@@ -376,18 +335,18 @@ class ModelSpec:
 
 def drift_at(model: ModelSpec, X, U) -> np.ndarray:
     """b(x, u) for X of shape (M, n), U of shape (M, l): returns (M, n)."""
-    out = _mat_vec(model.drift.A[None, :, :], X) + _mat_vec(model.drift.B[None, :, :], U)
-    if model.drift.family == "cubic":
-        out = out - model.drift.cubic * X**3
+    out = _mat_vec(model.A[None, :, :], X) + _mat_vec(model.B[None, :, :], U)
+    if model.has_cubic:
+        out = out - model.alpha * X**3
     return out
 
 
 def drift_jac_x(model: ModelSpec, X) -> np.ndarray:
-    """D_x b, shape (M, n, n) (independent of u in both families)."""
+    """D_x b, shape (M, n, n) (independent of u)."""
     m = X.shape[0]
-    jac = np.broadcast_to(model.drift.A, (m, model.n, model.n)).copy()
-    if model.drift.family == "cubic":
-        diag = -3.0 * model.drift.cubic * X**2
+    jac = np.broadcast_to(model.A, (m, model.n, model.n)).copy()
+    if model.has_cubic:
+        diag = -3.0 * model.alpha * X**2
         idx = np.arange(model.n)
         jac[:, idx, idx] += diag
     return jac
@@ -395,49 +354,40 @@ def drift_jac_x(model: ModelSpec, X) -> np.ndarray:
 
 def drift_jacU_apply(model: ModelSpec, V) -> np.ndarray:
     """(D_u b) V for V of shape (M, l); D_u b is the constant matrix B."""
-    return _mat_vec(model.drift.B[None, :, :], V)
+    return _mat_vec(model.B[None, :, :], V)
 
 
 def drift_jacT_apply(model: ModelSpec, X, P) -> np.ndarray:
     """(D_x b)^T P for P of shape (M, n), without materializing the Jacobians."""
-    out = P @ model.drift.A
-    if model.drift.family == "cubic":
-        out = out - 3.0 * model.drift.cubic * X**2 * P
+    out = P @ model.A
+    if model.has_cubic:
+        out = out - 3.0 * model.alpha * X**2 * P
     return out
 
 
 def drift_jacU_T_apply(model: ModelSpec, P) -> np.ndarray:
     """(D_u b)^T P, shape (M, l); D_u b is the constant matrix B."""
-    return P @ model.drift.B
+    return P @ model.B
 
 
 def diffusion_at(model: ModelSpec, X, U) -> np.ndarray:
-    """sigma(x, u), shape (M, n, d) (constant for the built-in family)."""
-    return np.broadcast_to(model.diffusion.S, (X.shape[0], model.n, model.d)).copy()
-
-
-def diffusion_jac_x(model: ModelSpec, X) -> np.ndarray:
-    """D_x sigma^i stacked over channels, shape (M, d, n, n).
-
-    sigma never depends on u, so there is no D_u sigma helper: that term of
-    D_u H and of the first-variation equation is identically zero.
-    """
-    return np.zeros((X.shape[0], model.d, model.n, model.n))
+    """sigma(x, u) = S for every (x, u), shape (M, n, d)."""
+    return np.broadcast_to(model.S, (X.shape[0], model.n, model.d)).copy()
 
 
 def cost_at(model: ModelSpec, X, U) -> np.ndarray:
     """f(x, u) = <Qx, x> + <Ru, u>, shape (M,)."""
-    qx = _mat_vec(model.cost.Q[None, :, :], X)
-    ru = _mat_vec(model.cost.R[None, :, :], U)
+    qx = _mat_vec(model.Q[None, :, :], X)
+    ru = _mat_vec(model.R[None, :, :], U)
     return (X * qx).sum(axis=-1) + (U * ru).sum(axis=-1)
 
 
 def cost_grad_x(model: ModelSpec, X) -> np.ndarray:
-    return 2.0 * _mat_vec(model.cost.Q[None, :, :], X)
+    return 2.0 * _mat_vec(model.Q[None, :, :], X)
 
 
 def cost_grad_u(model: ModelSpec, U) -> np.ndarray:
-    return 2.0 * _mat_vec(model.cost.R[None, :, :], U)
+    return 2.0 * _mat_vec(model.R[None, :, :], U)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +401,8 @@ class EvalResult:
     f: float
     D_xb: np.ndarray     # (n, n)
     D_ub: np.ndarray     # (n, l)
-    D_xsigma: np.ndarray  # (d, n, n)
-    D_usigma: np.ndarray  # (d, n, l)
+    D_xsigma: np.ndarray  # (d, n, n), zero: sigma is constant
+    D_usigma: np.ndarray  # (d, n, l), zero: sigma is constant
     D_xf: np.ndarray     # (n,)
     D_uf: np.ndarray     # (l,)
 
@@ -476,8 +426,8 @@ def eval_model(model: ModelSpec, x, u) -> EvalResult:
         sigma=diffusion_at(model, X, U)[0],
         f=float(cost_at(model, X, U)[0]),
         D_xb=drift_jac_x(model, X)[0],
-        D_ub=model.drift.B.copy(),
-        D_xsigma=diffusion_jac_x(model, X)[0],
+        D_ub=model.B.copy(),
+        D_xsigma=np.zeros((model.d, model.n, model.n)),
         D_usigma=np.zeros((model.d, model.n, model.l)),
         D_xf=cost_grad_x(model, X)[0],
         D_uf=cost_grad_u(model, U)[0],
@@ -514,9 +464,9 @@ def check_dissipativity(model: ModelSpec, probes: int = 512, seed: int = 0) -> D
     Samples states x ~ N(0, 3^2 I), controls uniform on U and directions y
     uniform on the unit sphere, and evaluates
 
-        <D_x b(x,u) y, y> + k * ||D_x sigma(x,u) y||_2^2.
+        <D_x b(x,u) y, y> + k * ||D_x sigma(x,u) y||_2^2,
 
-    The probe maximum is the sampled estimate of the best dissipativity
+    whose second term is zero because sigma is constant.  The probe maximum is the sampled estimate of the best dissipativity
     constant; a nonnegative maximum fails the check.  Sampling can miss
     violations but never invents one.
     """
@@ -524,15 +474,12 @@ def check_dissipativity(model: ModelSpec, probes: int = 512, seed: int = 0) -> D
         raise ModelError("check_dissipativity: probes must be >= 1")
     rng = np.random.default_rng(seed)
     X = 3.0 * rng.standard_normal((probes, model.n))
-    model.control_set.sample(rng, probes)  # u-probes: no family's x-derivatives read u
+    model.control_set.sample(rng, probes)  # u-probes: D_x b does not read u
     Y = rng.standard_normal((probes, model.n))
     Y /= np.maximum(np.linalg.norm(Y, axis=-1, keepdims=True), 1e-300)
 
     jac = drift_jac_x(model, X)
     quad = (Y * _mat_vec(jac, Y)).sum(axis=-1)
-    gam = diffusion_jac_x(model, X)  # (M, d, n, n)
-    gy = (gam * Y[:, None, None, :]).sum(axis=-1)  # (M, d, n)
-    quad = quad + model.k * (gy * gy).sum(axis=(-1, -2))
 
     sampled_max = float(quad.max())
     return DissipativityReport(

@@ -176,7 +176,7 @@ def _derivative_check(model: ModelSpec, seed: int, probes: int = 100, h: float =
             worst = max(worst, np.max(np.abs(fu - res.D_ub[:, i]) / np.maximum(1.0, np.abs(res.D_ub[:, i]))))
             gu = fd(lambda z: mod.cost_at(model, x[None], z[None])[0], u, i)
             worst = max(worst, abs(gu - res.D_uf[i]) / max(1.0, abs(res.D_uf[i])))
-    name = f"derivative-fd-{'lq' if model.drift.family == 'linear' else 'cubic'}"
+    name = f"derivative-fd-{'cubic' if model.has_cubic else 'lq'}"
     return CheckResult(name, worst <= 1e-6, f"max relative error {worst:.2e}")
 
 

@@ -78,6 +78,14 @@ BAD_INPUT = [
     ("config-p-null", ["cost", *COMMON, "--T", "4"], {"p": None}),
     ("config-A-object", ["cost", *COMMON, "--T", "4"], {"A": {"x": 1}}),
     ("control-value-object", ["cost", *COMMON, "--T", "4", "--control", '{"kind":"constant","value":{"a":1}}'], None),
+    ("duality-infinite-gamma",
+     ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1", "--rho-channel", "0", "--gamma-const", "5"],
+     None),
+    ("duality-infinite-gamma-start",
+     ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1", "--rho-channel", "0", "--gamma-start", "0"],
+     None),
+    ("duality-zero-data", ["duality-check", *COMMON, "--T", "2"], None),
+    ("duality-zero-data-infinite", ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1"], None),
 ]
 
 

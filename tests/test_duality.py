@@ -22,6 +22,9 @@ def test_all_zero_data(lq1, lq1_zero, lq1_base8):
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
     assert rep.abs_residual == 0.0
+    # unexercised identity: the relative residual is unavailable, not 0
+    assert np.isnan(rep.rel_residual)
+    assert rep.to_dict()["rel_residual"] is None
 
 
 def test_eta_one_identity(lq1, lq1_zero, lq1_base8):
@@ -141,6 +144,8 @@ def test_infinite_zero_case(lq1, lq1_zero):
                                   T_report=4.0, T_buffer=2.0, M=512, seed=3, dt=0.01)
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
+    assert np.isnan(rep.rel_residual)
+    assert rep.to_dict()["rel_residual"] is None
 
 
 def test_infinite_eta_one(lq1, lq1_zero):

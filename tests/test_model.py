@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,10 @@ from ergosmp import (
     ModelSpec,
     check_dissipativity,
     eval_model,
+    model_config_dict,
     project_control,
 )
-from ergosmp.model import cost_at, diffusion_at, drift_at
+from ergosmp.model import cost_at, diffusion_at, drift_at, drift_jac_x, drift_jacT_apply
 
 
 def test_eval_lq1_at_origin(lq1):
@@ -157,6 +160,38 @@ def test_control_dim_checked():
     with pytest.raises(ModelError):
         ModelSpec.lq(A=[[-1.0]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
                      control_set=ConvexSet.box([-1.0, -1.0], [1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# One coefficient form
+
+
+LQ3 = dict(A=[[-1.0, 0.4, 0.0], [0.0, -1.2, 0.4], [0.0, 0.0, -0.8]], B=[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+           S=[[0.6, 0.0], [0.3, 0.5], [0.0, 0.4]], Q=np.eye(3), R=np.eye(2))
+
+
+def test_model_spec_is_one_coefficient_form():
+    names = [f.name for f in dataclasses.fields(ModelSpec)]
+    assert names == ["A", "B", "S", "Q", "R", "alpha", "control_set", "m", "p", "k"]
+    model = ModelSpec.lq(**LQ3, control_set=ConvexSet.box([-5.0, -5.0], [5.0, 5.0]))
+    assert (model.n, model.l, model.d) == (3, 2, 2)
+    wide = model.with_diffusion(np.ones((3, 4)))
+    assert wide.d == 4 and wide.alpha.tolist() == [0.0, 0.0, 0.0]
+    assert ModelSpec.cubic1().with_diffusion([[0.5]]).has_cubic
+
+
+def test_lq_equals_cubic_with_zero_alpha():
+    cs = ConvexSet.box([-5.0, -5.0], [5.0, 5.0])
+    lq = ModelSpec.lq(**LQ3, control_set=cs)
+    cubic = ModelSpec.cubic(np.zeros(3), **LQ3, control_set=cs, m=0, p=6.0, k=3.0)
+    rng = np.random.default_rng(4)
+    X = 3.0 * rng.standard_normal((64, 3))
+    U = rng.standard_normal((64, 2))
+    P = rng.standard_normal((64, 3))
+    for fn, args in ((drift_at, (X, U)), (drift_jac_x, (X,)), (drift_jacT_apply, (X, P))):
+        assert fn(lq, *args).tobytes() == fn(cubic, *args).tobytes()
+    assert model_config_dict(cubic) == model_config_dict(lq)
+    assert model_config_dict(lq)["family"] == "lq"
 
 
 # ---------------------------------------------------------------------------

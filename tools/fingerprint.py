@@ -2,10 +2,10 @@
 
 Prints a JSON object mapping each output (ensembles, costates, dual and
 first-variation sweeps, VI reports, duality sides, optimizer traces, Gateaux
-and expansion reports, CLI artifacts) to a short SHA-256 of its bytes, on
-lq1, cubic1 and a 3-state LQ model at small sizes (a few seconds).  A
-refactor that must keep outputs byte-identical runs it on both trees and
-diffs the results:
+and expansion reports, serialized model configs, CLI artifacts) to a short
+SHA-256 of its bytes, on lq1, cubic1 and a 3-state LQ model at small sizes
+(a few seconds).  A refactor that must keep outputs byte-identical runs it
+on both trees and diffs the results:
 
     PYTHONPATH=<old>/src python tools/fingerprint.py > old.json
     PYTHONPATH=<new>/src python tools/fingerprint.py > new.json
@@ -109,6 +109,7 @@ def fingerprint(values: bool = False) -> dict:
     }
     for name, (model, law, alt) in models.items():
         n = model.n
+        h(f"{name}.config", E.model_config_dict(model))
         x0 = np.full(n, 0.7)
         grid = E.TimeGrid(dt=0.02, steps=150)
         ens = E.simulate_state(model, law, x0, grid, 96, seed=3)
