@@ -7,18 +7,23 @@ The costate pair (p, q^1..q^d) solves, on [0, T],
     q^i_j = E[ p_{j+1} * dW^i_j / dt | X_j ],
 
 with conditional expectations estimated by ridge-regularized least squares on
-polynomial features of the current state.  sigma is constant, so the
-D_xsigma^T q term of the driver vanishes.  The infinite-horizon solution is
-realized by solving with zero terminal data on an extended horizon and
-discarding a buffer: the terminal layer decays exponentially under
-dissipativity.
+polynomial features of the current state (Gobet, Lemor & Warin 2005).  sigma
+is constant, so the D_xsigma^T q term of the driver vanishes: the p target
+never reads qhat_j, and the q and p targets of a step are fit together, as
+one stacked right-hand side of one factorized design.  A state-dependent
+sigma would make the two fits sequential again.  The infinite-horizon
+solution is realized by solving with zero terminal data on an extended
+horizon and discarding a buffer: the terminal layer decays exponentially
+under dissipativity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,15 +47,24 @@ class AdjointError(RuntimeError):
     """Backward solve failed (singular regression or non-finite driver)."""
 
 
-def _monomial_exponents(n: int, degree: int):
-    exps = [(0,) * n]
+@lru_cache(maxsize=None)
+def _monomial_parents(n: int, degree: int):
+    """(earlier row, coordinate) for each monomial row after the constant one,
+    in graded-lexicographic order of sorted index tuples.  The coordinate split
+    off is the last one of exponent 1 where there is one, so a mixed monomial
+    of degree <= 3 pairs its factors as the product of powers x_i^a * x_j^b
+    does."""
+    rows = {(): 0}
+    parents = []
     for deg in range(1, degree + 1):
         for combo in combinations_with_replacement(range(n), deg):
-            e = [0] * n
-            for i in combo:
-                e[i] += 1
-            exps.append(tuple(e))
-    return exps
+            single = [c for c in combo if combo.count(c) == 1]
+            i = single[-1] if single else combo[-1]
+            rest = list(combo)
+            rest.remove(i)
+            parents.append((rows[tuple(rest)], i))
+            rows[combo] = len(rows)
+    return tuple(parents)
 
 
 @dataclass(frozen=True)
@@ -68,83 +82,58 @@ class RegressionBasis:
             raise AdjointError("ridge must be >= 0")
 
     def feature_count(self, n: int) -> int:
-        return len(_monomial_exponents(n, self.degree))
+        return math.comb(n + self.degree, self.degree)
 
     def features_t(self, X: np.ndarray) -> np.ndarray:
-        """Monomial design matrix in (features, paths) layout."""
-        X = np.atleast_2d(X)
-        m, n = X.shape
-        exps = _monomial_exponents(n, self.degree)
-        out = np.empty((len(exps), m))
+        """Monomial design matrix in (features, paths) layout, where
+        per-feature reductions run over contiguous memory."""
+        Xt = np.atleast_2d(X).T
+        out = np.empty((self.feature_count(Xt.shape[0]), Xt.shape[1]))
         out[0] = 1.0
-        for col, e in enumerate(exps[1:], start=1):
-            acc = None
-            for i, power in enumerate(e):
-                if power:
-                    term = X[:, i] ** power
-                    acc = term if acc is None else acc * term
-            out[col] = acc
+        for row, (parent, i) in enumerate(_monomial_parents(Xt.shape[0], self.degree), start=1):
+            np.multiply(out[parent], Xt[i], out=out[row])
         return out
 
-    def features(self, X: np.ndarray) -> np.ndarray:
-        return self.features_t(X).T.copy()
 
-
-@dataclass
-class _StepFit:
-    mean: np.ndarray    # (K,)
-    std: np.ndarray     # (K,)
-    coef_p: np.ndarray  # (K, n)
-    coef_q: np.ndarray  # (d, K, n)
-
-
-class _StepRegressor:
-    """Shared per-step design matrix with its factorized normal equations.
-
-    Works in (features, paths) layout: per-feature reductions then run over
-    contiguous memory.
-    """
-
-    def __init__(self, basis: RegressionBasis, X: np.ndarray, step: int):
-        ft = basis.features_t(X)
-        mean = ft.mean(axis=1)
-        mean[0] = 0.0
-        centered = ft - mean[:, None]
-        std = np.sqrt((centered * centered).mean(axis=1))
-        std[0] = 1.0
-        std[std < 1e-300] = 1.0
-        self.Ft = centered / std[:, None]
-        self.mean, self.std = mean, std
-        k = ft.shape[0]
-        gram = self.Ft @ self.Ft.T
-        gram[np.arange(1, k), np.arange(1, k)] += basis.ridge
-        try:
-            self._chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise AdjointError(f"rank-deficient regression at step {step}") from exc
-        self.step = step
-
-    def fit(self, targets: np.ndarray):
-        """Least-squares coefficients and fitted values for (M, c) targets."""
-        rhs = self.Ft @ targets
-        z = np.linalg.solve(self._chol, rhs)
-        coef = np.linalg.solve(self._chol.T, z)
-        if not np.isfinite(coef).all():
-            raise AdjointError(f"non-finite regression coefficients at step {self.step}")
-        return coef, self.Ft.T @ coef
+def _fit_step(basis: RegressionBasis, X: np.ndarray, targets: np.ndarray, step: int):
+    """One ridge least-squares fit of (M, c) targets on the standardized
+    monomials of X: standardize, Gram, Cholesky, two triangular solves.
+    Returns (feature mean, feature std, coefficients (K, c), fitted (M, c))."""
+    ft = basis.features_t(X)
+    mean = ft.mean(axis=1)
+    mean[0] = 0.0
+    centered = ft - mean[:, None]
+    std = np.sqrt((centered * centered).mean(axis=1))
+    std[0] = 1.0
+    std[std < 1e-300] = 1.0
+    Ft = centered / std[:, None]
+    k = Ft.shape[0]
+    gram = Ft @ Ft.T
+    gram[np.arange(1, k), np.arange(1, k)] += basis.ridge
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise AdjointError(f"rank-deficient regression at step {step}") from exc
+    coef = np.linalg.solve(chol.T, np.linalg.solve(chol, Ft @ targets))
+    if not np.isfinite(coef).all():
+        raise AdjointError(f"non-finite regression coefficients at step {step}")
+    return mean, std, coef, Ft.T @ coef
 
 
 @dataclass(frozen=True)
 class AdjointSolution:
-    """Per-step regression representations and pathwise costate evaluations."""
+    """Per-step regression coefficients (standardized feature space) and
+    pathwise costate evaluations."""
 
     grid: TimeGrid
-    p: np.ndarray            # (M, steps+1, n)
-    q: np.ndarray            # (M, steps, d, n)
-    fits: List[_StepFit]
+    p: np.ndarray             # (M, steps+1, n)
+    q: np.ndarray             # (M, steps, d, n)
+    feature_mean: np.ndarray  # (steps, K)
+    feature_std: np.ndarray   # (steps, K)
+    coef_p: np.ndarray        # (steps, K, n)
+    coef_q: np.ndarray        # (steps, d, K, n)
     basis: RegressionBasis
     terminal_id: str
-    sup_p_sq: float          # max over steps of the mean squared costate norm
     ensemble: PathEnsemble
 
     def __post_init__(self):
@@ -155,13 +144,18 @@ class AdjointSolution:
     def horizon(self) -> float:
         return self.grid.horizon
 
+    @cached_property
+    def sup_p_sq(self) -> float:
+        """Max over this solution's steps of the mean squared costate norm."""
+        return float((self.p * self.p).sum(axis=-1).mean(axis=0).max())
+
     def evaluate_p(self, step: int, X: np.ndarray) -> np.ndarray:
         """Fitted costate function of step `step` evaluated at states X."""
-        if step >= len(self.fits):
+        if step >= self.grid.steps:
             raise AdjointError("terminal step has no regression representation")
-        fit = self.fits[step]
-        raw = self.basis.features(np.atleast_2d(X))
-        return ((raw - fit.mean) / fit.std) @ fit.coef_p
+        ft = self.basis.features_t(X)
+        Ft = (ft - self.feature_mean[step][:, None]) / self.feature_std[step][:, None]
+        return Ft.T @ self.coef_p[step]
 
     def restricted(self, horizon: float) -> "AdjointSolution":
         j = self.grid.index_of(horizon)
@@ -169,10 +163,12 @@ class AdjointSolution:
             grid=TimeGrid(dt=self.grid.dt, steps=j),
             p=self.p[:, : j + 1],
             q=self.q[:, :j],
-            fits=self.fits[:j],
+            feature_mean=self.feature_mean[:j],
+            feature_std=self.feature_std[:j],
+            coef_p=self.coef_p[:j],
+            coef_q=self.coef_q[:j],
             basis=self.basis,
             terminal_id=self.terminal_id,
-            sup_p_sq=self.sup_p_sq,
             ensemble=self.ensemble.restricted(horizon),
         )
 
@@ -196,6 +192,7 @@ def solve_adjoint_finite(
     basis = basis or RegressionBasis()
     grid = ensemble.grid
     M, steps, n, d = ensemble.n_paths, grid.steps, model.n, model.d
+    K = basis.feature_count(n)
     dt = grid.dt
     Pbuf = np.empty((steps + 1, M, n))
     Qbuf = np.empty((steps, M, d, n))
@@ -208,37 +205,34 @@ def solve_adjoint_finite(
             raise AdjointError(f"nu must have shape ({M}, {n})")
         Pbuf[steps] = nu
         terminal_id = "custom"
-    fits: List[Optional[_StepFit]] = [None] * steps
+    mean = np.empty((steps, K))
+    std = np.empty((steps, K))
+    # Channels 0..d-1 hold the q fits, channel d the p fit.
+    coef = np.empty((steps, K, d + 1, n))
+    targets = np.empty((M, d + 1, n))
 
     for j in range(steps - 1, -1, -1):
         Xj = ensemble.states[:, j]
-        reg = _StepRegressor(basis, Xj, j)
         p_next = Pbuf[j + 1]
-
-        # Martingale-increment targets for every noise channel at once.
-        q_targets = (p_next[:, None, :] * (ensemble.increments[:, j, :, None] / dt)).reshape(M, d * n)
-        coef_q, q_fit = reg.fit(q_targets)
-        Qbuf[j] = q_fit.reshape(M, d, n)
-
         driver = drift_jacT_apply(model, Xj, p_next) + cost_grad_x(model, Xj)
         if not np.isfinite(driver).all():
             raise AdjointError(f"non-finite driver at step {j}")
+        # Martingale-increment targets for every noise channel, then p's.
+        np.multiply(p_next[:, None, :], ensemble.increments[:, j, :, None] / dt, out=targets[:, :d])
+        targets[:, d] = p_next + dt * driver
+        mean[j], std[j], c, fitted = _fit_step(basis, Xj, targets.reshape(M, -1), j)
+        coef[j] = c.reshape(K, d + 1, n)
+        fitted = fitted.reshape(M, d + 1, n)
+        Qbuf[j] = fitted[:, :d]
+        Pbuf[j] = fitted[:, d]
 
-        coef_p, p_fit = reg.fit(p_next + dt * driver)
-        Pbuf[j] = p_fit
-        fits[j] = _StepFit(
-            mean=reg.mean, std=reg.std,
-            coef_p=coef_p,
-            coef_q=coef_q.reshape(-1, d, n).transpose(1, 0, 2).copy(),
-        )
-
-    sup_p_sq = float(max((Pbuf[j] ** 2).sum(axis=-1).mean() for j in range(steps + 1)))
     return AdjointSolution(
         grid=grid,
         p=Pbuf.transpose(1, 0, 2),
         q=Qbuf.transpose(1, 0, 2, 3),
-        fits=fits, basis=basis,
-        terminal_id=terminal_id, sup_p_sq=sup_p_sq, ensemble=ensemble,
+        feature_mean=mean, feature_std=std,
+        coef_p=coef[:, :, d], coef_q=coef[:, :, :d].transpose(0, 2, 1, 3),
+        basis=basis, terminal_id=terminal_id, ensemble=ensemble,
     )
 
 
@@ -378,17 +372,16 @@ def check_truncation_consistency(
 
 def adjoint_coefficients_dict(sol: AdjointSolution) -> dict:
     """Per-step regression coefficients (standardized feature space)."""
-    steps = []
-    for j, fit in enumerate(sol.fits):
-        steps.append(
-            {
-                "t": j * sol.grid.dt,
-                "feature_mean": fit.mean.tolist(),
-                "feature_std": fit.std.tolist(),
-                "coef_p": fit.coef_p.tolist(),
-                "coef_q": fit.coef_q.tolist(),
-            }
-        )
+    steps = [
+        {
+            "t": j * sol.grid.dt,
+            "feature_mean": sol.feature_mean[j].tolist(),
+            "feature_std": sol.feature_std[j].tolist(),
+            "coef_p": sol.coef_p[j].tolist(),
+            "coef_q": sol.coef_q[j].tolist(),
+        }
+        for j in range(sol.grid.steps)
+    ]
     return {
         "schema_version": 1,
         "degree": sol.basis.degree,

@@ -225,6 +225,9 @@ def _cmd_duality(args, model) -> int:
                           "give a nonzero --eta, --gamma-const or --rho-channel")
     _write_json(_out(args, "duality_report.json"), report.to_dict())
     print(f"lhs={report.lhs:.6f} rhs={report.rhs:.6f} rel_residual={report.rel_residual:.4f}")
+    if not np.isfinite(report.tail_bound):
+        print("tail_bound unavailable: no certified decay rate bounds the discarded tail")
+        return EXIT_VERDICT_FAIL
     return EXIT_OK if report.rel_residual < args.threshold else EXIT_VERDICT_FAIL
 
 

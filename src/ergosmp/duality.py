@@ -34,7 +34,7 @@ class DualityReport:
     abs_residual: float
     rel_residual: float  # NaN (unavailable) when both sides are exactly 0
     config: dict
-    tail_bound: float = 0.0  # analytic bound on the discarded time tail (infinite form)
+    tail_bound: float = 0.0  # bound on the discarded tail (infinite form); inf if unavailable
 
     def to_dict(self) -> dict:
         return {
@@ -43,7 +43,7 @@ class DualityReport:
             "rhs": self.rhs,
             "abs_residual": self.abs_residual,
             "rel_residual": None if np.isnan(self.rel_residual) else self.rel_residual,
-            "tail_bound": self.tail_bound,
+            "tail_bound": self.tail_bound if np.isfinite(self.tail_bound) else None,
             "config": self.config,
         }
 
@@ -234,7 +234,8 @@ def verify_duality_infinite(
     This is the finite-horizon pairing on [t, T_report + T_buffer] with
     gamma = nu = 0; past T_support rho is zero, so its sum adds nothing.  The
     discarded tail is bounded analytically through the exponential decay of
-    the dual process and reported as `tail_bound`.  `base` reuses an ensemble
+    the dual process and reported as `tail_bound`, which is inf (unavailable,
+    null in JSON) when the model certifies no decay rate.  `base` reuses an ensemble
     on [0, T_report + T_buffer] instead of simulating one.
     """
     if T_support > T_report:

@@ -26,12 +26,25 @@ def test_basis_feature_count():
     basis = RegressionBasis(degree=3)
     assert basis.feature_count(1) == 4
     assert basis.feature_count(2) == 10
-    feats = basis.features(np.array([[2.0]]))
-    assert feats[0].tolist() == [1.0, 2.0, 4.0, 8.0]
+    feats = basis.features_t(np.array([[2.0]]))
+    assert feats[:, 0].tolist() == [1.0, 2.0, 4.0, 8.0]
     with pytest.raises(AdjointError):
         RegressionBasis(degree=0)
     with pytest.raises(AdjointError):
         RegressionBasis(ridge=-1.0)
+
+
+def test_basis_order_and_values_n2_degree3():
+    exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
+    basis = RegressionBasis(degree=3)
+    # graded-lexicographic order, exact on integer states
+    assert basis.features_t(np.array([[2.0, 3.0]]))[:, 0].tolist() == [
+        float(2**a * 3**b) for a, b in exps]
+    X = np.random.default_rng(11).standard_normal((4096, 2)) * 2.0
+    ref = np.array([np.prod([X[:, i] ** k for i, k in enumerate(e)], axis=0) for e in exps])
+    ft = basis.features_t(X)
+    assert ft.shape == (10, 4096)
+    assert np.all(np.abs(ft - ref) <= np.spacing(np.abs(ref)))
 
 
 def test_zero_cost_gives_zero_adjoint(lq1_zero, lq1_base8):
@@ -90,23 +103,27 @@ def test_martingale_residual_orthogonality(lq1, lq1_zero, lq1_base8):
     sol = solve_adjoint_finite(lq1, lq1_base8, lq1_zero, basis=basis)
     dt = lq1_base8.grid.dt
     for j in (150, 400):
-        fit = sol.fits[j]
         xj = lq1_base8.states[:, j]
-        raw = basis.features(xj)
-        F = (raw - fit.mean) / fit.std
+        raw = basis.features_t(xj).T
+        F = (raw - sol.feature_mean[j]) / sol.feature_std[j]
         p_next = sol.p[:, j + 1]
         driver = drift_jacT_apply(lq1, xj, p_next) + cost_grad_x(lq1, xj)
-        resid = (p_next + dt * driver) - F @ fit.coef_p
+        resid = (p_next + dt * driver) - F @ sol.coef_p[j]
         moment = F.T @ resid  # normal equations: F^T r = ridge * D * coef
-        expected = basis.ridge * fit.coef_p
+        expected = basis.ridge * sol.coef_p[j]
         expected[0] = 0.0
         assert np.max(np.abs(moment - expected)) < 1e-7
+        # the q fit of the same step solves its own normal equations
+        resid_q = p_next * (lq1_base8.increments[:, j, 0, None] / dt) - F @ sol.coef_q[j, 0]
+        expected_q = basis.ridge * sol.coef_q[j, 0]
+        expected_q[0] = 0.0
+        assert np.max(np.abs(F.T @ resid_q - expected_q)) < 1e-7
 
 
 def test_lq_regressions_are_affine(lq1, lq1_zero, lq1_base8):
     sol = solve_adjoint_finite(lq1, lq1_base8, lq1_zero)
     for j in range(200, 600, 40):
-        c = sol.fits[j].coef_p[:, 0]
+        c = sol.coef_p[j][:, 0]
         assert abs(c[2]) <= 0.05 * abs(c[1])
         assert abs(c[3]) <= 0.05 * abs(c[1])
 
@@ -200,8 +217,15 @@ def test_restricted_solution_alignment(lq1, lq1_zero, lq1_base8):
     assert sub.grid.steps == 400
     assert np.array_equal(sub.p, sol.p[:, :401])
     assert np.array_equal(sub.q, sol.q[:, :400])
-    assert len(sub.fits) == 400
+    assert len(sub.coef_p) == 400
     assert sub.ensemble.grid.steps == 400
+
+
+def test_restricted_sup_p_sq_excludes_the_buffer(cubic1):
+    sol = extend_to_infinite(cubic1, cubic1.zero_control(), [0.0], 6.0, 4.0, 0.01, 256, seed=2)
+    own = float((sol.p ** 2).sum(axis=-1).mean(axis=0).max())
+    assert sol.sup_p_sq == pytest.approx(own, rel=1e-12)
+    assert adjoint_coefficients_dict(sol)["sup_p_sq"] == sol.sup_p_sq
 
 
 def test_coefficient_export_and_csv(tmp_path, lq1, lq1_zero):

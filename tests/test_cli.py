@@ -4,7 +4,7 @@ import pytest
 
 import ergosmp.cli
 import ergosmp.duality
-from ergosmp import ModelSpec, ensemble_from_binary, save_model_config, simulate_state
+from ergosmp import ConvexSet, ModelSpec, ensemble_from_binary, save_model_config, simulate_state
 from ergosmp.cli import run_command
 
 
@@ -110,6 +110,25 @@ def test_infinite_duality_check_simulates_once(lq1_config, tmp_path, monkeypatch
     argv = ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1", "--rho-channel", "0"]
     assert _run(lq1_config, tmp_path, *argv) in {0, 2}
     assert len(calls) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_infinite_duality_without_tail_bound_fails(tmp_path, capsys):
+    # Dissipative only through the cubic term (sym(A) = 0.5 > 0), so no decay
+    # rate is certified and the discarded tail is unbounded.
+    model = ModelSpec.cubic(alpha=[1.0], A=[[0.5]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                            control_set=ConvexSet.box([-5.0], [5.0]))
+    config = str(tmp_path / "cubic.json")
+    save_model_config(model, config)
+    argv = ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1", "--eta", "one",
+            "--threshold", "0.1"]
+    assert _run(config, tmp_path, *argv) == 2
+    assert "tail_bound unavailable" in capsys.readouterr().out
+    report = json.loads((tmp_path / "duality_report.json").read_text(), parse_constant=_reject_constant)
+    assert report["tail_bound"] is None
 
 
 def test_unknown_config_key_exits_1(lq1_config, tmp_path, capsys):

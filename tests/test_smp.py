@@ -14,6 +14,7 @@ from ergosmp import (
     hamiltonian,
     optimize_control,
 )
+from ergosmp.smp import _hamiltonian_hessian
 
 
 def _zero_cost_model():
@@ -120,6 +121,38 @@ def test_vi_consistent_at_riccati(lq1, riccati_p):
         lq1, law, battery, 12.0, 4096, 17, dt=0.01, buffer=3.0)
     assert min(r.tail_min for r in reports) >= -0.02
     assert all(r.verdict == "consistent" for r in reports)
+
+
+def _lq3():
+    return ModelSpec.lq(
+        A=[[-1, 0.4, 0], [0, -1.2, 0.4], [0, 0, -0.8]], B=[[1, 0], [0, 0], [0, 1]],
+        S=[[0.6, 0], [0.3, 0.5], [0, 0.4]], Q=np.eye(3), R=np.eye(2),
+        control_set=ConvexSet.box([-5, -5], [5, 5]))
+
+
+@pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3"])
+def test_exact_hessian_matches_central_differences(family, lq1, cubic1):
+    model = {"lq1": lq1, "cubic1": cubic1, "lq3": _lq3()}[family]
+    n, dim = model.n, model.n + model.l
+    rng = np.random.default_rng(41)
+    X = 2.0 * rng.standard_normal((20, n))
+    U = rng.standard_normal((20, model.l))
+    P = rng.standard_normal((20, n))
+    hess = _hamiltonian_hessian(model, X, P)
+    h = 1e-4
+    for x, u, p, exact in zip(X, U, P, hess):
+        q = rng.standard_normal((model.d, n))
+        z0 = np.concatenate([x, u])
+
+        def H(z):
+            return hamiltonian(model, z[:n], z[n:], p, q)
+
+        fd = np.empty((dim, dim))
+        for i in range(dim):
+            for k in range(dim):
+                ei, ek = np.eye(dim)[i] * h, np.eye(dim)[k] * h
+                fd[i, k] = (H(z0 + ei + ek) - H(z0 + ei - ek) - H(z0 - ei + ek) + H(z0 - ei - ek)) / (4 * h * h)
+        assert np.max(np.abs(fd - exact)) < 1e-5
 
 
 def test_sufficiency_certifies_riccati(lq1, riccati_p):

@@ -12,9 +12,12 @@ on both trees and diffs the results:
     diff old.json new.json
 
 With --values it prints the numbers behind each hash instead: arrays as
-lists, reports as their dicts, JSON artifacts of the CLI parsed (other
-artifacts stay hashed).  When a change reorders a sum, compare two trees at
-a tolerance: every number within tol * max(1, |old|), everything else equal.
+lists, reports as their dicts, JSON artifacts of the CLI parsed and its CSV
+artifacts split into cells (other artifacts stay hashed).  When a change
+reorders a sum, compare two trees at a tolerance: every number within
+tol * max(1, |old|), everything else equal.  Two strings that are equal once
+their number literals are masked (describe() strings, CLI stdout, CSV cells)
+are compared number by number.
 
     PYTHONPATH=<old>/src python tools/fingerprint.py --values > old.json
     PYTHONPATH=<new>/src python tools/fingerprint.py --values > new.json
@@ -30,6 +33,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -51,6 +55,17 @@ def _plain(obj):
     return repr(obj)
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b")
+
+
+def _cell(text: str):
+    """A CSV cell as a number where it is one."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _gap(old, new) -> float:
     """Largest |old - new| / max(1, |old|) over the numbers of two values;
     inf when their structure or any non-number differs."""
@@ -68,6 +83,9 @@ def _gap(old, new) -> float:
         if not (math.isfinite(old) and math.isfinite(new)):
             return math.inf
         return abs(old - new) / max(1.0, abs(old))
+    if isinstance(old, str) and isinstance(new, str) and old != new \
+            and _NUMBER.sub("#", old) == _NUMBER.sub("#", new):
+        return _gap([float(v) for v in _NUMBER.findall(old)], [float(v) for v in _NUMBER.findall(new)])
     return 0.0 if old == new else math.inf
 
 
@@ -193,6 +211,9 @@ def fingerprint(values: bool = False) -> dict:
                     data = fh.read()
                 if values and fn.endswith(".json"):
                     h(f"cli.{c[0]}.{i}.{fn}", json.loads(data))
+                elif values and fn.endswith(".csv"):
+                    h(f"cli.{c[0]}.{i}.{fn}", [[_cell(v) for v in row.split(",")]
+                                               for row in data.decode().splitlines()])
                 else:
                     out[f"cli.{c[0]}.{i}.{fn}"] = _digest(data.hex())
 
