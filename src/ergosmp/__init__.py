@@ -20,11 +20,9 @@ from .duality import DualityReport, build_eta, build_gamma, build_rho, verify_du
 from .ergodic_cost import (
     ErgodicCostReport,
     GateauxReport,
-    NullTestReport,
     estimate_cost_T,
     estimate_ergodic_cost,
     estimate_gateaux,
-    local_perturbation_null_test,
 )
 from .forward import (
     DualEnsemble,
@@ -48,11 +46,9 @@ from .model import (
     ControlLaw,
     ConvexSet,
     DissipativityReport,
-    EvalResult,
     ModelError,
     ModelSpec,
     check_dissipativity,
-    eval_model,
     project_control,
 )
 from .smp import (

@@ -140,10 +140,6 @@ class AdjointSolution:
         self.p.setflags(write=False)
         self.q.setflags(write=False)
 
-    @property
-    def horizon(self) -> float:
-        return self.grid.horizon
-
     @cached_property
     def sup_p_sq(self) -> float:
         """Max over this solution's steps of the mean squared costate norm."""

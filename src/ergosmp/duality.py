@@ -14,7 +14,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .adjoint import AdjointError, RegressionBasis, solve_adjoint_finite
-from .forward import PathEnsemble, SimulationError, TimeGrid, _path_integrals, simulate_affine_dual, simulate_state
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _path_integrals, _require_grid, simulate_affine_dual,
+                      simulate_state)
 from .model import ControlLaw, ModelSpec, cost_grad_x
 
 __all__ = [
@@ -140,8 +141,7 @@ def _base_ensemble(model, u_bar, base, T, dt, M, seed, x0) -> PathEnsemble:
     if base is None:
         x0 = np.ones(model.n) if x0 is None else x0
         return simulate_state(model, u_bar, x0, TimeGrid.from_horizon(T, dt), M, seed)
-    if base.grid.dt != dt or base.grid.index_of(T) != base.grid.steps:
-        raise SimulationError("base ensemble grid does not match (T, dt)")
+    _require_grid(base.grid, T, dt, "base ensemble")
     return base
 
 

@@ -18,13 +18,11 @@ from .model import ControlLaw, ModelSpec, cost_at, cost_grad_u, cost_grad_x
 __all__ = [
     "ErgodicCostReport",
     "GateauxReport",
-    "NullTestReport",
     "checkpoint_times",
     "estimate_cost_T",
     "estimate_ergodic_cost",
     "ergodic_report_from_ensemble",
     "estimate_gateaux",
-    "local_perturbation_null_test",
 ]
 
 CHECKPOINT_RATIO = 1.5  # growth factor of the checkpoint spacing
@@ -68,11 +66,10 @@ def _cost_sums_at(model, ensemble, control, indices) -> np.ndarray:
     """Per-path left-endpoint quadrature of the running cost at the given
     grid indices, shape (M, len(indices)): per-path running sums from
     `_path_integrals`, the summation order every time average shares."""
-    dt = ensemble.grid.dt
 
     def running_cost(j):
         xj = ensemble.states[:, j]
-        return cost_at(model, xj, control.evaluate(j * dt, xj))
+        return cost_at(model, xj, control.evaluate(xj))
 
     return _path_integrals(ensemble.grid, running_cost, indices, (ensemble.n_paths,))
 
@@ -93,10 +90,6 @@ class ErgodicCostReport:
     ci: float                   # 95% half-width of J_T/T at the final horizon
     control_id: str
     seed: int
-
-    def tail_values(self):
-        t_cut = (1.0 - self.tail_window) * self.checkpoints[-1][0]
-        return [v for (t, v) in self.checkpoints if t >= t_cut - 1e-9]
 
     def to_dict(self) -> dict:
         return {
@@ -183,7 +176,10 @@ def estimate_gateaux(
     shared noise; the linearized value pairs the cost gradients with the
     first-variation process on the same paths.  The base cost, the perturbed
     cost and the pairing are per-path running sums of one three-row integrand.
+    `theta` must lie in (0, 1].
     """
+    if not 0.0 < theta <= 1.0:
+        raise SimulationError("theta must lie in (0, 1]")
     if x0 is None:
         x0 = np.zeros(model.n)
     grid = TimeGrid.from_horizon(T, dt)
@@ -194,7 +190,7 @@ def estimate_gateaux(
 
     def rows(j):
         xb = base.states[:, j]
-        ub = u_bar.evaluate(j * dt, xb)
+        ub = u_bar.evaluate(xb)
         return np.stack([
             cost_at(model, xb, ub),
             cost_at(model, pert.states[:, j], ub + theta * v[:, j]),
@@ -206,106 +202,3 @@ def estimate_gateaux(
     fd = float((j_pert - j_base) / (theta * T))
     linear = float(pairing / T)
     return GateauxReport(theta=theta, finite_difference=fd, linearized=linear, gap=abs(fd - linear))
-
-
-class _TimeSwitchLaw:
-    """Control that follows `before` on [0, t_switch) and `after` afterwards."""
-
-    def __init__(self, before: ControlLaw, after: ControlLaw, t_switch: float):
-        self.before = before
-        self.after = after
-        self.t_switch = t_switch
-        self.control_set = after.control_set
-
-    def evaluate(self, t, x):
-        law = self.before if t < self.t_switch - 1e-12 else self.after
-        return law.evaluate(t, x)
-
-    def describe(self) -> str:
-        return (
-            f"switch(before={self.before.describe()}, after={self.after.describe()}, "
-            f"t={self.t_switch!r})"
-        )
-
-
-@dataclass(frozen=True)
-class NullTestReport:
-    tail_difference: float
-    ci: float
-    transient_estimate: float   # unnormalized cost offset measured at T_mid
-    bound: float                # |tail_difference| must stay below this
-    shrink_reference: float     # |difference| of J_T/T at T_mid
-    verdict: bool
-    baseline: ErgodicCostReport
-    patched: ErgodicCostReport
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "tail_difference": self.tail_difference,
-            "ci": self.ci,
-            "transient_estimate": self.transient_estimate,
-            "bound": self.bound,
-            "shrink_reference": self.shrink_reference,
-            "verdict": "pass" if self.verdict else "fail",
-            "baseline": self.baseline.to_dict(),
-            "patched": self.patched.to_dict(),
-        }
-
-
-def local_perturbation_null_test(
-    model: ModelSpec,
-    u_bar: ControlLaw,
-    u_alt: ControlLaw,
-    T0: float,
-    T_max: float,
-    M: int,
-    seed: int,
-    dt: float = 0.01,
-    window: float = 0.25,
-    x0=None,
-) -> NullTestReport:
-    """Check that replacing the control by u_alt on [0, T0] only leaves a
-    transient: the long-run average cost is unchanged.
-
-    Shared noise couples the two runs.  The verdict requires the tail
-    difference of J_T/T to (a) be explainable by a bounded cost transient
-    divided by T_max and (b) shrink relative to its value at T_max/4.
-    """
-    if not 0.0 < T0 <= T_max / 4.0:
-        raise SimulationError("the patch must be local: need 0 < T0 <= T_max / 4")
-    if x0 is None:
-        x0 = np.zeros(model.n)
-    grid = TimeGrid.from_horizon(T_max, dt)
-    patched = _TimeSwitchLaw(u_alt, u_bar, T0)
-    ens_base = simulate_state(model, u_bar, x0, grid, M, seed)
-    ens_patch = simulate_state(model, patched, x0, grid, M, seed)
-
-    rep_base = ergodic_report_from_ensemble(model, ens_base, u_bar, window)
-    rep_patch = ergodic_report_from_ensemble(model, ens_patch, patched, window)
-
-    t_mid = min(max(4.0 * T0, T_max / 4.0), T_max / 2.0)
-    j_mid = min(int(round(t_mid / dt)), grid.steps)
-    j_end = grid.steps
-    sums_base = _cost_sums_at(model, ens_base, u_bar, [j_mid, j_end])
-    sums_patch = _cost_sums_at(model, ens_patch, patched, [j_mid, j_end])
-    diff_mid = sums_patch[:, 0] - sums_base[:, 0]
-    diff_end = (sums_patch[:, 1] - sums_base[:, 1]) / T_max
-    tail_difference = float(diff_end.mean())
-    ci = _ci95_halfwidth(diff_end)
-    transient = float(diff_mid.mean())
-    ci_mid = _ci95_halfwidth(diff_mid)
-    bound = 2.0 * ci + 1.5 * (abs(transient) + 2.0 * ci_mid) / T_max + 1e-6
-    shrink_reference = abs(transient) / (j_mid * dt)
-    shrink_ok = abs(tail_difference) <= max(0.5 * shrink_reference, 2.0 * ci + 1e-6)
-    verdict = (abs(tail_difference) <= bound) and shrink_ok
-    return NullTestReport(
-        tail_difference=tail_difference,
-        ci=ci,
-        transient_estimate=transient,
-        bound=bound,
-        shrink_reference=shrink_reference,
-        verdict=verdict,
-        baseline=rep_base,
-        patched=rep_patch,
-    )

@@ -89,6 +89,12 @@ class TimeGrid:
         return TimeGrid(dt=dt, steps=steps)
 
 
+def _require_grid(grid: TimeGrid, T: float, dt: float, what: str) -> None:
+    """Reject a `what` on a grid other than the one of (T, dt)."""
+    if grid.dt != dt or grid.index_of(T) != grid.steps:
+        raise SimulationError(f"{what} grid does not match (T, dt)")
+
+
 def _time_major(arr: np.ndarray) -> np.ndarray:
     """View with the path axis first; the underlying buffer is time-major so
     per-step slices arr[:, j] stay contiguous."""
@@ -249,8 +255,7 @@ def simulate_state(
     if not np.isfinite(x0).all():
         raise SimulationError("x0 must be finite")
     dW = brownian_increments(seed, M, grid, model.d)
-    dt = grid.dt
-    states = _tamed_euler(model, x0, dW, dt, lambda j, xj: control.evaluate(j * dt, xj), "simulate_state")
+    states = _tamed_euler(model, x0, dW, grid.dt, lambda j, xj: control.evaluate(xj), "simulate_state")
     return PathEnsemble(
         grid=grid, states=states, increments=dW, seed=int(seed),
         control_id=control.describe(), x0=x0,
@@ -281,14 +286,13 @@ def simulate_perturbed(
     if not (0.0 <= theta <= 1.0):
         raise SimulationError("theta must lie in [0, 1]")
     _require_base_under(base, u_bar, "simulate_perturbed")
-    dt = base.grid.dt
 
     def control_at(j, xj):
         xb = base.states[:, j]
-        ub = u_bar.evaluate(j * dt, xb)
-        return ub + theta * (u_alt.evaluate(j * dt, xb) - ub)
+        ub = u_bar.evaluate(xb)
+        return ub + theta * (u_alt.evaluate(xb) - ub)
 
-    states = _tamed_euler(model, base.states[:, 0], base.increments, dt, control_at, "simulate_perturbed")
+    states = _tamed_euler(model, base.states[:, 0], base.increments, base.grid.dt, control_at, "simulate_perturbed")
     return PathEnsemble(
         grid=base.grid, states=states, increments=base.increments, seed=base.seed,
         control_id=f"perturbed(theta={theta!r}, base={base.control_id}, alt={u_alt.describe()})",
@@ -297,16 +301,11 @@ def simulate_perturbed(
 
 
 def direction_from_laws(u_bar: ControlLaw, u_alt: ControlLaw, base: PathEnsemble) -> np.ndarray:
-    """Direction process v = u_alt - u_bar evaluated along the base path,
-    shape (M, steps, l)."""
-    grid = base.grid
-    M = base.n_paths
-    l = u_bar.control_set.dim
-    v = np.empty((M, grid.steps, l))
-    for j in range(grid.steps):
-        xb = base.states[:, j]
-        v[:, j] = u_alt.evaluate(j * grid.dt, xb) - u_bar.evaluate(j * grid.dt, xb)
-    return v
+    """Direction process v = u_alt - u_bar along the base path, shape
+    (M, steps, l): one call per law on the states at steps 0..steps-1, equal
+    bitwise to per-step evaluation since the laws are state feedbacks."""
+    xb = base.states[:, :-1]
+    return u_alt.evaluate(xb) - u_bar.evaluate(xb)
 
 
 def _affine_forward(

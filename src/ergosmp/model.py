@@ -25,9 +25,7 @@ __all__ = [
     "ConvexSet",
     "ControlLaw",
     "ModelSpec",
-    "EvalResult",
     "DissipativityReport",
-    "eval_model",
     "check_dissipativity",
     "project_control",
 ]
@@ -99,10 +97,6 @@ class ConvexSet:
         scale = np.where(norm > self.radius, self.radius / np.where(norm > 0, norm, 1.0), 1.0)
         return self.center + delta * scale
 
-    def contains(self, u, tol=1e-12) -> bool:
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(np.abs(self.project(u) - u) <= tol))
-
     def sample(self, rng, size) -> np.ndarray:
         """Uniform draws from the set, shape (size, l)."""
         if self.kind == "box":
@@ -135,10 +129,13 @@ def project_control(control_set: ConvexSet, u_raw) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlLaw:
-    """Admissible feedback law; every evaluation is projected into U.
+    """Time-homogeneous admissible feedback x -> u; every evaluation is
+    projected into U.
 
     Kinds: ``constant`` (u == const), ``affine_feedback`` (u = K x + c) and
-    ``tabulated_feedback`` (per-bin values on a 1-d state grid).
+    ``tabulated_feedback`` (per-bin values on a 1-d state grid).  A law reads
+    only the current state, so one call on a whole (M, steps, n) path stack
+    equals per-step calls bitwise: each state's control is computed on its own.
     """
 
     kind: str
@@ -179,18 +176,17 @@ class ControlLaw:
             bin_values=values,
         )
 
-    def evaluate(self, t: float, x) -> np.ndarray:
-        """Evaluate at states x of shape (M, n); returns controls (M, l) in U."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        m = x.shape[0]
+    def evaluate(self, x) -> np.ndarray:
+        """Evaluate at states x of shape (..., n); returns controls (..., l) in U."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "constant":
-            u = np.broadcast_to(self.const, (m, len(self.const))).copy()
+            u = np.broadcast_to(self.const, x.shape[:-1] + self.const.shape).copy()
         elif self.kind == "affine_feedback":
-            u = _mat_vec(self.gain[None, :, :], x) + self.offset
+            u = _mat_vec(self.gain, x) + self.offset
         elif self.kind == "tabulated_feedback":
-            if x.shape[1] != 1:
+            if x.shape[-1] != 1:
                 raise ModelError("tabulated law supports state dimension 1 only")
-            idx = np.searchsorted(self.bin_edges, x[:, 0], side="right") - 1
+            idx = np.searchsorted(self.bin_edges, x[..., 0], side="right") - 1
             idx = np.clip(idx, 0, len(self.bin_values) - 1)
             u = self.bin_values[idx]
         else:  # pragma: no cover - constructor guards the kind
@@ -370,11 +366,6 @@ def drift_jacU_T_apply(model: ModelSpec, P) -> np.ndarray:
     return P @ model.B
 
 
-def diffusion_at(model: ModelSpec, X, U) -> np.ndarray:
-    """sigma(x, u) = S for every (x, u), shape (M, n, d)."""
-    return np.broadcast_to(model.S, (X.shape[0], model.n, model.d)).copy()
-
-
 def cost_at(model: ModelSpec, X, U) -> np.ndarray:
     """f(x, u) = <Qx, x> + <Ru, u>, shape (M,)."""
     qx = _mat_vec(model.Q[None, :, :], X)
@@ -388,54 +379,6 @@ def cost_grad_x(model: ModelSpec, X) -> np.ndarray:
 
 def cost_grad_u(model: ModelSpec, U) -> np.ndarray:
     return 2.0 * _mat_vec(model.R[None, :, :], U)
-
-
-# ---------------------------------------------------------------------------
-# Pointwise evaluation bundle
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    b: np.ndarray        # (n,)
-    sigma: np.ndarray    # (n, d)
-    f: float
-    D_xb: np.ndarray     # (n, n)
-    D_ub: np.ndarray     # (n, l)
-    D_xsigma: np.ndarray  # (d, n, n), zero: sigma is constant
-    D_usigma: np.ndarray  # (d, n, l), zero: sigma is constant
-    D_xf: np.ndarray     # (n,)
-    D_uf: np.ndarray     # (l,)
-
-
-def eval_model(model: ModelSpec, x, u) -> EvalResult:
-    """Evaluate all coefficients and their exact first derivatives at (x, u).
-
-    Rejects non-finite inputs and controls outside the admissible set.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if x.shape != (model.n,) or u.shape != (model.l,):
-        raise ModelError(f"eval_model: expected shapes ({model.n},) and ({model.l},)")
-    if not (np.isfinite(x).all() and np.isfinite(u).all()):
-        raise ModelError("eval_model: non-finite input")
-    if not model.control_set.contains(u, tol=1e-9):
-        raise ModelError("eval_model: control outside the admissible set")
-    X, U = x[None, :], u[None, :]
-    res = EvalResult(
-        b=drift_at(model, X, U)[0],
-        sigma=diffusion_at(model, X, U)[0],
-        f=float(cost_at(model, X, U)[0]),
-        D_xb=drift_jac_x(model, X)[0],
-        D_ub=model.B.copy(),
-        D_xsigma=np.zeros((model.d, model.n, model.n)),
-        D_usigma=np.zeros((model.d, model.n, model.l)),
-        D_xf=cost_grad_x(model, X)[0],
-        D_uf=cost_grad_u(model, U)[0],
-    )
-    for name in ("b", "sigma", "f", "D_xb", "D_ub", "D_xf", "D_uf"):
-        if not np.all(np.isfinite(getattr(res, name))):
-            raise ModelError(f"eval_model: non-finite {name}")
-    return res
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ import numpy as np
 
 from .adjoint import AdjointSolution, RegressionBasis, extend_to_infinite, solve_adjoint_finite
 from .ergodic_cost import _checkpoint_ladder, ergodic_report_from_ensemble
-from .forward import SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals, _time_major, simulate_state
+from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals, _require_grid, _time_major,
+                      simulate_state)
 from .model import (
     ControlLaw,
     ModelSpec,
     cost_at,
     cost_grad_u,
-    diffusion_at,
     drift_at,
     drift_jacU_T_apply,
 )
@@ -50,9 +50,8 @@ def hamiltonian(model: ModelSpec, x, u, p, q) -> float:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.asarray(q, dtype=float).reshape(model.d, model.n)
     b = drift_at(model, x, u)[0]
-    sig = diffusion_at(model, x, u)[0]          # (n, d)
     f = float(cost_at(model, x, u)[0])
-    return float(b @ p + (sig.T * q).sum() + f)
+    return float(b @ p + (model.S.T * q).sum() + f)
 
 
 def grad_u_hamiltonian(model: ModelSpec, x, u, p, q) -> np.ndarray:
@@ -138,12 +137,14 @@ def evaluate_variational_inequality(
     give each checkpoint value and the CI.  A tail value below -max(0.01,
     2 CI) certifies non-optimality of u_bar (contrapositive use of the
     variational inequality); nonnegative tails are merely consistent with
-    optimality.
+    optimality.  A supplied `adjoint` must lie on the grid of (T_max, dt).
     """
     if x0 is None:
         x0 = np.zeros(model.n)
     if adjoint is None:
         adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed, basis=basis)
+    else:
+        _require_grid(adjoint.grid, T_max, dt, "costate")
     grid = adjoint.grid
     ens = adjoint.ensemble
     ts, indices, tail_mask = _checkpoint_ladder(grid, window)
@@ -151,9 +152,9 @@ def evaluate_variational_inequality(
 
     def pairings(j):
         xj = ens.states[:, j]
-        ub = u_bar.evaluate(j * grid.dt, xj)
+        ub = u_bar.evaluate(xj)
         grad = _grad_u_batch(model, ub, adjoint.p[:, j])
-        return np.stack([(grad * (cand.evaluate(j * grid.dt, xj) - ub)).sum(axis=-1) for cand in candidates])
+        return np.stack([(grad * (cand.evaluate(xj) - ub)).sum(axis=-1) for cand in candidates])
 
     sums = _path_integrals(grid, pairings, indices, (len(candidates), ens.n_paths))
     ladders = sums.mean(axis=1) / ts
@@ -230,6 +231,8 @@ def check_sufficiency(
 ) -> SufficiencyReport:
     """Sufficient-condition check: sampled convexity of the Hamiltonian along
     the solved costate plus the minimality tail over a direction battery."""
+    if probes < 1:
+        raise SimulationError("check_sufficiency: probes must be >= 1")
     if x0 is None:
         x0 = np.zeros(model.n)
     adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed, basis=basis)
@@ -248,7 +251,7 @@ def check_sufficiency(
     paths = rng.integers(0, ens.n_paths, size=probes)
     steps = rng.integers(j_lo, grid.steps, size=probes)
     hess = _hamiltonian_hessian(model, ens.states[paths, steps], adjoint.p[paths, steps])
-    min_eig = float(np.linalg.eigvalsh(hess).min(initial=np.inf))
+    min_eig = float(np.linalg.eigvalsh(hess).min())
     certified = (min_eig >= -eigen_tolerance) and (minimality_tail >= -tolerance)
     return SufficiencyReport(
         convexity_min_eigen=float(min_eig),
@@ -339,11 +342,11 @@ def optimize_control(
         sol = solve_adjoint_finite(model, ensemble, law, basis=basis)
         report = ergodic_report_from_ensemble(model, ensemble.restricted(T), law, window)
 
-        # Pool the steps [j_burn, j_top) of the time-major buffers; affine and
-        # tabulated laws ignore t, so one evaluation serves every step.
+        # Pool the steps [j_burn, j_top) of the time-major buffers; one
+        # evaluation of the feedback serves every step.
         X_pool = _time_major(ensemble.states)[j_burn:j_top].reshape(-1, model.n)
         P_pool = _time_major(sol.p)[j_burn:j_top].reshape(-1, model.n)
-        G_pool = _grad_u_batch(model, law.evaluate(j_burn * dt, X_pool), P_pool)
+        G_pool = _grad_u_batch(model, law.evaluate(X_pool), P_pool)
 
         if law.kind == "affine_feedback":
             W, w = _fit_affine_gradient(X_pool, G_pool)

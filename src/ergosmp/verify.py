@@ -4,12 +4,13 @@ Two suites back the `verify` CLI subcommand.  The "trivial" suite runs cheap
 closed-form identities; the "invariants" suite runs the quantitative
 contracts (derivative consistency, projection geometry, bitwise determinism
 across reruns and path prefixes, moment-bound and forgetting-rate fits).
+Both call the batched coefficient functions of `model` on one-row arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .forward import (
     simulate_perturbed,
     simulate_state,
 )
-from .model import ControlLaw, ConvexSet, ModelSpec, check_dissipativity, eval_model
+from .model import ControlLaw, ConvexSet, ModelSpec, check_dissipativity
 from .smp import hamiltonian
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
@@ -59,20 +60,23 @@ def _trivial_checks(model: ModelSpec) -> List[CheckResult]:
     lq1 = ModelSpec.lq1()
     cubic1 = ModelSpec.cubic1()
 
-    res = eval_model(lq1, [0.0], [0.0])
+    x, u = np.zeros((1, 1)), np.zeros((1, 1))
     ok = (
-        res.b[0] == 0.0 and res.f == 0.0 and res.D_xb[0, 0] == -1.0
-        and res.D_ub[0, 0] == 1.0 and np.all(res.D_xsigma == 0.0) and res.D_xf[0] == 0.0
+        mod.drift_at(lq1, x, u)[0, 0] == 0.0 and mod.cost_at(lq1, x, u)[0] == 0.0
+        and mod.drift_jac_x(lq1, x)[0, 0, 0] == -1.0 and lq1.B[0, 0] == 1.0
+        and mod.cost_grad_x(lq1, x)[0, 0] == 0.0
     )
     checks.append(CheckResult("eval-model-lq1-origin", ok, "b=0, f=0, D_xb=-1, D_ub=1"))
 
-    res = eval_model(cubic1, [2.0], [0.0])
-    ok = res.b[0] == -10.0 and res.D_xb[0, 0] == -13.0
-    checks.append(CheckResult("eval-model-cubic1", ok, f"b={res.b[0]}, D_xb={res.D_xb[0, 0]}"))
+    x = np.full((1, 1), 2.0)
+    b, jac = mod.drift_at(cubic1, x, u)[0, 0], mod.drift_jac_x(cubic1, x)[0, 0, 0]
+    ok = b == -10.0 and jac == -13.0
+    checks.append(CheckResult("eval-model-cubic1", ok, f"b={b}, D_xb={jac}"))
 
-    res = eval_model(lq1, [1.0], [3.0])
-    ok = res.f == 10.0 and res.D_uf[0] == 6.0
-    checks.append(CheckResult("eval-model-lq1-cost", ok, f"f={res.f}, D_uf={res.D_uf[0]}"))
+    x, u = np.ones((1, 1)), np.full((1, 1), 3.0)
+    f, grad = mod.cost_at(lq1, x, u)[0], mod.cost_grad_u(lq1, u)[0, 0]
+    ok = f == 10.0 and grad == 6.0
+    checks.append(CheckResult("eval-model-lq1-cost", ok, f"f={f}, D_uf={grad}"))
 
     rep = check_dissipativity(lq1, probes=128, seed=0)
     checks.append(
@@ -151,31 +155,26 @@ def _trivial_checks(model: ModelSpec) -> List[CheckResult]:
 
 
 def _derivative_check(model: ModelSpec, seed: int, probes: int = 100, h: float = 1e-5) -> CheckResult:
+    """Central differences of b and f against D_x b, D_u b = B, D_x f and
+    D_u f (sigma is constant, so its derivatives are zero by construction)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(probes):
-        x = 2.0 * rng.standard_normal(model.n)
-        u = model.control_set.sample(rng, 1)[0]
-        res = eval_model(model, x, u)
-
-        def fd(fun, z, i, hh=h):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += hh
-            zm[i] -= hh
-            return (fun(zp) - fun(zm)) / (2.0 * hh)
-
-        for i in range(model.n):
-            fx = fd(lambda z: mod.drift_at(model, z[None], u[None])[0], x, i)
-            worst = max(worst, np.max(np.abs(fx - res.D_xb[:, i]) / np.maximum(1.0, np.abs(res.D_xb[:, i]))))
-            gx = fd(lambda z: mod.cost_at(model, z[None], u[None])[0], x, i)
-            worst = max(worst, abs(gx - res.D_xf[i]) / max(1.0, abs(res.D_xf[i])))
-            sx = fd(lambda z: mod.diffusion_at(model, z[None], u[None])[0], x, i)
-            worst = max(worst, np.max(np.abs(sx.T - res.D_xsigma[:, :, i])))
-        for i in range(model.l):
-            fu = fd(lambda z: mod.drift_at(model, x[None], z[None])[0], u, i)
-            worst = max(worst, np.max(np.abs(fu - res.D_ub[:, i]) / np.maximum(1.0, np.abs(res.D_ub[:, i]))))
-            gu = fd(lambda z: mod.cost_at(model, x[None], z[None])[0], u, i)
-            worst = max(worst, abs(gu - res.D_uf[i]) / max(1.0, abs(res.D_uf[i])))
+        x = 2.0 * rng.standard_normal((1, model.n))
+        u = model.control_set.sample(rng, 1)
+        exact = (
+            (x, mod.drift_jac_x(model, x)[0], lambda z: mod.drift_at(model, z, u)[0]),
+            (x, mod.cost_grad_x(model, x), lambda z: mod.cost_at(model, z, u)),
+            (u, model.B, lambda z: mod.drift_at(model, x, z)[0]),
+            (u, mod.cost_grad_u(model, u), lambda z: mod.cost_at(model, x, z)),
+        )
+        for z, jac, fun in exact:
+            for i in range(z.shape[1]):
+                zp, zm = z.copy(), z.copy()
+                zp[0, i] += h
+                zm[0, i] -= h
+                fd = (fun(zp) - fun(zm)) / (2.0 * h)
+                worst = max(worst, float(np.max(np.abs(fd - jac[:, i]) / np.maximum(1.0, np.abs(jac[:, i])))))
     name = f"derivative-fd-{'cubic' if model.has_cubic else 'lq'}"
     return CheckResult(name, worst <= 1e-6, f"max relative error {worst:.2e}")
 

@@ -16,13 +16,11 @@ def cubic1():
 
 @pytest.fixture(scope="session")
 def riccati_p():
-    """Stationary Riccati solution for the scalar benchmark, from an
-    independent solver: optimal feedback u = -P x, optimal cost sigma^2 P."""
-    from scipy.linalg import solve_continuous_are
-
-    P = solve_continuous_are(np.array([[-1.0]]), np.array([[1.0]]),
-                             np.array([[1.0]]), np.array([[1.0]]))
-    return float(P[0, 0])
+    """Stationary Riccati solution for the scalar benchmark: the positive root
+    of 2aP - b^2 P^2 / r + q = 0 with a = -1, b = q = r = 1, i.e. of
+    P^2 + 2P - 1 = 0.
+    Optimal feedback u = -P x, optimal cost sigma^2 P."""
+    return float(np.sqrt(2.0) - 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ from ergosmp import (
     estimate_cost_T,
     estimate_ergodic_cost,
     estimate_gateaux,
-    local_perturbation_null_test,
     simulate_state,
 )
 from ergosmp.ergodic_cost import checkpoint_times, ergodic_report_from_ensemble
@@ -80,15 +79,21 @@ def test_tail_range_shrinks_with_horizon(lq1, lq1_zero):
     assert (r2.tail_max - r2.tail_min) < (r1.tail_max - r1.tail_min)
 
 
-def test_initial_condition_forgetting(lq1, lq1_zero):
+@pytest.mark.parametrize("family", ["lq1", "cubic1"])
+def test_initial_condition_forgetting(family, lq1, cubic1):
     # the burn-in transient |x0|^2/(2T) dominates any honest CI, so the
     # agreement is asserted within a certified transient budget, and the
-    # difference must halve when the horizon doubles
+    # difference must halve when the horizon doubles.  The budget holds for
+    # cubic1 too, whose extra damping only shortens the transient.  A control
+    # patch on [0, T0] followed by the same law only moves X_T0, so this is
+    # also the check that such a patch leaves the long-run cost unchanged.
+    model = lq1 if family == "lq1" else cubic1
+    zero = model.zero_control()
     budget = lambda T: 1.5 * 25.0 / (2.0 * 1.0 * T)
     diffs = {}
     for T in (40.0, 80.0):
-        a = estimate_ergodic_cost(lq1, lq1_zero, [0.0], T, 1024, 13, dt=0.01)
-        b = estimate_ergodic_cost(lq1, lq1_zero, [5.0], T, 1024, 13, dt=0.01)
+        a = estimate_ergodic_cost(model, zero, [0.0], T, 1024, 13, dt=0.01)
+        b = estimate_ergodic_cost(model, zero, [5.0], T, 1024, 13, dt=0.01)
         d = abs(b.tail_min - a.tail_min)
         assert d <= budget(T) + 2 * (a.ci + b.ci)
         diffs[T] = d
@@ -128,38 +133,16 @@ def test_gateaux_lq_gap_linear_in_theta(lq1, lq1_zero, lq1_one):
     assert abs(extrapolated - r2.linearized) < 2e-3
 
 
+def test_gateaux_rejects_theta_outside_unit_interval(lq1, lq1_zero, lq1_one):
+    # theta = 0 would divide the finite difference by zero
+    for theta in (0.0, 1.5):
+        with pytest.raises(SimulationError, match="theta"):
+            estimate_gateaux(lq1, lq1_zero, lq1_one, theta, 1.0, 16, 8, dt=0.01)
+
+
 def test_gateaux_cubic_gap_shrinks(cubic1):
     zero = cubic1.zero_control()
     one = ControlLaw.constant([1.0], cubic1.control_set)
     g1 = estimate_gateaux(cubic1, zero, one, 0.1, 10.0, 2048, 31, dt=0.005)
     g2 = estimate_gateaux(cubic1, zero, one, 0.05, 10.0, 2048, 31, dt=0.005)
     assert g1.gap / g2.gap >= 1.5
-
-
-# ---------------------------------------------------------------------------
-# Local perturbation null test
-
-
-def test_null_test_identical_controls(lq1, lq1_zero):
-    rep = local_perturbation_null_test(lq1, lq1_zero, lq1_zero, 1.0, 20.0, 256, 19, dt=0.01)
-    assert rep.tail_difference == 0.0
-    assert rep.verdict
-    assert rep.baseline.checkpoints == rep.patched.checkpoints
-
-
-def test_null_test_lq_patch(lq1, lq1_zero, lq1_one):
-    rep = local_perturbation_null_test(lq1, lq1_zero, lq1_one, 1.0, 50.0, 1024, 19, dt=0.01)
-    assert rep.verdict
-    assert abs(rep.tail_difference) <= rep.bound
-
-
-def test_null_test_cubic_patch(cubic1):
-    zero = cubic1.zero_control()
-    one = ControlLaw.constant([1.0], cubic1.control_set)
-    rep = local_perturbation_null_test(cubic1, zero, one, 1.0, 50.0, 1024, 19, dt=0.01)
-    assert rep.verdict
-
-
-def test_null_test_requires_local_patch(lq1, lq1_zero, lq1_one):
-    with pytest.raises(SimulationError):
-        local_perturbation_null_test(lq1, lq1_zero, lq1_one, 30.0, 50.0, 64, 19, dt=0.01)

@@ -11,33 +11,31 @@ from ergosmp import (
     ModelError,
     ModelSpec,
     check_dissipativity,
-    eval_model,
     model_config_dict,
     project_control,
 )
-from ergosmp.model import cost_at, diffusion_at, drift_at, drift_jac_x, drift_jacT_apply
+from ergosmp.model import cost_at, cost_grad_u, cost_grad_x, drift_at, drift_jac_x, drift_jacT_apply
 
 
 def test_eval_lq1_at_origin(lq1):
-    res = eval_model(lq1, [0.0], [0.0])
-    assert res.b[0] == 0.0
-    assert res.f == 0.0
-    assert res.D_xb[0, 0] == -1.0
-    assert res.D_ub[0, 0] == 1.0
-    assert np.all(res.D_xsigma == 0.0)
-    assert res.D_xf[0] == 0.0
+    x, u = np.zeros((1, 1)), np.zeros((1, 1))
+    assert drift_at(lq1, x, u)[0, 0] == 0.0
+    assert cost_at(lq1, x, u)[0] == 0.0
+    assert drift_jac_x(lq1, x)[0, 0, 0] == -1.0
+    assert lq1.B[0, 0] == 1.0
+    assert cost_grad_x(lq1, x)[0, 0] == 0.0
 
 
 def test_eval_cubic1(cubic1):
-    res = eval_model(cubic1, [2.0], [0.0])
-    assert res.b[0] == -10.0
-    assert res.D_xb[0, 0] == -13.0
+    x, u = np.full((1, 1), 2.0), np.zeros((1, 1))
+    assert drift_at(cubic1, x, u)[0, 0] == -10.0
+    assert drift_jac_x(cubic1, x)[0, 0, 0] == -13.0
 
 
 def test_eval_lq1_cost(lq1):
-    res = eval_model(lq1, [1.0], [3.0])
-    assert res.f == 10.0
-    assert res.D_uf[0] == 6.0
+    x, u = np.ones((1, 1)), np.full((1, 1), 3.0)
+    assert cost_at(lq1, x, u)[0] == 10.0
+    assert cost_grad_u(lq1, u)[0, 0] == 6.0
 
 
 def test_eval_shapes_multidim():
@@ -46,23 +44,13 @@ def test_eval_shapes_multidim():
         S=[[1.0, 0.0], [0.0, 0.5]], Q=np.eye(2), R=np.eye(2),
         control_set=ConvexSet.box([-3.0, -3.0], [3.0, 3.0]),
     )
-    res = eval_model(model, [0.3, -0.2], [0.1, 0.2])
-    assert res.b.shape == (2,)
-    assert res.sigma.shape == (2, 2)
-    assert res.D_xb.shape == (2, 2)
-    assert res.D_ub.shape == (2, 2)
-    assert res.D_xsigma.shape == (2, 2, 2)
-    assert res.D_usigma.shape == (2, 2, 2)
-    assert res.D_xf.shape == (2,)
-    assert res.D_uf.shape == (2,)
-    assert np.isfinite(res.f)
-
-
-def test_eval_rejects_bad_inputs(lq1):
-    with pytest.raises(ModelError):
-        eval_model(lq1, [np.nan], [0.0])
-    with pytest.raises(ModelError):
-        eval_model(lq1, [0.0], [7.0])  # outside U = [-5, 5]
+    X, U = np.array([[0.3, -0.2]] * 5), np.array([[0.1, 0.2]] * 5)
+    assert drift_at(model, X, U).shape == (5, 2)
+    assert drift_jac_x(model, X).shape == (5, 2, 2)
+    assert cost_grad_x(model, X).shape == (5, 2)
+    assert cost_grad_u(model, U).shape == (5, 2)
+    f = cost_at(model, X, U)
+    assert f.shape == (5,) and np.isfinite(f).all()
 
 
 @pytest.mark.parametrize("family", ["lq1", "cubic1"])
@@ -72,27 +60,22 @@ def test_derivatives_match_finite_differences(family, lq1, cubic1):
     h = 1e-5
     worst = 0.0
     for _ in range(100):
-        x = 2.0 * rng.standard_normal(model.n)
-        u = model.control_set.sample(rng, 1)[0]
-        res = eval_model(model, x, u)
-        for i in range(model.n):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fd_b = (drift_at(model, xp[None], u[None])[0] - drift_at(model, xm[None], u[None])[0]) / (2 * h)
-            worst = max(worst, np.max(np.abs(fd_b - res.D_xb[:, i]) / np.maximum(1.0, np.abs(res.D_xb[:, i]))))
-            fd_f = (cost_at(model, xp[None], u[None])[0] - cost_at(model, xm[None], u[None])[0]) / (2 * h)
-            worst = max(worst, abs(fd_f - res.D_xf[i]) / max(1.0, abs(res.D_xf[i])))
-            fd_s = (diffusion_at(model, xp[None], u[None])[0] - diffusion_at(model, xm[None], u[None])[0]) / (2 * h)
-            worst = max(worst, np.max(np.abs(fd_s.T - res.D_xsigma[:, :, i])))
-        for i in range(model.l):
-            up, um = u.copy(), u.copy()
-            up[i] += h
-            um[i] -= h
-            fd_b = (drift_at(model, x[None], up[None])[0] - drift_at(model, x[None], um[None])[0]) / (2 * h)
-            worst = max(worst, np.max(np.abs(fd_b - res.D_ub[:, i]) / np.maximum(1.0, np.abs(res.D_ub[:, i]))))
-            fd_f = (cost_at(model, x[None], up[None])[0] - cost_at(model, x[None], um[None])[0]) / (2 * h)
-            worst = max(worst, abs(fd_f - res.D_uf[i]) / max(1.0, abs(res.D_uf[i])))
+        x = 2.0 * rng.standard_normal((1, model.n))
+        u = model.control_set.sample(rng, 1)
+        # (point, exact Jacobian with one column per coordinate, function)
+        exact = (
+            (x, drift_jac_x(model, x)[0], lambda z: drift_at(model, z, u)[0]),
+            (x, cost_grad_x(model, x), lambda z: cost_at(model, z, u)),
+            (u, model.B, lambda z: drift_at(model, x, z)[0]),
+            (u, cost_grad_u(model, u), lambda z: cost_at(model, x, z)),
+        )
+        for z, jac, fun in exact:
+            for i in range(z.shape[1]):
+                zp, zm = z.copy(), z.copy()
+                zp[0, i] += h
+                zm[0, i] -= h
+                fd = (fun(zp) - fun(zm)) / (2 * h)
+                worst = max(worst, np.max(np.abs(fd - jac[:, i]) / np.maximum(1.0, np.abs(jac[:, i]))))
     assert worst <= 1e-6
 
 
@@ -229,24 +212,13 @@ def test_dissipativity_deterministic(lq1):
         check_dissipativity(lq1, probes=0, seed=3)
 
 
-def test_bounded_control_derivatives(cubic1):
-    # probe sup of |D_u b| and |D_u sigma| over a compact set stays finite
-    rng = np.random.default_rng(0)
-    sup = 0.0
-    for _ in range(50):
-        res = eval_model(cubic1, 3 * rng.standard_normal(1), cubic1.control_set.sample(rng, 1)[0])
-        sup = max(sup, np.abs(res.D_ub).max(), np.abs(res.D_usigma).max())
-    assert np.isfinite(sup)
-    assert sup == 1.0  # constant B for the built-in families
-
-
 # ---------------------------------------------------------------------------
 # Control laws
 
 
 def test_control_law_projection(lq1):
     law = ControlLaw.affine([[2.0]], [0.0], lq1.control_set)
-    u = law.evaluate(0.0, np.array([[4.0]]))
+    u = law.evaluate(np.array([[4.0]]))
     assert u[0, 0] == 5.0  # 2*4 clipped into [-5, 5]
 
 
@@ -254,10 +226,10 @@ def test_tabulated_law():
     cs = ConvexSet.box([-5.0], [5.0])
     law = ControlLaw.tabulated([-1.0, 0.0, 1.0], [[-2.0], [2.0]], cs)
     x = np.array([[-0.5], [0.5], [-3.0], [3.0]])
-    u = law.evaluate(0.0, x)
+    u = law.evaluate(x)
     assert u[:, 0].tolist() == [-2.0, 2.0, -2.0, 2.0]
     flipped = law.negated()
-    assert flipped.evaluate(0.0, x)[:, 0].tolist() == [2.0, -2.0, 2.0, -2.0]
+    assert flipped.evaluate(x)[:, 0].tolist() == [2.0, -2.0, 2.0, -2.0]
     with pytest.raises(ModelError):
         ControlLaw.tabulated([1.0, 0.0], [[0.0]], cs)
 
@@ -266,3 +238,31 @@ def test_control_law_describe_is_stable(lq1):
     law = ControlLaw.affine([[-0.5]], [0.1], lq1.control_set)
     assert law.describe() == ControlLaw.affine([[-0.5]], [0.1], lq1.control_set).describe()
     assert law.describe() != lq1.zero_control().describe()
+
+
+_SETS = {"box": ConvexSet.box([-1.0, -0.5], [1.0, 2.0]), "ball": ConvexSet.ball([0.5, -0.5], 1.5)}
+
+
+@pytest.mark.parametrize("set_name", sorted(_SETS))
+@pytest.mark.parametrize("kind", ["constant", "affine", "tabulated"])
+def test_path_stack_evaluation_matches_per_step(kind, set_name):
+    # a feedback reads only the current state, so one call on an (M, steps, n)
+    # stack, C-ordered or time-major as the ensembles store it, equals
+    # per-step calls bitwise
+    cs = _SETS[set_name]
+    rng = np.random.default_rng(17)
+    n = 1 if kind == "tabulated" else 3
+    if kind == "constant":
+        law = ControlLaw.constant([3.0, -2.5], cs)
+    elif kind == "affine":
+        law = ControlLaw.affine(rng.uniform(-2.0, 2.0, (2, n)), [0.3, -0.1], cs)
+    else:
+        law = ControlLaw.tabulated([-1.0, -0.2, 0.4, 1.0], rng.uniform(-3.0, 3.0, (3, 2)), cs)
+    M, steps = 64, 40
+    time_major = 2.0 * rng.standard_normal((steps, M, n)).transpose(1, 0, 2)
+    for X in (np.ascontiguousarray(time_major), time_major):
+        stacked = law.evaluate(X)
+        assert stacked.shape == (M, steps, 2)
+        per_step = np.stack([law.evaluate(X[:, j]) for j in range(steps)], axis=1)
+        assert stacked.tobytes() == per_step.tobytes()
+        assert np.allclose(cs.project(stacked), stacked, rtol=0.0, atol=1e-12)  # admissible

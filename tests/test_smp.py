@@ -62,7 +62,7 @@ def test_battery_is_admissible(lq1):
     assert "sign-flip" in names and "const(+1)" in names
     xs = np.linspace(-10, 10, 41)[:, None]
     for _, law in battery:
-        u = law.evaluate(0.0, xs)
+        u = law.evaluate(xs)
         assert np.all(u >= -5.0) and np.all(u <= 5.0)
 
 
@@ -99,6 +99,18 @@ def test_vi_ladder_recomputed_from_costate(lq1):
 def test_vi_needs_tail_checkpoints(lq1, lq1_zero):
     with pytest.raises(SimulationError, match="tail window"):
         evaluate_variational_inequality(lq1, lq1_zero, [("self", lq1_zero)], 0.05, 64, 3, dt=0.01, buffer=0.5)
+
+
+def test_vi_rejects_costate_off_the_grid(lq1, lq1_zero):
+    # a costate on [0, 4] at dt 0.05 does not carry a ladder on [0, 100] at dt
+    # 0.01, nor one on [0, 2] or at another dt on [0, 4]
+    adjoint = extend_to_infinite(lq1, lq1_zero, np.zeros(1), 4.0, 1.0, 0.05, 64, 3)
+    battery = [("self", lq1_zero)]
+    for T_max, dt in ((100.0, 0.01), (4.0, 0.01), (2.0, 0.05)):
+        with pytest.raises(SimulationError, match="grid"):
+            evaluate_variational_inequality(lq1, lq1_zero, battery, T_max, 64, 3, dt=dt, adjoint=adjoint)
+    reports = evaluate_variational_inequality(lq1, lq1_zero, battery, 4.0, 64, 3, dt=0.05, adjoint=adjoint)
+    assert reports[0].checkpoints[-1][0] == pytest.approx(4.0)
 
 
 def test_vi_flags_suboptimal_zero_control(lq1, lq1_zero):
@@ -170,6 +182,12 @@ def test_sufficiency_horizon_quarter_off_grid(lq1, riccati_p):
     rep = check_sufficiency(lq1, law, 2.5, 256, 3, probes=20, dt=0.01, buffer=1.0)
     assert rep.probe_count == 20
     assert abs(rep.convexity_min_eigen - 2.0) < 0.01
+
+
+def test_sufficiency_needs_a_probe(lq1, lq1_zero):
+    # with no probe the convexity minimum would be an empty min, reported as inf
+    with pytest.raises(SimulationError, match="probes"):
+        check_sufficiency(lq1, lq1_zero, 2.0, 64, 3, probes=0, dt=0.05, buffer=1.0)
 
 
 def test_sufficiency_affine_hamiltonian_passes(lq1_zero):

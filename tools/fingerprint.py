@@ -153,7 +153,6 @@ def fingerprint(values: bool = False) -> dict:
         h(f"{name}.moment", E.estimate_moment(ens, 2, 3.0))
         h(f"{name}.ergrep", ergodic_report_from_ensemble(model, ens, law).to_dict())
         h(f"{name}.ergcost", E.estimate_ergodic_cost(model, law, x0, 3.0, 64, 5, dt=0.02).to_dict())
-        h(f"{name}.null", E.local_perturbation_null_test(model, law, alt, 0.5, 3.0, 64, 5, dt=0.02).to_dict())
         h(f"{name}.costT", E.estimate_cost_T(model, ens, law, 2.0))
         bat = E.candidate_battery(model, law, seed=2)
         vi = E.evaluate_variational_inequality(model, law, bat, 2.0, 96, 6, dt=0.02, buffer=1.0, x0=x0)
@@ -180,8 +179,6 @@ def fingerprint(values: bool = False) -> dict:
             res = E.optimize_control(model, init, 0.5, 2, 3.0, 128, 7, dt=0.02, buffer=1.0)
             h(f"{name}.opt", res.to_dict())
         h(f"{name}.diss", E.check_dissipativity(model, probes=64, seed=1).to_dict())
-        r = E.eval_model(model, x0, law.evaluate(0.0, x0[None])[0])
-        h(f"{name}.eval", {k: np.asarray(getattr(r, k)).tolist() for k in r.__dataclass_fields__})
         h(f"{name}.incr_direct", E.forward.brownian_increments(11, 17, grid, model.d))
         ci = E.check_truncation_consistency(model, law, 1.0, 2.0, 0.02, 64, 3, x0=x0)
         h(f"{name}.trunc", ci.to_dict())
