@@ -15,6 +15,15 @@ sigma would make the two fits sequential again.  The infinite-horizon
 solution is realized by solving with zero terminal data on an extended
 horizon and discarding a buffer: the terminal layer decays exponentially
 under dissipativity.
+
+The design of step j depends on X_j alone, so the solve walks backward in
+time blocks of steps whose (steps, K, M) feature stack fits
+`forward.BLOCK_BYTES`.  Stacked over a block: the monomials (one recursion),
+their standardization, the Gram matrices, one batched Cholesky factorization,
+the inverses of the triangular factors and D_xf.  Per step, because they read
+p_{j+1}: the driver, the targets, the right-hand side F_j^T targets, the two
+triangular products that replace the two triangular solves, and the fitted
+values.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .forward import PathEnsemble, TimeGrid, _paths_to_csv, simulate_state
+from .forward import PathEnsemble, TimeGrid, _block_steps, _paths_to_csv, _time_major, simulate_state
 from .model import ControlLaw, ModelSpec, cost_grad_x, drift_jacT_apply
 
 __all__ = [
@@ -86,38 +95,46 @@ class RegressionBasis:
 
     def features_t(self, X: np.ndarray) -> np.ndarray:
         """Monomial design matrix in (features, paths) layout, where
-        per-feature reductions run over contiguous memory."""
-        Xt = np.atleast_2d(X).T
-        out = np.empty((self.feature_count(Xt.shape[0]), Xt.shape[1]))
-        out[0] = 1.0
-        for row, (parent, i) in enumerate(_monomial_parents(Xt.shape[0], self.degree), start=1):
-            np.multiply(out[parent], Xt[i], out=out[row])
+        per-feature reductions run over contiguous memory.  States (M, n) give
+        (K, M); a stack of steps (B, M, n) gives (B, K, M)."""
+        Xt = np.swapaxes(np.atleast_2d(X), -1, -2)
+        n = Xt.shape[-2]
+        out = np.empty(Xt.shape[:-2] + (self.feature_count(n), Xt.shape[-1]))
+        out[..., 0, :] = 1.0
+        for row, (parent, i) in enumerate(_monomial_parents(n, self.degree), start=1):
+            np.multiply(out[..., parent, :], Xt[..., i, :], out=out[..., row, :])
         return out
 
 
-def _fit_step(basis: RegressionBasis, X: np.ndarray, targets: np.ndarray, step: int):
-    """One ridge least-squares fit of (M, c) targets on the standardized
-    monomials of X: standardize, Gram, Cholesky, two triangular solves.
-    Returns (feature mean, feature std, coefficients (K, c), fitted (M, c))."""
-    ft = basis.features_t(X)
-    mean = ft.mean(axis=1)
-    mean[0] = 0.0
-    centered = ft - mean[:, None]
-    std = np.sqrt((centered * centered).mean(axis=1))
-    std[0] = 1.0
+def _block_design(basis: RegressionBasis, X: np.ndarray, j0: int):
+    """Standardized ridge designs of the steps j0, j0+1, ... whose states X
+    are stacked as (B, M, n).  Returns the design stack Ft (B, K, M), the
+    feature means and stds (B, K), and the inverses (B, K, K) of the Cholesky
+    factors L of the Gram matrices Ft Ft^T + ridge (intercept unpenalized),
+    so that a fit is coef = L^-T (L^-1 (Ft targets)).  A Gram matrix that is
+    not positive definite raises at the highest such step of the block, the
+    first one a backward walk reaches."""
+    Ft = basis.features_t(X)
+    mean = Ft.mean(axis=-1)
+    mean[:, 0] = 0.0
+    Ft -= mean[..., None]
+    std = np.sqrt((Ft * Ft).mean(axis=-1))
+    std[:, 0] = 1.0
     std[std < 1e-300] = 1.0
-    Ft = centered / std[:, None]
-    k = Ft.shape[0]
-    gram = Ft @ Ft.T
-    gram[np.arange(1, k), np.arange(1, k)] += basis.ridge
+    Ft /= std[..., None]
+    diag = np.arange(1, Ft.shape[1])
+    gram = Ft @ Ft.transpose(0, 2, 1)
+    gram[:, diag, diag] += basis.ridge
     try:
         chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise AdjointError(f"rank-deficient regression at step {step}") from exc
-    coef = np.linalg.solve(chol.T, np.linalg.solve(chol, Ft @ targets))
-    if not np.isfinite(coef).all():
-        raise AdjointError(f"non-finite regression coefficients at step {step}")
-    return mean, std, coef, Ft.T @ coef
+    except np.linalg.LinAlgError:
+        for b in range(len(gram) - 1, -1, -1):
+            try:
+                np.linalg.cholesky(gram[b])
+            except np.linalg.LinAlgError as exc:
+                raise AdjointError(f"rank-deficient regression at step {j0 + b}") from exc
+        raise
+    return Ft, mean, std, np.linalg.inv(chol)
 
 
 @dataclass(frozen=True)
@@ -206,21 +223,29 @@ def solve_adjoint_finite(
     # Channels 0..d-1 hold the q fits, channel d the p fit.
     coef = np.empty((steps, K, d + 1, n))
     targets = np.empty((M, d + 1, n))
+    X_tm, dW_tm = _time_major(ensemble.states), _time_major(ensemble.increments)
+    block = _block_steps(8 * K * M)
 
-    for j in range(steps - 1, -1, -1):
-        Xj = ensemble.states[:, j]
-        p_next = Pbuf[j + 1]
-        driver = drift_jacT_apply(model, Xj, p_next) + cost_grad_x(model, Xj)
-        if not np.isfinite(driver).all():
-            raise AdjointError(f"non-finite driver at step {j}")
-        # Martingale-increment targets for every noise channel, then p's.
-        np.multiply(p_next[:, None, :], ensemble.increments[:, j, :, None] / dt, out=targets[:, :d])
-        targets[:, d] = p_next + dt * driver
-        mean[j], std[j], c, fitted = _fit_step(basis, Xj, targets.reshape(M, -1), j)
-        coef[j] = c.reshape(K, d + 1, n)
-        fitted = fitted.reshape(M, d + 1, n)
-        Qbuf[j] = fitted[:, :d]
-        Pbuf[j] = fitted[:, d]
+    for j1 in range(steps, 0, -block):
+        j0 = max(0, j1 - block)
+        Ft, mean[j0:j1], std[j0:j1], Linv = _block_design(basis, X_tm[j0:j1], j0)
+        grad_x = cost_grad_x(model, X_tm[j0:j1])
+        for j in range(j1 - 1, j0 - 1, -1):
+            b = j - j0
+            p_next = Pbuf[j + 1]
+            driver = drift_jacT_apply(model, X_tm[j], p_next) + grad_x[b]
+            if not np.isfinite(driver).all():
+                raise AdjointError(f"non-finite driver at step {j}")
+            # Martingale-increment targets for every noise channel, then p's.
+            np.multiply(p_next[:, None, :], dW_tm[j][:, :, None] / dt, out=targets[:, :d])
+            targets[:, d] = p_next + dt * driver
+            c = Linv[b].T @ (Linv[b] @ (Ft[b] @ targets.reshape(M, -1)))
+            if not np.isfinite(c).all():
+                raise AdjointError(f"non-finite regression coefficients at step {j}")
+            coef[j] = c.reshape(K, d + 1, n)
+            fitted = (Ft[b].T @ c).reshape(M, d + 1, n)
+            Qbuf[j] = fitted[:, :d]
+            Pbuf[j] = fitted[:, d]
 
     return AdjointSolution(
         grid=grid,

@@ -14,8 +14,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .adjoint import AdjointError, RegressionBasis, solve_adjoint_finite
-from .forward import (PathEnsemble, SimulationError, TimeGrid, _path_integrals, _require_grid, simulate_affine_dual,
-                      simulate_state)
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _path_integrals, _require_grid, _time_major,
+                      simulate_affine_dual, simulate_state)
 from .model import ControlLaw, ModelSpec, cost_grad_x
 
 __all__ = [
@@ -154,16 +154,17 @@ def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=Non
     eta_arr = build_eta(eta, base, t, model.n)
     dual = simulate_affine_dual(model, base, u_bar, t, eta_arr, gamma=gamma, rho=rho)
     psi_sq = np.zeros(grid.steps)
+    X, Ycal, P, Q = (_time_major(a) for a in (base.states, dual.values, sol.p, sol.q))
 
-    def rows(j):
-        psi = cost_grad_x(model, base.states[:, j])
-        psi_sq[j] = (psi**2).sum(axis=-1).mean()
-        forcing = np.zeros(base.n_paths)
+    def rows(j0, j1):
+        psi = cost_grad_x(model, X[j0:j1])
+        psi_sq[j0:j1] = (psi**2).sum(axis=-1).mean(axis=-1)
+        forcing = np.zeros((j1 - j0, base.n_paths))
         if gamma is not None:
-            forcing = forcing + (sol.p[:, j] * gamma[:, j]).sum(axis=-1)
+            forcing = forcing + (P[j0:j1] * _time_major(gamma)[j0:j1]).sum(axis=-1)
         if rho is not None:
-            forcing = forcing + (sol.q[:, j] * rho[:, j]).sum(axis=(-1, -2))
-        return np.stack([forcing, (dual.values[:, j] * psi).sum(axis=-1)])
+            forcing = forcing + (Q[j0:j1] * _time_major(rho)[j0:j1]).sum(axis=(-1, -2))
+        return np.stack([forcing, (Ycal[j0:j1] * psi).sum(axis=-1)], axis=1)
 
     forcing, pairing = _path_integrals(grid, rows, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
     p_side = float(((sol.p[:, j0] * eta_arr).sum(axis=-1) + forcing).mean())

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals,
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals, _time_major,
                       direction_from_laws, simulate_first_variation, simulate_perturbed, simulate_state)
 from .model import ControlLaw, ModelSpec, cost_at, cost_grad_u, cost_grad_x
 
@@ -65,11 +65,12 @@ def _checkpoint_ladder(grid: TimeGrid, window: float):
 def _cost_sums_at(model, ensemble, control, indices) -> np.ndarray:
     """Per-path left-endpoint quadrature of the running cost at the given
     grid indices, shape (M, len(indices)): per-path running sums from
-    `_path_integrals`, the summation order every time average shares."""
+    `_path_integrals`, the summation order every time average shares, with one
+    evaluation of the law per time block."""
+    X = _time_major(ensemble.states)
 
-    def running_cost(j):
-        xj = ensemble.states[:, j]
-        return cost_at(model, xj, control.evaluate(xj))
+    def running_cost(j0, j1):
+        return cost_at(model, X[j0:j1], control.evaluate(X[j0:j1]))
 
     return _path_integrals(ensemble.grid, running_cost, indices, (ensemble.n_paths,))
 
@@ -175,8 +176,9 @@ def estimate_gateaux(
     The finite difference perturbs the control along v = u_alt - u_bar on
     shared noise; the linearized value pairs the cost gradients with the
     first-variation process on the same paths.  The base cost, the perturbed
-    cost and the pairing are per-path running sums of one three-row integrand.
-    `theta` must lie in (0, 1].
+    cost and the pairing are per-path running sums of one three-row integrand,
+    which reads the base-path controls of one whole-path evaluation.  `theta`
+    must lie in (0, 1].
     """
     if not 0.0 < theta <= 1.0:
         raise SimulationError("theta must lie in (0, 1]")
@@ -187,16 +189,16 @@ def estimate_gateaux(
     pert = simulate_perturbed(model, u_bar, u_alt, theta, base)
     v = direction_from_laws(u_bar, u_alt, base)
     Y = simulate_first_variation(model, base, u_bar, v)
+    X, Xp, Ys = (_time_major(a) for a in (base.states, pert.states, Y.states))
+    U, V = (_time_major(a) for a in (u_bar.evaluate(base.states[:, :-1]), v))
 
-    def rows(j):
-        xb = base.states[:, j]
-        ub = u_bar.evaluate(xb)
+    def rows(j0, j1):
+        xb, ub, vb = X[j0:j1], U[j0:j1], V[j0:j1]
         return np.stack([
             cost_at(model, xb, ub),
-            cost_at(model, pert.states[:, j], ub + theta * v[:, j]),
-            (cost_grad_x(model, xb) * Y.states[:, j]).sum(axis=-1)
-            + (cost_grad_u(model, ub) * v[:, j]).sum(axis=-1),
-        ])
+            cost_at(model, Xp[j0:j1], ub + theta * vb),
+            (cost_grad_x(model, xb) * Ys[j0:j1]).sum(axis=-1) + (cost_grad_u(model, ub) * vb).sum(axis=-1),
+        ], axis=1)
 
     j_base, j_pert, pairing = _path_integrals(grid, rows, [grid.steps], (3, M))[:, :, 0].mean(axis=1)
     fd = float((j_pert - j_base) / (theta * T))

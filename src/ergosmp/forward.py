@@ -21,7 +21,7 @@ from .model import (
     ModelSpec,
     _mat_vec,
     drift_at,
-    drift_jac_x,
+    drift_jac_apply,
     drift_jacU_apply,
 )
 
@@ -48,6 +48,12 @@ __all__ = [
 _BINARY_MAGIC = b"ERGP"
 _BINARY_VERSION = 1
 _BINARY_HEADER = struct.Struct("<IQQQQQd")  # version, M, steps, n, d, seed, dt
+
+# Bytes of one time block's stack.  The hot loops that do not recur in time
+# (time integrands, the costate design) work on this many bytes of steps at
+# once: enough steps to amortize numpy's per-call cost, few enough that a
+# block's handful of temporaries stays cache-sized whatever the horizon.
+BLOCK_BYTES = 512 << 10
 
 
 class SimulationError(RuntimeError):
@@ -101,29 +107,42 @@ def _time_major(arr: np.ndarray) -> np.ndarray:
     return arr.transpose(1, 0, *range(2, arr.ndim))
 
 
+def _block_steps(row_bytes: int) -> int:
+    """Steps per time block when one step's rows take `row_bytes`."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
+
+
 def _path_integrals(grid: TimeGrid, integrand, indices, shape, start: int = 0) -> np.ndarray:
     """Per-path left-endpoint sums sum_{start <= j < i} dt * g_j at each grid
     index i in `indices`, shape `shape + (len(indices),)`.
 
-    `integrand(j)` returns g_j with shape `shape`, paths on the last axis.
-    Every time average along an ensemble goes through this one running sum
-    acc = acc + dt * g_j, so they all share one summation order.  Indices may
-    be unsorted or repeated; an index equal to `start` reads 0.
+    `integrand(j0, j1)` returns the rows g_j0 .. g_{j1-1} of one time block,
+    shape `(j1 - j0,) + shape` with paths on the last axis.  The blocks cover
+    [start, max(indices)) in order, each at most BLOCK_BYTES of rows.  Every
+    time average along an ensemble goes through this one running sum
+    acc = acc + dt * g_j, taken per step in time order (np.cumsum along the
+    block, seeded with acc), so they all share one summation order and the
+    blocking changes no bit.  Indices may be unsorted or repeated; an index
+    equal to `start` reads 0.
     """
     indices = np.asarray(indices, dtype=int)
     if indices.size and (indices.min() < start or indices.max() > grid.steps):
         raise SimulationError(f"integration indices must lie in [{start}, {grid.steps}]")
-    out = np.empty(tuple(shape) + (len(indices),))
+    shape = tuple(shape)
+    out = np.zeros(shape + (len(indices),))
     acc = np.zeros(shape)
-    order = np.argsort(indices, kind="stable")
-    pos = 0
-    for j in range(start, grid.steps + 1):
-        while pos < len(order) and indices[order[pos]] == j:
-            out[..., order[pos]] = acc
-            pos += 1
-        if pos == len(order):
-            break
-        acc = acc + grid.dt * integrand(j)
+    end = indices.max(initial=start)
+    block = _block_steps(8 * int(np.prod(shape)))
+    for j0 in range(start, end, block):
+        j1 = min(j0 + block, end)
+        # run[i] becomes the sum up to grid index j0 + i.
+        run = np.empty((j1 - j0 + 1,) + shape)
+        run[0] = acc
+        np.multiply(grid.dt, integrand(j0, j1), out=run[1:])
+        np.cumsum(run, axis=0, out=run)
+        sel = (indices >= j0) & (indices <= j1)
+        out[..., sel] = np.moveaxis(run[indices[sel] - j0], 0, -1)
+        acc = run[-1]
     return out
 
 
@@ -236,6 +255,16 @@ def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, wh
     return _time_major(Xbuf)
 
 
+def _initial_state(model: ModelSpec, x0) -> np.ndarray:
+    """x0 as a finite (n,) array."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (model.n,):
+        raise SimulationError(f"x0 must have shape ({model.n},)")
+    if not np.isfinite(x0).all():
+        raise SimulationError("x0 must be finite")
+    return x0
+
+
 def simulate_state(
     model: ModelSpec,
     control: ControlLaw,
@@ -249,12 +278,15 @@ def simulate_state(
     Deterministic for fixed (seed, M, grid); the first k paths equal the
     k-path ensemble.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (model.n,):
-        raise SimulationError(f"x0 must have shape ({model.n},)")
-    if not np.isfinite(x0).all():
-        raise SimulationError("x0 must be finite")
+    x0 = _initial_state(model, x0)
     dW = brownian_increments(seed, M, grid, model.d)
+    return _simulate_on(model, control, x0, grid, dW, seed)
+
+
+def _simulate_on(model: ModelSpec, control: ControlLaw, x0: np.ndarray, grid: TimeGrid, dW: np.ndarray,
+                 seed: int) -> PathEnsemble:
+    """`simulate_state` on increments dW already drawn for (seed, grid), from
+    a validated x0; callers that simulate several laws draw them once."""
     states = _tamed_euler(model, x0, dW, grid.dt, lambda j, xj: control.evaluate(xj), "simulate_state")
     return PathEnsemble(
         grid=grid, states=states, increments=dW, seed=int(seed),
@@ -280,19 +312,18 @@ def simulate_perturbed(
     """State under the convex perturbation u_bar + theta*(u_alt - u_bar).
 
     The direction is evaluated along the base path (open-loop perturbation of
-    the control process) and the simulation reuses the base increments, so
-    theta = 0 reproduces the base ensemble bitwise.
+    the control process), one whole-path call per law, and the simulation
+    reuses the base increments, so theta = 0 reproduces the base ensemble
+    bitwise.
     """
     if not (0.0 <= theta <= 1.0):
         raise SimulationError("theta must lie in [0, 1]")
     _require_base_under(base, u_bar, "simulate_perturbed")
-
-    def control_at(j, xj):
-        xb = base.states[:, j]
-        ub = u_bar.evaluate(xb)
-        return ub + theta * (u_alt.evaluate(xb) - ub)
-
-    states = _tamed_euler(model, base.states[:, 0], base.increments, base.grid.dt, control_at, "simulate_perturbed")
+    xb = base.states[:, :-1]
+    ub = u_bar.evaluate(xb)
+    U = ub + theta * (u_alt.evaluate(xb) - ub)
+    states = _tamed_euler(model, base.states[:, 0], base.increments, base.grid.dt, lambda j, xj: U[:, j],
+                          "simulate_perturbed")
     return PathEnsemble(
         grid=base.grid, states=states, increments=base.increments, seed=base.seed,
         control_id=f"perturbed(theta={theta!r}, base={base.control_id}, alt={u_alt.describe()})",
@@ -309,33 +340,34 @@ def direction_from_laws(u_bar: ControlLaw, u_alt: ControlLaw, base: PathEnsemble
 
 
 def _affine_forward(
-    grid: TimeGrid,
-    dW: np.ndarray,
+    model: ModelSpec,
+    base: PathEnsemble,
     z0: np.ndarray,
     start_index: int,
-    lam,
     drift_force,
     gam=None,
     noise_force=None,
     what: str = "affine system",
 ) -> np.ndarray:
-    """Euler recursion for dZ = (Lam Z + gamma)dt + sum_i (Gam^i Z + rho^i)dW^i.
+    """Euler recursion for dZ = (Lam Z + gamma)dt + sum_i (Gam^i Z + rho^i)dW^i
+    on the base increments, with Lam = D_x b along the base path.
 
-    `lam(j)` returns (M, n, n); `drift_force(j)` returns (M, n) or None;
-    `gam(j)` returns (M, d, n, n) or None; `noise_force(j)` returns (M, d, n)
-    or None.  Starts from z0 at `start_index`; earlier entries are zero.
+    `drift_force(j)` returns (M, n) or None; `gam(j)` returns (M, d, n, n) or
+    None; `noise_force(j)` returns (M, d, n) or None.  Starts from z0 at
+    `start_index`; earlier entries are zero.
     """
+    grid = base.grid
     M, n = z0.shape
     dt = grid.dt
     Zbuf = np.zeros((grid.steps + 1, M, n))
     Zbuf[start_index] = z0
     for j in range(start_index, grid.steps):
         zj = Zbuf[j]
-        incr = dt * _mat_vec(lam(j), zj)
+        incr = dt * drift_jac_apply(model, base.states[:, j], zj)
         fd = drift_force(j) if drift_force is not None else None
         if fd is not None:
             incr = incr + dt * fd
-        dwj = dW[:, j]  # (M, d)
+        dwj = base.increments[:, j]  # (M, d)
         gj = gam(j) if gam is not None else None
         if gj is not None:
             gz = (gj * zj[:, None, None, :]).sum(axis=-1)  # (M, d, n)
@@ -369,16 +401,10 @@ def simulate_first_variation(
             f"direction process must have shape ({M}, {grid.steps}, {model.l}), got {v.shape}"
         )
     Y = _affine_forward(
-        grid, base.increments, np.zeros((M, model.n)), 0,
-        _lam(model, base), lambda j: drift_jacU_apply(model, v[:, j]),
+        model, base, np.zeros((M, model.n)), 0, lambda j: drift_jacU_apply(model, v[:, j]),
         what="simulate_first_variation",
     )
     return FirstVariationEnsemble(grid=grid, states=Y, base_seed=base.seed)
-
-
-def _lam(model, base):
-    """D_x b along the base path, as a per-step callback."""
-    return lambda j: drift_jac_x(model, base.states[:, j])
 
 
 def simulate_affine_dual(
@@ -413,8 +439,7 @@ def simulate_affine_dual(
     drift_force = None if gamma is None else (lambda j: gamma[:, j])
     noise_force = None if rho is None else (lambda j: rho[:, j])
     values = _affine_forward(
-        grid, base.increments, eta, j0, _lam(model, base), drift_force, noise_force=noise_force,
-        what="simulate_affine_dual",
+        model, base, eta, j0, drift_force, noise_force=noise_force, what="simulate_affine_dual",
     )
     return DualEnsemble(grid=grid, values=values, start_index=j0, base_seed=base.seed)
 

@@ -43,10 +43,21 @@ def _as_array(x, shape, name):
 
 
 def _mat_vec(mat, vec):
-    # Row-wise contraction with a fixed reduction order over the last axis, so
-    # each path's result does not depend on the batch it is computed in: the
-    # first k paths of an M-path ensemble equal the k-path ensemble bitwise.
-    return (mat * vec[..., None, :]).sum(axis=-1)
+    """mat @ vec over the last axes, as the column sum
+    vec_0 * mat[:, 0] + vec_1 * mat[:, 1] + ..., accumulated left to right.
+
+    Each state's result is computed on its own in a fixed order, so it does not
+    depend on the batch it is computed in: the first k paths of an M-path
+    ensemble equal the k-path ensemble bitwise, and one call on a stack of steps
+    equals per-step calls.  For n <= 7 columns this is bitwise the broadcast sum
+    (mat * vec[..., None, :]).sum(-1), whose short reductions also run left to
+    right.  A BLAS product (vec @ mat.T) would block by batch size and lose
+    both guarantees.
+    """
+    out = vec[..., 0, None] * mat[..., :, 0]
+    for k in range(1, vec.shape[-1]):
+        out = out + vec[..., k, None] * mat[..., :, k]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +357,14 @@ def drift_jac_x(model: ModelSpec, X) -> np.ndarray:
         idx = np.arange(model.n)
         jac[:, idx, idx] += diag
     return jac
+
+
+def drift_jac_apply(model: ModelSpec, X, Z) -> np.ndarray:
+    """(D_x b) Z for Z of shape (M, n), without materializing the Jacobians."""
+    out = _mat_vec(model.A, Z)
+    if model.has_cubic:
+        out = out - 3.0 * model.alpha * X**2 * Z
+    return out
 
 
 def drift_jacU_apply(model: ModelSpec, V) -> np.ndarray:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .adjoint import AdjointSolution, RegressionBasis, extend_to_infinite, solve_adjoint_finite
 from .ergodic_cost import _checkpoint_ladder, ergodic_report_from_ensemble
-from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals, _require_grid, _time_major,
-                      simulate_state)
+from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _path_integrals, _require_grid,
+                      _simulate_on, _time_major, brownian_increments)
 from .model import (
     ControlLaw,
     ModelSpec,
@@ -149,12 +149,13 @@ def evaluate_variational_inequality(
     ens = adjoint.ensemble
     ts, indices, tail_mask = _checkpoint_ladder(grid, window)
     candidates = [cand for _, cand in u_candidates]
+    X, P = _time_major(ens.states), _time_major(adjoint.p)
 
-    def pairings(j):
-        xj = ens.states[:, j]
-        ub = u_bar.evaluate(xj)
-        grad = _grad_u_batch(model, ub, adjoint.p[:, j])
-        return np.stack([(grad * (cand.evaluate(xj) - ub)).sum(axis=-1) for cand in candidates])
+    def pairings(j0, j1):
+        x = X[j0:j1]
+        ub = u_bar.evaluate(x)
+        grad = _grad_u_batch(model, ub, P[j0:j1])
+        return np.stack([(grad * (cand.evaluate(x) - ub)).sum(axis=-1) for cand in candidates], axis=1)
 
     sums = _path_integrals(grid, pairings, indices, (len(candidates), ens.n_paths))
     ladders = sums.mean(axis=1) / ts
@@ -316,19 +317,20 @@ def optimize_control(
     and takes a projected step.  The step is halved and the iterate reverted
     whenever the ergodic-cost tail estimate worsens beyond its CI; the run
     stops early after `patience` iterations without improvement.  All
-    iterations share one noise realization (common random numbers), so cost
-    comparisons across iterates are systematic rather than noisy.
+    iterations share one noise realization (common random numbers), drawn
+    once, so cost comparisons across iterates are systematic rather than
+    noisy.
     """
     if u_init.kind not in ("affine_feedback", "tabulated_feedback"):
         raise SimulationError("optimizer supports affine or tabulated feedback laws")
     if step_gamma <= 0:
         raise SimulationError("step_gamma must be positive")
-    if x0 is None:
-        x0 = np.zeros(model.n)
+    x0 = _initial_state(model, np.zeros(model.n) if x0 is None else x0)
     basis = basis or RegressionBasis()
     grid_full = TimeGrid.from_horizon(T + buffer, dt)
     j_burn = grid_full.index_of(round(min(burn_in, T / 2.0) / dt) * dt)
     j_top = grid_full.index_of(T)
+    dW = brownian_increments(seed, M, grid_full, model.d)
 
     law = u_init
     gamma_k = step_gamma
@@ -338,7 +340,7 @@ def optimize_control(
     status = "completed"
 
     for it in range(iterations):
-        ensemble = simulate_state(model, law, x0, grid_full, M, seed)
+        ensemble = _simulate_on(model, law, x0, grid_full, dW, seed)
         sol = solve_adjoint_finite(model, ensemble, law, basis=basis)
         report = ergodic_report_from_ensemble(model, ensemble.restricted(T), law, window)
 

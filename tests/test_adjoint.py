@@ -14,6 +14,7 @@ from ergosmp import (
     solve_adjoint_finite,
 )
 from ergosmp.adjoint import adjoint_coefficients_dict, adjoint_to_csv
+from ergosmp.forward import _block_steps
 from ergosmp.model import cost_grad_x, drift_jacT_apply
 
 
@@ -96,6 +97,51 @@ def test_rank_deficiency_reports_step(lq1, lq1_zero):
     tiny = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.1, steps=3), 2, seed=1)
     with pytest.raises(AdjointError, match="step"):
         solve_adjoint_finite(lq1, tiny, lq1_zero, basis=RegressionBasis(degree=3, ridge=0.0))
+
+
+def _per_step_ridge_reference(model, ens, basis):
+    """Costate by one plain ridge least-squares fit per step, backward: the
+    standardized monomials of X_j, normal equations solved by np.linalg.solve."""
+    M, steps, n, d, dt = ens.n_paths, ens.grid.steps, model.n, model.d, ens.grid.dt
+    p, q = np.zeros((M, steps + 1, n)), np.zeros((M, steps, d, n))
+    for j in range(steps - 1, -1, -1):
+        x, p_next = ens.states[:, j], p[:, j + 1]
+        F = basis.features_t(x).T
+        mean = F.mean(axis=0)
+        mean[0] = 0.0
+        std = np.sqrt(((F - mean) ** 2).mean(axis=0))
+        std[0] = 1.0
+        std[std < 1e-300] = 1.0
+        F = (F - mean) / std
+        penalty = basis.ridge * np.eye(F.shape[1])
+        penalty[0, 0] = 0.0
+        driver = p_next @ model.A - 3.0 * model.alpha * x**2 * p_next + 2.0 * x @ model.Q
+        targets = np.concatenate([p_next[:, None, :] * ens.increments[:, j, :, None] / dt,
+                                  (p_next + dt * driver)[:, None, :]], axis=1)
+        coef = np.linalg.solve(F.T @ F + penalty, F.T @ targets.reshape(M, -1))
+        fitted = (F @ coef).reshape(M, d + 1, n)
+        q[:, j], p[:, j] = fitted[:, :d], fitted[:, d]
+    return p, q
+
+
+@pytest.mark.parametrize("family, M, steps, tol", [
+    ("lq1", 512, 300, 1e-12), ("cubic1", 512, 300, 1e-12), ("lq3", 512, 60, 1e-6)])
+def test_blocked_solve_matches_per_step_reference(family, M, steps, tol):
+    if family == "lq3":
+        model = ModelSpec.lq(A=[[-1.0, 0.4, 0.0], [0.0, -1.2, 0.4], [0.0, 0.0, -0.8]],
+                             B=[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], S=[[0.6, 0.0], [0.3, 0.5], [0.0, 0.4]],
+                             Q=np.eye(3), R=np.eye(2), control_set=ConvexSet.box([-5.0, -5.0], [5.0, 5.0]))
+        law = ControlLaw.affine([[-0.4, -0.1, 0.0], [0.0, -0.05, -0.3]], [0.1, 0.0], model.control_set)
+    else:
+        model = getattr(ModelSpec, family)()
+        law = ControlLaw.affine([[-0.4]], [0.1], model.control_set)
+    basis = RegressionBasis()
+    ens = simulate_state(model, law, np.full(model.n, 0.7), TimeGrid(dt=0.02, steps=steps), M, seed=3)
+    assert steps > 2 * _block_steps(8 * basis.feature_count(model.n) * M)  # several time blocks
+    sol = solve_adjoint_finite(model, ens, law, basis=basis)
+    p, q = _per_step_ridge_reference(model, ens, basis)
+    assert np.abs(sol.p - p).max() <= tol * max(1.0, np.abs(p).max())
+    assert np.abs(sol.q - q).max() <= tol * max(1.0, np.abs(q).max())
 
 
 def test_martingale_residual_orthogonality(lq1, lq1_zero, lq1_base8):

@@ -140,6 +140,27 @@ def test_gateaux_rejects_theta_outside_unit_interval(lq1, lq1_zero, lq1_one):
             estimate_gateaux(lq1, lq1_zero, lq1_one, theta, 1.0, 16, 8, dt=0.01)
 
 
+def test_gateaux_evaluates_each_law_once_per_path(lq1, monkeypatch):
+    u_bar = ControlLaw.affine([[-0.4]], [0.1], lq1.control_set)
+    u_alt = ControlLaw.constant([1.0], lq1.control_set)
+    reference = estimate_gateaux(lq1, u_bar, u_alt, 0.1, 1.0, 64, 8, dt=0.01)
+    calls = {}
+    evaluate = ControlLaw.evaluate
+
+    def counting(self, x):
+        calls[self.describe()] = calls.get(self.describe(), 0) + 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(ControlLaw, "evaluate", counting)
+    rep = estimate_gateaux(lq1, u_bar, u_alt, 0.1, 1.0, 64, 8, dt=0.01)
+    steps = 100
+    # u_bar: once per step in the base simulation, then three whole-path calls
+    # (perturbed simulation, direction, cost integrand); u_alt: two.
+    assert calls[u_bar.describe()] <= steps + 3
+    assert calls[u_alt.describe()] <= 2
+    assert rep == reference
+
+
 def test_gateaux_cubic_gap_shrinks(cubic1):
     zero = cubic1.zero_control()
     one = ControlLaw.constant([1.0], cubic1.control_set)

@@ -3,6 +3,7 @@ import pytest
 
 from ergosmp import (
     ControlLaw,
+    ConvexSet,
     ModelSpec,
     SimulationError,
     TimeGrid,
@@ -17,7 +18,7 @@ from ergosmp import (
     simulate_state,
     verify_expansion_residual,
 )
-from ergosmp.forward import _affine_forward, _path_integrals, brownian_increments
+from ergosmp.forward import BLOCK_BYTES, PathEnsemble, _affine_forward, _path_integrals, brownian_increments
 
 
 def test_grid_validation():
@@ -108,27 +109,35 @@ def test_bitwise_determinism_across_runs_and_path_prefixes(lq1, lq1_zero):
 
 
 def test_path_integrals_match_cumsum():
-    grid = TimeGrid(dt=0.1, steps=20)
-    g = np.random.default_rng(4).standard_normal((2, 5, grid.steps))
-    start = 3
-    indices = [17, 3, 9, 12, 9]  # unsorted, repeated, one equal to start
-    called = []
+    # One block (unsorted, repeated indices, one equal to start), then a grid
+    # whose rows span several blocks of BLOCK_BYTES.
+    for steps, shape, indices in [(20, (2, 5), [17, 3, 9, 12, 9]), (70, (3, 2048), [3, 61, 30, 47, 61])]:
+        grid = TimeGrid(dt=0.1, steps=steps)
+        g = np.random.default_rng(4).standard_normal(shape + (grid.steps,))
+        start = 3
+        blocks = []
 
-    def integrand(j):
-        called.append(j)
-        return g[..., j]
+        def integrand(j0, j1):
+            blocks.append((j0, j1))
+            return np.moveaxis(g[..., j0:j1], -1, 0)
 
-    out = _path_integrals(grid, integrand, indices, (2, 5), start=start)
-    cum = np.concatenate([np.zeros((2, 5, 1)), np.cumsum(grid.dt * g[..., start:], axis=-1)], axis=-1)
-    assert out.shape == (2, 5, 5)
-    # The running sum acc + dt * g_j is np.cumsum's order, so the match is exact.
-    np.testing.assert_array_equal(out, cum[..., np.asarray(indices) - start])
-    assert np.all(out[..., 1] == 0.0)
-    assert called == list(range(start, max(indices)))
-    with pytest.raises(SimulationError):
-        _path_integrals(grid, integrand, [2, 5], (2, 5), start=start)
-    with pytest.raises(SimulationError):
-        _path_integrals(grid, integrand, [grid.steps + 1], (2, 5))
+        out = _path_integrals(grid, integrand, indices, shape, start=start)
+        cum = np.concatenate([np.zeros(shape + (1,)), np.cumsum(grid.dt * g[..., start:], axis=-1)], axis=-1)
+        assert out.shape == shape + (len(indices),)
+        # The running sum acc + dt * g_j is np.cumsum's order, so the match is exact.
+        np.testing.assert_array_equal(out, cum[..., np.asarray(indices) - start])
+        assert np.all(out[..., np.asarray(indices) == start] == 0.0)
+        # The blocks tile [start, max index) in order, each within the byte budget.
+        row_bytes = 8 * np.prod(shape)
+        assert blocks[0][0] == start and blocks[-1][1] == max(indices)
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all((j1 - j0) * row_bytes <= BLOCK_BYTES for j0, j1 in blocks)
+        assert (len(blocks) > 1) == (row_bytes * (max(indices) - start) > BLOCK_BYTES)
+        with pytest.raises(SimulationError):
+            _path_integrals(grid, integrand, [2, 5], shape, start=start)
+        with pytest.raises(SimulationError):
+            _path_integrals(grid, integrand, [grid.steps + 1], shape)
+    assert len(blocks) > 1
 
 
 def test_increment_statistics(lq1):
@@ -228,9 +237,12 @@ def test_affine_system_multiplicative_noise():
     rng = np.random.default_rng(4)
     dw_buf = rng.standard_normal((grid.steps, m, 1)) * np.sqrt(grid.dt)
     dw = dw_buf.transpose(1, 0, 2)
-    lam = lambda j: np.zeros((m, 1, 1))
+    driftless = ModelSpec.lq(A=[[0.0]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                             control_set=ConvexSet.box([-1.0], [1.0]))
+    base = PathEnsemble(grid=grid, states=np.zeros((m, grid.steps + 1, 1)), increments=dw, seed=0,
+                        control_id="synthetic", x0=np.zeros(1))
     gam = lambda j: np.full((m, 1, 1, 1), g0)
-    z = _affine_forward(grid, dw, np.ones((m, 1)), 0, lam, None, gam, None)
+    z = _affine_forward(driftless, base, np.ones((m, 1)), 0, None, gam, None)
     expected = np.prod(1.0 + g0 * dw[0, :, 0])
     assert np.isclose(z[0, -1, 0], expected, rtol=1e-10)
     growth = (z[:, -1, 0] ** 2).mean()

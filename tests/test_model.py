@@ -14,7 +14,8 @@ from ergosmp import (
     model_config_dict,
     project_control,
 )
-from ergosmp.model import cost_at, cost_grad_u, cost_grad_x, drift_at, drift_jac_x, drift_jacT_apply
+from ergosmp.model import (_mat_vec, cost_at, cost_grad_u, cost_grad_x, drift_at, drift_jac_apply, drift_jac_x,
+                           drift_jacT_apply)
 
 
 def test_eval_lq1_at_origin(lq1):
@@ -161,6 +162,33 @@ def test_model_spec_is_one_coefficient_form():
     wide = model.with_diffusion(np.ones((3, 4)))
     assert wide.d == 4 and wide.alpha.tolist() == [0.0, 0.0, 0.0]
     assert ModelSpec.cubic1().with_diffusion([[0.5]]).has_cubic
+
+
+def test_mat_vec_matches_broadcast_sum():
+    # The unrolled column sum runs the broadcast sum's left-to-right order.
+    rng = np.random.default_rng(8)
+    for n in range(2, 8):
+        vec = rng.standard_normal((257, n)) * np.exp(3.0 * rng.standard_normal((257, n)))
+        for mat in (rng.standard_normal((n, n)), rng.standard_normal((3, n)), rng.standard_normal((257, n, n))):
+            expected = (mat * vec[..., None, :]).sum(axis=-1)
+            assert _mat_vec(mat, vec).tobytes() == expected.tobytes()
+        stack = rng.standard_normal((4, 257, n))  # (steps, M, n): one call equals per-step calls
+        assert _mat_vec(mat[0], stack).tobytes() == np.stack([_mat_vec(mat[0], x) for x in stack]).tobytes()
+
+
+@pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3"])
+def test_drift_jac_apply_matches_jacobian(family, lq1, cubic1):
+    if family == "lq3":
+        model = ModelSpec.cubic([0.5, 0.0, 1.0], **LQ3, control_set=ConvexSet.box([-5.0, -5.0], [5.0, 5.0]))
+    else:
+        model = {"lq1": lq1, "cubic1": cubic1}[family]
+    rng = np.random.default_rng(9)
+    X, Z = rng.standard_normal((64, model.n)), rng.standard_normal((64, model.n))
+    expected = (drift_jac_x(model, X) * Z[:, None, :]).sum(axis=-1)
+    if model.has_cubic:
+        np.testing.assert_allclose(drift_jac_apply(model, X, Z), expected, rtol=1e-13, atol=1e-13)
+    else:
+        assert drift_jac_apply(model, X, Z).tobytes() == expected.tobytes()
 
 
 def test_lq_equals_cubic_with_zero_alpha():

@@ -6,6 +6,7 @@ from ergosmp import (
     ConvexSet,
     ModelSpec,
     SimulationError,
+    TimeGrid,
     candidate_battery,
     check_sufficiency,
     evaluate_variational_inequality,
@@ -13,7 +14,10 @@ from ergosmp import (
     grad_u_hamiltonian,
     hamiltonian,
     optimize_control,
+    simulate_state,
 )
+from ergosmp import forward, smp
+from ergosmp.ergodic_cost import ergodic_report_from_ensemble
 from ergosmp.smp import _hamiltonian_hessian
 
 
@@ -260,6 +264,28 @@ def test_optimizer_tabulated(lq1):
     fitted = res.best.bin_values[:, 0]
     slope = np.polyfit(centers[core], fitted[core], 1)[0]
     assert -0.6 < slope < -0.25
+
+
+def test_optimizer_draws_noise_once(lq1, monkeypatch):
+    draws = []
+    draw = forward.brownian_increments
+
+    def counting(*args):
+        draws.append(args)
+        return draw(*args)
+
+    for module in (forward, smp):
+        monkeypatch.setattr(module, "brownian_increments", counting)
+    init = ControlLaw.affine([[0.0]], [0.0], lq1.control_set)
+    res = optimize_control(lq1, init, 0.5, 4, 3.0, 128, 7, dt=0.02, buffer=1.0)
+    assert len(draws) == 1 and len(res.trace) == 4
+    # Each iteration's cost row is the one of its law simulated afresh.
+    grid = TimeGrid.from_horizon(4.0, 0.02)
+    for row in res.trace:
+        law = ControlLaw.affine(row["gain"], row["offset"], lq1.control_set)
+        ens = simulate_state(lq1, law, [0.0], grid, 128, 7)
+        report = ergodic_report_from_ensemble(lq1, ens.restricted(3.0), law, 0.25)
+        assert (row["cost_tail"], row["ci"]) == (report.tail_max, report.ci)
 
 
 def test_multidim_smoke():
