@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .forward import PathEnsemble, TimeGrid, _block_steps, _paths_to_csv, _time_major, simulate_state
-from .model import ControlLaw, ModelSpec, cost_grad_x, drift_jacT_apply
+from .model import ControlLaw, ModelSpec, _Report, cost_grad_x, drift_jacT_apply
 
 __all__ = [
     "AdjointError",
@@ -284,30 +284,20 @@ def extend_to_infinite(
 
 
 @dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(_Report):
     """Exponential closeness of two zero-terminal truncations on shared noise."""
 
     times: np.ndarray          # grid times t <= N
     diff_sq: np.ndarray        # mean |p^N_t - p^M_t|^2
     noise_floor: float         # solver rerun distance on an independent seed
-    beta: float                # fitted rate: diff ~ C * exp(-2 beta (N - t))
-    prefactor: float
+    beta: float                # fitted rate: diff ~ C * exp(-2 beta (N - t)); NaN if unfitted
+    prefactor: float           # C; NaN (null in JSON) with beta
     horizon_short: float
     horizon_long: float
     far_field_max_ratio: float  # max diff/floor over t <= N/2
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "horizon_short": self.horizon_short,
-            "horizon_long": self.horizon_long,
-            "times": [float(t) for t in self.times],
-            "diff_sq": [float(v) for v in self.diff_sq],
-            "noise_floor": self.noise_floor,
-            "beta": self.beta,
-            "prefactor": self.prefactor,
-            "far_field_max_ratio": self.far_field_max_ratio,
-        }
+
+_FIT_SPAN = 2.0  # width of the terminal layer the decay rate is fitted on
 
 
 def check_truncation_consistency(
@@ -320,7 +310,6 @@ def check_truncation_consistency(
     seed: int,
     basis: Optional[RegressionBasis] = None,
     x0=None,
-    fit_span: float = 2.0,
 ) -> ConsistencyReport:
     """Compare zero-terminal solves at two horizons on shared noise.
 
@@ -358,10 +347,10 @@ def check_truncation_consistency(
         floor_samples.append((gap**2).sum(axis=-1).mean())
     noise_floor = float(np.median(floor_samples))
 
-    # Fit the terminal layer on times within fit_span of the short horizon,
+    # Fit the terminal layer on times within _FIT_SPAN of the short horizon,
     # keeping only points safely above the noise floor.
     n_total = horizon_short
-    mask = (times > n_total - fit_span) & (times < n_total) & (diff_sq > 30.0 * noise_floor)
+    mask = (times > n_total - _FIT_SPAN) & (times < n_total) & (diff_sq > 30.0 * noise_floor)
     if mask.sum() >= 4:
         slope, intercept = np.polyfit(n_total - times[mask], np.log(diff_sq[mask]), 1)
         beta = float(-slope / 2.0)

@@ -37,9 +37,11 @@ EXIT_VERDICT_FAIL = 2
 
 
 def _write_json(path: str, obj) -> None:
+    """Write strict JSON: a non-finite number raises before the file is
+    opened instead of being written as NaN or Infinity."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _out(args, name: str) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 from .adjoint import AdjointError, RegressionBasis, solve_adjoint_finite
 from .forward import (PathEnsemble, SimulationError, TimeGrid, _path_integrals, _require_grid, _time_major,
                       simulate_affine_dual, simulate_state)
-from .model import ControlLaw, ModelSpec, cost_grad_x
+from .model import ControlLaw, ModelSpec, _mat_vec, _Report, cost_grad_x
 
 __all__ = [
     "DualityReport",
@@ -29,24 +29,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DualityReport:
+class DualityReport(_Report):
     lhs: float
     rhs: float
     abs_residual: float
     rel_residual: float  # NaN (unavailable) when both sides are exactly 0
     config: dict
     tail_bound: float = 0.0  # bound on the discarded tail (infinite form); inf if unavailable
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_residual": self.abs_residual,
-            "rel_residual": None if np.isnan(self.rel_residual) else self.rel_residual,
-            "tail_bound": self.tail_bound if np.isfinite(self.tail_bound) else None,
-            "config": self.config,
-        }
 
 
 def _report(lhs: float, rhs: float, config: dict, tail_bound: float = 0.0) -> DualityReport:
@@ -104,9 +93,7 @@ def build_gamma(
         vec = np.broadcast_to(np.asarray(value, dtype=float), (n,))
         gamma[:, j0:j1] = vec
     if state_matrix is not None:
-        C = np.asarray(state_matrix, dtype=float)
-        for j in range(j0, j1):
-            gamma[:, j] += base.states[:, j] @ C.T
+        gamma[:, j0:j1] += _mat_vec(np.asarray(state_matrix, dtype=float), base.states[:, j0:j1])
     return gamma
 
 

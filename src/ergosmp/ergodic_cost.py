@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals, _time_major,
-                      direction_from_laws, simulate_first_variation, simulate_perturbed, simulate_state)
-from .model import ControlLaw, ModelSpec, cost_at, cost_grad_u, cost_grad_x
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals,
+                      _require_base_under, _time_major, direction_from_laws, simulate_first_variation,
+                      simulate_perturbed, simulate_state)
+from .model import ControlLaw, ModelSpec, _Report, cost_at, cost_grad_u, cost_grad_x
 
 __all__ = [
     "ErgodicCostReport",
@@ -66,7 +67,9 @@ def _cost_sums_at(model, ensemble, control, indices) -> np.ndarray:
     """Per-path left-endpoint quadrature of the running cost at the given
     grid indices, shape (M, len(indices)): per-path running sums from
     `_path_integrals`, the summation order every time average shares, with one
-    evaluation of the law per time block."""
+    evaluation of the law per time block.  The ensemble must be simulated
+    under `control`, whose describe() the report carries as its control_id."""
+    _require_base_under(ensemble, control, "cost")
     X = _time_major(ensemble.states)
 
     def running_cost(j0, j1):
@@ -83,7 +86,7 @@ def estimate_cost_T(model: ModelSpec, ensemble: PathEnsemble, control: ControlLa
 
 
 @dataclass(frozen=True)
-class ErgodicCostReport:
+class ErgodicCostReport(_Report):
     checkpoints: tuple          # ((T, J_T/T), ...)
     tail_min: float
     tail_max: float
@@ -91,18 +94,6 @@ class ErgodicCostReport:
     ci: float                   # 95% half-width of J_T/T at the final horizon
     control_id: str
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "checkpoints": [[t, v] for (t, v) in self.checkpoints],
-            "tail_min": self.tail_min,
-            "tail_max": self.tail_max,
-            "tail_window": self.tail_window,
-            "ci": self.ci,
-            "control_id": self.control_id,
-            "seed": self.seed,
-        }
 
 
 def ergodic_report_from_ensemble(
@@ -144,20 +135,11 @@ def estimate_ergodic_cost(
 
 
 @dataclass(frozen=True)
-class GateauxReport:
+class GateauxReport(_Report):
     theta: float
     finite_difference: float   # (J_T(u + theta v) - J_T(u)) / (theta T)
     linearized: float          # (1/T) E int <D_xf, Y> + <D_uf, v> dt
     gap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "theta": self.theta,
-            "finite_difference": self.finite_difference,
-            "linearized": self.linearized,
-            "gap": self.gap,
-        }
 
 
 def estimate_gateaux(

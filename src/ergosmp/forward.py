@@ -20,6 +20,7 @@ from .model import (
     ControlLaw,
     ModelSpec,
     _mat_vec,
+    _Report,
     drift_at,
     drift_jac_apply,
     drift_jacU_apply,
@@ -466,26 +467,15 @@ def _ci95_halfwidth(values: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(_Report):
     """Perturbation scaling and first-order expansion residual over a theta ladder."""
 
     thetas: tuple
     sup_delta_sq: tuple      # sup_t mean |X^theta_t - X_t|^2 per theta
     sup_residual_sq: tuple   # sup_t mean |(X^theta_t - X_t)/theta - Y_t|^2 per theta
-    scaling_slope: float     # log-log slope of sup_delta_sq against theta
+    scaling_slope: float     # log-log slope of sup_delta_sq against theta; NaN for one theta
     residual_decreasing: bool
     residual_halved: bool    # residual at the smallest theta < half the largest
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "thetas": list(self.thetas),
-            "sup_delta_sq": list(self.sup_delta_sq),
-            "sup_residual_sq": list(self.sup_residual_sq),
-            "scaling_slope": self.scaling_slope,
-            "residual_decreasing": self.residual_decreasing,
-            "residual_halved": self.residual_halved,
-        }
 
 
 def verify_expansion_residual(

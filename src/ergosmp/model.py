@@ -14,7 +14,8 @@ derivatives; sigma depends on neither x nor u, so D_x sigma = D_u sigma = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -224,6 +225,36 @@ class ControlLaw:
 
 
 # ---------------------------------------------------------------------------
+# Report serialization
+
+
+def _json_value(value):
+    """JSON form of a report value: arrays, tuples and lists become lists,
+    dicts are recursed, numpy scalars become Python numbers, a control law
+    becomes its describe() string, and a non-finite float becomes None
+    (unavailable)."""
+    if isinstance(value, ControlLaw):
+        return value.describe()
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+class _Report:
+    """Base of the result dataclasses: ``to_dict()`` is the JSON form of every
+    field under ``schema_version`` 1."""
+
+    def to_dict(self) -> dict:
+        return {"schema_version": 1, **{f.name: _json_value(getattr(self, f.name)) for f in fields(self)}}
+
+
+# ---------------------------------------------------------------------------
 # Problem instances
 
 
@@ -405,19 +436,11 @@ def cost_grad_u(model: ModelSpec, U) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DissipativityReport:
+class DissipativityReport(_Report):
     sampled_max: float
     estimated_c_p: float
     passed: bool
     probe_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "sampled_max": self.sampled_max,
-            "estimated_c_p": self.estimated_c_p,
-            "pass": self.passed,
-            "probe_count": self.probe_count,
-        }
 
 
 def check_dissipativity(model: ModelSpec, probes: int = 512, seed: int = 0) -> DissipativityReport:
@@ -428,9 +451,10 @@ def check_dissipativity(model: ModelSpec, probes: int = 512, seed: int = 0) -> D
 
         <D_x b(x,u) y, y> + k * ||D_x sigma(x,u) y||_2^2,
 
-    whose second term is zero because sigma is constant.  The probe maximum is the sampled estimate of the best dissipativity
-    constant; a nonnegative maximum fails the check.  Sampling can miss
-    violations but never invents one.
+    whose second term is zero because sigma is constant.  The probe maximum
+    is the sampled estimate of the best dissipativity constant; a nonnegative
+    maximum fails the check.  Sampling can miss violations but never invents
+    one.
     """
     if probes < 1:
         raise ModelError("check_dissipativity: probes must be >= 1")

@@ -16,11 +16,12 @@ import numpy as np
 
 from .adjoint import AdjointSolution, RegressionBasis, extend_to_infinite, solve_adjoint_finite
 from .ergodic_cost import _checkpoint_ladder, ergodic_report_from_ensemble
-from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _path_integrals, _require_grid,
-                      _simulate_on, _time_major, brownian_increments)
+from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _path_integrals,
+                      _require_base_under, _require_grid, _simulate_on, _time_major, brownian_increments)
 from .model import (
     ControlLaw,
     ModelSpec,
+    _Report,
     cost_at,
     cost_grad_u,
     drift_at,
@@ -71,7 +72,7 @@ def _grad_u_batch(model, U, P) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SmpReport:
+class SmpReport(_Report):
     """Checkpointed value of (1/T) E int <D_u H, u - u_bar> dt for one direction."""
 
     direction_id: str
@@ -80,17 +81,6 @@ class SmpReport:
     ci: float
     tolerance: float
     verdict: str                # "consistent" | "violated"
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "direction_id": self.direction_id,
-            "checkpoints": [[t, v] for (t, v) in self.checkpoints],
-            "tail_min": self.tail_min,
-            "ci": self.ci,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
 
 
 def candidate_battery(
@@ -137,7 +127,8 @@ def evaluate_variational_inequality(
     give each checkpoint value and the CI.  A tail value below -max(0.01,
     2 CI) certifies non-optimality of u_bar (contrapositive use of the
     variational inequality); nonnegative tails are merely consistent with
-    optimality.  A supplied `adjoint` must lie on the grid of (T_max, dt).
+    optimality.  A supplied `adjoint` must lie on the grid of (T_max, dt) and
+    be solved under u_bar.
     """
     if x0 is None:
         x0 = np.zeros(model.n)
@@ -145,6 +136,7 @@ def evaluate_variational_inequality(
         adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed, basis=basis)
     else:
         _require_grid(adjoint.grid, T_max, dt, "costate")
+        _require_base_under(adjoint.ensemble, u_bar, "evaluate_variational_inequality")
     grid = adjoint.grid
     ens = adjoint.ensemble
     ts, indices, tail_mask = _checkpoint_ladder(grid, window)
@@ -179,7 +171,7 @@ def evaluate_variational_inequality(
 
 
 @dataclass(frozen=True)
-class SufficiencyReport:
+class SufficiencyReport(_Report):
     convexity_min_eigen: float
     minimality_tail: float
     tolerance: float
@@ -187,16 +179,9 @@ class SufficiencyReport:
     verdict: str                # "certified" | "not-certified"
     probe_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "convexity_min_eigen": self.convexity_min_eigen,
-            "minimality_tail": self.minimality_tail,
-            "tolerance": self.tolerance,
-            "eigen_tolerance": self.eigen_tolerance,
-            "verdict": self.verdict,
-            "probe_count": self.probe_count,
-        }
+
+_SUFFICIENCY_TOLERANCE = 0.02  # largest admitted negative minimality tail
+_EIGEN_TOLERANCE = 1e-3        # largest admitted negative Hessian eigenvalue
 
 
 def _hamiltonian_hessian(model: ModelSpec, X, P) -> np.ndarray:
@@ -226,21 +211,18 @@ def check_sufficiency(
     buffer: float = 3.0,
     basis: Optional[RegressionBasis] = None,
     x0=None,
-    candidates: Optional[Sequence[Tuple[str, ControlLaw]]] = None,
-    tolerance: float = 0.02,
-    eigen_tolerance: float = 1e-3,
 ) -> SufficiencyReport:
     """Sufficient-condition check: sampled convexity of the Hamiltonian along
-    the solved costate plus the minimality tail over a direction battery."""
+    the solved costate plus the minimality tail over `candidate_battery`.
+    Certified when the smallest sampled eigenvalue is >= -_EIGEN_TOLERANCE
+    and the minimality tail is >= -_SUFFICIENCY_TOLERANCE."""
     if probes < 1:
         raise SimulationError("check_sufficiency: probes must be >= 1")
     if x0 is None:
         x0 = np.zeros(model.n)
     adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed, basis=basis)
-    if candidates is None:
-        candidates = candidate_battery(model, u_bar, seed=seed)
     reports = evaluate_variational_inequality(
-        model, u_bar, candidates, T_max, M, seed,
+        model, u_bar, candidate_battery(model, u_bar, seed=seed), T_max, M, seed,
         window=window, dt=dt, buffer=buffer, basis=basis, x0=x0, adjoint=adjoint,
     )
     minimality_tail = min(r.tail_min for r in reports)
@@ -253,12 +235,12 @@ def check_sufficiency(
     steps = rng.integers(j_lo, grid.steps, size=probes)
     hess = _hamiltonian_hessian(model, ens.states[paths, steps], adjoint.p[paths, steps])
     min_eig = float(np.linalg.eigvalsh(hess).min())
-    certified = (min_eig >= -eigen_tolerance) and (minimality_tail >= -tolerance)
+    certified = (min_eig >= -_EIGEN_TOLERANCE) and (minimality_tail >= -_SUFFICIENCY_TOLERANCE)
     return SufficiencyReport(
         convexity_min_eigen=float(min_eig),
         minimality_tail=float(minimality_tail),
-        tolerance=tolerance,
-        eigen_tolerance=eigen_tolerance,
+        tolerance=_SUFFICIENCY_TOLERANCE,
+        eigen_tolerance=_EIGEN_TOLERANCE,
         verdict="certified" if certified else "not-certified",
         probe_count=probes,
     )
@@ -269,18 +251,15 @@ def check_sufficiency(
 
 
 @dataclass(frozen=True)
-class OptimizeResult:
+class OptimizeResult(_Report):
     best: ControlLaw
     trace: tuple                # one dict per iteration
     status: str                 # "completed" | "stalled"
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "status": self.status,
-            "best": self.best.describe(),
-            "trace": list(self.trace),
-        }
+
+_OPT_BURN_IN = 1.0   # gradient samples start here (at most T/2)
+_OPT_WINDOW = 0.25   # tail window of the cost ladder
+_OPT_PATIENCE = 8    # iterations without improvement before "stalled"
 
 
 def _fit_affine_gradient(X: np.ndarray, G: np.ndarray):
@@ -303,11 +282,8 @@ def optimize_control(
     seed: int,
     dt: float = 0.01,
     buffer: float = 2.0,
-    burn_in: float = 1.0,
-    window: float = 0.25,
     basis: Optional[RegressionBasis] = None,
     x0=None,
-    patience: int = 8,
 ) -> OptimizeResult:
     """Projected adjoint-gradient descent over feedback laws.
 
@@ -316,7 +292,8 @@ def optimize_control(
     (least-squares fit for affine laws, per-bin averages for tabulated laws)
     and takes a projected step.  The step is halved and the iterate reverted
     whenever the ergodic-cost tail estimate worsens beyond its CI; the run
-    stops early after `patience` iterations without improvement.  All
+    stops early after _OPT_PATIENCE iterations without improvement.  The
+    gradient pools the steps from min(_OPT_BURN_IN, T/2) to T.  All
     iterations share one noise realization (common random numbers), drawn
     once, so cost comparisons across iterates are systematic rather than
     noisy.
@@ -328,7 +305,7 @@ def optimize_control(
     x0 = _initial_state(model, np.zeros(model.n) if x0 is None else x0)
     basis = basis or RegressionBasis()
     grid_full = TimeGrid.from_horizon(T + buffer, dt)
-    j_burn = grid_full.index_of(round(min(burn_in, T / 2.0) / dt) * dt)
+    j_burn = grid_full.index_of(round(min(_OPT_BURN_IN, T / 2.0) / dt) * dt)
     j_top = grid_full.index_of(T)
     dW = brownian_increments(seed, M, grid_full, model.d)
 
@@ -342,7 +319,7 @@ def optimize_control(
     for it in range(iterations):
         ensemble = _simulate_on(model, law, x0, grid_full, dW, seed)
         sol = solve_adjoint_finite(model, ensemble, law, basis=basis)
-        report = ergodic_report_from_ensemble(model, ensemble.restricted(T), law, window)
+        report = ergodic_report_from_ensemble(model, ensemble.restricted(T), law, _OPT_WINDOW)
 
         # Pool the steps [j_burn, j_top) of the time-major buffers; one
         # evaluation of the feedback serves every step.
@@ -391,7 +368,7 @@ def optimize_control(
                 # Cost got worse beyond noise: halve the step, restart from best.
                 gamma_k *= 0.5
                 new_law = best_law
-        if since_best >= patience:
+        if since_best >= _OPT_PATIENCE:
             status = "stalled"
             break
         law = new_law

@@ -233,6 +233,9 @@ def test_consistency_zero_cost(lq1_zero):
     model = _zero_cost_model()
     rep = check_truncation_consistency(model, lq1_zero, 2.0, 4.0, 0.02, 512, seed=3)
     assert np.all(rep.diff_sq == 0.0)
+    # no terminal layer to fit: the rate is unavailable, written as null
+    assert np.isnan(rep.beta)
+    assert rep.to_dict()["beta"] is None and rep.to_dict()["prefactor"] is None
 
 
 def test_consistency_lq_decay_rate(lq1, lq1_zero):

@@ -42,7 +42,7 @@ def test_subcommand_smoke(lq1_config, tmp_path, capsys, argv, codes):
     assert artifacts
     for name in artifacts:
         if name.endswith(".json"):
-            obj = json.loads((tmp_path / name).read_text())
+            obj = json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
             assert obj.get("schema_version", 1) == 1, name
     if argv[0] == "simulate":
         assert ensemble_from_binary(str(tmp_path / "ensemble.bin")).n_paths == 64

@@ -4,6 +4,8 @@ import pytest
 from ergosmp import (
     AdjointError,
     ControlLaw,
+    ConvexSet,
+    ModelSpec,
     SimulationError,
     TimeGrid,
     build_eta,
@@ -97,6 +99,23 @@ def test_bilinearity_in_eta(cubic1):
         assert abs(ratio - lam) <= 0.1 * lam
         assert np.isclose(reps[lam].lhs, lam * reps[1.0].lhs, rtol=1e-10)
         assert np.isclose(reps[lam].rhs, lam * reps[1.0].rhs, rtol=1e-10)
+
+
+def test_build_gamma_state_feedback_is_path_local():
+    model = ModelSpec.lq(A=-np.eye(3), B=np.eye(3, 1), S=0.5 * np.eye(3), Q=np.eye(3), R=[[1.0]],
+                         control_set=ConvexSet.box([-5.0], [5.0]))
+    grid = TimeGrid(dt=0.05, steps=20)
+    base = simulate_state(model, model.zero_control(), [1.0, -0.5, 0.2], grid, 64, seed=2)
+    C = np.array([[0.2, -0.1, 0.0], [0.0, 0.3, 0.1], [0.5, 0.0, -0.4]])
+    value = [1.0, 0.0, -1.0]
+    gamma = build_gamma(base, 3, value=value, t_start=0.2, t_end=0.6, state_matrix=C)
+    expected = np.zeros_like(gamma)
+    for j in range(grid.index_of(0.2), grid.index_of(0.6)):
+        expected[:, j] = value + base.states[:, j] @ C.T
+    np.testing.assert_allclose(gamma, expected, rtol=1e-14, atol=1e-15)
+    # the first k paths do not depend on how many paths are in the batch
+    head = simulate_state(model, model.zero_control(), [1.0, -0.5, 0.2], grid, 5, seed=2)
+    assert np.array_equal(build_gamma(head, 3, value=value, t_start=0.2, t_end=0.6, state_matrix=C), gamma[:5])
 
 
 def test_finite_sides_recomputed(lq1):

@@ -42,6 +42,16 @@ def test_ou_cost_integral(lq1, lq1_zero):
         estimate_cost_T(lq1, ens, lq1_zero, 20.005)
 
 
+def test_cost_rejects_ensemble_of_another_law(lq1, lq1_base8):
+    # lq1_base8 was simulated under u = 0; costing it under another law would
+    # report that law's cost under the ensemble's control_id
+    law = ControlLaw.affine([[-0.4]], [0.0], lq1.control_set)
+    with pytest.raises(SimulationError, match="generated under"):
+        ergodic_report_from_ensemble(lq1, lq1_base8, law)
+    with pytest.raises(SimulationError, match="generated under"):
+        estimate_cost_T(lq1, lq1_base8, law, 1.0)
+
+
 def test_checkpoint_schedule_properties():
     ts = checkpoint_times(20.0, 0.01, window=0.25)
     assert ts[-1] == pytest.approx(20.0)

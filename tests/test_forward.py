@@ -260,6 +260,10 @@ def test_expansion_residual_lq_near_zero(lq1, lq1_zero, lq1_one):
     rep = verify_expansion_residual(lq1, lq1_zero, lq1_one, [0.2, 0.1], base)
     assert max(rep.sup_residual_sq) < 1e-3
     assert 1.9 <= rep.scaling_slope <= 2.1
+    # one theta fits no slope: unavailable, written as null
+    single = verify_expansion_residual(lq1, lq1_zero, lq1_one, [0.2], base)
+    assert single.sup_delta_sq == rep.sup_delta_sq[:1]
+    assert single.to_dict()["scaling_slope"] is None
 
 
 def test_expansion_residual_cubic_monotone(cubic1):

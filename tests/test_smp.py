@@ -117,6 +117,15 @@ def test_vi_rejects_costate_off_the_grid(lq1, lq1_zero):
     assert reports[0].checkpoints[-1][0] == pytest.approx(4.0)
 
 
+def test_vi_rejects_costate_of_another_law(lq1, lq1_zero):
+    # a costate solved under u = 0 is not the costate of u = -0.4142 x
+    adjoint = extend_to_infinite(lq1, lq1_zero, np.zeros(1), 4.0, 1.0, 0.05, 64, 3)
+    law = ControlLaw.affine([[-0.4142]], [0.0], lq1.control_set)
+    with pytest.raises(SimulationError, match="generated under"):
+        evaluate_variational_inequality(lq1, law, candidate_battery(lq1, law), 4.0, 64, 3, dt=0.05,
+                                        adjoint=adjoint)
+
+
 def test_vi_flags_suboptimal_zero_control(lq1, lq1_zero):
     battery = candidate_battery(lq1, lq1_zero, seed=5)
     reports = evaluate_variational_inequality(
