@@ -25,9 +25,7 @@ from .ergodic_cost import (
     estimate_gateaux,
 )
 from .forward import (
-    DualEnsemble,
     ExpansionReport,
-    FirstVariationEnsemble,
     PathEnsemble,
     SimulationError,
     TimeGrid,

@@ -14,8 +14,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .adjoint import AdjointError, RegressionBasis, solve_adjoint_finite
-from .forward import (PathEnsemble, SimulationError, TimeGrid, _path_integrals, _require_grid, _time_major,
-                      simulate_affine_dual, simulate_state)
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _initial_per_path, _path_integrals, _require_grid,
+                      _time_major, simulate_affine_dual, simulate_state)
 from .model import ControlLaw, ModelSpec, _mat_vec, _Report, cost_grad_x
 
 __all__ = [
@@ -64,12 +64,16 @@ def build_eta(spec: Union[str, np.ndarray], base: PathEnsemble, t: float, n: int
         if spec == "state":
             return base.states[:, base.grid.index_of(t)].copy()
         raise SimulationError(f"unknown eta family {spec!r}")
-    eta = np.asarray(spec, dtype=float)
-    if eta.shape == (n,):
-        return np.broadcast_to(eta, (m, n)).copy()
-    if eta.shape != (m, n):
-        raise SimulationError(f"eta must have shape ({n},) or ({m}, {n})")
-    return eta.copy()
+    return _initial_per_path(spec, m, n)
+
+
+def _window(grid: TimeGrid, t_start: float, t_end: Optional[float]) -> slice:
+    """Grid steps of the forcing window [t_start, t_end), t_end defaulting to
+    the horizon; an empty or reversed window raises instead of forcing nothing."""
+    t_end = grid.horizon if t_end is None else t_end
+    if not t_end > t_start:
+        raise SimulationError(f"forcing window [{t_start}, {t_end}) is empty: t_end must exceed t_start")
+    return slice(grid.index_of(t_start), grid.index_of(t_end))
 
 
 def build_gamma(
@@ -84,16 +88,12 @@ def build_gamma(
     feedback gamma_t = C X_t, or None for no forcing."""
     if value is None and state_matrix is None:
         return None
-    grid = base.grid
-    m = base.n_paths
-    t_end = grid.horizon if t_end is None else t_end
-    gamma = np.zeros((m, grid.steps, n))
-    j0, j1 = grid.index_of(t_start), grid.index_of(t_end)
+    window = _window(base.grid, t_start, t_end)
+    gamma = np.zeros((base.n_paths, base.grid.steps, n))
     if value is not None:
-        vec = np.broadcast_to(np.asarray(value, dtype=float), (n,))
-        gamma[:, j0:j1] = vec
+        gamma[:, window] = np.broadcast_to(np.asarray(value, dtype=float), (n,))
     if state_matrix is not None:
-        gamma[:, j0:j1] += _mat_vec(np.asarray(state_matrix, dtype=float), base.states[:, j0:j1])
+        gamma[:, window] += _mat_vec(np.asarray(state_matrix, dtype=float), base.states[:, window])
     return gamma
 
 
@@ -109,16 +109,12 @@ def build_rho(
     index -> n-vector (e.g. {0: [1.0]}); None for no forcing."""
     if not channel_values:
         return None
-    grid = base.grid
-    m = base.n_paths
-    t_end = grid.horizon if t_end is None else t_end
-    rho = np.zeros((m, grid.steps, d, n))
-    j0, j1 = grid.index_of(t_start), grid.index_of(t_end)
+    window = _window(base.grid, t_start, t_end)
+    rho = np.zeros((base.n_paths, base.grid.steps, d, n))
     for ch, value in channel_values.items():
         if not 0 <= int(ch) < d:
             raise SimulationError(f"rho channel {ch} out of range")
-        vec = np.broadcast_to(np.asarray(value, dtype=float), (n,))
-        rho[:, j0:j1, int(ch)] = vec
+        rho[:, window, int(ch)] = np.broadcast_to(np.asarray(value, dtype=float), (n,))
     return rho
 
 
@@ -135,13 +131,13 @@ def _base_ensemble(model, u_bar, base, T, dt, M, seed, x0) -> PathEnsemble:
 def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=None):
     """Both sides of the pairing identity on [t, T], T the end of the base grid:
     (E<p_t, eta> + E int <p, gamma> + sum_i E int <q^i, rho^i>,
-    E int <Ycal, Psi> + E<nu, Ycal_T>, the dual ensemble, max_j E|Psi_j|^2)."""
+    E int <Ycal, Psi> + E<nu, Ycal_T>, the dual process Ycal, max_j E|Psi_j|^2)."""
     grid = base.grid
     j0 = grid.index_of(t)
     eta_arr = build_eta(eta, base, t, model.n)
     dual = simulate_affine_dual(model, base, u_bar, t, eta_arr, gamma=gamma, rho=rho)
     psi_sq = np.zeros(grid.steps)
-    X, Ycal, P, Q = (_time_major(a) for a in (base.states, dual.values, sol.p, sol.q))
+    X, Ycal, P, Q = (_time_major(a) for a in (base.states, dual, sol.p, sol.q))
 
     def rows(j0, j1):
         psi = cost_grad_x(model, X[j0:j1])
@@ -156,7 +152,7 @@ def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=Non
     forcing, pairing = _path_integrals(grid, rows, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
     p_side = float(((sol.p[:, j0] * eta_arr).sum(axis=-1) + forcing).mean())
     if nu is not None:
-        pairing = pairing + (np.asarray(nu, dtype=float) * dual.values[:, grid.steps]).sum(axis=-1)
+        pairing = pairing + (np.asarray(nu, dtype=float) * dual[:, grid.steps]).sum(axis=-1)
     return p_side, float(pairing.mean()), dual, float(psi_sq.max())
 
 
@@ -242,7 +238,7 @@ def verify_duality_infinite(
 
     c_p = model.certified_dissipativity_bound()
     beta = -c_p if c_p < 0 else float("nan")
-    y_end = float((dual.values[:, grid.steps] ** 2).sum(axis=-1).mean())
+    y_end = float((dual[:, grid.steps] ** 2).sum(axis=-1).mean())
     tail_bound = float(np.sqrt(y_end) * np.sqrt(psi_sup) / beta) if np.isfinite(beta) else float("inf")
 
     config = {

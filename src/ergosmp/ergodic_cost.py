@@ -171,7 +171,7 @@ def estimate_gateaux(
     pert = simulate_perturbed(model, u_bar, u_alt, theta, base)
     v = direction_from_laws(u_bar, u_alt, base)
     Y = simulate_first_variation(model, base, u_bar, v)
-    X, Xp, Ys = (_time_major(a) for a in (base.states, pert.states, Y.states))
+    X, Xp, Ys = (_time_major(a) for a in (base.states, pert.states, Y))
     U, V = (_time_major(a) for a in (u_bar.evaluate(base.states[:, :-1]), v))
 
     def rows(j0, j1):

@@ -1,8 +1,12 @@
 """Path simulation on a shared noise basis.
 
-All simulators consume one Brownian-increment array per ensemble so that
-coupled runs (perturbed state, first variation, affine dual) differ only by
-systematic effects, never by sampling noise.  Increments are generated from
+Two recursions run on the increments of a base ensemble: the tamed-Euler
+state equation (base and perturbed states) and one perturbed linearized
+forward equation, dY = (D_x b Y + gamma)dt + sum_i rho^i dW^i from Y_t = eta
+(`simulate_affine_dual`).  The first variation is its member with t = 0,
+eta = 0 and gamma = D_u b v; the dual process of the duality check is
+another.  Sharing the increments, coupled runs differ only by systematic
+effects, never by sampling noise.  Increments are generated from
 counter-based Philox streams keyed by (seed, path index), so every ensemble
 is bit-reproducible and its first k paths equal the k-path ensemble.
 """
@@ -30,8 +34,6 @@ __all__ = [
     "SimulationError",
     "TimeGrid",
     "PathEnsemble",
-    "FirstVariationEnsemble",
-    "DualEnsemble",
     "ExpansionReport",
     "brownian_increments",
     "simulate_state",
@@ -203,30 +205,6 @@ class PathEnsemble:
         )
 
 
-@dataclass(frozen=True)
-class FirstVariationEnsemble:
-    grid: TimeGrid
-    states: np.ndarray  # (M, steps+1, n), Y_0 = 0 on every path
-    base_seed: int
-
-    def __post_init__(self):
-        self.states.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class DualEnsemble:
-    """Solution of the linearized forward equation started at grid index
-    `start_index` from the per-path initial condition eta."""
-
-    grid: TimeGrid
-    values: np.ndarray  # (M, steps+1, n); entries before start_index are zero
-    start_index: int
-    base_seed: int
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-
 def _check_finite(X, step, what):
     if not np.isfinite(X).all():
         bad = np.argwhere(~np.isfinite(X))
@@ -340,45 +318,14 @@ def direction_from_laws(u_bar: ControlLaw, u_alt: ControlLaw, base: PathEnsemble
     return u_alt.evaluate(xb) - u_bar.evaluate(xb)
 
 
-def _affine_forward(
-    model: ModelSpec,
-    base: PathEnsemble,
-    z0: np.ndarray,
-    start_index: int,
-    drift_force,
-    gam=None,
-    noise_force=None,
-    what: str = "affine system",
-) -> np.ndarray:
-    """Euler recursion for dZ = (Lam Z + gamma)dt + sum_i (Gam^i Z + rho^i)dW^i
-    on the base increments, with Lam = D_x b along the base path.
-
-    `drift_force(j)` returns (M, n) or None; `gam(j)` returns (M, d, n, n) or
-    None; `noise_force(j)` returns (M, d, n) or None.  Starts from z0 at
-    `start_index`; earlier entries are zero.
-    """
-    grid = base.grid
-    M, n = z0.shape
-    dt = grid.dt
-    Zbuf = np.zeros((grid.steps + 1, M, n))
-    Zbuf[start_index] = z0
-    for j in range(start_index, grid.steps):
-        zj = Zbuf[j]
-        incr = dt * drift_jac_apply(model, base.states[:, j], zj)
-        fd = drift_force(j) if drift_force is not None else None
-        if fd is not None:
-            incr = incr + dt * fd
-        dwj = base.increments[:, j]  # (M, d)
-        gj = gam(j) if gam is not None else None
-        if gj is not None:
-            gz = (gj * zj[:, None, None, :]).sum(axis=-1)  # (M, d, n)
-            incr = incr + (gz * dwj[:, :, None]).sum(axis=1)
-        fn = noise_force(j) if noise_force is not None else None
-        if fn is not None:
-            incr = incr + (fn * dwj[:, :, None]).sum(axis=1)
-        Zbuf[j + 1] = zj + incr
-        _check_finite(Zbuf[j + 1], j + 1, what)
-    return _time_major(Zbuf)
+def _initial_per_path(eta, M: int, n: int) -> np.ndarray:
+    """eta as a new (M, n) array; an (n,) vector is given to every path."""
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape == (n,):
+        return np.broadcast_to(eta, (M, n)).copy()
+    if eta.shape != (M, n):
+        raise SimulationError(f"eta must have shape ({n},) or ({M}, {n}), got {eta.shape}")
+    return eta.copy()
 
 
 def simulate_first_variation(
@@ -386,26 +333,21 @@ def simulate_first_variation(
     base: PathEnsemble,
     u_bar: ControlLaw,
     v: np.ndarray,
-) -> FirstVariationEnsemble:
-    """Linearized response of the state to the control direction v.
+) -> np.ndarray:
+    """Linearized response Y of the state to the control direction v, shape
+    (M, steps+1, n), read-only.
 
-    Euler recursion Y_{j+1} = Y_j + dt(D_xb Y_j + D_ub v_j) on the base
-    increments, Y_0 = 0 (sigma is constant, so neither Y nor v enters a
-    noise term).
+    The member of the perturbed linearized equation (`simulate_affine_dual`)
+    started at t = 0 from Y_0 = 0 and forced by gamma = D_u b v.
     """
     _require_base_under(base, u_bar, "simulate_first_variation")
-    grid = base.grid
-    M = base.n_paths
+    M, steps = base.n_paths, base.grid.steps
     v = np.asarray(v, dtype=float)
-    if v.shape != (M, grid.steps, model.l):
+    if v.shape != (M, steps, model.l):
         raise SimulationError(
-            f"direction process must have shape ({M}, {grid.steps}, {model.l}), got {v.shape}"
+            f"direction process must have shape ({M}, {steps}, {model.l}), got {v.shape}"
         )
-    Y = _affine_forward(
-        model, base, np.zeros((M, model.n)), 0, lambda j: drift_jacU_apply(model, v[:, j]),
-        what="simulate_first_variation",
-    )
-    return FirstVariationEnsemble(grid=grid, states=Y, base_seed=base.seed)
+    return simulate_affine_dual(model, base, u_bar, 0.0, np.zeros(model.n), gamma=drift_jacU_apply(model, v))
 
 
 def simulate_affine_dual(
@@ -416,33 +358,45 @@ def simulate_affine_dual(
     eta: np.ndarray,
     gamma: Optional[np.ndarray] = None,
     rho: Optional[np.ndarray] = None,
-) -> DualEnsemble:
-    """Affine dual forward equation on [t0, T] driven by the base noise.
+) -> np.ndarray:
+    """The perturbed linearized forward equation on [t0, T], on the base noise:
 
-    dYcal = (Lam Ycal + gamma)dt + sum_i (Gam^i Ycal + rho^i)dW^i with
-    Ycal_{t0} = eta, where Gam^i = D_x sigma^i = 0 (sigma is constant).
-    `gamma` has shape (M, steps, n) and `rho` has shape (M, steps, d, n),
-    both indexed on the full grid (entries before t0 are ignored).
+        dY = (D_x b Y + gamma) dt + sum_i (Gam^i Y + rho^i) dW^i,  Y_t0 = eta,
+
+    with D_x b along the base path and Gam^i = D_x sigma^i = 0 (sigma is
+    constant).  The first variation (t0 = 0, eta = 0, gamma = D_u b v) and the
+    dual process of the duality check are its members.  `eta` has shape (n,)
+    or (M, n); `gamma` (M, steps, n) and `rho` (M, steps, d, n) are indexed on
+    the full grid (entries before t0 are ignored).  Euler steps on the base
+    increments; returns the read-only (M, steps+1, n) solution, zero before t0.
     """
     _require_base_under(base, u_bar, "simulate_affine_dual")
     grid = base.grid
-    M = base.n_paths
+    M, n = base.n_paths, model.n
     j0 = grid.index_of(t0)
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape == (model.n,):
-        eta = np.broadcast_to(eta, (M, model.n)).copy()
-    if eta.shape != (M, model.n):
-        raise SimulationError(f"eta must have shape ({M}, {model.n})")
-    if gamma is not None and np.asarray(gamma).shape != (M, grid.steps, model.n):
-        raise SimulationError(f"gamma must have shape ({M}, {grid.steps}, {model.n})")
-    if rho is not None and np.asarray(rho).shape != (M, grid.steps, model.d, model.n):
-        raise SimulationError(f"rho must have shape ({M}, {grid.steps}, {model.d}, {model.n})")
-    drift_force = None if gamma is None else (lambda j: gamma[:, j])
-    noise_force = None if rho is None else (lambda j: rho[:, j])
-    values = _affine_forward(
-        model, base, eta, j0, drift_force, noise_force=noise_force, what="simulate_affine_dual",
-    )
-    return DualEnsemble(grid=grid, values=values, start_index=j0, base_seed=base.seed)
+    eta = _initial_per_path(eta, M, n)
+    if gamma is not None:
+        gamma = np.asarray(gamma, dtype=float)
+        if gamma.shape != (M, grid.steps, n):
+            raise SimulationError(f"gamma must have shape ({M}, {grid.steps}, {n})")
+    if rho is not None:
+        rho = np.asarray(rho, dtype=float)
+        if rho.shape != (M, grid.steps, model.d, n):
+            raise SimulationError(f"rho must have shape ({M}, {grid.steps}, {model.d}, {n})")
+    Ybuf = np.zeros((grid.steps + 1, M, n))
+    Ybuf[j0] = eta
+    for j in range(j0, grid.steps):
+        yj = Ybuf[j]
+        incr = grid.dt * drift_jac_apply(model, base.states[:, j], yj)
+        if gamma is not None:
+            incr = incr + grid.dt * gamma[:, j]
+        if rho is not None:
+            incr = incr + (rho[:, j] * base.increments[:, j, :, None]).sum(axis=1)
+        Ybuf[j + 1] = yj + incr
+        _check_finite(Ybuf[j + 1], j + 1, "simulate_affine_dual")
+    Y = _time_major(Ybuf)
+    Y.setflags(write=False)
+    return Y
 
 
 def estimate_moment(ensemble: PathEnsemble, q: int, t: float):
@@ -473,7 +427,7 @@ class ExpansionReport(_Report):
     thetas: tuple
     sup_delta_sq: tuple      # sup_t mean |X^theta_t - X_t|^2 per theta
     sup_residual_sq: tuple   # sup_t mean |(X^theta_t - X_t)/theta - Y_t|^2 per theta
-    scaling_slope: float     # log-log slope of sup_delta_sq against theta; NaN for one theta
+    scaling_slope: float     # log-log slope of sup_delta_sq against theta
     residual_decreasing: bool
     residual_halved: bool    # residual at the smallest theta < half the largest
 
@@ -487,9 +441,12 @@ def verify_expansion_residual(
 ) -> ExpansionReport:
     """Couple the perturbed state, the base state and the first variation on
     shared noise and report the quadratic perturbation scaling together with
-    the first-order expansion residual for each theta."""
+    the first-order expansion residual for each theta of a strictly
+    decreasing ladder of at least 2 in (0, 1]."""
     thetas = [float(t) for t in thetas]
-    if len(thetas) < 1 or any(not (0.0 < t <= 1.0) for t in thetas):
+    if len(thetas) < 2:
+        raise SimulationError(f"the expansion check compares at least 2 thetas, got {len(thetas)}")
+    if any(not (0.0 < t <= 1.0) for t in thetas):
         raise SimulationError("thetas must lie in (0, 1]")
     if any(b >= a for a, b in zip(thetas, thetas[1:])):
         raise SimulationError("thetas must be strictly decreasing")
@@ -500,18 +457,15 @@ def verify_expansion_residual(
         pert = simulate_perturbed(model, u_bar, u_alt, theta, base)
         delta = pert.states - base.states
         sup_delta.append(float((delta**2).sum(axis=-1).mean(axis=0).max()))
-        resid = delta / theta - Y.states
+        resid = delta / theta - Y
         sup_resid.append(float((resid**2).sum(axis=-1).mean(axis=0).max()))
-    slope = float(np.polyfit(np.log(thetas), np.log(sup_delta), 1)[0]) if len(thetas) > 1 else float("nan")
-    decreasing = all(b < a for a, b in zip(sup_resid, sup_resid[1:]))
-    halved = sup_resid[-1] < 0.5 * sup_resid[0] if len(thetas) > 1 else True
     return ExpansionReport(
         thetas=tuple(thetas),
         sup_delta_sq=tuple(sup_delta),
         sup_residual_sq=tuple(sup_resid),
-        scaling_slope=slope,
-        residual_decreasing=decreasing,
-        residual_halved=halved,
+        scaling_slope=float(np.polyfit(np.log(thetas), np.log(sup_delta), 1)[0]),
+        residual_decreasing=all(b < a for a, b in zip(sup_resid, sup_resid[1:])),
+        residual_halved=sup_resid[-1] < 0.5 * sup_resid[0],
     )
 
 

@@ -115,11 +115,11 @@ def _trivial_checks(model: ModelSpec) -> List[CheckResult]:
     v0 = np.zeros((64, grid.steps, 1))
     fv = simulate_first_variation(lq1, base, zero, v0)
     checks.append(CheckResult("first-variation-zero-direction",
-                              bool(np.all(fv.states == 0.0)), "v=0 gives Y=0"))
+                              bool(np.all(fv == 0.0)), "v=0 gives Y=0"))
 
     dual = simulate_affine_dual(lq1, base, zero, 0.0, np.zeros((64, 1)))
     checks.append(CheckResult("dual-zero-data",
-                              bool(np.all(dual.values == 0.0)), "eta=gamma=rho=0 gives Ycal=0"))
+                              bool(np.all(dual == 0.0)), "eta=gamma=rho=0 gives Ycal=0"))
 
     free = ModelSpec.lq(A=[[-1.0]], B=[[1.0]], S=[[1.0]], Q=[[0.0]], R=[[0.0]],
                         control_set=ConvexSet.box([-5.0], [5.0]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergosmp import ControlLaw, ModelSpec, TimeGrid, simulate_state
+from ergosmp import ControlLaw, ConvexSet, ModelSpec, TimeGrid, simulate_state
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +12,15 @@ def lq1():
 @pytest.fixture(scope="session")
 def cubic1():
     return ModelSpec.cubic1()
+
+
+@pytest.fixture(scope="session")
+def lq3():
+    """3-state LQ model with 2 controls and 2 noise channels."""
+    return ModelSpec.lq(
+        A=[[-1, 0.4, 0], [0, -1.2, 0.4], [0, 0, -0.8]], B=[[1, 0], [0, 0], [0, 1]],
+        S=[[0.6, 0], [0.3, 0.5], [0, 0.4]], Q=np.eye(3), R=np.eye(2),
+        control_set=ConvexSet.box([-5, -5], [5, 5]))
 
 
 @pytest.fixture(scope="session")

@@ -84,6 +84,10 @@ BAD_INPUT = [
     ("duality-infinite-gamma-start",
      ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1", "--rho-channel", "0", "--gamma-start", "0"],
      None),
+    ("duality-gamma-reversed",
+     ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--gamma-const", "1", "--gamma-start", "1.5",
+      "--gamma-end", "0.5"],
+     None),
     ("duality-zero-data", ["duality-check", *COMMON, "--T", "2"], None),
     ("duality-zero-data-infinite", ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1"], None),
 ]

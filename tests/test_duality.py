@@ -118,6 +118,16 @@ def test_build_gamma_state_feedback_is_path_local():
     assert np.array_equal(build_gamma(head, 3, value=value, t_start=0.2, t_end=0.6, state_matrix=C), gamma[:5])
 
 
+def test_reversed_forcing_window_is_rejected(lq1_base8):
+    # [1.5, 0.5) holds no step: forcing there would silently be no forcing
+    with pytest.raises(SimulationError, match="window"):
+        build_gamma(lq1_base8, 1, value=[1.0], t_start=1.5, t_end=0.5)
+    with pytest.raises(SimulationError, match="window"):
+        build_rho(lq1_base8, 1, 1, {0: [1.0]}, t_start=1.5, t_end=0.5)
+    with pytest.raises(SimulationError, match="window"):
+        build_rho(lq1_base8, 1, 1, {0: [1.0]}, t_start=1.0, t_end=1.0)
+
+
 def test_finite_sides_recomputed(lq1):
     law = ControlLaw.affine([[-0.4]], [0.1], lq1.control_set)
     grid = TimeGrid(dt=0.02, steps=150)

@@ -3,8 +3,6 @@ import pytest
 
 from ergosmp import (
     ControlLaw,
-    ConvexSet,
-    ModelSpec,
     SimulationError,
     TimeGrid,
     direction_from_laws,
@@ -18,7 +16,7 @@ from ergosmp import (
     simulate_state,
     verify_expansion_residual,
 )
-from ergosmp.forward import BLOCK_BYTES, PathEnsemble, _affine_forward, _path_integrals, brownian_increments
+from ergosmp.forward import BLOCK_BYTES, _path_integrals, brownian_increments
 
 
 def test_grid_validation():
@@ -182,8 +180,7 @@ def test_perturbed_validates_base(lq1, lq1_zero, lq1_one, lq1_base8):
 def test_first_variation_zero_direction(lq1, lq1_zero, lq1_base8):
     v = np.zeros((lq1_base8.n_paths, lq1_base8.grid.steps, 1))
     fv = simulate_first_variation(lq1, lq1_base8, lq1_zero, v)
-    assert np.all(fv.states == 0.0)
-    assert np.all(fv.states[:, 0] == 0.0)
+    assert np.all(fv == 0.0)
 
 
 def test_first_variation_deterministic_limit(lq1, lq1_zero, lq1_one):
@@ -192,20 +189,20 @@ def test_first_variation_deterministic_limit(lq1, lq1_zero, lq1_one):
     v = direction_from_laws(lq1_zero, lq1_one, base)
     fv = simulate_first_variation(lq1, base, lq1_zero, v)
     # D_x sigma = D_u sigma = 0, so Y is the deterministic response 1 - e^-t
-    assert np.allclose(fv.states[:, -1, 0], 1 - np.exp(-1.0), atol=2e-3)
-    sup_sq = (fv.states**2).sum(-1).mean(0).max()
+    assert np.allclose(fv[:, -1, 0], 1 - np.exp(-1.0), atol=2e-3)
+    sup_sq = (fv**2).sum(-1).mean(0).max()
     assert sup_sq <= 2.0 * np.max(np.abs(v)) ** 2  # bounded by K sup |v|^2 with small K
 
 
 def test_affine_dual_zero_and_decay(lq1, lq1_zero, lq1_base8):
     m = lq1_base8.n_paths
     dual0 = simulate_affine_dual(lq1, lq1_base8, lq1_zero, 0.0, np.zeros((m, 1)))
-    assert np.all(dual0.values == 0.0)
+    assert np.all(dual0 == 0.0)
     dual = simulate_affine_dual(lq1, lq1_base8, lq1_zero, 0.0, np.ones((m, 1)))
     ts = lq1_base8.grid.times()
-    vals = dual.values[0, :, 0]
+    vals = dual[0, :, 0]
     assert np.allclose(vals, np.exp(-ts), atol=6e-3)
-    assert np.allclose(dual.values[:, 300, 0], vals[300])  # deterministic across paths
+    assert np.allclose(dual[:, 300, 0], vals[300])  # deterministic across paths
 
 
 def test_affine_dual_forced_second_moment(lq1, lq1_zero):
@@ -217,7 +214,7 @@ def test_affine_dual_forced_second_moment(lq1, lq1_zero):
     dual = simulate_affine_dual(lq1, base, lq1_zero, 0.0, np.ones((m, 1)), rho=rho)
     # E|Y_2|^2 = e^-4 + (e^-2 - e^-4)/2 for the forced scalar equation
     oracle = np.exp(-4.0) + (np.exp(-2.0) - np.exp(-4.0)) / 2.0
-    est = (dual.values[:, -1, 0] ** 2).mean()
+    est = (dual[:, -1, 0] ** 2).mean()
     assert abs(est - oracle) < 0.01
 
 
@@ -230,24 +227,41 @@ def test_affine_dual_validates_shapes(lq1, lq1_zero, lq1_base8):
                              gamma=np.zeros((m, 3, 1)))
 
 
-def test_affine_system_multiplicative_noise():
-    # synthetic Gamma != 0: dZ = g0 Z dW, exact per-path product and moment growth
-    grid = TimeGrid(dt=0.01, steps=50)
-    m, g0 = 4096, 0.5
-    rng = np.random.default_rng(4)
-    dw_buf = rng.standard_normal((grid.steps, m, 1)) * np.sqrt(grid.dt)
-    dw = dw_buf.transpose(1, 0, 2)
-    driftless = ModelSpec.lq(A=[[0.0]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
-                             control_set=ConvexSet.box([-1.0], [1.0]))
-    base = PathEnsemble(grid=grid, states=np.zeros((m, grid.steps + 1, 1)), increments=dw, seed=0,
-                        control_id="synthetic", x0=np.zeros(1))
-    gam = lambda j: np.full((m, 1, 1, 1), g0)
-    z = _affine_forward(driftless, base, np.ones((m, 1)), 0, None, gam, None)
-    expected = np.prod(1.0 + g0 * dw[0, :, 0])
-    assert np.isclose(z[0, -1, 0], expected, rtol=1e-10)
-    growth = (z[:, -1, 0] ** 2).mean()
-    oracle = (1.0 + g0**2 * grid.dt) ** grid.steps
-    assert abs(growth - oracle) < 0.05
+@pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3"])
+def test_linearized_forward_matches_numpy_euler(family, lq1, cubic1, lq3):
+    # dY = (D_x b Y + gamma)dt + sum_i rho^i dW^i, stepped per step in plain
+    # numpy on the base states and increments: the dual from eta at t0 > 0
+    # with both forcings, and the first variation from 0 with gamma = B v
+    model = {"lq1": lq1, "cubic1": cubic1, "lq3": lq3}[family]
+    n, d, l = model.n, model.d, model.l
+    grid = TimeGrid(dt=0.02, steps=60)
+    M, j0 = 32, 15
+    law = model.zero_control()
+    base = simulate_state(model, law, np.full(n, 0.7), grid, M, seed=3)
+    X, dW = np.asarray(base.states), np.asarray(base.increments)
+    rng = np.random.default_rng(8)
+    eta = rng.standard_normal((M, n))
+    gamma = rng.standard_normal((M, grid.steps, n))
+    rho = rng.standard_normal((M, grid.steps, d, n))
+    v = rng.standard_normal((M, grid.steps, l))
+
+    def euler(y0, start, force, noise):
+        Y = np.zeros((M, grid.steps + 1, n))
+        Y[:, start] = y0
+        for j in range(start, grid.steps):
+            y, x = Y[:, j], X[:, j]
+            jac_y = y @ model.A.T - 3.0 * model.alpha * x**2 * y
+            Y[:, j + 1] = y + grid.dt * (jac_y + force[:, j]) + np.einsum("min,mi->mn", noise[:, j], dW[:, j])
+        return Y
+
+    dual = simulate_affine_dual(model, base, law, j0 * grid.dt, eta, gamma=gamma, rho=rho)
+    np.testing.assert_allclose(dual, euler(eta, j0, gamma, rho), rtol=1e-13, atol=1e-13)
+    assert np.all(dual[:, :j0] == 0.0)
+    fv = simulate_first_variation(model, base, law, v)
+    np.testing.assert_allclose(fv, euler(0.0, 0, v @ model.B.T, np.zeros_like(rho)), rtol=1e-13, atol=1e-13)
+    for out in (dual, fv):
+        with pytest.raises(ValueError):
+            out[0, -1, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +274,9 @@ def test_expansion_residual_lq_near_zero(lq1, lq1_zero, lq1_one):
     rep = verify_expansion_residual(lq1, lq1_zero, lq1_one, [0.2, 0.1], base)
     assert max(rep.sup_residual_sq) < 1e-3
     assert 1.9 <= rep.scaling_slope <= 2.1
-    # one theta fits no slope: unavailable, written as null
-    single = verify_expansion_residual(lq1, lq1_zero, lq1_one, [0.2], base)
-    assert single.sup_delta_sq == rep.sup_delta_sq[:1]
-    assert single.to_dict()["scaling_slope"] is None
+    # one theta has nothing to compare: no slope, no decrease, no halving
+    with pytest.raises(SimulationError, match="at least 2 thetas"):
+        verify_expansion_residual(lq1, lq1_zero, lq1_one, [0.2], base)
 
 
 def test_expansion_residual_cubic_monotone(cubic1):

@@ -46,7 +46,7 @@ def test_every_report_has_one_json_form():
         ergosmp.check_dissipativity(lq1, probes=8, seed=1),
         ergosmp.estimate_ergodic_cost(lq1, zero, [0.0], 2.0, 16, 1, dt=0.05),
         ergosmp.estimate_gateaux(lq1, zero, one, 0.5, 1.0, 16, 1, dt=0.05),
-        ergosmp.verify_expansion_residual(lq1, zero, one, [0.5], base),
+        ergosmp.verify_expansion_residual(lq1, zero, one, [0.5, 0.25], base),
         ergosmp.verify_duality_finite(lq1, zero, 0.0, 1.0, eta="one", M=16, seed=1, dt=0.05),
         ergosmp.check_truncation_consistency(lq1, zero, 0.5, 1.0, 0.05, 16, seed=1),
         *ergosmp.evaluate_variational_inequality(lq1, zero, [("one", one)], 2.0, 16, 1, dt=0.05, buffer=0.5),

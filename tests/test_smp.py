@@ -148,16 +148,9 @@ def test_vi_consistent_at_riccati(lq1, riccati_p):
     assert all(r.verdict == "consistent" for r in reports)
 
 
-def _lq3():
-    return ModelSpec.lq(
-        A=[[-1, 0.4, 0], [0, -1.2, 0.4], [0, 0, -0.8]], B=[[1, 0], [0, 0], [0, 1]],
-        S=[[0.6, 0], [0.3, 0.5], [0, 0.4]], Q=np.eye(3), R=np.eye(2),
-        control_set=ConvexSet.box([-5, -5], [5, 5]))
-
-
 @pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3"])
-def test_exact_hessian_matches_central_differences(family, lq1, cubic1):
-    model = {"lq1": lq1, "cubic1": cubic1, "lq3": _lq3()}[family]
+def test_exact_hessian_matches_central_differences(family, lq1, cubic1, lq3):
+    model = {"lq1": lq1, "cubic1": cubic1, "lq3": lq3}[family]
     n, dim = model.n, model.n + model.l
     rng = np.random.default_rng(41)
     X = 2.0 * rng.standard_normal((20, n))

@@ -4,7 +4,10 @@ Prints a JSON object mapping each output (ensembles, costates, dual and
 first-variation sweeps, VI reports, duality sides, optimizer traces, Gateaux
 and expansion reports, serialized model configs, CLI artifacts) to a short
 SHA-256 of its bytes, on lq1, cubic1 and a 3-state LQ model at small sizes
-(a few seconds).  A refactor that must keep outputs byte-identical runs it
+(a few seconds).  The two sweeps are the arrays that the linearized-forward
+simulators return; where a tree's simulators still return result objects,
+their `.states`/`.values` fields are read, so one version of the tool runs on
+both trees.  A refactor that must keep outputs byte-identical runs it
 on both trees and diffs the results:
 
     PYTHONPATH=<old>/src python tools/fingerprint.py > old.json
@@ -56,6 +59,13 @@ def _plain(obj):
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b")
+
+
+def _array(result, field: str) -> np.ndarray:
+    """The array a simulator returns, or its `field` where the library still
+    wraps it in a result object, so one version of this tool fingerprints
+    both."""
+    return result if isinstance(result, np.ndarray) else getattr(result, field)
 
 
 def _cell(text: str):
@@ -144,10 +154,10 @@ def fingerprint(values: bool = False) -> dict:
             h(f"{name}.pert{th}", E.simulate_perturbed(model, law, alt, th, ens).states)
         v = E.direction_from_laws(law, alt, ens)
         h(f"{name}.v", v)
-        h(f"{name}.Y", E.simulate_first_variation(model, ens, law, v).states)
+        h(f"{name}.Y", _array(E.simulate_first_variation(model, ens, law, v), "states"))
         gamma = E.build_gamma(ens, n, value=np.ones(n), t_start=0.5, t_end=2.0, state_matrix=np.eye(n) * 0.2)
         rho = E.build_rho(ens, n, model.d, {0: np.ones(n)}, t_start=0.4, t_end=1.6)
-        h(f"{name}.dual", E.simulate_affine_dual(model, ens, law, 0.4, np.ones(n), gamma=gamma, rho=rho).values)
+        h(f"{name}.dual", _array(E.simulate_affine_dual(model, ens, law, 0.4, np.ones(n), gamma=gamma, rho=rho), "values"))
         h(f"{name}.expansion", E.verify_expansion_residual(model, law, alt, [0.5, 0.25, 0.1], ens).to_dict())
         h(f"{name}.gateaux", E.estimate_gateaux(model, law, alt, 0.1, 2.0, 64, seed=4, dt=0.02).to_dict())
         h(f"{name}.moment", E.estimate_moment(ens, 2, 3.0))
