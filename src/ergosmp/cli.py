@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gamma-start", type=float, default=None, help="default 0")
     s.add_argument("--gamma-end", type=float, default=None)
     s.add_argument("--rho-channel", type=int, default=None)
-    s.add_argument("--rho-value", type=float, default=1.0)
-    s.add_argument("--rho-start", type=float, default=0.0)
+    s.add_argument("--rho-value", type=float, default=None, help="default 1")
+    s.add_argument("--rho-start", type=float, default=None, help="default 0")
     s.add_argument("--rho-end", type=float, default=None)
     s.add_argument("--threshold", type=float, default=0.05, help="max relative residual")
     s.add_argument("--infinite", action="store_true", help="use the infinite-horizon form")
@@ -201,13 +201,18 @@ def _cmd_duality(args, model) -> int:
     if args.infinite and any(v is not None for v in (args.gamma_const, args.gamma_start, args.gamma_end)):
         raise ConfigError("--gamma-const/--gamma-start/--gamma-end do not apply to --infinite "
                           "(the infinite-horizon form has no drift forcing)")
+    if args.gamma_const is None and (args.gamma_start is not None or args.gamma_end is not None):
+        raise ConfigError("--gamma-start/--gamma-end need --gamma-const")
+    if args.rho_channel is None and any(v is not None for v in (args.rho_value, args.rho_start, args.rho_end)):
+        raise ConfigError("--rho-value/--rho-start/--rho-end need --rho-channel")
     horizon = args.T + args.buffer if args.infinite else args.T
     base = simulate_state(model, law, x0, TimeGrid.from_horizon(horizon, args.dt), args.M, args.seed)
     rho_end = args.T if args.rho_end is None else args.rho_end
     rho = None
     if args.rho_channel is not None:
-        rho = build_rho(base, model.n, model.d, {args.rho_channel: np.full(model.n, args.rho_value)},
-                        t_start=args.rho_start, t_end=rho_end)
+        rho_value = 1.0 if args.rho_value is None else args.rho_value
+        rho = build_rho(base, model.n, model.d, {args.rho_channel: np.full(model.n, rho_value)},
+                        t_start=args.rho_start or 0.0, t_end=rho_end)
     if args.infinite:
         report = verify_duality_infinite(
             model, law, args.t, T_support=rho_end, eta=args.eta, rho=rho,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -479,16 +480,17 @@ def _paths_to_csv(path: str, header, dt: float, blocks) -> None:
     axes flattened; the first spans every step and a shorter block leaves
     its cells blank past its end."""
     steps_plus = blocks[0].shape[1]
-    times = [repr(j * dt) for j in range(steps_plus)]
+    prefixes = [f",{j},{j * dt!r}," for j in range(steps_plus)]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(blocks[0].shape[0]):
             columns = []
             for block in blocks:
                 rows = block[i].reshape(block.shape[1], -1)
-                cells = [",".join(map(repr, row)) for row in rows.tolist()]
+                cells = list(map(",".join, map(map, repeat(repr), rows.tolist())))
                 columns.append(cells + ["," * (rows.shape[1] - 1)] * (steps_plus - len(cells)))
-            fh.writelines(f"{i},{j},{times[j]},{','.join(row)}\n" for j, row in enumerate(zip(*columns)))
+            lines = map(",".join, zip(*columns))
+            fh.write("".join(map("".join, zip(repeat(str(i)), prefixes, lines, repeat("\n")))))
 
 
 def ensemble_to_csv(ensemble: PathEnsemble, path: str) -> None:

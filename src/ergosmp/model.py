@@ -375,7 +375,7 @@ def drift_at(model: ModelSpec, X, U) -> np.ndarray:
     """b(x, u) for X of shape (M, n), U of shape (M, l): returns (M, n)."""
     out = _mat_vec(model.A[None, :, :], X) + _mat_vec(model.B[None, :, :], U)
     if model.has_cubic:
-        out = out - model.alpha * X**3
+        out = out - model.alpha * (X * X * X)  # X**3 calls libm pow per element
     return out
 
 

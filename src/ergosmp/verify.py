@@ -217,7 +217,7 @@ def _moment_bound_check(model: ModelSpec, name: str) -> CheckResult:
     x0 = np.full(model.n, 5.0)
     ens = simulate_state(model, law, x0, grid, 512, seed=7)
     ts = grid.times()
-    h = np.array([(np.linalg.norm(ens.states[:, j], axis=-1) ** q).mean() for j in range(grid.steps + 1)])
+    h = (np.linalg.norm(ens.states, axis=-1) ** q).mean(axis=0)
     tail = h[-len(h) // 4 :].mean()
     excess = h - tail
     fit_mask = excess > max(0.05 * tail, 1e-12)

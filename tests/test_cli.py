@@ -88,6 +88,11 @@ BAD_INPUT = [
      ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--gamma-const", "1", "--gamma-start", "1.5",
       "--gamma-end", "0.5"],
      None),
+    ("duality-gamma-start-without-const", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--gamma-start", "1"], None),
+    ("duality-gamma-end-without-const", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--gamma-end", "1"], None),
+    ("duality-rho-start-without-channel", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--rho-start", "1"], None),
+    ("duality-rho-value-without-channel", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--rho-value", "2"], None),
+    ("duality-rho-end-without-channel", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--rho-end", "1"], None),
     ("duality-zero-data", ["duality-check", *COMMON, "--T", "2"], None),
     ("duality-zero-data-infinite", ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1"], None),
 ]

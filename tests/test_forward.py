@@ -14,8 +14,10 @@ from ergosmp import (
     simulate_first_variation,
     simulate_perturbed,
     simulate_state,
+    solve_adjoint_finite,
     verify_expansion_residual,
 )
+from ergosmp.adjoint import adjoint_to_csv
 from ergosmp.forward import BLOCK_BYTES, _path_integrals, brownian_increments
 
 
@@ -344,6 +346,40 @@ def test_csv_export(tmp_path, lq1, lq1_zero):
     row = lines[1].split(",")
     assert row[0] == "0" and row[1] == "0"
     assert float(row[3]) == 0.3
+
+
+def _reference_csv(path, header, dt, blocks):
+    """Plain per-row writer: every block's cells at step j, blank where a
+    block has no step j (q at the terminal step)."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(blocks[0].shape[0]):
+            for j in range(blocks[0].shape[1]):
+                cells = []
+                for block in blocks:
+                    width = int(np.prod(block.shape[2:]))
+                    cells += [repr(v) for v in block[i, j].ravel().tolist()] if j < block.shape[1] else [""] * width
+                fh.write(f"{i},{j},{j * dt!r}," + ",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("family", ["lq1", "lq3"])
+def test_csv_bytes_match_per_row_reference(tmp_path, family, lq1, lq3):
+    model = {"lq1": lq1, "lq3": lq3}[family]
+    law = ControlLaw.affine(-0.4 * np.ones((model.l, model.n)), 0.1 * np.ones(model.l), model.control_set)
+    ens = simulate_state(model, law, np.full(model.n, 0.7), TimeGrid(dt=0.05, steps=20), 48, seed=3)
+    sol = solve_adjoint_finite(model, ens, law)
+    n, d = model.n, model.d
+    cases = (
+        (ensemble_to_csv, ens, ["path", "step", "t"] + [f"x_{k + 1}" for k in range(n)], [ens.states]),
+        (adjoint_to_csv, sol,
+         ["path", "step", "t"] + [f"p_{k + 1}" for k in range(n)]
+         + [f"q{i + 1}_{k + 1}" for i in range(d) for k in range(n)],
+         [sol.p, sol.q]),
+    )
+    for write, obj, header, blocks in cases:
+        write(obj, str(tmp_path / "got.csv"))
+        _reference_csv(str(tmp_path / "ref.csv"), header, 0.05, blocks)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_restricted_view(lq1, lq1_zero, lq1_base8):

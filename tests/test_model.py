@@ -191,6 +191,25 @@ def test_drift_jac_apply_matches_jacobian(family, lq1, cubic1):
         assert drift_jac_apply(model, X, Z).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("family", ["cubic1", "cubic3"])
+def test_cubic_drift_within_2_ulp_of_pow(family, cubic1):
+    if family == "cubic3":
+        model = ModelSpec.cubic([0.7, 0.0, 1.3], **LQ3, control_set=ConvexSet.box([-5.0, -5.0], [5.0, 5.0]))
+    else:
+        model = cubic1
+    rng = np.random.default_rng(11)
+    X = np.sign(rng.standard_normal((4096, model.n))) * 10.0 ** rng.uniform(-6.0, 5.0, (4096, model.n))
+    X[:2] = [[1e5] * model.n, [-1e5] * model.n]
+    U = model.control_set.sample(rng, 4096)
+    cube = model.alpha * X**3
+    ref = drift_at(dataclasses.replace(model, alpha=np.zeros(model.n)), X, U) - cube
+    got = drift_at(model, X, U)
+    # alpha * x^3 is within 2 ulp of the pow-based term; adding the linear
+    # part rounds once more, by at most one ulp of the larger result.
+    tol = 2 * np.spacing(np.abs(cube)) + np.spacing(np.maximum(np.abs(ref), np.abs(got)))
+    assert np.all(np.abs(got - ref) <= tol)
+
+
 def test_lq_equals_cubic_with_zero_alpha():
     cs = ConvexSet.box([-5.0, -5.0], [5.0, 5.0])
     lq = ModelSpec.lq(**LQ3, control_set=cs)

@@ -15,8 +15,9 @@ on both trees and diffs the results:
     diff old.json new.json
 
 With --values it prints the numbers behind each hash instead: arrays as
-lists, reports as their dicts, JSON artifacts of the CLI parsed and its CSV
-artifacts split into cells (other artifacts stay hashed).  When a change
+lists, reports as their dicts, JSON artifacts of the CLI parsed, its CSV
+artifacts split into cells and its binary ensemble dumps decoded into their
+header fields and arrays (other artifacts stay hashed).  When a change
 reorders a sum, compare two trees at a tolerance: every number within
 tol * max(1, |old|), everything else equal.  Two strings that are equal once
 their number literals are masked (describe() strings, CLI stdout, CSV cells)
@@ -221,6 +222,11 @@ def fingerprint(values: bool = False) -> dict:
                 elif values and fn.endswith(".csv"):
                     h(f"cli.{c[0]}.{i}.{fn}", [[_cell(v) for v in row.split(",")]
                                                for row in data.decode().splitlines()])
+                elif values and fn.endswith(".bin"):
+                    ens = E.ensemble_from_binary(os.path.join(od, fn))
+                    h(f"cli.{c[0]}.{i}.{fn}", {
+                        "M": ens.n_paths, "steps": ens.grid.steps, "n": ens.n, "d": ens.d, "seed": ens.seed,
+                        "dt": ens.grid.dt, "x0": ens.x0, "states": ens.states, "increments": ens.increments})
                 else:
                     out[f"cli.{c[0]}.{i}.{fn}"] = _digest(data.hex())
 
