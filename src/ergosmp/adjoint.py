@@ -1,29 +1,24 @@
-"""Backward regression solver for the adjoint (costate) equation.
+"""Backward solvers for the adjoint (costate) equation.
 
 The costate pair (p, q^1..q^d) solves, on [0, T],
 
     p_j = E[ p_{j+1} + dt * (D_xb^T p_{j+1} + sum_i D_xsigma^i^T qhat^i_j
              + D_xf) | X_j ],
-    q^i_j = E[ p_{j+1} * dW^i_j / dt | X_j ],
+    q^i_j = E[ p_{j+1} * dW^i_j / dt | X_j ].
 
-with conditional expectations estimated by ridge-regularized least squares on
-polynomial features of the current state (Gobet, Lemor & Warin 2005).  sigma
-is constant, so the D_xsigma^T q term of the driver vanishes: the p target
-never reads qhat_j, and the q and p targets of a step are fit together, as
-one stacked right-hand side of one factorized design.  A state-dependent
-sigma would make the two fits sequential again.  The infinite-horizon
-solution is realized by solving with zero terminal data on an extended
-horizon and discarding a buffer: the terminal layer decays exponentially
-under dissipativity.
+`solve_adjoint_finite` estimates the conditional expectations by
+ridge-regularized least squares on polynomial features of the current state
+(Gobet, Lemor & Warin 2005).  sigma is constant, so the D_xsigma^T q term
+vanishes and the q and p targets of a step are one stacked right-hand side of
+one factorized design; a state-dependent sigma would make the two fits
+sequential again.  The solve walks backward in time blocks whose
+(steps, K, M) feature stack fits `forward.BLOCK_BYTES`: the designs, their
+Cholesky factors and D_xf are stacked per block, and what reads p_{j+1} runs
+per step.
 
-The design of step j depends on X_j alone, so the solve walks backward in
-time blocks of steps whose (steps, K, M) feature stack fits
-`forward.BLOCK_BYTES`.  Stacked over a block: the monomials (one recursion),
-their standardization, the Gram matrices, one batched Cholesky factorization,
-the inverses of the triangular factors and D_xf.  Per step, because they read
-p_{j+1}: the driver, the targets, the right-hand side F_j^T targets, the two
-triangular products that replace the two triangular solves, and the fitted
-values.
+`_pathwise_dual` drops the conditional expectation: psi runs the p recursion
+per path, and p_j = E[psi_j | X_j].  The optimizer only averages pairings, so
+it reads psi; the regression serves the export and the checks.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .forward import PathEnsemble, TimeGrid, _block_steps, _paths_to_csv, _time_major, simulate_state
+from .forward import PathEnsemble, TimeGrid, _block_steps, _check_finite, _paths_to_csv, _time_major, simulate_state
 from .model import ControlLaw, ModelSpec, _Report, cost_grad_x, drift_jacT_apply
 
 __all__ = [
@@ -255,6 +250,23 @@ def solve_adjoint_finite(
         coef_p=coef[:, :, d], coef_q=coef[:, :, :d].transpose(0, 2, 1, 3),
         basis=basis, terminal_id=terminal_id, ensemble=ensemble,
     )
+
+
+def _pathwise_dual(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
+    """psi_j = psi_{j+1} + dt * (D_xb(X_j)^T psi_{j+1} + D_xf(X_j)), psi_N = 0,
+    on a new time-major (steps+1, M, n) buffer.  It is the exact discrete
+    adjoint of `simulate_affine_dual`: per path, <psi_j0, eta> + sum_{j>=j0}
+    <psi_{j+1}, gamma_j dt + rho_j dW_j> = dt sum_{j>=j0} <Y_j, D_xf(X_j)>."""
+    X, dt = _time_major(ensemble.states), ensemble.grid.dt
+    psi = np.zeros(X.shape)
+    block = _block_steps(8 * X[0].size)
+    for j1 in range(len(X) - 1, 0, -block):
+        j0 = max(0, j1 - block)
+        grad_x = cost_grad_x(model, X[j0:j1])
+        for j in range(j1 - 1, j0 - 1, -1):
+            psi[j] = psi[j + 1] + dt * (drift_jacT_apply(model, X[j], psi[j + 1]) + grad_x[j - j0])
+        _check_finite(psi[j0], j0, "pathwise dual")
+    return psi
 
 
 def extend_to_infinite(

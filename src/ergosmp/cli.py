@@ -78,6 +78,9 @@ def _positive(args, names):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ergosmp", description=__doc__)
     sp = ap.add_subparsers(dest="command", required=True)
+    regression = argparse.ArgumentParser(add_help=False)  # the costate basis of the regression solve
+    regression.add_argument("--degree", type=int, default=3)
+    regression.add_argument("--ridge", type=float, default=1e-8)
 
     s = sp.add_parser("simulate", help="simulate the state equation and export the ensemble")
     _add_common(s)
@@ -89,14 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--T", type=float, required=True)
     s.add_argument("--window", type=float, default=0.25)
 
-    s = sp.add_parser("adjoint", help="solve the costate equation by backward regression")
+    s = sp.add_parser("adjoint", help="solve the costate equation by backward regression", parents=[regression])
     _add_common(s)
     s.add_argument("--T", type=float, required=True, help="reporting horizon")
     s.add_argument("--buffer", type=float, default=4.0, help="discarded terminal buffer")
-    s.add_argument("--degree", type=int, default=3)
-    s.add_argument("--ridge", type=float, default=1e-8)
 
-    s = sp.add_parser("duality-check", help="verify the costate/dual pairing identity")
+    s = sp.add_parser("duality-check", help="verify the costate/dual pairing identity", parents=[regression])
     _add_common(s)
     s.add_argument("--T", type=float, required=True)
     s.add_argument("--t", type=float, default=0.0)
@@ -111,25 +112,19 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threshold", type=float, default=0.05, help="max relative residual")
     s.add_argument("--infinite", action="store_true", help="use the infinite-horizon form")
     s.add_argument("--buffer", type=float, default=4.0)
-    s.add_argument("--degree", type=int, default=3)
-    s.add_argument("--ridge", type=float, default=1e-8)
 
-    s = sp.add_parser("smp-check", help="necessary-condition variational inequality")
+    s = sp.add_parser("smp-check", help="necessary-condition variational inequality", parents=[regression])
     _add_common(s)
     s.add_argument("--T", type=float, required=True)
     s.add_argument("--buffer", type=float, default=3.0)
     s.add_argument("--window", type=float, default=0.25)
-    s.add_argument("--degree", type=int, default=3)
-    s.add_argument("--ridge", type=float, default=1e-8)
 
-    s = sp.add_parser("sufficiency", help="convexity + minimality sufficiency check")
+    s = sp.add_parser("sufficiency", help="convexity + minimality sufficiency check", parents=[regression])
     _add_common(s)
     s.add_argument("--T", type=float, required=True)
     s.add_argument("--buffer", type=float, default=3.0)
     s.add_argument("--window", type=float, default=0.25)
     s.add_argument("--probes", type=int, default=200)
-    s.add_argument("--degree", type=int, default=3)
-    s.add_argument("--ridge", type=float, default=1e-8)
 
     s = sp.add_parser("optimize", help="projected adjoint-gradient control optimization")
     _add_common(s)
@@ -138,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gamma", type=float, default=0.5, help="gradient step size")
     s.add_argument("--buffer", type=float, default=2.0)
     s.add_argument("--init", default=None, help="initial law as JSON (default: zero affine)")
-    s.add_argument("--degree", type=int, default=3)
-    s.add_argument("--ridge", type=float, default=1e-8)
 
     s = sp.add_parser("verify", help="run a built-in verification suite")
     s.add_argument("--model", required=True)
@@ -281,10 +274,9 @@ def _cmd_optimize(args, model) -> int:
         )
     else:
         init = parse_control_law(args.init, model.control_set)
-    basis = RegressionBasis(degree=args.degree, ridge=args.ridge)
     result = optimize_control(
         model, init, args.gamma, args.iters, args.T, args.M, args.seed,
-        dt=args.dt, buffer=args.buffer, basis=basis, x0=_parse_x0(model, args.x0),
+        dt=args.dt, buffer=args.buffer, x0=_parse_x0(model, args.x0),
     )
     trace_path = _out(args, "optimize_trace.csv")
     keys = sorted({k for row in result.trace for k in row})

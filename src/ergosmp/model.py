@@ -198,12 +198,14 @@ class ControlLaw:
         elif self.kind == "tabulated_feedback":
             if x.shape[-1] != 1:
                 raise ModelError("tabulated law supports state dimension 1 only")
-            idx = np.searchsorted(self.bin_edges, x[..., 0], side="right") - 1
-            idx = np.clip(idx, 0, len(self.bin_values) - 1)
-            u = self.bin_values[idx]
+            u = self.bin_values[self._bin_index(x[..., 0])]
         else:  # pragma: no cover - constructor guards the kind
             raise ModelError(f"unknown control law kind {self.kind!r}")
         return self.control_set.project(u)
+
+    def _bin_index(self, x1) -> np.ndarray:
+        """Bins of first state coordinates x1; outer bins extend to +-inf."""
+        return np.clip(np.searchsorted(self.bin_edges, x1, side="right") - 1, 0, len(self.bin_values) - 1)
 
     def describe(self) -> str:
         if self.kind == "constant":

@@ -3,8 +3,8 @@
 The Hamiltonian is H(x, u, p, q) = <b, p> + sum_i <sigma^i, q^i> + f.  An
 optimal control makes the long-run average of <D_u H, u - u_bar> nonnegative
 for every admissible direction; a strictly negative tail certifies
-non-optimality and its direction doubles as a descent direction for the
-projected adjoint-gradient optimizer.
+non-optimality.  The checks read the regression costate p; the optimizer
+reads the pathwise dual psi, whose pooled means equal p's (tower property).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adjoint import AdjointSolution, RegressionBasis, extend_to_infinite, solve_adjoint_finite
+from .adjoint import AdjointSolution, RegressionBasis, _pathwise_dual, extend_to_infinite
 from .ergodic_cost import _checkpoint_ladder, ergodic_report_from_ensemble
 from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _path_integrals,
                       _require_base_under, _require_grid, _simulate_on, _time_major, brownian_increments)
@@ -282,28 +282,27 @@ def optimize_control(
     seed: int,
     dt: float = 0.01,
     buffer: float = 2.0,
-    basis: Optional[RegressionBasis] = None,
     x0=None,
 ) -> OptimizeResult:
     """Projected adjoint-gradient descent over feedback laws.
 
-    Each iteration simulates under the current law, solves the costate by
-    backward regression, estimates the conditional gradient E[D_u H | x]
-    (least-squares fit for affine laws, per-bin averages for tabulated laws)
-    and takes a projected step.  The step is halved and the iterate reverted
-    whenever the ergodic-cost tail estimate worsens beyond its CI; the run
-    stops early after _OPT_PATIENCE iterations without improvement.  The
-    gradient pools the steps from min(_OPT_BURN_IN, T/2) to T.  All
-    iterations share one noise realization (common random numbers), drawn
-    once, so cost comparisons across iterates are systematic rather than
-    noisy.
+    Each iteration simulates under the current law, runs the pathwise dual
+    psi, fits the conditional gradient E[D_u H | x] to the samples
+    G_j = (D_u b)^T psi_{j+1} + D_u f(u_j) (least squares for affine laws,
+    per-bin means for tabulated laws) and takes a projected step.  The step
+    is halved and the iterate reverted whenever the ergodic-cost tail
+    estimate worsens beyond its CI; the run stops early after _OPT_PATIENCE
+    iterations without improvement.  G pools the steps from
+    min(_OPT_BURN_IN, T/2) to T; paired with a direction v it is
+    `estimate_gateaux`'s linearized value, path by path.  All iterations
+    share one noise realization (common random numbers), drawn once, so
+    cost comparisons across iterates are systematic rather than noisy.
     """
     if u_init.kind not in ("affine_feedback", "tabulated_feedback"):
         raise SimulationError("optimizer supports affine or tabulated feedback laws")
     if step_gamma <= 0:
         raise SimulationError("step_gamma must be positive")
     x0 = _initial_state(model, np.zeros(model.n) if x0 is None else x0)
-    basis = basis or RegressionBasis()
     grid_full = TimeGrid.from_horizon(T + buffer, dt)
     j_burn = grid_full.index_of(round(min(_OPT_BURN_IN, T / 2.0) / dt) * dt)
     j_top = grid_full.index_of(T)
@@ -318,13 +317,13 @@ def optimize_control(
 
     for it in range(iterations):
         ensemble = _simulate_on(model, law, x0, grid_full, dW, seed)
-        sol = solve_adjoint_finite(model, ensemble, law, basis=basis)
+        psi = _pathwise_dual(model, ensemble)
         report = ergodic_report_from_ensemble(model, ensemble.restricted(T), law, _OPT_WINDOW)
 
         # Pool the steps [j_burn, j_top) of the time-major buffers; one
         # evaluation of the feedback serves every step.
         X_pool = _time_major(ensemble.states)[j_burn:j_top].reshape(-1, model.n)
-        P_pool = _time_major(sol.p)[j_burn:j_top].reshape(-1, model.n)
+        P_pool = psi[j_burn + 1:j_top + 1].reshape(-1, model.n)
         G_pool = _grad_u_batch(model, law.evaluate(X_pool), P_pool)
 
         if law.kind == "affine_feedback":
@@ -334,10 +333,7 @@ def optimize_control(
             params = {"gain": law.gain.tolist(), "offset": law.offset.tolist()}
         else:
             values = law.bin_values.copy()
-            idx = np.clip(
-                np.searchsorted(law.bin_edges, X_pool[:, 0], side="right") - 1,
-                0, len(values) - 1,
-            )
+            idx = law._bin_index(X_pool[:, 0])
             grad_norm = 0.0
             for b in range(len(values)):
                 sel = idx == b

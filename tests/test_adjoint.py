@@ -13,9 +13,10 @@ from ergosmp import (
     simulate_state,
     solve_adjoint_finite,
 )
-from ergosmp.adjoint import adjoint_coefficients_dict, adjoint_to_csv
-from ergosmp.forward import _block_steps
-from ergosmp.model import cost_grad_x, drift_jacT_apply
+from ergosmp.adjoint import _pathwise_dual, adjoint_coefficients_dict, adjoint_to_csv
+from ergosmp.ergodic_cost import estimate_gateaux
+from ergosmp.forward import _block_steps, _time_major, direction_from_laws, simulate_affine_dual
+from ergosmp.model import cost_grad_u, cost_grad_x, drift_jacT_apply, drift_jacU_apply
 
 
 def _zero_cost_model():
@@ -291,3 +292,64 @@ def test_coefficient_export_and_csv(tmp_path, lq1, lq1_zero):
     assert len(lines) == 1 + 64 * 11
     last = lines[-1].split(",")
     assert last[1] == "10" and last[-1] == ""  # terminal row has no q
+
+
+# ---------------------------------------------------------------------------
+# Pathwise dual
+
+
+def _feedback(model, gain):
+    return ControlLaw.affine(gain * np.eye(model.l, model.n), np.zeros(model.l), model.control_set)
+
+
+@pytest.mark.parametrize("family", ["cubic1", "lq3"])
+def test_pathwise_dual_is_the_adjoint_of_the_linearized_equation(family, cubic1, lq3):
+    # Per path: <psi_j0, eta> + sum_{j>=j0} <psi_{j+1}, gamma_j dt + rho_j dW_j>
+    #           = dt sum_{j>=j0} <Y_j, D_xf(X_j)>.
+    model = cubic1 if family == "cubic1" else lq3
+    law = _feedback(model, -0.3)
+    grid = TimeGrid(dt=0.01, steps=300)
+    M, n, d = 128, model.n, model.d
+    ens = simulate_state(model, law, np.ones(n), grid, M, seed=3)
+    psi_tm = _pathwise_dual(model, ens)
+    assert psi_tm.shape == (grid.steps + 1, M, n) and psi_tm.flags.c_contiguous
+    assert np.all(psi_tm[-1] == 0.0)
+    psi = _time_major(psi_tm)
+    rng = np.random.default_rng(17)
+    eta = rng.standard_normal((M, n))
+    gamma = rng.standard_normal((M, grid.steps, n))
+    rho = rng.standard_normal((M, grid.steps, d, n))
+    t0 = 0.5
+    j0 = grid.index_of(t0)
+    Y = simulate_affine_dual(model, ens, law, t0, eta, gamma=gamma, rho=rho)
+    force = grid.dt * gamma + (rho * ens.increments[..., None]).sum(axis=2)
+    lhs = (psi[:, j0] * eta).sum(axis=-1) + (psi[:, j0 + 1:] * force[:, j0:]).sum(axis=(1, 2))
+    rhs = grid.dt * (Y[:, j0:-1] * cost_grad_x(model, ens.states[:, j0:-1])).sum(axis=(1, 2))
+    assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("family", ["cubic1", "lq3"])
+def test_pathwise_dual_pairing_is_the_linearized_gateaux_value(family, cubic1, lq3):
+    model = cubic1 if family == "cubic1" else lq3
+    law, alt = _feedback(model, -0.3), ControlLaw.constant(np.ones(model.l), model.control_set)
+    T, dt, M, seed = 3.0, 0.01, 128, 5
+    x0 = np.ones(model.n)
+    report = estimate_gateaux(model, law, alt, 0.5, T, M, seed, dt=dt, x0=x0)
+    ens = simulate_state(model, law, x0, TimeGrid.from_horizon(T, dt), M, seed)
+    psi = _time_major(_pathwise_dual(model, ens))
+    v = direction_from_laws(law, alt, ens)
+    U = law.evaluate(ens.states[:, :-1])
+    pairing = (psi[:, 1:] * drift_jacU_apply(model, v)).sum(axis=-1) + (cost_grad_u(model, U) * v).sum(axis=-1)
+    value = dt * pairing.sum(axis=1).mean() / T
+    assert abs(value - report.linearized) <= 1e-12 * max(1.0, abs(report.linearized))
+
+
+@pytest.mark.parametrize("family", ["cubic1", "lq3"])
+def test_pathwise_dual_path_prefix_bitwise(family, cubic1, lq3):
+    model = cubic1 if family == "cubic1" else lq3
+    law = _feedback(model, -0.3)
+    grid = TimeGrid(dt=0.01, steps=200)
+    full = _pathwise_dual(model, simulate_state(model, law, np.ones(model.n), grid, 1000, seed=9))
+    for k in (1, 37):
+        part = _pathwise_dual(model, simulate_state(model, law, np.ones(model.n), grid, k, seed=9))
+        assert np.array_equal(part, full[:, :k])

@@ -72,6 +72,10 @@ BAD_INPUT = [
     ("cost-M1", ["cost", "--seed", "3", "--dt", "0.05", "--M", "1", "--T", "4"], None),
     ("smp-check-M1", ["smp-check", "--seed", "3", "--dt", "0.05", "--M", "1", "--T", "4", "--buffer", "1"], None),
     ("workers-removed", ["simulate", *COMMON, "--T", "1", "--workers", "2"], None),
+    ("optimize-degree-removed", ["optimize", *COMMON, "--T", "4", "--buffer", "1", "--iters", "2", "--degree", "2"],
+     None),
+    ("optimize-ridge-removed", ["optimize", *COMMON, "--T", "4", "--buffer", "1", "--iters", "2", "--ridge", "1e-6"],
+     None),
     ("config-n-string", ["cost", *COMMON, "--T", "4"], {"n": "x"}),
     ("config-n-list", ["cost", *COMMON, "--T", "4"], {"n": [1]}),
     ("config-m-list", ["cost", *COMMON, "--T", "4"], {"m": [0]}),

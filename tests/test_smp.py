@@ -16,7 +16,7 @@ from ergosmp import (
     optimize_control,
     simulate_state,
 )
-from ergosmp import forward, smp
+from ergosmp import adjoint, forward, smp
 from ergosmp.ergodic_cost import ergodic_report_from_ensemble
 from ergosmp.smp import _hamiltonian_hessian
 
@@ -288,6 +288,36 @@ def test_optimizer_draws_noise_once(lq1, monkeypatch):
         ens = simulate_state(lq1, law, [0.0], grid, 128, 7)
         report = ergodic_report_from_ensemble(lq1, ens.restricted(3.0), law, 0.25)
         assert (row["cost_tail"], row["ci"]) == (report.tail_max, report.ci)
+
+
+@pytest.mark.parametrize("gain", [0.0, -1.0])
+def test_optimizer_gradient_slope_oracle(lq1, monkeypatch, gain):
+    # Under u = Kx on lq1 the costate is p = 2x/(2 - K), so the pooled fit of
+    # D_u H = p + 2u has slope W = 2/(2 - K) + 2K: 1 at K = 0, -4/3 at K = -1.
+    fits = []
+    fit = smp._fit_affine_gradient
+
+    def recording(X, G):
+        fits.append(fit(X, G))
+        return fits[-1]
+
+    monkeypatch.setattr(smp, "_fit_affine_gradient", recording)
+    init = ControlLaw.affine([[gain]], [0.0], lq1.control_set)
+    optimize_control(lq1, init, 0.5, 1, 10.0, 2048, 7, dt=0.01, buffer=2.0)
+    (W, _), = fits
+    assert abs(W[0, 0] - (2.0 / (2.0 - gain) + 2.0 * gain)) < 0.03
+
+
+def test_optimizer_makes_no_regression(lq1, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the optimizer must not run the regression solve")
+
+    for module in (adjoint, smp):
+        monkeypatch.setattr(module, "solve_adjoint_finite", forbidden, raising=False)
+    for init in (ControlLaw.affine([[0.0]], [0.0], lq1.control_set),
+                 ControlLaw.tabulated(np.linspace(-2.0, 2.0, 5), np.zeros((4, 1)), lq1.control_set)):
+        res = optimize_control(lq1, init, 0.5, 2, 3.0, 128, 7, dt=0.02, buffer=1.0)
+        assert len(res.trace) == 2
 
 
 def test_multidim_smoke():
