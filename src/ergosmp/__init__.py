@@ -47,7 +47,6 @@ from .model import (
     ModelError,
     ModelSpec,
     check_dissipativity,
-    project_control,
 )
 from .smp import (
     OptimizeResult,

@@ -82,8 +82,8 @@ class RegressionBasis:
     def __post_init__(self):
         if self.degree < 1:
             raise AdjointError("basis degree must be >= 1")
-        if self.ridge < 0:
-            raise AdjointError("ridge must be >= 0")
+        if not 0 <= self.ridge < math.inf:
+            raise AdjointError("ridge must be >= 0 and finite")
 
     def feature_count(self, n: int) -> int:
         return math.comb(n + self.degree, self.degree)

@@ -2,8 +2,11 @@
 
 Subcommands: simulate, cost, adjoint, duality-check, smp-check, sufficiency,
 optimize, verify.  Exit codes: 0 on success or verdict-pass, 2 on
-verdict-fail, 1 on error.  All randomness flows from the mandatory --seed;
-identical invocations produce byte-identical artifacts.
+verdict-fail, 1 on error.  All randomness of the first seven flows from the
+mandatory --seed; identical invocations produce byte-identical artifacts.
+`verify` takes only --model and --out-dir: it checks the paper's standing
+assumptions (dissipativity, the moment bound, exponential forgetting) and the
+library's contracts on that model at fixed seeds.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .forward import (
 )
 from .model import ModelError
 from .smp import candidate_battery, check_sufficiency, evaluate_variational_inequality, optimize_control
-from .verify import run_suite
+from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,7 +55,10 @@ def _out(args, name: str) -> str:
 def _parse_x0(model, text):
     if text is None:
         return np.zeros(model.n)
-    vals = [float(v) for v in text.split(",")]
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--x0: {text!r} is not a comma-separated list of numbers") from None
     if len(vals) != model.n:
         raise ConfigError(f"--x0 needs {model.n} comma-separated values")
     return np.asarray(vals)
@@ -71,8 +77,8 @@ def _add_common(sub, dt_default=0.01, m_default=4096):
 def _positive(args, names):
     for name in names:
         value = getattr(args, name.replace("-", "_"))
-        if value is not None and value <= 0:
-            raise ConfigError(f"--{name} must be positive, got {value}")
+        if value is not None and not 0 < value < np.inf:
+            raise ConfigError(f"--{name} must be positive and finite, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,9 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--buffer", type=float, default=2.0)
     s.add_argument("--init", default=None, help="initial law as JSON (default: zero affine)")
 
-    s = sp.add_parser("verify", help="run a built-in verification suite")
-    s.add_argument("--model", required=True)
-    s.add_argument("--suite", default="all", choices=["trivial", "invariants", "all"])
+    s = sp.add_parser("verify", help="check the paper's standing assumptions and the library's contracts on the model")
+    s.add_argument("--model", required=True, help="problem config (JSON)")
     s.add_argument("--out-dir", default=".")
     return ap
 
@@ -187,7 +192,7 @@ def _cmd_adjoint(args, model) -> int:
 
 
 def _cmd_duality(args, model) -> int:
-    _positive(args, ["T", "dt", "M"])
+    _positive(args, ["T", "dt", "M", "threshold"])
     law = parse_control_law(args.control, model.control_set)
     basis = RegressionBasis(degree=args.degree, ridge=args.ridge)
     x0 = _parse_x0(model, args.x0) if args.x0 is not None else np.ones(model.n)
@@ -290,12 +295,11 @@ def _cmd_optimize(args, model) -> int:
 
 
 def _cmd_verify(args, model) -> int:
-    checks = run_suite(model, args.suite)
+    checks = run_checks(model)
     for chk in checks:
         print(f"{'PASS' if chk.passed else 'FAIL'} {chk.name}: {chk.detail}")
     _write_json(_out(args, "verify_report.json"),
-                {"schema_version": 1, "suite": args.suite,
-                 "checks": [c.to_dict() for c in checks]})
+                {"schema_version": 1, "checks": [c.to_dict() for c in checks]})
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERDICT_FAIL
 
 

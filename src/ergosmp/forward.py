@@ -85,7 +85,9 @@ class TimeGrid:
         return np.arange(self.steps + 1) * self.dt
 
     def index_of(self, t: float) -> int:
-        """Grid index of time t; rejects off-grid times."""
+        """Grid index of time t; rejects off-grid and non-finite times."""
+        if not np.isfinite(t):
+            raise SimulationError(f"time {t} is not on the grid (dt={self.dt}, steps={self.steps})")
         j = int(round(t / self.dt))
         if j < 0 or j > self.steps or abs(j * self.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise SimulationError(f"time {t} is not on the grid (dt={self.dt}, steps={self.steps})")
@@ -93,6 +95,8 @@ class TimeGrid:
 
     @staticmethod
     def from_horizon(horizon: float, dt: float) -> "TimeGrid":
+        if not (np.isfinite(horizon) and np.isfinite(dt)):
+            raise SimulationError(f"horizon {horizon} and dt={dt} must be finite")
         steps = int(round(horizon / dt))
         if abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
             raise SimulationError(f"horizon {horizon} is not a multiple of dt={dt}")

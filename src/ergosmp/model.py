@@ -28,7 +28,6 @@ __all__ = [
     "ModelSpec",
     "DissipativityReport",
     "check_dissipativity",
-    "project_control",
 ]
 
 
@@ -122,17 +121,6 @@ class ConvexSet:
         if self.kind == "box":
             return f"box(lower={self.lower.tolist()!r}, upper={self.upper.tolist()!r})"
         return f"ball(center={self.center.tolist()!r}, radius={self.radius!r})"
-
-
-def project_control(control_set: ConvexSet, u_raw) -> np.ndarray:
-    """Project a raw control vector onto the admissible set.
-
-    Idempotent and non-expansive; the identity on points already inside.
-    """
-    u = np.asarray(u_raw, dtype=float)
-    if not np.isfinite(u).all():
-        raise ModelError("project_control: non-finite input")
-    return control_set.project(u)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +428,6 @@ def cost_grad_u(model: ModelSpec, U) -> np.ndarray:
 @dataclass(frozen=True)
 class DissipativityReport(_Report):
     sampled_max: float
-    estimated_c_p: float
     passed: bool
     probe_count: int
 
@@ -470,9 +457,4 @@ def check_dissipativity(model: ModelSpec, probes: int = 512, seed: int = 0) -> D
     quad = (Y * _mat_vec(jac, Y)).sum(axis=-1)
 
     sampled_max = float(quad.max())
-    return DissipativityReport(
-        sampled_max=sampled_max,
-        estimated_c_p=sampled_max,
-        passed=sampled_max < 0.0,
-        probe_count=probes,
-    )
+    return DissipativityReport(sampled_max=sampled_max, passed=sampled_max < 0.0, probe_count=probes)

@@ -300,7 +300,7 @@ def optimize_control(
     """
     if u_init.kind not in ("affine_feedback", "tabulated_feedback"):
         raise SimulationError("optimizer supports affine or tabulated feedback laws")
-    if step_gamma <= 0:
+    if not step_gamma > 0:
         raise SimulationError("step_gamma must be positive")
     x0 = _initial_state(model, np.zeros(model.n) if x0 is None else x0)
     grid_full = TimeGrid.from_horizon(T + buffer, dt)

@@ -32,8 +32,9 @@ def test_basis_feature_count():
     assert feats[:, 0].tolist() == [1.0, 2.0, 4.0, 8.0]
     with pytest.raises(AdjointError):
         RegressionBasis(degree=0)
-    with pytest.raises(AdjointError):
-        RegressionBasis(ridge=-1.0)
+    for ridge in (-1.0, np.nan, np.inf):
+        with pytest.raises(AdjointError):
+            RegressionBasis(ridge=ridge)
 
 
 def test_basis_order_and_values_n2_degree3():

@@ -48,13 +48,32 @@ def test_subcommand_smoke(lq1_config, tmp_path, capsys, argv, codes):
         assert ensemble_from_binary(str(tmp_path / "ensemble.bin")).n_paths == 64
 
 
-def test_verify_suite_all_passes_and_writes_json(lq1_config, tmp_path, capsys):
-    assert _run(lq1_config, tmp_path, "verify", "--suite", "all") == 0
+UNSTABLE = ModelSpec.lq(A=[[1.0]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]], control_set=ConvexSet.box([-5.0], [5.0]))
+CHECKS = {"derivative-fd", "projection-geometry", "dissipativity", "determinism-prefix", "moment-bound",
+          "exponential-forgetting", "config-roundtrip"}
+
+
+# (model, exit code, failed checks): A = +1 breaks every assumption that needs c_p < 0.
+VERIFY_CASES = [
+    ("lq1", 0, set()),
+    ("cubic1", 0, set()),
+    ("lq3", 0, set()),
+    ("unstable", 2, {"dissipativity", "moment-bound", "exponential-forgetting"}),
+]
+
+
+@pytest.mark.parametrize("name,code,failed", VERIFY_CASES, ids=[case[0] for case in VERIFY_CASES])
+def test_verify_checks_the_given_model(tmp_path, capsys, lq3, name, code, failed):
+    model = {"lq1": ModelSpec.lq1(), "cubic1": ModelSpec.cubic1(), "lq3": lq3, "unstable": UNSTABLE}[name]
+    config = tmp_path / "model.json"
+    save_model_config(model, str(config))
+    assert _run(str(config), tmp_path, "verify") == code
     report = json.loads((tmp_path / "verify_report.json").read_text())
-    assert report["schema_version"] == 1
-    assert all(c["passed"] is True for c in report["checks"])
-    assert "determinism-prefix" in {c["name"] for c in report["checks"]}
-    assert "FAIL" not in capsys.readouterr().out
+    assert set(report) == {"schema_version", "checks"}
+    assert {c["name"] for c in report["checks"]} == CHECKS
+    assert {c["name"] for c in report["checks"] if not c["passed"]} == failed
+    out = capsys.readouterr().out
+    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == failed
 
 
 def _patched_config(config, tmp_path, patch):
@@ -76,6 +95,16 @@ BAD_INPUT = [
      None),
     ("optimize-ridge-removed", ["optimize", *COMMON, "--T", "4", "--buffer", "1", "--iters", "2", "--ridge", "1e-6"],
      None),
+    ("verify-suite-removed", ["verify", "--suite", "all"], None),
+    ("x0-not-a-number", ["cost", *COMMON, "--T", "4", "--x0", "abc"], None),
+    ("dt-nan", ["simulate", "--seed", "3", "--M", "16", "--T", "1", "--dt", "nan"], None),
+    ("T-inf", ["simulate", *COMMON, "--T", "inf"], None),
+    ("adjoint-buffer-nan", ["adjoint", *COMMON, "--T", "1", "--buffer", "nan"], None),
+    ("optimize-gamma-nan", ["optimize", *COMMON, "--T", "4", "--buffer", "1", "--iters", "1", "--gamma", "nan"], None),
+    ("adjoint-ridge-nan", ["adjoint", *COMMON, "--T", "1", "--buffer", "1", "--ridge", "nan"], None),
+    ("adjoint-ridge-inf", ["adjoint", *COMMON, "--T", "1", "--buffer", "1", "--ridge", "inf"], None),
+    ("duality-t-nan", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--t", "nan"], None),
+    ("duality-threshold-nan", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--threshold", "nan"], None),
     ("config-n-string", ["cost", *COMMON, "--T", "4"], {"n": "x"}),
     ("config-n-list", ["cost", *COMMON, "--T", "4"], {"n": [1]}),
     ("config-m-list", ["cost", *COMMON, "--T", "4"], {"m": [0]}),

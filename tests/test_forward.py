@@ -25,12 +25,14 @@ def test_grid_validation():
     grid = TimeGrid(dt=0.01, steps=100)
     assert grid.horizon == pytest.approx(1.0)
     assert grid.index_of(0.5) == 50
-    with pytest.raises(SimulationError):
-        grid.index_of(0.505)
+    for t in (0.505, np.nan, np.inf):
+        with pytest.raises(SimulationError):
+            grid.index_of(t)
     with pytest.raises(SimulationError):
         TimeGrid(dt=-0.1, steps=10)
-    with pytest.raises(SimulationError):
-        TimeGrid.from_horizon(1.0, 0.3)
+    for horizon, dt in ((1.0, 0.3), (np.inf, 0.01), (1.0, np.nan)):
+        with pytest.raises(SimulationError):
+            TimeGrid.from_horizon(horizon, dt)
 
 
 def test_deterministic_linear_decay(lq1, lq1_zero):

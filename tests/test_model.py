@@ -12,7 +12,6 @@ from ergosmp import (
     ModelSpec,
     check_dissipativity,
     model_config_dict,
-    project_control,
 )
 from ergosmp.model import (_mat_vec, cost_at, cost_grad_u, cost_grad_x, drift_at, drift_jac_apply, drift_jac_x,
                            drift_jacT_apply)
@@ -86,16 +85,10 @@ def test_derivatives_match_finite_differences(family, lq1, cubic1):
 
 def test_projection_examples():
     box = ConvexSet.box([-5.0], [5.0])
-    assert project_control(box, [3.0])[0] == 3.0
-    assert project_control(box, [7.0])[0] == 5.0
+    assert box.project([3.0])[0] == 3.0
+    assert box.project([7.0])[0] == 5.0
     ball = ConvexSet.ball([0.0, 0.0], 1.0)
-    assert np.allclose(project_control(ball, [3.0, 4.0]), [0.6, 0.8], atol=1e-15)
-
-
-def test_projection_rejects_nonfinite():
-    box = ConvexSet.box([-1.0], [1.0])
-    with pytest.raises(ModelError):
-        project_control(box, [np.inf])
+    assert np.allclose(ball.project([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,7 +224,7 @@ def test_lq_equals_cubic_with_zero_alpha():
 def test_dissipativity_lq1(lq1):
     rep = check_dissipativity(lq1, probes=256, seed=0)
     assert rep.passed
-    assert rep.estimated_c_p == -1.0
+    assert rep.sampled_max == -1.0
     assert rep.probe_count == 256
 
 
@@ -240,7 +233,7 @@ def test_dissipativity_cubic1(cubic1):
     assert rep.passed
     assert rep.sampled_max <= -1.0
     # the probe maximum never exceeds the certified tightest constant
-    assert rep.estimated_c_p <= cubic1.certified_dissipativity_bound() + 1e-12
+    assert rep.sampled_max <= cubic1.certified_dissipativity_bound() + 1e-12
 
 
 def test_dissipativity_unstable_model_fails():

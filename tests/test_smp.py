@@ -218,8 +218,9 @@ def test_optimizer_requires_feedback_law(lq1, lq1_one):
     with pytest.raises(SimulationError):
         optimize_control(lq1, lq1_one, 0.5, 2, 5.0, 64, 3, dt=0.01)
     zero_affine = ControlLaw.affine([[0.0]], [0.0], lq1.control_set)
-    with pytest.raises(SimulationError):
-        optimize_control(lq1, zero_affine, -0.5, 2, 5.0, 64, 3, dt=0.01)
+    for gamma in (-0.5, np.nan):
+        with pytest.raises(SimulationError):
+            optimize_control(lq1, zero_affine, gamma, 1, 5.0, 64, 3, dt=0.01)
 
 
 def test_optimizer_zero_gradient_keeps_params(lq1_zero):

@@ -7,7 +7,7 @@ from ergosmp.verify import _moment_bound_check
 def test_moment_bound_cubic1_is_not_vacuous(cubic1):
     # beta comes from the certified c_p = -1, so the envelope has decayed long
     # before the second half and K must carry the stationary moment.
-    check = _moment_bound_check(cubic1, "moment-bound-cubic1")
+    check = _moment_bound_check(cubic1)
     assert check.passed
     beta, k_fit, tail = map(float, re.fullmatch(r"beta=(\S+), K=(\S+), tail mean=(\S+)", check.detail).groups())
     assert beta == 1.0
@@ -18,4 +18,4 @@ def test_moment_bound_needs_a_certified_rate():
     # Dissipative through the cubic term, but sym(A) = 0.5 certifies no rate.
     model = ModelSpec.cubic(alpha=[1.0], A=[[0.5]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
                             control_set=ConvexSet.box([-5.0], [5.0]))
-    assert not _moment_bound_check(model, "moment-bound-unstable").passed
+    assert not _moment_bound_check(model).passed

@@ -2,13 +2,13 @@
 
 Prints a JSON object mapping each output (ensembles, costates, dual and
 first-variation sweeps, VI reports, duality sides, optimizer traces, Gateaux
-and expansion reports, serialized model configs, CLI artifacts) to a short
-SHA-256 of its bytes, on lq1, cubic1 and a 3-state LQ model at small sizes
-(a few seconds).  The two sweeps are the arrays that the linearized-forward
-simulators return; where a tree's simulators still return result objects,
-their `.states`/`.values` fields are read, so one version of the tool runs on
-both trees.  A refactor that must keep outputs byte-identical runs it
-on both trees and diffs the results:
+and expansion reports, serialized model configs, CLI artifacts and `verify`
+verdicts) to a short SHA-256 of its bytes, on lq1, cubic1 and a 3-state LQ
+model at small sizes (a few seconds).  The two sweeps are the arrays that the
+linearized-forward simulators return; where a tree's simulators still return
+result objects, their `.states`/`.values` fields are read, so one version of
+the tool runs on both trees.  A refactor that must keep outputs byte-identical
+runs it on both trees and diffs the results:
 
     PYTHONPATH=<old>/src python tools/fingerprint.py > old.json
     PYTHONPATH=<new>/src python tools/fingerprint.py > new.json
@@ -198,21 +198,24 @@ def fingerprint(values: bool = False) -> dict:
     with tempfile.TemporaryDirectory() as td:
         cfg = os.path.join(td, "m.json")
         E.save_model_config(cubic1, cfg)
+        seeded = ["--seed", "3", "--dt", "0.02"]
         cmds = [
-            ["simulate", "--T", "1", "--M", "16", "--formats", "csv,bin"],
-            ["cost", "--T", "3", "--M", "32"],
-            ["adjoint", "--T", "1", "--M", "32", "--buffer", "1"],
-            ["duality-check", "--T", "1", "--M", "32", "--gamma-const", "1", "--rho-channel", "0"],
-            ["duality-check", "--T", "1", "--M", "32", "--infinite", "--buffer", "1", "--rho-channel", "0", "--rho-end", "0.5"],
-            ["smp-check", "--T", "2", "--M", "32", "--buffer", "1"],
-            ["sufficiency", "--T", "2", "--M", "32", "--buffer", "1", "--probes", "10"],
-            ["optimize", "--T", "3", "--M", "32", "--iters", "2", "--buffer", "1"],
+            ["simulate", "--T", "1", "--M", "16", "--formats", "csv,bin", *seeded],
+            ["cost", "--T", "3", "--M", "32", *seeded],
+            ["adjoint", "--T", "1", "--M", "32", "--buffer", "1", *seeded],
+            ["duality-check", "--T", "1", "--M", "32", "--gamma-const", "1", "--rho-channel", "0", *seeded],
+            ["duality-check", "--T", "1", "--M", "32", "--infinite", "--buffer", "1", "--rho-channel", "0",
+             "--rho-end", "0.5", *seeded],
+            ["smp-check", "--T", "2", "--M", "32", "--buffer", "1", *seeded],
+            ["sufficiency", "--T", "2", "--M", "32", "--buffer", "1", "--probes", "10", *seeded],
+            ["optimize", "--T", "3", "--M", "32", "--iters", "2", "--buffer", "1", *seeded],
+            ["verify"],  # fixed seeds and grids of its own
         ]
         for i, c in enumerate(cmds):
             od = os.path.join(td, f"o{i}")
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                code = cli.run_command(c + ["--model", cfg, "--seed", "3", "--dt", "0.02", "--out-dir", od])
+                code = cli.run_command(c + ["--model", cfg, "--out-dir", od])
             h(f"cli.{c[0]}.{i}.code", [code, buf.getvalue()])
             for fn in sorted(os.listdir(od)):
                 with open(os.path.join(od, fn), "rb") as fh:
