@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .forward import PathEnsemble, TimeGrid, _block_steps, _check_finite, _paths_to_csv, _time_major, simulate_state
-from .model import ControlLaw, ModelSpec, _Report, cost_grad_x, drift_jacT_apply
+from .model import ControlLaw, ModelSpec, _dot, _Report, cost_grad_x, drift_jacT_apply
 
 __all__ = [
     "AdjointError",
@@ -91,8 +91,9 @@ class RegressionBasis:
     def features_t(self, X: np.ndarray) -> np.ndarray:
         """Monomial design matrix in (features, paths) layout, where
         per-feature reductions run over contiguous memory.  States (M, n) give
-        (K, M); a stack of steps (B, M, n) gives (B, K, M)."""
-        Xt = np.swapaxes(np.atleast_2d(X), -1, -2)
+        (K, M); a stack of steps (B, M, n) gives (B, K, M).  The monomials are
+        products of contiguous (..., n, M) coordinate rows."""
+        Xt = np.ascontiguousarray(np.swapaxes(np.atleast_2d(X), -1, -2))
         n = Xt.shape[-2]
         out = np.empty(Xt.shape[:-2] + (self.feature_count(n), Xt.shape[-1]))
         out[..., 0, :] = 1.0
@@ -155,7 +156,7 @@ class AdjointSolution:
     @cached_property
     def sup_p_sq(self) -> float:
         """Max over this solution's steps of the mean squared costate norm."""
-        return float((self.p * self.p).sum(axis=-1).mean(axis=0).max())
+        return float(_dot(self.p, self.p).mean(axis=0).max())
 
     def evaluate_p(self, step: int, X: np.ndarray) -> np.ndarray:
         """Fitted costate function of step `step` evaluated at states X."""
@@ -218,6 +219,7 @@ def solve_adjoint_finite(
     # Channels 0..d-1 hold the q fits, channel d the p fit.
     coef = np.empty((steps, K, d + 1, n))
     targets = np.empty((M, d + 1, n))
+    dW_dt = np.empty((M, d))
     X_tm, dW_tm = _time_major(ensemble.states), _time_major(ensemble.increments)
     block = _block_steps(8 * K * M)
 
@@ -231,8 +233,12 @@ def solve_adjoint_finite(
             driver = drift_jacT_apply(model, X_tm[j], p_next) + grad_x[b]
             if not np.isfinite(driver).all():
                 raise AdjointError(f"non-finite driver at step {j}")
-            # Martingale-increment targets for every noise channel, then p's.
-            np.multiply(p_next[:, None, :], dW_tm[j][:, :, None] / dt, out=targets[:, :d])
+            # Martingale-increment targets, one (channel, coordinate) column
+            # at a time, then p's.
+            np.divide(dW_tm[j], dt, out=dW_dt)
+            for c in range(d):
+                for k in range(n):
+                    np.multiply(p_next[:, k], dW_dt[:, c], out=targets[:, c, k])
             targets[:, d] = p_next + dt * driver
             c = Linv[b].T @ (Linv[b] @ (Ft[b] @ targets.reshape(M, -1)))
             if not np.isfinite(c).all():

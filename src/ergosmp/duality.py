@@ -16,7 +16,7 @@ import numpy as np
 from .adjoint import AdjointError, RegressionBasis, solve_adjoint_finite
 from .forward import (PathEnsemble, SimulationError, TimeGrid, _initial_per_path, _path_integrals, _require_grid,
                       _time_major, simulate_affine_dual, simulate_state)
-from .model import ControlLaw, ModelSpec, _mat_vec, _Report, cost_grad_x
+from .model import ControlLaw, ModelSpec, _dot, _mat_vec, _Report, cost_grad_x
 
 __all__ = [
     "DualityReport",
@@ -141,18 +141,19 @@ def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=Non
 
     def rows(j0, j1):
         psi = cost_grad_x(model, X[j0:j1])
-        psi_sq[j0:j1] = (psi**2).sum(axis=-1).mean(axis=-1)
+        psi_sq[j0:j1] = _dot(psi, psi).mean(axis=-1)
         forcing = np.zeros((j1 - j0, base.n_paths))
         if gamma is not None:
-            forcing = forcing + (P[j0:j1] * _time_major(gamma)[j0:j1]).sum(axis=-1)
+            forcing = forcing + _dot(P[j0:j1], _time_major(gamma)[j0:j1])
         if rho is not None:
-            forcing = forcing + (Q[j0:j1] * _time_major(rho)[j0:j1]).sum(axis=(-1, -2))
-        return np.stack([forcing, (Ycal[j0:j1] * psi).sum(axis=-1)], axis=1)
+            # <q, rho> sums over (channel, coordinate), flattened in that order
+            forcing = forcing + _dot(*(a[j0:j1].reshape(j1 - j0, base.n_paths, -1) for a in (Q, _time_major(rho))))
+        return np.stack([forcing, _dot(Ycal[j0:j1], psi)], axis=1)
 
     forcing, pairing = _path_integrals(grid, rows, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
-    p_side = float(((sol.p[:, j0] * eta_arr).sum(axis=-1) + forcing).mean())
+    p_side = float((_dot(sol.p[:, j0], eta_arr) + forcing).mean())
     if nu is not None:
-        pairing = pairing + (np.asarray(nu, dtype=float) * dual[:, grid.steps]).sum(axis=-1)
+        pairing = pairing + _dot(np.asarray(nu, dtype=float), dual[:, grid.steps])
     return p_side, float(pairing.mean()), dual, float(psi_sq.max())
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals,
                       _require_base_under, _time_major, direction_from_laws, simulate_first_variation,
                       simulate_perturbed, simulate_state)
-from .model import ControlLaw, ModelSpec, _Report, cost_at, cost_grad_u, cost_grad_x
+from .model import ControlLaw, ModelSpec, _dot, _Report, cost_at, cost_grad_u, cost_grad_x
 
 __all__ = [
     "ErgodicCostReport",
@@ -179,7 +179,7 @@ def estimate_gateaux(
         return np.stack([
             cost_at(model, xb, ub),
             cost_at(model, Xp[j0:j1], ub + theta * vb),
-            (cost_grad_x(model, xb) * Ys[j0:j1]).sum(axis=-1) + (cost_grad_u(model, ub) * vb).sum(axis=-1),
+            _dot(cost_grad_x(model, xb), Ys[j0:j1]) + _dot(cost_grad_u(model, ub), vb),
         ], axis=1)
 
     j_base, j_pert, pairing = _path_integrals(grid, rows, [grid.steps], (3, M))[:, :, 0].mean(axis=1)

@@ -24,6 +24,7 @@ import numpy as np
 from .model import (
     ControlLaw,
     ModelSpec,
+    _dot,
     _mat_vec,
     _Report,
     drift_at,
@@ -232,7 +233,7 @@ def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, wh
         xj = Xbuf[j]
         uj = control_at(j, xj)
         b = drift_at(model, xj, uj)
-        bnorm = np.sqrt((b * b).sum(axis=-1, keepdims=True))
+        bnorm = np.sqrt(_dot(b, b))[:, None]
         noise = _mat_vec(model.S[None, :, :], dW[:, j])
         Xbuf[j + 1] = xj + dt * b / (1.0 + dt * bnorm) + noise
         _check_finite(Xbuf[j + 1], j + 1, what)

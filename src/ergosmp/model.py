@@ -39,24 +39,63 @@ def _as_array(x, shape, name):
     a = np.asarray(x, dtype=float)
     if a.shape != shape:
         raise ModelError(f"{name}: expected shape {shape}, got {a.shape}")
+    _require_finite(a, name)
     return a
 
 
-def _mat_vec(mat, vec):
-    """mat @ vec over the last axes, as the column sum
-    vec_0 * mat[:, 0] + vec_1 * mat[:, 1] + ..., accumulated left to right.
+def _require_finite(a, name):
+    if not np.isfinite(a).all():
+        raise ModelError(f"{name} must be finite")
 
-    Each state's result is computed on its own in a fixed order, so it does not
-    depend on the batch it is computed in: the first k paths of an M-path
-    ensemble equal the k-path ensemble bitwise, and one call on a stack of steps
-    equals per-step calls.  For n <= 7 columns this is bitwise the broadcast sum
-    (mat * vec[..., None, :]).sum(-1), whose short reductions also run left to
-    right.  A BLAS product (vec @ mat.T) would block by batch size and lose
-    both guarantees.
+
+def _mat_vec(mat, vec, offset=None):
+    """mat @ vec (+ offset) over the last axes, each result row the column sum
+    vec_0 * mat[i, 0] + vec_1 * mat[i, 1] + ..., accumulated left to right,
+    with the offset added last.
+
+    A result of more than one row is computed one row at a time on (..., M)
+    columns, so every numpy loop runs along the paths and not along the short
+    state axis; a one-row result keeps the broadcast form, which is faster
+    there.  Each state's result is computed on its own in a fixed order, so it
+    does not depend on the batch it is computed in: the first k paths of an
+    M-path ensemble equal the k-path ensemble bitwise, and one call on a stack
+    of steps equals per-step calls.  For at most 7 columns this is bitwise
+    (mat * vec[..., None, :]).sum(-1) + offset, whose short reductions also
+    run left to right.  A BLAS product (vec @ mat.T) would block by batch size
+    and lose both guarantees.
     """
-    out = vec[..., 0, None] * mat[..., :, 0]
-    for k in range(1, vec.shape[-1]):
-        out = out + vec[..., k, None] * mat[..., :, k]
+    rows, cols = mat.shape[-2:]
+    if rows == 1:
+        out = vec[..., 0, None] * mat[..., :, 0]
+        for k in range(1, cols):
+            out = out + vec[..., k, None] * mat[..., :, k]
+        return out if offset is None else out + offset
+    shape = np.broadcast_shapes(vec.shape[:-1], mat.shape[:-2])
+    if mat.size == rows * cols:
+        mat = mat.reshape(rows, cols)  # one matrix: its entries multiply as scalars
+    out = np.empty(shape + (rows,))
+    term = np.empty(shape)
+    for i in range(rows):
+        row = out[..., i]
+        np.multiply(vec[..., 0], mat[..., i, 0], out=row)
+        for k in range(1, cols):
+            np.multiply(vec[..., k], mat[..., i, k], out=term)
+            np.add(row, term, out=row)
+        if offset is not None:
+            np.add(row, offset[..., i], out=row)
+    return out
+
+
+def _dot(a, b):
+    """<a, b> over the last axis as a_0 b_0 + a_1 b_1 + ..., accumulated left
+    to right on (..., M) columns.  For at most 7 terms this is bitwise
+    (a * b).sum(-1), without a numpy loop along the short last axis."""
+    out = a[..., 0] * b[..., 0]
+    if a.shape[-1] > 1:
+        term = np.empty_like(out)
+        for k in range(1, a.shape[-1]):
+            np.multiply(a[..., k], b[..., k], out=term)
+            out += term
     return out
 
 
@@ -98,13 +137,27 @@ class ConvexSet:
     def dim(self) -> int:
         return len(self.lower) if self.kind == "box" else len(self.center)
 
+    @cached_property
+    def _clips_by_coordinate(self) -> bool:
+        """Whether a box projects one coordinate at a time: l > 1 and no bound
+        is zero.  At a zero bound np.clip's constant-bound loop and its
+        whole-array loop return a zero input with different signs."""
+        return self.kind == "box" and self.dim > 1 and bool(self.lower.all() and self.upper.all())
+
     def project(self, u):
-        """Euclidean projection onto the set; accepts (..., l) arrays."""
+        """Euclidean projection onto the set; accepts (..., l) arrays.  A box
+        gives bitwise np.clip(u, lower, upper), clipped one coordinate at a
+        time where that is exact, so that each clip runs along the paths."""
         u = np.asarray(u, dtype=float)
+        if self._clips_by_coordinate:
+            out = np.empty(u.shape)
+            for i in range(self.dim):
+                np.clip(u[..., i], self.lower[i], self.upper[i], out=out[..., i])
+            return out
         if self.kind == "box":
             return np.clip(u, self.lower, self.upper)
         delta = u - self.center
-        norm = np.sqrt((delta * delta).sum(axis=-1, keepdims=True))
+        norm = np.sqrt(_dot(delta, delta))[..., None]
         scale = np.where(norm > self.radius, self.radius / np.where(norm > 0, norm, 1.0), 1.0)
         return self.center + delta * scale
 
@@ -136,6 +189,7 @@ class ControlLaw:
     ``tabulated_feedback`` (per-bin values on a 1-d state grid).  A law reads
     only the current state, so one call on a whole (M, steps, n) path stack
     equals per-step calls bitwise: each state's control is computed on its own.
+    The constructors reject non-finite parameters.
     """
 
     kind: str
@@ -151,6 +205,7 @@ class ControlLaw:
         c = np.atleast_1d(np.asarray(u, dtype=float))
         if c.ndim != 1 or len(c) != control_set.dim:
             raise ModelError("constant law: control dimension mismatch")
+        _require_finite(c, "constant law: value")
         return ControlLaw(kind="constant", control_set=control_set, const=c)
 
     @staticmethod
@@ -159,12 +214,16 @@ class ControlLaw:
         c = np.atleast_1d(np.asarray(offset, dtype=float))
         if k.shape[0] != control_set.dim or c.shape != (control_set.dim,):
             raise ModelError("affine law: gain/offset shape mismatch")
+        _require_finite(k, "affine law: gain")
+        _require_finite(c, "affine law: offset")
         return ControlLaw(kind="affine_feedback", control_set=control_set, gain=k, offset=c)
 
     @staticmethod
     def tabulated(bin_edges, bin_values, control_set: ConvexSet) -> "ControlLaw":
         edges = np.asarray(bin_edges, dtype=float)
         values = np.atleast_2d(np.asarray(bin_values, dtype=float))
+        _require_finite(edges, "tabulated law: edges")
+        _require_finite(values, "tabulated law: values")
         if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
             raise ModelError("tabulated law: bin edges must be strictly increasing")
         if values.shape != (len(edges) - 1, control_set.dim):
@@ -182,7 +241,7 @@ class ControlLaw:
         if self.kind == "constant":
             u = np.broadcast_to(self.const, x.shape[:-1] + self.const.shape).copy()
         elif self.kind == "affine_feedback":
-            u = _mat_vec(self.gain, x) + self.offset
+            u = _mat_vec(self.gain, x, self.offset)
         elif self.kind == "tabulated_feedback":
             if x.shape[-1] != 1:
                 raise ModelError("tabulated law supports state dimension 1 only")
@@ -261,9 +320,9 @@ class ModelSpec:
     """A controlled-SDE problem instance: b = Ax + Bu - alpha*x^3, sigma = S,
     f = <Qx,x> + <Ru,u> on the control set U.
 
-    The dimensions n, l (from B) and d (from S) are read off the data.
-    Structural constants are validated strictly: p > max(4m+2, 4) and
-    k > (p-1)/2.
+    The dimensions n, l (from B) and d (from S) are read off the data, and
+    every coefficient must be finite.  Structural constants are validated
+    strictly: p > max(4m+2, 4) and k > (p-1)/2.
     """
 
     A: np.ndarray      # (n, n)
@@ -291,9 +350,9 @@ class ModelSpec:
             raise ModelError(f"dissipativity weight k={self.k} must exceed (p-1)/2={(self.p - 1) / 2}")
         _as_array(self.A, (self.n, self.n), "A")
         _as_array(self.B, (self.n, self.l), "B")
-        if np.any(_as_array(self.alpha, (self.n,), "cubic coefficients") < 0):
-            raise ModelError("cubic coefficients must be nonnegative")
-        _as_array(self.S, (self.n, self.d), "Sigma")
+        if np.any(_as_array(self.alpha, (self.n,), "alpha (cubic)") < 0):
+            raise ModelError("alpha (cubic) must be nonnegative")
+        _as_array(self.S, (self.n, self.d), "S (Sigma)")
         _check_psd(_as_array(self.Q, (self.n, self.n), "Q"), "Q")
         _check_psd(_as_array(self.R, (self.l, self.l), "R"), "R")
         if self.control_set.dim != self.l:
@@ -363,7 +422,7 @@ class ModelSpec:
 
 def drift_at(model: ModelSpec, X, U) -> np.ndarray:
     """b(x, u) for X of shape (M, n), U of shape (M, l): returns (M, n)."""
-    out = _mat_vec(model.A[None, :, :], X) + _mat_vec(model.B[None, :, :], U)
+    out = _mat_vec(model.A[None, :, :], X, _mat_vec(model.B[None, :, :], U))
     if model.has_cubic:
         out = out - model.alpha * (X * X * X)  # X**3 calls libm pow per element
     return out
@@ -410,7 +469,7 @@ def cost_at(model: ModelSpec, X, U) -> np.ndarray:
     """f(x, u) = <Qx, x> + <Ru, u>, shape (M,)."""
     qx = _mat_vec(model.Q[None, :, :], X)
     ru = _mat_vec(model.R[None, :, :], U)
-    return (X * qx).sum(axis=-1) + (U * ru).sum(axis=-1)
+    return _dot(X, qx) + _dot(U, ru)
 
 
 def cost_grad_x(model: ModelSpec, X) -> np.ndarray:
@@ -454,7 +513,7 @@ def check_dissipativity(model: ModelSpec, probes: int = 512, seed: int = 0) -> D
     Y /= np.maximum(np.linalg.norm(Y, axis=-1, keepdims=True), 1e-300)
 
     jac = drift_jac_x(model, X)
-    quad = (Y * _mat_vec(jac, Y)).sum(axis=-1)
+    quad = _dot(Y, _mat_vec(jac, Y))
 
     sampled_max = float(quad.max())
     return DissipativityReport(sampled_max=sampled_max, passed=sampled_max < 0.0, probe_count=probes)

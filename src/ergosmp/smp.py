@@ -21,6 +21,7 @@ from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _initial_state
 from .model import (
     ControlLaw,
     ModelSpec,
+    _dot,
     _Report,
     cost_at,
     cost_grad_u,
@@ -147,7 +148,7 @@ def evaluate_variational_inequality(
         x = X[j0:j1]
         ub = u_bar.evaluate(x)
         grad = _grad_u_batch(model, ub, P[j0:j1])
-        return np.stack([(grad * (cand.evaluate(x) - ub)).sum(axis=-1) for cand in candidates], axis=1)
+        return np.stack([_dot(grad, cand.evaluate(x) - ub) for cand in candidates], axis=1)
 
     sums = _path_integrals(grid, pairings, indices, (len(candidates), ens.n_paths))
     ladders = sums.mean(axis=1) / ts

@@ -48,9 +48,10 @@ class CheckResult(_Report):
 
 def _derivative_check(model: ModelSpec, seed: int = 1, probes: int = 100, h: float = 1e-5) -> CheckResult:
     """Central differences of b and f against D_x b, D_u b = B, D_x f and
-    D_u f (sigma is constant, so its derivatives are zero by construction)."""
+    D_u f (sigma is constant, so its derivatives are zero by construction).
+    A non-finite error fails the check."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for _ in range(probes):
         x = 2.0 * rng.standard_normal((1, model.n))
         u = model.control_set.sample(rng, 1)
@@ -66,7 +67,8 @@ def _derivative_check(model: ModelSpec, seed: int = 1, probes: int = 100, h: flo
                 zp[0, i] += h
                 zm[0, i] -= h
                 fd = (fun(zp) - fun(zm)) / (2.0 * h)
-                worst = max(worst, float(np.max(np.abs(fd - jac[:, i]) / np.maximum(1.0, np.abs(jac[:, i])))))
+                errors.append(np.max(np.abs(fd - jac[:, i]) / np.maximum(1.0, np.abs(jac[:, i]))))
+    worst = float(np.max(errors))  # NaN propagates, where max() would drop it
     return CheckResult("derivative-fd", worst <= 1e-6, f"max relative error {worst:.2e}")
 
 

@@ -50,6 +50,18 @@ def test_basis_order_and_values_n2_degree3():
     assert np.all(np.abs(ft - ref) <= np.spacing(np.abs(ref)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_features_of_a_stack_match_per_step_and_path_prefix(n):
+    # built from a contiguous (..., n, M) copy: a time-major stack or a view
+    # gives per-step features, and the first k paths equal the k-path call
+    basis = RegressionBasis(degree=3)
+    stack = np.random.default_rng(12).standard_normal((5, 97, n)) * 2.0
+    for X in (stack, stack.transpose(1, 0, 2)[:, 1:4].transpose(1, 0, 2)):
+        ft = basis.features_t(X)
+        assert ft.tobytes() == np.stack([basis.features_t(x) for x in X]).tobytes()
+        assert basis.features_t(X[:, :30]).tobytes() == ft[..., :30].tobytes()
+
+
 def test_zero_cost_gives_zero_adjoint(lq1_zero, lq1_base8):
     model = _zero_cost_model()
     sol = solve_adjoint_finite(model, lq1_base8, lq1_zero)

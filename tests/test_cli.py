@@ -130,14 +130,43 @@ BAD_INPUT = [
     ("duality-zero-data-infinite", ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1"], None),
 ]
 
+NAN, INF = float("nan"), float("inf")
+COST = ["cost", *COMMON, "--T", "4"]
 
-@pytest.mark.parametrize("argv,patch", [case[1:] for case in BAD_INPUT], ids=[case[0] for case in BAD_INPUT])
-def test_bad_input_exits_1_without_traceback(lq1_config, tmp_path, capsys, argv, patch):
+# (id, argv, config patch or None, text the message must hold): a non-finite
+# coefficient or control parameter is rejected where it enters, by name.
+NON_FINITE = [
+    ("config-Q-inf", COST, {"Q": [[INF]]}, "Q must be finite"),
+    ("config-R-inf", COST, {"R": [[-INF]]}, "R must be finite"),
+    ("config-A-nan", COST, {"A": [[NAN]]}, "A must be finite"),
+    ("config-B-nan", COST, {"B": [[NAN]]}, "B must be finite"),
+    ("config-Sigma-nan", COST, {"Sigma": [[NAN]]}, "S (Sigma) must be finite"),
+    ("config-cubic-nan", COST, {"family": "cubic", "cubic": [NAN]}, "alpha (cubic) must be finite"),
+    ("control-constant-nan", [*COST, "--control", '{"kind":"constant","value":[NaN]}'], None,
+     "constant law: value must be finite"),
+    ("control-gain-inf", [*COST, "--control", '{"kind":"affine_feedback","gain":[[Infinity]],"offset":[0]}'], None,
+     "affine law: gain must be finite"),
+    ("control-offset-nan", [*COST, "--control", '{"kind":"affine_feedback","gain":[[-1]],"offset":[NaN]}'], None,
+     "affine law: offset must be finite"),
+    ("control-tabulated-nan",
+     [*COST, "--control", '{"kind":"tabulated_feedback","edges":[-1,0,1],"values":[[NaN],[0]]}'], None,
+     "tabulated law: values must be finite"),
+    ("control-edges-nan",
+     [*COST, "--control", '{"kind":"tabulated_feedback","edges":[-1,NaN,1],"values":[[1],[0]]}'], None,
+     "tabulated law: edges must be finite"),
+]
+CASES = [case + (None,) for case in BAD_INPUT] + NON_FINITE
+
+
+@pytest.mark.parametrize("argv,patch,message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_bad_input_exits_1_without_traceback(lq1_config, tmp_path, capsys, argv, patch, message):
     config = lq1_config if patch is None else _patched_config(lq1_config, tmp_path, patch)
     assert _run(config, tmp_path, *argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+    if message is not None:
+        assert message in err
 
 
 def test_infinite_duality_check_simulates_once(lq1_config, tmp_path, monkeypatch):

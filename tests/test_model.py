@@ -13,8 +13,8 @@ from ergosmp import (
     check_dissipativity,
     model_config_dict,
 )
-from ergosmp.model import (_mat_vec, cost_at, cost_grad_u, cost_grad_x, drift_at, drift_jac_apply, drift_jac_x,
-                           drift_jacT_apply)
+from ergosmp.model import (_dot, _mat_vec, cost_at, cost_grad_u, cost_grad_x, drift_at, drift_jac_apply,
+                           drift_jac_x, drift_jacT_apply)
 
 
 def test_eval_lq1_at_origin(lq1):
@@ -157,16 +157,65 @@ def test_model_spec_is_one_coefficient_form():
     assert ModelSpec.cubic1().with_diffusion([[0.5]]).has_cubic
 
 
+def _wide_range(rng, shape):
+    return rng.standard_normal(shape) * np.exp(3.0 * rng.standard_normal(shape))
+
+
 def test_mat_vec_matches_broadcast_sum():
-    # The unrolled column sum runs the broadcast sum's left-to-right order.
+    # row by row on (..., M) columns, left to right, offset added last: bitwise
+    # the broadcast sum plus offset for 1-4 rows and 1-7 columns, on states,
+    # step stacks and per-path matrices; the first k paths of a batch equal the
+    # k-path call, and one call on a step stack equals per-step calls
     rng = np.random.default_rng(8)
-    for n in range(2, 8):
-        vec = rng.standard_normal((257, n)) * np.exp(3.0 * rng.standard_normal((257, n)))
-        for mat in (rng.standard_normal((n, n)), rng.standard_normal((3, n)), rng.standard_normal((257, n, n))):
-            expected = (mat * vec[..., None, :]).sum(axis=-1)
-            assert _mat_vec(mat, vec).tobytes() == expected.tobytes()
-        stack = rng.standard_normal((4, 257, n))  # (steps, M, n): one call equals per-step calls
-        assert _mat_vec(mat[0], stack).tobytes() == np.stack([_mat_vec(mat[0], x) for x in stack]).tobytes()
+    M, k = 257, 40
+    for rows in range(1, 5):
+        for cols in range(1, 8):
+            stack = _wide_range(rng, (3, M, cols))
+            cases = [(_wide_range(rng, (rows, cols)), _wide_range(rng, (M, cols)), None),
+                     (_wide_range(rng, (1, rows, cols)), stack, _wide_range(rng, rows)),
+                     (_wide_range(rng, (M, rows, cols)), _wide_range(rng, (M, cols)), _wide_range(rng, (M, rows)))]
+            for mat, vec, offset in cases:
+                expected = (mat * vec[..., None, :]).sum(axis=-1)
+                if offset is not None:
+                    expected = expected + offset
+                got = _mat_vec(mat, vec, offset)
+                assert got.tobytes() == expected.tobytes(), (rows, cols, mat.shape)
+                if len(mat) == M:  # per-path matrices and offsets
+                    mat, offset = mat[:k], offset[:k]
+                assert _mat_vec(mat, vec[..., :k, :], offset).tobytes() == got[..., :k, :].tobytes()
+            mat, _, offset = cases[1]
+            per_step = np.stack([_mat_vec(mat, x, offset) for x in stack])
+            assert _mat_vec(mat, stack, offset).tobytes() == per_step.tobytes()
+
+
+def test_dot_matches_broadcast_sum():
+    # left to right on (..., M) columns: bitwise the short reduction for 1-7 terms
+    rng = np.random.default_rng(21)
+    for n in range(1, 8):
+        for shape in ((257, n), (3, 257, n)):
+            a, b = _wide_range(rng, shape), _wide_range(rng, shape)
+            got = _dot(a, b)
+            assert got.tobytes() == (a * b).sum(axis=-1).tobytes()
+            assert _dot(a[..., :40, :], b[..., :40, :]).tobytes() == got[..., :40].tobytes()
+
+
+# (lower, upper): one coordinate, two and three without a zero bound (clipped
+# per coordinate), and bounds at +-0.0 (clipped whole).
+BOXES = [([-1.5], [2.0]), ([-1.5, -1.0], [2.0, 1e-300]), ([-1.5, -1.0, -np.pi], [2.0, 3.0, 0.5]),
+         ([-1.5, 0.0], [2.0, 0.0]), ([-0.0, -1.0], [2.0, 1.0])]
+
+
+@pytest.mark.parametrize("lower,upper", BOXES, ids=[f"box{i}" for i in range(len(BOXES))])
+def test_box_projection_matches_clip(lower, upper):
+    box = ConvexSet.box(lower, upper)
+    dim = box.dim
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e-300, 1.0])
+    rng = np.random.default_rng(23)
+    u = np.concatenate([rng.choice(special, (64, dim)), _wide_range(rng, (193, dim))])
+    for stack in (u, u.reshape(1, 257, dim), np.stack([u, u[::-1]])):
+        got = box.project(stack)
+        assert got.tobytes() == np.clip(stack, box.lower, box.upper).tobytes()
+        assert box.project(stack[..., :50, :]).tobytes() == got[..., :50, :].tobytes()
 
 
 @pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3"])

@@ -1,7 +1,10 @@
 import re
 
+import numpy as np
+
+import ergosmp.model
 from ergosmp import ConvexSet, ModelSpec
-from ergosmp.verify import _moment_bound_check
+from ergosmp.verify import _derivative_check, _moment_bound_check
 
 
 def test_moment_bound_cubic1_is_not_vacuous(cubic1):
@@ -19,3 +22,11 @@ def test_moment_bound_needs_a_certified_rate():
     model = ModelSpec.cubic(alpha=[1.0], A=[[0.5]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
                             control_set=ConvexSet.box([-5.0], [5.0]))
     assert not _moment_bound_check(model).passed
+
+
+def test_derivative_check_fails_on_nan(lq1, monkeypatch):
+    assert _derivative_check(lq1).passed
+    monkeypatch.setattr(ergosmp.model, "cost_at", lambda model, X, U: np.full(len(X), np.nan))
+    check = _derivative_check(lq1)
+    assert not check.passed
+    assert check.detail == "max relative error nan"

@@ -3,12 +3,14 @@
 Prints a JSON object mapping each output (ensembles, costates, dual and
 first-variation sweeps, VI reports, duality sides, optimizer traces, Gateaux
 and expansion reports, serialized model configs, CLI artifacts and `verify`
-verdicts) to a short SHA-256 of its bytes, on lq1, cubic1 and a 3-state LQ
-model at small sizes (a few seconds).  The two sweeps are the arrays that the
-linearized-forward simulators return; where a tree's simulators still return
-result objects, their `.states`/`.values` fields are read, so one version of
-the tool runs on both trees.  A refactor that must keep outputs byte-identical
-runs it on both trees and diffs the results:
+verdicts) to a short SHA-256 of its bytes, at small sizes (a few seconds), on
+lq1, cubic1, a 3-state LQ model, the same model on a box that binds under its
+law and candidate battery, and a 2-state cubic model with a ball control set.
+The two sweeps are the arrays that the linearized-forward simulators return;
+where a tree's simulators still return result objects, their
+`.states`/`.values` fields are read, so one version of the tool runs on both
+trees.  A refactor that must keep outputs byte-identical runs it on both
+trees and diffs the results:
 
     PYTHONPATH=<old>/src python tools/fingerprint.py > old.json
     PYTHONPATH=<new>/src python tools/fingerprint.py > new.json
@@ -130,11 +132,19 @@ def fingerprint(values: bool = False) -> dict:
         S=[[0.6, 0], [0.3, 0.5], [0, 0.4]], Q=np.eye(3), R=np.eye(2),
         control_set=E.ConvexSet.box([-5, -5], [5, 5]))
     K3 = np.array([[-0.4, -0.1, 0.0], [0.0, -0.05, -0.3]])
+    box = E.ConvexSet.box([-0.3, -0.15], [0.25, 0.2])  # binds on both sides of both coordinates
+    lq3box = E.ModelSpec.lq(A=lq3.A, B=lq3.B, S=lq3.S, Q=lq3.Q, R=lq3.R, control_set=box)
+    ball = E.ConvexSet.ball([0.1, -0.1], 0.6)
+    cubic2 = E.ModelSpec.cubic([1.0, 0.5], A=[[-1.0, 0.3], [0.0, -0.5]], B=[[1.0, 0.0], [0.5, 1.0]],
+                               S=[[0.8, 0.0], [0.2, 0.6]], Q=np.eye(2), R=np.eye(2), control_set=ball)
     models = {
         "lq1": (lq1, E.ControlLaw.affine([[-0.4]], [0.1], lq1.control_set), E.ControlLaw.constant([1.0], lq1.control_set)),
         "cubic1": (cubic1, E.ControlLaw.tabulated([-1, 0, 1], [[0.3], [-0.3]], cubic1.control_set),
                    E.ControlLaw.affine([[-0.5]], [0.0], cubic1.control_set)),
         "lq3": (lq3, E.ControlLaw.affine(K3, [0.1, 0], lq3.control_set), E.ControlLaw.constant([1.0, -1.0], lq3.control_set)),
+        "lq3box": (lq3box, E.ControlLaw.affine(K3, [0.1, 0], box), E.ControlLaw.constant([1.0, -1.0], box)),
+        "cubic2ball": (cubic2, E.ControlLaw.affine([[-0.8, 0.2], [0.1, -0.6]], [0.05, 0.0], ball),
+                       E.ControlLaw.constant([0.5, -0.5], ball)),
     }
     for name, (model, law, alt) in models.items():
         n = model.n
@@ -186,7 +196,7 @@ def fingerprint(values: bool = False) -> dict:
             res = E.optimize_control(model, init, 0.5, 3, 3.0, 128, 7, dt=0.02, buffer=1.0)
             h(f"{name}.opt", res.to_dict())
         else:
-            init = E.ControlLaw.affine(np.zeros((2, 3)), [0.0, 0.0], model.control_set)
+            init = E.ControlLaw.affine(np.zeros((model.l, n)), np.zeros(model.l), model.control_set)
             res = E.optimize_control(model, init, 0.5, 2, 3.0, 128, 7, dt=0.02, buffer=1.0)
             h(f"{name}.opt", res.to_dict())
         h(f"{name}.diss", E.check_dissipativity(model, probes=64, seed=1).to_dict())
