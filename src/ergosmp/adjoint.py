@@ -236,9 +236,9 @@ def solve_adjoint_finite(
             # Martingale-increment targets, one (channel, coordinate) column
             # at a time, then p's.
             np.divide(dW_tm[j], dt, out=dW_dt)
-            for c in range(d):
+            for ch in range(d):
                 for k in range(n):
-                    np.multiply(p_next[:, k], dW_dt[:, c], out=targets[:, c, k])
+                    np.multiply(p_next[:, k], dW_dt[:, ch], out=targets[:, ch, k])
             targets[:, d] = p_next + dt * driver
             c = Linv[b].T @ (Linv[b] @ (Ft[b] @ targets.reshape(M, -1)))
             if not np.isfinite(c).all():

@@ -146,8 +146,8 @@ def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=Non
         if gamma is not None:
             forcing = forcing + _dot(P[j0:j1], _time_major(gamma)[j0:j1])
         if rho is not None:
-            # <q, rho> sums over (channel, coordinate), flattened in that order
-            forcing = forcing + _dot(*(a[j0:j1].reshape(j1 - j0, base.n_paths, -1) for a in (Q, _time_major(rho))))
+            # <q, rho> sums d*n terms (9 on lq3), past _dot's column range
+            forcing = forcing + (Q[j0:j1] * _time_major(rho)[j0:j1]).sum(axis=(-1, -2))
         return np.stack([forcing, _dot(Ycal[j0:j1], psi)], axis=1)
 
     forcing, pairing = _path_integrals(grid, rows, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]

@@ -87,9 +87,13 @@ def _mat_vec(mat, vec, offset=None):
 
 
 def _dot(a, b):
-    """<a, b> over the last axis as a_0 b_0 + a_1 b_1 + ..., accumulated left
-    to right on (..., M) columns.  For at most 7 terms this is bitwise
-    (a * b).sum(-1), without a numpy loop along the short last axis."""
+    """<a, b> over the last axis, bitwise (a * b).sum(-1).  For at most 7
+    terms numpy reduces left to right, and so does this sum, a_0 b_0 +
+    a_1 b_1 + ..., accumulated on (..., M) columns without a numpy loop along
+    the short last axis.  More terms go to numpy's reduction, whose order is
+    then no longer left to right."""
+    if a.shape[-1] > 7:
+        return (a * b).sum(axis=-1)
     out = a[..., 0] * b[..., 0]
     if a.shape[-1] > 1:
         term = np.empty_like(out)
@@ -137,25 +141,26 @@ class ConvexSet:
     def dim(self) -> int:
         return len(self.lower) if self.kind == "box" else len(self.center)
 
-    @cached_property
-    def _clips_by_coordinate(self) -> bool:
-        """Whether a box projects one coordinate at a time: l > 1 and no bound
-        is zero.  At a zero bound np.clip's constant-bound loop and its
-        whole-array loop return a zero input with different signs."""
-        return self.kind == "box" and self.dim > 1 and bool(self.lower.all() and self.upper.all())
-
     def project(self, u):
-        """Euclidean projection onto the set; accepts (..., l) arrays.  A box
-        gives bitwise np.clip(u, lower, upper), clipped one coordinate at a
-        time where that is exact, so that each clip runs along the paths."""
+        """Euclidean projection onto the set; accepts (..., l) arrays.
+
+        A box gives bitwise np.clip(u, lower, upper).  With one coordinate
+        np.clip runs its constant-bound loop, along the paths, which keeps the
+        input on a tie with a bound.  With more, it runs its element loop along
+        the short l axis, which keeps the bound on a tie; np.maximum then
+        np.minimum, one coordinate at a time, keep the bound too and run along
+        the paths.  The tie rule decides only the sign of a zero at a zero
+        bound."""
         u = np.asarray(u, dtype=float)
-        if self._clips_by_coordinate:
+        if self.kind == "box":
+            if self.dim == 1:
+                return np.clip(u, self.lower, self.upper)
             out = np.empty(u.shape)
             for i in range(self.dim):
-                np.clip(u[..., i], self.lower[i], self.upper[i], out=out[..., i])
+                col = out[..., i]
+                np.maximum(u[..., i], self.lower[i], out=col)
+                np.minimum(col, self.upper[i], out=col)
             return out
-        if self.kind == "box":
-            return np.clip(u, self.lower, self.upper)
         delta = u - self.center
         norm = np.sqrt(_dot(delta, delta))[..., None]
         scale = np.where(norm > self.radius, self.radius / np.where(norm > 0, norm, 1.0), 1.0)

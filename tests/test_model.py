@@ -163,12 +163,12 @@ def _wide_range(rng, shape):
 
 def test_mat_vec_matches_broadcast_sum():
     # row by row on (..., M) columns, left to right, offset added last: bitwise
-    # the broadcast sum plus offset for 1-4 rows and 1-7 columns, on states,
+    # the broadcast sum plus offset for 1-7 rows and 1-7 columns, on states,
     # step stacks and per-path matrices; the first k paths of a batch equal the
     # k-path call, and one call on a step stack equals per-step calls
     rng = np.random.default_rng(8)
     M, k = 257, 40
-    for rows in range(1, 5):
+    for rows in range(1, 8):
         for cols in range(1, 8):
             stack = _wide_range(rng, (3, M, cols))
             cases = [(_wide_range(rng, (rows, cols)), _wide_range(rng, (M, cols)), None),
@@ -189,9 +189,10 @@ def test_mat_vec_matches_broadcast_sum():
 
 
 def test_dot_matches_broadcast_sum():
-    # left to right on (..., M) columns: bitwise the short reduction for 1-7 terms
+    # left to right on (..., M) columns for 1-7 terms, numpy's reduction for
+    # more: bitwise (a * b).sum(-1) either way
     rng = np.random.default_rng(21)
-    for n in range(1, 8):
+    for n in range(1, 10):
         for shape in ((257, n), (3, 257, n)):
             a, b = _wide_range(rng, shape), _wide_range(rng, shape)
             got = _dot(a, b)
@@ -199,17 +200,18 @@ def test_dot_matches_broadcast_sum():
             assert _dot(a[..., :40, :], b[..., :40, :]).tobytes() == got[..., :40].tobytes()
 
 
-# (lower, upper): one coordinate, two and three without a zero bound (clipped
-# per coordinate), and bounds at +-0.0 (clipped whole).
+# (lower, upper): one coordinate (np.clip) and two or three (maximum, then
+# minimum, per coordinate), each with and without bounds at +-0.0.
 BOXES = [([-1.5], [2.0]), ([-1.5, -1.0], [2.0, 1e-300]), ([-1.5, -1.0, -np.pi], [2.0, 3.0, 0.5]),
-         ([-1.5, 0.0], [2.0, 0.0]), ([-0.0, -1.0], [2.0, 1.0])]
+         ([-1.5, 0.0], [2.0, 0.0]), ([-0.0, -1.0], [2.0, 1.0]), ([0.0], [1.0]), ([-0.0], [0.0]),
+         ([0.0, -0.0], [-0.0, 0.0]), ([-1.0, -2.0, 0.0], [-0.0, 2.0, 0.0])]
 
 
 @pytest.mark.parametrize("lower,upper", BOXES, ids=[f"box{i}" for i in range(len(BOXES))])
 def test_box_projection_matches_clip(lower, upper):
     box = ConvexSet.box(lower, upper)
     dim = box.dim
-    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e-300, 1.0])
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e-300, 1.0])
     rng = np.random.default_rng(23)
     u = np.concatenate([rng.choice(special, (64, dim)), _wide_range(rng, (193, dim))])
     for stack in (u, u.reshape(1, 257, dim), np.stack([u, u[::-1]])):

@@ -167,7 +167,7 @@ def fingerprint(values: bool = False) -> dict:
         h(f"{name}.v", v)
         h(f"{name}.Y", _array(E.simulate_first_variation(model, ens, law, v), "states"))
         gamma = E.build_gamma(ens, n, value=np.ones(n), t_start=0.5, t_end=2.0, state_matrix=np.eye(n) * 0.2)
-        rho = E.build_rho(ens, n, model.d, {0: np.ones(n)}, t_start=0.4, t_end=1.6)
+        rho = E.build_rho(ens, n, model.d, {ch: np.ones(n) for ch in range(model.d)}, t_start=0.4, t_end=1.6)
         h(f"{name}.dual", _array(E.simulate_affine_dual(model, ens, law, 0.4, np.ones(n), gamma=gamma, rho=rho), "values"))
         h(f"{name}.expansion", E.verify_expansion_residual(model, law, alt, [0.5, 0.25, 0.1], ens).to_dict())
         h(f"{name}.gateaux", E.estimate_gateaux(model, law, alt, 0.1, 2.0, 64, seed=4, dt=0.02).to_dict())
