@@ -10,7 +10,6 @@ from .adjoint import (
     AdjointError,
     AdjointSolution,
     ConsistencyReport,
-    RegressionBasis,
     check_truncation_consistency,
     extend_to_infinite,
     solve_adjoint_finite,

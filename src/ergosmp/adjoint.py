@@ -8,10 +8,11 @@ The costate pair (p, q^1..q^d) solves, on [0, T],
 
 `solve_adjoint_finite` estimates the conditional expectations by
 ridge-regularized least squares on polynomial features of the current state
-(Gobet, Lemor & Warin 2005).  sigma is constant, so the D_xsigma^T q term
-vanishes and the q and p targets of a step are one stacked right-hand side of
-one factorized design; a state-dependent sigma would make the two fits
-sequential again.  The solve walks backward in time blocks whose
+(Gobet, Lemor & Warin 2005).  The basis is fixed: every state monomial of
+total degree <= 3, standardized per step, with ridge 1e-8 on all but the
+intercept.  sigma is constant, so the D_xsigma^T q term vanishes and the q
+and p targets of a step are one stacked right-hand side of one factorized
+design; a state-dependent sigma would make the two fits sequential again.  The solve walks backward in time blocks whose
 (steps, K, M) feature stack fits `forward.BLOCK_BYTES`: the designs, their
 Cholesky factors and D_xf are stacked per block, and what reads p_{j+1} runs
 per step.
@@ -36,7 +37,6 @@ from .model import ControlLaw, ModelSpec, _dot, _Report, cost_grad_x, drift_jacT
 
 __all__ = [
     "AdjointError",
-    "RegressionBasis",
     "AdjointSolution",
     "ConsistencyReport",
     "solve_adjoint_finite",
@@ -51,16 +51,19 @@ class AdjointError(RuntimeError):
     """Backward solve failed (singular regression or non-finite driver)."""
 
 
+_DEGREE = 3    # total degree of the state monomials
+_RIDGE = 1e-8  # ridge penalty on the standardized non-intercept features
+
+
 @lru_cache(maxsize=None)
-def _monomial_parents(n: int, degree: int):
+def _monomial_parents(n: int):
     """(earlier row, coordinate) for each monomial row after the constant one,
     in graded-lexicographic order of sorted index tuples.  The coordinate split
     off is the last one of exponent 1 where there is one, so a mixed monomial
-    of degree <= 3 pairs its factors as the product of powers x_i^a * x_j^b
-    does."""
+    pairs its factors as the product of powers x_i^a * x_j^b does."""
     rows = {(): 0}
     parents = []
-    for deg in range(1, degree + 1):
+    for deg in range(1, _DEGREE + 1):
         for combo in combinations_with_replacement(range(n), deg):
             single = [c for c in combo if combo.count(c) == 1]
             i = single[-1] if single else combo[-1]
@@ -71,38 +74,25 @@ def _monomial_parents(n: int, degree: int):
     return tuple(parents)
 
 
-@dataclass(frozen=True)
-class RegressionBasis:
-    """All state monomials up to the given total degree, standardized per step
-    and fit with a small ridge penalty (intercept unpenalized)."""
-
-    degree: int = 3
-    ridge: float = 1e-8
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise AdjointError("basis degree must be >= 1")
-        if not 0 <= self.ridge < math.inf:
-            raise AdjointError("ridge must be >= 0 and finite")
-
-    def feature_count(self, n: int) -> int:
-        return math.comb(n + self.degree, self.degree)
-
-    def features_t(self, X: np.ndarray) -> np.ndarray:
-        """Monomial design matrix in (features, paths) layout, where
-        per-feature reductions run over contiguous memory.  States (M, n) give
-        (K, M); a stack of steps (B, M, n) gives (B, K, M).  The monomials are
-        products of contiguous (..., n, M) coordinate rows."""
-        Xt = np.ascontiguousarray(np.swapaxes(np.atleast_2d(X), -1, -2))
-        n = Xt.shape[-2]
-        out = np.empty(Xt.shape[:-2] + (self.feature_count(n), Xt.shape[-1]))
-        out[..., 0, :] = 1.0
-        for row, (parent, i) in enumerate(_monomial_parents(n, self.degree), start=1):
-            np.multiply(out[..., parent, :], Xt[..., i, :], out=out[..., row, :])
-        return out
+def _feature_count(n: int) -> int:
+    return math.comb(n + _DEGREE, _DEGREE)
 
 
-def _block_design(basis: RegressionBasis, X: np.ndarray, j0: int):
+def _features_t(X: np.ndarray) -> np.ndarray:
+    """Monomial design matrix in (features, paths) layout, where per-feature
+    reductions run over contiguous memory.  States (M, n) give (K, M); a stack
+    of steps (B, M, n) gives (B, K, M).  The monomials are products of
+    contiguous (..., n, M) coordinate rows."""
+    Xt = np.ascontiguousarray(np.swapaxes(np.atleast_2d(X), -1, -2))
+    n = Xt.shape[-2]
+    out = np.empty(Xt.shape[:-2] + (_feature_count(n), Xt.shape[-1]))
+    out[..., 0, :] = 1.0
+    for row, (parent, i) in enumerate(_monomial_parents(n), start=1):
+        np.multiply(out[..., parent, :], Xt[..., i, :], out=out[..., row, :])
+    return out
+
+
+def _block_design(X: np.ndarray, j0: int):
     """Standardized ridge designs of the steps j0, j0+1, ... whose states X
     are stacked as (B, M, n).  Returns the design stack Ft (B, K, M), the
     feature means and stds (B, K), and the inverses (B, K, K) of the Cholesky
@@ -110,7 +100,7 @@ def _block_design(basis: RegressionBasis, X: np.ndarray, j0: int):
     so that a fit is coef = L^-T (L^-1 (Ft targets)).  A Gram matrix that is
     not positive definite raises at the highest such step of the block, the
     first one a backward walk reaches."""
-    Ft = basis.features_t(X)
+    Ft = _features_t(X)
     mean = Ft.mean(axis=-1)
     mean[:, 0] = 0.0
     Ft -= mean[..., None]
@@ -120,7 +110,7 @@ def _block_design(basis: RegressionBasis, X: np.ndarray, j0: int):
     Ft /= std[..., None]
     diag = np.arange(1, Ft.shape[1])
     gram = Ft @ Ft.transpose(0, 2, 1)
-    gram[:, diag, diag] += basis.ridge
+    gram[:, diag, diag] += _RIDGE
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -145,7 +135,6 @@ class AdjointSolution:
     feature_std: np.ndarray   # (steps, K)
     coef_p: np.ndarray        # (steps, K, n)
     coef_q: np.ndarray        # (steps, d, K, n)
-    basis: RegressionBasis
     terminal_id: str
     ensemble: PathEnsemble
 
@@ -162,7 +151,7 @@ class AdjointSolution:
         """Fitted costate function of step `step` evaluated at states X."""
         if step >= self.grid.steps:
             raise AdjointError("terminal step has no regression representation")
-        ft = self.basis.features_t(X)
+        ft = _features_t(X)
         Ft = (ft - self.feature_mean[step][:, None]) / self.feature_std[step][:, None]
         return Ft.T @ self.coef_p[step]
 
@@ -176,7 +165,6 @@ class AdjointSolution:
             feature_std=self.feature_std[:j],
             coef_p=self.coef_p[:j],
             coef_q=self.coef_q[:j],
-            basis=self.basis,
             terminal_id=self.terminal_id,
             ensemble=self.ensemble.restricted(horizon),
         )
@@ -186,7 +174,6 @@ def solve_adjoint_finite(
     model: ModelSpec,
     ensemble: PathEnsemble,
     u_bar: ControlLaw,
-    basis: Optional[RegressionBasis] = None,
     nu: Optional[np.ndarray] = None,
 ) -> AdjointSolution:
     """Backward least-squares Monte Carlo solve on the ensemble horizon.
@@ -198,10 +185,9 @@ def solve_adjoint_finite(
         raise AdjointError(
             f"ensemble generated under {ensemble.control_id!r}, not {u_bar.describe()!r}"
         )
-    basis = basis or RegressionBasis()
     grid = ensemble.grid
     M, steps, n, d = ensemble.n_paths, grid.steps, model.n, model.d
-    K = basis.feature_count(n)
+    K = _feature_count(n)
     dt = grid.dt
     Pbuf = np.empty((steps + 1, M, n))
     Qbuf = np.empty((steps, M, d, n))
@@ -225,7 +211,7 @@ def solve_adjoint_finite(
 
     for j1 in range(steps, 0, -block):
         j0 = max(0, j1 - block)
-        Ft, mean[j0:j1], std[j0:j1], Linv = _block_design(basis, X_tm[j0:j1], j0)
+        Ft, mean[j0:j1], std[j0:j1], Linv = _block_design(X_tm[j0:j1], j0)
         grad_x = cost_grad_x(model, X_tm[j0:j1])
         for j in range(j1 - 1, j0 - 1, -1):
             b = j - j0
@@ -254,7 +240,7 @@ def solve_adjoint_finite(
         q=Qbuf.transpose(1, 0, 2, 3),
         feature_mean=mean, feature_std=std,
         coef_p=coef[:, :, d], coef_q=coef[:, :, :d].transpose(0, 2, 1, 3),
-        basis=basis, terminal_id=terminal_id, ensemble=ensemble,
+        terminal_id=terminal_id, ensemble=ensemble,
     )
 
 
@@ -284,7 +270,6 @@ def extend_to_infinite(
     dt: float,
     M: int,
     seed: int,
-    basis: Optional[RegressionBasis] = None,
 ) -> AdjointSolution:
     """Infinite-horizon costate on [0, T_report] via a buffered truncation.
 
@@ -297,7 +282,7 @@ def extend_to_infinite(
         raise AdjointError("T_buffer must be positive")
     grid = TimeGrid.from_horizon(T_report + T_buffer, dt)
     ensemble = simulate_state(model, u_bar, x0, grid, M, seed)
-    full = solve_adjoint_finite(model, ensemble, u_bar, basis=basis, nu=None)
+    full = solve_adjoint_finite(model, ensemble, u_bar)
     return full.restricted(T_report)
 
 
@@ -326,7 +311,6 @@ def check_truncation_consistency(
     dt: float,
     M: int,
     seed: int,
-    basis: Optional[RegressionBasis] = None,
     x0=None,
 ) -> ConsistencyReport:
     """Compare zero-terminal solves at two horizons on shared noise.
@@ -341,12 +325,11 @@ def check_truncation_consistency(
         raise AdjointError("need 0 < horizon_short < horizon_long")
     if x0 is None:
         x0 = np.zeros(model.n)
-    basis = basis or RegressionBasis()
     grid_long = TimeGrid.from_horizon(horizon_long, dt)
     ens = simulate_state(model, u_bar, x0, grid_long, M, seed)
-    sol_long = solve_adjoint_finite(model, ens, u_bar, basis=basis)
+    sol_long = solve_adjoint_finite(model, ens, u_bar)
     ens_short = ens.restricted(horizon_short)
-    sol_short = solve_adjoint_finite(model, ens_short, u_bar, basis=basis)
+    sol_short = solve_adjoint_finite(model, ens_short, u_bar)
 
     j_n = ens_short.grid.steps
     diff = sol_short.p[:, : j_n + 1] - sol_long.p[:, : j_n + 1]
@@ -356,7 +339,7 @@ def check_truncation_consistency(
     # Independent-seed rerun measures the solver's own function-space noise.
     grid_short = TimeGrid(dt=dt, steps=j_n)
     ens_alt = simulate_state(model, u_bar, x0, grid_short, M, seed + 1)
-    sol_alt = solve_adjoint_finite(model, ens_alt, u_bar, basis=basis)
+    sol_alt = solve_adjoint_finite(model, ens_alt, u_bar)
     probe_steps = [j for j in range(0, j_n, max(1, j_n // 16))]
     floor_samples = []
     for j in probe_steps:
@@ -412,8 +395,8 @@ def adjoint_coefficients_dict(sol: AdjointSolution) -> dict:
     ]
     return {
         "schema_version": 1,
-        "degree": sol.basis.degree,
-        "ridge": sol.basis.ridge,
+        "degree": _DEGREE,
+        "ridge": _RIDGE,
         "terminal": sol.terminal_id,
         "sup_p_sq": sol.sup_p_sq,
         "dt": sol.grid.dt,

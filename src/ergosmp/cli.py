@@ -6,7 +6,9 @@ verdict-fail, 1 on error.  All randomness of the first seven flows from the
 mandatory --seed; identical invocations produce byte-identical artifacts.
 `verify` takes only --model and --out-dir: it checks the paper's standing
 assumptions (dissipativity, the moment bound, exponential forgetting) and the
-library's contracts on that model at fixed seeds.
+library's contracts on that model at fixed seeds.  The costate regression
+basis (monomials of degree <= 3, ridge 1e-8) and the cost tail window (the
+last quarter of the horizon) are fixed, not flags.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .adjoint import AdjointError, RegressionBasis, adjoint_coefficients_dict, adjoint_to_csv, extend_to_infinite
+from .adjoint import AdjointError, adjoint_coefficients_dict, adjoint_to_csv, extend_to_infinite
 from .config import ConfigError, load_model_config, parse_control_law
 from .duality import build_gamma, build_rho, verify_duality_finite, verify_duality_infinite
 from .ergodic_cost import estimate_ergodic_cost
@@ -84,9 +86,6 @@ def _positive(args, names):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ergosmp", description=__doc__)
     sp = ap.add_subparsers(dest="command", required=True)
-    regression = argparse.ArgumentParser(add_help=False)  # the costate basis of the regression solve
-    regression.add_argument("--degree", type=int, default=3)
-    regression.add_argument("--ridge", type=float, default=1e-8)
 
     s = sp.add_parser("simulate", help="simulate the state equation and export the ensemble")
     _add_common(s)
@@ -96,14 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("cost", help="ergodic-cost checkpoint ladder")
     _add_common(s)
     s.add_argument("--T", type=float, required=True)
-    s.add_argument("--window", type=float, default=0.25)
 
-    s = sp.add_parser("adjoint", help="solve the costate equation by backward regression", parents=[regression])
+    s = sp.add_parser("adjoint", help="solve the costate equation by backward regression")
     _add_common(s)
     s.add_argument("--T", type=float, required=True, help="reporting horizon")
     s.add_argument("--buffer", type=float, default=4.0, help="discarded terminal buffer")
 
-    s = sp.add_parser("duality-check", help="verify the costate/dual pairing identity", parents=[regression])
+    s = sp.add_parser("duality-check", help="verify the costate/dual pairing identity")
     _add_common(s)
     s.add_argument("--T", type=float, required=True)
     s.add_argument("--t", type=float, default=0.0)
@@ -119,17 +117,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--infinite", action="store_true", help="use the infinite-horizon form")
     s.add_argument("--buffer", type=float, default=4.0)
 
-    s = sp.add_parser("smp-check", help="necessary-condition variational inequality", parents=[regression])
+    s = sp.add_parser("smp-check", help="necessary-condition variational inequality")
     _add_common(s)
     s.add_argument("--T", type=float, required=True)
     s.add_argument("--buffer", type=float, default=3.0)
-    s.add_argument("--window", type=float, default=0.25)
 
-    s = sp.add_parser("sufficiency", help="convexity + minimality sufficiency check", parents=[regression])
+    s = sp.add_parser("sufficiency", help="convexity + minimality sufficiency check")
     _add_common(s)
     s.add_argument("--T", type=float, required=True)
     s.add_argument("--buffer", type=float, default=3.0)
-    s.add_argument("--window", type=float, default=0.25)
     s.add_argument("--probes", type=int, default=200)
 
     s = sp.add_parser("optimize", help="projected adjoint-gradient control optimization")
@@ -148,13 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args, model) -> int:
     _positive(args, ["T", "dt", "M"])
-    law = parse_control_law(args.control, model.control_set)
-    grid = TimeGrid.from_horizon(args.T, args.dt)
-    ens = simulate_state(model, law, _parse_x0(model, args.x0), grid, args.M, args.seed)
     formats = {f.strip() for f in args.formats.split(",") if f.strip()}
     unknown = formats - {"csv", "bin"}
     if unknown:
         raise ConfigError(f"--formats: unknown entries {sorted(unknown)}")
+    law = parse_control_law(args.control, model.control_set)
+    grid = TimeGrid.from_horizon(args.T, args.dt)
+    ens = simulate_state(model, law, _parse_x0(model, args.x0), grid, args.M, args.seed)
     if "csv" in formats:
         ensemble_to_csv(ens, _out(args, "ensemble.csv"))
     if "bin" in formats:
@@ -173,7 +169,7 @@ def _cmd_cost(args, model) -> int:
     _positive(args, ["T", "dt", "M"])
     law = parse_control_law(args.control, model.control_set)
     report = estimate_ergodic_cost(model, law, _parse_x0(model, args.x0), args.T,
-                                   args.M, args.seed, window=args.window, dt=args.dt)
+                                   args.M, args.seed, dt=args.dt)
     _write_json(_out(args, "cost_report.json"), report.to_dict())
     print(f"tail_min={report.tail_min:.6f} tail_max={report.tail_max:.6f} ci={report.ci:.2e}")
     return EXIT_OK
@@ -182,9 +178,8 @@ def _cmd_cost(args, model) -> int:
 def _cmd_adjoint(args, model) -> int:
     _positive(args, ["T", "dt", "M", "buffer"])
     law = parse_control_law(args.control, model.control_set)
-    basis = RegressionBasis(degree=args.degree, ridge=args.ridge)
     sol = extend_to_infinite(model, law, _parse_x0(model, args.x0), args.T, args.buffer,
-                             args.dt, args.M, args.seed, basis=basis)
+                             args.dt, args.M, args.seed)
     _write_json(_out(args, "adjoint_coefficients.json"), adjoint_coefficients_dict(sol))
     adjoint_to_csv(sol, _out(args, "adjoint_paths.csv"))
     print(f"sup_t E|p_t|^2 = {sol.sup_p_sq:.6f}")
@@ -194,7 +189,6 @@ def _cmd_adjoint(args, model) -> int:
 def _cmd_duality(args, model) -> int:
     _positive(args, ["T", "dt", "M", "threshold"])
     law = parse_control_law(args.control, model.control_set)
-    basis = RegressionBasis(degree=args.degree, ridge=args.ridge)
     x0 = _parse_x0(model, args.x0) if args.x0 is not None else np.ones(model.n)
     if args.infinite and any(v is not None for v in (args.gamma_const, args.gamma_start, args.gamma_end)):
         raise ConfigError("--gamma-const/--gamma-start/--gamma-end do not apply to --infinite "
@@ -214,7 +208,7 @@ def _cmd_duality(args, model) -> int:
     if args.infinite:
         report = verify_duality_infinite(
             model, law, args.t, T_support=rho_end, eta=args.eta, rho=rho,
-            T_report=args.T, T_buffer=args.buffer, dt=args.dt, basis=basis, base=base,
+            T_report=args.T, T_buffer=args.buffer, dt=args.dt, base=base,
         )
     else:
         gamma = None
@@ -223,7 +217,7 @@ def _cmd_duality(args, model) -> int:
                                 t_start=args.gamma_start or 0.0, t_end=args.gamma_end)
         report = verify_duality_finite(
             model, law, args.t, args.T, eta=args.eta, gamma=gamma, rho=rho,
-            dt=args.dt, basis=basis, base=base,
+            dt=args.dt, base=base,
         )
     if np.isnan(report.rel_residual):
         raise ConfigError("both duality sides are exactly 0, so the identity is not exercised: "
@@ -239,12 +233,10 @@ def _cmd_duality(args, model) -> int:
 def _cmd_smp_check(args, model) -> int:
     _positive(args, ["T", "dt", "M", "buffer"])
     law = parse_control_law(args.control, model.control_set)
-    basis = RegressionBasis(degree=args.degree, ridge=args.ridge)
     battery = candidate_battery(model, law, seed=args.seed)
     reports = evaluate_variational_inequality(
-        model, law, battery, args.T, args.M, args.seed, window=args.window,
-        dt=args.dt, buffer=args.buffer, basis=basis,
-        x0=_parse_x0(model, args.x0),
+        model, law, battery, args.T, args.M, args.seed,
+        dt=args.dt, buffer=args.buffer, x0=_parse_x0(model, args.x0),
     )
     _write_json(_out(args, "smp_report.json"),
                 {"schema_version": 1, "reports": [r.to_dict() for r in reports]})
@@ -257,10 +249,9 @@ def _cmd_smp_check(args, model) -> int:
 def _cmd_sufficiency(args, model) -> int:
     _positive(args, ["T", "dt", "M", "buffer", "probes"])
     law = parse_control_law(args.control, model.control_set)
-    basis = RegressionBasis(degree=args.degree, ridge=args.ridge)
     report = check_sufficiency(
-        model, law, args.T, args.M, args.seed, probes=args.probes, window=args.window,
-        dt=args.dt, buffer=args.buffer, basis=basis, x0=_parse_x0(model, args.x0),
+        model, law, args.T, args.M, args.seed, probes=args.probes,
+        dt=args.dt, buffer=args.buffer, x0=_parse_x0(model, args.x0),
     )
     _write_json(_out(args, "sufficiency_report.json"), report.to_dict())
     print(f"convexity_min_eigen={report.convexity_min_eigen:.4f} "

@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .adjoint import AdjointError, RegressionBasis, solve_adjoint_finite
+from .adjoint import AdjointError, solve_adjoint_finite
 from .forward import (PathEnsemble, SimulationError, TimeGrid, _initial_per_path, _path_integrals, _require_grid,
                       _time_major, simulate_affine_dual, simulate_state)
 from .model import ControlLaw, ModelSpec, _dot, _mat_vec, _Report, cost_grad_x
@@ -169,7 +169,6 @@ def verify_duality_finite(
     M: int = 4096,
     seed: int = 0,
     dt: float = 0.01,
-    basis: Optional[RegressionBasis] = None,
     x0=None,
     base: Optional[PathEnsemble] = None,
 ) -> DualityReport:
@@ -184,7 +183,7 @@ def verify_duality_finite(
     """
     base = _base_ensemble(model, u_bar, base, T, dt, M, seed, x0)
     M, seed = base.n_paths, base.seed
-    sol = solve_adjoint_finite(model, base, u_bar, basis=basis, nu=nu)
+    sol = solve_adjoint_finite(model, base, u_bar, nu=nu)
     lhs, rhs, _, _ = _pairing_sides(model, u_bar, base, sol, t, eta, gamma=gamma, rho=rho, nu=nu)
 
     config = {
@@ -209,7 +208,6 @@ def verify_duality_infinite(
     M: int = 4096,
     seed: int = 0,
     dt: float = 0.01,
-    basis: Optional[RegressionBasis] = None,
     x0=None,
     base: Optional[PathEnsemble] = None,
 ) -> DualityReport:
@@ -228,7 +226,7 @@ def verify_duality_infinite(
     base = _base_ensemble(model, u_bar, base, T_report + T_buffer, dt, M, seed, x0)
     M, seed = base.n_paths, base.seed
     grid = base.grid
-    sol = solve_adjoint_finite(model, base, u_bar, basis=basis)
+    sol = solve_adjoint_finite(model, base, u_bar)
     if rho is not None:
         rho = np.asarray(rho, dtype=float)
         if rho.shape != (M, grid.steps, model.d, model.n):

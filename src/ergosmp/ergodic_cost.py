@@ -1,8 +1,8 @@
 """Truncated and long-run average cost estimators.
 
 The long-run functionals are asymptotic; the artifact tracks J_T / T at a
-ladder of checkpoint horizons and reports min/max over the tail window as
-liminf/limsup proxies.
+ladder of checkpoint horizons and reports min/max over one fixed tail window,
+the last quarter [0.75 T, T] of the horizon, as liminf/limsup proxies.
 """
 
 from __future__ import annotations
@@ -28,15 +28,14 @@ __all__ = [
 
 CHECKPOINT_RATIO = 1.5  # growth factor of the checkpoint spacing
 MIN_TAIL_CHECKPOINTS = 8
+TAIL_WINDOW = 0.25      # the tail [(1 - TAIL_WINDOW) T, T] read for liminf/limsup
 
 
-def checkpoint_times(T_max: float, dt: float, window: float = 0.25) -> np.ndarray:
+def checkpoint_times(T_max: float, dt: float) -> np.ndarray:
     """Checkpoint horizons: spacing grows geometrically (ratio 1.5) from a
-    small initial step, capped so the tail window [(1-window)T_max, T_max]
-    always holds at least MIN_TAIL_CHECKPOINTS checkpoints."""
-    if not 0.0 < window < 1.0:
-        raise SimulationError("window must lie in (0, 1)")
-    cap = max(dt, window * T_max / MIN_TAIL_CHECKPOINTS)
+    small initial step, capped so the tail window [(1-TAIL_WINDOW)T_max,
+    T_max] always holds at least MIN_TAIL_CHECKPOINTS checkpoints."""
+    cap = max(dt, TAIL_WINDOW * T_max / MIN_TAIL_CHECKPOINTS)
     spacing = max(dt, T_max / 512.0)
     ts = []
     t = 0.0
@@ -49,15 +48,15 @@ def checkpoint_times(T_max: float, dt: float, window: float = 0.25) -> np.ndarra
     return np.asarray(idx, dtype=int) * dt
 
 
-def _checkpoint_ladder(grid: TimeGrid, window: float):
+def _checkpoint_ladder(grid: TimeGrid):
     """Checkpoint times on `grid`, their grid indices and the tail-window mask.
 
     Raises SimulationError when fewer than 5 checkpoints fall in the tail
-    window [(1-window)T, T], where no tail statistic is meaningful.
+    window, where no tail statistic is meaningful.
     """
-    ts = checkpoint_times(grid.horizon, grid.dt, window)
+    ts = checkpoint_times(grid.horizon, grid.dt)
     indices = np.round(ts / grid.dt).astype(int)
-    tail_mask = ts >= (1.0 - window) * grid.horizon - 1e-9
+    tail_mask = ts >= (1.0 - TAIL_WINDOW) * grid.horizon - 1e-9
     if tail_mask.sum() < 5:
         raise SimulationError(f"only {tail_mask.sum()} checkpoints fall in the tail window; increase T_max")
     return ts, indices, tail_mask
@@ -100,10 +99,9 @@ def ergodic_report_from_ensemble(
     model: ModelSpec,
     ensemble: PathEnsemble,
     control: ControlLaw,
-    window: float = 0.25,
 ) -> ErgodicCostReport:
     """Checkpointed J_T/T ladder evaluated on an existing ensemble."""
-    ts, indices, tail_mask = _checkpoint_ladder(ensemble.grid, window)
+    ts, indices, tail_mask = _checkpoint_ladder(ensemble.grid)
     sums = _cost_sums_at(model, ensemble, control, indices)
     values = sums.mean(axis=0) / ts
     ci = _ci95_halfwidth(sums[:, -1] / ts[-1])
@@ -111,7 +109,7 @@ def ergodic_report_from_ensemble(
         checkpoints=tuple((float(t), float(v)) for t, v in zip(ts, values)),
         tail_min=float(values[tail_mask].min()),
         tail_max=float(values[tail_mask].max()),
-        tail_window=window,
+        tail_window=TAIL_WINDOW,
         ci=ci,
         control_id=ensemble.control_id,
         seed=ensemble.seed,
@@ -125,13 +123,12 @@ def estimate_ergodic_cost(
     T_max: float,
     M: int,
     seed: int,
-    window: float = 0.25,
     dt: float = 0.01,
 ) -> ErgodicCostReport:
     """Simulate under `control` and report the J_T/T checkpoint ladder."""
     grid = TimeGrid.from_horizon(T_max, dt)
     ensemble = simulate_state(model, control, x0, grid, M, seed)
-    return ergodic_report_from_ensemble(model, ensemble, control, window)
+    return ergodic_report_from_ensemble(model, ensemble, control)
 
 
 @dataclass(frozen=True)

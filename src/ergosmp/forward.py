@@ -534,7 +534,8 @@ def ensemble_to_binary(ensemble: PathEnsemble, path: str) -> None:
 
 def ensemble_from_binary(path: str) -> PathEnsemble:
     """Load a dump written by `ensemble_to_binary`; a file whose header or
-    length does not match that layout raises SimulationError."""
+    length does not match that layout, whose header has M, n or d = 0, or
+    that holds a non-finite number raises SimulationError."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != _BINARY_MAGIC:
@@ -545,6 +546,8 @@ def ensemble_from_binary(path: str) -> PathEnsemble:
         version, m, steps, n, d, seed, dt = _BINARY_HEADER.unpack(header)
         if version != _BINARY_VERSION:
             raise SimulationError(f"unsupported dump version {version}")
+        if min(m, n, d) == 0:
+            raise SimulationError(f"ensemble dump header has an empty axis (M={m}, n={n}, d={d})")
         expected = 4 + len(header) + 8 * (n + m * (steps + 1) * n + m * steps * d)
         if size != expected:
             raise SimulationError(
@@ -556,6 +559,9 @@ def ensemble_from_binary(path: str) -> PathEnsemble:
         states = states.reshape(m, steps + 1, n).astype(float)
         incr = np.frombuffer(fh.read(8 * m * steps * d), dtype="<f8")
         incr = incr.reshape(m, steps, d).astype(float)
+    for name, arr in (("x0", x0), ("states", states), ("increments", incr)):
+        if not np.isfinite(arr).all():
+            raise SimulationError(f"ensemble dump holds a non-finite value in its {name}")
     # Re-buffer time-major so per-step slices stay contiguous downstream.
     states = _time_major(np.ascontiguousarray(states.transpose(1, 0, 2)))
     incr = _time_major(np.ascontiguousarray(incr.transpose(1, 0, 2)))

@@ -244,7 +244,9 @@ class ControlLaw:
         """Evaluate at states x of shape (..., n); returns controls (..., l) in U."""
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
-            u = np.broadcast_to(self.const, x.shape[:-1] + self.const.shape).copy()
+            u = np.empty(x.shape[:-1] + self.const.shape)
+            for i, c in enumerate(self.const):
+                u[..., i] = c
         elif self.kind == "affine_feedback":
             u = _mat_vec(self.gain, x, self.offset)
         elif self.kind == "tabulated_feedback":
@@ -429,7 +431,9 @@ def drift_at(model: ModelSpec, X, U) -> np.ndarray:
     """b(x, u) for X of shape (M, n), U of shape (M, l): returns (M, n)."""
     out = _mat_vec(model.A[None, :, :], X, _mat_vec(model.B[None, :, :], U))
     if model.has_cubic:
-        out = out - model.alpha * (X * X * X)  # X**3 calls libm pow per element
+        for k, a in enumerate(model.alpha):  # one column at a time, as _mat_vec
+            x = X[..., k]
+            out[..., k] -= a * (x * x * x)  # x**3 calls libm pow per element
     return out
 
 
@@ -448,7 +452,7 @@ def drift_jac_apply(model: ModelSpec, X, Z) -> np.ndarray:
     """(D_x b) Z for Z of shape (M, n), without materializing the Jacobians."""
     out = _mat_vec(model.A, Z)
     if model.has_cubic:
-        out = out - 3.0 * model.alpha * X**2 * Z
+        _sub_cubic_jac(model, X, Z, out)
     return out
 
 
@@ -461,8 +465,15 @@ def drift_jacT_apply(model: ModelSpec, X, P) -> np.ndarray:
     """(D_x b)^T P for P of shape (M, n), without materializing the Jacobians."""
     out = P @ model.A
     if model.has_cubic:
-        out = out - 3.0 * model.alpha * X**2 * P
+        _sub_cubic_jac(model, X, P, out)
     return out
+
+
+def _sub_cubic_jac(model: ModelSpec, X, Z, out) -> None:
+    """out -= 3 alpha X^2 Z, the diagonal cubic part of D_x b applied to Z,
+    one coordinate column at a time; each product is the broadcast one's."""
+    for k, a in enumerate(model.alpha):
+        out[..., k] -= 3.0 * a * X[..., k] ** 2 * Z[..., k]
 
 
 def drift_jacU_T_apply(model: ModelSpec, P) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adjoint import AdjointSolution, RegressionBasis, _pathwise_dual, extend_to_infinite
+from .adjoint import AdjointSolution, _pathwise_dual, extend_to_infinite
 from .ergodic_cost import _checkpoint_ladder, ergodic_report_from_ensemble
 from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _path_integrals,
                       _require_base_under, _require_grid, _simulate_on, _time_major, brownian_increments)
@@ -115,10 +115,8 @@ def evaluate_variational_inequality(
     T_max: float,
     M: int,
     seed: int,
-    window: float = 0.25,
     dt: float = 0.01,
     buffer: float = 3.0,
-    basis: Optional[RegressionBasis] = None,
     x0=None,
     adjoint: Optional[AdjointSolution] = None,
 ) -> List[SmpReport]:
@@ -129,18 +127,18 @@ def evaluate_variational_inequality(
     2 CI) certifies non-optimality of u_bar (contrapositive use of the
     variational inequality); nonnegative tails are merely consistent with
     optimality.  A supplied `adjoint` must lie on the grid of (T_max, dt) and
-    be solved under u_bar.
+    be solved under u_bar; its ensemble then overrides M, seed, buffer and x0.
     """
     if x0 is None:
         x0 = np.zeros(model.n)
     if adjoint is None:
-        adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed, basis=basis)
+        adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed)
     else:
         _require_grid(adjoint.grid, T_max, dt, "costate")
         _require_base_under(adjoint.ensemble, u_bar, "evaluate_variational_inequality")
     grid = adjoint.grid
     ens = adjoint.ensemble
-    ts, indices, tail_mask = _checkpoint_ladder(grid, window)
+    ts, indices, tail_mask = _checkpoint_ladder(grid)
     candidates = [cand for _, cand in u_candidates]
     X, P = _time_major(ens.states), _time_major(adjoint.p)
 
@@ -207,10 +205,8 @@ def check_sufficiency(
     M: int,
     seed: int,
     probes: int = 200,
-    window: float = 0.25,
     dt: float = 0.01,
     buffer: float = 3.0,
-    basis: Optional[RegressionBasis] = None,
     x0=None,
 ) -> SufficiencyReport:
     """Sufficient-condition check: sampled convexity of the Hamiltonian along
@@ -221,10 +217,10 @@ def check_sufficiency(
         raise SimulationError("check_sufficiency: probes must be >= 1")
     if x0 is None:
         x0 = np.zeros(model.n)
-    adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed, basis=basis)
+    adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed)
     reports = evaluate_variational_inequality(
         model, u_bar, candidate_battery(model, u_bar, seed=seed), T_max, M, seed,
-        window=window, dt=dt, buffer=buffer, basis=basis, x0=x0, adjoint=adjoint,
+        dt=dt, adjoint=adjoint,
     )
     minimality_tail = min(r.tail_min for r in reports)
 
@@ -259,7 +255,6 @@ class OptimizeResult(_Report):
 
 
 _OPT_BURN_IN = 1.0   # gradient samples start here (at most T/2)
-_OPT_WINDOW = 0.25   # tail window of the cost ladder
 _OPT_PATIENCE = 8    # iterations without improvement before "stalled"
 
 
@@ -319,7 +314,7 @@ def optimize_control(
     for it in range(iterations):
         ensemble = _simulate_on(model, law, x0, grid_full, dW, seed)
         psi = _pathwise_dual(model, ensemble)
-        report = ergodic_report_from_ensemble(model, ensemble.restricted(T), law, _OPT_WINDOW)
+        report = ergodic_report_from_ensemble(model, ensemble.restricted(T), law)
 
         # Pool the steps [j_burn, j_top) of the time-major buffers; one
         # evaluation of the feedback serves every step.

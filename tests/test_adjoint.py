@@ -6,14 +6,14 @@ from ergosmp import (
     ControlLaw,
     ConvexSet,
     ModelSpec,
-    RegressionBasis,
     TimeGrid,
     check_truncation_consistency,
     extend_to_infinite,
     simulate_state,
     solve_adjoint_finite,
 )
-from ergosmp.adjoint import _pathwise_dual, adjoint_coefficients_dict, adjoint_to_csv
+import ergosmp.adjoint
+from ergosmp.adjoint import _RIDGE, _feature_count, _features_t, _pathwise_dual, adjoint_coefficients_dict, adjoint_to_csv
 from ergosmp.ergodic_cost import estimate_gateaux
 from ergosmp.forward import _block_steps, _time_major, direction_from_laws, simulate_affine_dual
 from ergosmp.model import cost_grad_u, cost_grad_x, drift_jacT_apply, drift_jacU_apply
@@ -25,27 +25,21 @@ def _zero_cost_model():
 
 
 def test_basis_feature_count():
-    basis = RegressionBasis(degree=3)
-    assert basis.feature_count(1) == 4
-    assert basis.feature_count(2) == 10
-    feats = basis.features_t(np.array([[2.0]]))
+    assert _feature_count(1) == 4
+    assert _feature_count(2) == 10
+    assert _feature_count(3) == 20
+    feats = _features_t(np.array([[2.0]]))
     assert feats[:, 0].tolist() == [1.0, 2.0, 4.0, 8.0]
-    with pytest.raises(AdjointError):
-        RegressionBasis(degree=0)
-    for ridge in (-1.0, np.nan, np.inf):
-        with pytest.raises(AdjointError):
-            RegressionBasis(ridge=ridge)
 
 
 def test_basis_order_and_values_n2_degree3():
     exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
-    basis = RegressionBasis(degree=3)
     # graded-lexicographic order, exact on integer states
-    assert basis.features_t(np.array([[2.0, 3.0]]))[:, 0].tolist() == [
+    assert _features_t(np.array([[2.0, 3.0]]))[:, 0].tolist() == [
         float(2**a * 3**b) for a, b in exps]
     X = np.random.default_rng(11).standard_normal((4096, 2)) * 2.0
     ref = np.array([np.prod([X[:, i] ** k for i, k in enumerate(e)], axis=0) for e in exps])
-    ft = basis.features_t(X)
+    ft = _features_t(X)
     assert ft.shape == (10, 4096)
     assert np.all(np.abs(ft - ref) <= np.spacing(np.abs(ref)))
 
@@ -54,12 +48,11 @@ def test_basis_order_and_values_n2_degree3():
 def test_features_of_a_stack_match_per_step_and_path_prefix(n):
     # built from a contiguous (..., n, M) copy: a time-major stack or a view
     # gives per-step features, and the first k paths equal the k-path call
-    basis = RegressionBasis(degree=3)
     stack = np.random.default_rng(12).standard_normal((5, 97, n)) * 2.0
     for X in (stack, stack.transpose(1, 0, 2)[:, 1:4].transpose(1, 0, 2)):
-        ft = basis.features_t(X)
-        assert ft.tobytes() == np.stack([basis.features_t(x) for x in X]).tobytes()
-        assert basis.features_t(X[:, :30]).tobytes() == ft[..., :30].tobytes()
+        ft = _features_t(X)
+        assert ft.tobytes() == np.stack([_features_t(x) for x in X]).tobytes()
+        assert _features_t(X[:, :30]).tobytes() == ft[..., :30].tobytes()
 
 
 def test_zero_cost_gives_zero_adjoint(lq1_zero, lq1_base8):
@@ -107,27 +100,30 @@ def test_solver_requires_matching_control(lq1, lq1_one, lq1_base8):
         solve_adjoint_finite(lq1, lq1_base8, lq1_one)
 
 
-def test_rank_deficiency_reports_step(lq1, lq1_zero):
+def test_rank_deficiency_reports_step(lq1, lq1_zero, monkeypatch):
+    # A positive ridge keeps the Gram matrix of centred features positive
+    # definite, so only an unpenalized fit on 2 paths reaches the error.
+    monkeypatch.setattr(ergosmp.adjoint, "_RIDGE", 0.0)
     tiny = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.1, steps=3), 2, seed=1)
     with pytest.raises(AdjointError, match="step"):
-        solve_adjoint_finite(lq1, tiny, lq1_zero, basis=RegressionBasis(degree=3, ridge=0.0))
+        solve_adjoint_finite(lq1, tiny, lq1_zero)
 
 
-def _per_step_ridge_reference(model, ens, basis):
+def _per_step_ridge_reference(model, ens):
     """Costate by one plain ridge least-squares fit per step, backward: the
     standardized monomials of X_j, normal equations solved by np.linalg.solve."""
     M, steps, n, d, dt = ens.n_paths, ens.grid.steps, model.n, model.d, ens.grid.dt
     p, q = np.zeros((M, steps + 1, n)), np.zeros((M, steps, d, n))
     for j in range(steps - 1, -1, -1):
         x, p_next = ens.states[:, j], p[:, j + 1]
-        F = basis.features_t(x).T
+        F = _features_t(x).T
         mean = F.mean(axis=0)
         mean[0] = 0.0
         std = np.sqrt(((F - mean) ** 2).mean(axis=0))
         std[0] = 1.0
         std[std < 1e-300] = 1.0
         F = (F - mean) / std
-        penalty = basis.ridge * np.eye(F.shape[1])
+        penalty = _RIDGE * np.eye(F.shape[1])
         penalty[0, 0] = 0.0
         driver = p_next @ model.A - 3.0 * model.alpha * x**2 * p_next + 2.0 * x @ model.Q
         targets = np.concatenate([p_next[:, None, :] * ens.increments[:, j, :, None] / dt,
@@ -149,33 +145,31 @@ def test_blocked_solve_matches_per_step_reference(family, M, steps, tol):
     else:
         model = getattr(ModelSpec, family)()
         law = ControlLaw.affine([[-0.4]], [0.1], model.control_set)
-    basis = RegressionBasis()
     ens = simulate_state(model, law, np.full(model.n, 0.7), TimeGrid(dt=0.02, steps=steps), M, seed=3)
-    assert steps > 2 * _block_steps(8 * basis.feature_count(model.n) * M)  # several time blocks
-    sol = solve_adjoint_finite(model, ens, law, basis=basis)
-    p, q = _per_step_ridge_reference(model, ens, basis)
+    assert steps > 2 * _block_steps(8 * _feature_count(model.n) * M)  # several time blocks
+    sol = solve_adjoint_finite(model, ens, law)
+    p, q = _per_step_ridge_reference(model, ens)
     assert np.abs(sol.p - p).max() <= tol * max(1.0, np.abs(p).max())
     assert np.abs(sol.q - q).max() <= tol * max(1.0, np.abs(q).max())
 
 
 def test_martingale_residual_orthogonality(lq1, lq1_zero, lq1_base8):
-    basis = RegressionBasis(degree=3, ridge=1e-8)
-    sol = solve_adjoint_finite(lq1, lq1_base8, lq1_zero, basis=basis)
+    sol = solve_adjoint_finite(lq1, lq1_base8, lq1_zero)
     dt = lq1_base8.grid.dt
     for j in (150, 400):
         xj = lq1_base8.states[:, j]
-        raw = basis.features_t(xj).T
+        raw = _features_t(xj).T
         F = (raw - sol.feature_mean[j]) / sol.feature_std[j]
         p_next = sol.p[:, j + 1]
         driver = drift_jacT_apply(lq1, xj, p_next) + cost_grad_x(lq1, xj)
         resid = (p_next + dt * driver) - F @ sol.coef_p[j]
         moment = F.T @ resid  # normal equations: F^T r = ridge * D * coef
-        expected = basis.ridge * sol.coef_p[j]
+        expected = _RIDGE * sol.coef_p[j]
         expected[0] = 0.0
         assert np.max(np.abs(moment - expected)) < 1e-7
         # the q fit of the same step solves its own normal equations
         resid_q = p_next * (lq1_base8.increments[:, j, 0, None] / dt) - F @ sol.coef_q[j, 0]
-        expected_q = basis.ridge * sol.coef_q[j, 0]
+        expected_q = _RIDGE * sol.coef_q[j, 0]
         expected_q[0] = 0.0
         assert np.max(np.abs(F.T @ resid_q - expected_q)) < 1e-7
 

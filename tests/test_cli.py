@@ -95,14 +95,23 @@ BAD_INPUT = [
      None),
     ("optimize-ridge-removed", ["optimize", *COMMON, "--T", "4", "--buffer", "1", "--iters", "2", "--ridge", "1e-6"],
      None),
+    ("adjoint-degree-removed", ["adjoint", *COMMON, "--T", "1", "--buffer", "1", "--degree", "2"], None),
+    ("adjoint-ridge-removed", ["adjoint", *COMMON, "--T", "1", "--buffer", "1", "--ridge", "nan"], None),
+    ("duality-check-degree-removed", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--degree", "2"], None),
+    ("duality-check-ridge-removed", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--ridge", "1e-6"], None),
+    ("smp-check-degree-removed", ["smp-check", *COMMON, "--T", "4", "--buffer", "1", "--degree", "2"], None),
+    ("smp-check-ridge-removed", ["smp-check", *COMMON, "--T", "4", "--buffer", "1", "--ridge", "1e-6"], None),
+    ("smp-check-window-removed", ["smp-check", *COMMON, "--T", "4", "--buffer", "1", "--window", "0.5"], None),
+    ("sufficiency-degree-removed", ["sufficiency", *COMMON, "--T", "4", "--buffer", "1", "--degree", "2"], None),
+    ("sufficiency-ridge-removed", ["sufficiency", *COMMON, "--T", "4", "--buffer", "1", "--ridge", "1e-6"], None),
+    ("sufficiency-window-removed", ["sufficiency", *COMMON, "--T", "4", "--buffer", "1", "--window", "0.5"], None),
+    ("cost-window-removed", ["cost", *COMMON, "--T", "4", "--window", "0.5"], None),
     ("verify-suite-removed", ["verify", "--suite", "all"], None),
     ("x0-not-a-number", ["cost", *COMMON, "--T", "4", "--x0", "abc"], None),
     ("dt-nan", ["simulate", "--seed", "3", "--M", "16", "--T", "1", "--dt", "nan"], None),
     ("T-inf", ["simulate", *COMMON, "--T", "inf"], None),
     ("adjoint-buffer-nan", ["adjoint", *COMMON, "--T", "1", "--buffer", "nan"], None),
     ("optimize-gamma-nan", ["optimize", *COMMON, "--T", "4", "--buffer", "1", "--iters", "1", "--gamma", "nan"], None),
-    ("adjoint-ridge-nan", ["adjoint", *COMMON, "--T", "1", "--buffer", "1", "--ridge", "nan"], None),
-    ("adjoint-ridge-inf", ["adjoint", *COMMON, "--T", "1", "--buffer", "1", "--ridge", "inf"], None),
     ("duality-t-nan", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--t", "nan"], None),
     ("duality-threshold-nan", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--threshold", "nan"], None),
     ("config-n-string", ["cost", *COMMON, "--T", "4"], {"n": "x"}),
@@ -167,6 +176,17 @@ def test_bad_input_exits_1_without_traceback(lq1_config, tmp_path, capsys, argv,
     assert "Traceback" not in err
     if message is not None:
         assert message in err
+
+
+def test_simulate_rejects_unknown_format_before_simulating(lq1_config, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated before validating --formats")
+
+    monkeypatch.setattr(ergosmp.cli, "simulate_state", fail)
+    assert _run(lq1_config, tmp_path, "simulate", *COMMON, "--T", "2", "--formats", "csv,parquet") == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "parquet" in err
+    assert "Traceback" not in err
 
 
 def test_infinite_duality_check_simulates_once(lq1_config, tmp_path, monkeypatch):

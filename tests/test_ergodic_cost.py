@@ -53,7 +53,7 @@ def test_cost_rejects_ensemble_of_another_law(lq1, lq1_base8):
 
 
 def test_checkpoint_schedule_properties():
-    ts = checkpoint_times(20.0, 0.01, window=0.25)
+    ts = checkpoint_times(20.0, 0.01)
     assert ts[-1] == pytest.approx(20.0)
     assert np.all(np.diff(ts) > 0)
     tail = ts[ts >= 0.75 * 20.0 - 1e-9]

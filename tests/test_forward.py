@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from ergosmp import (
     verify_expansion_residual,
 )
 from ergosmp.adjoint import adjoint_to_csv
-from ergosmp.forward import BLOCK_BYTES, _path_integrals, brownian_increments
+from ergosmp.forward import _BINARY_HEADER, BLOCK_BYTES, _path_integrals, brownian_increments
 
 
 def test_grid_validation():
@@ -336,6 +338,22 @@ def test_binary_rejects_truncated_dumps(tmp_path, lq1, lq1_zero):
     path.write_bytes(data + b"\0" * 8)
     with pytest.raises(SimulationError, match="implies"):
         ensemble_from_binary(str(path))
+    # M, n or d = 0 in a header whose length matches: an empty axis
+    version, m, steps, n, d, seed, dt = _BINARY_HEADER.unpack(data[4:4 + _BINARY_HEADER.size])
+    x0 = data[4 + _BINARY_HEADER.size:][:8 * n]
+    for m_, n_, d_ in ((0, n, d), (m, 0, d), (m, n, 0)):
+        header = _BINARY_HEADER.pack(version, m_, steps, n_, d_, seed, dt)
+        payload = x0[:8 * n_] + b"\0" * 8 * (m_ * (steps + 1) * n_ + m_ * steps * d_)
+        path.write_bytes(data[:4] + header + payload)
+        with pytest.raises(SimulationError, match="empty axis"):
+            ensemble_from_binary(str(path))
+    # a non-finite number in x0, the states or the increments
+    body = 4 + _BINARY_HEADER.size
+    for name, offset in (("x0", body), ("states", body + 8 * n + 8 * 7), ("increments", len(data) - 8)):
+        for bad in (np.nan, np.inf):
+            path.write_bytes(data[:offset] + struct.pack("<d", bad) + data[offset + 8:])
+            with pytest.raises(SimulationError, match=f"non-finite value in its {name}"):
+                ensemble_from_binary(str(path))
 
 
 def test_csv_export(tmp_path, lq1, lq1_zero):

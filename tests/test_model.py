@@ -254,6 +254,39 @@ def test_cubic_drift_within_2_ulp_of_pow(family, cubic1):
     assert np.all(np.abs(got - ref) <= tol)
 
 
+CUBIC2 = dict(A=[[-1.0, 0.3], [0.2, -0.7]], B=[[1.0], [0.5]], S=[[0.5], [0.4]], Q=np.eye(2), R=np.eye(1))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cubic_terms_match_broadcast_formulas(n):
+    # the alpha terms run one coordinate column at a time, with the products
+    # and their order of the broadcast formulas: bitwise equal, on states and
+    # on step stacks
+    data = CUBIC2 if n == 2 else LQ3
+    l = np.shape(data["B"])[1]
+    model = ModelSpec.cubic([0.7, 1.3, 0.4][:n], **data, control_set=ConvexSet.box([-5.0] * l, [5.0] * l))
+    linear = dataclasses.replace(model, alpha=np.zeros(n))
+    rng = np.random.default_rng(31)
+    for shape in ((257, n), (3, 257, n)):
+        X, Z = _wide_range(rng, shape), _wide_range(rng, shape)
+        U = _wide_range(rng, shape[:-1] + (model.l,))
+        assert drift_at(model, X, U).tobytes() == (
+            drift_at(linear, X, U) - model.alpha * (X * X * X)).tobytes()
+        assert drift_jac_apply(model, X, Z).tobytes() == (
+            drift_jac_apply(linear, X, Z) - 3.0 * model.alpha * X**2 * Z).tobytes()
+        assert drift_jacT_apply(model, X, Z).tobytes() == (
+            drift_jacT_apply(linear, X, Z) - 3.0 * model.alpha * X**2 * Z).tobytes()
+
+
+def test_constant_law_fills_like_broadcast():
+    # per-coordinate fill of an l = 2 constant law: bitwise the broadcast copy
+    for cs in (ConvexSet.box([-1.0, -0.5], [1.0, 2.0]), ConvexSet.ball([0.5, -0.5], 1.5)):
+        law = ControlLaw.constant([0.3, -0.0], cs)
+        for x in (np.zeros((257, 3)), np.zeros((4, 257, 1))):
+            expected = cs.project(np.broadcast_to(law.const, x.shape[:-1] + (2,)).copy())
+            assert law.evaluate(x).tobytes() == expected.tobytes()
+
+
 def test_lq_equals_cubic_with_zero_alpha():
     cs = ConvexSet.box([-5.0, -5.0], [5.0, 5.0])
     lq = ModelSpec.lq(**LQ3, control_set=cs)

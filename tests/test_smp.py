@@ -287,7 +287,7 @@ def test_optimizer_draws_noise_once(lq1, monkeypatch):
     for row in res.trace:
         law = ControlLaw.affine(row["gain"], row["offset"], lq1.control_set)
         ens = simulate_state(lq1, law, [0.0], grid, 128, 7)
-        report = ergodic_report_from_ensemble(lq1, ens.restricted(3.0), law, 0.25)
+        report = ergodic_report_from_ensemble(lq1, ens.restricted(3.0), law)
         assert (row["cost_tail"], row["ci"]) == (report.tail_max, report.ci)
 
 
@@ -330,8 +330,7 @@ def test_multidim_smoke():
     zero = model.zero_control()
     battery = candidate_battery(model, zero, seed=2, n_random=2)
     reports = evaluate_variational_inequality(
-        model, zero, battery, 4.0, 512, 5, dt=0.02, buffer=1.0,
-        basis=None, x0=np.zeros(2))
+        model, zero, battery, 4.0, 512, 5, dt=0.02, buffer=1.0, x0=np.zeros(2))
     assert len(reports) == len(battery)
     assert any(r.verdict == "violated" for r in reports)
     init = ControlLaw.affine(np.zeros((2, 2)), np.zeros(2), model.control_set)

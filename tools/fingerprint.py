@@ -158,7 +158,7 @@ def fingerprint(values: bool = False) -> dict:
         h(f"{name}.p", sol.p)
         h(f"{name}.q", sol.q)
         nu = np.full((96, n), 0.3)
-        sol2 = E.solve_adjoint_finite(model, ens, law, nu=nu, basis=E.RegressionBasis(degree=2))
+        sol2 = E.solve_adjoint_finite(model, ens, law, nu=nu)
         h(f"{name}.p_nu", sol2.p)
         h(f"{name}.q_nu", sol2.q)
         for th in (0.0, 0.5):
