@@ -179,7 +179,8 @@ def solve_adjoint_finite(
     """Backward least-squares Monte Carlo solve on the ensemble horizon.
 
     `nu` is the terminal condition: None for zero, otherwise a per-path
-    (M, n) array.  The terminal value is imposed exactly.
+    (M, n) array.  The terminal value is imposed exactly.  Fewer paths M
+    than features K raise AdjointError: every step's fit is rank-deficient.
     """
     if ensemble.control_id != u_bar.describe():
         raise AdjointError(
@@ -188,6 +189,9 @@ def solve_adjoint_finite(
     grid = ensemble.grid
     M, steps, n, d = ensemble.n_paths, grid.steps, model.n, model.d
     K = _feature_count(n)
+    if M < K:
+        # The ridge would hide it: the centred design has rank at most M.
+        raise AdjointError(f"rank-deficient regression from step {steps - 1}: M={M} paths for K={K} features")
     dt = grid.dt
     Pbuf = np.empty((steps + 1, M, n))
     Qbuf = np.empty((steps, M, d, n))

@@ -9,6 +9,12 @@ another.  Sharing the increments, coupled runs differ only by systematic
 effects, never by sampling noise.  Increments are generated from
 counter-based Philox streams keyed by (seed, path index), so every ensemble
 is bit-reproducible and its first k paths equal the k-path ensemble.
+
+The three forward kernels keep those bits and run along the long axes:
+`brownian_increments` draws whole paths into a path-major chunk and
+transposes it into the time-major buffer, the tamed-Euler loop makes each
+time block's noise terms in one call and checks finiteness once per block,
+and the CSV writer formats each path with one `%` of a per-file template.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -54,10 +59,11 @@ _BINARY_MAGIC = b"ERGP"
 _BINARY_VERSION = 1
 _BINARY_HEADER = struct.Struct("<IQQQQQd")  # version, M, steps, n, d, seed, dt
 
-# Bytes of one time block's stack.  The hot loops that do not recur in time
-# (time integrands, the costate design) work on this many bytes of steps at
-# once: enough steps to amortize numpy's per-call cost, few enough that a
-# block's handful of temporaries stays cache-sized whatever the horizon.
+# Bytes of one time block's stack.  The hot loops work on this many bytes of
+# steps at once: the time integrands, the costate design, the noise terms of
+# a tamed-Euler block and its finiteness check, and (of whole paths) a noise
+# chunk.  Enough to amortize numpy's per-call cost, few enough that a block's
+# handful of temporaries stays cache-sized whatever the horizon.
 BLOCK_BYTES = 512 << 10
 
 
@@ -163,10 +169,25 @@ def brownian_increments(seed: int, M: int, grid: TimeGrid, d: int) -> np.ndarray
     """
     if not (0 <= int(seed) < 2**63):
         raise SimulationError("seed must be a nonnegative 63-bit integer")
-    buf = np.empty((grid.steps, M, d))
-    for i in range(M):
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        buf[:, i, :] = gen.standard_normal((grid.steps, d))
+    steps = grid.steps
+    buf = np.empty((steps, M, d))
+    # Whole paths are drawn into a path-major chunk, which one transposed
+    # assignment copies into the time-major buffer; writing each path
+    # straight into it would stride M*d*8 bytes per step.
+    per_chunk = _block_steps(8 * steps * d)
+    chunk = np.empty((min(M, per_chunk), steps, d))
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    # Philox(key=[seed, i]) as a state: counter 0 and an empty buffer.
+    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": None},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for i0 in range(0, M, per_chunk):
+        i1 = min(i0 + per_chunk, M)
+        for i in range(i0, i1):
+            state["state"]["key"] = np.array([seed, i], dtype=np.uint64)
+            bitgen.state = state
+            gen.standard_normal((steps, d), out=chunk[i - i0])
+        buf[:, i0:i1] = chunk[: i1 - i0].transpose(1, 0, 2)
     buf *= np.sqrt(grid.dt)
     return _time_major(buf)
 
@@ -212,10 +233,12 @@ class PathEnsemble:
 
 
 def _check_finite(X, step, what):
+    """Raise if the (M, n) states X of step `step`, or a (B, M, n) stack of
+    the steps from `step` on, hold a non-finite value, naming the first such
+    step and its lowest path."""
     if not np.isfinite(X).all():
-        bad = np.argwhere(~np.isfinite(X))
-        path = int(bad[0, 0])
-        raise SimulationError(f"{what}: non-finite value at step {step}, path {path}")
+        bad = np.argwhere(~np.isfinite(X.reshape((-1,) + X.shape[-2:])))[0]
+        raise SimulationError(f"{what}: non-finite value at step {step + int(bad[0])}, path {int(bad[1])}")
 
 
 def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, what: str) -> np.ndarray:
@@ -225,18 +248,35 @@ def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, wh
     for the cubic drift term; the diffusion term is standard Euler.
     `control_at(j, x_j)` returns the (M, l) controls of step j.  Returns the
     states (M, steps+1, n) on a time-major buffer.
+
+    Steps run in time blocks of BLOCK_BYTES of states: one `_mat_vec` call
+    makes a block's noise terms (bitwise the per-step calls), and one check
+    per block names the first non-finite step and its lowest path, as a check
+    per step would.  Steps after a blow-up run silently until that check.
     """
     M, steps = dW.shape[:2]
-    Xbuf = np.empty((steps + 1, M, model.n))
+    n = model.n
+    Xbuf = np.empty((steps + 1, M, n))
     Xbuf[0] = x0
-    for j in range(steps):
-        xj = Xbuf[j]
-        uj = control_at(j, xj)
-        b = drift_at(model, xj, uj)
-        bnorm = np.sqrt(_dot(b, b))[:, None]
-        noise = _mat_vec(model.S[None, :, :], dW[:, j])
-        Xbuf[j + 1] = xj + dt * b / (1.0 + dt * bnorm) + noise
-        _check_finite(Xbuf[j + 1], j + 1, what)
+    dW_tm = dW.transpose(1, 0, 2)
+    block = _block_steps(8 * M * n)
+    for j0 in range(0, steps, block):
+        j1 = min(j0 + block, steps)
+        noise = _mat_vec(model.S, dW_tm[j0:j1])
+        with np.errstate(all="ignore"):
+            for j in range(j0, j1):
+                xj = Xbuf[j]
+                b = drift_at(model, xj, control_at(j, xj))
+                # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order.
+                scale = np.sqrt(_dot(b, b))
+                scale *= dt
+                scale += 1.0
+                b *= dt
+                b /= scale[:, None]
+                xn = Xbuf[j + 1]
+                np.add(xj, b, out=xn)
+                xn += noise[j - j0]
+        _check_finite(Xbuf[j0 + 1:j1 + 1], j0 + 1, what)
     return _time_major(Xbuf)
 
 
@@ -483,19 +523,31 @@ def _paths_to_csv(path: str, header, dt: float, blocks) -> None:
     """Write one CSV row per (path, step): path, step, t, then each block's
     values at that step.  `blocks` are (M, steps_b, ...) arrays, trailing
     axes flattened; the first spans every step and a shorter block leaves
-    its cells blank past its end."""
-    steps_plus = blocks[0].shape[1]
-    prefixes = [f",{j},{j * dt!r}," for j in range(steps_plus)]
+    its cells blank past its end.
+
+    Each path is one `%` of a per-file template: every row's fixed text
+    (step, t, blanks) with one `%r` per cell, which is the cell's `repr`,
+    joined by the path index.  Its values are the blocks' cells interleaved
+    row by row."""
+    M, steps_plus = blocks[0].shape[:2]
+    cols = np.cumsum([0] + [int(np.prod(block.shape[2:])) for block in blocks])
+    spans = list(zip([block.shape[1] for block in blocks], cols, cols[1:]))  # (steps, first, end column)
+    rows = []
+    for j in range(steps_plus):
+        cells = [",".join(["%r" if j < steps_b else ""] * (c1 - c0)) for steps_b, c0, c1 in spans]
+        rows.append(f",{j},{j * dt!r}," + ",".join(cells) + "\n")
+    assert "%" not in "".join(rows).replace("%r", ""), "CSV template text holds a %"
+    # One path's cells on a (steps, columns) grid; `present` drops the blanks.
+    grid = np.empty((steps_plus, cols[-1]))
+    present = np.zeros(grid.shape, dtype=bool)
+    for steps_b, c0, c1 in spans:
+        present[:steps_b, c0:c1] = True
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(blocks[0].shape[0]):
-            columns = []
-            for block in blocks:
-                rows = block[i].reshape(block.shape[1], -1)
-                cells = list(map(",".join, map(map, repeat(repr), rows.tolist())))
-                columns.append(cells + ["," * (rows.shape[1] - 1)] * (steps_plus - len(cells)))
-            lines = map(",".join, zip(*columns))
-            fh.write("".join(map("".join, zip(repeat(str(i)), prefixes, lines, repeat("\n")))))
+        for i in range(M):
+            for block, (steps_b, c0, c1) in zip(blocks, spans):
+                grid[:steps_b, c0:c1] = block[i].reshape(steps_b, -1)
+            fh.write(str(i) + str(i).join(rows) % tuple(grid[present].tolist()))
 
 
 def ensemble_to_csv(ensemble: PathEnsemble, path: str) -> None:

@@ -109,6 +109,20 @@ def test_rank_deficiency_reports_step(lq1, lq1_zero, monkeypatch):
         solve_adjoint_finite(lq1, tiny, lq1_zero)
 
 
+@pytest.mark.parametrize("family,M", [("lq1", 2), ("lq1", 3), ("lq3", 19)])
+def test_fewer_paths_than_features_raises(family, M, lq1, lq3):
+    # The ridge keeps such a Gram matrix positive definite, so the solve
+    # checks M against K = C(n + 3, 3) before it fits.
+    model = {"lq1": lq1, "lq3": lq3}[family]
+    law = model.zero_control()
+    ens = simulate_state(model, law, np.full(model.n, 0.5), TimeGrid(dt=0.1, steps=3), M, seed=1)
+    K = _feature_count(model.n)
+    with pytest.raises(AdjointError, match=f"M={M} paths for K={K} features"):
+        solve_adjoint_finite(model, ens, law)
+    wide = simulate_state(model, law, np.full(model.n, 0.5), TimeGrid(dt=0.1, steps=3), K, seed=1)
+    assert np.isfinite(solve_adjoint_finite(model, wide, law).p).all()
+
+
 def _per_step_ridge_reference(model, ens):
     """Costate by one plain ridge least-squares fit per step, backward: the
     standardized monomials of X_j, normal equations solved by np.linalg.solve."""

@@ -107,6 +107,7 @@ BAD_INPUT = [
     ("sufficiency-window-removed", ["sufficiency", *COMMON, "--T", "4", "--buffer", "1", "--window", "0.5"], None),
     ("cost-window-removed", ["cost", *COMMON, "--T", "4", "--window", "0.5"], None),
     ("verify-suite-removed", ["verify", "--suite", "all"], None),
+    ("adjoint-too-few-paths", ["adjoint", "--seed", "3", "--dt", "0.05", "--M", "2", "--T", "1", "--buffer", "1"], None),
     ("x0-not-a-number", ["cost", *COMMON, "--T", "4", "--x0", "abc"], None),
     ("dt-nan", ["simulate", "--seed", "3", "--M", "16", "--T", "1", "--dt", "nan"], None),
     ("T-inf", ["simulate", *COMMON, "--T", "inf"], None),

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from ergosmp import (
     verify_expansion_residual,
 )
 from ergosmp.adjoint import adjoint_to_csv
-from ergosmp.forward import _BINARY_HEADER, BLOCK_BYTES, _path_integrals, brownian_increments
+import ergosmp.forward
+from ergosmp.forward import (
+    _BINARY_HEADER,
+    BLOCK_BYTES,
+    _path_integrals,
+    _paths_to_csv,
+    _tamed_euler,
+    brownian_increments,
+)
 
 
 def test_grid_validation():
@@ -400,6 +409,61 @@ def test_csv_bytes_match_per_row_reference(tmp_path, family, lq1, lq3):
         write(obj, str(tmp_path / "got.csv"))
         _reference_csv(str(tmp_path / "ref.csv"), header, 0.05, blocks)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_edge_values_match_reference(tmp_path):
+    # Signed zero, the smallest subnormal, both sides of repr's switch to
+    # exponent form, one ulp above 1 and a huge negative, in an n = 2 block
+    # and a shorter two-channel block, over several paths.
+    edge = [-0.0, 5e-324, 1e-5, 9.99e-5, 1e16, 1.0000000000000002, -1.5e300]
+    M, steps = 3, 4
+    p = np.resize(edge, (M, steps + 1, 2))
+    q = np.resize(edge[::-1], (M, steps, 2, 1))
+    header = ["path", "step", "t", "p_1", "p_2", "q1_1", "q2_1"]
+    _paths_to_csv(str(tmp_path / "got.csv"), header, 0.1, [p, q])
+    _reference_csv(str(tmp_path / "ref.csv"), header, 0.1, [p, q])
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert b",-0.0," in got and b"5e-324" in got and b"9.99e-05" in got and b"1e+16" in got
+
+
+def test_noise_matches_per_path_philox_reference(monkeypatch):
+    seed, M, d = 5, 10, 2
+    grid = TimeGrid(dt=0.04, steps=30)
+    # Chunks of 3 paths: 3, 3, 3 and a ragged 1.
+    monkeypatch.setattr(ergosmp.forward, "BLOCK_BYTES", 3 * 8 * grid.steps * d)
+    dW = brownian_increments(seed, M, grid, d)
+    for i in range(M):
+        ref = np.random.Generator(np.random.Philox(key=[seed, i])).standard_normal((grid.steps, d))
+        assert dW[i].tobytes() == (ref * np.sqrt(grid.dt)).tobytes()
+    # The time-major view of a (steps, M, d) buffer.
+    assert dW.shape == (M, grid.steps, d)
+    assert dW.strides == (8 * d, 8 * M * d, 8)
+    # A grid twice as long (one path per chunk now) starts with these increments.
+    longer = brownian_increments(seed, M, TimeGrid(dt=grid.dt, steps=2 * grid.steps), d)
+    assert longer[:, : grid.steps].tobytes() == dW.tobytes()
+
+
+def test_blocked_finiteness_names_first_step_and_lowest_path(lq1, monkeypatch):
+    M, j = 6, 11
+    grid = TimeGrid(dt=0.01, steps=40)
+    monkeypatch.setattr(ergosmp.forward, "BLOCK_BYTES", 8 * 8 * M)  # 8 steps per block
+    dW = brownian_increments(1, M, grid, 1)
+
+    def control_at(k, xk):
+        # Step j (in the second block) blows up paths 3 and 5, step j + 1 path 1.
+        u = np.zeros((M, 1))
+        if k == j:
+            u[[3, 5]] = np.inf
+        if k == j + 1:
+            u[1] = np.inf
+        return u
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SimulationError, match=f"^probe: non-finite value at step {j + 1}, path 3$"):
+            _tamed_euler(lq1, np.zeros(1), dW, grid.dt, control_at, "probe")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_restricted_view(lq1, lq1_zero, lq1_base8):

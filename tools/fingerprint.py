@@ -1,9 +1,9 @@
 """Fingerprint every numeric output of the library at fixed seeds.
 
 Prints a JSON object mapping each output (ensembles, costates, dual and
-first-variation sweeps, VI reports, duality sides, optimizer traces, Gateaux
-and expansion reports, serialized model configs, CLI artifacts and `verify`
-verdicts) to a short SHA-256 of its bytes, at small sizes (a few seconds), on
+first-variation sweeps, raw Brownian increments, VI reports, duality sides,
+optimizer traces, Gateaux and expansion reports, serialized model configs,
+CLI artifacts and `verify` verdicts) to a short SHA-256 of its bytes, at small sizes (a few seconds), on
 lq1, cubic1, a 3-state LQ model, the same model on a box that binds under its
 law and candidate battery, and a 2-state cubic model with a ball control set.
 The two sweeps are the arrays that the linearized-forward simulators return;
@@ -203,6 +203,11 @@ def fingerprint(values: bool = False) -> dict:
         h(f"{name}.incr_direct", E.forward.brownian_increments(11, 17, grid, model.d))
         ci = E.check_truncation_consistency(model, law, 1.0, 2.0, 0.02, 64, 3, x0=x0)
         h(f"{name}.trunc", ci.to_dict())
+
+    # Raw noise, so that a change to the increments shows on its own; 67
+    # paths split unevenly into the noise chunks of either grid.
+    for steps in (300, 600):
+        h(f"noise.seed5.M67.d2.steps{steps}", E.forward.brownian_increments(5, 67, E.TimeGrid(dt=0.01, steps=steps), 2))
 
     # CLI artifacts
     with tempfile.TemporaryDirectory() as td:
