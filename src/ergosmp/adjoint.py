@@ -10,12 +10,15 @@ The costate pair (p, q^1..q^d) solves, on [0, T],
 ridge-regularized least squares on polynomial features of the current state
 (Gobet, Lemor & Warin 2005).  The basis is fixed: every state monomial of
 total degree <= 3, standardized per step, with ridge 1e-8 on all but the
-intercept.  sigma is constant, so the D_xsigma^T q term vanishes and the q
-and p targets of a step are one stacked right-hand side of one factorized
-design; a state-dependent sigma would make the two fits sequential again.  The solve walks backward in time blocks whose
-(steps, K, M) feature stack fits `forward.BLOCK_BYTES`: the designs, their
-Cholesky factors and D_xf are stacked per block, and what reads p_{j+1} runs
-per step.
+intercept.  sigma is constant, so the D_xsigma^T q term vanishes and q does
+not feed back into p: the backward sweep fits p alone, one n-column target
+per step.  q_j depends only on X_j, dW_j and the stored p_{j+1}, so its steps
+are independent; `AdjointSolution.q` fits them per time block after the
+sweep, when first read, from the same designs rebuilt.  A state-dependent
+sigma would put q back into the sweep.  The sweep walks backward in time
+blocks whose (steps, K, M) feature stack fits `forward.BLOCK_BYTES`: the
+designs, their Cholesky factors and D_xf are stacked per block, and what
+reads p_{j+1} runs per step.
 
 `_pathwise_dual` drops the conditional expectation: psi runs the p recursion
 per path, and p_j = E[psi_j | X_j].  The optimizer only averages pairings, so
@@ -126,26 +129,39 @@ def _block_design(X: np.ndarray, j0: int):
 @dataclass(frozen=True)
 class AdjointSolution:
     """Per-step regression coefficients (standardized feature space) and
-    pathwise costate evaluations."""
+    pathwise costate evaluations.  The backward sweep fits p; q and its
+    coefficients are fitted from p, the states and the increments when
+    first read, and cached."""
 
     grid: TimeGrid
     p: np.ndarray             # (M, steps+1, n)
-    q: np.ndarray             # (M, steps, d, n)
     feature_mean: np.ndarray  # (steps, K)
     feature_std: np.ndarray   # (steps, K)
     coef_p: np.ndarray        # (steps, K, n)
-    coef_q: np.ndarray        # (steps, d, K, n)
     terminal_id: str
     ensemble: PathEnsemble
 
     def __post_init__(self):
         self.p.setflags(write=False)
-        self.q.setflags(write=False)
 
     @cached_property
     def sup_p_sq(self) -> float:
         """Max over this solution's steps of the mean squared costate norm."""
         return float(_dot(self.p, self.p).mean(axis=0).max())
+
+    @cached_property
+    def _q_fit(self):
+        return _fit_q(self.ensemble, self.p)
+
+    @property
+    def q(self) -> np.ndarray:
+        """(M, steps, d, n) martingale-increment fit, read-only."""
+        return self._q_fit[0]
+
+    @property
+    def coef_q(self) -> np.ndarray:
+        """(steps, d, K, n) coefficients of the q fit, read-only."""
+        return self._q_fit[1]
 
     def evaluate_p(self, step: int, X: np.ndarray) -> np.ndarray:
         """Fitted costate function of step `step` evaluated at states X."""
@@ -156,15 +172,14 @@ class AdjointSolution:
         return Ft.T @ self.coef_p[step]
 
     def restricted(self, horizon: float) -> "AdjointSolution":
+        """The solution on [0, horizon]; its q is fitted on its own steps."""
         j = self.grid.index_of(horizon)
         return AdjointSolution(
             grid=TimeGrid(dt=self.grid.dt, steps=j),
             p=self.p[:, : j + 1],
-            q=self.q[:, :j],
             feature_mean=self.feature_mean[:j],
             feature_std=self.feature_std[:j],
             coef_p=self.coef_p[:j],
-            coef_q=self.coef_q[:j],
             terminal_id=self.terminal_id,
             ensemble=self.ensemble.restricted(horizon),
         )
@@ -178,23 +193,23 @@ def solve_adjoint_finite(
 ) -> AdjointSolution:
     """Backward least-squares Monte Carlo solve on the ensemble horizon.
 
-    `nu` is the terminal condition: None for zero, otherwise a per-path
-    (M, n) array.  The terminal value is imposed exactly.  Fewer paths M
-    than features K raise AdjointError: every step's fit is rank-deficient.
+    `nu` is the terminal condition: None for zero, otherwise a finite
+    per-path (M, n) array.  The terminal value is imposed exactly.  Fewer
+    paths M than features K raise AdjointError: every step's fit is
+    rank-deficient.
     """
     if ensemble.control_id != u_bar.describe():
         raise AdjointError(
             f"ensemble generated under {ensemble.control_id!r}, not {u_bar.describe()!r}"
         )
     grid = ensemble.grid
-    M, steps, n, d = ensemble.n_paths, grid.steps, model.n, model.d
+    M, steps, n = ensemble.n_paths, grid.steps, model.n
     K = _feature_count(n)
     if M < K:
         # The ridge would hide it: the centred design has rank at most M.
         raise AdjointError(f"rank-deficient regression from step {steps - 1}: M={M} paths for K={K} features")
     dt = grid.dt
     Pbuf = np.empty((steps + 1, M, n))
-    Qbuf = np.empty((steps, M, d, n))
     if nu is None:
         Pbuf[steps] = 0.0
         terminal_id = "zero"
@@ -202,15 +217,14 @@ def solve_adjoint_finite(
         nu = np.asarray(nu, dtype=float)
         if nu.shape != (M, n):
             raise AdjointError(f"nu must have shape ({M}, {n})")
+        if not np.isfinite(nu).all():
+            raise AdjointError("nu (terminal condition) must be finite")
         Pbuf[steps] = nu
         terminal_id = "custom"
     mean = np.empty((steps, K))
     std = np.empty((steps, K))
-    # Channels 0..d-1 hold the q fits, channel d the p fit.
-    coef = np.empty((steps, K, d + 1, n))
-    targets = np.empty((M, d + 1, n))
-    dW_dt = np.empty((M, d))
-    X_tm, dW_tm = _time_major(ensemble.states), _time_major(ensemble.increments)
+    coef_p = np.empty((steps, K, n))
+    X_tm = _time_major(ensemble.states)
     block = _block_steps(8 * K * M)
 
     for j1 in range(steps, 0, -block):
@@ -223,29 +237,50 @@ def solve_adjoint_finite(
             driver = drift_jacT_apply(model, X_tm[j], p_next) + grad_x[b]
             if not np.isfinite(driver).all():
                 raise AdjointError(f"non-finite driver at step {j}")
-            # Martingale-increment targets, one (channel, coordinate) column
-            # at a time, then p's.
-            np.divide(dW_tm[j], dt, out=dW_dt)
-            for ch in range(d):
-                for k in range(n):
-                    np.multiply(p_next[:, k], dW_dt[:, ch], out=targets[:, ch, k])
-            targets[:, d] = p_next + dt * driver
-            c = Linv[b].T @ (Linv[b] @ (Ft[b] @ targets.reshape(M, -1)))
+            # The target p_{j+1} + dt * driver, built in place.
+            driver *= dt
+            driver += p_next
+            c = Linv[b].T @ (Linv[b] @ (Ft[b] @ driver))
             if not np.isfinite(c).all():
                 raise AdjointError(f"non-finite regression coefficients at step {j}")
-            coef[j] = c.reshape(K, d + 1, n)
-            fitted = (Ft[b].T @ c).reshape(M, d + 1, n)
-            Qbuf[j] = fitted[:, :d]
-            Pbuf[j] = fitted[:, d]
+            coef_p[j] = c
+            np.matmul(Ft[b].T, c, out=Pbuf[j])
 
     return AdjointSolution(
-        grid=grid,
-        p=Pbuf.transpose(1, 0, 2),
-        q=Qbuf.transpose(1, 0, 2, 3),
-        feature_mean=mean, feature_std=std,
-        coef_p=coef[:, :, d], coef_q=coef[:, :, :d].transpose(0, 2, 1, 3),
+        grid=grid, p=Pbuf.transpose(1, 0, 2),
+        feature_mean=mean, feature_std=std, coef_p=coef_p,
         terminal_id=terminal_id, ensemble=ensemble,
     )
+
+
+def _fit_q(ensemble: PathEnsemble, p: np.ndarray):
+    """q^i_j = E[p_{j+1} dW^i_j / dt | X_j] on every step of the ensemble,
+    from the costate p (M, steps+1, n): the (M, steps, d, n) fitted values
+    and the (steps, d, K, n) coefficients, both read-only.  The steps are
+    independent, so each time block rebuilds its designs and fits all its
+    steps with stacked products; a non-finite fit raises at its first step."""
+    grid = ensemble.grid
+    M, steps, n, d = ensemble.n_paths, grid.steps, ensemble.n, ensemble.d
+    K = _feature_count(n)
+    X_tm, dW_tm, P_tm = _time_major(ensemble.states), _time_major(ensemble.increments), _time_major(p)
+    Qbuf = np.empty((steps, M, d, n))
+    coef = np.empty((steps, K, d, n))
+    block = _block_steps(8 * K * M)
+    for j0 in range(0, steps, block):
+        j1 = min(j0 + block, steps)
+        Ft, _, _, Linv = _block_design(X_tm[j0:j1], j0)
+        with np.errstate(all="ignore"):  # checked below, by step
+            targets = P_tm[j0 + 1 : j1 + 1, :, None, :] * (dW_tm[j0:j1, :, :, None] / grid.dt)
+            c = Linv.transpose(0, 2, 1) @ (Linv @ (Ft @ targets.reshape(j1 - j0, M, d * n)))
+        finite = np.isfinite(c).all(axis=(1, 2))
+        if not finite.all():
+            raise AdjointError(f"non-finite q regression at step {j0 + int(np.argmin(finite))}")
+        coef[j0:j1] = c.reshape(j1 - j0, K, d, n)
+        np.matmul(Ft.transpose(0, 2, 1), c, out=Qbuf[j0:j1].reshape(j1 - j0, M, d * n))
+    q, coef_q = Qbuf.transpose(1, 0, 2, 3), coef.transpose(0, 2, 1, 3)
+    q.setflags(write=False)
+    coef_q.setflags(write=False)
+    return q, coef_q
 
 
 def _pathwise_dual(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:

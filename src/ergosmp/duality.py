@@ -71,9 +71,18 @@ def _window(grid: TimeGrid, t_start: float, t_end: Optional[float]) -> slice:
     """Grid steps of the forcing window [t_start, t_end), t_end defaulting to
     the horizon; an empty or reversed window raises instead of forcing nothing."""
     t_end = grid.horizon if t_end is None else t_end
+    if not (np.isfinite(t_start) and np.isfinite(t_end)):
+        raise SimulationError(f"forcing window [{t_start}, {t_end}): bounds must be finite")
     if not t_end > t_start:
         raise SimulationError(f"forcing window [{t_start}, {t_end}) is empty: t_end must exceed t_start")
     return slice(grid.index_of(t_start), grid.index_of(t_end))
+
+
+def _finite(value, name: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise SimulationError(f"{name} must be finite")
+    return arr
 
 
 def build_gamma(
@@ -85,15 +94,16 @@ def build_gamma(
     state_matrix=None,
 ) -> Optional[np.ndarray]:
     """Drift forcing on [t_start, t_end): a constant vector, a linear state
-    feedback gamma_t = C X_t, or None for no forcing."""
+    feedback gamma_t = C X_t, or None for no forcing.  Values and window
+    bounds must be finite."""
     if value is None and state_matrix is None:
         return None
     window = _window(base.grid, t_start, t_end)
     gamma = np.zeros((base.n_paths, base.grid.steps, n))
     if value is not None:
-        gamma[:, window] = np.broadcast_to(np.asarray(value, dtype=float), (n,))
+        gamma[:, window] = np.broadcast_to(_finite(value, "gamma: value"), (n,))
     if state_matrix is not None:
-        gamma[:, window] += _mat_vec(np.asarray(state_matrix, dtype=float), base.states[:, window])
+        gamma[:, window] += _mat_vec(_finite(state_matrix, "gamma: state_matrix"), base.states[:, window])
     return gamma
 
 
@@ -106,7 +116,8 @@ def build_rho(
     t_end: Optional[float] = None,
 ) -> Optional[np.ndarray]:
     """Noise forcing rho^i on [t_start, t_end): channel_values maps channel
-    index -> n-vector (e.g. {0: [1.0]}); None for no forcing."""
+    index -> n-vector (e.g. {0: [1.0]}); None for no forcing.  Values and
+    window bounds must be finite."""
     if not channel_values:
         return None
     window = _window(base.grid, t_start, t_end)
@@ -114,7 +125,7 @@ def build_rho(
     for ch, value in channel_values.items():
         if not 0 <= int(ch) < d:
             raise SimulationError(f"rho channel {ch} out of range")
-        rho[:, window, int(ch)] = np.broadcast_to(np.asarray(value, dtype=float), (n,))
+        rho[:, window, int(ch)] = np.broadcast_to(_finite(value, f"rho: channel {ch} value"), (n,))
     return rho
 
 
@@ -137,7 +148,8 @@ def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=Non
     eta_arr = build_eta(eta, base, t, model.n)
     dual = simulate_affine_dual(model, base, u_bar, t, eta_arr, gamma=gamma, rho=rho)
     psi_sq = np.zeros(grid.steps)
-    X, Ycal, P, Q = (_time_major(a) for a in (base.states, dual, sol.p, sol.q))
+    X, Ycal, P = (_time_major(a) for a in (base.states, dual, sol.p))
+    Q = None if rho is None else _time_major(sol.q)  # q is fitted only when read
 
     def rows(j0, j1):
         psi = cost_grad_x(model, X[j0:j1])

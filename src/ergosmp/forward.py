@@ -135,7 +135,7 @@ def _path_integrals(grid: TimeGrid, integrand, indices, shape, start: int = 0) -
     shape `(j1 - j0,) + shape` with paths on the last axis.  The blocks cover
     [start, max(indices)) in order, each at most BLOCK_BYTES of rows.  Every
     time average along an ensemble goes through this one running sum
-    acc = acc + dt * g_j, taken per step in time order (np.cumsum along the
+    acc = acc + dt * g_j, taken per step in time order (row by row along the
     block, seeded with acc), so they all share one summation order and the
     blocking changes no bit.  Indices may be unsorted or repeated; an index
     equal to `start` reads 0.
@@ -154,7 +154,10 @@ def _path_integrals(grid: TimeGrid, integrand, indices, shape, start: int = 0) -
         run = np.empty((j1 - j0 + 1,) + shape)
         run[0] = acc
         np.multiply(grid.dt, integrand(j0, j1), out=run[1:])
-        np.cumsum(run, axis=0, out=run)
+        # One whole-row add per step: np.cumsum along axis 0 would loop
+        # along the strided outer axis.
+        for i in range(1, len(run)):
+            np.add(run[i - 1], run[i], out=run[i])
         sel = (indices >= j0) & (indices <= j1)
         out[..., sel] = np.moveaxis(run[indices[sel] - j0], 0, -1)
         acc = run[-1]

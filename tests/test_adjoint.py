@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,14 @@ from ergosmp import (
     ConvexSet,
     ModelSpec,
     TimeGrid,
+    build_rho,
+    check_sufficiency,
     check_truncation_consistency,
+    evaluate_variational_inequality,
     extend_to_infinite,
     simulate_state,
     solve_adjoint_finite,
+    verify_duality_finite,
 )
 import ergosmp.adjoint
 from ergosmp.adjoint import _RIDGE, _feature_count, _features_t, _pathwise_dual, adjoint_coefficients_dict, adjoint_to_csv
@@ -70,6 +76,9 @@ def test_terminal_condition_exact(lq1, lq1_zero, lq1_base8):
     sol2 = solve_adjoint_finite(lq1, lq1_base8, lq1_zero, nu=nu)
     assert np.array_equal(sol2.p[:, -1], nu)
     assert sol2.terminal_id == "custom"
+    nu[3] = np.nan
+    with pytest.raises(AdjointError, match=r"nu \(terminal condition\) must be finite"):
+        solve_adjoint_finite(lq1, lq1_base8, lq1_zero, nu=nu)
 
 
 def test_lq1_bounded_solution_oracle(lq1, lq1_zero, lq1_base8):
@@ -102,10 +111,12 @@ def test_solver_requires_matching_control(lq1, lq1_one, lq1_base8):
 
 def test_rank_deficiency_reports_step(lq1, lq1_zero, monkeypatch):
     # A positive ridge keeps the Gram matrix of centred features positive
-    # definite, so only an unpenalized fit on 2 paths reaches the error.
+    # definite, so only an unpenalized fit reaches the error.  M = K paths
+    # pass the path-count check; at step 0 they all sit at x0, so the centred
+    # features vanish and only that step's Gram matrix is singular.
     monkeypatch.setattr(ergosmp.adjoint, "_RIDGE", 0.0)
-    tiny = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.1, steps=3), 2, seed=1)
-    with pytest.raises(AdjointError, match="step"):
+    tiny = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.1, steps=3), _feature_count(1), seed=1)
+    with pytest.raises(AdjointError, match="rank-deficient regression at step 0$"):
         solve_adjoint_finite(lq1, tiny, lq1_zero)
 
 
@@ -165,6 +176,46 @@ def test_blocked_solve_matches_per_step_reference(family, M, steps, tol):
     p, q = _per_step_ridge_reference(model, ens)
     assert np.abs(sol.p - p).max() <= tol * max(1.0, np.abs(p).max())
     assert np.abs(sol.q - q).max() <= tol * max(1.0, np.abs(q).max())
+
+
+def test_q_is_fitted_only_when_read(lq1, lq1_zero, monkeypatch):
+    fits = []
+    fit_q = ergosmp.adjoint._fit_q
+
+    def counting(*args):
+        fits.append(args)
+        return fit_q(*args)
+
+    monkeypatch.setattr(ergosmp.adjoint, "_fit_q", counting)
+    one = ControlLaw.constant([1.0], lq1.control_set)
+    verify_duality_finite(lq1, lq1_zero, 0.0, 1.0, eta="one", M=64, seed=1, dt=0.05)
+    evaluate_variational_inequality(lq1, lq1_zero, [("one", one)], 2.0, 64, 1, dt=0.05, buffer=0.5)
+    check_sufficiency(lq1, lq1_zero, 2.0, 64, 1, probes=4, dt=0.05, buffer=0.5)
+    assert fits == []
+    ens = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.05, steps=20), 64, seed=1)
+    sol = solve_adjoint_finite(lq1, ens, lq1_zero)
+    assert fits == []
+    q, coef_q = sol.q, sol.coef_q
+    assert sol.q is q and sol.coef_q is coef_q and len(fits) == 1
+    assert q.shape == (64, 20, 1, 1) and coef_q.shape == (20, 1, 4, 1)
+    assert not q.flags.writeable and not coef_q.flags.writeable
+    # noise forcing pairs with q, so the duality check fits it
+    rho = build_rho(ens, 1, 1, {0: [1.0]})
+    verify_duality_finite(lq1, lq1_zero, 0.0, 1.0, eta="one", rho=rho, base=ens, dt=0.05)
+    assert len(fits) == 2
+
+
+def test_non_finite_increment_fails_only_the_q_fit(lq1, lq1_zero):
+    # p never reads the increments; q's targets do, and each step's fit is
+    # its own, so the error names the first bad step of the block.
+    ens = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.05, steps=20), 64, seed=2)
+    dW = ens.increments.copy()
+    dW[5, 12, 0] = np.inf
+    dW[9, 7, 0] = np.nan
+    sol = solve_adjoint_finite(lq1, dataclasses.replace(ens, increments=dW), lq1_zero)
+    assert np.array_equal(sol.p, solve_adjoint_finite(lq1, ens, lq1_zero).p)
+    with pytest.raises(AdjointError, match="non-finite q regression at step 7$"):
+        sol.q
 
 
 def test_martingale_residual_orthogonality(lq1, lq1_zero, lq1_base8):

@@ -142,9 +142,11 @@ BAD_INPUT = [
 
 NAN, INF = float("nan"), float("inf")
 COST = ["cost", *COMMON, "--T", "4"]
+DUALITY = ["duality-check", *COMMON, "--T", "2", "--eta", "one"]
 
 # (id, argv, config patch or None, text the message must hold): a non-finite
-# coefficient or control parameter is rejected where it enters, by name.
+# coefficient, control parameter or forcing input is rejected where it
+# enters, by name.
 NON_FINITE = [
     ("config-Q-inf", COST, {"Q": [[INF]]}, "Q must be finite"),
     ("config-R-inf", COST, {"R": [[-INF]]}, "R must be finite"),
@@ -164,6 +166,13 @@ NON_FINITE = [
     ("control-edges-nan",
      [*COST, "--control", '{"kind":"tabulated_feedback","edges":[-1,NaN,1],"values":[[1],[0]]}'], None,
      "tabulated law: edges must be finite"),
+    ("duality-gamma-nan", [*DUALITY, "--gamma-const", "nan"], None, "gamma: value must be finite"),
+    ("duality-rho-inf", [*DUALITY, "--rho-channel", "0", "--rho-value", "inf"], None,
+     "rho: channel 0 value must be finite"),
+    ("duality-gamma-end-nan", [*DUALITY, "--gamma-const", "1", "--gamma-end", "nan"], None,
+     "forcing window [0.0, nan): bounds must be finite"),
+    ("duality-rho-end-inf", [*DUALITY, "--rho-channel", "0", "--rho-end", "inf"], None,
+     "forcing window [0.0, inf): bounds must be finite"),
 ]
 CASES = [case + (None,) for case in BAD_INPUT] + NON_FINITE
 

@@ -1,9 +1,10 @@
 """Fingerprint every numeric output of the library at fixed seeds.
 
-Prints a JSON object mapping each output (ensembles, costates, dual and
-first-variation sweeps, raw Brownian increments, VI reports, duality sides,
-optimizer traces, Gateaux and expansion reports, serialized model configs,
-CLI artifacts and `verify` verdicts) to a short SHA-256 of its bytes, at small sizes (a few seconds), on
+Prints a JSON object mapping each output (ensembles, costates and their
+regression coefficients, dual and first-variation sweeps, raw Brownian
+increments, VI reports, duality sides, optimizer traces, Gateaux and
+expansion reports, serialized model configs, CLI artifacts and `verify`
+verdicts) to a short SHA-256 of its bytes, at small sizes (a few seconds), on
 lq1, cubic1, a 3-state LQ model, the same model on a box that binds under its
 law and candidate battery, and a 2-state cubic model with a ball control set.
 The two sweeps are the arrays that the linearized-forward simulators return;
@@ -157,6 +158,8 @@ def fingerprint(values: bool = False) -> dict:
         sol = E.solve_adjoint_finite(model, ens, law)
         h(f"{name}.p", sol.p)
         h(f"{name}.q", sol.q)
+        h(f"{name}.coef_p", sol.coef_p)
+        h(f"{name}.coef_q", sol.coef_q)
         nu = np.full((96, n), 0.3)
         sol2 = E.solve_adjoint_finite(model, ens, law, nu=nu)
         h(f"{name}.p_nu", sol2.p)
