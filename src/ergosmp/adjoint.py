@@ -14,11 +14,17 @@ intercept.  sigma is constant, so the D_xsigma^T q term vanishes and q does
 not feed back into p: the backward sweep fits p alone, one n-column target
 per step.  q_j depends only on X_j, dW_j and the stored p_{j+1}, so its steps
 are independent; `AdjointSolution.q` fits them per time block after the
-sweep, when first read, from the same designs rebuilt.  A state-dependent
-sigma would put q back into the sweep.  The sweep walks backward in time
-blocks whose (steps, K, M) feature stack fits `forward.BLOCK_BYTES`: the
-designs, their Cholesky factors and D_xf are stacked per block, and what
-reads p_{j+1} runs per step.
+sweep, when first read.  A state-dependent sigma would put q back into the
+sweep.  The sweep walks backward in time blocks whose (steps, K, M) feature
+stack fits `forward.BLOCK_BYTES`: the designs and D_xf are stacked per
+block, and what reads p_{j+1} runs per step.
+
+A step's design depends on its states alone, so its factors (feature mean
+and std, the inverse Cholesky factor of its Gram matrix) are built once per
+ensemble and kept in the ensemble's design store, (K^2 + 2K) floats and K
+flags per step.  The q fit, solves on `restricted` views and later solves
+on the same states read them from there and only re-form the features; no
+(K, M) design is kept.
 
 `_pathwise_dual` drops the conditional expectation: psi runs the p recursion
 per path, and p_j = E[psi_j | X_j].  The optimizer only averages pairings, so
@@ -56,6 +62,7 @@ class AdjointError(RuntimeError):
 
 _DEGREE = 3    # total degree of the state monomials
 _RIDGE = 1e-8  # ridge penalty on the standardized non-intercept features
+_FLAT = 1e-12  # a feature whose std is below this fraction of its mean is flat
 
 
 @lru_cache(maxsize=None)
@@ -95,22 +102,57 @@ def _features_t(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_design(X: np.ndarray, j0: int):
-    """Standardized ridge designs of the steps j0, j0+1, ... whose states X
-    are stacked as (B, M, n).  Returns the design stack Ft (B, K, M), the
-    feature means and stds (B, K), and the inverses (B, K, K) of the Cholesky
+def _block_design(ensemble: PathEnsemble, j0: int, j1: int):
+    """Standardized ridge designs of the ensemble's steps j0 .. j1-1: the
+    design stack Ft (B, K, M) and the inverses (B, K, K) of the Cholesky
     factors L of the Gram matrices Ft Ft^T + ridge (intercept unpenalized),
-    so that a fit is coef = L^-T (L^-1 (Ft targets)).  A Gram matrix that is
-    not positive definite raises at the highest such step of the block, the
-    first one a backward walk reaches."""
-    Ft = _features_t(X)
+    so that a fit is coef = L^-T (L^-1 (Ft targets)).
+
+    A step's factors are built once per ensemble (`_step_factors`) and kept
+    in its design store; a stored step's design is its features standardized
+    with the stored mean and std.  The factors of a step depend on its states
+    alone, not on the block, so every fit keeps its bits.  A non-finite state
+    builds silently; the solve names its step at the driver."""
+    X = _time_major(ensemble.states)[j0:j1]
+    store = ensemble._designs
+    if "built" not in store:
+        # Per step of the root ensemble: feature means, stds and flat flags
+        # (steps, K), L^-1 (steps, K, K), and whether the step is built.
+        steps, K = store["steps"], _feature_count(X.shape[-1])
+        store.update(mean=np.empty((steps, K)), std=np.empty((steps, K)), flat=np.empty((steps, K), dtype=bool),
+                     linv=np.empty((steps, K, K)), built=np.zeros(steps, dtype=bool))
+    with np.errstate(all="ignore"):
+        Ft = _features_t(X)
+        new = np.flatnonzero(~store["built"][j0:j1])
+        if len(new) == len(Ft):
+            _step_factors(Ft, store, j0 + new)  # standardizes Ft in place
+            return Ft, store["linv"][j0:j1]
+        if len(new):
+            _step_factors(Ft[new], store, j0 + new)
+        Ft -= store["mean"][j0:j1, :, None]
+        Ft /= store["std"][j0:j1, :, None]
+        Ft[store["flat"][j0:j1]] = 0.0
+    return Ft, store["linv"][j0:j1]
+
+
+def _step_factors(Ft: np.ndarray, store: dict, steps: np.ndarray) -> None:
+    """Build and store the design factors of the grid steps `steps` from
+    their raw feature stack Ft (B, K, M), which is standardized in place.
+
+    A feature is flat when its std is below _FLAT times |mean| (or 1e-300):
+    its paths share one value up to round-off.  It gets a zero column and
+    std 1, so its coefficient is 0; all K columns stay.  A Gram matrix that is not positive
+    definite raises at the highest such step, the first one a backward walk
+    reaches, and nothing is stored."""
     mean = Ft.mean(axis=-1)
     mean[:, 0] = 0.0
     Ft -= mean[..., None]
     std = np.sqrt((Ft * Ft).mean(axis=-1))
     std[:, 0] = 1.0
-    std[std < 1e-300] = 1.0
+    flat = std < np.maximum(_FLAT * np.abs(mean), 1e-300)
+    std[flat] = 1.0
     Ft /= std[..., None]
+    Ft[flat] = 0.0
     diag = np.arange(1, Ft.shape[1])
     gram = Ft @ Ft.transpose(0, 2, 1)
     gram[:, diag, diag] += _RIDGE
@@ -121,9 +163,18 @@ def _block_design(X: np.ndarray, j0: int):
             try:
                 np.linalg.cholesky(gram[b])
             except np.linalg.LinAlgError as exc:
-                raise AdjointError(f"rank-deficient regression at step {j0 + b}") from exc
+                raise AdjointError(f"rank-deficient regression at step {steps[b]}") from exc
         raise
-    return Ft, mean, std, np.linalg.inv(chol)
+    store["mean"][steps], store["std"][steps], store["flat"][steps] = mean, std, flat
+    store["linv"][steps] = np.linalg.inv(chol)
+    store["built"][steps] = True
+
+
+def _stored(ensemble: PathEnsemble, name: str, steps: int) -> np.ndarray:
+    """Read-only view of the first `steps` rows of a stored design factor."""
+    view = ensemble._designs[name][:steps]
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
@@ -131,18 +182,27 @@ class AdjointSolution:
     """Per-step regression coefficients (standardized feature space) and
     pathwise costate evaluations.  The backward sweep fits p; q and its
     coefficients are fitted from p, the states and the increments when
-    first read, and cached."""
+    first read, and cached.  The standardization (`feature_mean`,
+    `feature_std`) is read from the ensemble's design store."""
 
     grid: TimeGrid
     p: np.ndarray             # (M, steps+1, n)
-    feature_mean: np.ndarray  # (steps, K)
-    feature_std: np.ndarray   # (steps, K)
     coef_p: np.ndarray        # (steps, K, n)
     terminal_id: str
     ensemble: PathEnsemble
 
     def __post_init__(self):
         self.p.setflags(write=False)
+
+    @property
+    def feature_mean(self) -> np.ndarray:
+        """(steps, K) feature means, a read-only view of the ensemble's design store."""
+        return _stored(self.ensemble, "mean", self.grid.steps)
+
+    @property
+    def feature_std(self) -> np.ndarray:
+        """(steps, K) feature stds, a read-only view of the ensemble's design store."""
+        return _stored(self.ensemble, "std", self.grid.steps)
 
     @cached_property
     def sup_p_sq(self) -> float:
@@ -177,8 +237,6 @@ class AdjointSolution:
         return AdjointSolution(
             grid=TimeGrid(dt=self.grid.dt, steps=j),
             p=self.p[:, : j + 1],
-            feature_mean=self.feature_mean[:j],
-            feature_std=self.feature_std[:j],
             coef_p=self.coef_p[:j],
             terminal_id=self.terminal_id,
             ensemble=self.ensemble.restricted(horizon),
@@ -221,15 +279,13 @@ def solve_adjoint_finite(
             raise AdjointError("nu (terminal condition) must be finite")
         Pbuf[steps] = nu
         terminal_id = "custom"
-    mean = np.empty((steps, K))
-    std = np.empty((steps, K))
     coef_p = np.empty((steps, K, n))
     X_tm = _time_major(ensemble.states)
     block = _block_steps(8 * K * M)
 
     for j1 in range(steps, 0, -block):
         j0 = max(0, j1 - block)
-        Ft, mean[j0:j1], std[j0:j1], Linv = _block_design(X_tm[j0:j1], j0)
+        Ft, Linv = _block_design(ensemble, j0, j1)
         grad_x = cost_grad_x(model, X_tm[j0:j1])
         for j in range(j1 - 1, j0 - 1, -1):
             b = j - j0
@@ -247,8 +303,7 @@ def solve_adjoint_finite(
             np.matmul(Ft[b].T, c, out=Pbuf[j])
 
     return AdjointSolution(
-        grid=grid, p=Pbuf.transpose(1, 0, 2),
-        feature_mean=mean, feature_std=std, coef_p=coef_p,
+        grid=grid, p=Pbuf.transpose(1, 0, 2), coef_p=coef_p,
         terminal_id=terminal_id, ensemble=ensemble,
     )
 
@@ -257,18 +312,19 @@ def _fit_q(ensemble: PathEnsemble, p: np.ndarray):
     """q^i_j = E[p_{j+1} dW^i_j / dt | X_j] on every step of the ensemble,
     from the costate p (M, steps+1, n): the (M, steps, d, n) fitted values
     and the (steps, d, K, n) coefficients, both read-only.  The steps are
-    independent, so each time block rebuilds its designs and fits all its
-    steps with stacked products; a non-finite fit raises at its first step."""
+    independent, so each time block reads its designs from the ensemble's
+    store and fits all its steps with stacked products; a non-finite fit
+    raises at its first step."""
     grid = ensemble.grid
     M, steps, n, d = ensemble.n_paths, grid.steps, ensemble.n, ensemble.d
     K = _feature_count(n)
-    X_tm, dW_tm, P_tm = _time_major(ensemble.states), _time_major(ensemble.increments), _time_major(p)
+    dW_tm, P_tm = _time_major(ensemble.increments), _time_major(p)
     Qbuf = np.empty((steps, M, d, n))
     coef = np.empty((steps, K, d, n))
     block = _block_steps(8 * K * M)
     for j0 in range(0, steps, block):
         j1 = min(j0 + block, steps)
-        Ft, _, _, Linv = _block_design(X_tm[j0:j1], j0)
+        Ft, Linv = _block_design(ensemble, j0, j1)
         with np.errstate(all="ignore"):  # checked below, by step
             targets = P_tm[j0 + 1 : j1 + 1, :, None, :] * (dW_tm[j0:j1, :, :, None] / grid.dt)
             c = Linv.transpose(0, 2, 1) @ (Linv @ (Ft @ targets.reshape(j1 - j0, M, d * n)))

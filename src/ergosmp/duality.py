@@ -14,8 +14,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .adjoint import AdjointError, solve_adjoint_finite
-from .forward import (PathEnsemble, SimulationError, TimeGrid, _initial_per_path, _path_integrals, _require_grid,
-                      _time_major, simulate_affine_dual, simulate_state)
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _affine_dual_block, _affine_dual_inputs,
+                      _initial_per_path, _path_integrals, _require_grid, _time_major, simulate_state)
 from .model import ControlLaw, ModelSpec, _dot, _mat_vec, _Report, cost_grad_x
 
 __all__ = [
@@ -93,17 +93,24 @@ def build_gamma(
     t_end: Optional[float] = None,
     state_matrix=None,
 ) -> Optional[np.ndarray]:
-    """Drift forcing on [t_start, t_end): a constant vector, a linear state
-    feedback gamma_t = C X_t, or None for no forcing.  Values and window
-    bounds must be finite."""
+    """Drift forcing on [t_start, t_end), shape (M, steps, n): a constant
+    vector plus a linear state feedback gamma_t = C X_t, either one optional,
+    or None for no forcing.  Values and window bounds must be finite.
+
+    Without a state feedback the forcing is the same on every path, and the
+    result is one (steps, n) array broadcast to (M, steps, n): read-only, with
+    no per-path copies.  With one it is a new dense array."""
     if value is None and state_matrix is None:
         return None
     window = _window(base.grid, t_start, t_end)
-    gamma = np.zeros((base.n_paths, base.grid.steps, n))
+    forcing = np.zeros((base.grid.steps, n))
     if value is not None:
-        gamma[:, window] = np.broadcast_to(_finite(value, "gamma: value"), (n,))
-    if state_matrix is not None:
-        gamma[:, window] += _mat_vec(_finite(state_matrix, "gamma: state_matrix"), base.states[:, window])
+        forcing[window] = np.broadcast_to(_finite(value, "gamma: value"), (n,))
+    gamma = np.broadcast_to(forcing, (base.n_paths,) + forcing.shape)
+    if state_matrix is None:
+        return gamma
+    gamma = gamma.copy()
+    gamma[:, window] += _mat_vec(_finite(state_matrix, "gamma: state_matrix"), base.states[:, window])
     return gamma
 
 
@@ -142,16 +149,27 @@ def _base_ensemble(model, u_bar, base, T, dt, M, seed, x0) -> PathEnsemble:
 def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=None):
     """Both sides of the pairing identity on [t, T], T the end of the base grid:
     (E<p_t, eta> + E int <p, gamma> + sum_i E int <q^i, rho^i>,
-    E int <Ycal, Psi> + E<nu, Ycal_T>, the dual process Ycal, max_j E|Psi_j|^2)."""
+    E int <Ycal, Psi> + E<nu, Ycal_T>, the dual end state Ycal_T (M, n),
+    max_j E|Psi_j|^2).
+
+    The dual process Ycal is streamed: each time block of the integrals runs
+    its Euler steps (`forward._affine_dual_block`, the recursion of
+    `simulate_affine_dual`) and reduces them, so no (M, steps, n) array of it
+    is stored."""
     grid = base.grid
-    j0 = grid.index_of(t)
     eta_arr = build_eta(eta, base, t, model.n)
-    dual = simulate_affine_dual(model, base, u_bar, t, eta_arr, gamma=gamma, rho=rho)
+    # y is Ycal at the start of the next time block, and Ycal_T after the last.
+    j0, y, gamma, rho = _affine_dual_inputs(model, base, u_bar, t, eta_arr, gamma, rho)
     psi_sq = np.zeros(grid.steps)
-    X, Ycal, P = (_time_major(a) for a in (base.states, dual, sol.p))
+    X, P = _time_major(base.states), _time_major(sol.p)
     Q = None if rho is None else _time_major(sol.q)  # q is fitted only when read
 
     def rows(j0, j1):
+        nonlocal y
+        Ycal = np.empty((j1 - j0 + 1,) + y.shape)
+        Ycal[0] = y
+        _affine_dual_block(model, base, Ycal, j0, gamma, rho)
+        y = Ycal[-1]
         psi = cost_grad_x(model, X[j0:j1])
         psi_sq[j0:j1] = _dot(psi, psi).mean(axis=-1)
         forcing = np.zeros((j1 - j0, base.n_paths))
@@ -160,13 +178,13 @@ def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=Non
         if rho is not None:
             # <q, rho> sums d*n terms (9 on lq3), past _dot's column range
             forcing = forcing + (Q[j0:j1] * _time_major(rho)[j0:j1]).sum(axis=(-1, -2))
-        return np.stack([forcing, _dot(Ycal[j0:j1], psi)], axis=1)
+        return np.stack([forcing, _dot(Ycal[:-1], psi)], axis=1)
 
     forcing, pairing = _path_integrals(grid, rows, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
     p_side = float((_dot(sol.p[:, j0], eta_arr) + forcing).mean())
     if nu is not None:
-        pairing = pairing + _dot(np.asarray(nu, dtype=float), dual[:, grid.steps])
-    return p_side, float(pairing.mean()), dual, float(psi_sq.max())
+        pairing = pairing + _dot(np.asarray(nu, dtype=float), y)
+    return p_side, float(pairing.mean()), y, float(psi_sq.max())
 
 
 def verify_duality_finite(
@@ -245,11 +263,11 @@ def verify_duality_infinite(
             raise SimulationError("rho must be a full-grid forcing array")
         if np.any(rho[:, grid.index_of(T_support):] != 0.0):
             raise AdjointError("rho with support beyond T_support is rejected")
-    rhs, lhs, dual, psi_sup = _pairing_sides(model, u_bar, base, sol, t, eta, rho=rho)
+    rhs, lhs, dual_end, psi_sup = _pairing_sides(model, u_bar, base, sol, t, eta, rho=rho)
 
     c_p = model.certified_dissipativity_bound()
     beta = -c_p if c_p < 0 else float("nan")
-    y_end = float((dual[:, grid.steps] ** 2).sum(axis=-1).mean())
+    y_end = float((dual_end**2).sum(axis=-1).mean())
     tail_bound = float(np.sqrt(y_end) * np.sqrt(psi_sup) / beta) if np.isfinite(beta) else float("inf")
 
     config = {

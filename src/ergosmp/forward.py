@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -197,7 +197,14 @@ def brownian_increments(seed: int, M: int, grid: TimeGrid, d: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """M trajectories of the state equation plus the noise that drove them."""
+    """M trajectories of the state equation plus the noise that drove them.
+
+    `_designs` holds what the adjoint layer derives per step from the states
+    alone, the regression design factors of `adjoint._block_design`, filled
+    when a step is first fitted.  The `restricted` views share it, since
+    their states are a prefix of these; `dataclasses.replace` starts a fresh
+    one, since its states may differ.
+    """
 
     grid: TimeGrid
     states: np.ndarray       # (M, steps+1, n)
@@ -205,10 +212,12 @@ class PathEnsemble:
     seed: int
     control_id: str
     x0: np.ndarray
+    _designs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.states.setflags(write=False)
         self.increments.setflags(write=False)
+        object.__setattr__(self, "_designs", {"steps": self.grid.steps})
 
     @property
     def n_paths(self) -> int:
@@ -223,9 +232,10 @@ class PathEnsemble:
         return self.increments.shape[2]
 
     def restricted(self, horizon: float) -> "PathEnsemble":
-        """View of the ensemble truncated to [0, horizon]."""
+        """View of the ensemble truncated to [0, horizon], sharing its design
+        store."""
         j = self.grid.index_of(horizon)
-        return PathEnsemble(
+        view = PathEnsemble(
             grid=TimeGrid(dt=self.grid.dt, steps=j),
             states=self.states[:, : j + 1],
             increments=self.increments[:, :j],
@@ -233,6 +243,8 @@ class PathEnsemble:
             control_id=self.control_id,
             x0=self.x0,
         )
+        object.__setattr__(view, "_designs", self._designs)
+        return view
 
 
 def _check_finite(X, step, what):
@@ -417,8 +429,24 @@ def simulate_affine_dual(
     dual process of the duality check are its members.  `eta` has shape (n,)
     or (M, n); `gamma` (M, steps, n) and `rho` (M, steps, d, n) are indexed on
     the full grid (entries before t0 are ignored).  Euler steps on the base
-    increments; returns the read-only (M, steps+1, n) solution, zero before t0.
+    increments, in time blocks (`_affine_dual_block`); returns the read-only
+    (M, steps+1, n) solution, zero before t0.
     """
+    j0, eta, gamma, rho = _affine_dual_inputs(model, base, u_bar, t0, eta, gamma, rho)
+    steps = base.grid.steps
+    Ybuf = np.zeros((steps + 1, base.n_paths, model.n))
+    Ybuf[j0] = eta
+    block = _block_steps(8 * eta.size)
+    for b0 in range(j0, steps, block):
+        _affine_dual_block(model, base, Ybuf[b0:min(b0 + block, steps) + 1], b0, gamma, rho)
+    Y = _time_major(Ybuf)
+    Y.setflags(write=False)
+    return Y
+
+
+def _affine_dual_inputs(model: ModelSpec, base: PathEnsemble, u_bar: ControlLaw, t0: float, eta, gamma, rho):
+    """The checked inputs of `simulate_affine_dual`: the start index of t0,
+    eta as a new (M, n) array, and gamma and rho as float arrays (or None)."""
     _require_base_under(base, u_bar, "simulate_affine_dual")
     grid = base.grid
     M, n = base.n_paths, model.n
@@ -432,20 +460,25 @@ def simulate_affine_dual(
         rho = np.asarray(rho, dtype=float)
         if rho.shape != (M, grid.steps, model.d, n):
             raise SimulationError(f"rho must have shape ({M}, {grid.steps}, {model.d}, {n})")
-    Ybuf = np.zeros((grid.steps + 1, M, n))
-    Ybuf[j0] = eta
-    for j in range(j0, grid.steps):
-        yj = Ybuf[j]
-        incr = grid.dt * drift_jac_apply(model, base.states[:, j], yj)
-        if gamma is not None:
-            incr = incr + grid.dt * gamma[:, j]
-        if rho is not None:
-            incr = incr + (rho[:, j] * base.increments[:, j, :, None]).sum(axis=1)
-        Ybuf[j + 1] = yj + incr
-        _check_finite(Ybuf[j + 1], j + 1, "simulate_affine_dual")
-    Y = _time_major(Ybuf)
-    Y.setflags(write=False)
-    return Y
+    return j0, eta, gamma, rho
+
+
+def _affine_dual_block(model: ModelSpec, base: PathEnsemble, Y: np.ndarray, j0: int, gamma, rho) -> None:
+    """Euler steps j0, j0+1, ... of the perturbed linearized equation on a
+    time-major block Y (B+1, M, n) whose row 0 holds Y_j0: fills rows 1..B.
+    One check per block names the first non-finite step and its lowest path,
+    as a check per step would; steps after a blow-up run silently until it."""
+    X, dW, dt = _time_major(base.states), _time_major(base.increments), base.grid.dt
+    with np.errstate(all="ignore"):
+        for b in range(len(Y) - 1):
+            j, yj = j0 + b, Y[b]
+            incr = dt * drift_jac_apply(model, X[j], yj)
+            if gamma is not None:
+                incr = incr + dt * gamma[:, j]
+            if rho is not None:
+                incr = incr + (rho[:, j] * dW[j, :, :, None]).sum(axis=1)
+            np.add(yj, incr, out=Y[b + 1])
+    _check_finite(Y[1:], j0 + 1, "simulate_affine_dual")
 
 
 def estimate_moment(ensemble: PathEnsemble, q: int, t: float):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ergosmp import (
     ConvexSet,
     ModelSpec,
     TimeGrid,
+    build_gamma,
     build_rho,
     check_sufficiency,
     check_truncation_consistency,
@@ -327,6 +329,127 @@ def test_consistency_lq_decay_rate(lq1, lq1_zero):
 def test_consistency_validates_horizons(lq1, lq1_zero):
     with pytest.raises(AdjointError):
         check_truncation_consistency(lq1, lq1_zero, 6.0, 6.0, 0.01, 64, seed=3)
+
+
+# ---------------------------------------------------------------------------
+# Design store
+
+
+def _lq3_law(lq3):
+    return ControlLaw.affine([[-0.4, -0.1, 0.0], [0.0, -0.05, -0.3]], [0.1, 0.0], lq3.control_set)
+
+
+def _solution_arrays(sol):
+    return [sol.p, sol.coef_p, sol.q, sol.coef_q, sol.feature_mean, sol.feature_std]
+
+
+def _assert_bitwise(a, b):
+    for x, y in zip(_solution_arrays(a), _solution_arrays(b)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _count_builds(monkeypatch):
+    """The grid steps whose design factors get built, one entry per build."""
+    built = []
+    step_factors = ergosmp.adjoint._step_factors
+
+    def counting(Ft, store, steps):
+        built.extend(steps.tolist())
+        return step_factors(Ft, store, steps)
+
+    monkeypatch.setattr(ergosmp.adjoint, "_step_factors", counting)
+    return built
+
+
+@pytest.mark.parametrize("restricted_first", [True, False])
+def test_each_step_design_is_built_once_per_ensemble(restricted_first, lq3, monkeypatch):
+    # 6-step time blocks, so the restricted solve on [0, 0.8] and the long one
+    # on [0, 1.2] split blocks between built and unbuilt steps.
+    law, M, dt = _lq3_law(lq3), 512, 0.02
+    assert _block_steps(8 * _feature_count(3) * M) == 6
+    built = _count_builds(monkeypatch)
+    ens = simulate_state(lq3, law, np.full(3, 0.5), TimeGrid.from_horizon(1.2, dt), M, seed=4)
+    if restricted_first:
+        solve_adjoint_finite(lq3, ens.restricted(0.8), law)
+    sol = solve_adjoint_finite(lq3, ens, law).restricted(1.0)
+    sol.q
+    gamma = build_gamma(sol.ensemble, 3, value=np.ones(3), t_start=0.2, t_end=0.6)
+    verify_duality_finite(lq3, law, 0.0, 1.0, eta="one", gamma=gamma, dt=dt, base=sol.ensemble)
+    solve_adjoint_finite(lq3, sol.ensemble.restricted(0.8), law).q
+    assert sorted(built) == list(range(ens.grid.steps))
+
+
+def test_extend_to_infinite_hands_on_its_built_designs(lq3, monkeypatch):
+    law, M, dt = _lq3_law(lq3), 512, 0.02
+    built = _count_builds(monkeypatch)
+    sol = extend_to_infinite(lq3, law, np.full(3, 0.5), 1.0, 0.2, dt, M, seed=4)
+    sol.q
+    gamma = build_gamma(sol.ensemble, 3, value=np.ones(3), t_start=0.2, t_end=0.6)
+    verify_duality_finite(lq3, law, 0.0, 1.0, eta="one", gamma=gamma, dt=dt, base=sol.ensemble)
+    solve_adjoint_finite(lq3, sol.ensemble.restricted(0.8), law)
+    assert sorted(built) == list(range(60))
+
+
+@pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3"])
+def test_shared_store_solves_equal_independent_ones(family, lq1, cubic1, lq3):
+    model = {"lq1": lq1, "cubic1": cubic1, "lq3": lq3}[family]
+    if family == "lq3":
+        law, M = _lq3_law(lq3), 512
+    else:
+        law, M = ControlLaw.affine([[-0.4]], [0.1], model.control_set), 2048
+    assert _block_steps(8 * _feature_count(model.n) * M) < 10  # several blocks
+    ens = simulate_state(model, law, np.full(model.n, 0.7), TimeGrid(dt=0.02, steps=60), M, seed=3)
+    # The short solve builds steps 0..44, so the long one meets blocks of
+    # built and unbuilt steps; the last solve reads every step from the store.
+    short_shared = solve_adjoint_finite(model, ens.restricted(0.9), law)
+    long_shared = solve_adjoint_finite(model, ens, law)
+    mid_shared = solve_adjoint_finite(model, ens.restricted(0.5), law)
+    # dataclasses.replace starts an empty store, so each of these builds its own.
+    own = [dataclasses.replace(ens, states=ens.states.copy()) for _ in range(3)]
+    assert all(e._designs is not ens._designs for e in own)
+    _assert_bitwise(short_shared, solve_adjoint_finite(model, own[0].restricted(0.9), law))
+    long_own = solve_adjoint_finite(model, own[1], law)
+    _assert_bitwise(long_shared, long_own)
+    _assert_bitwise(long_shared.restricted(0.5), long_own.restricted(0.5))
+    _assert_bitwise(mid_shared, solve_adjoint_finite(model, own[2].restricted(0.5), law))
+    assert not long_shared.feature_mean.flags.writeable and not long_shared.feature_std.flags.writeable
+
+
+def test_replaced_states_get_a_fresh_store(lq1, lq1_zero):
+    grid = TimeGrid(dt=0.05, steps=20)
+    ens = simulate_state(lq1, lq1_zero, [1.0], grid, 64, seed=1)
+    other = simulate_state(lq1, lq1_zero, [-0.5], grid, 64, seed=2)
+    solve_adjoint_finite(lq1, ens, lq1_zero).q  # fills ens's store
+    swapped = dataclasses.replace(ens, states=other.states, increments=other.increments)
+    _assert_bitwise(solve_adjoint_finite(lq1, swapped, lq1_zero), solve_adjoint_finite(lq1, other, lq1_zero))
+
+
+def test_round_off_spread_is_a_flat_feature(lq1):
+    # Every path starts at 0.7, so the step-0 features have stds of
+    # round-off (1.1e-16, 5.6e-17); standardizing them would fit round-off.
+    law = ControlLaw.affine([[-0.4]], [0.0], lq1.control_set)
+    ens = simulate_state(lq1, law, [0.7], TimeGrid.from_horizon(2.0, 0.01), 96, seed=3)
+    sol = solve_adjoint_finite(lq1, ens, law)
+    assert np.all(sol.coef_p[0, 1:] == 0.0)
+    assert np.all(sol.feature_std[0] == 1.0)
+    fitted = sol.p[0, 0]
+    assert np.all(sol.p[:, 0] == fitted)
+    assert np.array_equal(sol.evaluate_p(0, np.array([[0.8], [0.7], [-3.0]])), np.tile(fitted, (3, 1)))
+    assert np.all(sol.coef_p[1, 1:2] != 0.0)  # the paths spread from step 1 on
+    assert np.all(sol.coef_q[0][..., 1:, :] == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_state_fails_at_its_driver_without_warning(bad, lq1, lq1_zero):
+    ens = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.05, steps=20), 64, seed=2)
+    states = ens.states.copy()
+    states[3, 12] = bad
+    broken = dataclasses.replace(ens, states=states)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):  # the second solve reads the stored designs
+            with pytest.raises(AdjointError, match="non-finite driver at step 12$"):
+                solve_adjoint_finite(lq1, broken, lq1_zero)
 
 
 # ---------------------------------------------------------------------------

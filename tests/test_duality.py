@@ -16,6 +16,8 @@ from ergosmp import (
     verify_duality_finite,
     verify_duality_infinite,
 )
+from ergosmp.forward import _path_integrals, _time_major, simulate_affine_dual
+from ergosmp.model import _dot, cost_grad_x
 
 
 def test_all_zero_data(lq1, lq1_zero, lq1_base8):
@@ -118,6 +120,20 @@ def test_build_gamma_state_feedback_is_path_local():
     assert np.array_equal(build_gamma(head, 3, value=value, t_start=0.2, t_end=0.6, state_matrix=C), gamma[:5])
 
 
+def test_build_gamma_without_feedback_is_one_read_only_row_per_step(lq1_base8):
+    base = lq1_base8.restricted(2.0)
+    gamma = build_gamma(base, 1, value=[1.5], t_start=0.5, t_end=1.25)
+    dense = np.zeros((base.n_paths, base.grid.steps, 1))
+    dense[:, 50:125] = 1.5
+    assert gamma.shape == dense.shape and np.array_equal(gamma, dense)
+    assert not gamma.flags.writeable
+    assert gamma.strides[0] == 0  # no per-path copies
+    fed = build_gamma(base, 1, value=[1.5], t_start=0.5, t_end=1.25, state_matrix=[[0.2]])
+    assert fed.flags.writeable and fed.flags.c_contiguous
+    dense[:, 50:125] += 0.2 * base.states[:, 50:125]
+    assert np.array_equal(fed, dense)
+
+
 def test_reversed_forcing_window_is_rejected(lq1_base8):
     # [1.5, 0.5) holds no step: forcing there would silently be no forcing
     with pytest.raises(SimulationError, match="window"):
@@ -153,6 +169,59 @@ def test_finite_sides_recomputed(lq1):
     rhs = dt * (Y[:, j0:-1] * 2.0 * X[:, j0:-1]).sum(axis=-1).mean(axis=0).sum() + (nu * Y[:, -1]).sum(axis=-1).mean()
     assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
     assert rep.rhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def _stored_dual_sides(model, law, base, sol, t, eta, gamma=None, rho=None, nu=None):
+    """Both pairing sides from the whole dual process that
+    `simulate_affine_dual` returns, summed with the same per-step running
+    sums as the check: (p side, Ycal side, Ycal_T, max_j E|Psi_j|^2)."""
+    grid, j0 = base.grid, base.grid.index_of(t)
+    eta = build_eta(eta, base, t, model.n)
+    dual = simulate_affine_dual(model, base, law, t, eta, gamma=gamma, rho=rho)
+    X, Y, P = (_time_major(a) for a in (base.states, dual, sol.p))
+    psi_sq = np.zeros(grid.steps)
+
+    def rows(a, b):
+        psi = cost_grad_x(model, X[a:b])
+        psi_sq[a:b] = _dot(psi, psi).mean(axis=-1)
+        forcing = np.zeros((b - a, base.n_paths))
+        if gamma is not None:
+            forcing = forcing + _dot(P[a:b], _time_major(gamma)[a:b])
+        if rho is not None:
+            forcing = forcing + (_time_major(sol.q)[a:b] * _time_major(rho)[a:b]).sum(axis=(-1, -2))
+        return np.stack([forcing, _dot(Y[a:b], psi)], axis=1)
+
+    forcing, pairing = _path_integrals(grid, rows, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
+    if nu is not None:
+        pairing = pairing + _dot(nu, dual[:, -1])
+    p_side = float((_dot(sol.p[:, j0], eta) + forcing).mean())
+    return p_side, float(pairing.mean()), dual[:, -1], float(psi_sq.max())
+
+
+@pytest.mark.parametrize("family", ["lq1", "lq3"])
+def test_streamed_dual_sides_equal_the_stored_dual(family, lq1, lq3):
+    model = {"lq1": lq1, "lq3": lq3}[family]
+    n, d = model.n, model.d
+    law = ControlLaw.affine(np.full((model.l, n), -0.3), np.full(model.l, 0.1), model.control_set)
+    grid = TimeGrid(dt=0.02, steps=150)
+    M, t = 256, 0.4
+    base = simulate_state(model, law, np.full(n, 0.7), grid, M, seed=3)
+    rho = build_rho(base, n, d, {0: np.ones(n)}, t_start=0.4, t_end=1.6)
+    nu = np.full((M, n), 0.3)
+    for gamma in (build_gamma(base, n, value=np.ones(n), t_start=0.5, t_end=2.0),
+                  build_gamma(base, n, value=np.ones(n), t_start=0.5, t_end=2.0, state_matrix=0.2 * np.eye(n))):
+        rep = verify_duality_finite(model, law, t, 3.0, eta="state", gamma=gamma, rho=rho, nu=nu, dt=0.02, base=base)
+        sol = solve_adjoint_finite(model, base, law, nu=nu)
+        lhs, rhs, _, _ = _stored_dual_sides(model, law, base, sol, t, "state", gamma=gamma, rho=rho, nu=nu)
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+    # The infinite form reads |Ycal_T| and max E|Psi|^2 for its tail bound.
+    rep = verify_duality_infinite(model, law, t, 1.6, eta="one", rho=rho, T_report=2.0, T_buffer=1.0, dt=0.02,
+                                  base=base)
+    sol = solve_adjoint_finite(model, base, law)
+    p_side, pairing, y_end, psi_sup = _stored_dual_sides(model, law, base, sol, t, "one", rho=rho)
+    assert (rep.rhs, rep.lhs) == (p_side, pairing)
+    beta = -model.certified_dissipativity_bound()
+    assert rep.tail_bound == float(np.sqrt(float((y_end**2).sum(axis=-1).mean())) * np.sqrt(psi_sup) / beta)
 
 
 def test_base_grid_mismatch_rejected(lq1, lq1_zero, lq1_base8):

@@ -6,6 +6,8 @@ import pytest
 
 from ergosmp import (
     ControlLaw,
+    ConvexSet,
+    ModelSpec,
     SimulationError,
     TimeGrid,
     direction_from_laws,
@@ -18,6 +20,7 @@ from ergosmp import (
     simulate_perturbed,
     simulate_state,
     solve_adjoint_finite,
+    verify_duality_finite,
     verify_expansion_residual,
 )
 from ergosmp.adjoint import adjoint_to_csv
@@ -464,6 +467,36 @@ def test_blocked_finiteness_names_first_step_and_lowest_path(lq1, monkeypatch):
         with pytest.raises(SimulationError, match=f"^probe: non-finite value at step {j + 1}, path 3$"):
             _tamed_euler(lq1, np.zeros(1), dW, grid.dt, control_at, "probe")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_affine_dual_overflow_names_first_step_and_lowest_path(monkeypatch):
+    # On an unstable linearization (D_x b = 14) a huge forcing of paths 9 and
+    # 5 from step 7 overflows both at one step, past the first time block; a
+    # per-step check names that step and path 5.
+    model = ModelSpec.lq(A=[[14.0]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                         control_set=ConvexSet.box([-1.0], [1.0]))
+    law = model.zero_control()
+    M, dt = 16, 0.05
+    grid = TimeGrid(dt=dt, steps=80)
+    monkeypatch.setattr(ergosmp.forward, "BLOCK_BYTES", 8 * 8 * M)  # 8 steps per block
+    base = simulate_state(model, law, [0.0], grid, M, seed=1)
+    gamma = np.zeros((M, grid.steps, 1))
+    gamma[[9, 5], 7:] = 1e300
+    y, j = np.zeros(M), 0
+    with np.errstate(all="ignore"):
+        while np.isfinite(y).all():
+            y = y + (dt * (14.0 * y) + dt * gamma[:, j, 0])
+            j += 1
+    assert 16 < j < grid.steps and list(np.flatnonzero(~np.isfinite(y))) == [5, 9]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match=f"^simulate_affine_dual: non-finite value at step {j}, path 5$"):
+            simulate_affine_dual(model, base, law, 0.0, np.zeros(1), gamma=gamma)
+        # The duality check streams the same recursion through its integrals'
+        # blocks; in one block it stops before any pairing overflows.
+        monkeypatch.undo()
+        with pytest.raises(SimulationError, match=f"^simulate_affine_dual: non-finite value at step {j}, path 5$"):
+            verify_duality_finite(model, law, 0.0, grid.horizon, gamma=gamma, dt=dt, base=base)
 
 
 def test_restricted_view(lq1, lq1_zero, lq1_base8):

@@ -188,6 +188,21 @@ def fingerprint(values: bool = False) -> dict:
         h(f"{name}.dualfin", [d.lhs, d.rhs, d.to_dict()])
         d = E.verify_duality_finite(model, law, 0.0, 2.0, eta="one", M=64, seed=9, dt=0.02)
         h(f"{name}.dualfin2", [d.lhs, d.rhs])
+        gamma_c = E.build_gamma(ens, n, value=np.ones(n), t_start=0.5, t_end=2.0)  # no state feedback
+        d = E.verify_duality_finite(model, law, 0.4, 3.0, eta="state", gamma=gamma_c, rho=rho, nu=nu, dt=0.02,
+                                    base=ens)
+        h(f"{name}.dualfin_gconst", [d.lhs, d.rhs, d.to_dict()])
+        # Flows that share one ensemble's designs: the duality check on the
+        # ensemble of an extended solve, and q read from restricted solutions.
+        ext = E.extend_to_infinite(model, law, x0, 2.0, 1.0, 0.02, 96, 3)
+        gamma_e = E.build_gamma(ext.ensemble, n, value=np.ones(n), t_start=0.5, t_end=1.5)
+        d = E.verify_duality_finite(model, law, 0.0, 2.0, eta="one", gamma=gamma_e, dt=0.02, base=ext.ensemble)
+        h(f"{name}.dualfin_ext", [d.lhs, d.rhs, d.to_dict()])
+        h(f"{name}.q_ext", ext.q)
+        h(f"{name}.coef_q_ext", ext.coef_q)
+        short = sol.restricted(1.5)
+        h(f"{name}.q_restricted", short.q)
+        h(f"{name}.coef_q_restricted", short.coef_q)
         gi = E.TimeGrid.from_horizon(3.0, 0.02)
         probe = E.simulate_state(model, law, np.ones(n), gi, 64, 9)
         rho_i = E.build_rho(probe, n, model.d, {0: np.ones(n)}, t_start=0.2, t_end=1.0)
@@ -228,6 +243,7 @@ def fingerprint(values: bool = False) -> dict:
             ["sufficiency", "--T", "2", "--M", "32", "--buffer", "1", "--probes", "10", *seeded],
             ["optimize", "--T", "3", "--M", "32", "--iters", "2", "--buffer", "1", *seeded],
             ["verify"],  # fixed seeds and grids of its own
+            ["duality-check", "--T", "1", "--M", "32", "--gamma-const", "1", *seeded],
         ]
         for i, c in enumerate(cmds):
             od = os.path.join(td, f"o{i}")
