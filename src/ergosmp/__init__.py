@@ -15,29 +15,18 @@ from .adjoint import (
     solve_adjoint_finite,
 )
 from .config import ConfigError, load_model_config, model_config_dict, parse_control_law, save_model_config
-from .duality import DualityReport, build_eta, build_gamma, build_rho, verify_duality_finite, verify_duality_infinite
-from .ergodic_cost import (
-    ErgodicCostReport,
-    GateauxReport,
-    estimate_cost_T,
-    estimate_ergodic_cost,
-    estimate_gateaux,
-)
+from .duality import DualityReport, build_gamma, build_rho, verify_duality_finite, verify_duality_infinite
+from .ergodic_cost import ErgodicCostReport, ExpansionReport, estimate_ergodic_cost, verify_expansion_residual
 from .forward import (
-    ExpansionReport,
     PathEnsemble,
     SimulationError,
     TimeGrid,
-    direction_from_laws,
     ensemble_from_binary,
     ensemble_to_binary,
     ensemble_to_csv,
     estimate_moment,
     simulate_affine_dual,
-    simulate_first_variation,
-    simulate_perturbed,
     simulate_state,
-    verify_expansion_residual,
 )
 from .model import (
     ControlLaw,
@@ -54,7 +43,6 @@ from .smp import (
     candidate_battery,
     check_sufficiency,
     evaluate_variational_inequality,
-    grad_u_hamiltonian,
     hamiltonian,
     optimize_control,
 )

@@ -20,7 +20,6 @@ from .model import ControlLaw, ModelSpec, _dot, _mat_vec, _Report, cost_grad_x
 
 __all__ = [
     "DualityReport",
-    "build_eta",
     "build_gamma",
     "build_rho",
     "verify_duality_finite",
@@ -49,7 +48,7 @@ def _report(lhs: float, rhs: float, config: dict, tail_bound: float = 0.0) -> Du
     )
 
 
-def build_eta(spec: Union[str, np.ndarray], base: PathEnsemble, t: float, n: int) -> np.ndarray:
+def _build_eta(spec: Union[str, np.ndarray], base: PathEnsemble, t: float, n: int) -> np.ndarray:
     """Initial condition for the dual forward equation, measurable at time t.
 
     Accepts "zero", "one", "state" (the base state at t) or an explicit
@@ -122,18 +121,22 @@ def build_rho(
     t_start: float = 0.0,
     t_end: Optional[float] = None,
 ) -> Optional[np.ndarray]:
-    """Noise forcing rho^i on [t_start, t_end): channel_values maps channel
-    index -> n-vector (e.g. {0: [1.0]}); None for no forcing.  Values and
-    window bounds must be finite."""
+    """Noise forcing rho^i on [t_start, t_end), shape (M, steps, d, n):
+    channel_values maps channel index -> n-vector (e.g. {0: [1.0]}); None for
+    no forcing.  Values and window bounds must be finite.
+
+    The forcing is the same on every path, so the result is one
+    (steps, d, n) array broadcast to (M, steps, d, n): read-only, with no
+    per-path copies."""
     if not channel_values:
         return None
     window = _window(base.grid, t_start, t_end)
-    rho = np.zeros((base.n_paths, base.grid.steps, d, n))
+    forcing = np.zeros((base.grid.steps, d, n))
     for ch, value in channel_values.items():
         if not 0 <= int(ch) < d:
             raise SimulationError(f"rho channel {ch} out of range")
-        rho[:, window, int(ch)] = np.broadcast_to(_finite(value, f"rho: channel {ch} value"), (n,))
-    return rho
+        forcing[window, int(ch)] = np.broadcast_to(_finite(value, f"rho: channel {ch} value"), (n,))
+    return np.broadcast_to(forcing, (base.n_paths,) + forcing.shape)
 
 
 def _base_ensemble(model, u_bar, base, T, dt, M, seed, x0) -> PathEnsemble:
@@ -157,7 +160,7 @@ def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=Non
     `simulate_affine_dual`) and reduces them, so no (M, steps, n) array of it
     is stored."""
     grid = base.grid
-    eta_arr = build_eta(eta, base, t, model.n)
+    eta_arr = _build_eta(eta, base, t, model.n)
     # y is Ycal at the start of the next time block, and Ycal_T after the last.
     j0, y, gamma, rho = _affine_dual_inputs(model, base, u_bar, t, eta_arr, gamma, rho)
     psi_sq = np.zeros(grid.steps)
@@ -261,7 +264,7 @@ def verify_duality_infinite(
         rho = np.asarray(rho, dtype=float)
         if rho.shape != (M, grid.steps, model.d, model.n):
             raise SimulationError("rho must be a full-grid forcing array")
-        if np.any(rho[:, grid.index_of(T_support):] != 0.0):
+        if np.any(rho[:, grid.index_of(T_support):]):
             raise AdjointError("rho with support beyond T_support is rejected")
     rhs, lhs, dual_end, psi_sup = _pairing_sides(model, u_bar, base, sol, t, eta, rho=rho)
 

@@ -1,8 +1,16 @@
-"""Truncated and long-run average cost estimators.
+"""Long-run average cost estimators and the convex-perturbation check.
 
 The long-run functionals are asymptotic; the artifact tracks J_T / T at a
 ladder of checkpoint horizons and reports min/max over one fixed tail window,
 the last quarter [0.75 T, T] of the horizon, as liminf/limsup proxies.
+
+`verify_expansion_residual` checks the two first-order expansions the
+maximum principle is derived from, under u^theta = u_bar + theta v with
+v = u_alt - u_bar: the state X^theta = X + theta Y + o(theta), Y the first
+variation, and the cost J_T(u^theta) = J_T(u_bar)
++ theta E int <D_xf, Y> + <D_uf, v> dt + o(theta).  Both read one base
+ensemble and one theta ladder, with each law evaluated once along the base
+path.
 """
 
 from __future__ import annotations
@@ -12,18 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals,
-                      _require_base_under, _time_major, direction_from_laws, simulate_first_variation,
-                      simulate_perturbed, simulate_state)
-from .model import ControlLaw, ModelSpec, _dot, _Report, cost_at, cost_grad_u, cost_grad_x
+                      _perturbed_states, _require_base_under, _time_major, simulate_affine_dual, simulate_state)
+from .model import ControlLaw, ModelSpec, _dot, _Report, cost_at, cost_grad_u, cost_grad_x, drift_jacU_apply
 
 __all__ = [
     "ErgodicCostReport",
-    "GateauxReport",
+    "ExpansionReport",
     "checkpoint_times",
-    "estimate_cost_T",
     "estimate_ergodic_cost",
     "ergodic_report_from_ensemble",
-    "estimate_gateaux",
+    "verify_expansion_residual",
 ]
 
 CHECKPOINT_RATIO = 1.5  # growth factor of the checkpoint spacing
@@ -77,13 +83,6 @@ def _cost_sums_at(model, ensemble, control, indices) -> np.ndarray:
     return _path_integrals(ensemble.grid, running_cost, indices, (ensemble.n_paths,))
 
 
-def estimate_cost_T(model: ModelSpec, ensemble: PathEnsemble, control: ControlLaw, T: float) -> float:
-    """Monte Carlo estimate of the truncated cost E int_0^T f(X_t, u_t) dt."""
-    j = ensemble.grid.index_of(T)
-    sums = _cost_sums_at(model, ensemble, control, [j])
-    return float(sums[:, 0].mean())
-
-
 @dataclass(frozen=True)
 class ErgodicCostReport(_Report):
     checkpoints: tuple          # ((T, J_T/T), ...)
@@ -132,54 +131,84 @@ def estimate_ergodic_cost(
 
 
 @dataclass(frozen=True)
-class GateauxReport(_Report):
-    theta: float
-    finite_difference: float   # (J_T(u + theta v) - J_T(u)) / (theta T)
-    linearized: float          # (1/T) E int <D_xf, Y> + <D_uf, v> dt
-    gap: float
+class ExpansionReport(_Report):
+    """State and cost expansions of one convex perturbation over a theta ladder."""
+
+    thetas: tuple
+    sup_delta_sq: tuple      # sup_t mean |X^theta_t - X_t|^2 per theta
+    sup_residual_sq: tuple   # sup_t mean |(X^theta_t - X_t)/theta - Y_t|^2 per theta
+    scaling_slope: float     # log-log slope of sup_delta_sq against theta; NaN for a zero direction
+    residual_decreasing: bool
+    residual_halved: bool    # residual at the smallest theta < half the largest
+    finite_difference: tuple  # (J_T(u^theta) - J_T(u_bar)) / (theta T) per theta
+    linearized: float        # (1/T) E int <D_xf, Y> + <D_uf, v> dt
+    gateaux_gap: tuple       # |finite_difference - linearized| per theta
 
 
-def estimate_gateaux(
+def verify_expansion_residual(
     model: ModelSpec,
     u_bar: ControlLaw,
     u_alt: ControlLaw,
-    theta: float,
-    T: float,
-    M: int,
-    seed: int,
-    dt: float = 0.01,
-    x0=None,
-) -> GateauxReport:
-    """Directional derivative of the truncated average cost, two ways.
+    thetas,
+    base: PathEnsemble,
+) -> ExpansionReport:
+    """Couple the perturbed states, the base state and the first variation Y
+    on the increments of `base`, an ensemble under u_bar, for each theta of a
+    strictly decreasing ladder of at least 2 in (0, 1].
 
-    The finite difference perturbs the control along v = u_alt - u_bar on
-    shared noise; the linearized value pairs the cost gradients with the
-    first-variation process on the same paths.  The base cost, the perturbed
-    cost and the pairing are per-path running sums of one three-row integrand,
-    which reads the base-path controls of one whole-path evaluation.  `theta`
-    must lie in (0, 1].
-    """
-    if not 0.0 < theta <= 1.0:
-        raise SimulationError("theta must lie in (0, 1]")
-    if x0 is None:
-        x0 = np.zeros(model.n)
-    grid = TimeGrid.from_horizon(T, dt)
-    base = simulate_state(model, u_bar, x0, grid, M, seed)
-    pert = simulate_perturbed(model, u_bar, u_alt, theta, base)
-    v = direction_from_laws(u_bar, u_alt, base)
-    Y = simulate_first_variation(model, base, u_bar, v)
-    X, Xp, Ys = (_time_major(a) for a in (base.states, pert.states, Y))
-    U, V = (_time_major(a) for a in (u_bar.evaluate(base.states[:, :-1]), v))
+    Reports the quadratic scaling of X^theta - X, the residual of the state
+    expansion, and the finite-difference and linearized directional
+    derivatives of the truncated average cost on [0, T], T the end of the
+    base grid.  u_bar and u_alt are evaluated once each along the base path
+    (open-loop perturbation of the control process), and the base cost, the
+    linearized pairing and each perturbed cost are rows of one per-path
+    running sum."""
+    thetas = [float(t) for t in thetas]
+    if len(thetas) < 2:
+        raise SimulationError(f"the expansion check compares at least 2 thetas, got {len(thetas)}")
+    if any(not (0.0 < t <= 1.0) for t in thetas):
+        raise SimulationError("thetas must lie in (0, 1]")
+    if any(b >= a for a, b in zip(thetas, thetas[1:])):
+        raise SimulationError("thetas must be strictly decreasing")
+    _require_base_under(base, u_bar, "verify_expansion_residual")
+    grid, M = base.grid, base.n_paths
+    xb = base.states[:, :-1]
+    ub = u_bar.evaluate(xb)
+    v = u_alt.evaluate(xb) - ub
+    Y = simulate_affine_dual(model, base, u_bar, 0.0, np.zeros(model.n), gamma=drift_jacU_apply(model, v))
+    perturbed = [_perturbed_states(model, base, ub + theta * v) for theta in thetas]
+    sup_delta, sup_resid = [], []
+    for theta, Xp in zip(thetas, perturbed):
+        delta = Xp - base.states
+        sup_delta.append(float((delta**2).sum(axis=-1).mean(axis=0).max()))
+        sup_resid.append(float(((delta / theta - Y)**2).sum(axis=-1).mean(axis=0).max()))
+
+    X, Ys, U, V = (_time_major(a) for a in (base.states, Y, ub, v))
+    Xps = [_time_major(Xp) for Xp in perturbed]
 
     def rows(j0, j1):
-        xb, ub, vb = X[j0:j1], U[j0:j1], V[j0:j1]
+        xj, uj, vj = X[j0:j1], U[j0:j1], V[j0:j1]
         return np.stack([
-            cost_at(model, xb, ub),
-            cost_at(model, Xp[j0:j1], ub + theta * vb),
-            _dot(cost_grad_x(model, xb), Ys[j0:j1]) + _dot(cost_grad_u(model, ub), vb),
+            cost_at(model, xj, uj),
+            _dot(cost_grad_x(model, xj), Ys[j0:j1]) + _dot(cost_grad_u(model, uj), vj),
+            *(cost_at(model, Xp[j0:j1], uj + theta * vj) for theta, Xp in zip(thetas, Xps)),
         ], axis=1)
 
-    j_base, j_pert, pairing = _path_integrals(grid, rows, [grid.steps], (3, M))[:, :, 0].mean(axis=1)
-    fd = float((j_pert - j_base) / (theta * T))
+    j_base, pairing, *j_pert = _path_integrals(grid, rows, [grid.steps], (2 + len(thetas), M))[:, :, 0].mean(axis=1)
+    T = grid.horizon
+    fd = [float((j - j_base) / (theta * T)) for theta, j in zip(thetas, j_pert)]
     linear = float(pairing / T)
-    return GateauxReport(theta=theta, finite_difference=fd, linearized=linear, gap=abs(fd - linear))
+    slope = float("nan")  # unavailable when the direction moves no state
+    if min(sup_delta) > 0.0:
+        slope = float(np.polyfit(np.log(thetas), np.log(sup_delta), 1)[0])
+    return ExpansionReport(
+        thetas=tuple(thetas),
+        sup_delta_sq=tuple(sup_delta),
+        sup_residual_sq=tuple(sup_resid),
+        scaling_slope=slope,
+        residual_decreasing=all(b < a for a, b in zip(sup_resid, sup_resid[1:])),
+        residual_halved=sup_resid[-1] < 0.5 * sup_resid[0],
+        finite_difference=tuple(fd),
+        linearized=linear,
+        gateaux_gap=tuple(abs(f - linear) for f in fd),
+    )

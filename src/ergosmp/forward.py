@@ -1,14 +1,16 @@
 """Path simulation on a shared noise basis.
 
 Two recursions run on the increments of a base ensemble: the tamed-Euler
-state equation (base and perturbed states) and one perturbed linearized
-forward equation, dY = (D_x b Y + gamma)dt + sum_i rho^i dW^i from Y_t = eta
-(`simulate_affine_dual`).  The first variation is its member with t = 0,
-eta = 0 and gamma = D_u b v; the dual process of the duality check is
-another.  Sharing the increments, coupled runs differ only by systematic
-effects, never by sampling noise.  Increments are generated from
-counter-based Philox streams keyed by (seed, path index), so every ensemble
-is bit-reproducible and its first k paths equal the k-path ensemble.
+state equation and one perturbed linearized forward equation,
+dY = (D_x b Y + gamma)dt + sum_i rho^i dW^i from Y_t = eta
+(`simulate_affine_dual`).  A convex perturbation of the control runs the
+first on open-loop controls along the base path (`_perturbed_states`); its
+first variation is the member of the second with t = 0, eta = 0 and
+gamma = D_u b v, and the dual process of the duality check is another.
+Sharing the increments, coupled runs differ only by systematic effects,
+never by sampling noise.  Increments are generated from counter-based Philox
+streams keyed by (seed, path index), so every ensemble is bit-reproducible
+and its first k paths equal the k-path ensemble.
 
 The three forward kernels keep those bits and run along the long axes:
 `brownian_increments` draws whole paths into a path-major chunk and
@@ -31,25 +33,18 @@ from .model import (
     ModelSpec,
     _dot,
     _mat_vec,
-    _Report,
     drift_at,
     drift_jac_apply,
-    drift_jacU_apply,
 )
 
 __all__ = [
     "SimulationError",
     "TimeGrid",
     "PathEnsemble",
-    "ExpansionReport",
     "brownian_increments",
     "simulate_state",
-    "simulate_perturbed",
-    "simulate_first_variation",
     "simulate_affine_dual",
-    "direction_from_laws",
     "estimate_moment",
-    "verify_expansion_residual",
     "ensemble_to_csv",
     "ensemble_to_binary",
     "ensemble_from_binary",
@@ -342,41 +337,14 @@ def _require_base_under(base: PathEnsemble, u_bar: ControlLaw, what: str):
         )
 
 
-def simulate_perturbed(
-    model: ModelSpec,
-    u_bar: ControlLaw,
-    u_alt: ControlLaw,
-    theta: float,
-    base: PathEnsemble,
-) -> PathEnsemble:
-    """State under the convex perturbation u_bar + theta*(u_alt - u_bar).
-
-    The direction is evaluated along the base path (open-loop perturbation of
-    the control process), one whole-path call per law, and the simulation
-    reuses the base increments, so theta = 0 reproduces the base ensemble
-    bitwise.
-    """
-    if not (0.0 <= theta <= 1.0):
-        raise SimulationError("theta must lie in [0, 1]")
-    _require_base_under(base, u_bar, "simulate_perturbed")
-    xb = base.states[:, :-1]
-    ub = u_bar.evaluate(xb)
-    U = ub + theta * (u_alt.evaluate(xb) - ub)
-    states = _tamed_euler(model, base.states[:, 0], base.increments, base.grid.dt, lambda j, xj: U[:, j],
-                          "simulate_perturbed")
-    return PathEnsemble(
-        grid=base.grid, states=states, increments=base.increments, seed=base.seed,
-        control_id=f"perturbed(theta={theta!r}, base={base.control_id}, alt={u_alt.describe()})",
-        x0=base.x0,
-    )
-
-
-def direction_from_laws(u_bar: ControlLaw, u_alt: ControlLaw, base: PathEnsemble) -> np.ndarray:
-    """Direction process v = u_alt - u_bar along the base path, shape
-    (M, steps, l): one call per law on the states at steps 0..steps-1, equal
-    bitwise to per-step evaluation since the laws are state feedbacks."""
-    xb = base.states[:, :-1]
-    return u_alt.evaluate(xb) - u_bar.evaluate(xb)
+def _perturbed_states(model: ModelSpec, base: PathEnsemble, U: np.ndarray) -> np.ndarray:
+    """States (M, steps+1, n) under the open-loop controls U (M, steps, l),
+    on the base increments from the base x0: the state of a convex
+    perturbation when U = u_bar + theta*(u_alt - u_bar) along the base path.
+    Under the base path's own controls it reproduces the base states
+    bitwise."""
+    return _tamed_euler(model, base.states[:, 0], base.increments, base.grid.dt, lambda j, xj: U[:, j],
+                        "perturbed state")
 
 
 def _initial_per_path(eta, M: int, n: int) -> np.ndarray:
@@ -387,28 +355,6 @@ def _initial_per_path(eta, M: int, n: int) -> np.ndarray:
     if eta.shape != (M, n):
         raise SimulationError(f"eta must have shape ({n},) or ({M}, {n}), got {eta.shape}")
     return eta.copy()
-
-
-def simulate_first_variation(
-    model: ModelSpec,
-    base: PathEnsemble,
-    u_bar: ControlLaw,
-    v: np.ndarray,
-) -> np.ndarray:
-    """Linearized response Y of the state to the control direction v, shape
-    (M, steps+1, n), read-only.
-
-    The member of the perturbed linearized equation (`simulate_affine_dual`)
-    started at t = 0 from Y_0 = 0 and forced by gamma = D_u b v.
-    """
-    _require_base_under(base, u_bar, "simulate_first_variation")
-    M, steps = base.n_paths, base.grid.steps
-    v = np.asarray(v, dtype=float)
-    if v.shape != (M, steps, model.l):
-        raise SimulationError(
-            f"direction process must have shape ({M}, {steps}, {model.l}), got {v.shape}"
-        )
-    return simulate_affine_dual(model, base, u_bar, 0.0, np.zeros(model.n), gamma=drift_jacU_apply(model, v))
 
 
 def simulate_affine_dual(
@@ -500,55 +446,6 @@ def _ci95_halfwidth(values: np.ndarray) -> float:
     if m < 2:
         raise SimulationError(f"a confidence interval needs at least 2 paths, got {m}")
     return float(1.96 * values.std(ddof=1) / np.sqrt(m))
-
-
-@dataclass(frozen=True)
-class ExpansionReport(_Report):
-    """Perturbation scaling and first-order expansion residual over a theta ladder."""
-
-    thetas: tuple
-    sup_delta_sq: tuple      # sup_t mean |X^theta_t - X_t|^2 per theta
-    sup_residual_sq: tuple   # sup_t mean |(X^theta_t - X_t)/theta - Y_t|^2 per theta
-    scaling_slope: float     # log-log slope of sup_delta_sq against theta
-    residual_decreasing: bool
-    residual_halved: bool    # residual at the smallest theta < half the largest
-
-
-def verify_expansion_residual(
-    model: ModelSpec,
-    u_bar: ControlLaw,
-    u_alt: ControlLaw,
-    thetas,
-    base: PathEnsemble,
-) -> ExpansionReport:
-    """Couple the perturbed state, the base state and the first variation on
-    shared noise and report the quadratic perturbation scaling together with
-    the first-order expansion residual for each theta of a strictly
-    decreasing ladder of at least 2 in (0, 1]."""
-    thetas = [float(t) for t in thetas]
-    if len(thetas) < 2:
-        raise SimulationError(f"the expansion check compares at least 2 thetas, got {len(thetas)}")
-    if any(not (0.0 < t <= 1.0) for t in thetas):
-        raise SimulationError("thetas must lie in (0, 1]")
-    if any(b >= a for a, b in zip(thetas, thetas[1:])):
-        raise SimulationError("thetas must be strictly decreasing")
-    v = direction_from_laws(u_bar, u_alt, base)
-    Y = simulate_first_variation(model, base, u_bar, v)
-    sup_delta, sup_resid = [], []
-    for theta in thetas:
-        pert = simulate_perturbed(model, u_bar, u_alt, theta, base)
-        delta = pert.states - base.states
-        sup_delta.append(float((delta**2).sum(axis=-1).mean(axis=0).max()))
-        resid = delta / theta - Y
-        sup_resid.append(float((resid**2).sum(axis=-1).mean(axis=0).max()))
-    return ExpansionReport(
-        thetas=tuple(thetas),
-        sup_delta_sq=tuple(sup_delta),
-        sup_residual_sq=tuple(sup_resid),
-        scaling_slope=float(np.polyfit(np.log(thetas), np.log(sup_delta), 1)[0]),
-        residual_decreasing=all(b < a for a, b in zip(sup_resid, sup_resid[1:])),
-        residual_halved=sup_resid[-1] < 0.5 * sup_resid[0],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ __all__ = [
     "SufficiencyReport",
     "OptimizeResult",
     "hamiltonian",
-    "grad_u_hamiltonian",
     "candidate_battery",
     "evaluate_variational_inequality",
     "check_sufficiency",
@@ -56,17 +55,6 @@ def hamiltonian(model: ModelSpec, x, u, p, q) -> float:
     return float(b @ p + (model.S.T * q).sum() + f)
 
 
-def grad_u_hamiltonian(model: ModelSpec, x, u, p, q) -> np.ndarray:
-    """D_u H = (D_u b)^T p + sum_i (D_u sigma^i)^T q^i + D_u f, shape (l,).
-
-    sigma does not depend on u, so D_u H reads neither x nor q; both are
-    accepted so the signature matches `hamiltonian`.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))[None, :]
-    p = np.atleast_1d(np.asarray(p, dtype=float))[None, :]
-    return _grad_u_batch(model, u, p)[0]
-
-
 def _grad_u_batch(model, U, P) -> np.ndarray:
     """Batched D_u H = (D_u b)^T p + D_u f over (M, ...) arrays."""
     return drift_jacU_T_apply(model, P) + cost_grad_u(model, U)
@@ -84,14 +72,17 @@ class SmpReport(_Report):
     verdict: str                # "consistent" | "violated"
 
 
+_BATTERY_RANDOM = 4  # random linear feedbacks in the candidate battery
+
+
 def candidate_battery(
     model: ModelSpec,
     u_bar: ControlLaw,
     seed: int = 0,
-    n_random: int = 4,
 ) -> List[Tuple[str, ControlLaw]]:
     """Fixed battery of admissible directions: constant shifts, deterministic
-    and random linear feedbacks, and the sign-flip of the current law."""
+    and _BATTERY_RANDOM random linear feedbacks (gains uniform on [-1, 1],
+    drawn from `seed`), and the sign-flip of the current law."""
     cs = model.control_set
     rng = np.random.default_rng(seed)
     battery: List[Tuple[str, ControlLaw]] = []
@@ -101,7 +92,7 @@ def candidate_battery(
     eye = np.eye(model.l, model.n)
     battery.append(("gain(+0.5)", ControlLaw.affine(0.5 * eye, np.zeros(model.l), cs)))
     battery.append(("gain(-0.5)", ControlLaw.affine(-0.5 * eye, np.zeros(model.l), cs)))
-    for i in range(n_random):
+    for i in range(_BATTERY_RANDOM):
         gain = rng.uniform(-1.0, 1.0, size=(model.l, model.n))
         battery.append((f"rand-gain-{i}", ControlLaw.affine(gain, np.zeros(model.l), cs)))
     battery.append(("sign-flip", u_bar.negated()))
@@ -289,8 +280,8 @@ def optimize_control(
     is halved and the iterate reverted whenever the ergodic-cost tail
     estimate worsens beyond its CI; the run stops early after _OPT_PATIENCE
     iterations without improvement.  G pools the steps from
-    min(_OPT_BURN_IN, T/2) to T; paired with a direction v it is
-    `estimate_gateaux`'s linearized value, path by path.  All iterations
+    min(_OPT_BURN_IN, T/2) to T; paired with a direction v it is the
+    linearized value of `verify_expansion_residual`, path by path.  All iterations
     share one noise realization (common random numbers), drawn once, so
     cost comparisons across iterates are systematic rather than noisy.
     """

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from ergosmp import (
     ControlLaw,
     ConvexSet,
     ModelSpec,
+    PathEnsemble,
     SimulationError,
     TimeGrid,
-    build_eta,
     build_gamma,
     build_rho,
     simulate_state,
@@ -16,6 +18,7 @@ from ergosmp import (
     verify_duality_finite,
     verify_duality_infinite,
 )
+from ergosmp.duality import _build_eta
 from ergosmp.forward import _path_integrals, _time_major, simulate_affine_dual
 from ergosmp.model import _dot, cost_grad_x
 
@@ -75,14 +78,14 @@ def test_terminal_data_enters_rhs(lq1, lq1_zero, lq1_base8):
 
 def test_eta_families(lq1, lq1_zero, lq1_base8):
     m = lq1_base8.n_paths
-    assert np.all(build_eta("zero", lq1_base8, 0.0, 1) == 0.0)
-    assert np.all(build_eta("one", lq1_base8, 0.0, 1) == 1.0)
-    state = build_eta("state", lq1_base8, 2.0, 1)
+    assert np.all(_build_eta("zero", lq1_base8, 0.0, 1) == 0.0)
+    assert np.all(_build_eta("one", lq1_base8, 0.0, 1) == 1.0)
+    state = _build_eta("state", lq1_base8, 2.0, 1)
     assert np.array_equal(state, lq1_base8.states[:, 200])
-    custom = build_eta(np.array([0.5]), lq1_base8, 0.0, 1)
+    custom = _build_eta(np.array([0.5]), lq1_base8, 0.0, 1)
     assert custom.shape == (m, 1)
     with pytest.raises(SimulationError):
-        build_eta("typo", lq1_base8, 0.0, 1)
+        _build_eta("typo", lq1_base8, 0.0, 1)
 
 
 def test_bilinearity_in_eta(cubic1):
@@ -134,6 +137,31 @@ def test_build_gamma_without_feedback_is_one_read_only_row_per_step(lq1_base8):
     assert np.array_equal(fed, dense)
 
 
+def test_build_rho_is_one_read_only_row_per_step(lq1_base8):
+    base = lq1_base8.restricted(2.0)
+    rho = build_rho(base, 2, 3, {0: [1.0, -0.5], 2: [0.25, 2.0]}, t_start=0.4, t_end=1.6)
+    dense = np.zeros((base.n_paths, base.grid.steps, 3, 2))
+    dense[:, 40:160, 0] = [1.0, -0.5]
+    dense[:, 40:160, 2] = [0.25, 2.0]
+    assert rho.shape == dense.shape and np.array_equal(rho, dense)
+    assert not rho.flags.writeable
+    assert rho.strides[0] == 0  # no per-path copies
+    # one call at the sizes of the check_lq3 workload (M 1024, 900 steps,
+    # d 2, n 3) holds a (steps, d, n) row, not a 44 MB per-path array
+    grid = TimeGrid(dt=0.01, steps=900)
+    big = PathEnsemble(grid=grid, states=np.broadcast_to(np.zeros(3), (1024, 901, 3)),
+                       increments=np.broadcast_to(np.zeros(2), (1024, 900, 2)), seed=0,
+                       control_id="zero", x0=np.zeros(3))
+    tracemalloc.start()
+    try:
+        rho = build_rho(big, 3, 2, {0: np.ones(3), 1: np.ones(3)}, t_start=0.0, t_end=6.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.shape == (1024, 900, 2, 3) and peak < 1 << 20
+    assert np.any(rho[:, 599:]) and not np.any(rho[:, 600:])
+
+
 def test_reversed_forcing_window_is_rejected(lq1_base8):
     # [1.5, 0.5) holds no step: forcing there would silently be no forcing
     with pytest.raises(SimulationError, match="window"):
@@ -176,7 +204,7 @@ def _stored_dual_sides(model, law, base, sol, t, eta, gamma=None, rho=None, nu=N
     `simulate_affine_dual` returns, summed with the same per-step running
     sums as the check: (p side, Ycal side, Ycal_T, max_j E|Psi_j|^2)."""
     grid, j0 = base.grid, base.grid.index_of(t)
-    eta = build_eta(eta, base, t, model.n)
+    eta = _build_eta(eta, base, t, model.n)
     dual = simulate_affine_dual(model, base, law, t, eta, gamma=gamma, rho=rho)
     X, Y, P = (_time_major(a) for a in (base.states, dual, sol.p))
     psi_sq = np.zeros(grid.steps)

@@ -7,12 +7,11 @@ from ergosmp import (
     ModelSpec,
     SimulationError,
     TimeGrid,
-    estimate_cost_T,
     estimate_ergodic_cost,
-    estimate_gateaux,
     simulate_state,
+    verify_expansion_residual,
 )
-from ergosmp.ergodic_cost import checkpoint_times, ergodic_report_from_ensemble
+from ergosmp.ergodic_cost import _cost_sums_at, checkpoint_times, ergodic_report_from_ensemble
 
 
 def _free_model():
@@ -23,23 +22,21 @@ def _free_model():
 
 def test_zero_cost_family(lq1_zero, lq1_base8):
     model = _free_model()
-    assert estimate_cost_T(model, lq1_base8, lq1_zero, 1.0) == 0.0
+    assert np.all(_cost_sums_at(model, lq1_base8, lq1_zero, [100]) == 0.0)
 
 
 def test_deterministic_cost_integral(lq1, lq1_zero):
     noiseless = lq1.with_diffusion([[0.0]])
     ens = simulate_state(noiseless, lq1_zero, [1.0], TimeGrid(dt=0.01, steps=100), 4, seed=0)
-    val = estimate_cost_T(noiseless, ens, lq1_zero, 1.0)
+    val = _cost_sums_at(noiseless, ens, lq1_zero, [100]).mean()  # E int_0^1 f dt
     assert abs(val - (1 - np.exp(-2.0)) / 2.0) < 0.02
 
 
 def test_ou_cost_integral(lq1, lq1_zero):
     ens = simulate_state(lq1, lq1_zero, [0.0], TimeGrid(dt=0.01, steps=2000), 2048, seed=12)
-    val = estimate_cost_T(lq1, ens, lq1_zero, 20.0)
+    val = _cost_sums_at(lq1, ens, lq1_zero, [2000]).mean()  # E int_0^20 f dt
     oracle = 10.0 - (1 - np.exp(-40.0)) / 4.0  # integral of the OU variance
     assert abs(val - oracle) < 0.3
-    with pytest.raises(SimulationError):
-        estimate_cost_T(lq1, ens, lq1_zero, 20.005)
 
 
 def test_cost_rejects_ensemble_of_another_law(lq1, lq1_base8):
@@ -49,7 +46,7 @@ def test_cost_rejects_ensemble_of_another_law(lq1, lq1_base8):
     with pytest.raises(SimulationError, match="generated under"):
         ergodic_report_from_ensemble(lq1, lq1_base8, law)
     with pytest.raises(SimulationError, match="generated under"):
-        estimate_cost_T(lq1, lq1_base8, law, 1.0)
+        _cost_sums_at(lq1, lq1_base8, law, [100])
 
 
 def test_checkpoint_schedule_properties():
@@ -123,57 +120,66 @@ def test_tail_window_needs_checkpoints(lq1, lq1_zero):
 
 
 # ---------------------------------------------------------------------------
-# Gateaux expansion
+# Cost expansion of the convex perturbation
+
+
+def _base(model, law, T, dt, M, seed):
+    return simulate_state(model, law, np.zeros(model.n), TimeGrid.from_horizon(T, dt), M, seed)
 
 
 def test_gateaux_zero_direction(lq1, lq1_zero):
-    rep = estimate_gateaux(lq1, lq1_zero, lq1_zero, 0.5, 5.0, 256, 8, dt=0.01)
-    assert rep.finite_difference == 0.0
+    rep = verify_expansion_residual(lq1, lq1_zero, lq1_zero, [0.5, 0.25], _base(lq1, lq1_zero, 5.0, 0.01, 256, 8))
+    assert rep.finite_difference == (0.0, 0.0)
     assert rep.linearized == 0.0
+    assert rep.sup_delta_sq == (0.0, 0.0)
+    assert np.isnan(rep.scaling_slope)  # no state moves: the slope is unavailable
+    assert rep.to_dict()["scaling_slope"] is None
 
 
 def test_gateaux_lq_gap_linear_in_theta(lq1, lq1_zero, lq1_one):
     # affine-quadratic structure: gap(theta) = theta * (1/T) int (E|Y|^2 + |v|^2)
-    r4 = estimate_gateaux(lq1, lq1_zero, lq1_one, 0.004, 20.0, 1024, 31, dt=0.01)
-    r2 = estimate_gateaux(lq1, lq1_zero, lq1_one, 0.002, 20.0, 1024, 31, dt=0.01)
-    assert r2.gap < 5e-3
-    assert 1.8 <= r4.gap / r2.gap <= 2.2
+    base = _base(lq1, lq1_zero, 20.0, 0.01, 1024, 31)
+    rep = verify_expansion_residual(lq1, lq1_zero, lq1_one, [0.004, 0.002], base)
+    gap4, gap2 = rep.gateaux_gap
+    fd4, fd2 = rep.finite_difference
+    assert gap2 < 5e-3
+    assert 1.8 <= gap4 / gap2 <= 2.2
     # theta -> 0 extrapolation of the finite difference hits the linearized value
-    extrapolated = 2 * r2.finite_difference - r4.finite_difference
-    assert abs(extrapolated - r2.linearized) < 2e-3
+    extrapolated = 2 * fd2 - fd4
+    assert abs(extrapolated - rep.linearized) < 2e-3
 
 
 def test_gateaux_rejects_theta_outside_unit_interval(lq1, lq1_zero, lq1_one):
     # theta = 0 would divide the finite difference by zero
-    for theta in (0.0, 1.5):
+    base = _base(lq1, lq1_zero, 1.0, 0.01, 16, 8)
+    for thetas in ([0.5, 0.0], [1.5, 0.5]):
         with pytest.raises(SimulationError, match="theta"):
-            estimate_gateaux(lq1, lq1_zero, lq1_one, theta, 1.0, 16, 8, dt=0.01)
+            verify_expansion_residual(lq1, lq1_zero, lq1_one, thetas, base)
 
 
 def test_gateaux_evaluates_each_law_once_per_path(lq1, monkeypatch):
     u_bar = ControlLaw.affine([[-0.4]], [0.1], lq1.control_set)
     u_alt = ControlLaw.constant([1.0], lq1.control_set)
-    reference = estimate_gateaux(lq1, u_bar, u_alt, 0.1, 1.0, 64, 8, dt=0.01)
-    calls = {}
+    base = _base(lq1, u_bar, 1.0, 0.01, 64, 8)
+    ladders = ([0.1, 0.05], [0.4, 0.2, 0.1, 0.05])
+    references = [verify_expansion_residual(lq1, u_bar, u_alt, thetas, base) for thetas in ladders]
     evaluate = ControlLaw.evaluate
+    for thetas, reference in zip(ladders, references):
+        calls = {}
 
-    def counting(self, x):
-        calls[self.describe()] = calls.get(self.describe(), 0) + 1
-        return evaluate(self, x)
+        def counting(self, x):
+            calls[self.describe()] = calls.get(self.describe(), 0) + 1
+            return evaluate(self, x)
 
-    monkeypatch.setattr(ControlLaw, "evaluate", counting)
-    rep = estimate_gateaux(lq1, u_bar, u_alt, 0.1, 1.0, 64, 8, dt=0.01)
-    steps = 100
-    # u_bar: once per step in the base simulation, then three whole-path calls
-    # (perturbed simulation, direction, cost integrand); u_alt: two.
-    assert calls[u_bar.describe()] <= steps + 3
-    assert calls[u_alt.describe()] <= 2
-    assert rep == reference
+        monkeypatch.setattr(ControlLaw, "evaluate", counting)
+        rep = verify_expansion_residual(lq1, u_bar, u_alt, thetas, base)
+        # one whole-path call per law, whatever the ladder length
+        assert calls == {u_bar.describe(): 1, u_alt.describe(): 1}
+        assert rep == reference
 
 
 def test_gateaux_cubic_gap_shrinks(cubic1):
     zero = cubic1.zero_control()
     one = ControlLaw.constant([1.0], cubic1.control_set)
-    g1 = estimate_gateaux(cubic1, zero, one, 0.1, 10.0, 2048, 31, dt=0.005)
-    g2 = estimate_gateaux(cubic1, zero, one, 0.05, 10.0, 2048, 31, dt=0.005)
-    assert g1.gap / g2.gap >= 1.5
+    rep = verify_expansion_residual(cubic1, zero, one, [0.1, 0.05], _base(cubic1, zero, 10.0, 0.005, 2048, 31))
+    assert rep.gateaux_gap[0] / rep.gateaux_gap[1] >= 1.5

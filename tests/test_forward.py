@@ -10,14 +10,11 @@ from ergosmp import (
     ModelSpec,
     SimulationError,
     TimeGrid,
-    direction_from_laws,
     ensemble_from_binary,
     ensemble_to_binary,
     ensemble_to_csv,
     estimate_moment,
     simulate_affine_dual,
-    simulate_first_variation,
-    simulate_perturbed,
     simulate_state,
     solve_adjoint_finite,
     verify_duality_finite,
@@ -30,9 +27,11 @@ from ergosmp.forward import (
     BLOCK_BYTES,
     _path_integrals,
     _paths_to_csv,
+    _perturbed_states,
     _tamed_euler,
     brownian_increments,
 )
+from ergosmp.model import drift_jacU_apply
 
 
 def test_grid_validation():
@@ -174,38 +173,47 @@ def test_seed_changes_noise(lq1, lq1_zero):
 # Coupled simulations
 
 
+def _first_variation(model, base, law, v):
+    """The first variation Y: the linearized equation from Y_0 = 0 forced by
+    gamma = D_u b v."""
+    return simulate_affine_dual(model, base, law, 0.0, np.zeros(model.n), gamma=drift_jacU_apply(model, v))
+
+
 def test_perturbed_theta_zero_is_bitwise(lq1, lq1_zero, lq1_one, lq1_base8):
-    pert = simulate_perturbed(lq1, lq1_zero, lq1_one, 0.0, lq1_base8)
-    assert np.array_equal(pert.states, lq1_base8.states)
-    assert pert.seed == lq1_base8.seed
+    xb = lq1_base8.states[:, :-1]
+    ub = lq1_zero.evaluate(xb)
+    pert = _perturbed_states(lq1, lq1_base8, ub + 0.0 * (lq1_one.evaluate(xb) - ub))
+    assert np.array_equal(pert, lq1_base8.states)
 
 
 def test_perturbed_step_response(lq1, lq1_zero, lq1_one):
     noiseless = lq1.with_diffusion([[0.0]])
     grid = TimeGrid(dt=1e-3, steps=1000)
     base = simulate_state(noiseless, lq1_zero, [0.0], grid, 4, seed=0)
-    pert = simulate_perturbed(noiseless, lq1_zero, lq1_one, 1.0, base)
-    assert abs(pert.states[0, -1, 0] - (1 - np.exp(-1.0))) < 5e-3
+    pert = _perturbed_states(noiseless, base, lq1_one.evaluate(base.states[:, :-1]))
+    assert abs(pert[0, -1, 0] - (1 - np.exp(-1.0))) < 5e-3
 
 
 def test_perturbed_validates_base(lq1, lq1_zero, lq1_one, lq1_base8):
-    with pytest.raises(SimulationError):
-        simulate_perturbed(lq1, lq1_one, lq1_zero, 0.5, lq1_base8)  # base was under zero
-    with pytest.raises(SimulationError):
-        simulate_perturbed(lq1, lq1_zero, lq1_one, 1.5, lq1_base8)
+    base = lq1_base8.restricted(1.0)
+    with pytest.raises(SimulationError, match="generated under"):
+        verify_expansion_residual(lq1, lq1_one, lq1_zero, [0.5, 0.25], base)  # base was under zero
+    with pytest.raises(SimulationError, match="theta"):
+        verify_expansion_residual(lq1, lq1_zero, lq1_one, [1.5, 0.5], base)
 
 
 def test_first_variation_zero_direction(lq1, lq1_zero, lq1_base8):
     v = np.zeros((lq1_base8.n_paths, lq1_base8.grid.steps, 1))
-    fv = simulate_first_variation(lq1, lq1_base8, lq1_zero, v)
+    fv = _first_variation(lq1, lq1_base8, lq1_zero, v)
     assert np.all(fv == 0.0)
 
 
 def test_first_variation_deterministic_limit(lq1, lq1_zero, lq1_one):
     grid = TimeGrid(dt=1e-3, steps=1000)
     base = simulate_state(lq1, lq1_zero, [0.0], grid, 8, seed=2)
-    v = direction_from_laws(lq1_zero, lq1_one, base)
-    fv = simulate_first_variation(lq1, base, lq1_zero, v)
+    xb = base.states[:, :-1]
+    v = lq1_one.evaluate(xb) - lq1_zero.evaluate(xb)
+    fv = _first_variation(lq1, base, lq1_zero, v)
     # D_x sigma = D_u sigma = 0, so Y is the deterministic response 1 - e^-t
     assert np.allclose(fv[:, -1, 0], 1 - np.exp(-1.0), atol=2e-3)
     sup_sq = (fv**2).sum(-1).mean(0).max()
@@ -275,7 +283,7 @@ def test_linearized_forward_matches_numpy_euler(family, lq1, cubic1, lq3):
     dual = simulate_affine_dual(model, base, law, j0 * grid.dt, eta, gamma=gamma, rho=rho)
     np.testing.assert_allclose(dual, euler(eta, j0, gamma, rho), rtol=1e-13, atol=1e-13)
     assert np.all(dual[:, :j0] == 0.0)
-    fv = simulate_first_variation(model, base, law, v)
+    fv = _first_variation(model, base, law, v)
     np.testing.assert_allclose(fv, euler(0.0, 0, v @ model.B.T, np.zeros_like(rho)), rtol=1e-13, atol=1e-13)
     for out in (dual, fv):
         with pytest.raises(ValueError):

@@ -1,17 +1,20 @@
 """Fingerprint every numeric output of the library at fixed seeds.
 
 Prints a JSON object mapping each output (ensembles, costates and their
-regression coefficients, dual and first-variation sweeps, raw Brownian
-increments, VI reports, duality sides, optimizer traces, Gateaux and
-expansion reports, serialized model configs, CLI artifacts and `verify`
-verdicts) to a short SHA-256 of its bytes, at small sizes (a few seconds), on
-lq1, cubic1, a 3-state LQ model, the same model on a box that binds under its
-law and candidate battery, and a 2-state cubic model with a ball control set.
-The two sweeps are the arrays that the linearized-forward simulators return;
-where a tree's simulators still return result objects, their
-`.states`/`.values` fields are read, so one version of the tool runs on both
-trees.  A refactor that must keep outputs byte-identical runs it on both
-trees and diffs the results:
+regression coefficients, perturbed states, dual and first-variation sweeps,
+raw Brownian increments, VI reports, duality sides, optimizer traces, the
+state and cost expansions of a convex perturbation, serialized model
+configs, CLI artifacts and `verify` verdicts) to a short SHA-256 of its
+bytes, at small sizes (a few seconds), on lq1, cubic1, a 3-state LQ model,
+the same model on a box that binds under its law and candidate battery, and a
+2-state cubic model with a ball control set.  The two sweeps are the arrays
+that `simulate_affine_dual` returns; where a tree's simulators still return
+result objects, their `.values` field is read.  The perturbed states and the
+`.gateaux` entry come from the public functions of trees that still have
+them and from the library's private helpers and its merged expansion check
+otherwise, and `.expansion` hashes the report fields that both trees have,
+so one version of the tool runs on both trees.  A refactor that must keep
+outputs byte-identical runs it on both trees and diffs the results:
 
     PYTHONPATH=<old>/src python tools/fingerprint.py > old.json
     PYTHONPATH=<new>/src python tools/fingerprint.py > new.json
@@ -116,13 +119,44 @@ def compare(old: dict, new: dict, tol: float) -> int:
     return 1 if beyond else 0
 
 
+# The fields of the expansion report before it carried the cost expansion.
+_EXPANSION_FIELDS = ("schema_version", "thetas", "sup_delta_sq", "sup_residual_sq", "scaling_slope",
+                     "residual_decreasing", "residual_halved")
+
+
+def _perturbed(E, model, law, alt, theta, ens) -> np.ndarray:
+    """States under law + theta*(alt - law) evaluated along the ensemble's
+    path: the public `simulate_perturbed` where a tree still has it,
+    otherwise the private helper on the controls built here."""
+    if hasattr(E, "simulate_perturbed"):
+        return E.simulate_perturbed(model, law, alt, theta, ens).states
+    xb = ens.states[:, :-1]
+    ub = law.evaluate(xb)
+    return E.forward._perturbed_states(model, ens, ub + theta * (alt.evaluate(xb) - ub))
+
+
+def _gateaux(E, model, law, alt) -> dict:
+    """The theta = 0.1 directional derivative of the average cost on [0, 2]
+    (64 paths, seed 4, dt 0.02, x0 0) in the JSON form of the former
+    `estimate_gateaux` report.  Where that function is gone, the same base is
+    simulated and the merged expansion check supplies the figures."""
+    if hasattr(E, "estimate_gateaux"):
+        return E.estimate_gateaux(model, law, alt, 0.1, 2.0, 64, seed=4, dt=0.02).to_dict()
+    base = E.simulate_state(model, law, np.zeros(model.n), E.TimeGrid.from_horizon(2.0, 0.02), 64, 4)
+    rep = E.verify_expansion_residual(model, law, alt, [0.1, 0.05], base)
+    return {"schema_version": 1, "theta": 0.1, "finite_difference": rep.finite_difference[0],
+            "linearized": rep.linearized, "gap": rep.gateaux_gap[0]}
+
+
 def fingerprint(values: bool = False) -> dict:
     # Imported here so that --compare runs without the library on the path.
     import ergosmp as E
     from ergosmp import cli
-    from ergosmp.ergodic_cost import ergodic_report_from_ensemble
+    from ergosmp.ergodic_cost import _cost_sums_at, ergodic_report_from_ensemble
+    from ergosmp.model import drift_jacU_apply
 
     out = {}
+    cost_expansions = {}
 
     def h(name, obj):
         out[name] = obj if values else _digest(obj)
@@ -164,20 +198,25 @@ def fingerprint(values: bool = False) -> dict:
         sol2 = E.solve_adjoint_finite(model, ens, law, nu=nu)
         h(f"{name}.p_nu", sol2.p)
         h(f"{name}.q_nu", sol2.q)
+        xb = ens.states[:, :-1]
+        v = alt.evaluate(xb) - law.evaluate(xb)
         for th in (0.0, 0.5):
-            h(f"{name}.pert{th}", E.simulate_perturbed(model, law, alt, th, ens).states)
-        v = E.direction_from_laws(law, alt, ens)
+            h(f"{name}.pert{th}", _perturbed(E, model, law, alt, th, ens))
         h(f"{name}.v", v)
-        h(f"{name}.Y", _array(E.simulate_first_variation(model, ens, law, v), "states"))
+        Y = E.simulate_affine_dual(model, ens, law, 0.0, np.zeros(n), gamma=drift_jacU_apply(model, v))
+        h(f"{name}.Y", _array(Y, "values"))
         gamma = E.build_gamma(ens, n, value=np.ones(n), t_start=0.5, t_end=2.0, state_matrix=np.eye(n) * 0.2)
         rho = E.build_rho(ens, n, model.d, {ch: np.ones(n) for ch in range(model.d)}, t_start=0.4, t_end=1.6)
         h(f"{name}.dual", _array(E.simulate_affine_dual(model, ens, law, 0.4, np.ones(n), gamma=gamma, rho=rho), "values"))
-        h(f"{name}.expansion", E.verify_expansion_residual(model, law, alt, [0.5, 0.25, 0.1], ens).to_dict())
-        h(f"{name}.gateaux", E.estimate_gateaux(model, law, alt, 0.1, 2.0, 64, seed=4, dt=0.02).to_dict())
+        expansion = E.verify_expansion_residual(model, law, alt, [0.5, 0.25, 0.1], ens).to_dict()
+        h(f"{name}.expansion", {key: expansion[key] for key in _EXPANSION_FIELDS})
+        if "finite_difference" in expansion:
+            cost_expansions[name] = {key: expansion[key] for key in set(expansion) - set(_EXPANSION_FIELDS)}
+        h(f"{name}.gateaux", _gateaux(E, model, law, alt))
         h(f"{name}.moment", E.estimate_moment(ens, 2, 3.0))
         h(f"{name}.ergrep", ergodic_report_from_ensemble(model, ens, law).to_dict())
         h(f"{name}.ergcost", E.estimate_ergodic_cost(model, law, x0, 3.0, 64, 5, dt=0.02).to_dict())
-        h(f"{name}.costT", E.estimate_cost_T(model, ens, law, 2.0))
+        h(f"{name}.costT", float(_cost_sums_at(model, ens, law, [ens.grid.index_of(2.0)])[:, 0].mean()))
         bat = E.candidate_battery(model, law, seed=2)
         vi = E.evaluate_variational_inequality(model, law, bat, 2.0, 96, 6, dt=0.02, buffer=1.0, x0=x0)
         h(f"{name}.vi", [r.to_dict() for r in vi])
@@ -221,6 +260,10 @@ def fingerprint(values: bool = False) -> dict:
         h(f"{name}.incr_direct", E.forward.brownian_increments(11, 17, grid, model.d))
         ci = E.check_truncation_consistency(model, law, 1.0, 2.0, 0.02, 64, 3, x0=x0)
         h(f"{name}.trunc", ci.to_dict())
+
+    # The cost fields of the expansion reports (trees with the merged check).
+    if cost_expansions:
+        h("expansion.cost_fields", cost_expansions)
 
     # Raw noise, so that a change to the increments shows on its own; 67
     # paths split unevenly into the noise chunks of either grid.
