@@ -4,6 +4,11 @@ The long-run functionals are asymptotic; the artifact tracks J_T / T at a
 ladder of checkpoint horizons and reports min/max over one fixed tail window,
 the last quarter [0.75 T, T] of the horizon, as liminf/limsup proxies.
 
+`estimate_ergodic_cost` holds the noise and one time block of states, never
+the (M, steps+1, n) state array: each block is simulated inside the cost's
+running sum and priced with the controls its steps applied (one law
+evaluation per state), and the report is bitwise the ensemble report.
+
 `verify_expansion_residual` checks the two first-order expansions the
 maximum principle is derived from, under u^theta = u_bar + theta v with
 v = u_alt - u_bar: the state X^theta = X + theta Y + o(theta), Y the first
@@ -19,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _path_integrals,
-                      _perturbed_states, _require_base_under, _time_major, simulate_affine_dual, simulate_state)
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _path_integrals,
+                      _perturbed_states, _require_base_under, _tamed_euler, _tamed_euler_block, _time_major,
+                      brownian_increments, simulate_affine_dual)
 from .model import ControlLaw, ModelSpec, _dot, _Report, cost_at, cost_grad_u, cost_grad_x, drift_jacU_apply
 
 __all__ = [
@@ -83,6 +89,43 @@ def _cost_sums_at(model, ensemble, control, indices) -> np.ndarray:
     return _path_integrals(ensemble.grid, running_cost, indices, (ensemble.n_paths,))
 
 
+def _priced_run(model, control, x0, grid, dW, indices, X=None) -> np.ndarray:
+    """Per-path running-cost sums (M, len(indices)) at the grid `indices` of
+    the tamed-Euler run under `control` from x0 on the increments dW: bitwise
+    `_cost_sums_at` on that run's ensemble, with one law evaluation per state.
+
+    The steps up to max(indices) run inside the integrand of
+    `_path_integrals`, which prices each time block with the controls its
+    steps applied.  Without X each block runs on a buffer of its own, seeded
+    with the last row of the block before, and no state array is kept; a
+    time-major X (steps+1, M, n) receives every state of the grid instead."""
+    M = dW.shape[0]
+    dW_tm = _time_major(dW)
+    last = x0
+    if X is not None:
+        X[0] = x0
+
+    def control_at(j, xj):
+        return control.evaluate(xj)
+
+    def running_cost(j0, j1):
+        nonlocal last
+        if X is None:
+            rows = np.empty((j1 - j0 + 1, M, model.n))
+            rows[0] = last
+        else:
+            rows = X[j0:j1 + 1]
+        U = np.empty((j1 - j0, M, model.l))
+        _tamed_euler_block(model, rows, dW_tm[j0:j1], grid.dt, control_at, j0, "simulate_state", U)
+        last = rows[-1]
+        return cost_at(model, rows[:-1], U)
+
+    sums = _path_integrals(grid, running_cost, indices, (M,))
+    if X is not None:
+        _tamed_euler(model, x0, dW, grid.dt, control_at, "simulate_state", X=X, start=int(max(indices)))
+    return sums
+
+
 @dataclass(frozen=True)
 class ErgodicCostReport(_Report):
     checkpoints: tuple          # ((T, J_T/T), ...)
@@ -94,6 +137,20 @@ class ErgodicCostReport(_Report):
     seed: int
 
 
+def _ladder_report(ts, tail_mask, sums, control_id: str, seed: int) -> ErgodicCostReport:
+    """The report of per-path cost sums (M, len(ts)) at the checkpoints ts."""
+    values = sums.mean(axis=0) / ts
+    return ErgodicCostReport(
+        checkpoints=tuple((float(t), float(v)) for t, v in zip(ts, values)),
+        tail_min=float(values[tail_mask].min()),
+        tail_max=float(values[tail_mask].max()),
+        tail_window=TAIL_WINDOW,
+        ci=_ci95_halfwidth(sums[:, -1] / ts[-1]),
+        control_id=control_id,
+        seed=seed,
+    )
+
+
 def ergodic_report_from_ensemble(
     model: ModelSpec,
     ensemble: PathEnsemble,
@@ -102,17 +159,7 @@ def ergodic_report_from_ensemble(
     """Checkpointed J_T/T ladder evaluated on an existing ensemble."""
     ts, indices, tail_mask = _checkpoint_ladder(ensemble.grid)
     sums = _cost_sums_at(model, ensemble, control, indices)
-    values = sums.mean(axis=0) / ts
-    ci = _ci95_halfwidth(sums[:, -1] / ts[-1])
-    return ErgodicCostReport(
-        checkpoints=tuple((float(t), float(v)) for t, v in zip(ts, values)),
-        tail_min=float(values[tail_mask].min()),
-        tail_max=float(values[tail_mask].max()),
-        tail_window=TAIL_WINDOW,
-        ci=ci,
-        control_id=ensemble.control_id,
-        seed=ensemble.seed,
-    )
+    return _ladder_report(ts, tail_mask, sums, ensemble.control_id, ensemble.seed)
 
 
 def estimate_ergodic_cost(
@@ -124,10 +171,32 @@ def estimate_ergodic_cost(
     seed: int,
     dt: float = 0.01,
 ) -> ErgodicCostReport:
-    """Simulate under `control` and report the J_T/T checkpoint ladder."""
+    """Simulate under `control` and report the J_T/T checkpoint ladder:
+    bitwise `ergodic_report_from_ensemble` on the ensemble of `simulate_state`
+    with these arguments, and a blow-up raises that call's SimulationError.
+
+    It holds the noise, (M, steps, d), and one time block of states, which it
+    prices with the controls its steps applied (`_priced_run`): one law
+    evaluation per state and no (M, steps+1, n) state array."""
     grid = TimeGrid.from_horizon(T_max, dt)
-    ensemble = simulate_state(model, control, x0, grid, M, seed)
-    return ergodic_report_from_ensemble(model, ensemble, control)
+    x0 = _initial_state(model, x0)
+    ts, indices, tail_mask = _checkpoint_ladder(grid)
+    dW = brownian_increments(seed, M, grid, model.d)
+    sums = _priced_run(model, control, x0, grid, dW, indices)
+    return _ladder_report(ts, tail_mask, sums, control.describe(), int(seed))
+
+
+def _simulate_priced(model: ModelSpec, control: ControlLaw, x0: np.ndarray, grid: TimeGrid, dW: np.ndarray,
+                     seed: int, horizon: float):
+    """`simulate_state` on increments dW already drawn for (seed, grid), from
+    a validated x0, with `ergodic_report_from_ensemble` of its restriction to
+    [0, horizon]; both bitwise, from one evaluation of the law per state."""
+    ts, indices, tail_mask = _checkpoint_ladder(TimeGrid(dt=grid.dt, steps=grid.index_of(horizon)))
+    X = np.empty((grid.steps + 1, dW.shape[0], model.n))
+    sums = _priced_run(model, control, x0, grid, dW, indices, X)
+    ensemble = PathEnsemble(grid=grid, states=_time_major(X), increments=dW, seed=int(seed),
+                            control_id=control.describe(), x0=x0)
+    return ensemble, _ladder_report(ts, tail_mask, sums, ensemble.control_id, ensemble.seed)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ and its first k paths equal the k-path ensemble.
 
 The three forward kernels keep those bits and run along the long axes:
 `brownian_increments` draws whole paths into a path-major chunk and
-transposes it into the time-major buffer, the tamed-Euler loop makes each
-time block's noise terms in one call and checks finiteness once per block,
-and the CSV writer formats each path with one `%` of a per-file template.
+transposes it into the time-major buffer, the tamed-Euler step runs one
+time block at a time (`_tamed_euler_block`), making the block's noise terms
+in one call and checking finiteness once, and the CSV writer formats each
+path with one `%` of a per-file template.
 """
 
 from __future__ import annotations
@@ -251,43 +252,57 @@ def _check_finite(X, step, what):
         raise SimulationError(f"{what}: non-finite value at step {step + int(bad[0])}, path {int(bad[1])}")
 
 
-def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, what: str) -> np.ndarray:
-    """Tamed Euler recursion on the increments dW (M, steps, d) from x0.
+def _tamed_euler_block(model: ModelSpec, X: np.ndarray, dW: np.ndarray, dt: float, control_at, j0: int,
+                       what: str, U: Optional[np.ndarray] = None) -> None:
+    """Tamed Euler steps j0, j0+1, ... on a time-major block X (B+1, M, n)
+    whose row 0 holds x_j0: fills rows 1..B from the time-major increments dW
+    (B, M, d) of those steps, and a given U (B, M, l) with the controls they
+    applied.
 
     The drift increment is dt*b / (1 + dt*|b|), which keeps the scheme stable
     for the cubic drift term; the diffusion term is standard Euler.
-    `control_at(j, x_j)` returns the (M, l) controls of step j.  Returns the
-    states (M, steps+1, n) on a time-major buffer.
-
-    Steps run in time blocks of BLOCK_BYTES of states: one `_mat_vec` call
-    makes a block's noise terms (bitwise the per-step calls), and one check
-    per block names the first non-finite step and its lowest path, as a check
-    per step would.  Steps after a blow-up run silently until that check.
+    `control_at(j, x_j)` returns the (M, l) controls of step j.  One
+    `_mat_vec` call makes the block's noise terms (bitwise the per-step
+    calls), and one check names the first non-finite step and its lowest
+    path, as a check per step would; steps after a blow-up run silently until
+    it.  Blocks of any length give the same bits.
     """
+    noise = _mat_vec(model.S, dW)
+    with np.errstate(all="ignore"):
+        for i in range(len(dW)):
+            xj = X[i]
+            u = control_at(j0 + i, xj)
+            if U is not None:
+                U[i] = u
+            b = drift_at(model, xj, u)
+            # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order.
+            scale = np.sqrt(_dot(b, b))
+            scale *= dt
+            scale += 1.0
+            b *= dt
+            b /= scale[:, None]
+            xn = X[i + 1]
+            np.add(xj, b, out=xn)
+            xn += noise[i]
+    _check_finite(X[1:], j0 + 1, what)
+
+
+def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, what: str,
+                 X: Optional[np.ndarray] = None, start: int = 0) -> np.ndarray:
+    """Tamed Euler recursion on the increments dW (M, steps, d) from x0, in
+    time blocks of BLOCK_BYTES of states (`_tamed_euler_block`), on a new
+    time-major buffer; returns the states (M, steps+1, n).  Given a
+    time-major X whose row `start` is set, it fills the later rows instead."""
     M, steps = dW.shape[:2]
-    n = model.n
-    Xbuf = np.empty((steps + 1, M, n))
-    Xbuf[0] = x0
-    dW_tm = dW.transpose(1, 0, 2)
-    block = _block_steps(8 * M * n)
-    for j0 in range(0, steps, block):
+    if X is None:
+        X = np.empty((steps + 1, M, model.n))
+        X[0] = x0
+    dW_tm = _time_major(dW)
+    block = _block_steps(8 * M * model.n)
+    for j0 in range(start, steps, block):
         j1 = min(j0 + block, steps)
-        noise = _mat_vec(model.S, dW_tm[j0:j1])
-        with np.errstate(all="ignore"):
-            for j in range(j0, j1):
-                xj = Xbuf[j]
-                b = drift_at(model, xj, control_at(j, xj))
-                # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order.
-                scale = np.sqrt(_dot(b, b))
-                scale *= dt
-                scale += 1.0
-                b *= dt
-                b /= scale[:, None]
-                xn = Xbuf[j + 1]
-                np.add(xj, b, out=xn)
-                xn += noise[j - j0]
-        _check_finite(Xbuf[j0 + 1:j1 + 1], j0 + 1, what)
-    return _time_major(Xbuf)
+        _tamed_euler_block(model, X[j0:j1 + 1], dW_tm[j0:j1], dt, control_at, j0, what)
+    return _time_major(X)
 
 
 def _initial_state(model: ModelSpec, x0) -> np.ndarray:
@@ -315,13 +330,6 @@ def simulate_state(
     """
     x0 = _initial_state(model, x0)
     dW = brownian_increments(seed, M, grid, model.d)
-    return _simulate_on(model, control, x0, grid, dW, seed)
-
-
-def _simulate_on(model: ModelSpec, control: ControlLaw, x0: np.ndarray, grid: TimeGrid, dW: np.ndarray,
-                 seed: int) -> PathEnsemble:
-    """`simulate_state` on increments dW already drawn for (seed, grid), from
-    a validated x0; callers that simulate several laws draw them once."""
     states = _tamed_euler(model, x0, dW, grid.dt, lambda j, xj: control.evaluate(xj), "simulate_state")
     return PathEnsemble(
         grid=grid, states=states, increments=dW, seed=int(seed),

@@ -15,9 +15,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adjoint import AdjointSolution, _pathwise_dual, extend_to_infinite
-from .ergodic_cost import _checkpoint_ladder, ergodic_report_from_ensemble
+from .ergodic_cost import _checkpoint_ladder, _simulate_priced
 from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _path_integrals,
-                      _require_base_under, _require_grid, _simulate_on, _time_major, brownian_increments)
+                      _require_base_under, _require_grid, _time_major, brownian_increments)
 from .model import (
     ControlLaw,
     ModelSpec,
@@ -273,7 +273,8 @@ def optimize_control(
 ) -> OptimizeResult:
     """Projected adjoint-gradient descent over feedback laws.
 
-    Each iteration simulates under the current law, runs the pathwise dual
+    Each iteration simulates under the current law, pricing its cost report
+    on [0, T) with the controls the steps applied, runs the pathwise dual
     psi, fits the conditional gradient E[D_u H | x] to the samples
     G_j = (D_u b)^T psi_{j+1} + D_u f(u_j) (least squares for affine laws,
     per-bin means for tabulated laws) and takes a projected step.  The step
@@ -303,9 +304,8 @@ def optimize_control(
     status = "completed"
 
     for it in range(iterations):
-        ensemble = _simulate_on(model, law, x0, grid_full, dW, seed)
+        ensemble, report = _simulate_priced(model, law, x0, grid_full, dW, seed, T)
         psi = _pathwise_dual(model, ensemble)
-        report = ergodic_report_from_ensemble(model, ensemble.restricted(T), law)
 
         # Pool the steps [j_burn, j_top) of the time-major buffers; one
         # evaluation of the feedback serves every step.

@@ -16,7 +16,8 @@ tests on the given model:
 - ``determinism-prefix``: the seed -> bytes contract of the forward
   ensembles, on which every pairing of two ensembles relies.
 - ``moment-bound``: the moment bound that dissipativity implies,
-  E|X_t|^q <= e^(-q beta t)|x0|^q + K with beta = -c_p.
+  E|X_t|^q <= e^(-q beta t)|x0|^q + K with beta = -c_p, K read once the
+  contraction has forgotten x0.
 - ``exponential-forgetting``: two solutions on shared noise forget their
   initial states at the rate 2 c_p in mean square, which makes the ergodic
   cost independent of x0 and the dual process bounded on [0, infinity).
@@ -111,22 +112,30 @@ def _no_rate(name: str, c_p: float) -> CheckResult:
 
 
 def _moment_bound_check(model: ModelSpec) -> CheckResult:
-    """E|X_t|^q <= e^(-q beta t)|x0|^q + K under a unit control: beta = -c_p > 0 as
-    certified, K read off the first half of the grid, held on the second within 2 CI."""
+    """E|X_t|^q <= e^(-q beta t)|x0|^q + K under a unit control, with beta =
+    -c_p > 0 as certified.  By t_d = ln(100)/beta the certified contraction
+    has shrunk the pull of x0 to 1% of |x0|, so the envelope term has decayed
+    and the moment is near its stationary value: K is read off [t_d, 1.5 t_d)
+    and held on [1.5 t_d, 2 t_d] within 2 CI.  t_d is capped at 10 to bound
+    the grid; a slower rate leaves some transient in K, which only loosens
+    the check."""
     c_p = model.certified_dissipativity_bound()
     if c_p >= 0:
         return _no_rate("moment-bound", c_p)
     q = int(model.p) if float(model.p).is_integer() and int(model.p) % 2 == 0 else 6
-    grid = TimeGrid(dt=0.01, steps=600)
+    t_d = min(np.log(100.0) / -c_p, 10.0)
+    dt = 0.01
+    grid = TimeGrid(dt=dt, steps=int(np.ceil(2.0 * t_d / dt)))
     law = ControlLaw.constant(np.ones(model.l), model.control_set)
     x0 = np.full(model.n, 5.0)
     ens = simulate_state(model, law, x0, grid, 512, seed=7)
     r = np.linalg.norm(ens.states, axis=-1) ** q
     h, ci = r.mean(axis=0), 1.96 * r.std(axis=0, ddof=1) / np.sqrt(len(r))
-    excess = h - np.exp(q * c_p * grid.times()) * np.linalg.norm(x0) ** q
-    half = len(h) // 2
-    k_fit = float(excess[:half].max())
-    ok = bool(np.all(excess[half:] <= k_fit + 2.0 * ci[half:]))
+    ts = grid.times()
+    excess = h - np.exp(q * c_p * ts) * np.linalg.norm(x0) ** q
+    held = ts >= 1.5 * t_d
+    k_fit = float(excess[(ts >= t_d) & ~held].max())
+    ok = bool(np.all(excess[held] <= k_fit + 2.0 * ci[held]))
     return CheckResult("moment-bound", ok, f"beta={-c_p:.3f}, K={k_fit:.3g}, tail mean={h[-len(h) // 4:].mean():.3g}")
 
 

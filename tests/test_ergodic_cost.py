@@ -1,5 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+
+import ergosmp.forward
 
 from ergosmp import (
     ControlLaw,
@@ -117,6 +122,81 @@ def test_report_json_shape(lq1, lq1_zero):
 def test_tail_window_needs_checkpoints(lq1, lq1_zero):
     with pytest.raises(SimulationError):
         estimate_ergodic_cost(lq1, lq1_zero, [0.0], 0.05, 64, 3, dt=0.01)
+
+
+# ---------------------------------------------------------------------------
+# The streamed estimator
+
+
+def _streamed_cases(lq1, cubic1, lq3):
+    box = ConvexSet.box([-0.3, -0.15], [0.25, 0.2])  # binds on both sides of both coordinates
+    lq3box = ModelSpec.lq(A=lq3.A, B=lq3.B, S=lq3.S, Q=lq3.Q, R=lq3.R, control_set=box)
+    ball = ConvexSet.ball([0.1, -0.1], 0.6)
+    cubic2ball = ModelSpec.cubic([1.0, 0.5], A=[[-1.0, 0.3], [0.0, -0.5]], B=[[1.0, 0.0], [0.5, 1.0]],
+                                 S=[[0.8, 0.0], [0.2, 0.6]], Q=np.eye(2), R=np.eye(2), control_set=ball)
+    K3 = [[-0.4, -0.1, 0.0], [0.0, -0.05, -0.3]]
+    return {
+        "lq1": (lq1, ControlLaw.affine([[-0.4]], [0.1], lq1.control_set)),
+        "cubic1": (cubic1, ControlLaw.tabulated([-1, 0, 1], [[0.3], [-0.3]], cubic1.control_set)),
+        "lq3box": (lq3box, ControlLaw.affine(K3, [0.1, 0.0], box)),
+        "cubic2ball": (cubic2ball, ControlLaw.affine([[-0.8, 0.2], [0.1, -0.6]], [0.05, 0.0], ball)),
+    }
+
+
+@pytest.mark.parametrize("name", ["lq1", "cubic1", "lq3box", "cubic2ball"])
+def test_streamed_cost_is_the_ensemble_report(name, lq1, cubic1, lq3):
+    # 512 paths take 128-step time blocks, so 330 steps make two full blocks
+    # and a partial one.
+    model, law = _streamed_cases(lq1, cubic1, lq3)[name]
+    x0 = np.full(model.n, 0.7)
+    ens = simulate_state(model, law, x0, TimeGrid.from_horizon(6.6, 0.02), 512, 5)
+    streamed = estimate_ergodic_cost(model, law, x0, 6.6, 512, 5, dt=0.02)
+    assert streamed.to_dict() == ergodic_report_from_ensemble(model, ens, law).to_dict()
+
+
+def test_streamed_cost_blow_up_names_the_step_of_simulate_state(monkeypatch):
+    # Noise of scale 1e308 overflows path 23 first, at step 55 of 8-step
+    # blocks.  The cost is zero, so pricing a state that is not finite would
+    # warn of an invalid value.
+    model = ModelSpec.lq(A=[[-1.0]], B=[[1.0]], S=[[1e308]], Q=[[0.0]], R=[[0.0]],
+                         control_set=ConvexSet.box([-5.0], [5.0]))
+    M = 32
+    monkeypatch.setattr(ergosmp.forward, "BLOCK_BYTES", 8 * 8 * M)
+    law = model.zero_control()
+    message = "^simulate_state: non-finite value at step 55, path 23$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match=message):
+            simulate_state(model, law, [0.0], TimeGrid.from_horizon(4.0, 0.01), M, 0)
+        with pytest.raises(SimulationError, match=message):
+            estimate_ergodic_cost(model, law, [0.0], 4.0, M, 0, dt=0.01)
+
+
+def test_streamed_cost_keeps_no_state_array(cubic1):
+    M, steps = 2048, 2000
+    zero = cubic1.zero_control()
+    tracemalloc.start()
+    try:
+        estimate_ergodic_cost(cubic1, zero, [0.0], 20.0, M, 7, dt=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    noise, states = 8 * M * steps, 8 * M * (steps + 1)
+    assert peak < noise + 0.25 * states
+
+
+def test_streamed_cost_evaluates_the_law_once_per_state(lq3, monkeypatch):
+    rows = []
+    evaluate = ControlLaw.evaluate
+
+    def counting(self, x):
+        rows.append(np.prod(np.shape(x)[:-1]))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(ControlLaw, "evaluate", counting)
+    law = ControlLaw.affine([[-0.4, -0.1, 0.0], [0.0, -0.05, -0.3]], [0.1, 0.0], lq3.control_set)
+    estimate_ergodic_cost(lq3, law, np.zeros(3), 3.0, 64, 5, dt=0.02)
+    assert sum(rows) == 64 * 150
 
 
 # ---------------------------------------------------------------------------

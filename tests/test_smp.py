@@ -291,6 +291,23 @@ def test_optimizer_draws_noise_once(lq1, monkeypatch):
         assert (row["cost_tail"], row["ci"]) == (report.tail_max, report.ci)
 
 
+def test_optimizer_prices_each_iterate_in_its_own_pass(lq1, monkeypatch):
+    # Per iteration the law sees each state of [0, T + buffer) once, as the
+    # step applies it and the cost report reads it, and the pooled states of
+    # [1, T) once more for the gradient: M * (60 + 20) rows at dt = 0.05.
+    rows = []
+    evaluate = ControlLaw.evaluate
+
+    def counting(self, x):
+        rows.append(np.prod(np.shape(x)[:-1]))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(ControlLaw, "evaluate", counting)
+    init = ControlLaw.affine([[0.0]], [0.0], lq1.control_set)
+    res = optimize_control(lq1, init, 0.5, 2, 2.0, 16, 7, dt=0.05, buffer=1.0)
+    assert sum(rows) == len(res.trace) * 16 * (60 + 20)
+
+
 @pytest.mark.parametrize("gain", [0.0, -1.0])
 def test_optimizer_gradient_slope_oracle(lq1, monkeypatch, gain):
     # Under u = Kx on lq1 the costate is p = 2x/(2 - K), so the pooled fit of

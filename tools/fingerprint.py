@@ -216,6 +216,9 @@ def fingerprint(values: bool = False) -> dict:
         h(f"{name}.moment", E.estimate_moment(ens, 2, 3.0))
         h(f"{name}.ergrep", ergodic_report_from_ensemble(model, ens, law).to_dict())
         h(f"{name}.ergcost", E.estimate_ergodic_cost(model, law, x0, 3.0, 64, 5, dt=0.02).to_dict())
+        # 330 steps of 512 paths cross the seams of 128-step time blocks, the
+        # last one partial.
+        h(f"{name}.ergcost_blocks", E.estimate_ergodic_cost(model, law, x0, 6.6, 512, 5, dt=0.02).to_dict())
         h(f"{name}.costT", float(_cost_sums_at(model, ens, law, [ens.grid.index_of(2.0)])[:, 0].mean()))
         bat = E.candidate_battery(model, law, seed=2)
         vi = E.evaluate_variational_inequality(model, law, bat, 2.0, 96, 6, dt=0.02, buffer=1.0, x0=x0)
