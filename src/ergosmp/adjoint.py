@@ -283,6 +283,7 @@ def solve_adjoint_finite(
     X_tm = _time_major(ensemble.states)
     block = _block_steps(8 * K * M)
 
+    driver, term = np.empty((M, n)), np.empty(M)
     for j1 in range(steps, 0, -block):
         j0 = max(0, j1 - block)
         Ft, Linv = _block_design(ensemble, j0, j1)
@@ -290,12 +291,13 @@ def solve_adjoint_finite(
         for j in range(j1 - 1, j0 - 1, -1):
             b = j - j0
             p_next = Pbuf[j + 1]
-            driver = drift_jacT_apply(model, X_tm[j], p_next) + grad_x[b]
+            drift_jacT_apply(model, X_tm[j], p_next, driver, term)
+            np.add(driver, grad_x[b], driver)
             if not np.isfinite(driver).all():
                 raise AdjointError(f"non-finite driver at step {j}")
             # The target p_{j+1} + dt * driver, built in place.
-            driver *= dt
-            driver += p_next
+            np.multiply(driver, dt, driver)
+            np.add(driver, p_next, driver)
             c = Linv[b].T @ (Linv[b] @ (Ft[b] @ driver))
             if not np.isfinite(c).all():
                 raise AdjointError(f"non-finite regression coefficients at step {j}")
@@ -343,15 +345,24 @@ def _pathwise_dual(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
     """psi_j = psi_{j+1} + dt * (D_xb(X_j)^T psi_{j+1} + D_xf(X_j)), psi_N = 0,
     on a new time-major (steps+1, M, n) buffer.  It is the exact discrete
     adjoint of `simulate_affine_dual`: per path, <psi_j0, eta> + sum_{j>=j0}
-    <psi_{j+1}, gamma_j dt + rho_j dW_j> = dt sum_{j>=j0} <Y_j, D_xf(X_j)>."""
-    X, dt = _time_major(ensemble.states), ensemble.grid.dt
-    psi = np.zeros(X.shape)
+    <psi_{j+1}, gamma_j dt + rho_j dW_j> = dt sum_{j>=j0} <Y_j, D_xf(X_j)>.
+
+    Each row is built in place, one ufunc call per scalar operation:
+    psi_j = D_xb^T psi_{j+1}, then += D_xf, *= dt, += psi_{j+1}."""
+    X, dt = _time_major(ensemble.states), np.asarray(ensemble.grid.dt)
+    psi = np.empty(X.shape)
+    psi[-1] = 0.0
+    term = np.empty(X.shape[1])
     block = _block_steps(8 * X[0].size)
     for j1 in range(len(X) - 1, 0, -block):
         j0 = max(0, j1 - block)
         grad_x = cost_grad_x(model, X[j0:j1])
         for j in range(j1 - 1, j0 - 1, -1):
-            psi[j] = psi[j + 1] + dt * (drift_jacT_apply(model, X[j], psi[j + 1]) + grad_x[j - j0])
+            row, nxt = psi[j], psi[j + 1]
+            drift_jacT_apply(model, X[j], nxt, row, term)
+            np.add(row, grad_x[j - j0], row)
+            np.multiply(row, dt, row)
+            np.add(row, nxt, row)
         _check_finite(psi[j0], j0, "pathwise dual")
     return psi
 

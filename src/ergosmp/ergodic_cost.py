@@ -105,8 +105,8 @@ def _priced_run(model, control, x0, grid, dW, indices, X=None) -> np.ndarray:
     if X is not None:
         X[0] = x0
 
-    def control_at(j, xj):
-        return control.evaluate(xj)
+    def control_at(j, xj, out):
+        return control.evaluate(xj, out=out)
 
     def running_cost(j0, j1):
         nonlocal last

@@ -17,7 +17,12 @@ The three forward kernels keep those bits and run along the long axes:
 transposes it into the time-major buffer, the tamed-Euler step runs one
 time block at a time (`_tamed_euler_block`), making the block's noise terms
 in one call and checking finiteness once, and the CSV writer formats each
-path with one `%` of a per-file template.
+path with one `%` of a per-file template.  The step allocates its work
+buffers once per block and writes every quantity into them through the
+`out=` paths of `ControlLaw.evaluate`, `ConvexSet.project`, `drift_at` and
+`_mat_vec`, the routines that whole path stacks go through too: one ufunc
+call per scalar operation, in the order of the formula, on coefficients
+bound once.
 """
 
 from __future__ import annotations
@@ -261,29 +266,39 @@ def _tamed_euler_block(model: ModelSpec, X: np.ndarray, dW: np.ndarray, dt: floa
 
     The drift increment is dt*b / (1 + dt*|b|), which keeps the scheme stable
     for the cubic drift term; the diffusion term is standard Euler.
-    `control_at(j, x_j)` returns the (M, l) controls of step j.  One
-    `_mat_vec` call makes the block's noise terms (bitwise the per-step
-    calls), and one check names the first non-finite step and its lowest
-    path, as a check per step would; steps after a blow-up run silently until
-    it.  Blocks of any length give the same bits.
+    `control_at(j, x_j, out)` returns the (M, l) controls of step j, written
+    into the (M, l) `out` it is given (U's row when U is given) or a view of
+    its own.  The block allocates its work buffers once (the controls, B u
+    and b (M, n), the scale and one product term (M,)), and each step writes
+    every quantity into them, one ufunc call per scalar operation, in the
+    order of the formula: the controls, A x + B u, the cubic term, then
+    sqrt(<b, b>) * dt + 1, b * dt / scale and x + b + noise.  One `_mat_vec`
+    call makes the block's noise terms (bitwise the per-step calls), and one
+    check names the first non-finite step and its lowest path, as a check per
+    step would; steps after a blow-up run silently until it.  Blocks of any
+    length give the same bits.
     """
-    noise = _mat_vec(model.S, dW)
+    M, n = X.shape[1:]
+    noise = _mat_vec(model._coef[2], dW)
+    u = np.empty((M, model.l)) if U is None else None
+    b, bu = np.empty((M, n)), np.empty((M, n))
+    scale, term = np.empty(M), np.empty(M)
+    scale_col = scale[:, None]
+    dt, one = np.asarray(dt), np.asarray(1.0)  # 0-d, as the `_rows` coefficients
     with np.errstate(all="ignore"):
         for i in range(len(dW)):
-            xj = X[i]
-            u = control_at(j0 + i, xj)
-            if U is not None:
-                U[i] = u
-            b = drift_at(model, xj, u)
+            xj, xn = X[i], X[i + 1]
+            uj = control_at(j0 + i, xj, u if U is None else U[i])
+            drift_at(model, xj, uj, b, bu, term)
             # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order.
-            scale = np.sqrt(_dot(b, b))
-            scale *= dt
-            scale += 1.0
-            b *= dt
-            b /= scale[:, None]
-            xn = X[i + 1]
-            np.add(xj, b, out=xn)
-            xn += noise[i]
+            _dot(b, b, scale, term)
+            np.sqrt(scale, scale)
+            np.multiply(scale, dt, scale)
+            np.add(scale, one, scale)
+            np.multiply(b, dt, b)
+            np.divide(b, scale_col, b)
+            np.add(xj, b, xn)
+            np.add(xn, noise[i], xn)
     _check_finite(X[1:], j0 + 1, what)
 
 
@@ -330,7 +345,8 @@ def simulate_state(
     """
     x0 = _initial_state(model, x0)
     dW = brownian_increments(seed, M, grid, model.d)
-    states = _tamed_euler(model, x0, dW, grid.dt, lambda j, xj: control.evaluate(xj), "simulate_state")
+    states = _tamed_euler(model, x0, dW, grid.dt, lambda j, xj, out: control.evaluate(xj, out=out),
+                          "simulate_state")
     return PathEnsemble(
         grid=grid, states=states, increments=dW, seed=int(seed),
         control_id=control.describe(), x0=x0,
@@ -351,7 +367,7 @@ def _perturbed_states(model: ModelSpec, base: PathEnsemble, U: np.ndarray) -> np
     perturbation when U = u_bar + theta*(u_alt - u_bar) along the base path.
     Under the base path's own controls it reproduces the base states
     bitwise."""
-    return _tamed_euler(model, base.states[:, 0], base.increments, base.grid.dt, lambda j, xj: U[:, j],
+    return _tamed_euler(model, base.states[:, 0], base.increments, base.grid.dt, lambda j, xj, out: U[:, j],
                         "perturbed state")
 
 
@@ -419,19 +435,30 @@ def _affine_dual_inputs(model: ModelSpec, base: PathEnsemble, u_bar: ControlLaw,
 
 def _affine_dual_block(model: ModelSpec, base: PathEnsemble, Y: np.ndarray, j0: int, gamma, rho) -> None:
     """Euler steps j0, j0+1, ... of the perturbed linearized equation on a
-    time-major block Y (B+1, M, n) whose row 0 holds Y_j0: fills rows 1..B.
-    One check per block names the first non-finite step and its lowest path,
-    as a check per step would; steps after a blow-up run silently until it."""
-    X, dW, dt = _time_major(base.states), _time_major(base.increments), base.grid.dt
+    time-major block Y (B+1, M, n) whose row 0 holds Y_j0: fills rows 1..B,
+    Y_j+1 = Y_j + ((dt D_xb Y_j + dt gamma_j) + sum_i rho^i_j dW^i_j).  Each
+    step writes into Y_j+1 and per-block buffers, one ufunc call per scalar
+    operation.  One check per block names the first non-finite step and its
+    lowest path, as a check per step would; steps after a blow-up run
+    silently until it."""
+    X, dW, dt = _time_major(base.states), _time_major(base.increments), np.asarray(base.grid.dt)
+    M, n = Y.shape[1:]
+    term = np.empty(M)
+    forcing = None if gamma is None and rho is None else np.empty((M, n))
+    channels = None if rho is None else np.empty((M, model.d, n))
     with np.errstate(all="ignore"):
         for b in range(len(Y) - 1):
-            j, yj = j0 + b, Y[b]
-            incr = dt * drift_jac_apply(model, X[j], yj)
+            j, yj, yn = j0 + b, Y[b], Y[b + 1]
+            drift_jac_apply(model, X[j], yj, yn, term)
+            np.multiply(yn, dt, yn)
             if gamma is not None:
-                incr = incr + dt * gamma[:, j]
+                np.multiply(gamma[:, j], dt, forcing)
+                np.add(yn, forcing, yn)
             if rho is not None:
-                incr = incr + (rho[:, j] * dW[j, :, :, None]).sum(axis=1)
-            np.add(yj, incr, out=Y[b + 1])
+                np.multiply(rho[:, j], dW[j, :, :, None], channels)
+                np.sum(channels, axis=1, out=forcing)
+                np.add(yn, forcing, yn)
+            np.add(yn, yj, yn)
     _check_finite(Y[1:], j0 + 1, "simulate_affine_dual")
 
 

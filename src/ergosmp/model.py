@@ -48,58 +48,77 @@ def _require_finite(a, name):
         raise ModelError(f"{name} must be finite")
 
 
-def _mat_vec(mat, vec, offset=None):
+def _mat_vec(mat, vec, offset=None, out=None, term=None):
     """mat @ vec (+ offset) over the last axes, each result row the column sum
     vec_0 * mat[i, 0] + vec_1 * mat[i, 1] + ..., accumulated left to right,
     with the offset added last.
 
-    A result of more than one row is computed one row at a time on (..., M)
-    columns, so every numpy loop runs along the paths and not along the short
-    state axis; a one-row result keeps the broadcast form, which is faster
-    there.  Each state's result is computed on its own in a fixed order, so it
-    does not depend on the batch it is computed in: the first k paths of an
-    M-path ensemble equal the k-path ensemble bitwise, and one call on a stack
-    of steps equals per-step calls.  For at most 7 columns this is bitwise
-    (mat * vec[..., None, :]).sum(-1) + offset, whose short reductions also
-    run left to right.  A BLAS product (vec @ mat.T) would block by batch size
-    and lose both guarantees.
+    The result is computed one row at a time on (..., M) columns, one ufunc
+    call per scalar operation, so every numpy loop runs along the paths and
+    not along the short state axis.  `mat` is a (..., rows, cols) array or
+    its `_rows`; `offset` is a (..., rows) array or a vector's `_entries`.  The
+    result goes into `out` and each product after a row's first into `term`
+    (the batch shape); both are allocated when not given, and neither may
+    overlap `vec`.  Each state's result is computed on its own in a fixed
+    order, so it does not depend on the batch it is computed in: the first
+    k paths of an M-path ensemble equal the k-path ensemble bitwise, and one
+    call on a stack of steps equals per-step calls.  For at most 7 columns
+    this is bitwise (mat * vec[..., None, :]).sum(-1) + offset, whose short
+    reductions also run left to right.  A BLAS product (vec @ mat.T) would
+    block by batch size and lose both guarantees.
     """
-    rows, cols = mat.shape[-2:]
-    if rows == 1:
-        out = vec[..., 0, None] * mat[..., :, 0]
-        for k in range(1, cols):
-            out = out + vec[..., k, None] * mat[..., :, k]
-        return out if offset is None else out + offset
-    shape = np.broadcast_shapes(vec.shape[:-1], mat.shape[:-2])
-    if mat.size == rows * cols:
-        mat = mat.reshape(rows, cols)  # one matrix: its entries multiply as scalars
-    out = np.empty(shape + (rows,))
-    term = np.empty(shape)
-    for i in range(rows):
-        row = out[..., i]
-        np.multiply(vec[..., 0], mat[..., i, 0], out=row)
-        for k in range(1, cols):
-            np.multiply(vec[..., k], mat[..., i, k], out=term)
-            np.add(row, term, out=row)
+    rows = _rows(mat) if isinstance(mat, np.ndarray) else mat
+    if out is None:
+        batch = vec.shape[:-1]
+        if rows[0][0].ndim:
+            batch = np.broadcast_shapes(batch, rows[0][0].shape)
+        out = np.empty(batch + (len(rows),))
+    for i, row in enumerate(rows):
+        col = out[..., i]
+        np.multiply(vec[..., 0], row[0], col)
+        for k in range(1, len(row)):
+            if term is None:
+                term = np.empty(col.shape)
+            np.multiply(vec[..., k], row[k], term)
+            np.add(col, term, col)
         if offset is not None:
-            np.add(row, offset[..., i], out=row)
+            np.add(col, offset[i] if isinstance(offset, list) else offset[..., i], col)
     return out
 
 
-def _dot(a, b):
+def _rows(mat) -> list:
+    """The rows of a (..., rows, cols) matrix as lists of its entries for
+    `_mat_vec`: 0-d arrays for one matrix, (...) arrays for a stack.
+
+    Bound once (`ModelSpec._coef`, `ControlLaw._coef`), they spare each
+    per-step call the conversion of its scalars: numpy takes a 0-d array
+    faster than a Python or numpy float, and multiplies by it bitwise
+    alike."""
+    rows, cols = mat.shape[-2:]
+    if mat.size == rows * cols:
+        mat = mat.reshape(rows, cols)
+    return [[np.asarray(mat[..., i, k]) for k in range(cols)] for i in range(rows)]
+
+
+def _entries(vec) -> list:
+    """The entries of a 1-d array as 0-d arrays, bound once as `_rows`."""
+    return [np.asarray(v) for v in vec]
+
+
+def _dot(a, b, out=None, term=None):
     """<a, b> over the last axis, bitwise (a * b).sum(-1).  For at most 7
     terms numpy reduces left to right, and so does this sum, a_0 b_0 +
     a_1 b_1 + ..., accumulated on (..., M) columns without a numpy loop along
-    the short last axis.  More terms go to numpy's reduction, whose order is
-    then no longer left to right."""
+    the short last axis; `out` and `term` are as in `_mat_vec`.  More terms
+    go to numpy's reduction, whose order is then no longer left to right."""
     if a.shape[-1] > 7:
-        return (a * b).sum(axis=-1)
-    out = a[..., 0] * b[..., 0]
-    if a.shape[-1] > 1:
-        term = np.empty_like(out)
-        for k in range(1, a.shape[-1]):
-            np.multiply(a[..., k], b[..., k], out=term)
-            out += term
+        return np.sum(a * b, axis=-1, out=out)
+    out = np.asarray(np.multiply(a[..., 0], b[..., 0], out))  # 1-d inputs give a 0-d array
+    for k in range(1, a.shape[-1]):
+        if term is None:
+            term = np.empty_like(out)
+        np.multiply(a[..., k], b[..., k], term)
+        np.add(out, term, out)
     return out
 
 
@@ -141,30 +160,55 @@ class ConvexSet:
     def dim(self) -> int:
         return len(self.lower) if self.kind == "box" else len(self.center)
 
-    def project(self, u):
-        """Euclidean projection onto the set; accepts (..., l) arrays.
+    @cached_property
+    def _coef(self):
+        """The box's (lower, upper) or the ball's (center, radius) entries,
+        bound once for `project` as `_entries`."""
+        if self.kind == "box":
+            return _entries(self.lower), _entries(self.upper)
+        return _entries(self.center), np.asarray(self.radius)
 
-        A box gives bitwise np.clip(u, lower, upper).  With one coordinate
-        np.clip runs its constant-bound loop, along the paths, which keeps the
-        input on a tie with a bound.  With more, it runs its element loop along
-        the short l axis, which keeps the bound on a tie; np.maximum then
+    def project(self, u, out=None):
+        """Euclidean projection onto the set; accepts (..., l) arrays and
+        writes into `out` when given, which may be u itself.
+
+        One ufunc call per scalar operation, one coordinate column at a time
+        where the set has more than one, so a single step and a whole path
+        stack share this routine.  A box gives bitwise np.clip(u, lower,
+        upper).  With one coordinate ndarray.clip runs np.clip's ufunc and its
+        constant-bound loop, along the paths, which keeps the input on a tie
+        with a bound.  With more, np.clip runs its element loop along the
+        short l axis, which keeps the bound on a tie; np.maximum then
         np.minimum, one coordinate at a time, keep the bound too and run along
         the paths.  The tie rule decides only the sign of a zero at a zero
-        bound."""
+        bound.  A ball gives bitwise center + delta * s with delta = u - center
+        and s = radius / |delta| where |delta| > radius, else 1; s is taken as
+        radius / fmax(|delta|, radius), and |delta| is the one (...) array the
+        projection allocates (two with more than one coordinate)."""
         u = np.asarray(u, dtype=float)
-        if self.kind == "box":
-            if self.dim == 1:
-                return np.clip(u, self.lower, self.upper)
+        if out is None:
             out = np.empty(u.shape)
-            for i in range(self.dim):
+        if self.kind == "box":
+            lower, upper = self._coef
+            if len(lower) == 1:
+                return u.clip(lower[0], upper[0], out)
+            for i, (lo, hi) in enumerate(zip(lower, upper)):
                 col = out[..., i]
-                np.maximum(u[..., i], self.lower[i], out=col)
-                np.minimum(col, self.upper[i], out=col)
+                np.maximum(u[..., i], lo, out=col)
+                np.minimum(col, hi, out=col)
             return out
-        delta = u - self.center
-        norm = np.sqrt(_dot(delta, delta))[..., None]
-        scale = np.where(norm > self.radius, self.radius / np.where(norm > 0, norm, 1.0), 1.0)
-        return self.center + delta * scale
+        center, radius = self._coef
+        for i, c in enumerate(center):
+            np.subtract(u[..., i], c, out[..., i])
+        scale = _dot(out, out)
+        np.sqrt(scale, scale)
+        np.fmax(scale, radius, scale)
+        np.divide(radius, scale, scale)
+        for i, c in enumerate(center):
+            col = out[..., i]
+            np.multiply(col, scale, col)
+            np.add(col, c, col)
+        return out
 
     def sample(self, rng, size) -> np.ndarray:
         """Uniform draws from the set, shape (size, l)."""
@@ -240,22 +284,42 @@ class ControlLaw:
             bin_values=values,
         )
 
-    def evaluate(self, x) -> np.ndarray:
-        """Evaluate at states x of shape (..., n); returns controls (..., l) in U."""
-        x = np.asarray(x, dtype=float)
+    @cached_property
+    def _coef(self):
+        """The constant's `_entries`, or the affine law's gain `_rows` and
+        offset `_entries`, bound once for `evaluate`."""
         if self.kind == "constant":
-            u = np.empty(x.shape[:-1] + self.const.shape)
-            for i, c in enumerate(self.const):
-                u[..., i] = c
+            return _entries(self.const)
+        if self.kind == "affine_feedback":
+            return _rows(self.gain), _entries(self.offset)
+        return None
+
+    def evaluate(self, x, out=None) -> np.ndarray:
+        """Evaluate at states x of shape (..., n); returns controls (..., l)
+        in U, written into `out` when given.
+
+        One routine per kind serves a whole path stack and a single step: it
+        writes the law's values into `out`, one ufunc call per scalar
+        operation (K x + c column by column as `_mat_vec`), and projects them
+        in place.  Given `out`, an affine law with one state coordinate on a
+        box allocates nothing; more coordinates take one (...) product term,
+        a ball its norm, and a tabulated law its bin indices."""
+        x = np.asarray(x, dtype=float)
+        if out is None:
+            out = np.empty(x.shape[:-1] + (self.control_set.dim,))
+        if self.kind == "constant":
+            for i, c in enumerate(self._coef):
+                out[..., i] = c
         elif self.kind == "affine_feedback":
-            u = _mat_vec(self.gain, x, self.offset)
+            gain, offset = self._coef
+            _mat_vec(gain, x, offset, out)
         elif self.kind == "tabulated_feedback":
             if x.shape[-1] != 1:
                 raise ModelError("tabulated law supports state dimension 1 only")
-            u = self.bin_values[self._bin_index(x[..., 0])]
+            np.take(self.bin_values, self._bin_index(x[..., 0]), axis=0, out=out)
         else:  # pragma: no cover - constructor guards the kind
             raise ModelError(f"unknown control law kind {self.kind!r}")
-        return self.control_set.project(u)
+        return self.control_set.project(out, out)
 
     def _bin_index(self, x1) -> np.ndarray:
         """Bins of first state coordinates x1; outer bins extend to +-inf."""
@@ -382,6 +446,12 @@ class ModelSpec:
         """Whether any alpha_i > 0; LQ models skip the cubic terms entirely."""
         return bool(self.alpha.any())
 
+    @cached_property
+    def _coef(self):
+        """(A, B, S) as `_rows` and alpha as `_entries`: the coefficients
+        bound once for the column kernels."""
+        return _rows(self.A), _rows(self.B), _rows(self.S), _entries(self.alpha)
+
     # -- canonical builders -------------------------------------------------
 
     @staticmethod
@@ -427,13 +497,25 @@ class ModelSpec:
 # Batched coefficient evaluation (used by the simulators)
 
 
-def drift_at(model: ModelSpec, X, U) -> np.ndarray:
-    """b(x, u) for X of shape (M, n), U of shape (M, l): returns (M, n)."""
-    out = _mat_vec(model.A[None, :, :], X, _mat_vec(model.B[None, :, :], U))
+def drift_at(model: ModelSpec, X, U, out=None, bu=None, term=None) -> np.ndarray:
+    """b(x, u) for X of shape (..., n), U of shape (..., l): returns (..., n).
+
+    A x + B u by `_mat_vec` (B u into `bu`, then added last to each row of
+    A x), then the cubic term x * x * x * alpha, one coordinate column at a
+    time; `out`, `bu` (..., n) and the (...) `term` are allocated when not
+    given, and none may overlap X or U."""
+    A, B, _, alpha = model._coef
+    bu = _mat_vec(B, U, None, bu, term)
+    out = _mat_vec(A, X, bu, out, term)
     if model.has_cubic:
-        for k, a in enumerate(model.alpha):  # one column at a time, as _mat_vec
-            x = X[..., k]
-            out[..., k] -= a * (x * x * x)  # x**3 calls libm pow per element
+        if term is None:
+            term = np.empty(out.shape[:-1])
+        for k, a in enumerate(alpha):
+            x, col = X[..., k], out[..., k]
+            np.multiply(x, x, term)  # x**3 calls libm pow per element
+            np.multiply(term, x, term)
+            np.multiply(term, a, term)
+            np.subtract(col, term, col)
     return out
 
 
@@ -448,36 +530,51 @@ def drift_jac_x(model: ModelSpec, X) -> np.ndarray:
     return jac
 
 
-def drift_jac_apply(model: ModelSpec, X, Z) -> np.ndarray:
-    """(D_x b) Z for Z of shape (M, n), without materializing the Jacobians."""
-    out = _mat_vec(model.A, Z)
+def drift_jac_apply(model: ModelSpec, X, Z, out=None, term=None) -> np.ndarray:
+    """(D_x b) Z for Z of shape (M, n), without materializing the Jacobians;
+    `out` and `term` are as in `_mat_vec`."""
+    out = _mat_vec(model._coef[0], Z, None, out, term)
     if model.has_cubic:
-        _sub_cubic_jac(model, X, Z, out)
+        _sub_cubic_jac(model, X, Z, out, term)
     return out
 
 
 def drift_jacU_apply(model: ModelSpec, V) -> np.ndarray:
     """(D_u b) V for V of shape (M, l); D_u b is the constant matrix B."""
-    return _mat_vec(model.B[None, :, :], V)
+    return _mat_vec(model._coef[1], V)
 
 
-def drift_jacT_apply(model: ModelSpec, X, P) -> np.ndarray:
-    """(D_x b)^T P for P of shape (M, n), without materializing the Jacobians."""
-    out = P @ model.A
+def drift_jacT_apply(model: ModelSpec, X, P, out=None, term=None) -> np.ndarray:
+    """(D_x b)^T P for P of shape (M, n), without materializing the Jacobians:
+    P @ A, which for n = 1 is the exact scalar product P * A[0, 0]; `out` and
+    `term` are as in `_mat_vec`."""
+    if model.n == 1:
+        out = np.multiply(P, model._coef[0][0][0], out)
+    else:
+        out = np.matmul(P, model.A, out)
     if model.has_cubic:
-        _sub_cubic_jac(model, X, P, out)
+        _sub_cubic_jac(model, X, P, out, term)
     return out
 
 
-def _sub_cubic_jac(model: ModelSpec, X, Z, out) -> None:
+def _sub_cubic_jac(model: ModelSpec, X, Z, out, term=None) -> None:
     """out -= 3 alpha X^2 Z, the diagonal cubic part of D_x b applied to Z,
     one coordinate column at a time; each product is the broadcast one's."""
-    for k, a in enumerate(model.alpha):
-        out[..., k] -= 3.0 * a * X[..., k] ** 2 * Z[..., k]
+    if term is None:
+        term = np.empty(out.shape[:-1])
+    for k, a in enumerate(model._coef[3]):
+        x, col = X[..., k], out[..., k]
+        np.multiply(x, x, term)
+        np.multiply(term, 3.0 * a, term)
+        np.multiply(term, Z[..., k], term)
+        np.subtract(col, term, col)
 
 
 def drift_jacU_T_apply(model: ModelSpec, P) -> np.ndarray:
-    """(D_u b)^T P, shape (M, l); D_u b is the constant matrix B."""
+    """(D_u b)^T P, shape (M, l); D_u b is the constant matrix B.  P @ B,
+    which for n = 1 is the exact product P * B[0]."""
+    if model.n == 1:
+        return P * model.B[0]
     return P @ model.B
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adjoint import AdjointSolution, _pathwise_dual, extend_to_infinite
 from .ergodic_cost import _checkpoint_ladder, _simulate_priced
-from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _path_integrals,
+from .forward import (SimulationError, TimeGrid, _block_steps, _ci95_halfwidth, _initial_state, _path_integrals,
                       _require_base_under, _require_grid, _time_major, brownian_increments)
 from .model import (
     ControlLaw,
@@ -249,14 +249,54 @@ _OPT_BURN_IN = 1.0   # gradient samples start here (at most T/2)
 _OPT_PATIENCE = 8    # iterations without improvement before "stalled"
 
 
-def _fit_affine_gradient(X: np.ndarray, G: np.ndarray):
-    """Least-squares fit G ~ W x + w over pooled samples; returns (W, w)."""
-    m, n = X.shape
-    design = np.concatenate([np.ones((m, 1)), X], axis=1)
+def _fit_affine_gradient(design: np.ndarray, G: np.ndarray):
+    """Least-squares fit G ~ W x + w over pooled samples, from their (m, n+1)
+    design rows [1, x]; returns (W, w)."""
     gram = design.T @ design
     rhs = design.T @ G
     coef = np.linalg.solve(gram, rhs)     # (n+1, l)
     return coef[1:].T, coef[0]
+
+
+def _gradient_step(model: ModelSpec, law: ControlLaw, ensemble, j_burn: int, j_top: int, gamma_k: float,
+                   design: Optional[np.ndarray]):
+    """One projected gradient step from `law`, whose run is `ensemble`: the
+    next law, the gradient norm and the parameters stepped from.
+
+    It runs the pathwise dual psi and pools G_j = (D_u b)^T psi_{j+1} +
+    D_u f(u_j) over the steps [j_burn, j_top): (D_u b)^T psi in one product,
+    then D_u f added one time block at a time, so besides G only one block
+    of controls is held.  An affine law's fit fills the x columns of
+    `design`, whose column 0 holds ones.  psi and G die with the call, before
+    the next iterate is simulated."""
+    M, n = ensemble.n_paths, model.n
+    X = _time_major(ensemble.states)
+    psi = _pathwise_dual(model, ensemble)
+    G = drift_jacU_T_apply(model, psi[j_burn + 1:j_top + 1].reshape(-1, n))
+    rows = G.reshape(j_top - j_burn, M, model.l)
+    block = _block_steps(8 * M * n)
+    for j0 in range(j_burn, j_top, block):
+        j1 = min(j0 + block, j_top)
+        rows[j0 - j_burn:j1 - j_burn] += cost_grad_u(model, law.evaluate(X[j0:j1]))
+    X_pool = X[j_burn:j_top].reshape(-1, n)
+
+    if law.kind == "affine_feedback":
+        design[:, 1:] = X_pool
+        W, w = _fit_affine_gradient(design, G)
+        new_law = ControlLaw.affine(law.gain - gamma_k * W, law.offset - gamma_k * w, law.control_set)
+        grad_norm = float(np.sqrt((W**2).sum() + (w**2).sum()))
+        return new_law, grad_norm, {"gain": law.gain.tolist(), "offset": law.offset.tolist()}
+    values = law.bin_values.copy()
+    idx = law._bin_index(X_pool[:, 0])
+    grad_norm = 0.0
+    for b in range(len(values)):
+        sel = idx == b
+        if sel.any():
+            gb = G[sel].mean(axis=0)
+            values[b] = law.control_set.project(values[b] - gamma_k * gb)
+            grad_norm = max(grad_norm, float(np.abs(gb).max()))
+    new_law = ControlLaw.tabulated(law.bin_edges, values, law.control_set)
+    return new_law, grad_norm, {"values": law.bin_values.tolist()}
 
 
 def optimize_control(
@@ -296,6 +336,13 @@ def optimize_control(
     j_top = grid_full.index_of(T)
     dW = brownian_increments(seed, M, grid_full, model.d)
 
+    # The affine fit's pooled design [1, x]: one buffer per run, whose x
+    # columns each iteration fills.
+    design = None
+    if u_init.kind == "affine_feedback":
+        design = np.empty(((j_top - j_burn) * M, model.n + 1))
+        design[:, 0] = 1.0
+
     law = u_init
     gamma_k = step_gamma
     best_law, best_tail, best_ci = u_init, np.inf, 0.0
@@ -305,31 +352,7 @@ def optimize_control(
 
     for it in range(iterations):
         ensemble, report = _simulate_priced(model, law, x0, grid_full, dW, seed, T)
-        psi = _pathwise_dual(model, ensemble)
-
-        # Pool the steps [j_burn, j_top) of the time-major buffers; one
-        # evaluation of the feedback serves every step.
-        X_pool = _time_major(ensemble.states)[j_burn:j_top].reshape(-1, model.n)
-        P_pool = psi[j_burn + 1:j_top + 1].reshape(-1, model.n)
-        G_pool = _grad_u_batch(model, law.evaluate(X_pool), P_pool)
-
-        if law.kind == "affine_feedback":
-            W, w = _fit_affine_gradient(X_pool, G_pool)
-            new_law = ControlLaw.affine(law.gain - gamma_k * W, law.offset - gamma_k * w, law.control_set)
-            grad_norm = float(np.sqrt((W**2).sum() + (w**2).sum()))
-            params = {"gain": law.gain.tolist(), "offset": law.offset.tolist()}
-        else:
-            values = law.bin_values.copy()
-            idx = law._bin_index(X_pool[:, 0])
-            grad_norm = 0.0
-            for b in range(len(values)):
-                sel = idx == b
-                if sel.any():
-                    gb = G_pool[sel].mean(axis=0)
-                    values[b] = law.control_set.project(values[b] - gamma_k * gb)
-                    grad_norm = max(grad_norm, float(np.abs(gb).max()))
-            new_law = ControlLaw.tabulated(law.bin_edges, values, law.control_set)
-            params = {"values": law.bin_values.tolist()}
+        new_law, grad_norm, params = _gradient_step(model, law, ensemble, j_burn, j_top, gamma_k, design)
 
         tail = report.tail_max
         trace.append(

@@ -539,6 +539,30 @@ def test_pathwise_dual_pairing_is_the_linearized_gateaux_value(family, cubic1, l
     assert abs(value - report.linearized) <= 1e-12 * max(1.0, abs(report.linearized))
 
 
+@pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3", "cubic2"])
+def test_pathwise_dual_matches_per_step_reference(family, lq1, cubic1, lq3):
+    # psi_j = psi_{j+1} + dt * (D_xb(X_j)^T psi_{j+1} + D_xf(X_j)), psi_N = 0,
+    # one step at a time in broadcast form: bitwise, sign bits too.  256
+    # paths take 256 / n-step time blocks, so 300 steps cross a block seam.
+    cubic2 = ModelSpec.cubic([1.0, 0.5], A=[[-1.0, 0.3], [0.0, -0.5]], B=[[1.0, 0.0], [0.5, 1.0]],
+                             S=[[0.8, 0.0], [0.2, 0.6]], Q=np.eye(2), R=np.eye(2),
+                             control_set=ConvexSet.ball([0.1, -0.1], 0.6))
+    model = {"lq1": lq1, "cubic1": cubic1, "lq3": lq3, "cubic2": cubic2}[family]
+    ens = simulate_state(model, _feedback(model, -0.3), np.ones(model.n), TimeGrid(dt=0.02, steps=300), 256, seed=4)
+    X, dt = _time_major(ens.states), ens.grid.dt
+    ref = np.empty(X.shape)
+    ref[-1] = 0.0
+    for j in range(len(X) - 2, -1, -1):
+        x, nxt = X[j], ref[j + 1]
+        jac_t = nxt @ model.A
+        if model.has_cubic:
+            jac_t = jac_t - 3.0 * model.alpha * x**2 * nxt
+        ref[j] = nxt + dt * (jac_t + 2.0 * (model.Q * x[:, None, :]).sum(axis=-1))
+    psi = _pathwise_dual(model, ens)
+    assert np.array_equal(psi, ref)
+    assert np.array_equal(np.signbit(psi), np.signbit(ref))
+
+
 @pytest.mark.parametrize("family", ["cubic1", "lq3"])
 def test_pathwise_dual_path_prefix_bitwise(family, cubic1, lq3):
     model = cubic1 if family == "cubic1" else lq3

@@ -112,15 +112,99 @@ def test_simulation_rejects_bad_x0(lq1, lq1_zero):
 # Determinism
 
 
-def test_bitwise_determinism_across_runs_and_path_prefixes(lq1, lq1_zero):
+def _kernel_models():
+    """lq1 and cubic1, lq3 on a box that binds under its law on both sides of
+    both coordinates, and a 2-state cubic model on a ball, each with an
+    affine and a constant law (a tabulated one too where n = 1)."""
+    lq1, cubic1 = ModelSpec.lq1(), ModelSpec.cubic1()
+    box = ConvexSet.box([-0.3, -0.15], [0.25, 0.2])
+    lq3box = ModelSpec.lq(A=[[-1, 0.4, 0], [0, -1.2, 0.4], [0, 0, -0.8]], B=[[1, 0], [0, 0], [0, 1]],
+                          S=[[0.6, 0], [0.3, 0.5], [0, 0.4]], Q=np.eye(3), R=np.eye(2), control_set=box)
+    ball = ConvexSet.ball([0.1, -0.1], 0.6)
+    cubic2ball = ModelSpec.cubic([1.0, 0.5], A=[[-1.0, 0.3], [0.0, -0.5]], B=[[1.0, 0.0], [0.5, 1.0]],
+                                 S=[[0.8, 0.0], [0.2, 0.6]], Q=np.eye(2), R=np.eye(2), control_set=ball)
+    cs = lq1.control_set  # cubic1's is the same box
+    tabulated = ControlLaw.tabulated([-1, 0, 1], [[0.3], [-0.3]], cs)
+    return {
+        "lq1": (lq1, {"affine": ControlLaw.affine([[-0.4]], [0.1], cs), "constant": ControlLaw.constant([1.0], cs),
+                      "tabulated": tabulated}),
+        "cubic1": (cubic1, {"affine": ControlLaw.affine([[-0.5]], [-0.2], cs),
+                            "constant": ControlLaw.constant([-0.7], cs), "tabulated": tabulated}),
+        "lq3box": (lq3box, {"affine": ControlLaw.affine([[-0.4, -0.1, 0.0], [0.0, -0.05, -0.3]], [0.1, 0.0], box),
+                            "constant": ControlLaw.constant([1.0, -1.0], box)}),
+        "cubic2ball": (cubic2ball, {"affine": ControlLaw.affine([[-0.8, 0.2], [0.1, -0.6]], [0.05, 0.0], ball),
+                                    "constant": ControlLaw.constant([0.5, -0.5], ball)}),
+    }
+
+
+KERNEL_CASES = [(name, kind) for name, (_, laws) in _kernel_models().items() for kind in laws]
+
+
+def test_bitwise_determinism_across_runs_and_path_prefixes():
     grid = TimeGrid(dt=0.01, steps=120)
-    a = simulate_state(lq1, lq1_zero, [0.5], grid, 96, seed=42)
-    b = simulate_state(lq1, lq1_zero, [0.5], grid, 24, seed=42)
-    c = simulate_state(lq1, lq1_zero, [0.5], grid, 96, seed=42)
-    assert np.array_equal(a.states[:24], b.states)
-    assert np.array_equal(a.increments[:24], b.increments)
-    assert np.array_equal(a.states, c.states)
-    assert np.array_equal(a.increments, c.increments)
+    for model, laws in _kernel_models().values():
+        x0 = np.full(model.n, 0.5)
+        for law in (model.zero_control(), *laws.values()):
+            a = simulate_state(model, law, x0, grid, 96, seed=42)
+            b = simulate_state(model, law, x0, grid, 24, seed=42)
+            c = simulate_state(model, law, x0, grid, 96, seed=42)
+            assert np.array_equal(a.states[:24], b.states)
+            assert np.array_equal(a.increments[:24], b.increments)
+            assert np.array_equal(a.states, c.states)
+            assert np.array_equal(a.increments, c.increments)
+
+
+def _reference_law(law, x):
+    """The law at states x (M, n) in broadcast form, then projected by
+    np.clip or the ball formula."""
+    if law.kind == "affine_feedback":
+        u = (law.gain * x[:, None, :]).sum(axis=-1) + law.offset
+    elif law.kind == "constant":
+        u = np.broadcast_to(law.const, (len(x), len(law.const)))
+    else:
+        bins = np.clip(np.searchsorted(law.bin_edges, x[:, 0], side="right") - 1, 0, len(law.bin_values) - 1)
+        u = law.bin_values[bins]
+    cs = law.control_set
+    if cs.kind == "box":
+        return np.clip(u, cs.lower, cs.upper)
+    delta = u - cs.center
+    norm = np.sqrt((delta * delta).sum(axis=-1))[:, None]
+    return cs.center + delta * np.where(norm > cs.radius, cs.radius / np.where(norm > 0, norm, 1.0), 1.0)
+
+
+def _reference_states(model, law, x0, dW, dt):
+    """The tamed-Euler recursion one step at a time in broadcast form:
+    x_j+1 = x_j + dt b / (|b| dt + 1) + S dW_j, b = A x + B u - alpha x^3."""
+    M, steps, _ = dW.shape
+    X = np.empty((M, steps + 1, model.n))
+    X[:, 0] = x0
+    for j in range(steps):
+        x = X[:, j]
+        u = _reference_law(law, x)
+        b = (model.A * x[:, None, :]).sum(axis=-1) + (model.B * u[:, None, :]).sum(axis=-1)
+        if model.has_cubic:
+            b = b - model.alpha * (x * x * x)
+        scale = np.sqrt((b * b).sum(axis=-1))
+        X[:, j + 1] = x + (b * dt) / (scale * dt + 1.0)[:, None] + (model.S * dW[:, j, None, :]).sum(axis=-1)
+    return X
+
+
+@pytest.mark.parametrize("name,kind", KERNEL_CASES, ids=[f"{name}-{kind}" for name, kind in KERNEL_CASES])
+def test_tamed_euler_matches_per_step_reference(name, kind):
+    # 256 paths take 256 / n-step time blocks, so 300 steps cross at least
+    # one block seam on every model.
+    model, laws = _kernel_models()[name]
+    law, M, grid = laws[kind], 256, TimeGrid(dt=0.02, steps=300)
+    assert BLOCK_BYTES // (8 * M * model.n) < grid.steps
+    x0 = np.linspace(-1.5, 1.5, model.n)
+    ens = simulate_state(model, law, x0, grid, M, seed=13)
+    ref = _reference_states(model, law, x0, ens.increments, grid.dt)
+    assert np.array_equal(ens.states, ref)
+    assert np.array_equal(np.signbit(ens.states), np.signbit(ref))
+    if name == "lq3box" and kind == "affine":
+        # the box binds on both sides of both coordinates
+        U = law.evaluate(ens.states).reshape(-1, 2)
+        assert (U == model.control_set.lower).any(axis=0).all() and (U == model.control_set.upper).any(axis=0).all()
 
 
 def test_path_integrals_match_cumsum():
@@ -461,7 +545,7 @@ def test_blocked_finiteness_names_first_step_and_lowest_path(lq1, monkeypatch):
     monkeypatch.setattr(ergosmp.forward, "BLOCK_BYTES", 8 * 8 * M)  # 8 steps per block
     dW = brownian_increments(1, M, grid, 1)
 
-    def control_at(k, xk):
+    def control_at(k, xk, out):
         # Step j (in the second block) blows up paths 3 and 5, step j + 1 path 1.
         u = np.zeros((M, 1))
         if k == j:

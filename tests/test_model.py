@@ -390,3 +390,19 @@ def test_path_stack_evaluation_matches_per_step(kind, set_name):
         per_step = np.stack([law.evaluate(X[:, j]) for j in range(steps)], axis=1)
         assert stacked.tobytes() == per_step.tobytes()
         assert np.allclose(cs.project(stacked), stacked, rtol=0.0, atol=1e-12)  # admissible
+        # the out= path is the same routine: it fills and returns the buffer
+        out = np.full((M, steps, 2), np.nan)
+        assert law.evaluate(X, out=out) is out
+        assert out.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("set_name", sorted(_SETS))
+def test_projection_into_out_and_in_place(set_name):
+    cs = _SETS[set_name]
+    u = 3.0 * np.random.default_rng(5).standard_normal((257, 2))
+    expected = cs.project(u)
+    out = np.empty_like(u)
+    assert cs.project(u, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert cs.project(u, out=u) is u
+    assert u.tobytes() == expected.tobytes()
