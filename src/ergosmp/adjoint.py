@@ -372,7 +372,7 @@ def extend_to_infinite(
     u_bar: ControlLaw,
     x0,
     T_report: float,
-    T_buffer: float,
+    T_buffer: Optional[float],
     dt: float,
     M: int,
     seed: int,
@@ -381,9 +381,9 @@ def extend_to_infinite(
 
     Solves with zero terminal data on [0, T_report + T_buffer] and discards
     the buffer, where the influence of the artificial terminal condition has
-    decayed exponentially.  The buffer should span several multiples of the
-    dissipation time 1/|c_p|.
+    decayed exponentially; None is `ModelSpec.forgetting_time`, ln(100)/|c_p|.
     """
+    T_buffer = model.forgetting_time(dt) if T_buffer is None else T_buffer
     if T_buffer <= 0:
         raise AdjointError("T_buffer must be positive")
     grid = TimeGrid.from_horizon(T_report + T_buffer, dt)

@@ -259,8 +259,10 @@ class ControlLaw:
 
     @staticmethod
     def affine(gain, offset, control_set: ConvexSet) -> "ControlLaw":
-        k = np.atleast_2d(np.asarray(gain, dtype=float))
+        k = np.asarray(gain, dtype=float)
         c = np.atleast_1d(np.asarray(offset, dtype=float))
+        if k.ndim != 2:
+            raise ModelError(f"affine law: gain must be a 2-d (l, n) array, got shape {k.shape}")
         if k.shape[0] != control_set.dim or c.shape != (control_set.dim,):
             raise ModelError("affine law: gain/offset shape mismatch")
         _require_finite(k, "affine law: gain")
@@ -311,6 +313,8 @@ class ControlLaw:
             for i, c in enumerate(self._coef):
                 out[..., i] = c
         elif self.kind == "affine_feedback":
+            if self.gain.shape[1] != x.shape[-1]:
+                raise ModelError(f"affine law: a {self.gain.shape} gain does not match state dimension {x.shape[-1]}")
             gain, offset = self._coef
             _mat_vec(gain, x, offset, out)
         elif self.kind == "tabulated_feedback":
@@ -492,6 +496,15 @@ class ModelSpec:
         sym = 0.5 * (self.A + self.A.T)
         return float(np.linalg.eigvalsh(sym).max())
 
+    def forgetting_time(self, dt: float) -> float:
+        """ln(100)/|c_p| rounded up to the dt grid: the dual contracts at the
+        certified rate |c_p|, so over this buffer a zero terminal condition
+        loses all but 1% of its pull.  c_p >= 0 certifies no rate: ModelError."""
+        c_p = self.certified_dissipativity_bound()
+        if c_p >= 0:
+            raise ModelError(f"certified c_p={c_p:.4g} >= 0 gives no decay rate, so no buffer can be derived")
+        return math.ceil(np.log(100.0) / -c_p / dt - 1e-9) * dt
+
 
 # ---------------------------------------------------------------------------
 # Batched coefficient evaluation (used by the simulators)
@@ -607,21 +620,20 @@ class DissipativityReport(_Report):
 def check_dissipativity(model: ModelSpec, probes: int = 512, seed: int = 0) -> DissipativityReport:
     """Randomized falsifier for the joint dissipativity condition.
 
-    Samples states x ~ N(0, 3^2 I), controls uniform on U and directions y
-    uniform on the unit sphere, and evaluates
+    Samples states x ~ N(0, 3^2 I) and directions y uniform on the unit
+    sphere, and evaluates
 
         <D_x b(x,u) y, y> + k * ||D_x sigma(x,u) y||_2^2,
 
-    whose second term is zero because sigma is constant.  The probe maximum
-    is the sampled estimate of the best dissipativity constant; a nonnegative
-    maximum fails the check.  Sampling can miss violations but never invents
-    one.
+    whose second term is zero because sigma is constant; D_x b reads no u, so
+    no control is drawn.  The probe maximum is the sampled estimate of the
+    best dissipativity constant; a nonnegative maximum fails the check.
+    Sampling can miss violations but never invents one.
     """
     if probes < 1:
         raise ModelError("check_dissipativity: probes must be >= 1")
     rng = np.random.default_rng(seed)
     X = 3.0 * rng.standard_normal((probes, model.n))
-    model.control_set.sample(rng, probes)  # u-probes: D_x b does not read u
     Y = rng.standard_normal((probes, model.n))
     Y /= np.maximum(np.linalg.norm(Y, axis=-1, keepdims=True), 1e-300)
 

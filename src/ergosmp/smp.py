@@ -107,7 +107,7 @@ def evaluate_variational_inequality(
     M: int,
     seed: int,
     dt: float = 0.01,
-    buffer: float = 3.0,
+    buffer: Optional[float] = None,
     x0=None,
     adjoint: Optional[AdjointSolution] = None,
 ) -> List[SmpReport]:
@@ -117,8 +117,9 @@ def evaluate_variational_inequality(
     give each checkpoint value and the CI.  A tail value below -max(0.01,
     2 CI) certifies non-optimality of u_bar (contrapositive use of the
     variational inequality); nonnegative tails are merely consistent with
-    optimality.  A supplied `adjoint` must lie on the grid of (T_max, dt) and
-    be solved under u_bar; its ensemble then overrides M, seed, buffer and x0.
+    optimality.  The buffer defaults to the model's forgetting time.  A
+    supplied `adjoint` must lie on the grid of (T_max, dt) and be solved
+    under u_bar; its ensemble then overrides M, seed, buffer and x0.
     """
     if x0 is None:
         x0 = np.zeros(model.n)
@@ -167,26 +168,19 @@ class SufficiencyReport(_Report):
     tolerance: float
     eigen_tolerance: float
     verdict: str                # "certified" | "not-certified"
-    probe_count: int
 
 
 _SUFFICIENCY_TOLERANCE = 0.02  # largest admitted negative minimality tail
 _EIGEN_TOLERANCE = 1e-3        # largest admitted negative Hessian eigenvalue
 
 
-def _hamiltonian_hessian(model: ModelSpec, X, P) -> np.ndarray:
-    """Exact (x, u)-Hessian of H at states X and costates P, both (M, n).
-
-    For b = Ax + Bu - alpha*x^3, constant sigma and f = <Qx,x> + <Ru,u> it is
-    block-diagonal, diag(2Q - 6 diag(alpha*x*p), 2R), and reads neither u nor q.
-    """
-    n = model.n
-    hess = np.zeros((X.shape[0], n + model.l, n + model.l))
-    hess[:, :n, :n] = 2.0 * model.Q
-    idx = np.arange(n)
-    hess[:, idx, idx] -= 6.0 * model.alpha * X * P
-    hess[:, n:, n:] = 2.0 * model.R
-    return hess
+def _convexity_bound(model: ModelSpec, X, P) -> float:
+    """min(lambda_min(2R), lambda_min(2Q) - 6 max alpha_k x_k p_k), the max over
+    every k and state of X and P (..., n): the (x, u)-Hessian of H is
+    diag(2Q - 6 diag(alpha*x*p), 2R), so by Weyl no eigenvalue lies below
+    this bound, which is the exact minimum for alpha = 0 or n = 1."""
+    top = max(float(a * (X[..., k] * P[..., k]).max()) if a else 0.0 for k, a in enumerate(model.alpha))
+    return float(min(np.linalg.eigvalsh(2.0 * model.R).min(), np.linalg.eigvalsh(2.0 * model.Q).min() - 6.0 * top))
 
 
 def check_sufficiency(
@@ -195,17 +189,15 @@ def check_sufficiency(
     T_max: float,
     M: int,
     seed: int,
-    probes: int = 200,
     dt: float = 0.01,
-    buffer: float = 3.0,
+    buffer: Optional[float] = None,
     x0=None,
 ) -> SufficiencyReport:
-    """Sufficient-condition check: sampled convexity of the Hamiltonian along
-    the solved costate plus the minimality tail over `candidate_battery`.
-    Certified when the smallest sampled eigenvalue is >= -_EIGEN_TOLERANCE
-    and the minimality tail is >= -_SUFFICIENCY_TOLERANCE."""
-    if probes < 1:
-        raise SimulationError("check_sufficiency: probes must be >= 1")
+    """Sufficient-condition check: `_convexity_bound` over every path and step
+    after the transient min(1, T_max/4), plus the minimality tail over
+    `candidate_battery`; the buffer defaults to the model's forgetting time.
+    Certified when the bound is >= -_EIGEN_TOLERANCE and the minimality tail
+    is >= -_SUFFICIENCY_TOLERANCE."""
     if x0 is None:
         x0 = np.zeros(model.n)
     adjoint = extend_to_infinite(model, u_bar, x0, T_max, buffer, dt, M, seed)
@@ -216,21 +208,15 @@ def check_sufficiency(
     minimality_tail = min(r.tail_min for r in reports)
 
     grid = adjoint.grid
-    ens = adjoint.ensemble
-    rng = np.random.default_rng(seed + 101)
     j_lo = int(round(min(1.0, grid.horizon / 4.0) / grid.dt))
-    paths = rng.integers(0, ens.n_paths, size=probes)
-    steps = rng.integers(j_lo, grid.steps, size=probes)
-    hess = _hamiltonian_hessian(model, ens.states[paths, steps], adjoint.p[paths, steps])
-    min_eig = float(np.linalg.eigvalsh(hess).min())
+    min_eig = _convexity_bound(model, adjoint.ensemble.states[:, j_lo:grid.steps], adjoint.p[:, j_lo:grid.steps])
     certified = (min_eig >= -_EIGEN_TOLERANCE) and (minimality_tail >= -_SUFFICIENCY_TOLERANCE)
     return SufficiencyReport(
-        convexity_min_eigen=float(min_eig),
+        convexity_min_eigen=min_eig,
         minimality_tail=float(minimality_tail),
         tolerance=_SUFFICIENCY_TOLERANCE,
         eigen_tolerance=_EIGEN_TOLERANCE,
         verdict="certified" if certified else "not-certified",
-        probe_count=probes,
     )
 
 
@@ -308,7 +294,7 @@ def optimize_control(
     M: int,
     seed: int,
     dt: float = 0.01,
-    buffer: float = 2.0,
+    buffer: Optional[float] = None,
     x0=None,
 ) -> OptimizeResult:
     """Projected adjoint-gradient descent over feedback laws.
@@ -324,13 +310,15 @@ def optimize_control(
     min(_OPT_BURN_IN, T/2) to T; paired with a direction v it is the
     linearized value of `verify_expansion_residual`, path by path.  All iterations
     share one noise realization (common random numbers), drawn once, so
-    cost comparisons across iterates are systematic rather than noisy.
+    cost comparisons across iterates are systematic rather than noisy.  The
+    buffer past T defaults to the model's forgetting time.
     """
     if u_init.kind not in ("affine_feedback", "tabulated_feedback"):
         raise SimulationError("optimizer supports affine or tabulated feedback laws")
     if not step_gamma > 0:
         raise SimulationError("step_gamma must be positive")
     x0 = _initial_state(model, np.zeros(model.n) if x0 is None else x0)
+    buffer = model.forgetting_time(dt) if buffer is None else buffer
     grid_full = TimeGrid.from_horizon(T + buffer, dt)
     j_burn = grid_full.index_of(round(min(_OPT_BURN_IN, T / 2.0) / dt) * dt)
     j_top = grid_full.index_of(T)

@@ -192,7 +192,7 @@ def test_q_is_fitted_only_when_read(lq1, lq1_zero, monkeypatch):
     one = ControlLaw.constant([1.0], lq1.control_set)
     verify_duality_finite(lq1, lq1_zero, 0.0, 1.0, eta="one", M=64, seed=1, dt=0.05)
     evaluate_variational_inequality(lq1, lq1_zero, [("one", one)], 2.0, 64, 1, dt=0.05, buffer=0.5)
-    check_sufficiency(lq1, lq1_zero, 2.0, 64, 1, probes=4, dt=0.05, buffer=0.5)
+    check_sufficiency(lq1, lq1_zero, 2.0, 64, 1, dt=0.05, buffer=0.5)
     assert fits == []
     ens = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.05, steps=20), 64, seed=1)
     sol = solve_adjoint_finite(lq1, ens, lq1_zero)

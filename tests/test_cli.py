@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 import ergosmp.cli
 import ergosmp.duality
-from ergosmp import ConvexSet, ModelSpec, ensemble_from_binary, save_model_config, simulate_state
-from ergosmp.cli import run_command
+from ergosmp import ConvexSet, ModelSpec, ensemble_from_binary, model_config_dict, save_model_config
+from ergosmp.cli import build_parser, run_command
 
 
 @pytest.fixture(scope="module")
@@ -25,13 +26,17 @@ COMMON = ["--seed", "3", "--dt", "0.05", "--M", "64"]
 SUBCOMMANDS = [
     (["simulate", *COMMON, "--T", "2", "--formats", "csv,bin"], {0}),
     (["cost", *COMMON, "--T", "4"], {0}),
-    (["adjoint", *COMMON, "--T", "1", "--buffer", "1"], {0}),
-    (["duality-check", *COMMON, "--T", "2", "--eta", "one", "--gamma-const", "1"], {0, 2}),
-    (["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1", "--rho-channel", "0"], {0, 2}),
-    (["smp-check", *COMMON, "--T", "4", "--buffer", "1"], {0, 2}),
-    (["sufficiency", *COMMON, "--T", "4", "--buffer", "1", "--probes", "10"], {0, 2}),
-    (["optimize", *COMMON, "--T", "4", "--buffer", "1", "--iters", "2"], {0}),
+    (["adjoint", *COMMON, "--T", "1"], {0}),
+    (["duality-check", *COMMON, "--T", "2"], {0, 2}),
+    (["duality-check", *COMMON, "--T", "2", "--infinite"], {0, 2}),
+    (["smp-check", *COMMON, "--T", "4"], {0, 2}),
+    (["sufficiency", *COMMON, "--T", "4"], {0, 2}),
+    (["optimize", *COMMON, "--T", "4", "--iters", "2"], {0}),
 ]
+
+# The JSON artifact of each command that discards a derived buffer.
+BUFFERED = {"adjoint": "adjoint_coefficients.json", "smp-check": "smp_report.json",
+            "sufficiency": "sufficiency_report.json", "optimize": "optimize_result.json"}
 
 
 @pytest.mark.parametrize("argv,codes", SUBCOMMANDS, ids=[" ".join(a[:1] + a[-2:]) for a, _ in SUBCOMMANDS])
@@ -44,6 +49,9 @@ def test_subcommand_smoke(lq1_config, tmp_path, capsys, argv, codes):
         if name.endswith(".json"):
             obj = json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
             assert obj.get("schema_version", 1) == 1, name
+    if argv[0] in BUFFERED or "--infinite" in argv:
+        obj = json.loads((tmp_path / BUFFERED.get(argv[0], "duality_report.json")).read_text())
+        assert obj["buffer"] == ModelSpec.lq1().forgetting_time(0.05) == 4.65
     if argv[0] == "simulate":
         assert ensemble_from_binary(str(tmp_path / "ensemble.bin")).n_paths == 64
 
@@ -89,60 +97,57 @@ def _patched_config(config, tmp_path, patch):
 BAD_INPUT = [
     ("x0-length", ["cost", *COMMON, "--T", "4", "--x0", "0.1,0.2"], None),
     ("cost-M1", ["cost", "--seed", "3", "--dt", "0.05", "--M", "1", "--T", "4"], None),
-    ("smp-check-M1", ["smp-check", "--seed", "3", "--dt", "0.05", "--M", "1", "--T", "4", "--buffer", "1"], None),
+    ("smp-check-M1", ["smp-check", "--seed", "3", "--dt", "0.05", "--M", "1", "--T", "4"], None),
     ("workers-removed", ["simulate", *COMMON, "--T", "1", "--workers", "2"], None),
-    ("optimize-degree-removed", ["optimize", *COMMON, "--T", "4", "--buffer", "1", "--iters", "2", "--degree", "2"],
+    ("optimize-degree-removed", ["optimize", *COMMON, "--T", "4", "--iters", "2", "--degree", "2"],
      None),
-    ("optimize-ridge-removed", ["optimize", *COMMON, "--T", "4", "--buffer", "1", "--iters", "2", "--ridge", "1e-6"],
+    ("optimize-ridge-removed", ["optimize", *COMMON, "--T", "4", "--iters", "2", "--ridge", "1e-6"],
      None),
-    ("adjoint-degree-removed", ["adjoint", *COMMON, "--T", "1", "--buffer", "1", "--degree", "2"], None),
-    ("adjoint-ridge-removed", ["adjoint", *COMMON, "--T", "1", "--buffer", "1", "--ridge", "nan"], None),
-    ("duality-check-degree-removed", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--degree", "2"], None),
-    ("duality-check-ridge-removed", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--ridge", "1e-6"], None),
-    ("smp-check-degree-removed", ["smp-check", *COMMON, "--T", "4", "--buffer", "1", "--degree", "2"], None),
-    ("smp-check-ridge-removed", ["smp-check", *COMMON, "--T", "4", "--buffer", "1", "--ridge", "1e-6"], None),
-    ("smp-check-window-removed", ["smp-check", *COMMON, "--T", "4", "--buffer", "1", "--window", "0.5"], None),
-    ("sufficiency-degree-removed", ["sufficiency", *COMMON, "--T", "4", "--buffer", "1", "--degree", "2"], None),
-    ("sufficiency-ridge-removed", ["sufficiency", *COMMON, "--T", "4", "--buffer", "1", "--ridge", "1e-6"], None),
-    ("sufficiency-window-removed", ["sufficiency", *COMMON, "--T", "4", "--buffer", "1", "--window", "0.5"], None),
+    ("adjoint-degree-removed", ["adjoint", *COMMON, "--T", "1", "--degree", "2"], None),
+    ("adjoint-ridge-removed", ["adjoint", *COMMON, "--T", "1", "--ridge", "nan"], None),
+    ("duality-check-degree-removed", ["duality-check", *COMMON, "--T", "2", "--degree", "2"], None),
+    ("duality-check-ridge-removed", ["duality-check", *COMMON, "--T", "2", "--ridge", "1e-6"], None),
+    ("smp-check-degree-removed", ["smp-check", *COMMON, "--T", "4", "--degree", "2"], None),
+    ("smp-check-ridge-removed", ["smp-check", *COMMON, "--T", "4", "--ridge", "1e-6"], None),
+    ("smp-check-window-removed", ["smp-check", *COMMON, "--T", "4", "--window", "0.5"], None),
+    ("sufficiency-degree-removed", ["sufficiency", *COMMON, "--T", "4", "--degree", "2"], None),
+    ("sufficiency-ridge-removed", ["sufficiency", *COMMON, "--T", "4", "--ridge", "1e-6"], None),
+    ("sufficiency-window-removed", ["sufficiency", *COMMON, "--T", "4", "--window", "0.5"], None),
     ("cost-window-removed", ["cost", *COMMON, "--T", "4", "--window", "0.5"], None),
     ("verify-suite-removed", ["verify", "--suite", "all"], None),
-    ("adjoint-too-few-paths", ["adjoint", "--seed", "3", "--dt", "0.05", "--M", "2", "--T", "1", "--buffer", "1"], None),
+    ("adjoint-too-few-paths", ["adjoint", "--seed", "3", "--dt", "0.05", "--M", "2", "--T", "1"], None),
     ("x0-not-a-number", ["cost", *COMMON, "--T", "4", "--x0", "abc"], None),
     ("dt-nan", ["simulate", "--seed", "3", "--M", "16", "--T", "1", "--dt", "nan"], None),
     ("T-inf", ["simulate", *COMMON, "--T", "inf"], None),
-    ("adjoint-buffer-nan", ["adjoint", *COMMON, "--T", "1", "--buffer", "nan"], None),
-    ("optimize-gamma-nan", ["optimize", *COMMON, "--T", "4", "--buffer", "1", "--iters", "1", "--gamma", "nan"], None),
-    ("duality-t-nan", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--t", "nan"], None),
-    ("duality-threshold-nan", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--threshold", "nan"], None),
+    ("optimize-gamma-nan", ["optimize", *COMMON, "--T", "4", "--iters", "1", "--gamma", "nan"], None),
+    ("duality-threshold-nan", ["duality-check", *COMMON, "--T", "2", "--threshold", "nan"], None),
     ("config-n-string", ["cost", *COMMON, "--T", "4"], {"n": "x"}),
     ("config-n-list", ["cost", *COMMON, "--T", "4"], {"n": [1]}),
     ("config-m-list", ["cost", *COMMON, "--T", "4"], {"m": [0]}),
     ("config-p-null", ["cost", *COMMON, "--T", "4"], {"p": None}),
     ("config-A-object", ["cost", *COMMON, "--T", "4"], {"A": {"x": 1}}),
     ("control-value-object", ["cost", *COMMON, "--T", "4", "--control", '{"kind":"constant","value":{"a":1}}'], None),
+    # What the model determines is no flag: the buffer and the duality forcing
+    # flags are unknown arguments now (see test_derived_values_are_not_flags).
+    ("adjoint-buffer-nan", ["adjoint", *COMMON, "--T", "1", "--buffer", "nan"], None),
     ("duality-infinite-gamma",
-     ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1", "--rho-channel", "0", "--gamma-const", "5"],
+     ["duality-check", *COMMON, "--T", "2", "--infinite", "--rho-channel", "0", "--gamma-const", "5"],
      None),
     ("duality-infinite-gamma-start",
-     ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1", "--rho-channel", "0", "--gamma-start", "0"],
+     ["duality-check", *COMMON, "--T", "2", "--infinite", "--rho-channel", "0", "--gamma-start", "0"],
      None),
-    ("duality-gamma-reversed",
-     ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--gamma-const", "1", "--gamma-start", "1.5",
-      "--gamma-end", "0.5"],
-     None),
-    ("duality-gamma-start-without-const", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--gamma-start", "1"], None),
-    ("duality-gamma-end-without-const", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--gamma-end", "1"], None),
-    ("duality-rho-start-without-channel", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--rho-start", "1"], None),
-    ("duality-rho-value-without-channel", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--rho-value", "2"], None),
-    ("duality-rho-end-without-channel", ["duality-check", *COMMON, "--T", "2", "--eta", "one", "--rho-end", "1"], None),
-    ("duality-zero-data", ["duality-check", *COMMON, "--T", "2"], None),
-    ("duality-zero-data-infinite", ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1"], None),
+    ("duality-gamma-start-without-const", ["duality-check", *COMMON, "--T", "2", "--gamma-start", "1"], None),
+    ("duality-gamma-end-without-const", ["duality-check", *COMMON, "--T", "2", "--gamma-end", "1"], None),
+    ("duality-rho-start-without-channel", ["duality-check", *COMMON, "--T", "2", "--rho-start", "1"], None),
+    ("duality-rho-value-without-channel", ["duality-check", *COMMON, "--T", "2", "--rho-value", "2"], None),
+    ("duality-rho-end-without-channel", ["duality-check", *COMMON, "--T", "2", "--rho-end", "1"], None),
 ]
 
 NAN, INF = float("nan"), float("inf")
+LQ3 = model_config_dict(ModelSpec.lq(
+    A=[[-1, 0.4, 0], [0, -1.2, 0.4], [0, 0, -0.8]], B=[[1, 0], [0, 0], [0, 1]], S=[[0.6, 0], [0.3, 0.5], [0, 0.4]],
+    Q=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], R=[[1, 0], [0, 1]], control_set=ConvexSet.box([-5, -5], [5, 5])))
 COST = ["cost", *COMMON, "--T", "4"]
-DUALITY = ["duality-check", *COMMON, "--T", "2", "--eta", "one"]
 
 # (id, argv, config patch or None, text the message must hold): a non-finite
 # coefficient, control parameter or forcing input is rejected where it
@@ -166,13 +171,14 @@ NON_FINITE = [
     ("control-edges-nan",
      [*COST, "--control", '{"kind":"tabulated_feedback","edges":[-1,NaN,1],"values":[[1],[0]]}'], None,
      "tabulated law: edges must be finite"),
-    ("duality-gamma-nan", [*DUALITY, "--gamma-const", "nan"], None, "gamma: value must be finite"),
-    ("duality-rho-inf", [*DUALITY, "--rho-channel", "0", "--rho-value", "inf"], None,
-     "rho: channel 0 value must be finite"),
-    ("duality-gamma-end-nan", [*DUALITY, "--gamma-const", "1", "--gamma-end", "nan"], None,
-     "forcing window [0.0, nan): bounds must be finite"),
-    ("duality-rho-end-inf", [*DUALITY, "--rho-channel", "0", "--rho-end", "inf"], None,
-     "forcing window [0.0, inf): bounds must be finite"),
+    # A gain must be a (l, n) matrix whose columns match the state.
+    ("control-gain-1d", [*COST, "--control", '{"kind":"affine_feedback","gain":[1],"offset":[0]}'], None,
+     "affine law: gain must be a 2-d (l, n) array, got shape (1,)"),
+    ("control-gain-too-wide", [*COST, "--control", '{"kind":"affine_feedback","gain":[[1,2]],"offset":[0]}'], None,
+     "affine law: a (1, 2) gain does not match state dimension 1"),
+    ("control-gain-too-narrow-lq3",
+     [*COST, "--control", '{"kind":"affine_feedback","gain":[[1],[2]],"offset":[0,0]}'], LQ3,
+     "affine law: a (2, 1) gain does not match state dimension 3"),
 ]
 CASES = [case + (None,) for case in BAD_INPUT] + NON_FINITE
 
@@ -199,37 +205,106 @@ def test_simulate_rejects_unknown_format_before_simulating(lq1_config, tmp_path,
     assert "Traceback" not in err
 
 
-def test_infinite_duality_check_simulates_once(lq1_config, tmp_path, monkeypatch):
-    calls = []
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return simulate_state(*args, **kwargs)
+        calls.append(name)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(ergosmp.cli, "simulate_state", counting)
-    monkeypatch.setattr(ergosmp.duality, "simulate_state", counting)
-    argv = ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1", "--rho-channel", "0"]
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_infinite_duality_check_simulates_once(lq1_config, tmp_path, monkeypatch):
+    calls = []
+    _counting(monkeypatch, ergosmp.cli, "simulate_state", calls)
+    _counting(monkeypatch, ergosmp.duality, "simulate_state", calls)
+    _counting(monkeypatch, ergosmp.duality, "solve_adjoint_finite", calls)
+    argv = ["duality-check", *COMMON, "--T", "2", "--infinite"]
     assert _run(lq1_config, tmp_path, *argv) in {0, 2}
-    assert len(calls) == 1
+    assert calls == ["simulate_state", "solve_adjoint_finite"]
+
+
+def test_duality_check_pairs_every_probe_on_one_solve(tmp_path, capsys, monkeypatch):
+    """One run simulates once and solves the costate once, then lists and
+    prints one report per probe (lq3 has 2 noise channels)."""
+    config = tmp_path / "lq3.json"
+    config.write_text(json.dumps(LQ3))
+    calls = []
+    _counting(monkeypatch, ergosmp.duality, "simulate_state", calls)
+    _counting(monkeypatch, ergosmp.duality, "solve_adjoint_finite", calls)
+    assert _run(str(config), tmp_path, "duality-check", *COMMON, "--T", "2") in {0, 2}
+    assert calls == ["simulate_state", "solve_adjoint_finite"]
+    report = json.loads((tmp_path / "duality_report.json").read_text(), parse_constant=_reject_constant)
+    probes = ["eta-one", "eta-state", "gamma", "rho-0", "rho-1"]
+    assert [rep["probe"] for rep in report["reports"]] == probes and report["buffer"] is None
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == probes
+
+
+def _optimal_law(model):
+    """u = K* x, K* = -R^-1 B^T P with P = X2 X1^-1 from the stable invariant
+    subspace [X1; X2] of the Riccati equation's Hamiltonian matrix."""
+    w, V = np.linalg.eig(np.block([[model.A, -model.B @ np.linalg.solve(model.R, model.B.T)], [-model.Q, -model.A.T]]))
+    P = np.real(V[model.n:, w.real < 0] @ np.linalg.inv(V[:model.n, w.real < 0]))
+    gain = -np.linalg.solve(model.R, model.B.T @ P)
+    return json.dumps({"kind": "affine_feedback", "gain": gain.tolist(), "offset": [0.0] * model.l})
+
+
+@pytest.mark.parametrize("name", ["lq1", "cubic1", "lq3"])
+@pytest.mark.parametrize("optimal", [False, True], ids=["zero", "Kstar"])
+def test_duality_probes_pass_the_default_threshold(tmp_path, lq3, name, optimal):
+    """Every probe of the finite form reads below the default threshold 0.05
+    (T 4, seed 3, M 4096), at the zero law and at the LQ-optimal gain (that
+    of lq1 on cubic1, whose linearization it is)."""
+    model = {"lq1": ModelSpec.lq1(), "cubic1": ModelSpec.cubic1(), "lq3": lq3}[name]
+    config = str(tmp_path / "model.json")
+    save_model_config(model, config)
+    law = ["--control", _optimal_law(ModelSpec.lq1() if name == "cubic1" else model)] if optimal else []
+    assert _run(config, tmp_path, "duality-check", "--seed", "3", "--T", "4", *law) == 0
+
+
+def test_derived_values_are_not_flags():
+    """The buffer, the Hessian probes and the duality forcing are derived
+    from the model, so no subcommand asks for them."""
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    flags = {name: {opt for action in sub._actions for opt in action.option_strings}
+             for name, sub in subparsers.items()}
+    common = flags["cost"] - {"--T"}
+    for name, opts in flags.items():
+        assert not opts & {"--buffer", "--probes"}, name
+    assert flags["duality-check"] - common == {"--T", "--infinite", "--threshold"}
 
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+# A model dissipative only through its cubic term: sym(A) = 0.5 > 0, so no
+# decay rate is certified, and neither a buffer nor the discarded tail is
+# bounded.
+UNCERTIFIED = ModelSpec.cubic(alpha=[1.0], A=[[0.5]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                              control_set=ConvexSet.box([-5.0], [5.0]))
+
+
 def test_infinite_duality_without_tail_bound_fails(tmp_path, capsys):
-    # Dissipative only through the cubic term (sym(A) = 0.5 > 0), so no decay
-    # rate is certified and the discarded tail is unbounded.
-    model = ModelSpec.cubic(alpha=[1.0], A=[[0.5]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
-                            control_set=ConvexSet.box([-5.0], [5.0]))
     config = str(tmp_path / "cubic.json")
-    save_model_config(model, config)
-    argv = ["duality-check", *COMMON, "--T", "2", "--infinite", "--buffer", "1", "--eta", "one",
-            "--threshold", "0.1"]
-    assert _run(config, tmp_path, *argv) == 2
-    assert "tail_bound unavailable" in capsys.readouterr().out
-    report = json.loads((tmp_path / "duality_report.json").read_text(), parse_constant=_reject_constant)
-    assert report["tail_bound"] is None
+    save_model_config(UNCERTIFIED, config)
+    argv = ["duality-check", *COMMON, "--T", "2", "--infinite", "--threshold", "0.1"]
+    assert _run(config, tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert "error: certified c_p=0.5 >= 0 gives no decay rate" in err and "Traceback" not in err
+    assert not (tmp_path / "duality_report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["adjoint", "--T", "1"], ["smp-check", "--T", "2"], ["sufficiency", "--T", "2"],
+                                  ["optimize", "--T", "2", "--iters", "1"]], ids=lambda argv: argv[0])
+def test_buffered_commands_need_a_certified_rate(tmp_path, capsys, argv):
+    config = str(tmp_path / "cubic.json")
+    save_model_config(UNCERTIFIED, config)
+    assert _run(config, tmp_path, *argv, *COMMON) == 1
+    err = capsys.readouterr().err
+    assert "error: certified c_p=0.5 >= 0 gives no decay rate" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cubic.json"]
 
 
 def test_unknown_config_key_exits_1(lq1_config, tmp_path, capsys):

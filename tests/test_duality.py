@@ -18,7 +18,7 @@ from ergosmp import (
     verify_duality_finite,
     verify_duality_infinite,
 )
-from ergosmp.duality import _build_eta
+from ergosmp.duality import _build_eta, verify_duality_probes
 from ergosmp.forward import _path_integrals, _time_major, simulate_affine_dual
 from ergosmp.model import _dot, cost_grad_x
 
@@ -170,6 +170,50 @@ def test_reversed_forcing_window_is_rejected(lq1_base8):
         build_rho(lq1_base8, 1, 1, {0: [1.0]}, t_start=1.5, t_end=0.5)
     with pytest.raises(SimulationError, match="window"):
         build_rho(lq1_base8, 1, 1, {0: [1.0]}, t_start=1.0, t_end=1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (id, call on a base ensemble on [0, 8] with dt 0.01, message): the input
+# checks of the forcing builders and of grid times, by name.
+FORCING_INPUTS = [
+    ("duality-gamma-nan", lambda base: build_gamma(base, 1, value=[NAN]), "gamma: value must be finite"),
+    ("duality-rho-inf", lambda base: build_rho(base, 1, 1, {0: [INF]}), "rho: channel 0 value must be finite"),
+    ("duality-gamma-end-nan", lambda base: build_gamma(base, 1, value=[1.0], t_end=NAN),
+     "forcing window [0.0, nan): bounds must be finite"),
+    ("duality-rho-end-inf", lambda base: build_rho(base, 1, 1, {0: [1.0]}, t_end=INF),
+     "forcing window [0.0, inf): bounds must be finite"),
+    ("duality-gamma-reversed", lambda base: build_gamma(base, 1, value=[1.0], t_start=1.5, t_end=0.5),
+     "forcing window [1.5, 0.5) is empty: t_end must exceed t_start"),
+    ("duality-t-nan", lambda base: base.grid.index_of(NAN), "time nan is not on the grid (dt=0.01, steps=800)"),
+]
+
+
+@pytest.mark.parametrize("call,message", [case[1:] for case in FORCING_INPUTS],
+                         ids=[case[0] for case in FORCING_INPUTS])
+def test_forcing_inputs_are_checked(lq1_base8, call, message):
+    with pytest.raises(SimulationError) as info:
+        call(lq1_base8)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("infinite", [False, True], ids=["finite", "infinite"])
+def test_probe_reports_equal_single_checks(lq1, infinite):
+    """A probe's report is its single check's: the shared base ensemble and
+    costate solve change no bit.  Every probe exercises the identity."""
+    law, kw = ControlLaw.affine([[-0.4]], [0.1], lq1.control_set), dict(M=128, seed=4, dt=0.02)
+    probes = verify_duality_probes(lq1, law, 2.0, infinite=infinite, buffer=1.0, **kw)
+    base = simulate_state(lq1, law, [1.0], TimeGrid.from_horizon(3.0 if infinite else 2.0, 0.02), 128, seed=4)
+    singles = {"eta-one": (0.0, "one", {}), "eta-state": (1.0, "state", {}),
+               "rho-0": (0.0, "zero", {"rho": build_rho(base, 1, 1, {0: [1.0]}, t_end=2.0)})}
+    if not infinite:
+        singles["gamma"] = (0.0, "zero", {"gamma": build_gamma(base, 1, value=[1.0], t_start=0.5, t_end=1.5)})
+    assert sorted(probes) == sorted(singles)
+    for name, (t, eta, forcing) in singles.items():
+        single = (verify_duality_infinite(lq1, law, t, 2.0, eta, T_report=2.0, T_buffer=1.0, **forcing, **kw)
+                  if infinite else verify_duality_finite(lq1, law, t, 2.0, eta, **forcing, **kw))
+        assert probes[name].to_dict() == single.to_dict(), name
+        assert single.lhs != 0.0 and single.rhs != 0.0, name
 
 
 def test_finite_sides_recomputed(lq1):

@@ -336,6 +336,26 @@ def test_dissipativity_deterministic(lq1):
         check_dissipativity(lq1, probes=0, seed=3)
 
 
+@pytest.mark.parametrize("name,c_p,buffer", [("lq1", -1.0, 4.61), ("cubic1", -1.0, 4.61), ("lq3", -0.6936, 6.64)])
+def test_forgetting_time_is_the_derived_buffer(lq1, cubic1, lq3, name, c_p, buffer):
+    # ln(100)/|c_p| = 4.605 and 6.640, rounded up to the grid of dt 0.01
+    model = {"lq1": lq1, "cubic1": cubic1, "lq3": lq3}[name]
+    assert model.certified_dissipativity_bound() == pytest.approx(c_p, abs=1e-4)
+    t = model.forgetting_time(0.01)
+    assert t == pytest.approx(buffer, abs=1e-12)
+    j = round(t / 0.01)
+    assert (j - 1) * 0.01 < np.log(100.0) / -c_p <= j * 0.01 + 1e-4
+    assert model.forgetting_time(0.5) == (7.0 if name == "lq3" else 5.0)
+
+
+def test_forgetting_time_needs_a_certified_rate():
+    # dissipative only through the cubic term: no certified rate
+    model = ModelSpec.cubic(alpha=[1.0], A=[[0.5]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                            control_set=ConvexSet.box([-5.0], [5.0]))
+    with pytest.raises(ModelError, match=r"certified c_p=0\.5 >= 0 gives no decay rate"):
+        model.forgetting_time(0.01)
+
+
 # ---------------------------------------------------------------------------
 # Control laws
 

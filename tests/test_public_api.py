@@ -49,7 +49,7 @@ def test_every_report_has_one_json_form():
         ergosmp.verify_duality_finite(lq1, zero, 0.0, 1.0, eta="one", M=16, seed=1, dt=0.05),
         ergosmp.check_truncation_consistency(lq1, zero, 0.5, 1.0, 0.05, 16, seed=1),
         *ergosmp.evaluate_variational_inequality(lq1, zero, [("one", one)], 2.0, 16, 1, dt=0.05, buffer=0.5),
-        ergosmp.check_sufficiency(lq1, zero, 2.0, 16, 1, probes=4, dt=0.05, buffer=0.5),
+        ergosmp.check_sufficiency(lq1, zero, 2.0, 16, 1, dt=0.05, buffer=0.5),
         ergosmp.optimize_control(lq1, gain, 0.5, 1, 2.0, 16, 1, dt=0.05, buffer=0.5),
     ]
     assert len({type(rep) for rep in reports}) == 8

@@ -14,10 +14,11 @@ from ergosmp import (
     hamiltonian,
     optimize_control,
     simulate_state,
+    verify_duality_infinite,
 )
 from ergosmp import adjoint, forward, smp
 from ergosmp.ergodic_cost import ergodic_report_from_ensemble
-from ergosmp.smp import _grad_u_batch, _hamiltonian_hessian
+from ergosmp.smp import _convexity_bound, _grad_u_batch
 
 
 def _zero_cost_model():
@@ -148,64 +149,97 @@ def test_vi_consistent_at_riccati(lq1, riccati_p):
     assert all(r.verdict == "consistent" for r in reports)
 
 
-@pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3"])
-def test_exact_hessian_matches_central_differences(family, lq1, cubic1, lq3):
-    model = {"lq1": lq1, "cubic1": cubic1, "lq3": lq3}[family]
+def _cubic2ball(Q=np.eye(2)):
+    return ModelSpec.cubic([1.0, 0.5], A=[[-1.0, 0.3], [0.0, -0.5]], B=[[1.0, 0.0], [0.5, 1.0]],
+                           S=[[0.8, 0.0], [0.2, 0.6]], Q=Q, R=np.eye(2), control_set=ConvexSet.ball([0.1, -0.1], 0.6))
+
+
+def _fd_min_eigen(model, x, u, p, h=1e-4):
+    """Smallest eigenvalue of the central-difference (x, u)-Hessian of
+    `hamiltonian` at (x, u, p) and a random q, which it must not read."""
     n, dim = model.n, model.n + model.l
-    rng = np.random.default_rng(41)
-    X = 2.0 * rng.standard_normal((20, n))
-    U = rng.standard_normal((20, model.l))
-    P = rng.standard_normal((20, n))
-    hess = _hamiltonian_hessian(model, X, P)
-    h = 1e-4
-    for x, u, p, exact in zip(X, U, P, hess):
-        q = rng.standard_normal((model.d, n))
-        z0 = np.concatenate([x, u])
+    q = np.random.default_rng(41).standard_normal((model.d, n))
+    z0 = np.concatenate([x, u])
 
-        def H(z):
-            return hamiltonian(model, z[:n], z[n:], p, q)
+    def H(z):
+        return hamiltonian(model, z[:n], z[n:], p, q)
 
-        fd = np.empty((dim, dim))
-        for i in range(dim):
-            for k in range(dim):
-                ei, ek = np.eye(dim)[i] * h, np.eye(dim)[k] * h
-                fd[i, k] = (H(z0 + ei + ek) - H(z0 + ei - ek) - H(z0 - ei + ek) + H(z0 - ei - ek)) / (4 * h * h)
-        assert np.max(np.abs(fd - exact)) < 1e-5
+    fd = np.empty((dim, dim))
+    for i in range(dim):
+        for k in range(dim):
+            ei, ek = np.eye(dim)[i] * h, np.eye(dim)[k] * h
+            fd[i, k] = (H(z0 + ei + ek) - H(z0 + ei - ek) - H(z0 - ei + ek) + H(z0 - ei - ek)) / (4 * h * h)
+    return float(np.linalg.eigvalsh(0.5 * (fd + fd.T)).min())
+
+
+@pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3", "cubic2ball", "cubic2ball-coupled"])
+def test_exact_hessian_matches_central_differences(family, lq1, cubic1, lq3):
+    """The closed-form convexity bound over a solved costate against the
+    central-difference Hessian of `hamiltonian`: equal to its smallest
+    eigenvalue at the extremal (path, step), the one of the largest
+    alpha_k x_k p_k, where the bound is exact (LQ, n = 1), and never above
+    the eigenvalue at any (path, step) otherwise (Weyl).  cubic2ball's
+    Q = I still makes it exact at the extremal state; with a coupled Q it
+    lies strictly below."""
+    model = {"lq1": lq1, "cubic1": cubic1, "lq3": lq3, "cubic2ball": _cubic2ball(),
+             "cubic2ball-coupled": _cubic2ball([[2.0, 0.5], [0.5, 1.0]])}[family]
+    law = model.zero_control()
+    sol = extend_to_infinite(model, law, np.ones(model.n), 2.0, 1.0, 0.02, 256, seed=5)
+    X, P = sol.ensemble.states[:, :-1], sol.p[:, :-1]
+    bound = _convexity_bound(model, X, P)
+    score = (model.alpha * X * P).max(axis=-1)
+    i, j = np.unravel_index(np.argmax(score), score.shape)
+    u = np.zeros(model.l)
+    extremal = _fd_min_eigen(model, X[i, j], u, P[i, j])
+    if family == "cubic2ball-coupled":
+        assert bound < extremal - 0.1
+    else:
+        assert abs(bound - extremal) < 1e-5
+    rng = np.random.default_rng(7)
+    for i, j in zip(rng.integers(0, 256, 8), rng.integers(0, X.shape[1], 8)):
+        assert bound <= _fd_min_eigen(model, X[i, j], u, P[i, j]) + 1e-5
+
+
+def test_buffers_default_to_the_forgetting_time(lq1, lq1_zero):
+    buffer = lq1.forgetting_time(0.05)
+    one, gain = ControlLaw.constant([1.0], lq1.control_set), ControlLaw.affine([[0.0]], [0.0], lq1.control_set)
+    for fn, args in ((evaluate_variational_inequality, (lq1, lq1_zero, [("one", one)], 2.0, 64, 1)),
+                     (check_sufficiency, (lq1, lq1_zero, 2.0, 64, 1)),
+                     (optimize_control, (lq1, gain, 0.5, 1, 2.0, 64, 1))):
+        derived, given = fn(*args, dt=0.05), fn(*args, dt=0.05, buffer=buffer)
+        assert [r.to_dict() for r in np.atleast_1d(derived)] == [r.to_dict() for r in np.atleast_1d(given)]
+    sol = extend_to_infinite(lq1, lq1_zero, [1.0], 2.0, None, 0.05, 64, 1)
+    assert np.array_equal(sol.p, extend_to_infinite(lq1, lq1_zero, [1.0], 2.0, buffer, 0.05, 64, 1).p)
+    rep = verify_duality_infinite(lq1, lq1_zero, 0.0, 1.0, eta="one", T_report=2.0, M=64, seed=1, dt=0.05)
+    assert rep.config["T_buffer"] == buffer
 
 
 def test_sufficiency_certifies_riccati(lq1, riccati_p):
     law = ControlLaw.affine([[-riccati_p]], [0.0], lq1.control_set)
-    rep = check_sufficiency(lq1, law, 12.0, 4096, 17, probes=120, dt=0.01, buffer=3.0)
+    rep = check_sufficiency(lq1, law, 12.0, 4096, 17, dt=0.01, buffer=3.0)
     assert rep.verdict == "certified"
     assert abs(rep.convexity_min_eigen - 2.0) < 0.01  # Hessian of x^2+u^2 terms
     assert rep.minimality_tail >= -0.02
 
 
 def test_sufficiency_horizon_quarter_off_grid(lq1, riccati_p):
-    # T_max / 4 = 0.625 is not a multiple of dt = 0.01; the probe window
-    # starts at the nearest grid index instead.
+    # T_max / 4 = 0.625 is not a multiple of dt = 0.01; the convexity
+    # window starts at the nearest grid index instead.
     law = ControlLaw.affine([[-riccati_p]], [0.0], lq1.control_set)
-    rep = check_sufficiency(lq1, law, 2.5, 256, 3, probes=20, dt=0.01, buffer=1.0)
-    assert rep.probe_count == 20
+    rep = check_sufficiency(lq1, law, 2.5, 256, 3, dt=0.01, buffer=1.0)
     assert abs(rep.convexity_min_eigen - 2.0) < 0.01
-
-
-def test_sufficiency_needs_a_probe(lq1, lq1_zero):
-    # with no probe the convexity minimum would be an empty min, reported as inf
-    with pytest.raises(SimulationError, match="probes"):
-        check_sufficiency(lq1, lq1_zero, 2.0, 64, 3, probes=0, dt=0.05, buffer=1.0)
 
 
 def test_sufficiency_affine_hamiltonian_passes(lq1_zero):
     model = _zero_cost_model()
-    rep = check_sufficiency(model, lq1_zero, 4.0, 512, 3, probes=40, dt=0.01, buffer=2.0)
+    rep = check_sufficiency(model, lq1_zero, 4.0, 512, 3, dt=0.01, buffer=2.0)
     assert abs(rep.convexity_min_eigen) <= rep.eigen_tolerance
     assert rep.verdict == "certified"
 
 
 def test_sufficiency_rejects_bad_cubic_feedback(cubic1):
     bad = ControlLaw.affine([[0.5]], [0.0], cubic1.control_set)
-    rep = check_sufficiency(cubic1, bad, 10.0, 2048, 23, probes=80, dt=0.01, buffer=3.0)
+    rep = check_sufficiency(cubic1, bad, 10.0, 2048, 23, dt=0.01, buffer=3.0)
     assert rep.verdict == "not-certified"
     assert rep.minimality_tail < -rep.tolerance
 

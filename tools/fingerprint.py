@@ -20,6 +20,9 @@ outputs byte-identical runs it on both trees and diffs the results:
     PYTHONPATH=<new>/src python tools/fingerprint.py > new.json
     diff old.json new.json
 
+`tools/fingerprint.json` holds the hashes of the current tree, which
+`tests/test_fingerprint.py` checks in tier-1 and regenerates when run.
+
 With --values it prints the numbers behind each hash instead: arrays as
 lists, reports as their dicts, JSON artifacts of the CLI parsed, its CSV
 artifacts split into cells and its binary ensemble dumps decoded into their
@@ -225,7 +228,7 @@ def fingerprint(values: bool = False) -> dict:
         h(f"{name}.vi", [r.to_dict() for r in vi])
         vi2 = E.evaluate_variational_inequality(model, law, bat, 2.0, 96, 6, dt=0.02, buffer=1.0, adjoint=sol.restricted(2.0))
         h(f"{name}.vi_adj", [r.to_dict() for r in vi2])
-        h(f"{name}.suff", E.check_sufficiency(model, law, 2.0, 96, 6, probes=20, dt=0.02, buffer=1.0).to_dict())
+        h(f"{name}.suff", E.check_sufficiency(model, law, 2.0, 96, 6, dt=0.02, buffer=1.0).to_dict())
         d = E.verify_duality_finite(model, law, 0.4, 3.0, eta="state", gamma=gamma, rho=rho, nu=nu, dt=0.02, base=ens)
         h(f"{name}.dualfin", [d.lhs, d.rhs, d.to_dict()])
         d = E.verify_duality_finite(model, law, 0.0, 2.0, eta="one", M=64, seed=9, dt=0.02)
@@ -281,15 +284,14 @@ def fingerprint(values: bool = False) -> dict:
         cmds = [
             ["simulate", "--T", "1", "--M", "16", "--formats", "csv,bin", *seeded],
             ["cost", "--T", "3", "--M", "32", *seeded],
-            ["adjoint", "--T", "1", "--M", "32", "--buffer", "1", *seeded],
-            ["duality-check", "--T", "1", "--M", "32", "--gamma-const", "1", "--rho-channel", "0", *seeded],
-            ["duality-check", "--T", "1", "--M", "32", "--infinite", "--buffer", "1", "--rho-channel", "0",
-             "--rho-end", "0.5", *seeded],
-            ["smp-check", "--T", "2", "--M", "32", "--buffer", "1", *seeded],
-            ["sufficiency", "--T", "2", "--M", "32", "--buffer", "1", "--probes", "10", *seeded],
-            ["optimize", "--T", "3", "--M", "32", "--iters", "2", "--buffer", "1", *seeded],
+            ["adjoint", "--T", "1", "--M", "32", *seeded],
+            ["duality-check", "--T", "1", "--M", "32", *seeded],
+            ["duality-check", "--T", "1", "--M", "32", "--infinite", *seeded],
+            ["smp-check", "--T", "2", "--M", "32", *seeded],
+            ["sufficiency", "--T", "2", "--M", "32", *seeded],
+            ["optimize", "--T", "3", "--M", "32", "--iters", "2", *seeded],
             ["verify"],  # fixed seeds and grids of its own
-            ["duality-check", "--T", "1", "--M", "32", "--gamma-const", "1", *seeded],
+            ["duality-check", "--T", "1", "--M", "32", "--x0", "0.5", "--threshold", "0.01", *seeded],
         ]
         for i, c in enumerate(cmds):
             od = os.path.join(td, f"o{i}")
