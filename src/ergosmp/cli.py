@@ -12,8 +12,9 @@ last quarter of the horizon) are fixed, not flags.
 
 What the model determines is no flag either.  The buffer that adjoint,
 smp-check, sufficiency, optimize and duality-check --infinite discard is the
-forgetting time ln(100)/|c_p| on the dt grid (c_p < 0 the certified
-dissipativity bound; exit 1 otherwise), recorded as "buffer" in the JSON.
+forgetting time ln(100)/|c_p| on the dt grid (c_p the certified dissipativity
+bound), recorded as "buffer" in the JSON; when c_p >= 0 or the time exceeds
+20 (c_p > -0.23) these commands exit 1 before simulating.
 sufficiency bounds the Hessian in closed form.  duality-check pairs fixed
 probes on one costate solve: eta = 1 at t = 0, eta = X_t at mid-grid, gamma =
 1 on [T/4, 3T/4) (finite form only) and rho = 1 on each noise channel.
@@ -186,11 +187,10 @@ def _cmd_duality(args, model) -> int:
     _positive(args, ["T", "dt", "M", "threshold"])
     law = parse_control_law(args.control, model.control_set)
     x0 = None if args.x0 is None else _parse_x0(model, args.x0)
-    buffer = model.forgetting_time(args.dt) if args.infinite else None
-    reports = verify_duality_probes(model, law, args.T, args.M, args.seed, args.dt, x0=x0,
-                                    infinite=args.infinite, buffer=buffer)
+    reports = verify_duality_probes(model, law, args.T, args.M, args.seed, args.dt, x0=x0, infinite=args.infinite)
+    buffer = reports["eta-one"].config["T_buffer"] if args.infinite else None
     _write_json(_out(args, "duality_report.json"), {
-        "schema_version": 1, "buffer": buffer, "threshold": args.threshold,
+        "schema_version": 2, "buffer": buffer, "threshold": args.threshold,
         "reports": [{"probe": name, **rep.to_dict()} for name, rep in reports.items()],
     })
     for name, rep in reports.items():
@@ -202,8 +202,11 @@ def _cmd_smp_check(args, model) -> int:
     _positive(args, ["T", "dt", "M"])
     law = parse_control_law(args.control, model.control_set)
     buffer = model.forgetting_time(args.dt)
-    reports = evaluate_variational_inequality(model, law, candidate_battery(model, law, seed=args.seed), args.T,
-                                              args.M, args.seed, args.dt, buffer, _parse_x0(model, args.x0))
+    battery = candidate_battery(model, law, seed=args.seed)
+    reports = evaluate_variational_inequality(
+        model, law, battery, args.T, args.M, args.seed,
+        dt=args.dt, buffer=buffer, x0=_parse_x0(model, args.x0),
+    )
     _write_json(_out(args, "smp_report.json"),
                 {"schema_version": 1, "buffer": buffer, "reports": [r.to_dict() for r in reports]})
     worst = min(reports, key=lambda r: r.tail_min)
@@ -216,7 +219,10 @@ def _cmd_sufficiency(args, model) -> int:
     _positive(args, ["T", "dt", "M"])
     law = parse_control_law(args.control, model.control_set)
     buffer = model.forgetting_time(args.dt)
-    report = check_sufficiency(model, law, args.T, args.M, args.seed, args.dt, buffer, _parse_x0(model, args.x0))
+    report = check_sufficiency(
+        model, law, args.T, args.M, args.seed,
+        dt=args.dt, buffer=buffer, x0=_parse_x0(model, args.x0),
+    )
     _write_json(_out(args, "sufficiency_report.json"), {**report.to_dict(), "buffer": buffer})
     print(f"convexity_min_eigen={report.convexity_min_eigen:.4f} "
           f"minimality_tail={report.minimality_tail:.4f} verdict={report.verdict}")
@@ -226,10 +232,19 @@ def _cmd_sufficiency(args, model) -> int:
 def _cmd_optimize(args, model) -> int:
     _positive(args, ["T", "dt", "M", "iters", "gamma"])
     buffer = model.forgetting_time(args.dt)
-    zero = {"kind": "affine_feedback", "gain": [[0.0] * model.n] * model.l, "offset": [0.0] * model.l}
-    init = parse_control_law(zero if args.init is None else args.init, model.control_set)
-    result = optimize_control(model, init, args.gamma, args.iters, args.T, args.M, args.seed, args.dt, buffer,
-                              _parse_x0(model, args.x0))
+    if args.init is None:
+        init = parse_control_law(
+            {"kind": "affine_feedback",
+             "gain": [[0.0] * model.n for _ in range(model.l)],
+             "offset": [0.0] * model.l},
+            model.control_set,
+        )
+    else:
+        init = parse_control_law(args.init, model.control_set)
+    result = optimize_control(
+        model, init, args.gamma, args.iters, args.T, args.M, args.seed,
+        dt=args.dt, buffer=buffer, x0=_parse_x0(model, args.x0),
+    )
     trace_path = _out(args, "optimize_trace.csv")
     keys = sorted({k for row in result.trace for k in row})
     with open(trace_path, "w", newline="\n") as fh:

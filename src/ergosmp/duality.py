@@ -223,14 +223,20 @@ def verify_duality_finite(
     Left-endpoint quadrature throughout, as per-path running sums.
     """
     base = _base_ensemble(model, u_bar, base, T, dt, M, seed, x0)
-    return _finite_form(model, u_bar, base, solve_adjoint_finite(model, base, u_bar, nu=nu), t, T, eta, gamma, rho, nu)
+    sol = solve_adjoint_finite(model, base, u_bar, nu=nu)
+    return _finite_form(model, u_bar, base, sol, t, T, eta, gamma, rho, nu)
 
 
 def _finite_form(model, u_bar, base, sol, t, T, eta, gamma=None, rho=None, nu=None) -> DualityReport:
     lhs, rhs, _, _ = _pairing_sides(model, u_bar, base, sol, t, eta, gamma=gamma, rho=rho, nu=nu)
-    config = {"t": t, "T": T, "M": base.n_paths, "seed": base.seed, "dt": base.grid.dt,
-              "eta": eta if isinstance(eta, str) else "array",
-              **{k: "zero" if v is None else "array" for k, v in (("gamma", gamma), ("rho", rho), ("nu", nu))}}
+
+    config = {
+        "t": t, "T": T, "M": base.n_paths, "seed": base.seed, "dt": base.grid.dt,
+        "eta": eta if isinstance(eta, str) else "array",
+        "gamma": "zero" if gamma is None else "array",
+        "rho": "zero" if rho is None else "array",
+        "nu": "zero" if nu is None else "array",
+    }
     return _report(lhs, rhs, config)
 
 
@@ -283,8 +289,12 @@ def _infinite_form(model, u_bar, base, sol, t, T_support, eta, rho, T_report, T_
     y_end = float((dual_end**2).sum(axis=-1).mean())
     tail_bound = float(np.sqrt(y_end) * np.sqrt(psi_sup) / beta) if np.isfinite(beta) else float("inf")
 
-    config = {"t": t, "T_support": T_support, "T_report": T_report, "T_buffer": T_buffer, "M": M, "seed": base.seed,
-              "dt": grid.dt, "eta": eta if isinstance(eta, str) else "array", "rho": "zero" if rho is None else "array"}
+    config = {
+        "t": t, "T_support": T_support, "T_report": T_report, "T_buffer": T_buffer,
+        "M": M, "seed": base.seed, "dt": grid.dt,
+        "eta": eta if isinstance(eta, str) else "array",
+        "rho": "zero" if rho is None else "array",
+    }
     return _report(lhs, rhs, config, tail_bound=tail_bound)
 
 
@@ -297,7 +307,6 @@ def verify_duality_probes(
     dt: float = 0.01,
     x0=None,
     infinite: bool = False,
-    buffer: Optional[float] = None,
 ) -> Dict[str, DualityReport]:
     """The identity holds for every (eta, gamma, rho), so this checks a fixed
     probe set, each probe's sides nonzero: "eta-one" (eta = 1 at t = 0),
@@ -305,8 +314,8 @@ def verify_duality_probes(
     on [T/4, 3T/4) rounded to the grid, finite form only) and "rho-i" (rho^i
     = 1 on [0, T), per noise channel).  One base ensemble from x0 (default:
     ones) and one costate solve serve every probe.  The infinite form runs
-    on [0, T + buffer], the buffer defaulting to the model's forgetting time."""
-    buffer = model.forgetting_time(dt) if infinite and buffer is None else buffer
+    on [0, T + buffer], the buffer being the model's forgetting time."""
+    buffer = model.forgetting_time(dt) if infinite else None
     base = _base_ensemble(model, u_bar, None, T + buffer if infinite else T, dt, M, seed, x0)
     sol = solve_adjoint_finite(model, base, u_bar)
     n, steps, ones = model.n, TimeGrid.from_horizon(T, dt).steps, np.ones(model.n)

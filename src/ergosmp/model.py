@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -372,10 +372,14 @@ def _json_value(value):
 
 class _Report:
     """Base of the result dataclasses: ``to_dict()`` is the JSON form of every
-    field under ``schema_version`` 1."""
+    field under the class's ``schema_version``, 1 unless a report's fields
+    changed."""
+
+    schema_version: ClassVar[int] = 1
 
     def to_dict(self) -> dict:
-        return {"schema_version": 1, **{f.name: _json_value(getattr(self, f.name)) for f in fields(self)}}
+        return {"schema_version": self.schema_version,
+                **{f.name: _json_value(getattr(self, f.name)) for f in fields(self)}}
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +392,11 @@ def _check_psd(mat, name):
     eig = np.linalg.eigvalsh(mat)
     if eig.min() < -1e-10:
         raise ModelError(f"{name} must be positive semidefinite")
+
+
+# Longest derived buffer: at the default M = 4096 and dt = 0.01 one (M, steps)
+# array over it holds 65 MB per state coordinate.
+_MAX_FORGETTING_TIME = 20.0
 
 
 @dataclass(frozen=True)
@@ -499,11 +508,16 @@ class ModelSpec:
     def forgetting_time(self, dt: float) -> float:
         """ln(100)/|c_p| rounded up to the dt grid: the dual contracts at the
         certified rate |c_p|, so over this buffer a zero terminal condition
-        loses all but 1% of its pull.  c_p >= 0 certifies no rate: ModelError."""
+        loses all but 1% of its pull.  ModelError when c_p >= 0 certifies no
+        rate, or when the time exceeds _MAX_FORGETTING_TIME (c_p > -0.23)."""
         c_p = self.certified_dissipativity_bound()
         if c_p >= 0:
             raise ModelError(f"certified c_p={c_p:.4g} >= 0 gives no decay rate, so no buffer can be derived")
-        return math.ceil(np.log(100.0) / -c_p / dt - 1e-9) * dt
+        t = math.ceil(np.log(100.0) / -c_p / dt - 1e-9) * dt
+        if t > _MAX_FORGETTING_TIME:
+            raise ModelError(f"certified c_p={c_p:.4g} decays so slowly that the buffer would be {t:.4g} > "
+                             f"{_MAX_FORGETTING_TIME:g}, too long a grid to solve on")
+        return t
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ reads the pathwise dual psi, whose pooled means equal p's (tower property).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,6 +168,8 @@ class SufficiencyReport(_Report):
     tolerance: float
     eigen_tolerance: float
     verdict: str                # "certified" | "not-certified"
+
+    schema_version: ClassVar[int] = 2  # 1 had probe_count
 
 
 _SUFFICIENCY_TOLERANCE = 0.02  # largest admitted negative minimality tail

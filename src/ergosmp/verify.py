@@ -125,7 +125,8 @@ def _moment_bound_check(model: ModelSpec) -> CheckResult:
         return _no_rate("moment-bound", c_p)
     q = int(model.p) if float(model.p).is_integer() and int(model.p) % 2 == 0 else 6
     dt = 0.01
-    j_d = round(min(model.forgetting_time(dt), 10.0) / dt)  # t_d on the grid
+    # min(forgetting time, 10) on the grid; rates too slow to give a buffer take 10
+    j_d = round((model.forgetting_time(dt) if c_p < -np.log(100.0) / 10.0 else 10.0) / dt)
     grid = TimeGrid(dt=dt, steps=2 * j_d)
     law = ControlLaw.constant(np.ones(model.l), model.control_set)
     x0 = np.full(model.n, 5.0)

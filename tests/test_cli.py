@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,9 @@ SUBCOMMANDS = [
 BUFFERED = {"adjoint": "adjoint_coefficients.json", "smp-check": "smp_report.json",
             "sufficiency": "sufficiency_report.json", "optimize": "optimize_result.json"}
 
+# Artifacts whose shape changed: one report per duality probe, no probe_count.
+SCHEMA_VERSIONS = {"duality_report.json": 2, "sufficiency_report.json": 2}
+
 
 @pytest.mark.parametrize("argv,codes", SUBCOMMANDS, ids=[" ".join(a[:1] + a[-2:]) for a, _ in SUBCOMMANDS])
 def test_subcommand_smoke(lq1_config, tmp_path, capsys, argv, codes):
@@ -48,7 +52,7 @@ def test_subcommand_smoke(lq1_config, tmp_path, capsys, argv, codes):
     for name in artifacts:
         if name.endswith(".json"):
             obj = json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
-            assert obj.get("schema_version", 1) == 1, name
+            assert obj.get("schema_version", 1) == SCHEMA_VERSIONS.get(name, 1), name
     if argv[0] in BUFFERED or "--infinite" in argv:
         obj = json.loads((tmp_path / BUFFERED.get(argv[0], "duality_report.json")).read_text())
         assert obj["buffer"] == ModelSpec.lq1().forgetting_time(0.05) == 4.65
@@ -296,15 +300,32 @@ def test_infinite_duality_without_tail_bound_fails(tmp_path, capsys):
     assert not (tmp_path / "duality_report.json").exists()
 
 
+# sym(A) = -0.01 certifies a rate, but ln(100)/0.01 = 460.5 of buffer: 9211
+# steps at dt 0.05, 46052 at the default dt 0.01.
+SLOW = ModelSpec.lq(A=[[-0.01]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]], control_set=ConvexSet.box([-5.0], [5.0]))
+
+
+@pytest.mark.parametrize("model,message", [
+    (UNCERTIFIED, "certified c_p=0.5 >= 0 gives no decay rate"),
+    (SLOW, "certified c_p=-0.01 decays so slowly that the buffer would be 460.6 > 20"),
+], ids=["uncertified", "slow"])
 @pytest.mark.parametrize("argv", [["adjoint", "--T", "1"], ["smp-check", "--T", "2"], ["sufficiency", "--T", "2"],
-                                  ["optimize", "--T", "2", "--iters", "1"]], ids=lambda argv: argv[0])
-def test_buffered_commands_need_a_certified_rate(tmp_path, capsys, argv):
-    config = str(tmp_path / "cubic.json")
-    save_model_config(UNCERTIFIED, config)
-    assert _run(config, tmp_path, *argv, *COMMON) == 1
+                                  ["optimize", "--T", "2", "--iters", "1"],
+                                  ["duality-check", "--T", "2", "--infinite"]], ids=lambda argv: argv[0])
+def test_buffered_commands_need_a_certified_rate(tmp_path, capsys, argv, model, message):
+    config = str(tmp_path / "model.json")
+    save_model_config(model, config)
+    tracemalloc.start()
+    try:
+        code = _run(config, tmp_path, *argv, *COMMON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
     err = capsys.readouterr().err
-    assert "error: certified c_p=0.5 >= 0 gives no decay rate" in err and "Traceback" not in err
-    assert [p.name for p in tmp_path.iterdir()] == ["cubic.json"]
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert peak < 1_000_000  # refused before any path array: one (64, 9211) array alone is 4.7 MB
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_unknown_config_key_exits_1(lq1_config, tmp_path, capsys):

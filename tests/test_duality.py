@@ -202,15 +202,16 @@ def test_probe_reports_equal_single_checks(lq1, infinite):
     """A probe's report is its single check's: the shared base ensemble and
     costate solve change no bit.  Every probe exercises the identity."""
     law, kw = ControlLaw.affine([[-0.4]], [0.1], lq1.control_set), dict(M=128, seed=4, dt=0.02)
-    probes = verify_duality_probes(lq1, law, 2.0, infinite=infinite, buffer=1.0, **kw)
-    base = simulate_state(lq1, law, [1.0], TimeGrid.from_horizon(3.0 if infinite else 2.0, 0.02), 128, seed=4)
+    probes = verify_duality_probes(lq1, law, 2.0, infinite=infinite, **kw)
+    horizon = 2.0 + lq1.forgetting_time(0.02) if infinite else 2.0
+    base = simulate_state(lq1, law, [1.0], TimeGrid.from_horizon(horizon, 0.02), 128, seed=4)
     singles = {"eta-one": (0.0, "one", {}), "eta-state": (1.0, "state", {}),
                "rho-0": (0.0, "zero", {"rho": build_rho(base, 1, 1, {0: [1.0]}, t_end=2.0)})}
     if not infinite:
         singles["gamma"] = (0.0, "zero", {"gamma": build_gamma(base, 1, value=[1.0], t_start=0.5, t_end=1.5)})
     assert sorted(probes) == sorted(singles)
     for name, (t, eta, forcing) in singles.items():
-        single = (verify_duality_infinite(lq1, law, t, 2.0, eta, T_report=2.0, T_buffer=1.0, **forcing, **kw)
+        single = (verify_duality_infinite(lq1, law, t, 2.0, eta, T_report=2.0, T_buffer=None, **forcing, **kw)
                   if infinite else verify_duality_finite(lq1, law, t, 2.0, eta, **forcing, **kw))
         assert probes[name].to_dict() == single.to_dict(), name
         assert single.lhs != 0.0 and single.rhs != 0.0, name

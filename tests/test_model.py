@@ -356,6 +356,16 @@ def test_forgetting_time_needs_a_certified_rate():
         model.forgetting_time(0.01)
 
 
+def test_forgetting_time_refuses_a_slow_rate():
+    # ln(100)/0.23 = 20.02 is past the cap of 20; ln(100)/0.24 = 19.19 is not
+    box = ConvexSet.box([-5.0], [5.0])
+    slow, fast = (ModelSpec.lq(A=[[a]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]], control_set=box)
+                  for a in (-0.23, -0.24))
+    with pytest.raises(ModelError, match=r"certified c_p=-0\.23 decays so slowly that the buffer would be 20\.03 > 20"):
+        slow.forgetting_time(0.01)
+    assert fast.forgetting_time(0.01) == pytest.approx(19.19, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Control laws
 
