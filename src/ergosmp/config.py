@@ -1,5 +1,13 @@
 """Strict JSON problem configs with bit-exact numeric round-trips.
 
+A config holds the data of the SDE dX = (A X + B u - alpha X^3) dt + Sigma dW
+and of its cost <Q x, x> + <R u, u>, and nothing derived from them: ``A``
+(n, n), ``B`` (n, l), the constant ``Sigma`` (n, d), the symmetric PSD ``Q``
+(n, n) and ``R`` (l, l), ``control_set`` in R^l (``{"kind": "box", "lower",
+"upper"}`` or ``{"kind": "ball", "center", "radius"}``) and, only when some
+alpha_i > 0, ``cubic``: the (n,) nonnegative damping alpha.  A config
+without ``cubic`` is linear-quadratic; n, l and d are read off the arrays.
+
 Unknown keys are fatal: silent typos in scientific configs corrupt
 experiments.  Serialization uses Python's shortest-round-trip float repr, so
 parse(serialize(model)) reproduces every numeric bit.
@@ -51,30 +59,18 @@ def _parse_control_set(obj, where="control_set") -> ConvexSet:
 
 
 def parse_model_config(obj: dict, where="config") -> ModelSpec:
-    """Model from a config object.  `family` is "lq" or "cubic"; only "cubic"
-    takes (and requires) the `cubic` coefficients alpha."""
+    """Model from a config object; without `cubic`, alpha = 0 (the LQ model)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected a JSON object")
-    family = obj.get("family")
-    if family not in ("lq", "cubic"):
-        raise ConfigError(f"{where}: family must be 'lq' or 'cubic', got {family!r}")
-    keys = ("family", "n", "d", "l", "A", "B", "Sigma", "Q", "R", "control_set", "m", "p", "k")
-    _require_keys(obj, keys + (("cubic",) if family == "cubic" else ()), where=where)
+    _require_keys(obj, ("A", "B", "Sigma", "Q", "R", "control_set"), ("cubic",), where=where)
     try:
-        build = partial(ModelSpec.cubic, obj["cubic"]) if family == "cubic" else ModelSpec.lq
-        model = build(
-            A=obj["A"], B=obj["B"], S=obj["Sigma"], Q=obj["Q"], R=obj["R"],
-            control_set=_parse_control_set(obj["control_set"]),
-            m=int(obj["m"]), p=float(obj["p"]), k=float(obj["k"]),
-        )
-        for name, expect in (("n", model.n), ("d", model.d), ("l", model.l)):
-            if int(obj[name]) != expect:
-                raise ConfigError(f"{where}: field {name}={obj[name]} does not match coefficient shapes ({expect})")
+        build = partial(ModelSpec.cubic, obj["cubic"]) if "cubic" in obj else ModelSpec.lq
+        return build(A=obj["A"], B=obj["B"], S=obj["Sigma"], Q=obj["Q"], R=obj["R"],
+                     control_set=_parse_control_set(obj["control_set"]))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return model
 
 
 def load_model_config(path: str) -> ModelSpec:
@@ -95,19 +91,12 @@ def model_config_dict(model: ModelSpec) -> dict:
     else:
         control_set = {"kind": "ball", "center": cs.center.tolist(), "radius": cs.radius}
     obj = {
-        "family": "cubic" if model.has_cubic else "lq",
-        "n": model.n,
-        "d": model.d,
-        "l": model.l,
         "A": model.A.tolist(),
         "B": model.B.tolist(),
         "Sigma": model.S.tolist(),
         "Q": model.Q.tolist(),
         "R": model.R.tolist(),
         "control_set": control_set,
-        "m": model.m,
-        "p": model.p,
-        "k": model.k,
     }
     if model.has_cubic:
         obj["cubic"] = model.alpha.tolist()

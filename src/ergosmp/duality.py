@@ -16,13 +16,13 @@ and 0.0013), so a verdict on it needs a threshold above that floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import ClassVar, Dict, Optional, Union
 
 import numpy as np
 
 from .adjoint import AdjointError, solve_adjoint_finite
 from .forward import (PathEnsemble, SimulationError, TimeGrid, _affine_dual_block, _affine_dual_inputs,
-                      _initial_per_path, _path_integrals, _require_grid, _time_major, simulate_state)
+                      _ci95_halfwidth, _initial_per_path, _path_integrals, _require_grid, _time_major, simulate_state)
 from .model import ControlLaw, ModelSpec, _dot, _mat_vec, _Report, cost_grad_x
 
 __all__ = [
@@ -41,18 +41,23 @@ class DualityReport(_Report):
     rhs: float
     abs_residual: float
     rel_residual: float  # NaN (unavailable) when both sides are exactly 0
+    ci: float  # 95% half-width of the mean of the per-path lhs - rhs
     config: dict
     tail_bound: float = 0.0  # bound on the discarded tail (infinite form); inf if unavailable
 
+    schema_version: ClassVar[int] = 2  # 1 had no ci
 
-def _report(lhs: float, rhs: float, config: dict, tail_bound: float = 0.0) -> DualityReport:
-    """Residuals of the identity; rel_residual is NaN (unavailable) when both
-    sides are exactly 0, i.e. when all-zero data left it unexercised."""
+
+def _report(lhs_rows, rhs_rows, config: dict, tail_bound: float = 0.0) -> DualityReport:
+    """Residuals of the identity from the per-path sides, whose means are lhs
+    and rhs; rel_residual is NaN (unavailable) when both sides are exactly 0,
+    i.e. when all-zero data left it unexercised."""
+    lhs, rhs = float(lhs_rows.mean()), float(rhs_rows.mean())
     abs_res = abs(lhs - rhs)
     rel_res = float("nan") if lhs == rhs == 0.0 else abs_res / max(abs(lhs), abs(rhs), 1e-12)
     return DualityReport(
         lhs=lhs, rhs=rhs, abs_residual=abs_res, rel_residual=rel_res,
-        config=config, tail_bound=tail_bound,
+        ci=_ci95_halfwidth(lhs_rows - rhs_rows), config=config, tail_bound=tail_bound,
     )
 
 
@@ -158,10 +163,10 @@ def _base_ensemble(model, u_bar, base, T, dt, M, seed, x0) -> PathEnsemble:
 
 
 def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=None):
-    """Both sides of the pairing identity on [t, T], T the end of the base grid:
-    (E<p_t, eta> + E int <p, gamma> + sum_i E int <q^i, rho^i>,
-    E int <Ycal, Psi> + E<nu, Ycal_T>, the dual end state Ycal_T (M, n),
-    max_j E|Psi_j|^2).
+    """Both sides of the pairing identity on [t, T], T the end of the base grid,
+    per path, whose means are the two sides: (<p_t, eta> + int <p, gamma> +
+    sum_i int <q^i, rho^i>, int <Ycal, Psi> + <nu, Ycal_T>, each (M,), the
+    dual end state Ycal_T (M, n), max_j E|Psi_j|^2).
 
     The dual process Ycal is streamed: each time block of the integrals runs
     its Euler steps (`forward._affine_dual_block`, the recursion of
@@ -192,10 +197,9 @@ def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=Non
         return np.stack([forcing, _dot(Ycal[:-1], psi)], axis=1)
 
     forcing, pairing = _path_integrals(grid, rows, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
-    p_side = float((_dot(sol.p[:, j0], eta_arr) + forcing).mean())
     if nu is not None:
         pairing = pairing + _dot(np.asarray(nu, dtype=float), y)
-    return p_side, float(pairing.mean()), y, float(psi_sq.max())
+    return _dot(sol.p[:, j0], eta_arr) + forcing, pairing, y, float(psi_sq.max())
 
 
 def verify_duality_finite(
@@ -228,7 +232,7 @@ def verify_duality_finite(
 
 
 def _finite_form(model, u_bar, base, sol, t, T, eta, gamma=None, rho=None, nu=None) -> DualityReport:
-    lhs, rhs, _, _ = _pairing_sides(model, u_bar, base, sol, t, eta, gamma=gamma, rho=rho, nu=nu)
+    p_rows, pairing_rows, _, _ = _pairing_sides(model, u_bar, base, sol, t, eta, gamma=gamma, rho=rho, nu=nu)
 
     config = {
         "t": t, "T": T, "M": base.n_paths, "seed": base.seed, "dt": base.grid.dt,
@@ -237,7 +241,7 @@ def _finite_form(model, u_bar, base, sol, t, T, eta, gamma=None, rho=None, nu=No
         "rho": "zero" if rho is None else "array",
         "nu": "zero" if nu is None else "array",
     }
-    return _report(lhs, rhs, config)
+    return _report(p_rows, pairing_rows, config)
 
 
 def verify_duality_infinite(
@@ -282,7 +286,7 @@ def _infinite_form(model, u_bar, base, sol, t, T_support, eta, rho, T_report, T_
             raise SimulationError("rho must be a full-grid forcing array")
         if np.any(rho[:, grid.index_of(T_support):]):
             raise AdjointError("rho with support beyond T_support is rejected")
-    rhs, lhs, dual_end, psi_sup = _pairing_sides(model, u_bar, base, sol, t, eta, rho=rho)
+    p_rows, pairing_rows, dual_end, psi_sup = _pairing_sides(model, u_bar, base, sol, t, eta, rho=rho)
 
     c_p = model.certified_dissipativity_bound()
     beta = -c_p if c_p < 0 else float("nan")
@@ -295,7 +299,7 @@ def _infinite_form(model, u_bar, base, sol, t, T_support, eta, rho, T_report, T_
         "eta": eta if isinstance(eta, str) else "array",
         "rho": "zero" if rho is None else "array",
     }
-    return _report(lhs, rhs, config, tail_bound=tail_bound)
+    return _report(pairing_rows, p_rows, config, tail_bound=tail_bound)
 
 
 def verify_duality_probes(

@@ -11,13 +11,16 @@ tests on the given model:
 - ``projection-geometry``: the control set U is closed and convex, so its
   projection is idempotent and non-expansive.
 - ``dissipativity``: joint dissipativity, <D_x b(x,u) y, y> <= c_p |y|^2
-  with c_p < 0 (sigma is constant, so its k-weighted term vanishes); the
-  sampled maximum must be negative and within the certified c_p.
+  with c_p < 0 (sigma is constant, so its k-weighted term vanishes for every
+  k and the model carries no k); the sampled maximum must be negative and
+  within the certified c_p.
 - ``determinism-prefix``: the seed -> bytes contract of the forward
   ensembles, on which every pairing of two ensembles relies.
 - ``moment-bound``: the moment bound that dissipativity implies,
   E|X_t|^q <= e^(-q beta t)|x0|^q + K with beta = -c_p, K read once the
-  contraction has forgotten x0.
+  contraction has forgotten x0.  The order q is the smallest even order
+  above max(4m+2, 4), the paper's bound on p, with the growth order m read
+  off alpha: 1 with a cubic term and 0 without, so q is 8 or 6.
 - ``exponential-forgetting``: two solutions on shared noise forget their
   initial states at the rate 2 c_p in mean square, which makes the ergodic
   cost independent of x0 and the dual process bounded on [0, infinity).
@@ -123,7 +126,8 @@ def _moment_bound_check(model: ModelSpec) -> CheckResult:
     c_p = model.certified_dissipativity_bound()
     if c_p >= 0:
         return _no_rate("moment-bound", c_p)
-    q = int(model.p) if float(model.p).is_integer() and int(model.p) % 2 == 0 else 6
+    m = 1 if model.has_cubic else 0  # the growth order of b
+    q = 2 * (max(4 * m + 2, 4) // 2 + 1)  # the smallest even order above max(4m+2, 4)
     dt = 0.01
     # min(forgetting time, 10) on the grid; rates too slow to give a buffer take 10
     j_d = round((model.forgetting_time(dt) if c_p < -np.log(100.0) / 10.0 else 10.0) / dt)

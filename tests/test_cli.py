@@ -123,12 +123,10 @@ BAD_INPUT = [
     ("x0-not-a-number", ["cost", *COMMON, "--T", "4", "--x0", "abc"], None),
     ("dt-nan", ["simulate", "--seed", "3", "--M", "16", "--T", "1", "--dt", "nan"], None),
     ("T-inf", ["simulate", *COMMON, "--T", "inf"], None),
+    ("formats-empty", ["simulate", *COMMON, "--T", "1", "--formats", ""], None),
+    ("formats-comma", ["simulate", *COMMON, "--T", "1", "--formats", ","], None),
     ("optimize-gamma-nan", ["optimize", *COMMON, "--T", "4", "--iters", "1", "--gamma", "nan"], None),
     ("duality-threshold-nan", ["duality-check", *COMMON, "--T", "2", "--threshold", "nan"], None),
-    ("config-n-string", ["cost", *COMMON, "--T", "4"], {"n": "x"}),
-    ("config-n-list", ["cost", *COMMON, "--T", "4"], {"n": [1]}),
-    ("config-m-list", ["cost", *COMMON, "--T", "4"], {"m": [0]}),
-    ("config-p-null", ["cost", *COMMON, "--T", "4"], {"p": None}),
     ("config-A-object", ["cost", *COMMON, "--T", "4"], {"A": {"x": 1}}),
     ("control-value-object", ["cost", *COMMON, "--T", "4", "--control", '{"kind":"constant","value":{"a":1}}'], None),
     # What the model determines is no flag: the buffer and the duality forcing
@@ -162,7 +160,14 @@ NON_FINITE = [
     ("config-A-nan", COST, {"A": [[NAN]]}, "A must be finite"),
     ("config-B-nan", COST, {"B": [[NAN]]}, "B must be finite"),
     ("config-Sigma-nan", COST, {"Sigma": [[NAN]]}, "S (Sigma) must be finite"),
-    ("config-cubic-nan", COST, {"family": "cubic", "cubic": [NAN]}, "alpha (cubic) must be finite"),
+    ("config-cubic-nan", COST, {"cubic": [NAN]}, "alpha (cubic) must be finite"),
+    # Not finite, but just as wrong: 2 Q x is the gradient of <Q x, x> only
+    # for a symmetric Q, so a Q off by more than round-off is rejected.
+    ("config-Q-nearly-symmetric", COST, {**LQ3, "Q": [[2, 1 + 5e-6, 0], [1, 2, 0], [0, 0, 1]]}, "Q must be symmetric"),
+    # A config states only the SDE and its cost; the keys it once also held
+    # (family, dimensions, structural constants) are unknown now.
+    ("config-old-keys", COST, {"family": "lq", "n": 1, "d": 1, "l": 1, "m": 0, "p": 6.0, "k": 3.0},
+     "unknown key(s) ['d', 'family', 'k', 'l', 'm', 'n', 'p']"),
     ("control-constant-nan", [*COST, "--control", '{"kind":"constant","value":[NaN]}'], None,
      "constant law: value must be finite"),
     ("control-gain-inf", [*COST, "--control", '{"kind":"affine_feedback","gain":[[Infinity]],"offset":[0]}'], None,

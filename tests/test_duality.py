@@ -367,6 +367,17 @@ def test_report_serialization(lq1, lq1_zero, lq1_base8):
     rep = verify_duality_finite(lq1, lq1_zero, 0.0, 8.0, eta="one",
                                 M=4096, seed=5, dt=0.01, base=lq1_base8)
     obj = rep.to_dict()
-    assert obj["schema_version"] == 1
+    assert obj["schema_version"] == 2  # 1 had no ci
+    assert obj["ci"] == rep.ci > 0.0
     assert obj["rel_residual"] == rep.rel_residual
     assert obj["config"]["eta"] == "one"
+
+
+def test_ci_shrinks_as_one_over_root_m(lq1):
+    """The CI is the half-width of the mean of the per-path lhs - rhs, so 16
+    times the paths give about a quarter of it; the first 256 paths of the
+    4096-path ensemble are the 256-path ensemble, so the two estimates share
+    their first paths."""
+    law = ControlLaw.affine([[-0.4]], [0.1], lq1.control_set)
+    ci = {M: verify_duality_finite(lq1, law, 0.0, 2.0, eta="one", M=M, seed=3, dt=0.02).ci for M in (256, 4096)}
+    assert 3.5 < ci[256] / ci[4096] < 4.5

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -31,7 +32,7 @@ def test_zero_cost_family(lq1_zero, lq1_base8):
 
 
 def test_deterministic_cost_integral(lq1, lq1_zero):
-    noiseless = lq1.with_diffusion([[0.0]])
+    noiseless = dataclasses.replace(lq1, S=[[0.0]])
     ens = simulate_state(noiseless, lq1_zero, [1.0], TimeGrid(dt=0.01, steps=100), 4, seed=0)
     val = _cost_sums_at(noiseless, ens, lq1_zero, [100]).mean()  # E int_0^1 f dt
     assert abs(val - (1 - np.exp(-2.0)) / 2.0) < 0.02

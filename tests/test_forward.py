@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import warnings
 
@@ -49,7 +50,7 @@ def test_grid_validation():
 
 
 def test_deterministic_linear_decay(lq1, lq1_zero):
-    noiseless = lq1.with_diffusion([[0.0]])
+    noiseless = dataclasses.replace(lq1, S=[[0.0]])
     grid = TimeGrid(dt=1e-3, steps=1000)
     ens = simulate_state(noiseless, lq1_zero, [1.0], grid, 4, seed=0)
     x1 = ens.states[0, -1, 0]
@@ -69,7 +70,7 @@ def test_ou_stationary_moments(lq1, lq1_zero):
 
 
 def test_moment_deterministic_ensemble(lq1, lq1_zero):
-    noiseless = lq1.with_diffusion([[0.0]])
+    noiseless = dataclasses.replace(lq1, S=[[0.0]])
     ens = simulate_state(noiseless, lq1_zero, [1.0], TimeGrid(dt=1e-3, steps=1000), 8, seed=0)
     est, half = estimate_moment(ens, 2, 1.0)
     assert half == 0.0
@@ -271,7 +272,7 @@ def test_perturbed_theta_zero_is_bitwise(lq1, lq1_zero, lq1_one, lq1_base8):
 
 
 def test_perturbed_step_response(lq1, lq1_zero, lq1_one):
-    noiseless = lq1.with_diffusion([[0.0]])
+    noiseless = dataclasses.replace(lq1, S=[[0.0]])
     grid = TimeGrid(dt=1e-3, steps=1000)
     base = simulate_state(noiseless, lq1_zero, [0.0], grid, 4, seed=0)
     pert = _perturbed_states(noiseless, base, lq1_one.evaluate(base.states[:, :-1]))

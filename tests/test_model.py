@@ -110,16 +110,14 @@ def test_projection_idempotent_nonexpansive(a, b, ball):
 
 
 def test_structural_constants_rejected():
-    box = ConvexSet.box([-5.0], [5.0])
-    with pytest.raises(ModelError):
-        ModelSpec.lq(A=[[-1.0]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
-                     control_set=box, m=0, p=4.0, k=3.0)  # needs p > 4 strictly
-    with pytest.raises(ModelError):
-        ModelSpec.lq(A=[[-1.0]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
-                     control_set=box, m=0, p=6.0, k=2.5)  # needs k > 2.5 strictly
-    with pytest.raises(ModelError):
-        ModelSpec.cubic(alpha=[1.0], A=[[-1.0]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]],
-                        control_set=box, m=1, p=6.0, k=4.0)  # needs p > 4m+2 = 6
+    # m, p and k follow from alpha and the constant sigma, so no builder takes them.
+    data = dict(A=[[-1.0]], B=[[1.0]], S=[[1.0]], Q=[[1.0]], R=[[1.0]], control_set=ConvexSet.box([-5.0], [5.0]))
+    with pytest.raises(TypeError):
+        ModelSpec.lq(**data, p=6.0)
+    with pytest.raises(TypeError):
+        ModelSpec.cubic([1.0], **data, m=1)
+    with pytest.raises(TypeError):
+        ModelSpec(**data, alpha=[0.0], k=3.0)
 
 
 def test_bad_coefficients_rejected():
@@ -131,6 +129,21 @@ def test_bad_coefficients_rejected():
                         control_set=box)
     with pytest.raises(ModelError):
         ModelSpec.lq(A=[[-1.0]], B=[[1.0]], S=[[1.0]], Q=[[-1.0]], R=[[1.0]], control_set=box)
+
+
+def test_nearly_symmetric_cost_rejected():
+    # 2 Q x is the gradient (Q + Q^T) x of <Q x, x> only for a symmetric Q:
+    # at x = (1, 2) this Q's asymmetry 5e-6 would move it by 1e-5.
+    box = ConvexSet.box([-5.0, -5.0], [5.0, 5.0])
+    data = dict(A=-np.eye(2), B=np.eye(2), S=np.eye(2), Q=np.eye(2), R=np.eye(2), control_set=box)
+    for name in ("Q", "R"):
+        with pytest.raises(ModelError, match=f"{name} must be symmetric"):
+            ModelSpec.lq(**{**data, name: [[2.0, 1.0 + 5e-6], [1.0, 2.0]]})
+    # an asymmetry of one ulp passes, at any scale
+    for scale in (1.0, 1e8):
+        Q = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+        Q[0, 1] = np.nextafter(Q[0, 1], np.inf)
+        ModelSpec.lq(**{**data, "Q": Q})
 
 
 def test_control_dim_checked():
@@ -149,12 +162,12 @@ LQ3 = dict(A=[[-1.0, 0.4, 0.0], [0.0, -1.2, 0.4], [0.0, 0.0, -0.8]], B=[[1.0, 0.
 
 def test_model_spec_is_one_coefficient_form():
     names = [f.name for f in dataclasses.fields(ModelSpec)]
-    assert names == ["A", "B", "S", "Q", "R", "alpha", "control_set", "m", "p", "k"]
+    assert names == ["A", "B", "S", "Q", "R", "alpha", "control_set"]
     model = ModelSpec.lq(**LQ3, control_set=ConvexSet.box([-5.0, -5.0], [5.0, 5.0]))
     assert (model.n, model.l, model.d) == (3, 2, 2)
-    wide = model.with_diffusion(np.ones((3, 4)))
+    wide = dataclasses.replace(model, S=np.ones((3, 4)))
     assert wide.d == 4 and wide.alpha.tolist() == [0.0, 0.0, 0.0]
-    assert ModelSpec.cubic1().with_diffusion([[0.5]]).has_cubic
+    assert dataclasses.replace(ModelSpec.cubic1(), S=[[0.5]]).has_cubic
 
 
 def _wide_range(rng, shape):
@@ -290,7 +303,7 @@ def test_constant_law_fills_like_broadcast():
 def test_lq_equals_cubic_with_zero_alpha():
     cs = ConvexSet.box([-5.0, -5.0], [5.0, 5.0])
     lq = ModelSpec.lq(**LQ3, control_set=cs)
-    cubic = ModelSpec.cubic(np.zeros(3), **LQ3, control_set=cs, m=0, p=6.0, k=3.0)
+    cubic = ModelSpec.cubic(np.zeros(3), **LQ3, control_set=cs)
     rng = np.random.default_rng(4)
     X = 3.0 * rng.standard_normal((64, 3))
     U = rng.standard_normal((64, 2))
@@ -298,7 +311,7 @@ def test_lq_equals_cubic_with_zero_alpha():
     for fn, args in ((drift_at, (X, U)), (drift_jac_x, (X,)), (drift_jacT_apply, (X, P))):
         assert fn(lq, *args).tobytes() == fn(cubic, *args).tobytes()
     assert model_config_dict(cubic) == model_config_dict(lq)
-    assert model_config_dict(lq)["family"] == "lq"
+    assert "cubic" not in model_config_dict(lq)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ def test_every_report_has_one_json_form():
     for rep in reports:
         obj = rep.to_dict()
         assert set(obj) == {"schema_version"} | {f.name for f in dataclasses.fields(rep)}, type(rep).__name__
-        # SufficiencyReport is at 2 since it dropped probe_count
-        assert obj["schema_version"] == (2 if isinstance(rep, ergosmp.SufficiencyReport) else 1), type(rep).__name__
+        # SufficiencyReport is at 2 since it dropped probe_count, DualityReport since it gained ci
+        assert obj["schema_version"] == (2 if isinstance(rep, (ergosmp.SufficiencyReport, ergosmp.DualityReport))
+                                         else 1), type(rep).__name__
         json.dumps(obj, allow_nan=False)
