@@ -168,6 +168,12 @@ NON_FINITE = [
     # (family, dimensions, structural constants) are unknown now.
     ("config-old-keys", COST, {"family": "lq", "n": 1, "d": 1, "l": 1, "m": 0, "p": 6.0, "k": 3.0},
      "unknown key(s) ['d', 'family', 'k', 'l', 'm', 'n', 'p']"),
+    # A badly typed value under one of those keys fails as an unknown key
+    # too, before its value is read.
+    ("config-n-string", COST, {"n": "x"}, "unknown key(s) ['n']"),
+    ("config-n-list", COST, {"n": [1]}, "unknown key(s) ['n']"),
+    ("config-m-list", COST, {"m": [0]}, "unknown key(s) ['m']"),
+    ("config-p-null", COST, {"p": None}, "unknown key(s) ['p']"),
     ("control-constant-nan", [*COST, "--control", '{"kind":"constant","value":[NaN]}'], None,
      "constant law: value must be finite"),
     ("control-gain-inf", [*COST, "--control", '{"kind":"affine_feedback","gain":[[Infinity]],"offset":[0]}'], None,
