@@ -256,6 +256,15 @@ def solve_adjoint_finite(
     paths M than features K raise AdjointError: every step's fit is
     rank-deficient.
     """
+    return _backward_sweep(model, ensemble, u_bar, nu, ensemble.grid.steps)
+
+
+def _backward_sweep(model: ModelSpec, ensemble: PathEnsemble, u_bar: ControlLaw, nu, keep: int) -> AdjointSolution:
+    """`solve_adjoint_finite` on the whole ensemble that stores p and its
+    coefficients on steps 0..keep only: the solution on [0, keep dt], on the
+    ensemble's `restricted` view (the ensemble itself when keep is its last
+    step).  The steps past `keep` go through two rolling rows; each step's
+    fit and checks are the same, so every stored bit is too."""
     if ensemble.control_id != u_bar.describe():
         raise AdjointError(
             f"ensemble generated under {ensemble.control_id!r}, not {u_bar.describe()!r}"
@@ -267,9 +276,13 @@ def solve_adjoint_finite(
         # The ridge would hide it: the centred design has rank at most M.
         raise AdjointError(f"rank-deficient regression from step {steps - 1}: M={M} paths for K={K} features")
     dt = grid.dt
-    Pbuf = np.empty((steps + 1, M, n))
+    Pbuf, rolling = np.empty((keep + 1, M, n)), np.empty((2, M, n))
+
+    def row(j):
+        return Pbuf[j] if j <= keep else rolling[j % 2]
+
     if nu is None:
-        Pbuf[steps] = 0.0
+        row(steps)[...] = 0.0
         terminal_id = "zero"
     else:
         nu = np.asarray(nu, dtype=float)
@@ -277,9 +290,9 @@ def solve_adjoint_finite(
             raise AdjointError(f"nu must have shape ({M}, {n})")
         if not np.isfinite(nu).all():
             raise AdjointError("nu (terminal condition) must be finite")
-        Pbuf[steps] = nu
+        row(steps)[...] = nu
         terminal_id = "custom"
-    coef_p = np.empty((steps, K, n))
+    coef_p = np.empty((keep, K, n))
     X_tm = _time_major(ensemble.states)
     block = _block_steps(8 * K * M)
 
@@ -290,7 +303,7 @@ def solve_adjoint_finite(
         grad_x = cost_grad_x(model, X_tm[j0:j1])
         for j in range(j1 - 1, j0 - 1, -1):
             b = j - j0
-            p_next = Pbuf[j + 1]
+            p_next = row(j + 1)
             drift_jacT_apply(model, X_tm[j], p_next, driver, term)
             np.add(driver, grad_x[b], driver)
             if not np.isfinite(driver).all():
@@ -301,12 +314,14 @@ def solve_adjoint_finite(
             c = Linv[b].T @ (Linv[b] @ (Ft[b] @ driver))
             if not np.isfinite(c).all():
                 raise AdjointError(f"non-finite regression coefficients at step {j}")
-            coef_p[j] = c
-            np.matmul(Ft[b].T, c, out=Pbuf[j])
+            if j < keep:
+                coef_p[j] = c
+            np.matmul(Ft[b].T, c, out=row(j))
 
+    view = ensemble if keep == steps else ensemble.restricted(keep * dt)
     return AdjointSolution(
-        grid=grid, p=Pbuf.transpose(1, 0, 2), coef_p=coef_p,
-        terminal_id=terminal_id, ensemble=ensemble,
+        grid=view.grid, p=Pbuf.transpose(1, 0, 2), coef_p=coef_p,
+        terminal_id=terminal_id, ensemble=view,
     )
 
 
@@ -382,14 +397,19 @@ def extend_to_infinite(
     Solves with zero terminal data on [0, T_report + T_buffer] and discards
     the buffer, where the influence of the artificial terminal condition has
     decayed exponentially; None is `ModelSpec.forgetting_time`, ln(100)/|c_p|.
+    The buffer's costate rows are scaffolding: the sweep runs through them on
+    two rolling rows and stores p and its coefficients on [0, T_report]
+    only, bitwise the restriction of the full solve.  The solution's
+    ensemble is the `restricted` view of the simulated one, whose states it
+    shares; it holds no noise until its increments are read (the q fit reads
+    them).
     """
     T_buffer = model.forgetting_time(dt) if T_buffer is None else T_buffer
     if T_buffer <= 0:
         raise AdjointError("T_buffer must be positive")
     grid = TimeGrid.from_horizon(T_report + T_buffer, dt)
     ensemble = simulate_state(model, u_bar, x0, grid, M, seed)
-    full = solve_adjoint_finite(model, ensemble, u_bar)
-    return full.restricted(T_report)
+    return _backward_sweep(model, ensemble, u_bar, None, grid.index_of(T_report))
 
 
 @dataclass(frozen=True)

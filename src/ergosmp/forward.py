@@ -12,6 +12,11 @@ never by sampling noise.  Increments are generated from counter-based Philox
 streams keyed by (seed, path index), so every ensemble is bit-reproducible
 and its first k paths equal the k-path ensemble.
 
+The noise is a pure function of the seed, so it is held only while read:
+`simulate_state` draws it for its step loop and keeps the states alone, and
+its ensemble draws it again when `increments` is first read (the q fit, a
+noise forcing rho, a perturbed state, a binary dump).
+
 The three forward kernels keep those bits and run along the long axes:
 `brownian_increments` draws whole paths into a path-major chunk and
 transposes it into the time-major buffer, the tamed-Euler step runs one
@@ -197,8 +202,42 @@ def brownian_increments(seed: int, M: int, grid: TimeGrid, d: int) -> np.ndarray
 
 
 @dataclass(frozen=True)
+class _SeedNoise:
+    """`PathEnsemble(increments=_SeedNoise(d))`: d noise channels, drawn from
+    the ensemble's seed when first read."""
+
+    d: int
+
+
+class _Increments:
+    """The `increments` field of `PathEnsemble`: the read-only (M, steps, d)
+    array the ensemble was built with, or, for one built on `_SeedNoise(d)`,
+    `brownian_increments(seed, M, grid, d)`, drawn when first read and kept
+    from then on."""
+
+    def __get__(self, ens, owner=None):
+        if ens is None:
+            raise AttributeError("increments")  # a required field: no class-level default
+        if ens.__dict__["_noise"] is None:
+            self.__set__(ens, brownian_increments(ens.seed, ens.n_paths, ens.grid, ens.d))
+        return ens.__dict__["_noise"]
+
+    def __set__(self, ens, noise):
+        if isinstance(noise, _SeedNoise):
+            ens.__dict__.update(_noise=None, _d=noise.d)
+        else:
+            noise.setflags(write=False)
+            ens.__dict__.update(_noise=noise, _d=noise.shape[2])
+
+
+@dataclass(frozen=True)
 class PathEnsemble:
     """M trajectories of the state equation plus the noise that drove them.
+
+    An ensemble of `simulate_state` holds no noise until `increments` is
+    first read, then draws it from its seed and keeps it; one built on an
+    array (`ensemble_from_binary`, `dataclasses.replace`, the optimizer's
+    shared noise) keeps that array (`_Increments`).
 
     `_designs` holds what the adjoint layer derives per step from the states
     alone, the regression design factors of `adjoint._block_design`, filled
@@ -209,7 +248,7 @@ class PathEnsemble:
 
     grid: TimeGrid
     states: np.ndarray       # (M, steps+1, n)
-    increments: np.ndarray   # (M, steps, d)
+    increments: np.ndarray = _Increments()  # (M, steps, d), a descriptor-typed field without a default
     seed: int
     control_id: str
     x0: np.ndarray
@@ -217,7 +256,6 @@ class PathEnsemble:
 
     def __post_init__(self):
         self.states.setflags(write=False)
-        self.increments.setflags(write=False)
         object.__setattr__(self, "_designs", {"steps": self.grid.steps})
 
     @property
@@ -230,16 +268,18 @@ class PathEnsemble:
 
     @property
     def d(self) -> int:
-        return self.increments.shape[2]
+        return self.__dict__["_d"]
 
     def restricted(self, horizon: float) -> "PathEnsemble":
         """View of the ensemble truncated to [0, horizon], sharing its design
-        store."""
+        store.  It slices the increments if they are drawn; otherwise it
+        draws its own when read, which are their prefix bitwise."""
         j = self.grid.index_of(horizon)
+        noise = self.__dict__["_noise"]
         view = PathEnsemble(
             grid=TimeGrid(dt=self.grid.dt, steps=j),
             states=self.states[:, : j + 1],
-            increments=self.increments[:, :j],
+            increments=_SeedNoise(self.d) if noise is None else noise[:, :j],
             seed=self.seed,
             control_id=self.control_id,
             x0=self.x0,
@@ -341,14 +381,15 @@ def simulate_state(
     """Tamed Euler simulation of the controlled state equation.
 
     Deterministic for fixed (seed, M, grid); the first k paths equal the
-    k-path ensemble.
+    k-path ensemble.  The increments are drawn for the step loop and
+    released; the ensemble redraws them when they are read (`PathEnsemble`).
     """
     x0 = _initial_state(model, x0)
     dW = brownian_increments(seed, M, grid, model.d)
     states = _tamed_euler(model, x0, dW, grid.dt, lambda j, xj, out: control.evaluate(xj, out=out),
                           "simulate_state")
     return PathEnsemble(
-        grid=grid, states=states, increments=dW, seed=int(seed),
+        grid=grid, states=states, increments=_SeedNoise(model.d), seed=int(seed),
         control_id=control.describe(), x0=x0,
     )
 
@@ -441,7 +482,8 @@ def _affine_dual_block(model: ModelSpec, base: PathEnsemble, Y: np.ndarray, j0: 
     operation.  One check per block names the first non-finite step and its
     lowest path, as a check per step would; steps after a blow-up run
     silently until it."""
-    X, dW, dt = _time_major(base.states), _time_major(base.increments), np.asarray(base.grid.dt)
+    X, dt = _time_major(base.states), np.asarray(base.grid.dt)
+    dW = None if rho is None else _time_major(base.increments)
     M, n = Y.shape[1:]
     term = np.empty(M)
     forcing = None if gamma is None and rho is None else np.empty((M, n))

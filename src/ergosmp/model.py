@@ -457,9 +457,9 @@ class ModelSpec:
 
     @cached_property
     def _coef(self):
-        """(A, B, S) as `_rows` and alpha as `_entries`: the coefficients
-        bound once for the column kernels."""
-        return _rows(self.A), _rows(self.B), _rows(self.S), _entries(self.alpha)
+        """(A, B, S) as `_rows`, alpha as `_entries`, then (Q, R) as `_rows`:
+        the coefficients bound once for the column kernels."""
+        return _rows(self.A), _rows(self.B), _rows(self.S), _entries(self.alpha), _rows(self.Q), _rows(self.R)
 
     # -- canonical builders -------------------------------------------------
 
@@ -523,7 +523,7 @@ def drift_at(model: ModelSpec, X, U, out=None, bu=None, term=None) -> np.ndarray
     A x), then the cubic term x * x * x * alpha, one coordinate column at a
     time; `out`, `bu` (..., n) and the (...) `term` are allocated when not
     given, and none may overlap X or U."""
-    A, B, _, alpha = model._coef
+    A, B, _, alpha = model._coef[:4]
     bu = _mat_vec(B, U, None, bu, term)
     out = _mat_vec(A, X, bu, out, term)
     if model.has_cubic:
@@ -599,17 +599,22 @@ def drift_jacU_T_apply(model: ModelSpec, P) -> np.ndarray:
 
 def cost_at(model: ModelSpec, X, U) -> np.ndarray:
     """f(x, u) = <Qx, x> + <Ru, u>, shape (M,)."""
-    qx = _mat_vec(model.Q[None, :, :], X)
-    ru = _mat_vec(model.R[None, :, :], U)
-    return _dot(X, qx) + _dot(U, ru)
+    Q, R = model._coef[4:]
+    return _dot(X, _mat_vec(Q, X)) + _dot(U, _mat_vec(R, U))
 
 
 def cost_grad_x(model: ModelSpec, X) -> np.ndarray:
-    return 2.0 * _mat_vec(model.Q[None, :, :], X)
+    """D_x f = 2 Qx, doubled in place."""
+    grad = _mat_vec(model._coef[4], X)
+    grad *= 2.0
+    return grad
 
 
 def cost_grad_u(model: ModelSpec, U) -> np.ndarray:
-    return 2.0 * _mat_vec(model.R[None, :, :], U)
+    """D_u f = 2 Ru, doubled in place."""
+    grad = _mat_vec(model._coef[5], U)
+    grad *= 2.0
+    return grad
 
 
 # ---------------------------------------------------------------------------

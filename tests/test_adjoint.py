@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -388,6 +389,35 @@ def test_extend_to_infinite_hands_on_its_built_designs(lq3, monkeypatch):
     verify_duality_finite(lq3, law, 0.0, 1.0, eta="one", gamma=gamma, dt=dt, base=sol.ensemble)
     solve_adjoint_finite(lq3, sol.ensemble.restricted(0.8), law)
     assert sorted(built) == list(range(60))
+
+
+def test_extend_to_infinite_is_the_full_solve_restricted(lq3):
+    # 6-step time blocks, so the reported horizon (step 50 of 65) falls
+    # inside a block of the sweep.
+    law, M, dt, x0 = _lq3_law(lq3), 512, 0.02, np.full(3, 0.5)
+    sol = extend_to_infinite(lq3, law, x0, 1.0, 0.3, dt, M, seed=4)
+    ens = simulate_state(lq3, law, x0, TimeGrid.from_horizon(1.3, dt), M, seed=4)
+    full = solve_adjoint_finite(lq3, ens, law)
+    _assert_bitwise(sol, full.restricted(1.0))
+    assert sol.terminal_id == full.terminal_id == "zero"
+    assert sol.grid.steps == sol.ensemble.grid.steps == len(sol.coef_p) == 50
+
+
+def test_extend_to_infinite_keeps_no_noise_or_buffer_rows(lq3):
+    # What stays alive is the states (a view of the simulated ones), p on
+    # [0, T] and the design store.  The noise (3.3 MB) and the buffer's p
+    # rows (2.5 MB) would each exceed the 1 MB slack.
+    law, M, dt = _lq3_law(lq3), 512, 0.01
+    tracemalloc.start()
+    try:
+        sol = extend_to_infinite(lq3, law, np.full(3, 0.5), 2.0, 2.0, dt, M, seed=4)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    states, p = 8 * M * 401 * 3, 8 * M * 201 * 3
+    assert sol.p.nbytes == p and sol.ensemble.states.base.nbytes == states
+    designs = sum(a.nbytes for a in sol.ensemble._designs.values() if isinstance(a, np.ndarray))
+    assert kept <= states + p + designs + (1 << 20)
 
 
 @pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3"])

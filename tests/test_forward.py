@@ -15,6 +15,7 @@ from ergosmp import (
     ensemble_to_binary,
     ensemble_to_csv,
     estimate_moment,
+    extend_to_infinite,
     simulate_affine_dual,
     simulate_state,
     solve_adjoint_finite,
@@ -99,6 +100,47 @@ def test_state_stays_finite_and_immutable(lq1, lq1_zero):
         ens.states[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         ens.increments[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("family", ["lq1", "lq3"])
+def test_increments_are_the_seed_draw_read_only(family, lq1, lq3, tmp_path, monkeypatch):
+    # An ensemble of simulate_state holds no noise: it draws it from its seed
+    # when first read, once, and its views draw their own prefix or slice it.
+    model = {"lq1": lq1, "lq3": lq3}[family]
+    law, x0, M, seed, dt = model.zero_control(), np.full(model.n, 0.5), 48, 6, 0.02
+    draws = []
+    draw = ergosmp.forward.brownian_increments
+
+    def counting(*args):
+        draws.append(args)
+        return draw(*args)
+
+    def expect(ens, steps):
+        assert ens.d == model.d
+        assert ens.increments.tobytes() == draw(seed, M, TimeGrid(dt=dt, steps=steps), model.d).tobytes()
+        assert not ens.increments.flags.writeable
+
+    ens = simulate_state(model, law, x0, TimeGrid(dt=dt, steps=60), M, seed)
+    early = ens.restricted(0.6)
+    sol = extend_to_infinite(model, law, x0, 0.8, 0.4, dt, M, seed)
+    monkeypatch.setattr(ergosmp.forward, "brownian_increments", counting)
+    assert ens.d == early.d == sol.ensemble.d == model.d and not draws
+    expect(early, 30)
+    expect(ens, 60)
+    expect(sol.ensemble, 40)
+    assert len(draws) == 3
+    late = ens.restricted(0.4)  # the parent's noise is drawn: the view slices it
+    expect(late, 20)
+    assert np.shares_memory(late.increments, ens.increments) and ens.increments is ens.increments
+    assert len(draws) == 3
+    # An ensemble built on an array keeps it.
+    dW = np.array(ens.increments)
+    assert dataclasses.replace(ens, increments=dW).increments is dW
+    path = str(tmp_path / "dump.bin")
+    ensemble_to_binary(ens, path)
+    back = ensemble_from_binary(path)
+    assert back.increments is back.increments and np.array_equal(back.increments, dW)
+    assert len(draws) == 3
 
 
 def test_simulation_rejects_bad_x0(lq1, lq1_zero):
