@@ -27,8 +27,10 @@ on the same states read them from there and only re-form the features; no
 (K, M) design is kept.
 
 `_pathwise_dual` drops the conditional expectation: psi runs the p recursion
-per path, and p_j = E[psi_j | X_j].  The optimizer only averages pairings, so
-it reads psi; the regression serves the export and the checks.
+per path, and p_j = E[psi_j | X_j].  The optimizer only sums pairings over
+steps and paths, so it reads psi from `_pathwise_dual_blocks` one time block
+at a time and reduces it there: besides the noise and one state array it
+holds block buffers only.  The regression serves the export and the checks.
 """
 
 from __future__ import annotations
@@ -362,24 +364,43 @@ def _pathwise_dual(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
     adjoint of `simulate_affine_dual`: per path, <psi_j0, eta> + sum_{j>=j0}
     <psi_{j+1}, gamma_j dt + rho_j dW_j> = dt sum_{j>=j0} <Y_j, D_xf(X_j)>.
 
-    Each row is built in place, one ufunc call per scalar operation:
+    The rows of `_pathwise_dual_blocks`, gathered into one array."""
+    psi = np.empty(_time_major(ensemble.states).shape)
+    psi[-1] = 0.0
+    for j0, rows in _pathwise_dual_blocks(model, ensemble, 0):
+        psi[j0:j0 + len(rows) - 1] = rows[:-1]
+    return psi
+
+
+def _pathwise_dual_blocks(model: ModelSpec, ensemble: PathEnsemble, stop: int):
+    """The recursion of `_pathwise_dual` run backward in time blocks of
+    BLOCK_BYTES of rows, from psi_N = 0 down to row `stop`: yields (j0, rows)
+    per block, rows (j1 - j0 + 1, M, n) holding psi_j0 .. psi_j1, where
+    psi_j1 is carried from the block before.
+
+    The rows are a view into one block buffer that the next block
+    overwrites, so a reduction of psi holds (block + 1) rows.  Each row is
+    built in place, one ufunc call per scalar operation:
     psi_j = D_xb^T psi_{j+1}, then += D_xf, *= dt, += psi_{j+1}."""
     X, dt = _time_major(ensemble.states), np.asarray(ensemble.grid.dt)
-    psi = np.empty(X.shape)
-    psi[-1] = 0.0
-    term = np.empty(X.shape[1])
+    steps = len(X) - 1
     block = _block_steps(8 * X[0].size)
-    for j1 in range(len(X) - 1, 0, -block):
-        j0 = max(0, j1 - block)
+    buf = np.empty((min(block, steps - stop) + 1,) + X.shape[1:])
+    buf[0] = 0.0  # psi_N, carried into the first block's top row
+    term = np.empty(X.shape[1])
+    for j1 in range(steps, stop, -block):
+        j0 = max(stop, j1 - block)
+        rows = buf[:j1 - j0 + 1]
+        rows[-1] = buf[0]
         grad_x = cost_grad_x(model, X[j0:j1])
-        for j in range(j1 - 1, j0 - 1, -1):
-            row, nxt = psi[j], psi[j + 1]
-            drift_jacT_apply(model, X[j], nxt, row, term)
-            np.add(row, grad_x[j - j0], row)
+        for b in range(j1 - j0 - 1, -1, -1):
+            row, nxt = rows[b], rows[b + 1]
+            drift_jacT_apply(model, X[j0 + b], nxt, row, term)
+            np.add(row, grad_x[b], row)
             np.multiply(row, dt, row)
             np.add(row, nxt, row)
-        _check_finite(psi[j0], j0, "pathwise dual")
-    return psi
+        _check_finite(rows[0], j0, "pathwise dual")
+        yield j0, rows
 
 
 def extend_to_infinite(

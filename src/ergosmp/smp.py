@@ -14,9 +14,9 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adjoint import AdjointSolution, _pathwise_dual, extend_to_infinite
+from .adjoint import AdjointSolution, _pathwise_dual_blocks, extend_to_infinite
 from .ergodic_cost import _checkpoint_ladder, _simulate_priced
-from .forward import (SimulationError, TimeGrid, _block_steps, _ci95_halfwidth, _initial_state, _path_integrals,
+from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _path_integrals,
                       _require_base_under, _require_grid, _time_major, brownian_increments)
 from .model import (
     ControlLaw,
@@ -237,54 +237,71 @@ _OPT_BURN_IN = 1.0   # gradient samples start here (at most T/2)
 _OPT_PATIENCE = 8    # iterations without improvement before "stalled"
 
 
-def _fit_affine_gradient(design: np.ndarray, G: np.ndarray):
-    """Least-squares fit G ~ W x + w over pooled samples, from their (m, n+1)
-    design rows [1, x]; returns (W, w)."""
-    gram = design.T @ design
-    rhs = design.T @ G
+def _fit_affine_gradient(gram: np.ndarray, rhs: np.ndarray):
+    """Least-squares fit G ~ W x + w over pooled samples, from the normal
+    equations of their design rows [1, x]: gram = sum [1, x]^T [1, x]
+    (n+1, n+1) and rhs = sum [1, x]^T G (n+1, l); returns (W, w)."""
     coef = np.linalg.solve(gram, rhs)     # (n+1, l)
     return coef[1:].T, coef[0]
 
 
-def _gradient_step(model: ModelSpec, law: ControlLaw, ensemble, j_burn: int, j_top: int, gamma_k: float,
-                   design: Optional[np.ndarray]):
-    """One projected gradient step from `law`, whose run is `ensemble`: the
-    next law, the gradient norm and the parameters stepped from.
+def _pooled_gradient(model: ModelSpec, law: ControlLaw, ensemble, j_burn: int, j_top: int):
+    """Sums of G_j = (D_u b)^T psi_{j+1} + D_u f(u_j), u_j = law(x_j), over
+    the pool steps [j_burn, j_top) and the paths: an affine law's normal
+    equations (gram, rhs) of the fit G ~ W x + w, or a tabulated law's
+    per-bin sums (bins, l) and counts (bins,).
 
-    It runs the pathwise dual psi and pools G_j = (D_u b)^T psi_{j+1} +
-    D_u f(u_j) over the steps [j_burn, j_top): (D_u b)^T psi in one product,
-    then D_u f added one time block at a time, so besides G only one block
-    of controls is held.  An affine law's fit fills the x columns of
-    `design`, whose column 0 holds ones.  psi and G die with the call, before
-    the next iterate is simulated."""
-    M, n = ensemble.n_paths, model.n
+    The pathwise dual sweeps backward in time blocks and stops at
+    psi_{j_burn+1}, the lowest row the pool reads.  Each block turns its psi
+    rows into G rows and adds them to the sums at once, with a block-sized
+    design [1, x] or one bincount per control column, so no psi, G or design
+    array outlives its block, and the law sees each pooled state once."""
+    n, l = model.n, model.l
     X = _time_major(ensemble.states)
-    psi = _pathwise_dual(model, ensemble)
-    G = drift_jacU_T_apply(model, psi[j_burn + 1:j_top + 1].reshape(-1, n))
-    rows = G.reshape(j_top - j_burn, M, model.l)
-    block = _block_steps(8 * M * n)
-    for j0 in range(j_burn, j_top, block):
-        j1 = min(j0 + block, j_top)
-        rows[j0 - j_burn:j1 - j_burn] += cost_grad_u(model, law.evaluate(X[j0:j1]))
-    X_pool = X[j_burn:j_top].reshape(-1, n)
+    affine = law.kind == "affine_feedback"
+    if affine:
+        a, b = np.zeros((n + 1, n + 1)), np.zeros((n + 1, l))
+    else:
+        bins = len(law.bin_values)
+        a, b = np.zeros((bins, l)), np.zeros(bins)
+    top = j_top  # the highest psi row still to pool
+    for j0, rows in _pathwise_dual_blocks(model, ensemble, j_burn + 1):
+        if j0 > top:
+            continue
+        x = X[j0 - 1:top].reshape(-1, n)
+        G = drift_jacU_T_apply(model, rows[:top - j0 + 1].reshape(-1, n))
+        G += cost_grad_u(model, law.evaluate(x))
+        if affine:
+            design = np.empty((len(x), n + 1))
+            design[:, 0] = 1.0
+            design[:, 1:] = x
+            a += design.T @ design
+            b += design.T @ G
+        else:
+            idx = law._bin_index(x[:, 0])
+            for c in range(l):
+                a[:, c] += np.bincount(idx, G[:, c], bins)
+            b += np.bincount(idx, minlength=bins)
+        top = j0 - 1
+    return a, b
 
+
+def _gradient_step(model: ModelSpec, law: ControlLaw, ensemble, j_burn: int, j_top: int, gamma_k: float):
+    """One projected gradient step from `law`, whose run is `ensemble`: the
+    next law, the gradient norm and the parameters stepped from.  It holds
+    the sums of `_pooled_gradient` and no per-path array beyond the run's."""
+    a, b = _pooled_gradient(model, law, ensemble, j_burn, j_top)
     if law.kind == "affine_feedback":
-        design[:, 1:] = X_pool
-        W, w = _fit_affine_gradient(design, G)
+        W, w = _fit_affine_gradient(a, b)
         new_law = ControlLaw.affine(law.gain - gamma_k * W, law.offset - gamma_k * w, law.control_set)
         grad_norm = float(np.sqrt((W**2).sum() + (w**2).sum()))
         return new_law, grad_norm, {"gain": law.gain.tolist(), "offset": law.offset.tolist()}
+    seen = b > 0
+    means = a[seen] / b[seen, None]
     values = law.bin_values.copy()
-    idx = law._bin_index(X_pool[:, 0])
-    grad_norm = 0.0
-    for b in range(len(values)):
-        sel = idx == b
-        if sel.any():
-            gb = G[sel].mean(axis=0)
-            values[b] = law.control_set.project(values[b] - gamma_k * gb)
-            grad_norm = max(grad_norm, float(np.abs(gb).max()))
+    values[seen] = law.control_set.project(values[seen] - gamma_k * means)
     new_law = ControlLaw.tabulated(law.bin_edges, values, law.control_set)
-    return new_law, grad_norm, {"values": law.bin_values.tolist()}
+    return new_law, float(np.abs(means).max(initial=0.0)), {"values": law.bin_values.tolist()}
 
 
 def optimize_control(
@@ -314,6 +331,12 @@ def optimize_control(
     share one noise realization (common random numbers), drawn once, so
     cost comparisons across iterates are systematic rather than noisy.  The
     buffer past T defaults to the model's forgetting time.
+
+    A run holds that noise and one iterate's state array: psi, G and the
+    fit's design live one time block at a time (`_pooled_gradient`), and an
+    iterate's states are released before the next iterate is simulated.  A
+    pool whose states span no affine direction (all at one point, as without
+    noise) makes the affine fit singular and raises SimulationError.
     """
     if u_init.kind not in ("affine_feedback", "tabulated_feedback"):
         raise SimulationError("optimizer supports affine or tabulated feedback laws")
@@ -326,13 +349,6 @@ def optimize_control(
     j_top = grid_full.index_of(T)
     dW = brownian_increments(seed, M, grid_full, model.d)
 
-    # The affine fit's pooled design [1, x]: one buffer per run, whose x
-    # columns each iteration fills.
-    design = None
-    if u_init.kind == "affine_feedback":
-        design = np.empty(((j_top - j_burn) * M, model.n + 1))
-        design[:, 0] = 1.0
-
     law = u_init
     gamma_k = step_gamma
     best_law, best_tail, best_ci = u_init, np.inf, 0.0
@@ -342,7 +358,12 @@ def optimize_control(
 
     for it in range(iterations):
         ensemble, report = _simulate_priced(model, law, x0, grid_full, dW, seed, T)
-        new_law, grad_norm, params = _gradient_step(model, law, ensemble, j_burn, j_top, gamma_k, design)
+        try:
+            new_law, grad_norm, params = _gradient_step(model, law, ensemble, j_burn, j_top, gamma_k)
+        except np.linalg.LinAlgError as exc:
+            raise SimulationError(f"optimizer iteration {it}: the pooled states span no affine direction, "
+                                  "so the gradient fit G ~ W x + w is singular") from exc
+        del ensemble  # the next iterate's states take its place
 
         tail = report.tail_max
         trace.append(

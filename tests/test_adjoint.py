@@ -22,7 +22,8 @@ from ergosmp import (
     verify_duality_finite,
 )
 import ergosmp.adjoint
-from ergosmp.adjoint import _RIDGE, _feature_count, _features_t, _pathwise_dual, adjoint_coefficients_dict, adjoint_to_csv
+from ergosmp.adjoint import (_RIDGE, _feature_count, _features_t, _pathwise_dual, _pathwise_dual_blocks,
+                             adjoint_coefficients_dict, adjoint_to_csv)
 from ergosmp.ergodic_cost import verify_expansion_residual
 from ergosmp.forward import _block_steps, _time_major, simulate_affine_dual
 from ergosmp.model import cost_grad_u, cost_grad_x, drift_jacT_apply, drift_jacU_apply
@@ -602,3 +603,17 @@ def test_pathwise_dual_path_prefix_bitwise(family, cubic1, lq3):
     for k in (1, 37):
         part = _pathwise_dual(model, simulate_state(model, law, np.ones(model.n), grid, k, seed=9))
         assert np.array_equal(part, full[:, :k])
+
+
+@pytest.mark.parametrize("stop", [0, 37, 299])
+def test_pathwise_dual_blocks_carry_the_array_rows_bitwise(stop, lq3):
+    # 256 paths of lq3 take 85-step blocks, so 300 steps give four; each
+    # block's top row is the one carried from the block before.
+    ens = simulate_state(lq3, _feedback(lq3, -0.3), np.ones(3), TimeGrid(dt=0.02, steps=300), 256, seed=4)
+    psi = _pathwise_dual(lq3, ens)
+    seen = []
+    for j0, rows in _pathwise_dual_blocks(lq3, ens, stop):
+        assert np.array_equal(rows, psi[j0:j0 + len(rows)])
+        seen.append((j0, j0 + len(rows) - 1))
+    assert seen[0][1] == 300 and seen[-1][0] == stop
+    assert all(lo == hi for (lo, _), (_, hi) in zip(seen, seen[1:]))

@@ -143,6 +143,10 @@ BAD_INPUT = [
     ("duality-rho-start-without-channel", ["duality-check", *COMMON, "--T", "2", "--rho-start", "1"], None),
     ("duality-rho-value-without-channel", ["duality-check", *COMMON, "--T", "2", "--rho-value", "2"], None),
     ("duality-rho-end-without-channel", ["duality-check", *COMMON, "--T", "2", "--rho-end", "1"], None),
+    # No noise: the zero law keeps every state at x0 = 0, so the gradient fit
+    # has nothing to regress on.
+    ("optimize-singular-pool", ["optimize", "--seed", "1", "--M", "64", "--T", "2", "--iters", "2"],
+     {"Sigma": [[0.0]]}),
 ]
 
 NAN, INF = float("nan"), float("inf")

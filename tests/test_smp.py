@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from ergosmp import (
 )
 from ergosmp import adjoint, forward, smp
 from ergosmp.ergodic_cost import ergodic_report_from_ensemble
+from ergosmp.forward import _block_steps, _time_major
+from ergosmp.model import cost_grad_u, drift_jacU_T_apply
 from ergosmp.smp import _convexity_bound, _grad_u_batch
 
 
@@ -349,8 +353,8 @@ def test_optimizer_gradient_slope_oracle(lq1, monkeypatch, gain):
     fits = []
     fit = smp._fit_affine_gradient
 
-    def recording(X, G):
-        fits.append(fit(X, G))
+    def recording(gram, rhs):
+        fits.append(fit(gram, rhs))
         return fits[-1]
 
     monkeypatch.setattr(smp, "_fit_affine_gradient", recording)
@@ -370,6 +374,78 @@ def test_optimizer_makes_no_regression(lq1, monkeypatch):
                  ControlLaw.tabulated(np.linspace(-2.0, 2.0, 5), np.zeros((4, 1)), lq1.control_set)):
         res = optimize_control(lq1, init, 0.5, 2, 3.0, 128, 7, dt=0.02, buffer=1.0)
         assert len(res.trace) == 2
+
+
+def test_optimizer_singular_pool_is_a_typed_error(lq1):
+    # Without noise, the zero law keeps every state at x0 = 0, so the pooled
+    # design [1, x] has a zero column.
+    still = ModelSpec.lq(A=lq1.A, B=lq1.B, S=[[0.0]], Q=lq1.Q, R=lq1.R, control_set=lq1.control_set)
+    init = ControlLaw.affine([[0.0]], [0.0], lq1.control_set)
+    with pytest.raises(SimulationError, match="iteration 0: the pooled states span no affine direction"):
+        optimize_control(still, init, 0.5, 2, 2.0, 64, 1, dt=0.05, buffer=1.0)
+
+
+def _pool_law(family, model):
+    if family == "cubic1":
+        return ControlLaw.tabulated(np.linspace(-1.5, 1.5, 7), np.linspace(0.3, -0.3, 6)[:, None], model.control_set)
+    return ControlLaw.affine(-0.3 * np.eye(model.l, model.n), np.full(model.l, 0.1), model.control_set)
+
+
+@pytest.mark.parametrize("family", ["lq1", "lq3", "cubic1"])
+def test_streamed_pool_matches_the_materialized_one(family, lq1, lq3, cubic1):
+    # The old pool: G from the full psi array, then one least-squares solve
+    # or per-bin means over all of it.  The pool spans several time blocks
+    # of the dual sweep, and its lowest row lies inside one.
+    model = {"lq1": lq1, "lq3": lq3, "cubic1": cubic1}[family]
+    law, n = _pool_law(family, model), model.n
+    M, grid = 512, TimeGrid.from_horizon(6.0 + 2.0, 0.01)
+    j_burn, j_top = grid.index_of(1.0), grid.index_of(6.0)
+    block = _block_steps(8 * M * n)
+    assert j_top - j_burn > 2 * block and (grid.steps - j_burn - 1) % block
+    ens = simulate_state(model, law, np.zeros(n), grid, M, seed=5)
+    a, b = smp._pooled_gradient(model, law, ens, j_burn, j_top)
+
+    psi = adjoint._pathwise_dual(model, ens)
+    x = _time_major(ens.states)[j_burn:j_top].reshape(-1, n)
+    G = drift_jacU_T_apply(model, psi[j_burn + 1:j_top + 1].reshape(-1, n)) + cost_grad_u(model, law.evaluate(x))
+
+    def close(got, ref):
+        return np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    if law.kind == "affine_feedback":
+        design = np.hstack([np.ones((len(x), 1)), x])
+        coef = np.linalg.solve(design.T @ design, design.T @ G)
+        W, w = smp._fit_affine_gradient(a, b)
+        assert close(W, coef[1:].T) and close(w, coef[0])
+    else:
+        idx = law._bin_index(x[:, 0])
+        assert np.array_equal(b, np.bincount(idx, minlength=len(law.bin_values)))
+        seen = b > 0
+        assert seen.sum() >= 4
+        ref = np.array([G[idx == k].mean(axis=0) for k in np.flatnonzero(seen)])
+        assert close(a[seen] / b[seen, None], ref)
+
+
+@pytest.mark.parametrize("family", ["lq1", "cubic1"])
+def test_optimizer_holds_the_noise_and_one_state_array(family, lq1, cubic1):
+    # Beyond the noise and one state array, an iteration holds time blocks
+    # only: no psi, G or design of the pool and no previous iterate's states.
+    model = {"lq1": lq1, "cubic1": cubic1}[family]
+    init = _pool_law(family, model)
+    M, buffer, dt = 512, 2.0, 0.01
+    optimize_control(model, init, 0.5, 1, 2.0, 64, 1, dt=dt, buffer=buffer)  # warm caches
+    excess = []
+    for T in (6.0, 12.0):
+        tracemalloc.start()
+        try:
+            optimize_control(model, init, 0.5, 3, T, M, 7, dt=dt, buffer=buffer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = round((T + buffer) / dt)
+        excess.append(peak - (8 * M * steps * model.d + 8 * M * (steps + 1) * model.n))
+    assert max(excess) <= 6 << 20
+    assert excess[1] - excess[0] < 1 << 20
 
 
 def test_multidim_smoke():

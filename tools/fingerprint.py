@@ -258,6 +258,10 @@ def fingerprint(values: bool = False) -> dict:
                     else E.ControlLaw.tabulated([-1, 0, 1], [[0.0], [0.0]], model.control_set))
             res = E.optimize_control(model, init, 0.5, 3, 3.0, 128, 7, dt=0.02, buffer=1.0)
             h(f"{name}.opt", res.to_dict())
+            # 256 paths take 256-step blocks of the dual sweep, so the pool of
+            # [1, 6) spans three of them and its lowest row lies inside one.
+            res = E.optimize_control(model, init, 0.5, 2, 6.0, 256, 7, dt=0.01, buffer=1.0)
+            h(f"{name}.opt_blocks", res.to_dict())
         else:
             init = E.ControlLaw.affine(np.zeros((model.l, n)), np.zeros(model.l), model.control_set)
             res = E.optimize_control(model, init, 0.5, 2, 3.0, 128, 7, dt=0.02, buffer=1.0)
