@@ -15,9 +15,7 @@ not feed back into p: the backward sweep fits p alone, one n-column target
 per step.  q_j depends only on X_j, dW_j and the stored p_{j+1}, so its steps
 are independent; `AdjointSolution.q` fits them per time block after the
 sweep, when first read.  A state-dependent sigma would put q back into the
-sweep.  The sweep walks backward in time blocks whose (steps, K, M) feature
-stack fits `forward.BLOCK_BYTES`: the designs and D_xf are stacked per
-block, and what reads p_{j+1} runs per step.
+sweep.
 
 A step's design depends on its states alone, so its factors (feature mean
 and std, the inverse Cholesky factor of its Gram matrix) are built once per
@@ -26,10 +24,14 @@ flags per step.  The q fit, solves on `restricted` views and later solves
 on the same states read them from there and only re-form the features; no
 (K, M) design is kept.
 
-`_pathwise_dual` drops the conditional expectation: psi runs the p recursion
-per path, and p_j = E[psi_j | X_j].  The optimizer only sums pairings over
-steps and paths, so it reads psi from `_pathwise_dual_blocks` one time block
-at a time and reduces it there: besides the noise and one state array it
+There is one backward recursion, `_pathwise_dual_blocks`.  It walks
+backward in time blocks that fit `forward.BLOCK_BYTES`: D_xf and the designs
+are stacked per block, and what reads the row above runs per step.  Without
+a fit it is the pathwise dual psi (Giles & Glasserman 2006), the p recursion
+per path, with p_j = E[psi_j | X_j].  With a fit it is the regression sweep:
+each step's row is replaced by its regression on the step's design before
+the next row reads it.  The optimizer only sums pairings over steps and paths, so it
+reduces psi one block at a time: besides the noise and one state array it
 holds block buffers only.  The regression serves the export and the checks.
 """
 
@@ -265,65 +267,34 @@ def _backward_sweep(model: ModelSpec, ensemble: PathEnsemble, u_bar: ControlLaw,
     """`solve_adjoint_finite` on the whole ensemble that stores p and its
     coefficients on steps 0..keep only: the solution on [0, keep dt], on the
     ensemble's `restricted` view (the ensemble itself when keep is its last
-    step).  The steps past `keep` go through two rolling rows; each step's
-    fit and checks are the same, so every stored bit is too."""
+    step).  The sweep is `_pathwise_dual_blocks` with a fit; this checks the
+    law, M and nu and copies the rows <= keep out of each block.  The rows
+    past `keep` live only in the block buffer, and every stored bit is the
+    full solve's."""
     if ensemble.control_id != u_bar.describe():
         raise AdjointError(
             f"ensemble generated under {ensemble.control_id!r}, not {u_bar.describe()!r}"
         )
-    grid = ensemble.grid
-    M, steps, n = ensemble.n_paths, grid.steps, model.n
+    M, steps, n = ensemble.n_paths, ensemble.grid.steps, model.n
     K = _feature_count(n)
     if M < K:
         # The ridge would hide it: the centred design has rank at most M.
         raise AdjointError(f"rank-deficient regression from step {steps - 1}: M={M} paths for K={K} features")
-    dt = grid.dt
-    Pbuf, rolling = np.empty((keep + 1, M, n)), np.empty((2, M, n))
-
-    def row(j):
-        return Pbuf[j] if j <= keep else rolling[j % 2]
-
-    if nu is None:
-        row(steps)[...] = 0.0
-        terminal_id = "zero"
-    else:
+    if nu is not None:
         nu = np.asarray(nu, dtype=float)
         if nu.shape != (M, n):
             raise AdjointError(f"nu must have shape ({M}, {n})")
         if not np.isfinite(nu).all():
             raise AdjointError("nu (terminal condition) must be finite")
-        row(steps)[...] = nu
-        terminal_id = "custom"
-    coef_p = np.empty((keep, K, n))
-    X_tm = _time_major(ensemble.states)
-    block = _block_steps(8 * K * M)
-
-    driver, term = np.empty((M, n)), np.empty(M)
-    for j1 in range(steps, 0, -block):
-        j0 = max(0, j1 - block)
-        Ft, Linv = _block_design(ensemble, j0, j1)
-        grad_x = cost_grad_x(model, X_tm[j0:j1])
-        for j in range(j1 - 1, j0 - 1, -1):
-            b = j - j0
-            p_next = row(j + 1)
-            drift_jacT_apply(model, X_tm[j], p_next, driver, term)
-            np.add(driver, grad_x[b], driver)
-            if not np.isfinite(driver).all():
-                raise AdjointError(f"non-finite driver at step {j}")
-            # The target p_{j+1} + dt * driver, built in place.
-            np.multiply(driver, dt, driver)
-            np.add(driver, p_next, driver)
-            c = Linv[b].T @ (Linv[b] @ (Ft[b] @ driver))
-            if not np.isfinite(c).all():
-                raise AdjointError(f"non-finite regression coefficients at step {j}")
-            if j < keep:
-                coef_p[j] = c
-            np.matmul(Ft[b].T, c, out=row(j))
-
-    view = ensemble if keep == steps else ensemble.restricted(keep * dt)
+    Pbuf, coef_p = np.empty((keep + 1, M, n)), np.empty((keep, K, n))
+    for j0, rows in _pathwise_dual_blocks(model, ensemble, 0, nu, coef_p):
+        if j0 <= keep:
+            top = min(j0 + len(rows), keep + 1)
+            Pbuf[j0:top] = rows[:top - j0]
+    view = ensemble if keep == steps else ensemble.restricted(keep * ensemble.grid.dt)
     return AdjointSolution(
         grid=view.grid, p=Pbuf.transpose(1, 0, 2), coef_p=coef_p,
-        terminal_id=terminal_id, ensemble=view,
+        terminal_id="zero" if nu is None else "custom", ensemble=view,
     )
 
 
@@ -372,33 +343,51 @@ def _pathwise_dual(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
     return psi
 
 
-def _pathwise_dual_blocks(model: ModelSpec, ensemble: PathEnsemble, stop: int):
+def _pathwise_dual_blocks(model: ModelSpec, ensemble: PathEnsemble, stop: int, nu=None, coef=None):
     """The recursion of `_pathwise_dual` run backward in time blocks of
-    BLOCK_BYTES of rows, from psi_N = 0 down to row `stop`: yields (j0, rows)
-    per block, rows (j1 - j0 + 1, M, n) holding psi_j0 .. psi_j1, where
-    psi_j1 is carried from the block before.
+    BLOCK_BYTES of rows, from psi_N = nu (None: 0) down to row `stop`:
+    yields (j0, rows) per block, rows (j1 - j0 + 1, M, n) holding psi_j0 ..
+    psi_j1, where psi_j1 is carried from the block before.
 
     The rows are a view into one block buffer that the next block
     overwrites, so a reduction of psi holds (block + 1) rows.  Each row is
     built in place, one ufunc call per scalar operation:
-    psi_j = D_xb^T psi_{j+1}, then += D_xf, *= dt, += psi_{j+1}."""
+    psi_j = D_xb^T psi_{j+1}, then += D_xf, *= dt, += psi_{j+1}.
+
+    Given a (len, K, n) array `coef`, this is the regression sweep of
+    `_backward_sweep`: each row, the target p_{j+1} + dt * driver, is
+    replaced in place by its ridge fit on the step's design before the next
+    row reads it, and its coefficients go to coef[j] while j < len(coef).
+    The blocks then hold (K, M) designs, as `_block_design` builds them, and
+    a non-finite driver or fit raises AdjointError at its step."""
     X, dt = _time_major(ensemble.states), np.asarray(ensemble.grid.dt)
-    steps = len(X) - 1
-    block = _block_steps(8 * X[0].size)
-    buf = np.empty((min(block, steps - stop) + 1,) + X.shape[1:])
-    buf[0] = 0.0  # psi_N, carried into the first block's top row
-    term = np.empty(X.shape[1])
+    steps, (M, n) = len(X) - 1, X.shape[1:]
+    block = _block_steps(8 * M * (n if coef is None else _feature_count(n)))
+    buf = np.empty((min(block, steps - stop) + 1, M, n))
+    buf[0] = 0.0 if nu is None else nu  # psi_N, carried into the first block's top row
+    term = np.empty(M)
     for j1 in range(steps, stop, -block):
         j0 = max(stop, j1 - block)
         rows = buf[:j1 - j0 + 1]
         rows[-1] = buf[0]
+        if coef is not None:
+            Ft, Linv = _block_design(ensemble, j0, j1)
         grad_x = cost_grad_x(model, X[j0:j1])
         for b in range(j1 - j0 - 1, -1, -1):
             row, nxt = rows[b], rows[b + 1]
             drift_jacT_apply(model, X[j0 + b], nxt, row, term)
             np.add(row, grad_x[b], row)
+            if coef is not None and not np.isfinite(row).all():
+                raise AdjointError(f"non-finite driver at step {j0 + b}")
             np.multiply(row, dt, row)
             np.add(row, nxt, row)
+            if coef is not None:
+                c = Linv[b].T @ (Linv[b] @ (Ft[b] @ row))
+                if not np.isfinite(c).all():
+                    raise AdjointError(f"non-finite regression coefficients at step {j0 + b}")
+                if j0 + b < len(coef):
+                    coef[j0 + b] = c
+                np.matmul(Ft[b].T, c, out=row)
         _check_finite(rows[0], j0, "pathwise dual")
         yield j0, rows
 
@@ -418,9 +407,9 @@ def extend_to_infinite(
     Solves with zero terminal data on [0, T_report + T_buffer] and discards
     the buffer, where the influence of the artificial terminal condition has
     decayed exponentially; None is `ModelSpec.forgetting_time`, ln(100)/|c_p|.
-    The buffer's costate rows are scaffolding: the sweep runs through them on
-    two rolling rows and stores p and its coefficients on [0, T_report]
-    only, bitwise the restriction of the full solve.  The solution's
+    The buffer's costate rows are scaffolding that lives only in the sweep's
+    block buffer: p and its coefficients are stored on [0, T_report] only,
+    bitwise the restriction of the full solve.  The solution's
     ensemble is the `restricted` view of the simulated one, whose states it
     shares; it holds no noise until its increments are read (the q fit reads
     them).

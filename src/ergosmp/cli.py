@@ -59,7 +59,6 @@ def _write_json(path: str, obj) -> None:
 
 
 def _out(args, name: str) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
 
 
@@ -75,13 +74,13 @@ def _parse_x0(model, text):
     return np.asarray(vals)
 
 
-def _add_common(sub, dt_default=0.01, m_default=4096):
+def _add_common(sub, dt_default=0.01, m_default=4096, x0_default="zeros"):
     sub.add_argument("--model", required=True, help="problem config (JSON)")
     sub.add_argument("--seed", required=True, type=int, help="RNG seed (mandatory)")
     sub.add_argument("--dt", type=float, default=dt_default)
     sub.add_argument("--M", type=int, default=m_default, help="number of paths")
     sub.add_argument("--control", default=None, help="control law as JSON (default: zero)")
-    sub.add_argument("--x0", default=None, help="initial state, comma-separated")
+    sub.add_argument("--x0", default=None, help=f"initial state, comma-separated (default: {x0_default})")
     sub.add_argument("--out-dir", default=".")
 
 
@@ -111,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("duality-check", help="verify the costate/dual pairing identity on fixed probes: eta = 1 at "
                                             "0, X_t at mid-grid; gamma = 1 on [T/4, 3T/4); rho = 1 per channel")
-    _add_common(s)
+    _add_common(s, x0_default="ones")
     s.add_argument("--T", type=float, required=True)
     s.add_argument("--threshold", type=float, default=0.05, help="max relative residual of every probe, above the "
                    "O(dt) quadrature floor of the finite form (0.010-0.015 at dt 0.01 on lq1 and cubic1); the "
@@ -291,6 +290,10 @@ def run_command(argv) -> int:
         model = load_model_config(args.model)
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out-dir: {exc}") from None
         return _COMMANDS[args.command](args, model)
     except (ConfigError, ModelError, SimulationError, AdjointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,9 @@
 Both sides of the identity are evaluated under the same time discretization
 and the same Brownian increments, so the reported residual measures solver
 bias (regression + quadrature), not Monte Carlo noise between independent
-runs.  Both forms share one core, whose time integrals are per-path sums.
+runs.  The finite and infinite forms are one form (`_form`), paired once,
+whose time integrals are per-path sums; the infinite form is the finite one
+on a longer grid, with the sides swapped and the discarded tail bounded.
 
 The quadrature leaves an O(dt) floor in the finite form: the forcing sum
 pairs p_j with gamma_j, where the exact discrete adjoint of the dual Euler
@@ -228,20 +230,7 @@ def verify_duality_finite(
     """
     base = _base_ensemble(model, u_bar, base, T, dt, M, seed, x0)
     sol = solve_adjoint_finite(model, base, u_bar, nu=nu)
-    return _finite_form(model, u_bar, base, sol, t, T, eta, gamma, rho, nu)
-
-
-def _finite_form(model, u_bar, base, sol, t, T, eta, gamma=None, rho=None, nu=None) -> DualityReport:
-    p_rows, pairing_rows, _, _ = _pairing_sides(model, u_bar, base, sol, t, eta, gamma=gamma, rho=rho, nu=nu)
-
-    config = {
-        "t": t, "T": T, "M": base.n_paths, "seed": base.seed, "dt": base.grid.dt,
-        "eta": eta if isinstance(eta, str) else "array",
-        "gamma": "zero" if gamma is None else "array",
-        "rho": "zero" if rho is None else "array",
-        "nu": "zero" if nu is None else "array",
-    }
-    return _report(p_rows, pairing_rows, config)
+    return _form(model, u_bar, base, sol, t, {"T": T}, eta, gamma, rho, nu)
 
 
 def verify_duality_infinite(
@@ -275,30 +264,37 @@ def verify_duality_infinite(
     T_buffer = model.forgetting_time(dt) if T_buffer is None else T_buffer
     base = _base_ensemble(model, u_bar, base, T_report + T_buffer, dt, M, seed, x0)
     sol = solve_adjoint_finite(model, base, u_bar)
-    return _infinite_form(model, u_bar, base, sol, t, T_support, eta, rho, T_report, T_buffer)
+    horizons = {"T_support": T_support, "T_report": T_report, "T_buffer": T_buffer}
+    return _form(model, u_bar, base, sol, t, horizons, eta, rho=rho)
 
 
-def _infinite_form(model, u_bar, base, sol, t, T_support, eta, rho, T_report, T_buffer) -> DualityReport:
+def _form(model, u_bar, base, sol, t, horizons: dict, eta, gamma=None, rho=None, nu=None) -> DualityReport:
+    """The pairing identity on the base grid, paired once (`_pairing_sides`)
+    and reported with `horizons` in its config.  The finite form, horizons
+    {"T"}, reports the costate side as lhs.  The infinite form, horizons
+    {"T_support", "T_report", "T_buffer"} with no gamma or nu, first checks
+    that rho is a full-grid array supported in [0, T_support), then reports
+    the dual side as lhs with a bound on the discarded tail."""
     grid, M = base.grid, base.n_paths
-    if rho is not None:
+    infinite = "T_support" in horizons
+    if infinite and rho is not None:
         rho = np.asarray(rho, dtype=float)
         if rho.shape != (M, grid.steps, model.d, model.n):
             raise SimulationError("rho must be a full-grid forcing array")
-        if np.any(rho[:, grid.index_of(T_support):]):
+        if np.any(rho[:, grid.index_of(horizons["T_support"]):]):
             raise AdjointError("rho with support beyond T_support is rejected")
-    p_rows, pairing_rows, dual_end, psi_sup = _pairing_sides(model, u_bar, base, sol, t, eta, rho=rho)
+    p_rows, pairing_rows, dual_end, psi_sup = _pairing_sides(model, u_bar, base, sol, t, eta, gamma, rho, nu)
 
+    config = {"t": t, **horizons, "M": M, "seed": base.seed, "dt": grid.dt,
+              "eta": eta if isinstance(eta, str) else "array"}
+    forcings = {"rho": rho} if infinite else {"gamma": gamma, "rho": rho, "nu": nu}
+    config.update((name, "zero" if value is None else "array") for name, value in forcings.items())
+    if not infinite:
+        return _report(p_rows, pairing_rows, config)
     c_p = model.certified_dissipativity_bound()
     beta = -c_p if c_p < 0 else float("nan")
     y_end = float((dual_end**2).sum(axis=-1).mean())
     tail_bound = float(np.sqrt(y_end) * np.sqrt(psi_sup) / beta) if np.isfinite(beta) else float("inf")
-
-    config = {
-        "t": t, "T_support": T_support, "T_report": T_report, "T_buffer": T_buffer,
-        "M": M, "seed": base.seed, "dt": grid.dt,
-        "eta": eta if isinstance(eta, str) else "array",
-        "rho": "zero" if rho is None else "array",
-    }
     return _report(pairing_rows, p_rows, config, tail_bound=tail_bound)
 
 
@@ -328,8 +324,6 @@ def verify_duality_probes(
         probes["gamma"] = (0.0, "zero", build_gamma(base, n, ones, steps // 4 * dt, 3 * steps // 4 * dt), None)
     for i in range(model.d):
         probes[f"rho-{i}"] = (0.0, "zero", None, build_rho(base, n, model.d, {i: ones}, t_end=T))
-    if infinite:
-        return {name: _infinite_form(model, u_bar, base, sol, t, T, eta, rho, T, buffer)
-                for name, (t, eta, _, rho) in probes.items()}
-    return {name: _finite_form(model, u_bar, base, sol, t, T, eta, gamma, rho)
+    horizons = {"T_support": T, "T_report": T, "T_buffer": buffer} if infinite else {"T": T}
+    return {name: _form(model, u_bar, base, sol, t, horizons, eta, gamma, rho)
             for name, (t, eta, gamma, rho) in probes.items()}

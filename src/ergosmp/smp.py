@@ -4,7 +4,9 @@ The Hamiltonian is H(x, u, p, q) = <b, p> + sum_i <sigma^i, q^i> + f.  An
 optimal control makes the long-run average of <D_u H, u - u_bar> nonnegative
 for every admissible direction; a strictly negative tail certifies
 non-optimality.  The checks read the regression costate p; the optimizer
-reads the pathwise dual psi, whose pooled means equal p's (tower property).
+reads the pathwise dual psi, the same recursion without the fit.  Per step,
+psi's path mean equals p's to round-off for an LQ model, and only to about 1%
+with a cubic drift (cubic1, 512 paths, dt 0.02, 300 steps).
 """
 
 from __future__ import annotations
@@ -269,8 +271,7 @@ def _pooled_gradient(model: ModelSpec, law: ControlLaw, ensemble, j_burn: int, j
         if j0 > top:
             continue
         x = X[j0 - 1:top].reshape(-1, n)
-        G = drift_jacU_T_apply(model, rows[:top - j0 + 1].reshape(-1, n))
-        G += cost_grad_u(model, law.evaluate(x))
+        G = _grad_u_batch(model, law.evaluate(x), rows[:top - j0 + 1].reshape(-1, n))
         if affine:
             design = np.empty((len(x), n + 1))
             design[:, 0] = 1.0

@@ -617,3 +617,16 @@ def test_pathwise_dual_blocks_carry_the_array_rows_bitwise(stop, lq3):
         seen.append((j0, j0 + len(rows) - 1))
     assert seen[0][1] == 300 and seen[-1][0] == stop
     assert all(lo == hi for (lo, _), (_, hi) in zip(seen, seen[1:]))
+
+
+@pytest.mark.parametrize("family", ["lq1", "lq3"])
+def test_fitted_and_pathwise_recursions_share_path_means(family, lq1, lq3):
+    # Tower property: the LQ driver is affine in (p, x) and each fit has an
+    # unpenalized intercept, so at every step the path mean of the fitted p
+    # equals that of psi, to round-off.  A cubic drift breaks the first
+    # condition (about 1e-2 on cubic1 at this size).
+    model = lq1 if family == "lq1" else lq3
+    ens = simulate_state(model, _feedback(model, -0.3), np.ones(model.n), TimeGrid(dt=0.02, steps=300), 512, seed=4)
+    p_mean = solve_adjoint_finite(model, ens, _feedback(model, -0.3)).p.mean(axis=0)
+    psi_mean = _pathwise_dual(model, ens).mean(axis=1)
+    assert np.abs(p_mean - psi_mean).max() <= 1e-12 * np.abs(psi_mean).max()

@@ -224,6 +224,19 @@ def test_simulate_rejects_unknown_format_before_simulating(lq1_config, tmp_path,
     assert "Traceback" not in err
 
 
+def test_unusable_out_dir_exits_1_before_estimating(lq1_config, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("estimated before making --out-dir")
+
+    monkeypatch.setattr(ergosmp.cli, "estimate_ergodic_cost", fail)
+    not_a_dir = tmp_path / "notadir"
+    not_a_dir.write_text("")
+    assert _run(lq1_config, not_a_dir, "cost", *COMMON, "--T", "2") == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "--out-dir" in err
+    assert "Traceback" not in err
+
+
 def _counting(monkeypatch, module, name, calls):
     original = getattr(module, name)
 

@@ -7,13 +7,7 @@ state and cost expansions of a convex perturbation, serialized model
 configs, CLI artifacts and `verify` verdicts) to a short SHA-256 of its
 bytes, at small sizes (a few seconds), on lq1, cubic1, a 3-state LQ model,
 the same model on a box that binds under its law and candidate battery, and a
-2-state cubic model with a ball control set.  The two sweeps are the arrays
-that `simulate_affine_dual` returns; where a tree's simulators still return
-result objects, their `.values` field is read.  The perturbed states and the
-`.gateaux` entry come from the public functions of trees that still have
-them and from the library's private helpers and its merged expansion check
-otherwise, and `.expansion` hashes the report fields that both trees have,
-so one version of the tool runs on both trees.  A refactor that must keep
+2-state cubic model with a ball control set.  A refactor that must keep
 outputs byte-identical runs it on both trees and diffs the results:
 
     PYTHONPATH=<old>/src python tools/fingerprint.py > old.json
@@ -71,13 +65,6 @@ def _plain(obj):
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b")
 
 
-def _array(result, field: str) -> np.ndarray:
-    """The array a simulator returns, or its `field` where the library still
-    wraps it in a result object, so one version of this tool fingerprints
-    both."""
-    return result if isinstance(result, np.ndarray) else getattr(result, field)
-
-
 def _cell(text: str):
     """A CSV cell as a number where it is one."""
     try:
@@ -122,17 +109,15 @@ def compare(old: dict, new: dict, tol: float) -> int:
     return 1 if beyond else 0
 
 
-# The fields of the expansion report before it carried the cost expansion.
+# The state-expansion fields of the expansion report; `expansion.cost_fields`
+# holds the rest.
 _EXPANSION_FIELDS = ("schema_version", "thetas", "sup_delta_sq", "sup_residual_sq", "scaling_slope",
                      "residual_decreasing", "residual_halved")
 
 
 def _perturbed(E, model, law, alt, theta, ens) -> np.ndarray:
     """States under law + theta*(alt - law) evaluated along the ensemble's
-    path: the public `simulate_perturbed` where a tree still has it,
-    otherwise the private helper on the controls built here."""
-    if hasattr(E, "simulate_perturbed"):
-        return E.simulate_perturbed(model, law, alt, theta, ens).states
+    path, from the controls built here."""
     xb = ens.states[:, :-1]
     ub = law.evaluate(xb)
     return E.forward._perturbed_states(model, ens, ub + theta * (alt.evaluate(xb) - ub))
@@ -140,11 +125,8 @@ def _perturbed(E, model, law, alt, theta, ens) -> np.ndarray:
 
 def _gateaux(E, model, law, alt) -> dict:
     """The theta = 0.1 directional derivative of the average cost on [0, 2]
-    (64 paths, seed 4, dt 0.02, x0 0) in the JSON form of the former
-    `estimate_gateaux` report.  Where that function is gone, the same base is
-    simulated and the merged expansion check supplies the figures."""
-    if hasattr(E, "estimate_gateaux"):
-        return E.estimate_gateaux(model, law, alt, 0.1, 2.0, 64, seed=4, dt=0.02).to_dict()
+    (64 paths, seed 4, dt 0.02, x0 0) from the expansion check, in the JSON
+    form of the former `estimate_gateaux` report."""
     base = E.simulate_state(model, law, np.zeros(model.n), E.TimeGrid.from_horizon(2.0, 0.02), 64, 4)
     rep = E.verify_expansion_residual(model, law, alt, [0.1, 0.05], base)
     return {"schema_version": 1, "theta": 0.1, "finite_difference": rep.finite_difference[0],
@@ -207,14 +189,13 @@ def fingerprint(values: bool = False) -> dict:
             h(f"{name}.pert{th}", _perturbed(E, model, law, alt, th, ens))
         h(f"{name}.v", v)
         Y = E.simulate_affine_dual(model, ens, law, 0.0, np.zeros(n), gamma=drift_jacU_apply(model, v))
-        h(f"{name}.Y", _array(Y, "values"))
+        h(f"{name}.Y", Y)
         gamma = E.build_gamma(ens, n, value=np.ones(n), t_start=0.5, t_end=2.0, state_matrix=np.eye(n) * 0.2)
         rho = E.build_rho(ens, n, model.d, {ch: np.ones(n) for ch in range(model.d)}, t_start=0.4, t_end=1.6)
-        h(f"{name}.dual", _array(E.simulate_affine_dual(model, ens, law, 0.4, np.ones(n), gamma=gamma, rho=rho), "values"))
+        h(f"{name}.dual", E.simulate_affine_dual(model, ens, law, 0.4, np.ones(n), gamma=gamma, rho=rho))
         expansion = E.verify_expansion_residual(model, law, alt, [0.5, 0.25, 0.1], ens).to_dict()
         h(f"{name}.expansion", {key: expansion[key] for key in _EXPANSION_FIELDS})
-        if "finite_difference" in expansion:
-            cost_expansions[name] = {key: expansion[key] for key in set(expansion) - set(_EXPANSION_FIELDS)}
+        cost_expansions[name] = {key: expansion[key] for key in set(expansion) - set(_EXPANSION_FIELDS)}
         h(f"{name}.gateaux", _gateaux(E, model, law, alt))
         h(f"{name}.moment", E.estimate_moment(ens, 2, 3.0))
         h(f"{name}.ergrep", ergodic_report_from_ensemble(model, ens, law).to_dict())
@@ -271,9 +252,7 @@ def fingerprint(values: bool = False) -> dict:
         ci = E.check_truncation_consistency(model, law, 1.0, 2.0, 0.02, 64, 3, x0=x0)
         h(f"{name}.trunc", ci.to_dict())
 
-    # The cost fields of the expansion reports (trees with the merged check).
-    if cost_expansions:
-        h("expansion.cost_fields", cost_expansions)
+    h("expansion.cost_fields", cost_expansions)
 
     # Raw noise, so that a change to the increments shows on its own; 67
     # paths split unevenly into the noise chunks of either grid.
