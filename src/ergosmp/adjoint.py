@@ -38,7 +38,7 @@ holds block buffers only.  The regression serves the export and the checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Optional
@@ -186,10 +186,10 @@ class AdjointSolution:
     """Per-step regression coefficients (standardized feature space) and
     pathwise costate evaluations.  The backward sweep fits p; q and its
     coefficients are fitted from p, the states and the increments when
-    first read, and cached.  The standardization (`feature_mean`,
-    `feature_std`) is read from the ensemble's design store."""
+    first read, and cached.  The grid and the standardization
+    (`feature_mean`, `feature_std`) are read from the ensemble and its design
+    store."""
 
-    grid: TimeGrid
     p: np.ndarray             # (M, steps+1, n)
     coef_p: np.ndarray        # (steps, K, n)
     terminal_id: str
@@ -197,6 +197,10 @@ class AdjointSolution:
 
     def __post_init__(self):
         self.p.setflags(write=False)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.ensemble.grid
 
     @property
     def feature_mean(self) -> np.ndarray:
@@ -238,13 +242,7 @@ class AdjointSolution:
     def restricted(self, horizon: float) -> "AdjointSolution":
         """The solution on [0, horizon]; its q is fitted on its own steps."""
         j = self.grid.index_of(horizon)
-        return AdjointSolution(
-            grid=TimeGrid(dt=self.grid.dt, steps=j),
-            p=self.p[:, : j + 1],
-            coef_p=self.coef_p[:j],
-            terminal_id=self.terminal_id,
-            ensemble=self.ensemble.restricted(horizon),
-        )
+        return replace(self, p=self.p[:, : j + 1], coef_p=self.coef_p[:j], ensemble=self.ensemble.restricted(horizon))
 
 
 def solve_adjoint_finite(
@@ -292,10 +290,8 @@ def _backward_sweep(model: ModelSpec, ensemble: PathEnsemble, u_bar: ControlLaw,
             top = min(j0 + len(rows), keep + 1)
             Pbuf[j0:top] = rows[:top - j0]
     view = ensemble if keep == steps else ensemble.restricted(keep * ensemble.grid.dt)
-    return AdjointSolution(
-        grid=view.grid, p=Pbuf.transpose(1, 0, 2), coef_p=coef_p,
-        terminal_id="zero" if nu is None else "custom", ensemble=view,
-    )
+    return AdjointSolution(p=Pbuf.transpose(1, 0, 2), coef_p=coef_p,
+                           terminal_id="zero" if nu is None else "custom", ensemble=view)
 
 
 def _fit_q(ensemble: PathEnsemble, p: np.ndarray):

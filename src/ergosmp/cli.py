@@ -6,9 +6,11 @@ verdict-fail, 1 on error.  All randomness of the first seven flows from the
 mandatory --seed; identical invocations produce byte-identical artifacts.
 `verify` takes only --model and --out-dir: it checks the paper's standing
 assumptions (dissipativity, the moment bound, exponential forgetting) and the
-library's contracts on that model at fixed seeds.  The costate regression
-basis (monomials of degree <= 3, ridge 1e-8) and the cost tail window (the
-last quarter of the horizon) are fixed, not flags.
+library's contracts on that model at fixed seeds.  The others read their run
+inputs once, before making --out-dir; optimize reads --control as its initial
+law (default: the zero affine law).  The costate regression basis (monomials
+of degree <= 3, ridge 1e-8) and the cost tail window (the last quarter of the
+horizon) are fixed, not flags.
 
 What the model determines is no flag either.  The buffer that adjoint,
 smp-check, sufficiency, optimize and duality-check --infinite discard is the
@@ -41,7 +43,7 @@ from .forward import (
     estimate_moment,
     simulate_state,
 )
-from .model import ModelError
+from .model import ControlLaw, ModelError
 from .smp import candidate_battery, check_sufficiency, evaluate_variational_inequality, optimize_control
 from .verify import run_checks
 
@@ -62,33 +64,40 @@ def _out(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
-def _parse_x0(model, text):
-    if text is None:
-        return np.zeros(model.n)
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"--x0: {text!r} is not a comma-separated list of numbers") from None
-    if len(vals) != model.n:
-        raise ConfigError(f"--x0 needs {model.n} comma-separated values")
-    return np.asarray(vals)
-
-
-def _add_common(sub, dt_default=0.01, m_default=4096, x0_default="zeros"):
+def _add_common(sub, x0_default="zeros"):
     sub.add_argument("--model", required=True, help="problem config (JSON)")
     sub.add_argument("--seed", required=True, type=int, help="RNG seed (mandatory)")
-    sub.add_argument("--dt", type=float, default=dt_default)
-    sub.add_argument("--M", type=int, default=m_default, help="number of paths")
-    sub.add_argument("--control", default=None, help="control law as JSON (default: zero)")
+    sub.add_argument("--dt", type=float, default=0.01)
+    sub.add_argument("--M", type=int, default=4096, help="number of paths")
+    sub.add_argument("--control", default=None, help="control law as JSON (default: zero); optimize's initial law "
+                                                     "(default: the zero affine law)")
     sub.add_argument("--x0", default=None, help=f"initial state, comma-separated (default: {x0_default})")
     sub.add_argument("--out-dir", default=".")
 
 
-def _positive(args, names):
-    for name in names:
-        value = getattr(args, name.replace("-", "_"))
+def _read_run_inputs(args, model) -> None:
+    """Check the run inputs of every command but verify, and parse --control
+    into a ControlLaw and --x0 into an (n,) array, in place on `args`.
+    duality-check keeps x0 None without --x0: the library's default is ones."""
+    for name in ("T", "dt", "M", "threshold", "iters", "gamma"):
+        value = getattr(args, name, None)
         if value is not None and not 0 < value < np.inf:
             raise ConfigError(f"--{name} must be positive and finite, got {value}")
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    if args.command == "optimize" and args.control is None:
+        args.control = ControlLaw.affine(np.zeros((model.l, model.n)), np.zeros(model.l), model.control_set)
+    else:
+        args.control = parse_control_law(args.control, model.control_set)
+    if args.x0 is not None:
+        try:
+            args.x0 = np.asarray([float(v) for v in args.x0.split(",")])
+        except ValueError:
+            raise ConfigError(f"--x0: {args.x0!r} is not a comma-separated list of numbers") from None
+        if args.x0.shape != (model.n,):
+            raise ConfigError(f"--x0 needs {model.n} comma-separated values")
+    elif args.command != "duality-check":
+        args.x0 = np.zeros(model.n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--T", type=float, default=20.0)
     s.add_argument("--iters", type=int, required=True)
     s.add_argument("--gamma", type=float, default=0.5, help="gradient step size")
-    s.add_argument("--init", default=None, help="initial law as JSON (default: zero affine)")
 
     s = sp.add_parser("verify", help="check the paper's standing assumptions and the library's contracts on the model")
     s.add_argument("--model", required=True, help="problem config (JSON)")
@@ -139,16 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args, model) -> int:
-    _positive(args, ["T", "dt", "M"])
     formats = {f.strip() for f in args.formats.split(",") if f.strip()}
     unknown = formats - {"csv", "bin"}
     if unknown:
         raise ConfigError(f"--formats: unknown entries {sorted(unknown)}")
     if not formats:
         raise ConfigError(f"--formats: {args.formats!r} names no format; give csv, bin or csv,bin")
-    law = parse_control_law(args.control, model.control_set)
     grid = TimeGrid.from_horizon(args.T, args.dt)
-    ens = simulate_state(model, law, _parse_x0(model, args.x0), grid, args.M, args.seed)
+    ens = simulate_state(model, args.control, args.x0, grid, args.M, args.seed)
     if "csv" in formats:
         ensemble_to_csv(ens, _out(args, "ensemble.csv"))
     if "bin" in formats:
@@ -164,21 +170,15 @@ def _cmd_simulate(args, model) -> int:
 
 
 def _cmd_cost(args, model) -> int:
-    _positive(args, ["T", "dt", "M"])
-    law = parse_control_law(args.control, model.control_set)
-    report = estimate_ergodic_cost(model, law, _parse_x0(model, args.x0), args.T,
-                                   args.M, args.seed, dt=args.dt)
+    report = estimate_ergodic_cost(model, args.control, args.x0, args.T, args.M, args.seed, dt=args.dt)
     _write_json(_out(args, "cost_report.json"), report.to_dict())
     print(f"tail_min={report.tail_min:.6f} tail_max={report.tail_max:.6f} ci={report.ci:.2e}")
     return EXIT_OK
 
 
 def _cmd_adjoint(args, model) -> int:
-    _positive(args, ["T", "dt", "M"])
-    law = parse_control_law(args.control, model.control_set)
     buffer = model.forgetting_time(args.dt)
-    sol = extend_to_infinite(model, law, _parse_x0(model, args.x0), args.T, buffer,
-                             args.dt, args.M, args.seed)
+    sol = extend_to_infinite(model, args.control, args.x0, args.T, buffer, args.dt, args.M, args.seed)
     _write_json(_out(args, "adjoint_coefficients.json"), {**adjoint_coefficients_dict(sol), "buffer": buffer})
     adjoint_to_csv(sol, _out(args, "adjoint_paths.csv"))
     print(f"sup_t E|p_t|^2 = {sol.sup_p_sq:.6f}")
@@ -186,10 +186,8 @@ def _cmd_adjoint(args, model) -> int:
 
 
 def _cmd_duality(args, model) -> int:
-    _positive(args, ["T", "dt", "M", "threshold"])
-    law = parse_control_law(args.control, model.control_set)
-    x0 = None if args.x0 is None else _parse_x0(model, args.x0)
-    reports = verify_duality_probes(model, law, args.T, args.M, args.seed, args.dt, x0=x0, infinite=args.infinite)
+    reports = verify_duality_probes(model, args.control, args.T, args.M, args.seed, args.dt, x0=args.x0,
+                                    infinite=args.infinite)
     buffer = reports["eta-one"].config["T_buffer"] if args.infinite else None
     _write_json(_out(args, "duality_report.json"), {
         "schema_version": 2, "buffer": buffer, "threshold": args.threshold,
@@ -201,14 +199,10 @@ def _cmd_duality(args, model) -> int:
 
 
 def _cmd_smp_check(args, model) -> int:
-    _positive(args, ["T", "dt", "M"])
-    law = parse_control_law(args.control, model.control_set)
     buffer = model.forgetting_time(args.dt)
-    battery = candidate_battery(model, law, seed=args.seed)
-    reports = evaluate_variational_inequality(
-        model, law, battery, args.T, args.M, args.seed,
-        dt=args.dt, buffer=buffer, x0=_parse_x0(model, args.x0),
-    )
+    battery = candidate_battery(model, args.control, seed=args.seed)
+    reports = evaluate_variational_inequality(model, args.control, battery, args.T, args.M, args.seed,
+                                              dt=args.dt, buffer=buffer, x0=args.x0)
     _write_json(_out(args, "smp_report.json"),
                 {"schema_version": 1, "buffer": buffer, "reports": [r.to_dict() for r in reports]})
     worst = min(reports, key=lambda r: r.tail_min)
@@ -218,13 +212,8 @@ def _cmd_smp_check(args, model) -> int:
 
 
 def _cmd_sufficiency(args, model) -> int:
-    _positive(args, ["T", "dt", "M"])
-    law = parse_control_law(args.control, model.control_set)
     buffer = model.forgetting_time(args.dt)
-    report = check_sufficiency(
-        model, law, args.T, args.M, args.seed,
-        dt=args.dt, buffer=buffer, x0=_parse_x0(model, args.x0),
-    )
+    report = check_sufficiency(model, args.control, args.T, args.M, args.seed, dt=args.dt, buffer=buffer, x0=args.x0)
     _write_json(_out(args, "sufficiency_report.json"), {**report.to_dict(), "buffer": buffer})
     print(f"convexity_min_eigen={report.convexity_min_eigen:.4f} "
           f"minimality_tail={report.minimality_tail:.4f} verdict={report.verdict}")
@@ -232,24 +221,11 @@ def _cmd_sufficiency(args, model) -> int:
 
 
 def _cmd_optimize(args, model) -> int:
-    _positive(args, ["T", "dt", "M", "iters", "gamma"])
     buffer = model.forgetting_time(args.dt)
-    if args.init is None:
-        init = parse_control_law(
-            {"kind": "affine_feedback",
-             "gain": [[0.0] * model.n for _ in range(model.l)],
-             "offset": [0.0] * model.l},
-            model.control_set,
-        )
-    else:
-        init = parse_control_law(args.init, model.control_set)
-    result = optimize_control(
-        model, init, args.gamma, args.iters, args.T, args.M, args.seed,
-        dt=args.dt, buffer=buffer, x0=_parse_x0(model, args.x0),
-    )
-    trace_path = _out(args, "optimize_trace.csv")
+    result = optimize_control(model, args.control, args.gamma, args.iters, args.T, args.M, args.seed,
+                              dt=args.dt, buffer=buffer, x0=args.x0)
     keys = sorted({k for row in result.trace for k in row})
-    with open(trace_path, "w", newline="\n") as fh:
+    with open(_out(args, "optimize_trace.csv"), "w", newline="\n") as fh:
         fh.write(",".join(keys) + "\n")
         for row in result.trace:
             fh.write(",".join(json.dumps(row.get(k, "")) for k in keys) + "\n")
@@ -288,8 +264,8 @@ def run_command(argv) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         model = load_model_config(args.model)
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
+        if args.command != "verify":
+            _read_run_inputs(args, model)
         try:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:

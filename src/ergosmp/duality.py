@@ -67,7 +67,8 @@ def _build_eta(spec: Union[str, np.ndarray], base: PathEnsemble, t: float, n: in
     """Initial condition for the dual forward equation, measurable at time t.
 
     Accepts "zero", "one", "state" (the base state at t) or an explicit
-    array of shape (n,) or (M, n).
+    array of shape (n,) or (M, n).  Returns an (M, n) array, a view where it
+    can be: `forward._affine_dual_inputs` copies it.
     """
     m = base.n_paths
     if isinstance(spec, str):
@@ -76,7 +77,7 @@ def _build_eta(spec: Union[str, np.ndarray], base: PathEnsemble, t: float, n: in
         if spec == "one":
             return np.ones((m, n))
         if spec == "state":
-            return base.states[:, base.grid.index_of(t)].copy()
+            return base.states[:, base.grid.index_of(t)]
         raise SimulationError(f"unknown eta family {spec!r}")
     return _initial_per_path(spec, m, n)
 
@@ -164,20 +165,19 @@ def _base_ensemble(model, u_bar, base, T, dt, M, seed, x0) -> PathEnsemble:
     return base
 
 
-def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=None):
-    """Both sides of the pairing identity on [t, T], T the end of the base grid,
-    per path, whose means are the two sides: (<p_t, eta> + int <p, gamma> +
-    sum_i int <q^i, rho^i>, int <Ycal, Psi> + <nu, Ycal_T>, each (M,), the
-    dual end state Ycal_T (M, n), max_j E|Psi_j|^2).
+def _pairing_sides(model, base, sol, j0, eta, gamma, rho, nu):
+    """Both sides of the pairing identity on [t, T], t at grid index j0 and T
+    the end of the base grid, per path, whose means are the two sides:
+    (<p_t, eta> + int <p, gamma> + sum_i int <q^i, rho^i>,
+    int <Ycal, Psi> + <nu, Ycal_T>, each (M,), the dual end state Ycal_T
+    (M, n), max_j E|Psi_j|^2), from the inputs `_affine_dual_inputs` checked.
 
     The dual process Ycal is streamed: each time block of the integrals runs
     its Euler steps (`forward._affine_dual_block`, the recursion of
     `simulate_affine_dual`) and reduces them, so no (M, steps, n) array of it
     is stored."""
     grid = base.grid
-    eta_arr = _build_eta(eta, base, t, model.n)
-    # y is Ycal at the start of the next time block, and Ycal_T after the last.
-    j0, y, gamma, rho = _affine_dual_inputs(model, base, u_bar, t, eta_arr, gamma, rho)
+    y = eta  # Ycal at the start of the next time block, and Ycal_T after the last
     psi_sq = np.zeros(grid.steps)
     X, P = _time_major(base.states), _time_major(sol.p)
     Q = None if rho is None else _time_major(sol.q)  # q is fitted only when read
@@ -201,7 +201,7 @@ def _pairing_sides(model, u_bar, base, sol, t, eta, gamma=None, rho=None, nu=Non
     forcing, pairing = _path_integrals(grid, rows, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
     if nu is not None:
         pairing = pairing + _dot(np.asarray(nu, dtype=float), y)
-    return _dot(sol.p[:, j0], eta_arr) + forcing, pairing, y, float(psi_sq.max())
+    return _dot(sol.p[:, j0], eta) + forcing, pairing, y, float(psi_sq.max())
 
 
 def verify_duality_finite(
@@ -273,17 +273,15 @@ def _form(model, u_bar, base, sol, t, horizons: dict, eta, gamma=None, rho=None,
     and reported with `horizons` in its config.  The finite form, horizons
     {"T"}, reports the costate side as lhs.  The infinite form, horizons
     {"T_support", "T_report", "T_buffer"} with no gamma or nu, first checks
-    that rho is a full-grid array supported in [0, T_support), then reports
-    the dual side as lhs with a bound on the discarded tail."""
+    that rho is supported in [0, T_support), then reports the dual side as
+    lhs with a bound on the discarded tail."""
     grid, M = base.grid, base.n_paths
     infinite = "T_support" in horizons
-    if infinite and rho is not None:
-        rho = np.asarray(rho, dtype=float)
-        if rho.shape != (M, grid.steps, model.d, model.n):
-            raise SimulationError("rho must be a full-grid forcing array")
-        if np.any(rho[:, grid.index_of(horizons["T_support"]):]):
-            raise AdjointError("rho with support beyond T_support is rejected")
-    p_rows, pairing_rows, dual_end, psi_sup = _pairing_sides(model, u_bar, base, sol, t, eta, gamma, rho, nu)
+    j0, eta_arr, gamma, rho = _affine_dual_inputs(model, base, u_bar, t, _build_eta(eta, base, t, model.n),
+                                                  gamma, rho)
+    if infinite and rho is not None and np.any(rho[:, grid.index_of(horizons["T_support"]):]):
+        raise AdjointError("rho with support beyond T_support is rejected")
+    p_rows, pairing_rows, dual_end, psi_sup = _pairing_sides(model, base, sol, j0, eta_arr, gamma, rho, nu)
 
     config = {"t": t, **horizons, "M": M, "seed": base.seed, "dt": grid.dt,
               "eta": eta if isinstance(eta, str) else "array"}

@@ -194,8 +194,8 @@ def _simulate_priced(model: ModelSpec, control: ControlLaw, x0: np.ndarray, grid
     ts, indices, tail_mask = _checkpoint_ladder(TimeGrid(dt=grid.dt, steps=grid.index_of(horizon)))
     X = np.empty((grid.steps + 1, dW.shape[0], model.n))
     sums = _priced_run(model, control, x0, grid, dW, indices, X)
-    ensemble = PathEnsemble(grid=grid, states=_time_major(X), increments=dW, seed=int(seed),
-                            control_id=control.describe(), x0=x0)
+    ensemble = PathEnsemble(grid=grid, states=_time_major(X), seed=int(seed), control_id=control.describe(),
+                            d=model.d, noise=dW)
     return ensemble, _ladder_report(ts, tail_mask, sums, ensemble.control_id, ensemble.seed)
 
 

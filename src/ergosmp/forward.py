@@ -14,8 +14,9 @@ and its first k paths equal the k-path ensemble.
 
 The noise is a pure function of the seed, so it is held only while read:
 `simulate_state` draws it for its step loop and keeps the states alone, and
-its ensemble draws it again when `increments` is first read (the q fit, a
-noise forcing rho, a perturbed state, a binary dump).
+its ensemble (`noise=None`) draws it again when `increments` is first read
+(the q fit, a noise forcing rho, a perturbed state, a binary dump).  An
+ensemble built on an array (`noise=`) reads that array instead.
 
 The three forward kernels keep those bits and run along the long axes:
 `brownian_increments` draws whole paths into a path-major chunk and
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -202,42 +204,15 @@ def brownian_increments(seed: int, M: int, grid: TimeGrid, d: int) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class _SeedNoise:
-    """`PathEnsemble(increments=_SeedNoise(d))`: d noise channels, drawn from
-    the ensemble's seed when first read."""
-
-    d: int
-
-
-class _Increments:
-    """The `increments` field of `PathEnsemble`: the read-only (M, steps, d)
-    array the ensemble was built with, or, for one built on `_SeedNoise(d)`,
-    `brownian_increments(seed, M, grid, d)`, drawn when first read and kept
-    from then on."""
-
-    def __get__(self, ens, owner=None):
-        if ens is None:
-            raise AttributeError("increments")  # a required field: no class-level default
-        if ens.__dict__["_noise"] is None:
-            self.__set__(ens, brownian_increments(ens.seed, ens.n_paths, ens.grid, ens.d))
-        return ens.__dict__["_noise"]
-
-    def __set__(self, ens, noise):
-        if isinstance(noise, _SeedNoise):
-            ens.__dict__.update(_noise=None, _d=noise.d)
-        else:
-            noise.setflags(write=False)
-            ens.__dict__.update(_noise=noise, _d=noise.shape[2])
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
-    """M trajectories of the state equation plus the noise that drove them.
+    """M trajectories of the state equation from x0 = states[:, 0], driven by
+    d noise channels.
 
-    An ensemble of `simulate_state` holds no noise until `increments` is
-    first read, then draws it from its seed and keeps it; one built on an
-    array (`ensemble_from_binary`, `dataclasses.replace`, the optimizer's
-    shared noise) keeps that array (`_Increments`).
+    `noise` is the (M, steps, d) array the ensemble was built on
+    (`ensemble_from_binary`, the optimizer's shared noise), or None for the
+    seed's noise.  `increments` returns it, or on first read draws
+    `brownian_increments(seed, M, grid, d)` and keeps it; either way it is
+    read-only.  An ensemble of `simulate_state` holds no noise until then.
 
     `_designs` holds what the adjoint layer derives per step from the states
     alone, the regression design factors of `adjoint._block_design`, filled
@@ -248,14 +223,18 @@ class PathEnsemble:
 
     grid: TimeGrid
     states: np.ndarray       # (M, steps+1, n)
-    increments: np.ndarray = _Increments()  # (M, steps, d), a descriptor-typed field without a default
     seed: int
     control_id: str
-    x0: np.ndarray
+    d: int
+    noise: Optional[np.ndarray] = None  # (M, steps, d)
     _designs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.states.setflags(write=False)
+        if self.noise is not None:
+            if self.noise.shape != (self.n_paths, self.grid.steps, self.d):
+                raise SimulationError(f"noise must have shape (M, steps, d) = {self.n_paths, self.grid.steps, self.d}")
+            self.noise.setflags(write=False)
         object.__setattr__(self, "_designs", {"steps": self.grid.steps})
 
     @property
@@ -267,23 +246,27 @@ class PathEnsemble:
         return self.states.shape[2]
 
     @property
-    def d(self) -> int:
-        return self.__dict__["_d"]
+    def x0(self) -> np.ndarray:
+        return self.states[0, 0]
+
+    @cached_property
+    def increments(self) -> np.ndarray:
+        """(M, steps, d) read-only increments: `noise`, or the seed's."""
+        if self.noise is not None:
+            return self.noise
+        dW = brownian_increments(self.seed, self.n_paths, self.grid, self.d)
+        dW.setflags(write=False)
+        return dW
 
     def restricted(self, horizon: float) -> "PathEnsemble":
         """View of the ensemble truncated to [0, horizon], sharing its design
-        store.  It slices the increments if they are drawn; otherwise it
-        draws its own when read, which are their prefix bitwise."""
+        store.  It slices the increments if they are given or drawn;
+        otherwise it draws its own when read, which are their prefix
+        bitwise."""
         j = self.grid.index_of(horizon)
-        noise = self.__dict__["_noise"]
-        view = PathEnsemble(
-            grid=TimeGrid(dt=self.grid.dt, steps=j),
-            states=self.states[:, : j + 1],
-            increments=_SeedNoise(self.d) if noise is None else noise[:, :j],
-            seed=self.seed,
-            control_id=self.control_id,
-            x0=self.x0,
-        )
+        drawn = vars(self).get("increments", self.noise)
+        view = replace(self, grid=TimeGrid(dt=self.grid.dt, steps=j), states=self.states[:, : j + 1],
+                       noise=None if drawn is None else drawn[:, :j])
         object.__setattr__(view, "_designs", self._designs)
         return view
 
@@ -388,10 +371,7 @@ def simulate_state(
     dW = brownian_increments(seed, M, grid, model.d)
     states = _tamed_euler(model, x0, dW, grid.dt, lambda j, xj, out: control.evaluate(xj, out=out),
                           "simulate_state")
-    return PathEnsemble(
-        grid=grid, states=states, increments=_SeedNoise(model.d), seed=int(seed),
-        control_id=control.describe(), x0=x0,
-    )
+    return PathEnsemble(grid=grid, states=states, seed=int(seed), control_id=control.describe(), d=model.d)
 
 
 def _require_base_under(base: PathEnsemble, u_bar: ControlLaw, what: str):
@@ -413,13 +393,14 @@ def _perturbed_states(model: ModelSpec, base: PathEnsemble, U: np.ndarray) -> np
 
 
 def _initial_per_path(eta, M: int, n: int) -> np.ndarray:
-    """eta as a new (M, n) array; an (n,) vector is given to every path."""
+    """eta as an (M, n) float array, a view where it can be; an (n,) vector
+    is given to every path."""
     eta = np.asarray(eta, dtype=float)
     if eta.shape == (n,):
-        return np.broadcast_to(eta, (M, n)).copy()
+        return np.broadcast_to(eta, (M, n))
     if eta.shape != (M, n):
         raise SimulationError(f"eta must have shape ({n},) or ({M}, {n}), got {eta.shape}")
-    return eta.copy()
+    return eta
 
 
 def simulate_affine_dual(
@@ -462,7 +443,7 @@ def _affine_dual_inputs(model: ModelSpec, base: PathEnsemble, u_bar: ControlLaw,
     grid = base.grid
     M, n = base.n_paths, model.n
     j0 = grid.index_of(t0)
-    eta = _initial_per_path(eta, M, n)
+    eta = _initial_per_path(eta, M, n).copy()
     if gamma is not None:
         gamma = np.asarray(gamma, dtype=float)
         if gamma.shape != (M, grid.steps, n):
@@ -596,8 +577,9 @@ def ensemble_to_binary(ensemble: PathEnsemble, path: str) -> None:
 
 def ensemble_from_binary(path: str) -> PathEnsemble:
     """Load a dump written by `ensemble_to_binary`; a file whose header or
-    length does not match that layout, whose header has M, n or d = 0, or
-    that holds a non-finite number raises SimulationError."""
+    length does not match that layout, whose header has M, n or d = 0, that
+    holds a non-finite number or whose paths do not all start at its x0
+    raises SimulationError, the last naming the lowest such path."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != _BINARY_MAGIC:
@@ -624,11 +606,11 @@ def ensemble_from_binary(path: str) -> PathEnsemble:
     for name, arr in (("x0", x0), ("states", states), ("increments", incr)):
         if not np.isfinite(arr).all():
             raise SimulationError(f"ensemble dump holds a non-finite value in its {name}")
+    off = np.flatnonzero((states[:, 0] != x0).any(axis=-1))
+    if off.size:
+        raise SimulationError(f"ensemble dump: path {int(off[0])} does not start at the header's x0")
     # Re-buffer time-major so per-step slices stay contiguous downstream.
     states = _time_major(np.ascontiguousarray(states.transpose(1, 0, 2)))
     incr = _time_major(np.ascontiguousarray(incr.transpose(1, 0, 2)))
-    return PathEnsemble(
-        grid=TimeGrid(dt=dt, steps=steps),
-        states=states, increments=incr, seed=seed,
-        control_id="imported", x0=x0,
-    )
+    return PathEnsemble(grid=TimeGrid(dt=dt, steps=steps), states=states, seed=seed, control_id="imported",
+                        d=d, noise=incr)

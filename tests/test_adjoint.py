@@ -216,7 +216,7 @@ def test_non_finite_increment_fails_only_the_q_fit(lq1, lq1_zero):
     dW = ens.increments.copy()
     dW[5, 12, 0] = np.inf
     dW[9, 7, 0] = np.nan
-    sol = solve_adjoint_finite(lq1, dataclasses.replace(ens, increments=dW), lq1_zero)
+    sol = solve_adjoint_finite(lq1, dataclasses.replace(ens, noise=dW), lq1_zero)
     assert np.array_equal(sol.p, solve_adjoint_finite(lq1, ens, lq1_zero).p)
     with pytest.raises(AdjointError, match="non-finite q regression at step 7$"):
         sol.q
@@ -451,7 +451,7 @@ def test_replaced_states_get_a_fresh_store(lq1, lq1_zero):
     ens = simulate_state(lq1, lq1_zero, [1.0], grid, 64, seed=1)
     other = simulate_state(lq1, lq1_zero, [-0.5], grid, 64, seed=2)
     solve_adjoint_finite(lq1, ens, lq1_zero).q  # fills ens's store
-    swapped = dataclasses.replace(ens, states=other.states, increments=other.increments)
+    swapped = dataclasses.replace(ens, states=other.states, noise=other.increments)
     _assert_bitwise(solve_adjoint_finite(lq1, swapped, lq1_zero), solve_adjoint_finite(lq1, other, lq1_zero))
 
 

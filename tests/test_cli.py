@@ -1,4 +1,5 @@
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import ergosmp.cli
 import ergosmp.duality
-from ergosmp import ConvexSet, ModelSpec, ensemble_from_binary, model_config_dict, save_model_config
+from ergosmp import ConvexSet, ModelSpec, SimulationError, ensemble_from_binary, model_config_dict, save_model_config
 from ergosmp.cli import build_parser, run_command
 
 
@@ -107,6 +108,10 @@ BAD_INPUT = [
      None),
     ("optimize-ridge-removed", ["optimize", *COMMON, "--T", "4", "--iters", "2", "--ridge", "1e-6"],
      None),
+    # optimize reads its initial law from --control, as the others read theirs.
+    ("optimize-init-removed",
+     ["optimize", *COMMON, "--T", "4", "--iters", "2", "--init", '{"kind":"affine_feedback","gain":[[-0.4]],'
+      '"offset":[0.2]}'], None),
     ("adjoint-degree-removed", ["adjoint", *COMMON, "--T", "1", "--degree", "2"], None),
     ("adjoint-ridge-removed", ["adjoint", *COMMON, "--T", "1", "--ridge", "nan"], None),
     ("duality-check-degree-removed", ["duality-check", *COMMON, "--T", "2", "--degree", "2"], None),
@@ -198,6 +203,9 @@ NON_FINITE = [
     ("control-gain-too-narrow-lq3",
      [*COST, "--control", '{"kind":"affine_feedback","gain":[[1],[2]],"offset":[0,0]}'], LQ3,
      "affine law: a (2, 1) gain does not match state dimension 3"),
+    # optimize's initial law is --control: a bad one fails, not the default.
+    ("optimize-control-garbage", ["optimize", *COMMON, "--T", "4", "--iters", "2", "--control", "garbage"], None,
+     "error: control: invalid JSON"),
 ]
 CASES = [case + (None,) for case in BAD_INPUT] + NON_FINITE
 
@@ -222,6 +230,41 @@ def test_simulate_rejects_unknown_format_before_simulating(lq1_config, tmp_path,
     err = capsys.readouterr().err
     assert "error:" in err and "parquet" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--T", "-1"], ["--T", "4", "--seed", "-1"], ["--T", "4", "--control", "garbage"],
+                                  ["--T", "4", "--x0", "abc"]], ids=["T", "seed", "control", "x0"])
+def test_bad_run_inputs_leave_no_out_dir(lq1_config, tmp_path, capsys, argv):
+    fresh = tmp_path / "fresh"
+    assert _run(lq1_config, fresh, "cost", *COMMON, *argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not fresh.exists()
+
+
+def test_dump_whose_paths_leave_its_x0_is_rejected(lq1_config, tmp_path):
+    """x0 is read off the states, so a dump must start every path at the x0
+    of its header (bytes 56-63 on lq1); the error names the lowest path that
+    does not."""
+    assert _run(lq1_config, tmp_path, "simulate", *COMMON, "--T", "2", "--formats", "bin") == 0
+    path = tmp_path / "ensemble.bin"
+    data = path.read_bytes()
+    assert ensemble_from_binary(str(path)).x0.tolist() == [0.0]
+    path.write_bytes(data[:56] + struct.pack("<d", 0.5) + data[64:])
+    with pytest.raises(SimulationError, match="path 0 does not start at the header's x0"):
+        ensemble_from_binary(str(path))
+    start = 64 + 8 * 5 * 41  # path 5, step 0 of 41
+    path.write_bytes(data[:start] + struct.pack("<d", 0.5) + data[start + 8:])
+    with pytest.raises(SimulationError, match="path 5 does not start at the header's x0"):
+        ensemble_from_binary(str(path))
+
+
+def test_optimize_starts_from_the_control_law(lq1_config, tmp_path):
+    law = '{"kind":"affine_feedback","gain":[[-0.4]],"offset":[0.2]}'
+    assert _run(lq1_config, tmp_path, "optimize", *COMMON, "--T", "4", "--iters", "1", "--control", law) == 0
+    header, first = (tmp_path / "optimize_trace.csv").read_text().splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    assert json.loads(row["gain"]) == [[-0.4]] and json.loads(row["offset"]) == [0.2]
 
 
 def test_unusable_out_dir_exits_1_before_estimating(lq1_config, tmp_path, capsys, monkeypatch):
@@ -305,6 +348,7 @@ def test_derived_values_are_not_flags():
     for name, opts in flags.items():
         assert not opts & {"--buffer", "--probes"}, name
     assert flags["duality-check"] - common == {"--T", "--infinite", "--threshold"}
+    assert flags["optimize"] - common == {"--T", "--iters", "--gamma"}
 
 
 def _reject_constant(name):

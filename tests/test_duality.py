@@ -151,8 +151,8 @@ def test_build_rho_is_one_read_only_row_per_step(lq1_base8):
     # d 2, n 3) holds a (steps, d, n) row, not a 44 MB per-path array
     grid = TimeGrid(dt=0.01, steps=900)
     big = PathEnsemble(grid=grid, states=np.broadcast_to(np.zeros(3), (1024, 901, 3)),
-                       increments=np.broadcast_to(np.zeros(2), (1024, 900, 2)), seed=0,
-                       control_id="zero", x0=np.zeros(3))
+                       noise=np.broadcast_to(np.zeros(2), (1024, 900, 2)), seed=0,
+                       control_id="zero", d=2)
     tracemalloc.start()
     try:
         rho = build_rho(big, 3, 2, {0: np.ones(3), 1: np.ones(3)}, t_start=0.0, t_end=6.0)
@@ -379,6 +379,23 @@ def test_infinite_rejects_late_support(lq1, lq1_zero):
     with pytest.raises(SimulationError):
         verify_duality_infinite(lq1, lq1_zero, 0.0, 9.0, eta="zero", rho=None,
                                 T_report=8.0, T_buffer=4.0, M=64, seed=2, dt=0.01)
+
+
+def test_rho_off_the_grid_is_rejected_by_the_dual_input_check(lq1, lq1_zero):
+    """Both forms reject a rho that is not on the 40-step base grid where the
+    dual's inputs are checked; the infinite form's support test reads the
+    array that check returned."""
+    kw = dict(eta="zero", M=64, seed=2, dt=0.02)
+    infinite = dict(T_report=0.6, T_buffer=0.2, **kw)
+    short = np.zeros((64, 30, 1, 1))
+    with pytest.raises(SimulationError, match="rho must have shape"):
+        verify_duality_finite(lq1, lq1_zero, 0.0, 0.8, rho=short, **kw)
+    with pytest.raises(SimulationError, match="rho must have shape"):
+        verify_duality_infinite(lq1, lq1_zero, 0.0, 0.4, rho=short, **infinite)
+    late = np.zeros((64, 40, 1, 1))
+    late[:, 30] = 1.0
+    with pytest.raises(AdjointError, match="rho with support beyond T_support is rejected"):
+        verify_duality_infinite(lq1, lq1_zero, 0.0, 0.4, rho=late.tolist(), **infinite)
 
 
 def test_report_serialization(lq1, lq1_zero, lq1_base8):

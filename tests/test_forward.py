@@ -133,14 +133,21 @@ def test_increments_are_the_seed_draw_read_only(family, lq1, lq3, tmp_path, monk
     expect(late, 20)
     assert np.shares_memory(late.increments, ens.increments) and ens.increments is ens.increments
     assert len(draws) == 3
-    # An ensemble built on an array keeps it.
+    # An ensemble built on an array keeps it, and its views slice it unread.
     dW = np.array(ens.increments)
-    assert dataclasses.replace(ens, increments=dW).increments is dW
+    built = dataclasses.replace(ens, noise=dW)
+    assert np.shares_memory(built.restricted(0.4).increments, dW) and built.increments is dW
     path = str(tmp_path / "dump.bin")
     ensemble_to_binary(ens, path)
     back = ensemble_from_binary(path)
     assert back.increments is back.increments and np.array_equal(back.increments, dW)
     assert len(draws) == 3
+
+
+def test_given_noise_must_have_the_ensemble_shape(lq1, lq1_zero):
+    ens = simulate_state(lq1, lq1_zero, [0.3], TimeGrid(dt=0.02, steps=5), 4, seed=9)
+    with pytest.raises(SimulationError, match=r"noise must have shape \(M, steps, d\) = \(4, 5, 1\)"):
+        dataclasses.replace(ens, noise=np.zeros((4, 4, 1)))
 
 
 def test_simulation_rejects_bad_x0(lq1, lq1_zero):

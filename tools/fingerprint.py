@@ -275,6 +275,8 @@ def fingerprint(values: bool = False) -> dict:
             ["optimize", "--T", "3", "--M", "32", "--iters", "2", *seeded],
             ["verify"],  # fixed seeds and grids of its own
             ["duality-check", "--T", "1", "--M", "32", "--x0", "0.5", "--threshold", "0.01", *seeded],
+            ["optimize", "--T", "3", "--M", "32", "--iters", "2", *seeded,
+             "--control", '{"kind":"affine_feedback","gain":[[-0.4]],"offset":[0.2]}'],
         ]
         for i, c in enumerate(cmds):
             od = os.path.join(td, f"o{i}")
