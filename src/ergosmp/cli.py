@@ -16,7 +16,7 @@ What the model determines is no flag either.  The buffer that adjoint,
 smp-check, sufficiency, optimize and duality-check --infinite discard is the
 forgetting time ln(100)/|c_p| on the dt grid (c_p the certified dissipativity
 bound), recorded as "buffer" in the JSON; when c_p >= 0 or the time exceeds
-20 (c_p > -0.23) these commands exit 1 before simulating.
+20 (c_p > -0.23) these commands exit 1 before making --out-dir.
 sufficiency bounds the Hessian in closed form.  duality-check pairs fixed
 probes on one costate solve: eta = 1 at t = 0, eta = X_t at mid-grid, gamma =
 1 on [T/4, 3T/4) (finite form only) and rho = 1 on each noise channel.
@@ -25,6 +25,7 @@ probes on one costate solve: eta = 1 at t = 0, eta = X_t at mid-grid, gamma =
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -75,9 +76,16 @@ def _add_common(sub, x0_default="zeros"):
     sub.add_argument("--out-dir", default=".")
 
 
+# Commands that discard the model's forgetting time past T, besides
+# duality-check --infinite.
+_BUFFERED = ("adjoint", "smp-check", "sufficiency", "optimize")
+
+
 def _read_run_inputs(args, model) -> None:
-    """Check the run inputs of every command but verify, and parse --control
-    into a ControlLaw and --x0 into an (n,) array, in place on `args`.
+    """Check the run inputs of every command but verify and derive what they
+    determine, in place on `args`: --control as a ControlLaw, --x0 as an (n,)
+    array, simulate's --formats as a set, and `buffer`, the forgetting time
+    on the dt grid for the commands that discard one (else None).
     duality-check keeps x0 None without --x0: the library's default is ones."""
     for name in ("T", "dt", "M", "threshold", "iters", "gamma"):
         value = getattr(args, name, None)
@@ -98,6 +106,16 @@ def _read_run_inputs(args, model) -> None:
             raise ConfigError(f"--x0 needs {model.n} comma-separated values")
     elif args.command != "duality-check":
         args.x0 = np.zeros(model.n)
+    if args.command == "simulate":
+        formats = {f.strip() for f in args.formats.split(",") if f.strip()}
+        unknown = formats - {"csv", "bin"}
+        if unknown:
+            raise ConfigError(f"--formats: unknown entries {sorted(unknown)}")
+        if not formats:
+            raise ConfigError(f"--formats: {args.formats!r} names no format; give csv, bin or csv,bin")
+        args.formats = formats
+    buffered = args.command in _BUFFERED or getattr(args, "infinite", False)
+    args.buffer = model.forgetting_time(args.dt) if buffered else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,17 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args, model) -> int:
-    formats = {f.strip() for f in args.formats.split(",") if f.strip()}
-    unknown = formats - {"csv", "bin"}
-    if unknown:
-        raise ConfigError(f"--formats: unknown entries {sorted(unknown)}")
-    if not formats:
-        raise ConfigError(f"--formats: {args.formats!r} names no format; give csv, bin or csv,bin")
     grid = TimeGrid.from_horizon(args.T, args.dt)
     ens = simulate_state(model, args.control, args.x0, grid, args.M, args.seed)
-    if "csv" in formats:
+    if "csv" in args.formats:
         ensemble_to_csv(ens, _out(args, "ensemble.csv"))
-    if "bin" in formats:
+    if "bin" in args.formats:
         ensemble_to_binary(ens, _out(args, "ensemble.bin"))
     est, half = estimate_moment(ens, 2, args.T)
     _write_json(_out(args, "simulate_summary.json"), {
@@ -177,9 +189,8 @@ def _cmd_cost(args, model) -> int:
 
 
 def _cmd_adjoint(args, model) -> int:
-    buffer = model.forgetting_time(args.dt)
-    sol = extend_to_infinite(model, args.control, args.x0, args.T, buffer, args.dt, args.M, args.seed)
-    _write_json(_out(args, "adjoint_coefficients.json"), {**adjoint_coefficients_dict(sol), "buffer": buffer})
+    sol = extend_to_infinite(model, args.control, args.x0, args.T, args.buffer, args.dt, args.M, args.seed)
+    _write_json(_out(args, "adjoint_coefficients.json"), {**adjoint_coefficients_dict(sol), "buffer": args.buffer})
     adjoint_to_csv(sol, _out(args, "adjoint_paths.csv"))
     print(f"sup_t E|p_t|^2 = {sol.sup_p_sq:.6f}")
     return EXIT_OK
@@ -188,9 +199,8 @@ def _cmd_adjoint(args, model) -> int:
 def _cmd_duality(args, model) -> int:
     reports = verify_duality_probes(model, args.control, args.T, args.M, args.seed, args.dt, x0=args.x0,
                                     infinite=args.infinite)
-    buffer = reports["eta-one"].config["T_buffer"] if args.infinite else None
     _write_json(_out(args, "duality_report.json"), {
-        "schema_version": 2, "buffer": buffer, "threshold": args.threshold,
+        "schema_version": 2, "buffer": args.buffer, "threshold": args.threshold,
         "reports": [{"probe": name, **rep.to_dict()} for name, rep in reports.items()],
     })
     for name, rep in reports.items():
@@ -199,12 +209,11 @@ def _cmd_duality(args, model) -> int:
 
 
 def _cmd_smp_check(args, model) -> int:
-    buffer = model.forgetting_time(args.dt)
     battery = candidate_battery(model, args.control, seed=args.seed)
     reports = evaluate_variational_inequality(model, args.control, battery, args.T, args.M, args.seed,
-                                              dt=args.dt, buffer=buffer, x0=args.x0)
+                                              dt=args.dt, buffer=args.buffer, x0=args.x0)
     _write_json(_out(args, "smp_report.json"),
-                {"schema_version": 1, "buffer": buffer, "reports": [r.to_dict() for r in reports]})
+                {"schema_version": 1, "buffer": args.buffer, "reports": [r.to_dict() for r in reports]})
     worst = min(reports, key=lambda r: r.tail_min)
     print(f"worst direction {worst.direction_id}: tail_min={worst.tail_min:.4f} "
           f"tolerance={worst.tolerance:.4f} verdict={worst.verdict}")
@@ -212,24 +221,25 @@ def _cmd_smp_check(args, model) -> int:
 
 
 def _cmd_sufficiency(args, model) -> int:
-    buffer = model.forgetting_time(args.dt)
-    report = check_sufficiency(model, args.control, args.T, args.M, args.seed, dt=args.dt, buffer=buffer, x0=args.x0)
-    _write_json(_out(args, "sufficiency_report.json"), {**report.to_dict(), "buffer": buffer})
+    report = check_sufficiency(model, args.control, args.T, args.M, args.seed, dt=args.dt, buffer=args.buffer,
+                               x0=args.x0)
+    _write_json(_out(args, "sufficiency_report.json"), {**report.to_dict(), "buffer": args.buffer})
     print(f"convexity_min_eigen={report.convexity_min_eigen:.4f} "
           f"minimality_tail={report.minimality_tail:.4f} verdict={report.verdict}")
     return EXIT_OK if report.verdict == "certified" else EXIT_VERDICT_FAIL
 
 
 def _cmd_optimize(args, model) -> int:
-    buffer = model.forgetting_time(args.dt)
     result = optimize_control(model, args.control, args.gamma, args.iters, args.T, args.M, args.seed,
-                              dt=args.dt, buffer=buffer, x0=args.x0)
+                              dt=args.dt, buffer=args.buffer, x0=args.x0)
     keys = sorted({k for row in result.trace for k in row})
-    with open(_out(args, "optimize_trace.csv"), "w", newline="\n") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in result.trace:
-            fh.write(",".join(json.dumps(row.get(k, "")) for k in keys) + "\n")
-    _write_json(_out(args, "optimize_result.json"), {**result.to_dict(), "buffer": buffer})
+    # One JSON value per cell, quoted where it holds a comma (a gain or
+    # offset of more than one entry).
+    with open(_out(args, "optimize_trace.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([json.dumps(row.get(k, "")) for k in keys] for row in result.trace)
+    _write_json(_out(args, "optimize_result.json"), {**result.to_dict(), "buffer": args.buffer})
     print(f"status={result.status} best={result.best.describe()}")
     return EXIT_OK
 

@@ -4,9 +4,10 @@ The long-run functionals are asymptotic; the artifact tracks J_T / T at a
 ladder of checkpoint horizons and reports min/max over one fixed tail window,
 the last quarter [0.75 T, T] of the horizon, as liminf/limsup proxies.
 
-`estimate_ergodic_cost` holds the noise and one time block of states, never
-the (M, steps+1, n) state array: each block is simulated inside the cost's
-running sum and priced with the controls its steps applied (one law
+`estimate_ergodic_cost` holds one block of the noise stream and one time
+block of states, never the (M, steps, d) noise or the (M, steps+1, n) state
+array: each block is simulated inside the cost's running sum on the noise
+read in time order, and priced with the controls its steps applied (one law
 evaluation per state), and the report is bitwise the ensemble report.
 
 `verify_expansion_residual` checks the two first-order expansions the
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _path_integrals,
-                      _perturbed_states, _require_base_under, _tamed_euler, _tamed_euler_block, _time_major,
-                      brownian_increments, simulate_affine_dual)
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _held_blocks, _initial_state,
+                      _noise_blocks, _noise_reader, _path_integrals, _perturbed_states, _require_base_under,
+                      _tamed_euler_block, _tamed_euler_steps, _time_major, simulate_affine_dual)
 from .model import ControlLaw, ModelSpec, _dot, _Report, cost_at, cost_grad_u, cost_grad_x, drift_jacU_apply
 
 __all__ = [
@@ -89,18 +90,20 @@ def _cost_sums_at(model, ensemble, control, indices) -> np.ndarray:
     return _path_integrals(ensemble.grid, running_cost, indices, (ensemble.n_paths,))
 
 
-def _priced_run(model, control, x0, grid, dW, indices, X=None) -> np.ndarray:
+def _priced_run(model, control, x0, grid, M, noise, indices, X=None) -> np.ndarray:
     """Per-path running-cost sums (M, len(indices)) at the grid `indices` of
-    the tamed-Euler run under `control` from x0 on the increments dW: bitwise
+    the tamed-Euler run of M paths under `control` from x0: bitwise
     `_cost_sums_at` on that run's ensemble, with one law evaluation per state.
 
-    The steps up to max(indices) run inside the integrand of
-    `_path_integrals`, which prices each time block with the controls its
-    steps applied.  Without X each block runs on a buffer of its own, seeded
-    with the last row of the block before, and no state array is kept; a
-    time-major X (steps+1, M, n) receives every state of the grid instead."""
-    M = dW.shape[0]
-    dW_tm = _time_major(dW)
+    `noise` is the run's increments as time-ordered (j0, j1, dW) blocks, the
+    stream of `_noise_blocks` or the held array of `_held_blocks`; the steps
+    read them through one `_noise_reader`.  The steps up to max(indices) run
+    inside the integrand of `_path_integrals`, which prices each time block
+    with the controls its steps applied.  Without X each block runs on a
+    buffer of its own, seeded with the last row of the block before, and no
+    state array is kept; a time-major X (steps+1, M, n) receives every state
+    of the grid instead."""
+    read = _noise_reader(noise)
     last = x0
     if X is not None:
         X[0] = x0
@@ -116,13 +119,13 @@ def _priced_run(model, control, x0, grid, dW, indices, X=None) -> np.ndarray:
         else:
             rows = X[j0:j1 + 1]
         U = np.empty((j1 - j0, M, model.l))
-        _tamed_euler_block(model, rows, dW_tm[j0:j1], grid.dt, control_at, j0, "simulate_state", U)
-        last = rows[-1]
+        _tamed_euler_block(model, rows, read, grid.dt, control_at, j0, "simulate_state", U)
+        last = rows[-1].copy()  # a view would keep this whole block alive through the next
         return cost_at(model, rows[:-1], U)
 
     sums = _path_integrals(grid, running_cost, indices, (M,))
     if X is not None:
-        _tamed_euler(model, x0, dW, grid.dt, control_at, "simulate_state", X=X, start=int(max(indices)))
+        _tamed_euler_steps(model, X, read, grid.dt, control_at, "simulate_state", start=int(max(indices)))
     return sums
 
 
@@ -175,14 +178,14 @@ def estimate_ergodic_cost(
     bitwise `ergodic_report_from_ensemble` on the ensemble of `simulate_state`
     with these arguments, and a blow-up raises that call's SimulationError.
 
-    It holds the noise, (M, steps, d), and one time block of states, which it
-    prices with the controls its steps applied (`_priced_run`): one law
-    evaluation per state and no (M, steps+1, n) state array."""
+    It reads the noise as a stream (`_noise_blocks`) and holds one noise
+    block and one time block of states, which it prices with the controls
+    its steps applied (`_priced_run`): one law evaluation per state, and
+    neither the (M, steps, d) noise nor the (M, steps+1, n) state array."""
     grid = TimeGrid.from_horizon(T_max, dt)
     x0 = _initial_state(model, x0)
     ts, indices, tail_mask = _checkpoint_ladder(grid)
-    dW = brownian_increments(seed, M, grid, model.d)
-    sums = _priced_run(model, control, x0, grid, dW, indices)
+    sums = _priced_run(model, control, x0, grid, M, _noise_blocks(seed, M, grid, model.d), indices)
     return _ladder_report(ts, tail_mask, sums, control.describe(), int(seed))
 
 
@@ -193,7 +196,7 @@ def _simulate_priced(model: ModelSpec, control: ControlLaw, x0: np.ndarray, grid
     [0, horizon]; both bitwise, from one evaluation of the law per state."""
     ts, indices, tail_mask = _checkpoint_ladder(TimeGrid(dt=grid.dt, steps=grid.index_of(horizon)))
     X = np.empty((grid.steps + 1, dW.shape[0], model.n))
-    sums = _priced_run(model, control, x0, grid, dW, indices, X)
+    sums = _priced_run(model, control, x0, grid, dW.shape[0], _held_blocks(dW), indices, X)
     ensemble = PathEnsemble(grid=grid, states=_time_major(X), seed=int(seed), control_id=control.describe(),
                             d=model.d, noise=dW)
     return ensemble, _ladder_report(ts, tail_mask, sums, ensemble.control_id, ensemble.seed)

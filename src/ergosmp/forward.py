@@ -12,23 +12,28 @@ never by sampling noise.  Increments are generated from counter-based Philox
 streams keyed by (seed, path index), so every ensemble is bit-reproducible
 and its first k paths equal the k-path ensemble.
 
-The noise is a pure function of the seed, so it is held only while read:
-`simulate_state` draws it for its step loop and keeps the states alone, and
-its ensemble (`noise=None`) draws it again when `increments` is first read
-(the q fit, a noise forcing rho, a perturbed state, a binary dump).  An
-ensemble built on an array (`noise=`) reads that array instead.
+The noise is a pure function of the seed, so it is held only while read.
+`_noise_blocks` is the one Philox draw loop: it yields the increments in
+time blocks of _NOISE_BYTES, each path's rows bitwise one draw of its whole
+path, and `brownian_increments` is that stream drawn as one block.
+`simulate_state` reads the stream in time order for its step loop, holding
+one noise block beside the states, and its ensemble (`noise=None`) draws the
+increments whole when `increments` is first read (the q fit, a noise forcing
+rho, a perturbed state, a binary dump).  An ensemble built on an array
+(`noise=`) reads that array instead.  The step loops read either through one
+`_noise_reader`, in pieces that never straddle a noise block.
 
-The three forward kernels keep those bits and run along the long axes:
-`brownian_increments` draws whole paths into a path-major chunk and
-transposes it into the time-major buffer, the tamed-Euler step runs one
-time block at a time (`_tamed_euler_block`), making the block's noise terms
-in one call and checking finiteness once, and the CSV writer formats each
-path with one `%` of a per-file template.  The step allocates its work
-buffers once per block and writes every quantity into them through the
-`out=` paths of `ControlLaw.evaluate`, `ConvexSet.project`, `drift_at` and
-`_mat_vec`, the routines that whole path stacks go through too: one ufunc
-call per scalar operation, in the order of the formula, on coefficients
-bound once.
+The three forward kernels keep those bits and run along the long axes: the
+noise stream draws whole paths into a path-major chunk and transposes it
+into its time-major block, the tamed-Euler step runs one time block at a
+time (`_tamed_euler_block`), making the noise terms of each piece of
+increments it reads in one call and checking finiteness once, and the CSV
+writer formats each path with one `%` of a per-file template.  The step
+allocates its work buffers once per block and writes every quantity into
+them through the `out=` paths of `ControlLaw.evaluate`, `ConvexSet.project`,
+`drift_at` and `_mat_vec`, the routines that whole path stacks go through
+too: one ufunc call per scalar operation, in the order of the formula, on
+coefficients bound once.
 """
 
 from __future__ import annotations
@@ -73,6 +78,18 @@ _BINARY_HEADER = struct.Struct("<IQQQQQd")  # version, M, steps, n, d, seed, dt
 # chunk.  Enough to amortize numpy's per-call cost, few enough that a block's
 # handful of temporaries stays cache-sized whatever the horizon.
 BLOCK_BYTES = 512 << 10
+
+# Bytes of one block of a noise stream (`_noise_blocks`): a forward pass that
+# draws its own noise holds this much of it, not the (M, steps, d) array.
+# Each block boundary reads, stores and sets again every path's Philox state,
+# about 6 us per path on a 2-core x86 machine (numpy 2.4), the time to draw
+# some 250 normals.  A block gives each of M paths _NOISE_BYTES / (8 M) of
+# them, so the boundaries add about 2000 M / _NOISE_BYTES of the draw time:
+# 12% at M = 256, and at M = 2048 about as much again (0.095 s on 2000 steps
+# becomes 0.18 s).  Twice the budget would halve that, but the 2048-path cost
+# pass would then peak at 13.1 MB of allocations, above a third of its 33 MB
+# of noise; at 4 MiB it peaks at 9.0 MB.
+_NOISE_BYTES = 8 * BLOCK_BYTES
 
 
 class SimulationError(RuntimeError):
@@ -168,39 +185,102 @@ def _path_integrals(grid: TimeGrid, integrand, indices, shape, start: int = 0) -
             np.add(run[i - 1], run[i], out=run[i])
         sel = (indices >= j0) & (indices <= j1)
         out[..., sel] = np.moveaxis(run[indices[sel] - j0], 0, -1)
-        acc = run[-1]
+        acc = run[-1].copy()  # a view would keep this whole block alive through the next
     return out
 
 
+def _noise_blocks(seed: int, M: int, grid: TimeGrid, d: int, block: Optional[int] = None):
+    """The increments of (seed, M, grid, d) in time order: yields
+    (j0, j1, dW), dW the time-major (j1 - j0, M, d) increments of steps
+    j0..j1-1 with per-cell variance dt, `block` steps at a time (default: as
+    many as fit in _NOISE_BYTES).  Every block is written into one buffer,
+    so a block is valid until the next one is drawn.
+
+    Path i draws from Philox keyed by (seed, i), through one Philox/Generator
+    pair re-keyed per path by setting its `.state`.  At a block boundary each
+    path's state is saved and set again for its next block; the ziggurat
+    reads the bit generator in order, so path i's rows are bitwise one draw
+    of its whole path, whatever the blocks.
+    """
+    if not (0 <= int(seed) < 2**63):
+        raise SimulationError("seed must be a nonnegative 63-bit integer")
+    seed, steps = int(seed), grid.steps
+    block = min(steps, block or max(1, _NOISE_BYTES // max(1, 8 * M * d)))
+    buf = np.empty((block, M, d))
+    # Whole paths are drawn into a path-major chunk, which one transposed
+    # assignment copies into the time-major block; writing each path
+    # straight into it would stride M*d*8 bytes per step.
+    per_chunk = _block_steps(8 * block * d)
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    # Philox(key=[seed, i]) as a state: counter 0 and an empty buffer.  The
+    # state setter reads lists of ints three times as fast as arrays.
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None}, "buffer": [0] * 4,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    # Where each path stopped at a block boundary: its counter, its buffer
+    # and (buffer_pos, has_uint32, uinteger), 88 bytes against the ~930 of
+    # the `.state` dict read.
+    counter, buffer, pos = np.empty((M, 4), np.uint64), np.empty((M, 4), np.uint64), np.empty((M, 3), np.int64)
+    for j0 in range(0, steps, block):
+        j1 = min(j0 + block, steps)
+        dW = buf[: j1 - j0]
+        chunk = np.empty((min(M, per_chunk), j1 - j0, d))
+        for i0 in range(0, M, per_chunk):
+            i1 = min(i0 + per_chunk, M)
+            for i in range(i0, i1):
+                state["state"]["key"] = [seed, i]
+                if j0:
+                    state["state"]["counter"], state["buffer"] = counter[i].tolist(), buffer[i].tolist()
+                    state["buffer_pos"], state["has_uint32"], state["uinteger"] = pos[i].tolist()
+                bitgen.state = state
+                gen.standard_normal((j1 - j0, d), out=chunk[i - i0])
+                if j1 < steps:
+                    s = bitgen.state
+                    counter[i], buffer[i] = s["state"]["counter"], s["buffer"]
+                    pos[i] = s["buffer_pos"], s["has_uint32"], s["uinteger"]
+            dW[:, i0:i1] = chunk[: i1 - i0].transpose(1, 0, 2)
+        del chunk  # not held while the block is read
+        dW *= np.sqrt(grid.dt)
+        yield j0, j1, dW
+
+
 def brownian_increments(seed: int, M: int, grid: TimeGrid, d: int) -> np.ndarray:
-    """Increments of shape (M, steps, d) with per-cell variance dt.
+    """Increments of shape (M, steps, d) with per-cell variance dt: the
+    stream of `_noise_blocks` drawn as one block.
 
     Path i draws from Philox keyed by (seed, i), so path i's increments do not
     depend on M.
     """
-    if not (0 <= int(seed) < 2**63):
-        raise SimulationError("seed must be a nonnegative 63-bit integer")
-    steps = grid.steps
-    buf = np.empty((steps, M, d))
-    # Whole paths are drawn into a path-major chunk, which one transposed
-    # assignment copies into the time-major buffer; writing each path
-    # straight into it would stride M*d*8 bytes per step.
-    per_chunk = _block_steps(8 * steps * d)
-    chunk = np.empty((min(M, per_chunk), steps, d))
-    bitgen = np.random.Philox()
-    gen = np.random.Generator(bitgen)
-    # Philox(key=[seed, i]) as a state: counter 0 and an empty buffer.
-    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": None},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for i0 in range(0, M, per_chunk):
-        i1 = min(i0 + per_chunk, M)
-        for i in range(i0, i1):
-            state["state"]["key"] = np.array([seed, i], dtype=np.uint64)
-            bitgen.state = state
-            gen.standard_normal((steps, d), out=chunk[i - i0])
-        buf[:, i0:i1] = chunk[: i1 - i0].transpose(1, 0, 2)
-    buf *= np.sqrt(grid.dt)
-    return _time_major(buf)
+    ((_, _, dW),) = _noise_blocks(seed, M, grid, d, grid.steps)
+    return _time_major(dW)
+
+
+def _held_blocks(dW: np.ndarray):
+    """Held increments dW (M, steps, d) as the one block of a noise stream."""
+    return [(0, dW.shape[1], _time_major(dW))]
+
+
+def _noise_reader(blocks):
+    """`read(j0, j1)`, which yields the time-major increments of steps
+    [j0, j1) as (k0, k1, rows) pieces, each inside one (j0, j1, dW) block of
+    `blocks`.  Reads run forward in time: once a read passes a block's end the
+    next block is drawn, and no read may go back before its start."""
+    blocks = iter(blocks)
+    b0 = b1 = 0
+    dW = None
+
+    def read(j0, j1):
+        nonlocal b0, b1, dW
+        while j0 < j1:
+            if j0 >= b1:
+                b0, b1, dW = next(blocks)
+                continue
+            assert j0 >= b0, "noise is read forward in time"
+            k1 = min(j1, b1)
+            yield j0, k1, dW[j0 - b0:k1 - b0]
+            j0 = k1
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -280,12 +360,12 @@ def _check_finite(X, step, what):
         raise SimulationError(f"{what}: non-finite value at step {step + int(bad[0])}, path {int(bad[1])}")
 
 
-def _tamed_euler_block(model: ModelSpec, X: np.ndarray, dW: np.ndarray, dt: float, control_at, j0: int,
-                       what: str, U: Optional[np.ndarray] = None) -> None:
+def _tamed_euler_block(model: ModelSpec, X: np.ndarray, read, dt: float, control_at, j0: int, what: str,
+                       U: Optional[np.ndarray] = None) -> None:
     """Tamed Euler steps j0, j0+1, ... on a time-major block X (B+1, M, n)
-    whose row 0 holds x_j0: fills rows 1..B from the time-major increments dW
-    (B, M, d) of those steps, and a given U (B, M, l) with the controls they
-    applied.
+    whose row 0 holds x_j0: fills rows 1..B from the increments of those
+    steps, which `read(j0, j0 + B)` of `_noise_reader` serves, and a given U
+    (B, M, l) with the controls they applied.
 
     The drift increment is dt*b / (1 + dt*|b|), which keeps the scheme stable
     for the cubic drift term; the diffusion term is standard Euler.
@@ -296,51 +376,57 @@ def _tamed_euler_block(model: ModelSpec, X: np.ndarray, dW: np.ndarray, dt: floa
     every quantity into them, one ufunc call per scalar operation, in the
     order of the formula: the controls, A x + B u, the cubic term, then
     sqrt(<b, b>) * dt + 1, b * dt / scale and x + b + noise.  One `_mat_vec`
-    call makes the block's noise terms (bitwise the per-step calls), and one
-    check names the first non-finite step and its lowest path, as a check per
-    step would; steps after a blow-up run silently until it.  Blocks of any
-    length give the same bits.
+    call per piece of increments read makes their noise terms (bitwise the
+    per-step calls), and one check names the first non-finite step and its
+    lowest path, as a check per step would; steps after a blow-up run
+    silently until it.  Blocks of any length give the same bits.
     """
     M, n = X.shape[1:]
-    noise = _mat_vec(model._coef[2], dW)
     u = np.empty((M, model.l)) if U is None else None
     b, bu = np.empty((M, n)), np.empty((M, n))
     scale, term = np.empty(M), np.empty(M)
     scale_col = scale[:, None]
     dt, one = np.asarray(dt), np.asarray(1.0)  # 0-d, as the `_rows` coefficients
-    with np.errstate(all="ignore"):
-        for i in range(len(dW)):
-            xj, xn = X[i], X[i + 1]
-            uj = control_at(j0 + i, xj, u if U is None else U[i])
-            drift_at(model, xj, uj, b, bu, term)
-            # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order.
-            _dot(b, b, scale, term)
-            np.sqrt(scale, scale)
-            np.multiply(scale, dt, scale)
-            np.add(scale, one, scale)
-            np.multiply(b, dt, b)
-            np.divide(b, scale_col, b)
-            np.add(xj, b, xn)
-            np.add(xn, noise[i], xn)
+    for k0, k1, dW in read(j0, j0 + len(X) - 1):
+        noise = _mat_vec(model._coef[2], dW)
+        with np.errstate(all="ignore"):
+            for i in range(k0 - j0, k1 - j0):
+                xj, xn = X[i], X[i + 1]
+                uj = control_at(j0 + i, xj, u if U is None else U[i])
+                drift_at(model, xj, uj, b, bu, term)
+                # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order.
+                _dot(b, b, scale, term)
+                np.sqrt(scale, scale)
+                np.multiply(scale, dt, scale)
+                np.add(scale, one, scale)
+                np.multiply(b, dt, b)
+                np.divide(b, scale_col, b)
+                np.add(xj, b, xn)
+                np.add(xn, noise[j0 + i - k0], xn)
     _check_finite(X[1:], j0 + 1, what)
 
 
-def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, what: str,
-                 X: Optional[np.ndarray] = None, start: int = 0) -> np.ndarray:
-    """Tamed Euler recursion on the increments dW (M, steps, d) from x0, in
-    time blocks of BLOCK_BYTES of states (`_tamed_euler_block`), on a new
-    time-major buffer; returns the states (M, steps+1, n).  Given a
-    time-major X whose row `start` is set, it fills the later rows instead."""
-    M, steps = dW.shape[:2]
-    if X is None:
-        X = np.empty((steps + 1, M, model.n))
-        X[0] = x0
-    dW_tm = _time_major(dW)
+def _tamed_euler_steps(model: ModelSpec, X: np.ndarray, read, dt: float, control_at, what: str,
+                       start: int = 0) -> np.ndarray:
+    """Tamed Euler recursion on the time-major states X (steps+1, M, n) from
+    its row `start`, on the increments `read` serves, in time blocks of
+    BLOCK_BYTES of states (`_tamed_euler_block`); returns the (M, steps+1, n)
+    view of X."""
+    steps, M = len(X) - 1, X.shape[1]
     block = _block_steps(8 * M * model.n)
     for j0 in range(start, steps, block):
         j1 = min(j0 + block, steps)
-        _tamed_euler_block(model, X[j0:j1 + 1], dW_tm[j0:j1], dt, control_at, j0, what)
+        _tamed_euler_block(model, X[j0:j1 + 1], read, dt, control_at, j0, what)
     return _time_major(X)
+
+
+def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, what: str) -> np.ndarray:
+    """Tamed Euler recursion on the held increments dW (M, steps, d) from x0
+    on a new time-major buffer; returns the states (M, steps+1, n)."""
+    M, steps = dW.shape[:2]
+    X = np.empty((steps + 1, M, model.n))
+    X[0] = x0
+    return _tamed_euler_steps(model, X, _noise_reader(_held_blocks(dW)), dt, control_at, what)
 
 
 def _initial_state(model: ModelSpec, x0) -> np.ndarray:
@@ -364,13 +450,15 @@ def simulate_state(
     """Tamed Euler simulation of the controlled state equation.
 
     Deterministic for fixed (seed, M, grid); the first k paths equal the
-    k-path ensemble.  The increments are drawn for the step loop and
-    released; the ensemble redraws them when they are read (`PathEnsemble`).
+    k-path ensemble.  The step loop reads the increments as a stream
+    (`_noise_blocks`), holding one noise block besides the states, and the
+    ensemble draws them again when they are read (`PathEnsemble`).
     """
     x0 = _initial_state(model, x0)
-    dW = brownian_increments(seed, M, grid, model.d)
-    states = _tamed_euler(model, x0, dW, grid.dt, lambda j, xj, out: control.evaluate(xj, out=out),
-                          "simulate_state")
+    X = np.empty((grid.steps + 1, M, model.n))
+    X[0] = x0
+    states = _tamed_euler_steps(model, X, _noise_reader(_noise_blocks(seed, M, grid, model.d)), grid.dt,
+                                lambda j, xj, out: control.evaluate(xj, out=out), "simulate_state")
     return PathEnsemble(grid=grid, states=states, seed=int(seed), control_id=control.describe(), d=model.d)
 
 

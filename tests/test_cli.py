@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 import tracemalloc
@@ -232,11 +233,19 @@ def test_simulate_rejects_unknown_format_before_simulating(lq1_config, tmp_path,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [["--T", "-1"], ["--T", "4", "--seed", "-1"], ["--T", "4", "--control", "garbage"],
-                                  ["--T", "4", "--x0", "abc"]], ids=["T", "seed", "control", "x0"])
-def test_bad_run_inputs_leave_no_out_dir(lq1_config, tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv,patch", [
+    (["cost", "--T", "-1"], None),
+    (["cost", "--T", "4", "--seed", "-1"], None),
+    (["cost", "--T", "4", "--control", "garbage"], None),
+    (["cost", "--T", "4", "--x0", "abc"], None),
+    (["simulate", "--T", "1", "--formats", "parquet"], None),
+    # sym(A) = 0.5 certifies no decay rate, so no buffer can be derived.
+    (["adjoint", "--T", "1"], {"A": [[0.5]]}),
+], ids=["T", "seed", "control", "x0", "formats", "buffer"])
+def test_bad_run_inputs_leave_no_out_dir(lq1_config, tmp_path, capsys, argv, patch):
     fresh = tmp_path / "fresh"
-    assert _run(lq1_config, fresh, "cost", *COMMON, *argv) == 1
+    config = lq1_config if patch is None else _patched_config(lq1_config, tmp_path, patch)
+    assert _run(config, fresh, argv[0], *COMMON, *argv[1:]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not fresh.exists()
@@ -265,6 +274,20 @@ def test_optimize_starts_from_the_control_law(lq1_config, tmp_path):
     header, first = (tmp_path / "optimize_trace.csv").read_text().splitlines()[:2]
     row = dict(zip(header.split(","), first.split(",")))
     assert json.loads(row["gain"]) == [[-0.4]] and json.loads(row["offset"]) == [0.2]
+
+
+def test_optimize_trace_keeps_its_columns(tmp_path):
+    """lq3's gain (2, 3) and offset (2,) are one quoted JSON cell each, so
+    every row of the trace parses to the header's width."""
+    config = tmp_path / "lq3.json"
+    config.write_text(json.dumps(LQ3))
+    assert _run(str(config), tmp_path, "optimize", *COMMON, "--T", "2", "--iters", "1") == 0
+    with open(tmp_path / "optimize_trace.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows and all(len(row) == len(header) for row in rows)
+    cell = dict(zip(header, rows[0]))["gain"]
+    gain = json.loads(cell)
+    assert np.shape(gain) == (2, 3) and json.dumps(gain) == cell
 
 
 def test_unusable_out_dir_exits_1_before_estimating(lq1_config, tmp_path, capsys, monkeypatch):

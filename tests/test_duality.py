@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ergosmp.ergodic_cost
 import ergosmp.forward
 from ergosmp import (
     AdjointError,
@@ -165,19 +166,21 @@ def test_build_rho_is_one_read_only_row_per_step(lq1_base8):
 
 @pytest.mark.parametrize("infinite", [False, True])
 def test_probes_draw_the_noise_once_after_simulating(infinite, lq3, monkeypatch):
-    # The base ensemble keeps no noise: the q fit of the rho probes draws it
-    # once more, and their dual processes read that draw.
-    draws = []
-    draw = ergosmp.forward.brownian_increments
+    # The base ensemble keeps no noise: simulating streams it once, the q fit
+    # of the rho probes draws it once more, and their dual processes read
+    # that draw.  Every draw of the noise opens a stream of `_noise_blocks`.
+    streams = []
+    stream = ergosmp.forward._noise_blocks
 
     def counting(*args):
-        draws.append(args)
-        return draw(*args)
+        streams.append(args[:4])  # (seed, M, grid, d)
+        return stream(*args)
 
-    monkeypatch.setattr(ergosmp.forward, "brownian_increments", counting)
+    for module in (ergosmp.forward, ergosmp.ergodic_cost):
+        monkeypatch.setattr(module, "_noise_blocks", counting)
     reports = verify_duality_probes(lq3, lq3.zero_control(), 1.0, M=64, seed=3, dt=0.02, infinite=infinite)
     assert {"rho-0", "rho-1"} <= set(reports)
-    assert len(draws) == 2 and draws[0] == draws[1]
+    assert len(streams) == 2 and streams[0] == streams[1]
 
 
 def test_reversed_forcing_window_is_rejected(lq1_base8):

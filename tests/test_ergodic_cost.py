@@ -171,9 +171,18 @@ def test_streamed_cost_blow_up_names_the_step_of_simulate_state(monkeypatch):
             simulate_state(model, law, [0.0], TimeGrid.from_horizon(4.0, 0.01), M, 0)
         with pytest.raises(SimulationError, match=message):
             estimate_ergodic_cost(model, law, [0.0], 4.0, M, 0, dt=0.01)
+        # Noise blocks of 13 steps: the time block [48, 56) of step 55 reads
+        # the rows of two, [39, 52) and [52, 65).
+        monkeypatch.setattr(ergosmp.forward, "_NOISE_BYTES", 13 * 8 * M)
+        with pytest.raises(SimulationError, match=message):
+            simulate_state(model, law, [0.0], TimeGrid.from_horizon(4.0, 0.01), M, 0)
+        with pytest.raises(SimulationError, match=message):
+            estimate_ergodic_cost(model, law, [0.0], 4.0, M, 0, dt=0.01)
 
 
 def test_streamed_cost_keeps_no_state_array(cubic1):
+    # Nor the noise: the pass holds one block of its stream, an eighth of it
+    # here, beside the time blocks of its states and costs.
     M, steps = 2048, 2000
     zero = cubic1.zero_control()
     tracemalloc.start()
@@ -182,8 +191,8 @@ def test_streamed_cost_keeps_no_state_array(cubic1):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    noise, states = 8 * M * steps, 8 * M * (steps + 1)
-    assert peak < noise + 0.25 * states
+    noise = 8 * M * steps
+    assert peak < noise / 3
 
 
 def test_streamed_cost_evaluates_the_law_once_per_state(lq3, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from ergosmp import (
     ensemble_from_binary,
     ensemble_to_binary,
     ensemble_to_csv,
+    estimate_ergodic_cost,
     estimate_moment,
     extend_to_infinite,
     simulate_affine_dual,
@@ -31,6 +33,7 @@ from ergosmp.forward import (
     _paths_to_csv,
     _perturbed_states,
     _tamed_euler,
+    _time_major,
     brownian_increments,
 )
 from ergosmp.model import drift_jacU_apply
@@ -106,24 +109,27 @@ def test_state_stays_finite_and_immutable(lq1, lq1_zero):
 def test_increments_are_the_seed_draw_read_only(family, lq1, lq3, tmp_path, monkeypatch):
     # An ensemble of simulate_state holds no noise: it draws it from its seed
     # when first read, once, and its views draw their own prefix or slice it.
+    # Every draw of the noise opens a stream of `_noise_blocks`.
     model = {"lq1": lq1, "lq3": lq3}[family]
     law, x0, M, seed, dt = model.zero_control(), np.full(model.n, 0.5), 48, 6, 0.02
     draws = []
-    draw = ergosmp.forward.brownian_increments
+    stream = ergosmp.forward._noise_blocks
+    seed_draws = {steps: brownian_increments(seed, M, TimeGrid(dt=dt, steps=steps), model.d)
+                  for steps in (20, 30, 40, 60)}
 
     def counting(*args):
         draws.append(args)
-        return draw(*args)
+        return stream(*args)
 
     def expect(ens, steps):
         assert ens.d == model.d
-        assert ens.increments.tobytes() == draw(seed, M, TimeGrid(dt=dt, steps=steps), model.d).tobytes()
+        assert ens.increments.tobytes() == seed_draws[steps].tobytes()
         assert not ens.increments.flags.writeable
 
     ens = simulate_state(model, law, x0, TimeGrid(dt=dt, steps=60), M, seed)
     early = ens.restricted(0.6)
     sol = extend_to_infinite(model, law, x0, 0.8, 0.4, dt, M, seed)
-    monkeypatch.setattr(ergosmp.forward, "brownian_increments", counting)
+    monkeypatch.setattr(ergosmp.forward, "_noise_blocks", counting)
     assert ens.d == early.d == sol.ensemble.d == model.d and not draws
     expect(early, 30)
     expect(ens, 60)
@@ -587,6 +593,42 @@ def test_noise_matches_per_path_philox_reference(monkeypatch):
     # A grid twice as long (one path per chunk now) starts with these increments.
     longer = brownian_increments(seed, M, TimeGrid(dt=grid.dt, steps=2 * grid.steps), d)
     assert longer[:, : grid.steps].tobytes() == dW.tobytes()
+
+
+@pytest.mark.parametrize("family", ["cubic1", "lq3"])
+def test_streamed_noise_is_the_one_block_draw(family, cubic1, lq3, monkeypatch):
+    # Noise blocks of 5 steps (the last of 4) drawn in chunks of 4 paths (the
+    # last of 2), at d = 1 and d = 2: the stream is the one-block draw, and
+    # the passes that read it block by block keep its bits, time blocks of
+    # states and costs reading across the seams of noise blocks.
+    model = {"cubic1": cubic1, "lq3": lq3}[family]
+    law = ControlLaw.affine(np.full((model.l, model.n), -0.3), np.full(model.l, 0.1), model.control_set)
+    x0, M, seed, grid = np.full(model.n, 0.7), 10, 8, TimeGrid(dt=0.02, steps=59)
+    one = brownian_increments(seed, M, grid, model.d)
+    ens = simulate_state(model, law, x0, grid, M, seed)
+    cost = estimate_ergodic_cost(model, law, x0, grid.horizon, M, seed, dt=grid.dt)
+    monkeypatch.setattr(ergosmp.forward, "_NOISE_BYTES", 5 * 8 * M * model.d)
+    monkeypatch.setattr(ergosmp.forward, "BLOCK_BYTES", 4 * 8 * 5 * model.d)
+    blocks = [(j0, j1, dW.copy()) for j0, j1, dW in ergosmp.forward._noise_blocks(seed, M, grid, model.d)]
+    assert [(j0, j1) for j0, j1, _ in blocks] == [(j, min(j + 5, 59)) for j in range(0, 59, 5)]
+    assert np.concatenate([dW for *_, dW in blocks]).tobytes() == _time_major(one).tobytes()
+    assert brownian_increments(seed, M, grid, model.d).tobytes() == one.tobytes()
+    assert simulate_state(model, law, x0, grid, M, seed).states.tobytes() == ens.states.tobytes()
+    assert estimate_ergodic_cost(model, law, x0, grid.horizon, M, seed, dt=grid.dt).to_dict() == cost.to_dict()
+
+
+def test_simulate_state_holds_one_noise_block(cubic1):
+    # The step loop reads the noise as a stream: beside the states it holds
+    # one block of it, an eighth here.
+    M, steps = 2048, 2000
+    tracemalloc.start()
+    try:
+        simulate_state(cubic1, cubic1.zero_control(), [0.0], TimeGrid(dt=0.01, steps=steps), M, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    noise, states = 8 * M * steps, 8 * M * (steps + 1)
+    assert peak < states + noise / 3
 
 
 def test_blocked_finiteness_names_first_step_and_lowest_path(lq1, monkeypatch):

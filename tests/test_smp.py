@@ -18,7 +18,7 @@ from ergosmp import (
     simulate_state,
     verify_duality_infinite,
 )
-from ergosmp import adjoint, forward, smp
+from ergosmp import adjoint, ergodic_cost, forward, smp
 from ergosmp.ergodic_cost import ergodic_report_from_ensemble
 from ergosmp.forward import _block_steps, _time_major
 from ergosmp.model import cost_grad_u, drift_jacU_T_apply
@@ -308,15 +308,17 @@ def test_optimizer_tabulated(lq1):
 
 
 def test_optimizer_draws_noise_once(lq1, monkeypatch):
+    # Every draw of the noise opens a stream of `_noise_blocks`, the whole
+    # grid's at once or block by block.
     draws = []
-    draw = forward.brownian_increments
+    stream = forward._noise_blocks
 
     def counting(*args):
         draws.append(args)
-        return draw(*args)
+        return stream(*args)
 
-    for module in (forward, smp):
-        monkeypatch.setattr(module, "brownian_increments", counting)
+    for module in (forward, ergodic_cost):
+        monkeypatch.setattr(module, "_noise_blocks", counting)
     init = ControlLaw.affine([[0.0]], [0.0], lq1.control_set)
     res = optimize_control(lq1, init, 0.5, 4, 3.0, 128, 7, dt=0.02, buffer=1.0)
     assert len(draws) == 1 and len(res.trace) == 4

@@ -300,6 +300,11 @@ def fingerprint(values: bool = False) -> dict:
                 else:
                     out[f"cli.{c[0]}.{i}.{fn}"] = _digest(data.hex())
 
+    # The cost pass on a noise stream of several blocks: 1024 paths of 2
+    # channels on 1000 steps are 16 MB of increments.
+    h("lq3.ergcost_noise_blocks", E.estimate_ergodic_cost(lq3, models["lq3"][1], np.full(3, 0.7), 10.0, 1024, 5,
+                                                          dt=0.01).to_dict())
+
     return out
 
 
