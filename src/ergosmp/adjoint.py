@@ -45,7 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .forward import PathEnsemble, TimeGrid, _block_steps, _check_finite, _paths_to_csv, _time_major, simulate_state
+from .forward import (PathEnsemble, TimeGrid, _block_steps, _check_finite, _paths_to_csv, _time_blocks, _time_major,
+                      simulate_state)
 from .model import ControlLaw, ModelSpec, _dot, _Report, cost_grad_x, drift_jacT_apply
 
 __all__ = [
@@ -307,9 +308,7 @@ def _fit_q(ensemble: PathEnsemble, p: np.ndarray):
     dW_tm, P_tm = _time_major(ensemble.increments), _time_major(p)
     Qbuf = np.empty((steps, M, d, n))
     coef = np.empty((steps, K, d, n))
-    block = _block_steps(8 * K * M)
-    for j0 in range(0, steps, block):
-        j1 = min(j0 + block, steps)
+    for j0, j1 in _time_blocks(0, steps, 8 * K * M):
         Ft, Linv = _block_design(ensemble, j0, j1)
         with np.errstate(all="ignore"):  # checked below, by step
             targets = P_tm[j0 + 1 : j1 + 1, :, None, :] * (dW_tm[j0:j1, :, :, None] / grid.dt)
@@ -388,6 +387,14 @@ def _pathwise_dual_blocks(model: ModelSpec, ensemble: PathEnsemble, stop: int, n
         yield j0, rows
 
 
+def _forgetting_buffer(model: ModelSpec, buffer: Optional[float], dt: float) -> float:
+    """`buffer`, positive and finite, or for None `ModelSpec.forgetting_time`."""
+    buffer = model.forgetting_time(dt) if buffer is None else buffer
+    if not 0 < buffer < np.inf:
+        raise AdjointError("T_buffer must be positive")
+    return buffer
+
+
 def extend_to_infinite(
     model: ModelSpec,
     u_bar: ControlLaw,
@@ -410,10 +417,7 @@ def extend_to_infinite(
     shares; it holds no noise until its increments are read (the q fit reads
     them).
     """
-    T_buffer = model.forgetting_time(dt) if T_buffer is None else T_buffer
-    if T_buffer <= 0:
-        raise AdjointError("T_buffer must be positive")
-    grid = TimeGrid.from_horizon(T_report + T_buffer, dt)
+    grid = TimeGrid.from_horizon(T_report + _forgetting_buffer(model, T_buffer, dt), dt)
     ensemble = simulate_state(model, u_bar, x0, grid, M, seed)
     return _backward_sweep(model, ensemble, u_bar, None, grid.index_of(T_report))
 

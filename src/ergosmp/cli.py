@@ -39,6 +39,7 @@ from .ergodic_cost import estimate_ergodic_cost
 from .forward import (
     SimulationError,
     TimeGrid,
+    _check_seed,
     ensemble_to_binary,
     ensemble_to_csv,
     estimate_moment,
@@ -82,8 +83,9 @@ _BUFFERED = ("adjoint", "smp-check", "sufficiency", "optimize")
 
 
 def _read_run_inputs(args, model) -> None:
-    """Check the run inputs of every command but verify and derive what they
-    determine, in place on `args`: --control as a ControlLaw, --x0 as an (n,)
+    """Check the run inputs of every command but verify (--T on the --dt grid,
+    the seed as the noise stream reads it) and derive what they determine,
+    in place on `args`: --control as a ControlLaw, --x0 as an (n,)
     array, simulate's --formats as a set, and `buffer`, the forgetting time
     on the dt grid for the commands that discard one (else None).
     duality-check keeps x0 None without --x0: the library's default is ones."""
@@ -91,8 +93,8 @@ def _read_run_inputs(args, model) -> None:
         value = getattr(args, name, None)
         if value is not None and not 0 < value < np.inf:
             raise ConfigError(f"--{name} must be positive and finite, got {value}")
-    if args.seed < 0:
-        raise ConfigError("--seed must be nonnegative")
+    TimeGrid.from_horizon(args.T, args.dt)  # --T on the --dt grid
+    _check_seed(args.seed)
     if args.command == "optimize" and args.control is None:
         args.control = ControlLaw.affine(np.zeros((model.l, model.n)), np.zeros(model.l), model.control_set)
     else:

@@ -3,9 +3,10 @@
 Both sides of the identity are evaluated under the same time discretization
 and the same Brownian increments, so the reported residual measures solver
 bias (regression + quadrature), not Monte Carlo noise between independent
-runs.  The finite and infinite forms are one form (`_form`), paired once,
-whose time integrals are per-path sums; the infinite form is the finite one
-on a longer grid, with the sides swapped and the discarded tail bounded.
+runs.  The finite and infinite forms are one form (`_form`), paired once
+(`_pairing_sides`), whose time integrals are per-path sums over the dual
+recursion as it runs; the infinite form is the finite one on a longer grid,
+with the sides swapped and the discarded tail bounded.
 
 The quadrature leaves an O(dt) floor in the finite form: the forcing sum
 pairs p_j with gamma_j, where the exact discrete adjoint of the dual Euler
@@ -22,8 +23,8 @@ from typing import ClassVar, Dict, Optional, Union
 
 import numpy as np
 
-from .adjoint import AdjointError, solve_adjoint_finite
-from .forward import (PathEnsemble, SimulationError, TimeGrid, _affine_dual_block, _affine_dual_inputs,
+from .adjoint import AdjointError, _forgetting_buffer, solve_adjoint_finite
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _affine_dual_blocks, _affine_dual_inputs,
                       _ci95_halfwidth, _initial_per_path, _path_integrals, _require_grid, _time_major, simulate_state)
 from .model import ControlLaw, ModelSpec, _dot, _mat_vec, _Report, cost_grad_x
 
@@ -172,33 +173,31 @@ def _pairing_sides(model, base, sol, j0, eta, gamma, rho, nu):
     int <Ycal, Psi> + <nu, Ycal_T>, each (M,), the dual end state Ycal_T
     (M, n), max_j E|Psi_j|^2), from the inputs `_affine_dual_inputs` checked.
 
-    The dual process Ycal is streamed: each time block of the integrals runs
-    its Euler steps (`forward._affine_dual_block`, the recursion of
-    `simulate_affine_dual`) and reduces them, so no (M, steps, n) array of it
-    is stored."""
+    The dual process Ycal is streamed: the integrals reduce the blocks of its
+    recursion (`forward._affine_dual_blocks`, the one `simulate_affine_dual`
+    gathers), each mapped to its integrand rows, so no (M, steps, n) array of
+    it is stored."""
     grid = base.grid
-    y = eta  # Ycal at the start of the next time block, and Ycal_T after the last
+    y = eta  # Ycal at the end of the last block read, Ycal_T after the last
     psi_sq = np.zeros(grid.steps)
     X, P = _time_major(base.states), _time_major(sol.p)
     Q = None if rho is None else _time_major(sol.q)  # q is fitted only when read
 
-    def rows(j0, j1):
+    def rows(b0, Ycal):
         nonlocal y
-        Ycal = np.empty((j1 - j0 + 1,) + y.shape)
-        Ycal[0] = y
-        _affine_dual_block(model, base, Ycal, j0, gamma, rho)
-        y = Ycal[-1]
-        psi = cost_grad_x(model, X[j0:j1])
-        psi_sq[j0:j1] = _dot(psi, psi).mean(axis=-1)
-        forcing = np.zeros((j1 - j0, base.n_paths))
+        b1, y = b0 + len(Ycal) - 1, Ycal[-1]
+        psi = cost_grad_x(model, X[b0:b1])
+        psi_sq[b0:b1] = _dot(psi, psi).mean(axis=-1)
+        forcing = np.zeros((b1 - b0, base.n_paths))
         if gamma is not None:
-            forcing = forcing + _dot(P[j0:j1], _time_major(gamma)[j0:j1])
+            forcing = forcing + _dot(P[b0:b1], _time_major(gamma)[b0:b1])
         if rho is not None:
             # <q, rho> sums d*n terms (9 on lq3), past _dot's column range
-            forcing = forcing + (Q[j0:j1] * _time_major(rho)[j0:j1]).sum(axis=(-1, -2))
+            forcing = forcing + (Q[b0:b1] * _time_major(rho)[b0:b1]).sum(axis=(-1, -2))
         return np.stack([forcing, _dot(Ycal[:-1], psi)], axis=1)
 
-    forcing, pairing = _path_integrals(grid, rows, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
+    blocks = ((b0, rows(b0, Ycal)) for b0, Ycal in _affine_dual_blocks(model, base, j0, eta, gamma, rho))
+    forcing, pairing = _path_integrals(grid, blocks, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
     if nu is not None:
         pairing = pairing + _dot(np.asarray(nu, dtype=float), y)
     return _dot(sol.p[:, j0], eta) + forcing, pairing, y, float(psi_sq.max())
@@ -261,7 +260,7 @@ def verify_duality_infinite(
     """
     if T_support > T_report:
         raise SimulationError("rho support must end by T_report")
-    T_buffer = model.forgetting_time(dt) if T_buffer is None else T_buffer
+    T_buffer = _forgetting_buffer(model, T_buffer, dt)
     base = _base_ensemble(model, u_bar, base, T_report + T_buffer, dt, M, seed, x0)
     sol = solve_adjoint_finite(model, base, u_bar)
     horizons = {"T_support": T_support, "T_report": T_report, "T_buffer": T_buffer}
@@ -313,7 +312,7 @@ def verify_duality_probes(
     = 1 on [0, T), per noise channel).  One base ensemble from x0 (default:
     ones) and one costate solve serve every probe.  The infinite form runs
     on [0, T + buffer], the buffer being the model's forgetting time."""
-    buffer = model.forgetting_time(dt) if infinite else None
+    buffer = _forgetting_buffer(model, None, dt) if infinite else None
     base = _base_ensemble(model, u_bar, None, T + buffer if infinite else T, dt, M, seed, x0)
     sol = solve_adjoint_finite(model, base, u_bar)
     n, steps, ones = model.n, TimeGrid.from_horizon(T, dt).steps, np.ones(model.n)

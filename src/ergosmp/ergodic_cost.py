@@ -6,9 +6,9 @@ the last quarter [0.75 T, T] of the horizon, as liminf/limsup proxies.
 
 `estimate_ergodic_cost` holds one block of the noise stream and one time
 block of states, never the (M, steps, d) noise or the (M, steps+1, n) state
-array: each block is simulated inside the cost's running sum on the noise
-read in time order, and priced with the controls its steps applied (one law
-evaluation per state), and the report is bitwise the ensemble report.
+array: the cost's running sum reduces the blocks of the state recursion,
+each priced with the controls its steps applied (one law evaluation per
+state), and the report is bitwise the ensemble report.
 
 `verify_expansion_residual` checks the two first-order expansions the
 maximum principle is derived from, under u^theta = u_bar + theta v with
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _held_blocks, _initial_state,
-                      _noise_blocks, _noise_reader, _path_integrals, _perturbed_states, _require_base_under,
-                      _tamed_euler_block, _tamed_euler_steps, _time_major, simulate_affine_dual)
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _noise_blocks,
+                      _path_integrals, _perturbed_states, _require_base_under, _tamed_euler_blocks, _time_blocks,
+                      _time_major, simulate_affine_dual)
 from .model import ControlLaw, ModelSpec, _dot, _Report, cost_at, cost_grad_u, cost_grad_x, drift_jacU_apply
 
 __all__ = [
@@ -82,51 +82,10 @@ def _cost_sums_at(model, ensemble, control, indices) -> np.ndarray:
     evaluation of the law per time block.  The ensemble must be simulated
     under `control`, whose describe() the report carries as its control_id."""
     _require_base_under(ensemble, control, "cost")
-    X = _time_major(ensemble.states)
-
-    def running_cost(j0, j1):
-        return cost_at(model, X[j0:j1], control.evaluate(X[j0:j1]))
-
-    return _path_integrals(ensemble.grid, running_cost, indices, (ensemble.n_paths,))
-
-
-def _priced_run(model, control, x0, grid, M, noise, indices, X=None) -> np.ndarray:
-    """Per-path running-cost sums (M, len(indices)) at the grid `indices` of
-    the tamed-Euler run of M paths under `control` from x0: bitwise
-    `_cost_sums_at` on that run's ensemble, with one law evaluation per state.
-
-    `noise` is the run's increments as time-ordered (j0, j1, dW) blocks, the
-    stream of `_noise_blocks` or the held array of `_held_blocks`; the steps
-    read them through one `_noise_reader`.  The steps up to max(indices) run
-    inside the integrand of `_path_integrals`, which prices each time block
-    with the controls its steps applied.  Without X each block runs on a
-    buffer of its own, seeded with the last row of the block before, and no
-    state array is kept; a time-major X (steps+1, M, n) receives every state
-    of the grid instead."""
-    read = _noise_reader(noise)
-    last = x0
-    if X is not None:
-        X[0] = x0
-
-    def control_at(j, xj, out):
-        return control.evaluate(xj, out=out)
-
-    def running_cost(j0, j1):
-        nonlocal last
-        if X is None:
-            rows = np.empty((j1 - j0 + 1, M, model.n))
-            rows[0] = last
-        else:
-            rows = X[j0:j1 + 1]
-        U = np.empty((j1 - j0, M, model.l))
-        _tamed_euler_block(model, rows, read, grid.dt, control_at, j0, "simulate_state", U)
-        last = rows[-1].copy()  # a view would keep this whole block alive through the next
-        return cost_at(model, rows[:-1], U)
-
-    sums = _path_integrals(grid, running_cost, indices, (M,))
-    if X is not None:
-        _tamed_euler_steps(model, X, read, grid.dt, control_at, "simulate_state", start=int(max(indices)))
-    return sums
+    X, M = _time_major(ensemble.states), ensemble.n_paths
+    blocks = ((j0, cost_at(model, X[j0:j1], control.evaluate(X[j0:j1])))
+              for j0, j1 in _time_blocks(0, ensemble.grid.steps, 8 * M))
+    return _path_integrals(ensemble.grid, blocks, indices, (M,))
 
 
 @dataclass(frozen=True)
@@ -180,12 +139,15 @@ def estimate_ergodic_cost(
 
     It reads the noise as a stream (`_noise_blocks`) and holds one noise
     block and one time block of states, which it prices with the controls
-    its steps applied (`_priced_run`): one law evaluation per state, and
-    neither the (M, steps, d) noise nor the (M, steps+1, n) state array."""
+    its steps applied: one law evaluation per state, and neither the
+    (M, steps, d) noise nor the (M, steps+1, n) state array."""
     grid = TimeGrid.from_horizon(T_max, dt)
     x0 = _initial_state(model, x0)
     ts, indices, tail_mask = _checkpoint_ladder(grid)
-    sums = _priced_run(model, control, x0, grid, M, _noise_blocks(seed, M, grid, model.d), indices)
+    steps = _tamed_euler_blocks(model, x0, M, _noise_blocks(seed, M, grid, model.d), grid.dt,
+                                lambda j, xj, out: control.evaluate(xj, out=out), "simulate_state")
+    priced = ((j0, cost_at(model, rows[:-1], U)) for j0, rows, U in steps)
+    sums = _path_integrals(grid, priced, indices, (M,))
     return _ladder_report(ts, tail_mask, sums, control.describe(), int(seed))
 
 
@@ -193,10 +155,17 @@ def _simulate_priced(model: ModelSpec, control: ControlLaw, x0: np.ndarray, grid
                      seed: int, horizon: float):
     """`simulate_state` on increments dW already drawn for (seed, grid), from
     a validated x0, with `ergodic_report_from_ensemble` of its restriction to
-    [0, horizon]; both bitwise, from one evaluation of the law per state."""
+    [0, horizon]; both bitwise, from one evaluation of the law per state.
+    The report's sums stop at the horizon, and the states past it follow."""
     ts, indices, tail_mask = _checkpoint_ladder(TimeGrid(dt=grid.dt, steps=grid.index_of(horizon)))
-    X = np.empty((grid.steps + 1, dW.shape[0], model.n))
-    sums = _priced_run(model, control, x0, grid, dW.shape[0], _held_blocks(dW), indices, X)
+    M = dW.shape[0]
+    X = np.empty((grid.steps + 1, M, model.n))
+    steps = _tamed_euler_blocks(model, x0, M, dW, grid.dt, lambda j, xj, out: control.evaluate(xj, out=out),
+                                "simulate_state", X)
+    priced = ((j0, cost_at(model, rows[:-1], U)) for j0, rows, U in steps)
+    sums = _path_integrals(grid, priced, indices, (M,))
+    for _ in steps:
+        pass
     ensemble = PathEnsemble(grid=grid, states=_time_major(X), seed=int(seed), control_id=control.describe(),
                             d=model.d, noise=dW)
     return ensemble, _ladder_report(ts, tail_mask, sums, ensemble.control_id, ensemble.seed)
@@ -266,7 +235,9 @@ def verify_expansion_residual(
             *(cost_at(model, Xp[j0:j1], uj + theta * vj) for theta, Xp in zip(thetas, Xps)),
         ], axis=1)
 
-    j_base, pairing, *j_pert = _path_integrals(grid, rows, [grid.steps], (2 + len(thetas), M))[:, :, 0].mean(axis=1)
+    shape = (2 + len(thetas), M)
+    blocks = ((j0, rows(j0, j1)) for j0, j1 in _time_blocks(0, grid.steps, 8 * shape[0] * M))
+    j_base, pairing, *j_pert = _path_integrals(grid, blocks, [grid.steps], shape)[:, :, 0].mean(axis=1)
     T = grid.horizon
     fd = [float((j - j_base) / (theta * T)) for theta, j in zip(thetas, j_pert)]
     linear = float(pairing / T)

@@ -20,20 +20,24 @@ path, and `brownian_increments` is that stream drawn as one block.
 one noise block beside the states, and its ensemble (`noise=None`) draws the
 increments whole when `increments` is first read (the q fit, a noise forcing
 rho, a perturbed state, a binary dump).  An ensemble built on an array
-(`noise=`) reads that array instead.  The step loops read either through one
-`_noise_reader`, in pieces that never straddle a noise block.
+(`noise=`) reads that array instead.
+
+Each equation has one forward recursion, a generator of time blocks:
+`_tamed_euler_blocks` for the state, its blocks nested in the noise blocks,
+and `_affine_dual_blocks` for the linearized equation.  A pass gathers their
+blocks into an array or hands them, mapped to integrand rows, to the one
+running sum `_path_integrals`, which pulls them only as far as it reads.
 
 The three forward kernels keep those bits and run along the long axes: the
 noise stream draws whole paths into a path-major chunk and transposes it
 into its time-major block, the tamed-Euler step runs one time block at a
-time (`_tamed_euler_block`), making the noise terms of each piece of
-increments it reads in one call and checking finiteness once, and the CSV
-writer formats each path with one `%` of a per-file template.  The step
-allocates its work buffers once per block and writes every quantity into
-them through the `out=` paths of `ControlLaw.evaluate`, `ConvexSet.project`,
-`drift_at` and `_mat_vec`, the routines that whole path stacks go through
-too: one ufunc call per scalar operation, in the order of the formula, on
-coefficients bound once.
+time, making the noise terms of each block in one call and checking
+finiteness once, and the CSV writer formats each path with one `%` of a
+per-file template.  The step allocates its work buffers once and writes
+every quantity into them through the `out=` paths of `ControlLaw.evaluate`,
+`ConvexSet.project`, `drift_at` and `_mat_vec`, the routines that whole path
+stacks go through too: one ufunc call per scalar operation, in the order of
+the formula, on coefficients bound once.
 """
 
 from __future__ import annotations
@@ -152,18 +156,26 @@ def _block_steps(row_bytes: int) -> int:
     return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
-def _path_integrals(grid: TimeGrid, integrand, indices, shape, start: int = 0) -> np.ndarray:
+def _time_blocks(start: int, end: int, row_bytes: int):
+    """Spans (j0, j1) tiling the steps [start, end) in order, each at most
+    BLOCK_BYTES when one step's rows take `row_bytes`."""
+    block = _block_steps(row_bytes)
+    for j0 in range(start, end, block):
+        yield j0, min(j0 + block, end)
+
+
+def _path_integrals(grid: TimeGrid, blocks, indices, shape, start: int = 0) -> np.ndarray:
     """Per-path left-endpoint sums sum_{start <= j < i} dt * g_j at each grid
     index i in `indices`, shape `shape + (len(indices),)`.
 
-    `integrand(j0, j1)` returns the rows g_j0 .. g_{j1-1} of one time block,
-    shape `(j1 - j0,) + shape` with paths on the last axis.  The blocks cover
-    [start, max(indices)) in order, each at most BLOCK_BYTES of rows.  Every
-    time average along an ensemble goes through this one running sum
-    acc = acc + dt * g_j, taken per step in time order (row by row along the
-    block, seeded with acc), so they all share one summation order and the
-    blocking changes no bit.  Indices may be unsorted or repeated; an index
-    equal to `start` reads 0.
+    `blocks` yields (j0, rows) in time order from start: the integrand rows
+    g_j0, g_j0+1, ... of a time block, shape `(B,) + shape`, paths on the last
+    axis.  It is pulled until a block reaches max(indices), and each block's
+    rows are released before the next is pulled.  Every time average along
+    an ensemble goes through this one running sum acc = acc + dt * g_j, taken
+    per step in time order (row by row along the block, seeded with acc), so
+    they all share one summation order and the blocking changes no bit.
+    Indices may be unsorted or repeated; an index equal to `start` reads 0.
     """
     indices = np.asarray(indices, dtype=int)
     if indices.size and (indices.min() < start or indices.max() > grid.steps):
@@ -172,13 +184,12 @@ def _path_integrals(grid: TimeGrid, integrand, indices, shape, start: int = 0) -
     out = np.zeros(shape + (len(indices),))
     acc = np.zeros(shape)
     end = indices.max(initial=start)
-    block = _block_steps(8 * int(np.prod(shape)))
-    for j0 in range(start, end, block):
-        j1 = min(j0 + block, end)
+    for j0, g in blocks if end > start else ():
+        j1 = min(j0 + len(g), end)
         # run[i] becomes the sum up to grid index j0 + i.
         run = np.empty((j1 - j0 + 1,) + shape)
         run[0] = acc
-        np.multiply(grid.dt, integrand(j0, j1), out=run[1:])
+        np.multiply(grid.dt, g[:j1 - j0], out=run[1:])
         # One whole-row add per step: np.cumsum along axis 0 would loop
         # along the strided outer axis.
         for i in range(1, len(run)):
@@ -186,7 +197,17 @@ def _path_integrals(grid: TimeGrid, integrand, indices, shape, start: int = 0) -
         sel = (indices >= j0) & (indices <= j1)
         out[..., sel] = np.moveaxis(run[indices[sel] - j0], 0, -1)
         acc = run[-1].copy()  # a view would keep this whole block alive through the next
+        del g, run
+        if j1 == end:
+            break
     return out
+
+
+def _check_seed(seed) -> int:
+    """`seed` as an int, which must be a nonnegative 63-bit integer."""
+    if not (0 <= int(seed) < 2**63 and int(seed) == seed):
+        raise SimulationError("seed must be a nonnegative 63-bit integer")
+    return int(seed)
 
 
 def _noise_blocks(seed: int, M: int, grid: TimeGrid, d: int, block: Optional[int] = None):
@@ -202,9 +223,7 @@ def _noise_blocks(seed: int, M: int, grid: TimeGrid, d: int, block: Optional[int
     reads the bit generator in order, so path i's rows are bitwise one draw
     of its whole path, whatever the blocks.
     """
-    if not (0 <= int(seed) < 2**63):
-        raise SimulationError("seed must be a nonnegative 63-bit integer")
-    seed, steps = int(seed), grid.steps
+    seed, steps = _check_seed(seed), grid.steps
     block = min(steps, block or max(1, _NOISE_BYTES // max(1, 8 * M * d)))
     buf = np.empty((block, M, d))
     # Whole paths are drawn into a path-major chunk, which one transposed
@@ -253,34 +272,6 @@ def brownian_increments(seed: int, M: int, grid: TimeGrid, d: int) -> np.ndarray
     """
     ((_, _, dW),) = _noise_blocks(seed, M, grid, d, grid.steps)
     return _time_major(dW)
-
-
-def _held_blocks(dW: np.ndarray):
-    """Held increments dW (M, steps, d) as the one block of a noise stream."""
-    return [(0, dW.shape[1], _time_major(dW))]
-
-
-def _noise_reader(blocks):
-    """`read(j0, j1)`, which yields the time-major increments of steps
-    [j0, j1) as (k0, k1, rows) pieces, each inside one (j0, j1, dW) block of
-    `blocks`.  Reads run forward in time: once a read passes a block's end the
-    next block is drawn, and no read may go back before its start."""
-    blocks = iter(blocks)
-    b0 = b1 = 0
-    dW = None
-
-    def read(j0, j1):
-        nonlocal b0, b1, dW
-        while j0 < j1:
-            if j0 >= b1:
-                b0, b1, dW = next(blocks)
-                continue
-            assert j0 >= b0, "noise is read forward in time"
-            k1 = min(j1, b1)
-            yield j0, k1, dW[j0 - b0:k1 - b0]
-            j0 = k1
-
-    return read
 
 
 @dataclass(frozen=True)
@@ -360,73 +351,64 @@ def _check_finite(X, step, what):
         raise SimulationError(f"{what}: non-finite value at step {step + int(bad[0])}, path {int(bad[1])}")
 
 
-def _tamed_euler_block(model: ModelSpec, X: np.ndarray, read, dt: float, control_at, j0: int, what: str,
-                       U: Optional[np.ndarray] = None) -> None:
-    """Tamed Euler steps j0, j0+1, ... on a time-major block X (B+1, M, n)
-    whose row 0 holds x_j0: fills rows 1..B from the increments of those
-    steps, which `read(j0, j0 + B)` of `_noise_reader` serves, and a given U
-    (B, M, l) with the controls they applied.
+def _tamed_euler_blocks(model: ModelSpec, x0, M: int, noise, dt: float, control_at, what: str,
+                        X: Optional[np.ndarray] = None):
+    """The tamed Euler recursion of M paths from x0 ((n,) or (M, n)) on
+    `noise`, the time-ordered (k0, k1, dW) blocks of `_noise_blocks` or held
+    (M, steps, d) increments as one block, in time blocks of BLOCK_BYTES of
+    states nested in them.  Yields (j0, rows, U) per block: rows (B+1, M, n)
+    holds x_j0 .. x_j0+B, x_j0 carried from the block before, and U (B, M, l)
+    the `out` arrays handed to `control_at(j, x_j, out)`, which returns the
+    (M, l) controls of step j written into `out` or a view of its own.  The
+    rows are views of a time-major X (steps+1, M, n) when one is given, which
+    then receives every state, or else of one block buffer that the next
+    block overwrites.
 
     The drift increment is dt*b / (1 + dt*|b|), which keeps the scheme stable
-    for the cubic drift term; the diffusion term is standard Euler.
-    `control_at(j, x_j, out)` returns the (M, l) controls of step j, written
-    into the (M, l) `out` it is given (U's row when U is given) or a view of
-    its own.  The block allocates its work buffers once (the controls, B u
-    and b (M, n), the scale and one product term (M,)), and each step writes
-    every quantity into them, one ufunc call per scalar operation, in the
-    order of the formula: the controls, A x + B u, the cubic term, then
-    sqrt(<b, b>) * dt + 1, b * dt / scale and x + b + noise.  One `_mat_vec`
-    call per piece of increments read makes their noise terms (bitwise the
-    per-step calls), and one check names the first non-finite step and its
-    lowest path, as a check per step would; steps after a blow-up run
-    silently until it.  Blocks of any length give the same bits.
+    for the cubic drift term; the diffusion term is standard Euler.  Each
+    step writes every quantity into work buffers allocated once, one ufunc
+    call per scalar operation, in the order of the formula: the controls,
+    A x + B u, the cubic term, then sqrt(<b, b>) * dt + 1, b * dt / scale and
+    x + b + noise.  One `_mat_vec` call per block makes its noise terms
+    (bitwise the per-step calls), released before the block is yielded, and
+    one check names the first non-finite step and its lowest path, as a check
+    per step would; steps after a blow-up run silently until it.  Blocks of
+    any length give the same bits.
     """
-    M, n = X.shape[1:]
-    u = np.empty((M, model.l)) if U is None else None
+    if isinstance(noise, np.ndarray):
+        noise = [(0, noise.shape[1], _time_major(noise))]
+    n, row_bytes = model.n, 8 * M * model.n
+    block = _block_steps(row_bytes)
+    buf = np.empty((block + 1, M, n)) if X is None else None
+    U = np.empty((block, M, model.l))
     b, bu = np.empty((M, n)), np.empty((M, n))
     scale, term = np.empty(M), np.empty(M)
     scale_col = scale[:, None]
     dt, one = np.asarray(dt), np.asarray(1.0)  # 0-d, as the `_rows` coefficients
-    for k0, k1, dW in read(j0, j0 + len(X) - 1):
-        noise = _mat_vec(model._coef[2], dW)
-        with np.errstate(all="ignore"):
-            for i in range(k0 - j0, k1 - j0):
-                xj, xn = X[i], X[i + 1]
-                uj = control_at(j0 + i, xj, u if U is None else U[i])
-                drift_at(model, xj, uj, b, bu, term)
-                # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order.
-                _dot(b, b, scale, term)
-                np.sqrt(scale, scale)
-                np.multiply(scale, dt, scale)
-                np.add(scale, one, scale)
-                np.multiply(b, dt, b)
-                np.divide(b, scale_col, b)
-                np.add(xj, b, xn)
-                np.add(xn, noise[j0 + i - k0], xn)
-    _check_finite(X[1:], j0 + 1, what)
-
-
-def _tamed_euler_steps(model: ModelSpec, X: np.ndarray, read, dt: float, control_at, what: str,
-                       start: int = 0) -> np.ndarray:
-    """Tamed Euler recursion on the time-major states X (steps+1, M, n) from
-    its row `start`, on the increments `read` serves, in time blocks of
-    BLOCK_BYTES of states (`_tamed_euler_block`); returns the (M, steps+1, n)
-    view of X."""
-    steps, M = len(X) - 1, X.shape[1]
-    block = _block_steps(8 * M * model.n)
-    for j0 in range(start, steps, block):
-        j1 = min(j0 + block, steps)
-        _tamed_euler_block(model, X[j0:j1 + 1], read, dt, control_at, j0, what)
-    return _time_major(X)
-
-
-def _tamed_euler(model: ModelSpec, x0, dW: np.ndarray, dt: float, control_at, what: str) -> np.ndarray:
-    """Tamed Euler recursion on the held increments dW (M, steps, d) from x0
-    on a new time-major buffer; returns the states (M, steps+1, n)."""
-    M, steps = dW.shape[:2]
-    X = np.empty((steps + 1, M, model.n))
-    X[0] = x0
-    return _tamed_euler_steps(model, X, _noise_reader(_held_blocks(dW)), dt, control_at, what)
+    last = x0
+    for k0, k1, dW in noise:
+        for j0, j1 in _time_blocks(k0, k1, row_bytes):
+            rows = buf[:j1 - j0 + 1] if X is None else X[j0:j1 + 1]
+            rows[0] = last
+            terms = _mat_vec(model._coef[2], dW[j0 - k0:j1 - k0])
+            with np.errstate(all="ignore"):
+                for i in range(j1 - j0):
+                    xj, xn = rows[i], rows[i + 1]
+                    uj = control_at(j0 + i, xj, U[i])
+                    drift_at(model, xj, uj, b, bu, term)
+                    # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order.
+                    _dot(b, b, scale, term)
+                    np.sqrt(scale, scale)
+                    np.multiply(scale, dt, scale)
+                    np.add(scale, one, scale)
+                    np.multiply(b, dt, b)
+                    np.divide(b, scale_col, b)
+                    np.add(xj, b, xn)
+                    np.add(xn, terms[i], xn)
+            del terms
+            _check_finite(rows[1:], j0 + 1, what)
+            yield j0, rows, U[:j1 - j0]
+            last = rows[-1]
 
 
 def _initial_state(model: ModelSpec, x0) -> np.ndarray:
@@ -456,10 +438,10 @@ def simulate_state(
     """
     x0 = _initial_state(model, x0)
     X = np.empty((grid.steps + 1, M, model.n))
-    X[0] = x0
-    states = _tamed_euler_steps(model, X, _noise_reader(_noise_blocks(seed, M, grid, model.d)), grid.dt,
-                                lambda j, xj, out: control.evaluate(xj, out=out), "simulate_state")
-    return PathEnsemble(grid=grid, states=states, seed=int(seed), control_id=control.describe(), d=model.d)
+    for _ in _tamed_euler_blocks(model, x0, M, _noise_blocks(seed, M, grid, model.d), grid.dt,
+                                 lambda j, xj, out: control.evaluate(xj, out=out), "simulate_state", X):
+        pass
+    return PathEnsemble(grid=grid, states=_time_major(X), seed=int(seed), control_id=control.describe(), d=model.d)
 
 
 def _require_base_under(base: PathEnsemble, u_bar: ControlLaw, what: str):
@@ -476,8 +458,11 @@ def _perturbed_states(model: ModelSpec, base: PathEnsemble, U: np.ndarray) -> np
     perturbation when U = u_bar + theta*(u_alt - u_bar) along the base path.
     Under the base path's own controls it reproduces the base states
     bitwise."""
-    return _tamed_euler(model, base.states[:, 0], base.increments, base.grid.dt, lambda j, xj, out: U[:, j],
-                        "perturbed state")
+    X = np.empty(_time_major(base.states).shape)
+    for _ in _tamed_euler_blocks(model, base.states[:, 0], base.n_paths, base.increments, base.grid.dt,
+                                 lambda j, xj, out: U[:, j], "perturbed state", X):
+        pass
+    return _time_major(X)
 
 
 def _initial_per_path(eta, M: int, n: int) -> np.ndarray:
@@ -509,16 +494,14 @@ def simulate_affine_dual(
     dual process of the duality check are its members.  `eta` has shape (n,)
     or (M, n); `gamma` (M, steps, n) and `rho` (M, steps, d, n) are indexed on
     the full grid (entries before t0 are ignored).  Euler steps on the base
-    increments, in time blocks (`_affine_dual_block`); returns the read-only
-    (M, steps+1, n) solution, zero before t0.
+    increments, gathered from the blocks of `_affine_dual_blocks`; returns the
+    read-only (M, steps+1, n) solution, zero before t0.
     """
     j0, eta, gamma, rho = _affine_dual_inputs(model, base, u_bar, t0, eta, gamma, rho)
-    steps = base.grid.steps
-    Ybuf = np.zeros((steps + 1, base.n_paths, model.n))
+    Ybuf = np.zeros((base.grid.steps + 1,) + eta.shape)
     Ybuf[j0] = eta
-    block = _block_steps(8 * eta.size)
-    for b0 in range(j0, steps, block):
-        _affine_dual_block(model, base, Ybuf[b0:min(b0 + block, steps) + 1], b0, gamma, rho)
+    for b0, rows in _affine_dual_blocks(model, base, j0, eta, gamma, rho):
+        Ybuf[b0 + 1:b0 + len(rows)] = rows[1:]
     Y = _time_major(Ybuf)
     Y.setflags(write=False)
     return Y
@@ -543,34 +526,44 @@ def _affine_dual_inputs(model: ModelSpec, base: PathEnsemble, u_bar: ControlLaw,
     return j0, eta, gamma, rho
 
 
-def _affine_dual_block(model: ModelSpec, base: PathEnsemble, Y: np.ndarray, j0: int, gamma, rho) -> None:
-    """Euler steps j0, j0+1, ... of the perturbed linearized equation on a
-    time-major block Y (B+1, M, n) whose row 0 holds Y_j0: fills rows 1..B,
-    Y_j+1 = Y_j + ((dt D_xb Y_j + dt gamma_j) + sum_i rho^i_j dW^i_j).  Each
-    step writes into Y_j+1 and per-block buffers, one ufunc call per scalar
+def _affine_dual_blocks(model: ModelSpec, base: PathEnsemble, j0: int, eta: np.ndarray, gamma, rho):
+    """The Euler recursion of the perturbed linearized equation on the base
+    increments from Y_j0 = eta (M, n), on the inputs `_affine_dual_inputs`
+    checked, Y_j+1 = Y_j + ((dt D_xb Y_j + dt gamma_j) + sum_i rho^i_j dW^i_j):
+    yields (j0, rows) per time block of BLOCK_BYTES, rows (B+1, M, n) holding
+    Y_j0 .. Y_j0+B, Y_j0 carried from the block before.  The rows are a view
+    into one block buffer that the next block overwrites.  Each step writes
+    into Y_j+1 and work buffers allocated once, one ufunc call per scalar
     operation.  One check per block names the first non-finite step and its
     lowest path, as a check per step would; steps after a blow-up run
     silently until it."""
     X, dt = _time_major(base.states), np.asarray(base.grid.dt)
     dW = None if rho is None else _time_major(base.increments)
-    M, n = Y.shape[1:]
+    steps, (M, n) = base.grid.steps, eta.shape
+    buf = np.empty((min(_block_steps(8 * M * n), steps - j0) + 1, M, n))
     term = np.empty(M)
     forcing = None if gamma is None and rho is None else np.empty((M, n))
     channels = None if rho is None else np.empty((M, model.d, n))
-    with np.errstate(all="ignore"):
-        for b in range(len(Y) - 1):
-            j, yj, yn = j0 + b, Y[b], Y[b + 1]
-            drift_jac_apply(model, X[j], yj, yn, term)
-            np.multiply(yn, dt, yn)
-            if gamma is not None:
-                np.multiply(gamma[:, j], dt, forcing)
-                np.add(yn, forcing, yn)
-            if rho is not None:
-                np.multiply(rho[:, j], dW[j, :, :, None], channels)
-                np.sum(channels, axis=1, out=forcing)
-                np.add(yn, forcing, yn)
-            np.add(yn, yj, yn)
-    _check_finite(Y[1:], j0 + 1, "simulate_affine_dual")
+    last = eta
+    for b0, b1 in _time_blocks(j0, steps, 8 * M * n):
+        Y = buf[:b1 - b0 + 1]
+        Y[0] = last
+        with np.errstate(all="ignore"):
+            for b in range(b1 - b0):
+                j, yj, yn = b0 + b, Y[b], Y[b + 1]
+                drift_jac_apply(model, X[j], yj, yn, term)
+                np.multiply(yn, dt, yn)
+                if gamma is not None:
+                    np.multiply(gamma[:, j], dt, forcing)
+                    np.add(yn, forcing, yn)
+                if rho is not None:
+                    np.multiply(rho[:, j], dW[j, :, :, None], channels)
+                    np.sum(channels, axis=1, out=forcing)
+                    np.add(yn, forcing, yn)
+                np.add(yn, yj, yn)
+        _check_finite(Y[1:], b0 + 1, "simulate_affine_dual")
+        yield b0, Y
+        last = Y[-1]
 
 
 def estimate_moment(ensemble: PathEnsemble, q: int, t: float):

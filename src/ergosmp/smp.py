@@ -16,10 +16,10 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adjoint import AdjointSolution, _pathwise_dual_blocks, extend_to_infinite
+from .adjoint import AdjointSolution, _forgetting_buffer, _pathwise_dual_blocks, extend_to_infinite
 from .ergodic_cost import _checkpoint_ladder, _simulate_priced
 from .forward import (SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _path_integrals,
-                      _require_base_under, _require_grid, _time_major, brownian_increments)
+                      _require_base_under, _require_grid, _time_blocks, _time_major, brownian_increments)
 from .model import (
     ControlLaw,
     ModelSpec,
@@ -142,7 +142,8 @@ def evaluate_variational_inequality(
         grad = _grad_u_batch(model, ub, P[j0:j1])
         return np.stack([_dot(grad, cand.evaluate(x) - ub) for cand in candidates], axis=1)
 
-    sums = _path_integrals(grid, pairings, indices, (len(candidates), ens.n_paths))
+    blocks = ((j0, pairings(j0, j1)) for j0, j1 in _time_blocks(0, grid.steps, 8 * len(candidates) * ens.n_paths))
+    sums = _path_integrals(grid, blocks, indices, (len(candidates), ens.n_paths))
     ladders = sums.mean(axis=1) / ts
     reports = []
     for (name, _), values, final in zip(u_candidates, ladders, sums[:, :, -1]):
@@ -344,7 +345,7 @@ def optimize_control(
     if not step_gamma > 0:
         raise SimulationError("step_gamma must be positive")
     x0 = _initial_state(model, np.zeros(model.n) if x0 is None else x0)
-    buffer = model.forgetting_time(dt) if buffer is None else buffer
+    buffer = _forgetting_buffer(model, buffer, dt)
     grid_full = TimeGrid.from_horizon(T + buffer, dt)
     j_burn = grid_full.index_of(round(min(_OPT_BURN_IN, T / 2.0) / dt) * dt)
     j_top = grid_full.index_of(T)

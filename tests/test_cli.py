@@ -233,21 +233,29 @@ def test_simulate_rejects_unknown_format_before_simulating(lq1_config, tmp_path,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv,patch", [
-    (["cost", "--T", "-1"], None),
-    (["cost", "--T", "4", "--seed", "-1"], None),
-    (["cost", "--T", "4", "--control", "garbage"], None),
-    (["cost", "--T", "4", "--x0", "abc"], None),
-    (["simulate", "--T", "1", "--formats", "parquet"], None),
+@pytest.mark.parametrize("argv,patch,message", [
+    (["cost", "--T", "-1"], None, None),
+    (["cost", "--T", "4", "--seed", "-1"], None, None),
+    (["cost", "--T", "4", "--control", "garbage"], None, None),
+    (["cost", "--T", "4", "--x0", "abc"], None, None),
+    (["simulate", "--T", "1", "--formats", "parquet"], None, None),
     # sym(A) = 0.5 certifies no decay rate, so no buffer can be derived.
-    (["adjoint", "--T", "1"], {"A": [[0.5]]}),
-], ids=["T", "seed", "control", "x0", "formats", "buffer"])
-def test_bad_run_inputs_leave_no_out_dir(lq1_config, tmp_path, capsys, argv, patch):
+    (["adjoint", "--T", "1"], {"A": [[0.5]]}, None),
+    # --T off the --dt grid is named as given, not as the buffered horizon.
+    (["cost", "--T", "1", "--dt", "0.3"], None, "horizon 1.0 is not a multiple of dt=0.3"),
+    (["simulate", "--T", "1", "--dt", "0.3"], None, "horizon 1.0 is not a multiple of dt=0.3"),
+    (["adjoint", "--T", "1", "--dt", "0.3"], None, "horizon 1.0 is not a multiple of dt=0.3"),
+    # One past the largest seed the noise stream reads.
+    (["cost", "--T", "4", "--seed", "9223372036854775808"], None, "seed must be a nonnegative 63-bit integer"),
+], ids=["T", "seed", "control", "x0", "formats", "buffer", "T-grid-cost", "T-grid-simulate", "T-grid-adjoint",
+        "seed-63-bit"])
+def test_bad_run_inputs_leave_no_out_dir(lq1_config, tmp_path, capsys, argv, patch, message):
     fresh = tmp_path / "fresh"
     config = lq1_config if patch is None else _patched_config(lq1_config, tmp_path, patch)
     assert _run(config, fresh, argv[0], *COMMON, *argv[1:]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert message is None or message in err
     assert not fresh.exists()
 
 

@@ -21,7 +21,7 @@ from ergosmp import (
     verify_duality_infinite,
 )
 from ergosmp.duality import _build_eta, verify_duality_probes
-from ergosmp.forward import _path_integrals, _time_major, simulate_affine_dual
+from ergosmp.forward import _path_integrals, _time_blocks, _time_major, simulate_affine_dual
 from ergosmp.model import _dot, cost_grad_x
 
 
@@ -285,7 +285,8 @@ def _stored_dual_sides(model, law, base, sol, t, eta, gamma=None, rho=None, nu=N
             forcing = forcing + (_time_major(sol.q)[a:b] * _time_major(rho)[a:b]).sum(axis=(-1, -2))
         return np.stack([forcing, _dot(Y[a:b], psi)], axis=1)
 
-    forcing, pairing = _path_integrals(grid, rows, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
+    blocks = ((a, rows(a, b)) for a, b in _time_blocks(j0, grid.steps, 8 * 2 * base.n_paths))
+    forcing, pairing = _path_integrals(grid, blocks, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
     if nu is not None:
         pairing = pairing + _dot(nu, dual[:, -1])
     p_side = float((_dot(sol.p[:, j0], eta) + forcing).mean())

@@ -17,7 +17,8 @@ from ergosmp import (
     simulate_state,
     verify_expansion_residual,
 )
-from ergosmp.ergodic_cost import _cost_sums_at, checkpoint_times, ergodic_report_from_ensemble
+from ergosmp.ergodic_cost import _cost_sums_at, _simulate_priced, checkpoint_times, ergodic_report_from_ensemble
+from ergosmp.forward import brownian_increments
 
 
 def _free_model():
@@ -171,13 +172,26 @@ def test_streamed_cost_blow_up_names_the_step_of_simulate_state(monkeypatch):
             simulate_state(model, law, [0.0], TimeGrid.from_horizon(4.0, 0.01), M, 0)
         with pytest.raises(SimulationError, match=message):
             estimate_ergodic_cost(model, law, [0.0], 4.0, M, 0, dt=0.01)
-        # Noise blocks of 13 steps: the time block [48, 56) of step 55 reads
-        # the rows of two, [39, 52) and [52, 65).
+        # Noise blocks of 13 steps: the time blocks nest in them, so step 55
+        # lies in [52, 60), the first time block of the noise block [52, 65).
         monkeypatch.setattr(ergosmp.forward, "_NOISE_BYTES", 13 * 8 * M)
         with pytest.raises(SimulationError, match=message):
             simulate_state(model, law, [0.0], TimeGrid.from_horizon(4.0, 0.01), M, 0)
         with pytest.raises(SimulationError, match=message):
             estimate_ergodic_cost(model, law, [0.0], 4.0, M, 0, dt=0.01)
+
+
+def test_priced_states_are_simulate_state(lq3, monkeypatch):
+    # Time blocks of 8 steps: the report's sums stop inside the block of
+    # T = 2.1 (step 105 of [104, 112)), and the states of the rest of the
+    # block and of the buffer past T are gathered after them.
+    M, seed, grid, x0 = 16, 7, TimeGrid(dt=0.02, steps=150), np.full(3, 0.7)
+    law = ControlLaw.affine(np.full((2, 3), -0.3), [0.1, 0.0], lq3.control_set)
+    monkeypatch.setattr(ergosmp.forward, "BLOCK_BYTES", 8 * 8 * M * lq3.n)
+    ens = simulate_state(lq3, law, x0, grid, M, seed)
+    priced, report = _simulate_priced(lq3, law, x0, grid, brownian_increments(seed, M, grid, lq3.d), seed, 2.1)
+    assert priced.states.tobytes() == ens.states.tobytes()
+    assert report.to_dict() == ergodic_report_from_ensemble(lq3, ens.restricted(2.1), law).to_dict()
 
 
 def test_streamed_cost_keeps_no_state_array(cubic1):

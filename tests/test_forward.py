@@ -32,7 +32,8 @@ from ergosmp.forward import (
     _path_integrals,
     _paths_to_csv,
     _perturbed_states,
-    _tamed_euler,
+    _tamed_euler_blocks,
+    _time_blocks,
     _time_major,
     brownian_increments,
 )
@@ -270,29 +271,51 @@ def test_path_integrals_match_cumsum():
         grid = TimeGrid(dt=0.1, steps=steps)
         g = np.random.default_rng(4).standard_normal(shape + (grid.steps,))
         start = 3
+        row_bytes = 8 * np.prod(shape)
         blocks = []
 
-        def integrand(j0, j1):
-            blocks.append((j0, j1))
-            return np.moveaxis(g[..., j0:j1], -1, 0)
+        def integrand(end):
+            for j0, j1 in _time_blocks(start, end, row_bytes):
+                blocks.append((j0, j1))
+                yield j0, np.moveaxis(g[..., j0:j1], -1, 0)
 
-        out = _path_integrals(grid, integrand, indices, shape, start=start)
+        out = _path_integrals(grid, integrand(max(indices)), indices, shape, start=start)
         cum = np.concatenate([np.zeros(shape + (1,)), np.cumsum(grid.dt * g[..., start:], axis=-1)], axis=-1)
         assert out.shape == shape + (len(indices),)
         # The running sum acc + dt * g_j is np.cumsum's order, so the match is exact.
         np.testing.assert_array_equal(out, cum[..., np.asarray(indices) - start])
         assert np.all(out[..., np.asarray(indices) == start] == 0.0)
         # The blocks tile [start, max index) in order, each within the byte budget.
-        row_bytes = 8 * np.prod(shape)
         assert blocks[0][0] == start and blocks[-1][1] == max(indices)
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         assert all((j1 - j0) * row_bytes <= BLOCK_BYTES for j0, j1 in blocks)
         assert (len(blocks) > 1) == (row_bytes * (max(indices) - start) > BLOCK_BYTES)
         with pytest.raises(SimulationError):
-            _path_integrals(grid, integrand, [2, 5], shape, start=start)
+            _path_integrals(grid, integrand(grid.steps), [2, 5], shape, start=start)
         with pytest.raises(SimulationError):
-            _path_integrals(grid, integrand, [grid.steps + 1], shape)
+            _path_integrals(grid, integrand(grid.steps), [grid.steps + 1], shape)
     assert len(blocks) > 1
+
+
+def test_path_integrals_pull_no_block_past_the_last_index():
+    # Blocks of 8 steps over the whole grid: the sums at 21 and 5 read the
+    # blocks up to [16, 24), so [24, 32) and later are never made, and the
+    # rows of [16, 24) past step 21 are not read.
+    grid, shape = TimeGrid(dt=0.5, steps=40), (3,)
+    made = []
+
+    def blocks():
+        for j0 in range(0, grid.steps, 8):
+            made.append(j0)
+            rows = np.ones((8,) + shape)
+            rows[max(0, 21 - j0):] = np.nan  # rows from step 21 on must not reach the sums
+            yield j0, rows
+
+    out = _path_integrals(grid, blocks(), [21, 5], shape)
+    assert made == [0, 8, 16]
+    np.testing.assert_array_equal(out, np.broadcast_to([10.5, 2.5], (3, 2)))
+    made.clear()
+    assert not _path_integrals(grid, blocks(), [0, 0], shape).any() and made == []
 
 
 def test_increment_statistics(lq1):
@@ -300,6 +323,17 @@ def test_increment_statistics(lq1):
     dw = brownian_increments(7, 2000, grid, 1)
     assert abs(dw.mean()) < 4 * np.sqrt(grid.dt / (2000 * 50))
     assert abs(dw.var() - grid.dt) < 0.002
+
+
+def test_seed_must_be_a_nonnegative_63_bit_integer(lq1, lq1_zero):
+    # A fractional seed is rejected, not truncated to its integer part.
+    grid = TimeGrid(dt=0.1, steps=5)
+    for seed in (-1, 2**63, 2.7):
+        with pytest.raises(SimulationError, match="^seed must be a nonnegative 63-bit integer$"):
+            simulate_state(lq1, lq1_zero, [0.0], grid, 4, seed)
+        with pytest.raises(SimulationError, match="^seed must be a nonnegative 63-bit integer$"):
+            brownian_increments(seed, 4, grid, 1)
+    assert simulate_state(lq1, lq1_zero, [0.0], grid, 4, 2.0).seed == 2
 
 
 def test_seed_changes_noise(lq1, lq1_zero):
@@ -599,8 +633,8 @@ def test_noise_matches_per_path_philox_reference(monkeypatch):
 def test_streamed_noise_is_the_one_block_draw(family, cubic1, lq3, monkeypatch):
     # Noise blocks of 5 steps (the last of 4) drawn in chunks of 4 paths (the
     # last of 2), at d = 1 and d = 2: the stream is the one-block draw, and
-    # the passes that read it block by block keep its bits, time blocks of
-    # states and costs reading across the seams of noise blocks.
+    # the passes that read it block by block keep its bits, their time blocks
+    # of states and costs cut at the seams of noise blocks.
     model = {"cubic1": cubic1, "lq3": lq3}[family]
     law = ControlLaw.affine(np.full((model.l, model.n), -0.3), np.full(model.l, 0.1), model.control_set)
     x0, M, seed, grid = np.full(model.n, 0.7), 10, 8, TimeGrid(dt=0.02, steps=59)
@@ -649,7 +683,8 @@ def test_blocked_finiteness_names_first_step_and_lowest_path(lq1, monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SimulationError, match=f"^probe: non-finite value at step {j + 1}, path 3$"):
-            _tamed_euler(lq1, np.zeros(1), dW, grid.dt, control_at, "probe")
+            for _ in _tamed_euler_blocks(lq1, np.zeros(1), M, dW, grid.dt, control_at, "probe"):
+                pass
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

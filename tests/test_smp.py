@@ -19,6 +19,8 @@ from ergosmp import (
     verify_duality_infinite,
 )
 from ergosmp import adjoint, ergodic_cost, forward, smp
+from ergosmp.adjoint import AdjointError
+from ergosmp.duality import verify_duality_probes
 from ergosmp.ergodic_cost import ergodic_report_from_ensemble
 from ergosmp.forward import _block_steps, _time_major
 from ergosmp.model import cost_grad_u, drift_jacU_T_apply
@@ -216,6 +218,27 @@ def test_buffers_default_to_the_forgetting_time(lq1, lq1_zero):
     assert np.array_equal(sol.p, extend_to_infinite(lq1, lq1_zero, [1.0], 2.0, buffer, 0.05, 64, 1).p)
     rep = verify_duality_infinite(lq1, lq1_zero, 0.0, 1.0, eta="one", T_report=2.0, M=64, seed=1, dt=0.05)
     assert rep.config["T_buffer"] == buffer
+    probes = verify_duality_probes(lq1, lq1_zero, 2.0, M=64, seed=1, dt=0.05, infinite=True)
+    assert {rep.config["T_buffer"] for rep in probes.values()} == {buffer}
+
+
+@pytest.mark.parametrize("buffer", [-0.5, 0.0, np.nan, np.inf])
+def test_buffers_must_be_positive_and_finite(lq1, lq1_zero, buffer):
+    # Every entry point that takes a buffer rejects one that is not positive
+    # and finite, with one message, before simulating.
+    gain = ControlLaw.affine([[0.0]], [0.0], lq1.control_set)
+    one = ControlLaw.constant([1.0], lq1.control_set)
+    calls = [
+        lambda: extend_to_infinite(lq1, lq1_zero, [1.0], 2.0, buffer, 0.05, 64, 1),
+        lambda: verify_duality_infinite(lq1, lq1_zero, 0.0, 1.0, T_report=2.0, T_buffer=buffer, M=64, seed=1,
+                                        dt=0.05),
+        lambda: optimize_control(lq1, gain, 0.5, 1, 2.0, 64, 1, dt=0.05, buffer=buffer),
+        lambda: evaluate_variational_inequality(lq1, lq1_zero, [("one", one)], 2.0, 64, 1, dt=0.05, buffer=buffer),
+        lambda: check_sufficiency(lq1, lq1_zero, 2.0, 64, 1, dt=0.05, buffer=buffer),
+    ]
+    for call in calls:
+        with pytest.raises(AdjointError, match="^T_buffer must be positive$"):
+            call()
 
 
 def test_sufficiency_certifies_riccati(lq1, riccati_p):

@@ -304,6 +304,9 @@ def fingerprint(values: bool = False) -> dict:
     # channels on 1000 steps are 16 MB of increments.
     h("lq3.ergcost_noise_blocks", E.estimate_ergodic_cost(lq3, models["lq3"][1], np.full(3, 0.7), 10.0, 1024, 5,
                                                           dt=0.01).to_dict())
+    # The state gather across the seams of the same four noise blocks.
+    h("lq3.states_noise_blocks", E.simulate_state(lq3, models["lq3"][1], np.full(3, 0.7),
+                                                  E.TimeGrid.from_horizon(10.0, 0.01), 1024, 5).states)
 
     return out
 
