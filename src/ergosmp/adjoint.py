@@ -12,17 +12,21 @@ ridge-regularized least squares on polynomial features of the current state
 total degree <= 3, standardized per step, with ridge 1e-8 on all but the
 intercept.  sigma is constant, so the D_xsigma^T q term vanishes and q does
 not feed back into p: the backward sweep fits p alone, one n-column target
-per step.  q_j depends only on X_j, dW_j and the stored p_{j+1}, so its steps
-are independent; `AdjointSolution.q` fits them per time block after the
-sweep, when first read.  A state-dependent sigma would put q back into the
-sweep.
+per step.  q_j depends only on X_j, dW_j and p_{j+1}, so its steps are
+independent and one time block is fitted at a time (`_q_block`):
+`AdjointSolution.q` fits them after the sweep, when first read, and the
+duality check inside its sweep, from each block's rows.  A state-dependent
+sigma would put q back into the sweep.
 
 A step's design depends on its states alone, so its factors (feature mean
 and std, the inverse Cholesky factor of its Gram matrix) are built once per
 ensemble and kept in the ensemble's design store, (K^2 + 2K) floats and K
-flags per step.  The q fit, solves on `restricted` views and later solves
-on the same states read them from there and only re-form the features; no
-(K, M) design is kept.
+flags per step.  The q fit, the duality check's sweep, solves on
+`restricted` views and later solves on the same states read them from there
+and only re-form the features; no (K, M) design is kept.
+`extend_to_infinite` sweeps its buffer on an ensemble and store of its own,
+both released with the buffer's states, so the store it hands on holds the
+steps of [0, T_report].
 
 There is one backward recursion, `_pathwise_dual_blocks`.  It walks
 backward in time blocks that fit `forward.BLOCK_BYTES`: D_xf and the designs
@@ -30,9 +34,11 @@ are stacked per block, and what reads the row above runs per step.  Without
 a fit it is the pathwise dual psi (Giles & Glasserman 2006), the p recursion
 per path, with p_j = E[psi_j | X_j].  With a fit it is the regression sweep:
 each step's row is replaced by its regression on the step's design before
-the next row reads it.  The optimizer only sums pairings over steps and paths, so it
-reduces psi one block at a time: besides the noise and one state array it
-holds block buffers only.  The regression serves the export and the checks.
+the next row reads it.  The optimizer only sums pairings over steps and
+paths, so it reduces psi one block at a time: besides the noise and one
+state array it holds block buffers only.  The regression serves the export
+and the checks; the duality check also reduces its rows as they pass and
+stores no p or q.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ from typing import Optional
 
 import numpy as np
 
-from .forward import (PathEnsemble, TimeGrid, _block_steps, _check_finite, _paths_to_csv, _time_blocks, _time_major,
-                      simulate_state)
+from .forward import (PathEnsemble, TimeGrid, _block_steps, _check_finite, _paths_to_csv, _simulate_into,
+                      _time_blocks, _time_major, simulate_state)
 from .model import ControlLaw, ModelSpec, _dot, _Report, cost_grad_x, drift_jacT_apply
 
 __all__ = [
@@ -257,19 +263,22 @@ def solve_adjoint_finite(
     `nu` is the terminal condition: None for zero, otherwise a finite
     per-path (M, n) array.  The terminal value is imposed exactly.  Fewer
     paths M than features K raise AdjointError: every step's fit is
-    rank-deficient.
+    rank-deficient.  The sweep is `_pathwise_dual_blocks` with a fit, whose
+    rows are copied out of each block.
     """
-    return _backward_sweep(model, ensemble, u_bar, nu, ensemble.grid.steps)
+    nu = _sweep_inputs(model, ensemble, u_bar, nu)
+    steps, M, n = ensemble.grid.steps, ensemble.n_paths, model.n
+    Pbuf, coef_p = np.empty((steps + 1, M, n)), np.empty((steps, _feature_count(n), n))
+    for j0, rows in _pathwise_dual_blocks(model, ensemble, 0, nu, coef_p):
+        Pbuf[j0:j0 + len(rows)] = rows
+    return AdjointSolution(p=Pbuf.transpose(1, 0, 2), coef_p=coef_p,
+                           terminal_id="zero" if nu is None else "custom", ensemble=ensemble)
 
 
-def _backward_sweep(model: ModelSpec, ensemble: PathEnsemble, u_bar: ControlLaw, nu, keep: int) -> AdjointSolution:
-    """`solve_adjoint_finite` on the whole ensemble that stores p and its
-    coefficients on steps 0..keep only: the solution on [0, keep dt], on the
-    ensemble's `restricted` view (the ensemble itself when keep is its last
-    step).  The sweep is `_pathwise_dual_blocks` with a fit; this checks the
-    law, M and nu and copies the rows <= keep out of each block.  The rows
-    past `keep` live only in the block buffer, and every stored bit is the
-    full solve's."""
+def _sweep_inputs(model: ModelSpec, ensemble: PathEnsemble, u_bar: ControlLaw, nu):
+    """The checks of a regression sweep on `ensemble` from the terminal value
+    `nu`: the ensemble ran under u_bar, it has at least K paths, and nu is
+    None or a finite (M, n) array, returned as a float array."""
     if ensemble.control_id != u_bar.describe():
         raise AdjointError(
             f"ensemble generated under {ensemble.control_id!r}, not {u_bar.describe()!r}"
@@ -285,39 +294,41 @@ def _backward_sweep(model: ModelSpec, ensemble: PathEnsemble, u_bar: ControlLaw,
             raise AdjointError(f"nu must have shape ({M}, {n})")
         if not np.isfinite(nu).all():
             raise AdjointError("nu (terminal condition) must be finite")
-    Pbuf, coef_p = np.empty((keep + 1, M, n)), np.empty((keep, K, n))
-    for j0, rows in _pathwise_dual_blocks(model, ensemble, 0, nu, coef_p):
-        if j0 <= keep:
-            top = min(j0 + len(rows), keep + 1)
-            Pbuf[j0:top] = rows[:top - j0]
-    view = ensemble if keep == steps else ensemble.restricted(keep * ensemble.grid.dt)
-    return AdjointSolution(p=Pbuf.transpose(1, 0, 2), coef_p=coef_p,
-                           terminal_id="zero" if nu is None else "custom", ensemble=view)
+    return nu
+
+
+def _q_block(ensemble: PathEnsemble, j0: int, j1: int, p_next: np.ndarray, out: Optional[np.ndarray] = None):
+    """The q fit of the steps j0 .. j1-1 from p_next, the costate rows
+    p_j0+1 .. p_j1 (B, M, n) in time order: the (B, K, d*n) coefficients and
+    the (B, M, d*n) fitted values, written into `out` when it is given.  The
+    steps are independent, so the block reads its designs from the
+    ensemble's store and fits all its steps with stacked products; a
+    non-finite fit raises at its first step."""
+    M, d, n, B = ensemble.n_paths, ensemble.d, ensemble.n, j1 - j0
+    Ft, Linv = _block_design(ensemble, j0, j1)
+    dW = _time_major(ensemble.increments)[j0:j1]
+    with np.errstate(all="ignore"):  # checked below, by step
+        targets = p_next[:, :, None, :] * (dW[:, :, :, None] / ensemble.grid.dt)
+        c = Linv.transpose(0, 2, 1) @ (Linv @ (Ft @ targets.reshape(B, M, d * n)))
+    finite = np.isfinite(c).all(axis=(1, 2))
+    if not finite.all():
+        raise AdjointError(f"non-finite q regression at step {j0 + int(np.argmin(finite))}")
+    return c, np.matmul(Ft.transpose(0, 2, 1), c, out=out)
 
 
 def _fit_q(ensemble: PathEnsemble, p: np.ndarray):
     """q^i_j = E[p_{j+1} dW^i_j / dt | X_j] on every step of the ensemble,
     from the costate p (M, steps+1, n): the (M, steps, d, n) fitted values
-    and the (steps, d, K, n) coefficients, both read-only.  The steps are
-    independent, so each time block reads its designs from the ensemble's
-    store and fits all its steps with stacked products; a non-finite fit
-    raises at its first step."""
-    grid = ensemble.grid
-    M, steps, n, d = ensemble.n_paths, grid.steps, ensemble.n, ensemble.d
+    and the (steps, d, K, n) coefficients, both read-only, fitted per time
+    block by `_q_block`."""
+    M, steps, n, d = ensemble.n_paths, ensemble.grid.steps, ensemble.n, ensemble.d
     K = _feature_count(n)
-    dW_tm, P_tm = _time_major(ensemble.increments), _time_major(p)
+    P_tm = _time_major(p)
     Qbuf = np.empty((steps, M, d, n))
     coef = np.empty((steps, K, d, n))
     for j0, j1 in _time_blocks(0, steps, 8 * K * M):
-        Ft, Linv = _block_design(ensemble, j0, j1)
-        with np.errstate(all="ignore"):  # checked below, by step
-            targets = P_tm[j0 + 1 : j1 + 1, :, None, :] * (dW_tm[j0:j1, :, :, None] / grid.dt)
-            c = Linv.transpose(0, 2, 1) @ (Linv @ (Ft @ targets.reshape(j1 - j0, M, d * n)))
-        finite = np.isfinite(c).all(axis=(1, 2))
-        if not finite.all():
-            raise AdjointError(f"non-finite q regression at step {j0 + int(np.argmin(finite))}")
+        c, _ = _q_block(ensemble, j0, j1, P_tm[j0 + 1:j1 + 1], Qbuf[j0:j1].reshape(j1 - j0, M, d * n))
         coef[j0:j1] = c.reshape(j1 - j0, K, d, n)
-        np.matmul(Ft.transpose(0, 2, 1), c, out=Qbuf[j0:j1].reshape(j1 - j0, M, d * n))
     q, coef_q = Qbuf.transpose(1, 0, 2, 3), coef.transpose(0, 2, 1, 3)
     q.setflags(write=False)
     coef_q.setflags(write=False)
@@ -350,7 +361,7 @@ def _pathwise_dual_blocks(model: ModelSpec, ensemble: PathEnsemble, stop: int, n
     psi_j = D_xb^T psi_{j+1}, then += D_xf, *= dt, += psi_{j+1}.
 
     Given a (len, K, n) array `coef`, this is the regression sweep of
-    `_backward_sweep`: each row, the target p_{j+1} + dt * driver, is
+    `solve_adjoint_finite`: each row, the target p_{j+1} + dt * driver, is
     replaced in place by its ridge fit on the step's design before the next
     row reads it, and its coefficients go to coef[j] while j < len(coef).
     The blocks then hold (K, M) designs, as `_block_design` builds them, and
@@ -384,6 +395,7 @@ def _pathwise_dual_blocks(model: ModelSpec, ensemble: PathEnsemble, stop: int, n
                     coef[j0 + b] = c
                 np.matmul(Ft[b].T, c, out=row)
         _check_finite(rows[0], j0, "pathwise dual")
+        Ft = Linv = grad_x = None  # released before the next block's are made
         yield j0, rows
 
 
@@ -410,16 +422,34 @@ def extend_to_infinite(
     Solves with zero terminal data on [0, T_report + T_buffer] and discards
     the buffer, where the influence of the artificial terminal condition has
     decayed exponentially; None is `ModelSpec.forgetting_time`, ln(100)/|c_p|.
-    The buffer's costate rows are scaffolding that lives only in the sweep's
-    block buffer: p and its coefficients are stored on [0, T_report] only,
-    bitwise the restriction of the full solve.  The solution's
-    ensemble is the `restricted` view of the simulated one, whose states it
-    shares; it holds no noise until its increments are read (the q fit reads
-    them).
+    The buffer is scaffolding that lives only through its own sweep: one
+    noise stream runs the states of [0, T_report] and of the buffer into two
+    arrays, the buffer's are swept on their own ensemble and design store
+    down to the fitted p at T_report and released, and only then is [0,
+    T_report] solved from that row.  Every stored bit is the full solve's
+    restricted to [0, T_report] (a failure in the buffer's sweep names its
+    step counted from T_report).  The solution's ensemble is the report
+    ensemble; it holds no noise until its increments are read (the q fit
+    reads them).
     """
     grid = TimeGrid.from_horizon(T_report + _forgetting_buffer(model, T_buffer, dt), dt)
-    ensemble = simulate_state(model, u_bar, x0, grid, M, seed)
-    return _backward_sweep(model, ensemble, u_bar, None, grid.index_of(T_report))
+    report_grid = TimeGrid(dt=grid.dt, steps=grid.index_of(T_report))
+    head = np.empty((report_grid.steps + 1, M, model.n))
+    tail = np.empty((grid.steps - report_grid.steps + 1, M, model.n))
+    _simulate_into(model, u_bar, x0, grid, M, seed, (head, tail))
+    # The buffer's ensemble is read for its states only: its seed's noise is
+    # not the buffer's.  Its sweep stores no row but the fitted p at
+    # T_report, and no coefficient.
+    buffer = PathEnsemble(grid=TimeGrid(dt=grid.dt, steps=len(tail) - 1), states=_time_major(tail), seed=int(seed),
+                          control_id=u_bar.describe(), d=model.d)
+    _sweep_inputs(model, buffer, u_bar, None)
+    for _, rows in _pathwise_dual_blocks(model, buffer, 0, None, np.empty((0, _feature_count(model.n), model.n))):
+        pass
+    p_T = rows[0].copy()
+    del tail, buffer, rows  # the buffer's states and design store go before p is allocated
+    report = PathEnsemble(grid=report_grid, states=_time_major(head), seed=int(seed), control_id=u_bar.describe(),
+                          d=model.d)
+    return replace(solve_adjoint_finite(model, report, u_bar, p_T), terminal_id="zero")
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,14 @@
 Both sides of the identity are evaluated under the same time discretization
 and the same Brownian increments, so the reported residual measures solver
 bias (regression + quadrature), not Monte Carlo noise between independent
-runs.  The finite and infinite forms are one form (`_form`), paired once
-(`_pairing_sides`), whose time integrals are per-path sums over the dual
-recursion as it runs; the infinite form is the finite one on a longer grid,
-with the sides swapped and the discarded tail bounded.
+runs.  The finite and infinite forms are one form (`_forms`); the infinite
+form is the finite one on a longer grid, with the sides swapped and the
+discarded tail bounded.  Both sides are per-path left-endpoint time
+integrals (`_path_integrals`).  One regression sweep of the costate serves every
+probe of a call (`_costate_sides`): it pairs each block's fitted p rows with
+gamma and the q it fits on the block with rho, so no p or q array is
+stored, only each forced probe's (steps, M) integrand rows.  Each probe's
+dual process is streamed through its recursion (`_pairing_sides`).
 
 The quadrature leaves an O(dt) floor in the finite form: the forcing sum
 pairs p_j with gamma_j, where the exact discrete adjoint of the dual Euler
@@ -23,9 +27,10 @@ from typing import ClassVar, Dict, Optional, Union
 
 import numpy as np
 
-from .adjoint import AdjointError, _forgetting_buffer, solve_adjoint_finite
+from .adjoint import AdjointError, _feature_count, _forgetting_buffer, _pathwise_dual_blocks, _q_block, _sweep_inputs
 from .forward import (PathEnsemble, SimulationError, TimeGrid, _affine_dual_blocks, _affine_dual_inputs,
-                      _ci95_halfwidth, _initial_per_path, _path_integrals, _require_grid, _time_major, simulate_state)
+                      _ci95_halfwidth, _initial_per_path, _path_integrals, _require_grid, _time_blocks, _time_major,
+                      simulate_state)
 from .model import ControlLaw, ModelSpec, _dot, _mat_vec, _Report, cost_grad_x
 
 __all__ = [
@@ -166,41 +171,70 @@ def _base_ensemble(model, u_bar, base, T, dt, M, seed, x0) -> PathEnsemble:
     return base
 
 
-def _pairing_sides(model, base, sol, j0, eta, gamma, rho, nu):
-    """Both sides of the pairing identity on [t, T], t at grid index j0 and T
-    the end of the base grid, per path, whose means are the two sides:
-    (<p_t, eta> + int <p, gamma> + sum_i int <q^i, rho^i>,
-    int <Ycal, Psi> + <nu, Ycal_T>, each (M,), the dual end state Ycal_T
-    (M, n), max_j E|Psi_j|^2), from the inputs `_affine_dual_inputs` checked.
+def _costate_sides(model, base, probes, nu):
+    """The costate side of each probe (j0, eta, gamma, rho), inputs that
+    `_affine_dual_inputs` checked: (<p_j0, eta> (M,), rows), rows the
+    (steps - j0, M) integrand <p_j, gamma_j> + sum_i <q^i_j, rho^i_j> of the
+    steps j0 <= j < steps, or None for a probe with no forcing.
 
-    The dual process Ycal is streamed: the integrals reduce the blocks of its
-    recursion (`forward._affine_dual_blocks`, the one `simulate_affine_dual`
-    gathers), each mapped to its integrand rows, so no (M, steps, n) array of
-    it is stored."""
+    One regression sweep of p from nu (None: 0) down to the lowest j0 serves
+    every probe (`adjoint._pathwise_dual_blocks` with a fit): each block
+    pairs its fitted rows, and fits q on its steps when a probe reads it
+    (`adjoint._q_block`), so no p or q array is stored.  The pairings run
+    with floating-point errors ignored: `_forms` checks them once the dual
+    side has run, so a dual process that blows up is named first."""
+    steps, M, n = base.grid.steps, base.n_paths, model.n
+    sides = [[None, None if gamma is None and rho is None else np.empty((steps - j0, M))]
+             for j0, _, gamma, rho in probes]
+    fit_q = any(rho is not None for *_, rho in probes)
+    stop = min(steps - 1, *(j0 for j0, *_ in probes))
+    for b0, rows in _pathwise_dual_blocks(model, base, stop, nu, np.empty((0, _feature_count(n), n))):
+        b1 = b0 + len(rows) - 1
+        Q = _q_block(base, b0, b1, rows[1:])[1].reshape(b1 - b0, M, model.d, n) if fit_q else None
+        with np.errstate(all="ignore"):
+            for (j0, eta, gamma, rho), side in zip(probes, sides):
+                if side[0] is None and b0 <= j0 <= b1:
+                    side[0] = _dot(rows[j0 - b0], eta)
+                a = max(b0, j0)
+                if side[1] is None or a >= b1:
+                    continue
+                forcing = np.zeros((b1 - a, M))
+                if gamma is not None:
+                    forcing = forcing + _dot(rows[a - b0:-1], _time_major(gamma)[a:b1])
+                if rho is not None:
+                    # <q, rho> sums d*n terms (9 on lq3), past _dot's column range
+                    forcing = forcing + (Q[a - b0:] * _time_major(rho)[a:b1]).sum(axis=(-1, -2))
+                side[1][a - j0:b1 - j0] = forcing
+    return sides
+
+
+def _pairing_sides(model, base, j0, eta, gamma, rho, nu):
+    """The dual side of the pairing identity on [t, T], t at grid index j0
+    and T the end of the base grid, from the inputs `_affine_dual_inputs`
+    checked: (int <Ycal, Psi> + <nu, Ycal_T> per path (M,), the dual end
+    state Ycal_T (M, n), max_j E|Psi_j|^2).
+
+    The dual process Ycal is streamed: the integral reduces the blocks of
+    its recursion (`forward._affine_dual_blocks`, the one
+    `simulate_affine_dual` runs), each mapped to its integrand rows, so no
+    (M, steps, n) array of it is stored."""
     grid = base.grid
     y = eta  # Ycal at the end of the last block read, Ycal_T after the last
     psi_sq = np.zeros(grid.steps)
-    X, P = _time_major(base.states), _time_major(sol.p)
-    Q = None if rho is None else _time_major(sol.q)  # q is fitted only when read
+    X = _time_major(base.states)
 
     def rows(b0, Ycal):
         nonlocal y
         b1, y = b0 + len(Ycal) - 1, Ycal[-1]
         psi = cost_grad_x(model, X[b0:b1])
         psi_sq[b0:b1] = _dot(psi, psi).mean(axis=-1)
-        forcing = np.zeros((b1 - b0, base.n_paths))
-        if gamma is not None:
-            forcing = forcing + _dot(P[b0:b1], _time_major(gamma)[b0:b1])
-        if rho is not None:
-            # <q, rho> sums d*n terms (9 on lq3), past _dot's column range
-            forcing = forcing + (Q[b0:b1] * _time_major(rho)[b0:b1]).sum(axis=(-1, -2))
-        return np.stack([forcing, _dot(Ycal[:-1], psi)], axis=1)
+        return _dot(Ycal[:-1], psi)
 
     blocks = ((b0, rows(b0, Ycal)) for b0, Ycal in _affine_dual_blocks(model, base, j0, eta, gamma, rho))
-    forcing, pairing = _path_integrals(grid, blocks, [grid.steps], (2, base.n_paths), start=j0)[:, :, 0]
+    pairing = _path_integrals(grid, blocks, [grid.steps], (base.n_paths,), start=j0)[:, 0]
     if nu is not None:
-        pairing = pairing + _dot(np.asarray(nu, dtype=float), y)
-    return _dot(sol.p[:, j0], eta) + forcing, pairing, y, float(psi_sq.max())
+        pairing = pairing + _dot(nu, y)
+    return pairing, y, float(psi_sq.max())
 
 
 def verify_duality_finite(
@@ -228,8 +262,7 @@ def verify_duality_finite(
     Left-endpoint quadrature throughout, as per-path running sums.
     """
     base = _base_ensemble(model, u_bar, base, T, dt, M, seed, x0)
-    sol = solve_adjoint_finite(model, base, u_bar, nu=nu)
-    return _form(model, u_bar, base, sol, t, {"T": T}, eta, gamma, rho, nu)
+    return _forms(model, u_bar, base, {"T": T}, {"": (t, eta, gamma, rho)}, nu)[""]
 
 
 def verify_duality_infinite(
@@ -262,37 +295,56 @@ def verify_duality_infinite(
         raise SimulationError("rho support must end by T_report")
     T_buffer = _forgetting_buffer(model, T_buffer, dt)
     base = _base_ensemble(model, u_bar, base, T_report + T_buffer, dt, M, seed, x0)
-    sol = solve_adjoint_finite(model, base, u_bar)
     horizons = {"T_support": T_support, "T_report": T_report, "T_buffer": T_buffer}
-    return _form(model, u_bar, base, sol, t, horizons, eta, rho=rho)
+    return _forms(model, u_bar, base, horizons, {"": (t, eta, None, rho)})[""]
 
 
-def _form(model, u_bar, base, sol, t, horizons: dict, eta, gamma=None, rho=None, nu=None) -> DualityReport:
-    """The pairing identity on the base grid, paired once (`_pairing_sides`)
-    and reported with `horizons` in its config.  The finite form, horizons
-    {"T"}, reports the costate side as lhs.  The infinite form, horizons
-    {"T_support", "T_report", "T_buffer"} with no gamma or nu, first checks
-    that rho is supported in [0, T_support), then reports the dual side as
-    lhs with a bound on the discarded tail."""
+def _forms(model, u_bar, base, horizons: dict, probes: dict, nu=None) -> Dict[str, DualityReport]:
+    """The pairing identity of each named probe (t, eta, gamma, rho) on the
+    base grid, reported with `horizons` in its config.  One costate sweep
+    pairs every probe's costate side (`_costate_sides`), whose rows
+    `_path_integrals` sums in time order; then each probe runs its dual
+    process (`_pairing_sides`).  The finite form, horizons {"T"}, reports
+    the costate side as lhs.  The infinite form, horizons {"T_support",
+    "T_report", "T_buffer"} with no gamma or nu, first checks that rho is
+    supported in [0, T_support), then reports the dual side as lhs with a
+    bound on the discarded tail.  A non-finite costate side raises once its
+    probe's dual process has run."""
     grid, M = base.grid, base.n_paths
     infinite = "T_support" in horizons
-    j0, eta_arr, gamma, rho = _affine_dual_inputs(model, base, u_bar, t, _build_eta(eta, base, t, model.n),
-                                                  gamma, rho)
-    if infinite and rho is not None and np.any(rho[:, grid.index_of(horizons["T_support"]):]):
-        raise AdjointError("rho with support beyond T_support is rejected")
-    p_rows, pairing_rows, dual_end, psi_sup = _pairing_sides(model, base, sol, j0, eta_arr, gamma, rho, nu)
+    checked_nu = _sweep_inputs(model, base, u_bar, nu)
+    checked = []
+    for t, eta, gamma, rho in probes.values():
+        j0, eta_arr, gamma, rho = _affine_dual_inputs(model, base, u_bar, t, _build_eta(eta, base, t, model.n),
+                                                      gamma, rho)
+        if infinite and rho is not None and np.any(rho[:, grid.index_of(horizons["T_support"]):]):
+            raise AdjointError("rho with support beyond T_support is rejected")
+        checked.append((j0, eta_arr, gamma, rho))
+    costate = _costate_sides(model, base, checked, checked_nu)
 
-    config = {"t": t, **horizons, "M": M, "seed": base.seed, "dt": grid.dt,
-              "eta": eta if isinstance(eta, str) else "array"}
-    forcings = {"rho": rho} if infinite else {"gamma": gamma, "rho": rho, "nu": nu}
-    config.update((name, "zero" if value is None else "array") for name, value in forcings.items())
-    if not infinite:
-        return _report(p_rows, pairing_rows, config)
-    c_p = model.certified_dissipativity_bound()
-    beta = -c_p if c_p < 0 else float("nan")
-    y_end = float((dual_end**2).sum(axis=-1).mean())
-    tail_bound = float(np.sqrt(y_end) * np.sqrt(psi_sup) / beta) if np.isfinite(beta) else float("inf")
-    return _report(pairing_rows, p_rows, config, tail_bound=tail_bound)
+    reports = {}
+    for (name, (t, eta, _, _)), (j0, eta_arr, gamma, rho), (eta_term, rows) in zip(probes.items(), checked, costate):
+        pairing_rows, dual_end, psi_sup = _pairing_sides(model, base, j0, eta_arr, gamma, rho, checked_nu)
+        with np.errstate(all="ignore"):
+            forcing = 0.0 if rows is None else _path_integrals(
+                grid, ((j0 + a, rows[a:b]) for a, b in _time_blocks(0, len(rows), 8 * M)), [grid.steps], (M,),
+                start=j0)[:, 0]
+            p_rows = eta_term + forcing
+        if not np.isfinite(p_rows).all():
+            raise AdjointError(f"non-finite costate side on path {int(np.argmin(np.isfinite(p_rows)))}")
+        config = {"t": t, **horizons, "M": M, "seed": base.seed, "dt": grid.dt,
+                  "eta": eta if isinstance(eta, str) else "array"}
+        forcings = {"rho": rho} if infinite else {"gamma": gamma, "rho": rho, "nu": nu}
+        config.update((key, "zero" if value is None else "array") for key, value in forcings.items())
+        if not infinite:
+            reports[name] = _report(p_rows, pairing_rows, config)
+            continue
+        c_p = model.certified_dissipativity_bound()
+        beta = -c_p if c_p < 0 else float("nan")
+        y_end = float((dual_end**2).sum(axis=-1).mean())
+        tail_bound = float(np.sqrt(y_end) * np.sqrt(psi_sup) / beta) if np.isfinite(beta) else float("inf")
+        reports[name] = _report(pairing_rows, p_rows, config, tail_bound=tail_bound)
+    return reports
 
 
 def verify_duality_probes(
@@ -314,7 +366,6 @@ def verify_duality_probes(
     on [0, T + buffer], the buffer being the model's forgetting time."""
     buffer = _forgetting_buffer(model, None, dt) if infinite else None
     base = _base_ensemble(model, u_bar, None, T + buffer if infinite else T, dt, M, seed, x0)
-    sol = solve_adjoint_finite(model, base, u_bar)
     n, steps, ones = model.n, TimeGrid.from_horizon(T, dt).steps, np.ones(model.n)
     probes = {"eta-one": (0.0, "one", None, None), "eta-state": (steps // 2 * dt, "state", None, None)}
     if not infinite:
@@ -322,5 +373,4 @@ def verify_duality_probes(
     for i in range(model.d):
         probes[f"rho-{i}"] = (0.0, "zero", None, build_rho(base, n, model.d, {i: ones}, t_end=T))
     horizons = {"T_support": T, "T_report": T, "T_buffer": buffer} if infinite else {"T": T}
-    return {name: _form(model, u_bar, base, sol, t, horizons, eta, gamma, rho)
-            for name, (t, eta, gamma, rho) in probes.items()}
+    return _forms(model, u_bar, base, horizons, probes)

@@ -42,6 +42,7 @@ the formula, on coefficients bound once.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -289,7 +290,9 @@ class PathEnsemble:
     alone, the regression design factors of `adjoint._block_design`, filled
     when a step is first fitted.  The `restricted` views share it, since
     their states are a prefix of these; `dataclasses.replace` starts a fresh
-    one, since its states may differ.
+    one, since its states may differ.  The ensemble of `extend_to_infinite`
+    is not a view: its states are the rows of [0, T_report], held apart
+    from the buffer's, and its store holds only its own steps.
     """
 
     grid: TimeGrid
@@ -352,17 +355,23 @@ def _check_finite(X, step, what):
 
 
 def _tamed_euler_blocks(model: ModelSpec, x0, M: int, noise, dt: float, control_at, what: str,
-                        X: Optional[np.ndarray] = None):
+                        X=None, controls: bool = True):
     """The tamed Euler recursion of M paths from x0 ((n,) or (M, n)) on
     `noise`, the time-ordered (k0, k1, dW) blocks of `_noise_blocks` or held
     (M, steps, d) increments as one block, in time blocks of BLOCK_BYTES of
     states nested in them.  Yields (j0, rows, U) per block: rows (B+1, M, n)
     holds x_j0 .. x_j0+B, x_j0 carried from the block before, and U (B, M, l)
     the `out` arrays handed to `control_at(j, x_j, out)`, which returns the
-    (M, l) controls of step j written into `out` or a view of its own.  The
-    rows are views of a time-major X (steps+1, M, n) when one is given, which
-    then receives every state, or else of one block buffer that the next
-    block overwrites.
+    (M, l) controls of step j written into `out` or a view of its own.  A
+    pass that never reads the controls asks for none (`controls=False`): U
+    is then None, and every step is handed one (M, l) row.
+
+    The rows are views of X when it is given, which then receives every
+    state, or else of one block buffer that the next block overwrites.  X is
+    a time-major (steps+1, M, n) array, or a sequence of such arrays that
+    split the rows at their seams, each seam row held by the arrays on both
+    sides of it: no block straddles a seam, so each array can be released on
+    its own.
 
     The drift increment is dt*b / (1 + dt*|b|), which keeps the scheme stable
     for the cubic drift term; the diffusion term is standard Euler.  Each
@@ -379,36 +388,45 @@ def _tamed_euler_blocks(model: ModelSpec, x0, M: int, noise, dt: float, control_
         noise = [(0, noise.shape[1], _time_major(noise))]
     n, row_bytes = model.n, 8 * M * model.n
     block = _block_steps(row_bytes)
-    buf = np.empty((block + 1, M, n)) if X is None else None
-    U = np.empty((block, M, model.l))
+    # (first row, last row, array) of each array the rows go to.
+    if X is None:
+        spans = [(0, math.inf, None)]
+        buf = np.empty((block + 1, M, n))
+    else:
+        spans, first = [], 0
+        for part in (X,) if isinstance(X, np.ndarray) else X:
+            spans.append((first, first + len(part) - 1, part))
+            first += len(part) - 1
+    U = np.empty((block if controls else 1, M, model.l))
     b, bu = np.empty((M, n)), np.empty((M, n))
     scale, term = np.empty(M), np.empty(M)
     scale_col = scale[:, None]
     dt, one = np.asarray(dt), np.asarray(1.0)  # 0-d, as the `_rows` coefficients
     last = x0
     for k0, k1, dW in noise:
-        for j0, j1 in _time_blocks(k0, k1, row_bytes):
-            rows = buf[:j1 - j0 + 1] if X is None else X[j0:j1 + 1]
-            rows[0] = last
-            terms = _mat_vec(model._coef[2], dW[j0 - k0:j1 - k0])
-            with np.errstate(all="ignore"):
-                for i in range(j1 - j0):
-                    xj, xn = rows[i], rows[i + 1]
-                    uj = control_at(j0 + i, xj, U[i])
-                    drift_at(model, xj, uj, b, bu, term)
-                    # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order.
-                    _dot(b, b, scale, term)
-                    np.sqrt(scale, scale)
-                    np.multiply(scale, dt, scale)
-                    np.add(scale, one, scale)
-                    np.multiply(b, dt, b)
-                    np.divide(b, scale_col, b)
-                    np.add(xj, b, xn)
-                    np.add(xn, terms[i], xn)
-            del terms
-            _check_finite(rows[1:], j0 + 1, what)
-            yield j0, rows, U[:j1 - j0]
-            last = rows[-1]
+        for s0, s1, part in spans:
+            for j0, j1 in _time_blocks(max(k0, s0), min(k1, s1), row_bytes):
+                rows = buf[:j1 - j0 + 1] if part is None else part[j0 - s0:j1 - s0 + 1]
+                rows[0] = last
+                terms = _mat_vec(model._coef[2], dW[j0 - k0:j1 - k0])
+                with np.errstate(all="ignore"):
+                    for i in range(j1 - j0):
+                        xj, xn = rows[i], rows[i + 1]
+                        uj = control_at(j0 + i, xj, U[i if controls else 0])
+                        drift_at(model, xj, uj, b, bu, term)
+                        # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order.
+                        _dot(b, b, scale, term)
+                        np.sqrt(scale, scale)
+                        np.multiply(scale, dt, scale)
+                        np.add(scale, one, scale)
+                        np.multiply(b, dt, b)
+                        np.divide(b, scale_col, b)
+                        np.add(xj, b, xn)
+                        np.add(xn, terms[i], xn)
+                del terms
+                _check_finite(rows[1:], j0 + 1, what)
+                yield j0, rows, U[:j1 - j0] if controls else None
+                last = rows[-1]
 
 
 def _initial_state(model: ModelSpec, x0) -> np.ndarray:
@@ -436,12 +454,18 @@ def simulate_state(
     (`_noise_blocks`), holding one noise block besides the states, and the
     ensemble draws them again when they are read (`PathEnsemble`).
     """
-    x0 = _initial_state(model, x0)
     X = np.empty((grid.steps + 1, M, model.n))
-    for _ in _tamed_euler_blocks(model, x0, M, _noise_blocks(seed, M, grid, model.d), grid.dt,
-                                 lambda j, xj, out: control.evaluate(xj, out=out), "simulate_state", X):
-        pass
+    _simulate_into(model, control, x0, grid, M, seed, X)
     return PathEnsemble(grid=grid, states=_time_major(X), seed=int(seed), control_id=control.describe(), d=model.d)
+
+
+def _simulate_into(model: ModelSpec, control: ControlLaw, x0, grid: TimeGrid, M: int, seed: int, X) -> None:
+    """The states of `simulate_state`, written into X: one time-major
+    (steps+1, M, n) array or arrays split at seams, as `_tamed_euler_blocks`
+    takes them.  No view of X outlives the call."""
+    for _ in _tamed_euler_blocks(model, _initial_state(model, x0), M, _noise_blocks(seed, M, grid, model.d), grid.dt,
+                                 lambda j, xj, out: control.evaluate(xj, out=out), "simulate_state", X, False):
+        pass
 
 
 def _require_base_under(base: PathEnsemble, u_bar: ControlLaw, what: str):
@@ -460,7 +484,7 @@ def _perturbed_states(model: ModelSpec, base: PathEnsemble, U: np.ndarray) -> np
     bitwise."""
     X = np.empty(_time_major(base.states).shape)
     for _ in _tamed_euler_blocks(model, base.states[:, 0], base.n_paths, base.increments, base.grid.dt,
-                                 lambda j, xj, out: U[:, j], "perturbed state", X):
+                                 lambda j, xj, out: U[:, j], "perturbed state", X, False):
         pass
     return _time_major(X)
 
@@ -494,14 +518,14 @@ def simulate_affine_dual(
     dual process of the duality check are its members.  `eta` has shape (n,)
     or (M, n); `gamma` (M, steps, n) and `rho` (M, steps, d, n) are indexed on
     the full grid (entries before t0 are ignored).  Euler steps on the base
-    increments, gathered from the blocks of `_affine_dual_blocks`; returns the
+    increments, run by `_affine_dual_blocks` in its array; returns the
     read-only (M, steps+1, n) solution, zero before t0.
     """
     j0, eta, gamma, rho = _affine_dual_inputs(model, base, u_bar, t0, eta, gamma, rho)
     Ybuf = np.zeros((base.grid.steps + 1,) + eta.shape)
     Ybuf[j0] = eta
-    for b0, rows in _affine_dual_blocks(model, base, j0, eta, gamma, rho):
-        Ybuf[b0 + 1:b0 + len(rows)] = rows[1:]
+    for _ in _affine_dual_blocks(model, base, j0, eta, gamma, rho, Ybuf):
+        pass
     Y = _time_major(Ybuf)
     Y.setflags(write=False)
     return Y
@@ -526,27 +550,29 @@ def _affine_dual_inputs(model: ModelSpec, base: PathEnsemble, u_bar: ControlLaw,
     return j0, eta, gamma, rho
 
 
-def _affine_dual_blocks(model: ModelSpec, base: PathEnsemble, j0: int, eta: np.ndarray, gamma, rho):
+def _affine_dual_blocks(model: ModelSpec, base: PathEnsemble, j0: int, eta: np.ndarray, gamma, rho,
+                        out: Optional[np.ndarray] = None):
     """The Euler recursion of the perturbed linearized equation on the base
     increments from Y_j0 = eta (M, n), on the inputs `_affine_dual_inputs`
     checked, Y_j+1 = Y_j + ((dt D_xb Y_j + dt gamma_j) + sum_i rho^i_j dW^i_j):
     yields (j0, rows) per time block of BLOCK_BYTES, rows (B+1, M, n) holding
-    Y_j0 .. Y_j0+B, Y_j0 carried from the block before.  The rows are a view
-    into one block buffer that the next block overwrites.  Each step writes
-    into Y_j+1 and work buffers allocated once, one ufunc call per scalar
-    operation.  One check per block names the first non-finite step and its
-    lowest path, as a check per step would; steps after a blow-up run
-    silently until it."""
+    Y_j0 .. Y_j0+B, Y_j0 carried from the block before.  The rows are views
+    of `out`, a time-major (steps+1, M, n) array that then receives every
+    row from j0 on, or else of one block buffer that the next block
+    overwrites.  Each step writes into Y_j+1 and work buffers allocated
+    once, one ufunc call per scalar operation.  One check per block names
+    the first non-finite step and its lowest path, as a check per step
+    would; steps after a blow-up run silently until it."""
     X, dt = _time_major(base.states), np.asarray(base.grid.dt)
     dW = None if rho is None else _time_major(base.increments)
     steps, (M, n) = base.grid.steps, eta.shape
-    buf = np.empty((min(_block_steps(8 * M * n), steps - j0) + 1, M, n))
+    buf = np.empty((min(_block_steps(8 * M * n), steps - j0) + 1, M, n)) if out is None else None
     term = np.empty(M)
     forcing = None if gamma is None and rho is None else np.empty((M, n))
     channels = None if rho is None else np.empty((M, model.d, n))
     last = eta
     for b0, b1 in _time_blocks(j0, steps, 8 * M * n):
-        Y = buf[:b1 - b0 + 1]
+        Y = buf[:b1 - b0 + 1] if out is None else out[b0:b1 + 1]
         Y[0] = last
         with np.errstate(all="ignore"):
             for b in range(b1 - b0):

@@ -22,6 +22,7 @@ from ergosmp import (
     verify_duality_finite,
 )
 import ergosmp.adjoint
+import ergosmp.duality
 from ergosmp.adjoint import (_RIDGE, _feature_count, _features_t, _pathwise_dual, _pathwise_dual_blocks,
                              adjoint_coefficients_dict, adjoint_to_csv)
 from ergosmp.ergodic_cost import verify_expansion_residual
@@ -183,14 +184,15 @@ def test_blocked_solve_matches_per_step_reference(family, M, steps, tol):
 
 
 def test_q_is_fitted_only_when_read(lq1, lq1_zero, monkeypatch):
-    fits = []
-    fit_q = ergosmp.adjoint._fit_q
+    fits = []  # the steps of every q fit, one entry per step fitted
+    q_block = ergosmp.adjoint._q_block
 
-    def counting(*args):
-        fits.append(args)
-        return fit_q(*args)
+    def counting(ensemble, j0, j1, *args):
+        fits.extend(range(j0, j1))
+        return q_block(ensemble, j0, j1, *args)
 
-    monkeypatch.setattr(ergosmp.adjoint, "_fit_q", counting)
+    for module in (ergosmp.adjoint, ergosmp.duality):
+        monkeypatch.setattr(module, "_q_block", counting)
     one = ControlLaw.constant([1.0], lq1.control_set)
     verify_duality_finite(lq1, lq1_zero, 0.0, 1.0, eta="one", M=64, seed=1, dt=0.05)
     evaluate_variational_inequality(lq1, lq1_zero, [("one", one)], 2.0, 64, 1, dt=0.05, buffer=0.5)
@@ -200,13 +202,13 @@ def test_q_is_fitted_only_when_read(lq1, lq1_zero, monkeypatch):
     sol = solve_adjoint_finite(lq1, ens, lq1_zero)
     assert fits == []
     q, coef_q = sol.q, sol.coef_q
-    assert sol.q is q and sol.coef_q is coef_q and len(fits) == 1
+    assert sol.q is q and sol.coef_q is coef_q and sorted(fits) == list(range(20))
     assert q.shape == (64, 20, 1, 1) and coef_q.shape == (20, 1, 4, 1)
     assert not q.flags.writeable and not coef_q.flags.writeable
-    # noise forcing pairs with q, so the duality check fits it
+    # noise forcing pairs with q, so the duality check fits it in its sweep
     rho = build_rho(ens, 1, 1, {0: [1.0]})
     verify_duality_finite(lq1, lq1_zero, 0.0, 1.0, eta="one", rho=rho, base=ens, dt=0.05)
-    assert len(fits) == 2
+    assert sorted(fits) == sorted(2 * list(range(20)))
 
 
 def test_non_finite_increment_fails_only_the_q_fit(lq1, lq1_zero):
@@ -382,14 +384,28 @@ def test_each_step_design_is_built_once_per_ensemble(restricted_first, lq3, monk
 
 
 def test_extend_to_infinite_hands_on_its_built_designs(lq3, monkeypatch):
+    # The report's 50 steps are built in its store, which the solution hands
+    # on, and the buffer's 10 in a store of their own: every step of
+    # [0, 1.2] is built exactly once.
     law, M, dt = _lq3_law(lq3), 512, 0.02
-    built = _count_builds(monkeypatch)
+    builds = []  # (store, step) per build; the stores are held, so no id is reused
+    step_factors = ergosmp.adjoint._step_factors
+
+    def counting(Ft, store, steps):
+        builds.extend((store, j) for j in steps.tolist())
+        return step_factors(Ft, store, steps)
+
+    monkeypatch.setattr(ergosmp.adjoint, "_step_factors", counting)
     sol = extend_to_infinite(lq3, law, np.full(3, 0.5), 1.0, 0.2, dt, M, seed=4)
     sol.q
     gamma = build_gamma(sol.ensemble, 3, value=np.ones(3), t_start=0.2, t_end=0.6)
     verify_duality_finite(lq3, law, 0.0, 1.0, eta="one", gamma=gamma, dt=dt, base=sol.ensemble)
     solve_adjoint_finite(lq3, sol.ensemble.restricted(0.8), law)
-    assert sorted(built) == list(range(60))
+    report = sol.ensemble._designs
+    others = [store for store, _ in builds if store is not report]
+    assert sorted(j for store, j in builds if store is report) == list(range(50))
+    assert all(store is others[0] for store in others)
+    assert sorted(j for store, j in builds if store is not report) == list(range(10))
 
 
 def test_extend_to_infinite_is_the_full_solve_restricted(lq3):
@@ -405,9 +421,9 @@ def test_extend_to_infinite_is_the_full_solve_restricted(lq3):
 
 
 def test_extend_to_infinite_keeps_no_noise_or_buffer_rows(lq3):
-    # What stays alive is the states (a view of the simulated ones), p on
-    # [0, T] and the design store.  The noise (3.3 MB) and the buffer's p
-    # rows (2.5 MB) would each exceed the 1 MB slack.
+    # What stays alive is the states on [0, T], p on [0, T] and the report's
+    # design store.  The noise (3.3 MB), the buffer's states (2.5 MB) and
+    # its p rows (2.5 MB) would each exceed the 1 MB slack.
     law, M, dt = _lq3_law(lq3), 512, 0.01
     tracemalloc.start()
     try:
@@ -415,10 +431,30 @@ def test_extend_to_infinite_keeps_no_noise_or_buffer_rows(lq3):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    states, p = 8 * M * 401 * 3, 8 * M * 201 * 3
+    states = p = 8 * M * 201 * 3
     assert sol.p.nbytes == p and sol.ensemble.states.base.nbytes == states
     designs = sum(a.nbytes for a in sol.ensemble._designs.values() if isinstance(a, np.ndarray))
     assert kept <= states + p + designs + (1 << 20)
+
+
+def test_extend_to_infinite_peaks_at_the_larger_of_its_phases(lq3):
+    # The buffer's states live only through their own sweep, and p is made
+    # after they are released: the peak is the larger of (report and buffer
+    # states) and (report states and p), plus the design factors of all 800
+    # steps and 1 MB.  Buffer states held through the report's sweep would
+    # add 2.5 MB.
+    law, M, dt = _lq3_law(lq3), 512, 0.01
+    np.random.Philox  # numpy.random is imported before tracing
+    tracemalloc.start()
+    try:
+        sol = extend_to_infinite(lq3, law, np.full(3, 0.5), 6.0, 2.0, dt, M, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report, buffer, p = 8 * M * 601 * 3, 8 * M * 201 * 3, sol.p.nbytes
+    store = sum(a.nbytes for a in sol.ensemble._designs.values() if isinstance(a, np.ndarray))
+    designs = store * 800 // 600  # the buffer's 200 steps had a store of the same size per step
+    assert peak <= max(report + buffer, report + p) + designs + (1 << 20)
 
 
 @pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3"])

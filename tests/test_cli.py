@@ -325,22 +325,22 @@ def test_infinite_duality_check_simulates_once(lq1_config, tmp_path, monkeypatch
     calls = []
     _counting(monkeypatch, ergosmp.cli, "simulate_state", calls)
     _counting(monkeypatch, ergosmp.duality, "simulate_state", calls)
-    _counting(monkeypatch, ergosmp.duality, "solve_adjoint_finite", calls)
+    _counting(monkeypatch, ergosmp.duality, "_pathwise_dual_blocks", calls)  # the costate's regression sweep
     argv = ["duality-check", *COMMON, "--T", "2", "--infinite"]
     assert _run(lq1_config, tmp_path, *argv) in {0, 2}
-    assert calls == ["simulate_state", "solve_adjoint_finite"]
+    assert calls == ["simulate_state", "_pathwise_dual_blocks"]
 
 
 def test_duality_check_pairs_every_probe_on_one_solve(tmp_path, capsys, monkeypatch):
-    """One run simulates once and solves the costate once, then lists and
+    """One run simulates once and sweeps the costate once, then lists and
     prints one report per probe (lq3 has 2 noise channels)."""
     config = tmp_path / "lq3.json"
     config.write_text(json.dumps(LQ3))
     calls = []
     _counting(monkeypatch, ergosmp.duality, "simulate_state", calls)
-    _counting(monkeypatch, ergosmp.duality, "solve_adjoint_finite", calls)
+    _counting(monkeypatch, ergosmp.duality, "_pathwise_dual_blocks", calls)
     assert _run(str(config), tmp_path, "duality-check", *COMMON, "--T", "2") in {0, 2}
-    assert calls == ["simulate_state", "solve_adjoint_finite"]
+    assert calls == ["simulate_state", "_pathwise_dual_blocks"]
     report = json.loads((tmp_path / "duality_report.json").read_text(), parse_constant=_reject_constant)
     probes = ["eta-one", "eta-state", "gamma", "rho-0", "rho-1"]
     assert [rep["probe"] for rep in report["reports"]] == probes and report["buffer"] is None

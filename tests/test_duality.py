@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from ergosmp import (
     verify_duality_finite,
     verify_duality_infinite,
 )
+from ergosmp.adjoint import _feature_count
 from ergosmp.duality import _build_eta, verify_duality_probes
-from ergosmp.forward import _path_integrals, _time_blocks, _time_major, simulate_affine_dual
+from ergosmp.forward import _block_steps, _path_integrals, _time_blocks, _time_major, simulate_affine_dual
 from ergosmp.model import _dot, cost_grad_x
 
 
@@ -317,6 +319,87 @@ def test_streamed_dual_sides_equal_the_stored_dual(family, lq1, lq3):
     assert (rep.rhs, rep.lhs) == (p_side, pairing)
     beta = -model.certified_dissipativity_bound()
     assert rep.tail_bound == float(np.sqrt(float((y_end**2).sum(axis=-1).mean())) * np.sqrt(psi_sup) / beta)
+
+
+def _lq3_law(lq3):
+    return ControlLaw.affine([[-0.4, -0.1, 0.0], [0.0, -0.05, -0.3]], [0.1, 0.0], lq3.control_set)
+
+
+@pytest.mark.parametrize("infinite", [False, True], ids=["finite", "infinite"])
+def test_streamed_costate_sides_equal_the_stored_costate(infinite, lq3):
+    """Each probe's sides are bitwise the stored-costate arithmetic on the
+    p and q of `solve_adjoint_finite`: the one sweep pairs p and fits q per
+    sweep block, over 5 blocks on [0, 1] (32 with the buffer), and eta-state
+    reads p at step 25, inside the block of steps 14..26."""
+    law, M, dt, T = _lq3_law(lq3), 256, 0.02, 1.0
+    assert _block_steps(8 * _feature_count(3) * M) == 12
+    probes = verify_duality_probes(lq3, law, T, M=M, seed=5, dt=dt, x0=np.full(3, 0.7), infinite=infinite)
+    horizon = T + lq3.forgetting_time(dt) if infinite else T
+    base = simulate_state(lq3, law, np.full(3, 0.7), TimeGrid.from_horizon(horizon, dt), M, seed=5)
+    sol = solve_adjoint_finite(lq3, base, law)
+    steps, ones = 50, np.ones(3)
+    singles = {"eta-one": (0.0, "one", {}), "eta-state": (25 * dt, "state", {}),
+               "rho-0": (0.0, "zero", {"rho": build_rho(base, 3, 2, {0: ones}, t_end=T)}),
+               "rho-1": (0.0, "zero", {"rho": build_rho(base, 3, 2, {1: ones}, t_end=T)})}
+    if not infinite:
+        singles["gamma"] = (0.0, "zero", {"gamma": build_gamma(base, 3, ones, steps // 4 * dt, 3 * steps // 4 * dt)})
+    assert sorted(probes) == sorted(singles)
+    for name, (t, eta, forcing) in singles.items():
+        p_side, pairing, _, _ = _stored_dual_sides(lq3, law, base, sol, t, eta, **forcing)
+        rep = probes[name]
+        sides = (rep.rhs, rep.lhs) if infinite else (rep.lhs, rep.rhs)
+        assert sides == (p_side, pairing), name
+
+
+def test_finite_check_holds_one_row_set(lq3):
+    # Beyond its inputs and the design store it builds, the check holds the
+    # (steps, M) integrand rows of its costate side and four BLOCK_BYTES
+    # blocks (the sweep's design, the dual rows, and the integral's running
+    # and integrand rows).  Storing p (4.9 MB) would exceed it.
+    law, M, dt = _lq3_law(lq3), 512, 0.01
+    base = simulate_state(lq3, law, np.full(3, 0.5), TimeGrid(dt=dt, steps=400), M, seed=4)
+    gamma = build_gamma(base, 3, value=np.ones(3), t_start=1.0, t_end=3.0)
+    np.random.Philox  # numpy.random is imported before tracing
+    tracemalloc.start()
+    try:
+        verify_duality_finite(lq3, law, 0.0, 4.0, eta="one", gamma=gamma, dt=dt, base=base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    designs = sum(a.nbytes for a in base._designs.values() if isinstance(a, np.ndarray))
+    assert peak <= designs + 8 * 400 * M + 4 * ergosmp.forward.BLOCK_BYTES
+
+
+def test_probes_store_no_costate(lq3):
+    # Beyond the states, the noise the q fit draws and the design store, the
+    # probes hold their three (steps, M) integrand row sets (gamma, rho-0,
+    # rho-1) and block buffers: less than the p (steps+1, M, 3) and
+    # q (steps, M, 2, 3) a stored costate takes.
+    law, M, dt, steps = _lq3_law(lq3), 512, 0.01, 200
+    np.random.Philox
+    tracemalloc.start()
+    try:
+        verify_duality_probes(lq3, law, 2.0, M=M, seed=3, dt=dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states, noise, p, q = 8 * M * (steps + 1) * 3, 8 * M * steps * 2, 8 * M * (steps + 1) * 3, 8 * M * steps * 6
+    designs = steps * (8 * _feature_count(3) * (_feature_count(3) + 2) + _feature_count(3))
+    assert peak - (states + noise + designs) < p + q
+
+
+def test_non_finite_costate_side_is_reported(lq1):
+    # <p, gamma> overflows at the step before last (p about nu = 10, gamma
+    # 1e308) while the dual process and its pairing stay finite: the check
+    # raises instead of reporting an infinite lhs.
+    law, M, dt = ControlLaw.affine([[-0.4]], [0.1], lq1.control_set), 64, 0.02
+    base = simulate_state(lq1, law, [0.5], TimeGrid(dt=dt, steps=50), M, seed=3)
+    gamma = np.zeros((M, 50, 1))
+    gamma[:, 48] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdjointError, match="non-finite costate side on path 0$"):
+            verify_duality_finite(lq1, law, 0.0, 1.0, gamma=gamma, nu=np.full((M, 1), 10.0), dt=dt, base=base)
 
 
 def test_base_grid_mismatch_rejected(lq1, lq1_zero, lq1_base8):

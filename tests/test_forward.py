@@ -665,6 +665,38 @@ def test_simulate_state_holds_one_noise_block(cubic1):
     assert peak < states + noise / 3
 
 
+def test_state_gather_holds_no_control_block(cubic1):
+    # A gather that never reads the controls has each step write them into
+    # one (M, l) row: beside the states it holds the one noise block (all
+    # 1000 steps here) and a time block of noise terms.  A (block, M, l)
+    # control buffer would add another BLOCK_BYTES.
+    M, steps = 256, 1000
+    np.random.Philox  # numpy.random is imported before tracing
+    tracemalloc.start()
+    try:
+        simulate_state(cubic1, cubic1.zero_control(), [0.0], TimeGrid(dt=0.01, steps=steps), M, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    noise, states = 8 * M * steps, 8 * M * (steps + 1)
+    assert peak <= states + noise + 5 * ergosmp.forward.BLOCK_BYTES // 4
+
+
+def test_affine_dual_runs_in_its_array(lq1):
+    # The recursion writes each row into the returned array, with no block
+    # buffer copied out of.
+    law, M = lq1.zero_control(), 2048
+    base = simulate_state(lq1, law, [0.5], TimeGrid(dt=0.01, steps=1000), M, 7)
+    gamma = np.broadcast_to(np.ones((1000, 1)), (M, 1000, 1))
+    tracemalloc.start()
+    try:
+        Y = simulate_affine_dual(lq1, base, law, 0.0, np.ones(1), gamma=gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= Y.nbytes + ergosmp.forward.BLOCK_BYTES // 4
+
+
 def test_blocked_finiteness_names_first_step_and_lowest_path(lq1, monkeypatch):
     M, j = 6, 11
     grid = TimeGrid(dt=0.01, steps=40)

@@ -307,6 +307,12 @@ def fingerprint(values: bool = False) -> dict:
     # The state gather across the seams of the same four noise blocks.
     h("lq3.states_noise_blocks", E.simulate_state(lq3, models["lq3"][1], np.full(3, 0.7),
                                                   E.TimeGrid.from_horizon(10.0, 0.01), 1024, 5).states)
+    # The duality probes, whose costate sweep pairs q as it fits it: 256
+    # paths make 12-step sweep blocks, 5 on [0, 1] and 32 with the buffer.
+    from ergosmp.duality import verify_duality_probes
+    h("lq3.probes_blocks", {form: {name: rep.to_dict() for name, rep in verify_duality_probes(
+        lq3, models["lq3"][1], 1.0, M=256, seed=5, dt=0.02, x0=np.full(3, 0.7), infinite=form == "infinite").items()}
+        for form in ("finite", "infinite")})
 
     return out
 
