@@ -53,7 +53,7 @@ import numpy as np
 
 from .forward import (PathEnsemble, TimeGrid, _block_steps, _check_finite, _paths_to_csv, _simulate_into,
                       _time_blocks, _time_major, simulate_state)
-from .model import ControlLaw, ModelSpec, _dot, _Report, cost_grad_x, drift_jacT_apply
+from .model import ControlLaw, ModelSpec, _dot, _Report, _slabs, cost_grad_x, drift_jacT_apply
 
 __all__ = [
     "AdjointError",
@@ -102,14 +102,18 @@ def _feature_count(n: int) -> int:
 def _features_t(X: np.ndarray) -> np.ndarray:
     """Monomial design matrix in (features, paths) layout, where per-feature
     reductions run over contiguous memory.  States (M, n) give (K, M); a stack
-    of steps (B, M, n) gives (B, K, M).  The monomials are products of
-    contiguous (..., n, M) coordinate rows."""
-    Xt = np.ascontiguousarray(np.swapaxes(np.atleast_2d(X), -1, -2))
-    n = Xt.shape[-2]
-    out = np.empty(Xt.shape[:-2] + (_feature_count(n), Xt.shape[-1]))
+    of steps (B, M, n) gives (B, K, M).  The degree-1 rows are the coordinate
+    columns X[..., i], each one contiguous (..., M) slab of the library's
+    component-outermost states (`model._slabs`), written straight into the
+    design; every higher monomial is its parent's row times one of them."""
+    X = np.atleast_2d(X)
+    n = X.shape[-1]
+    out = np.empty(X.shape[:-2] + (_feature_count(n), X.shape[-2]))
     out[..., 0, :] = 1.0
-    for row, (parent, i) in enumerate(_monomial_parents(n), start=1):
-        np.multiply(out[..., parent, :], Xt[..., i, :], out=out[..., row, :])
+    for i in range(n):
+        out[..., 1 + i, :] = X[..., i]
+    for row, (parent, i) in enumerate(_monomial_parents(n)[n:], start=n + 1):
+        np.multiply(out[..., parent, :], out[..., 1 + i, :], out=out[..., row, :])
     return out
 
 
@@ -268,10 +272,10 @@ def solve_adjoint_finite(
     """
     nu = _sweep_inputs(model, ensemble, u_bar, nu)
     steps, M, n = ensemble.grid.steps, ensemble.n_paths, model.n
-    Pbuf, coef_p = np.empty((steps + 1, M, n)), np.empty((steps, _feature_count(n), n))
+    Pbuf, coef_p = _slabs((steps + 1, M, n)), np.empty((steps, _feature_count(n), n))
     for j0, rows in _pathwise_dual_blocks(model, ensemble, 0, nu, coef_p):
         Pbuf[j0:j0 + len(rows)] = rows
-    return AdjointSolution(p=Pbuf.transpose(1, 0, 2), coef_p=coef_p,
+    return AdjointSolution(p=_time_major(Pbuf), coef_p=coef_p,
                            terminal_id="zero" if nu is None else "custom", ensemble=ensemble)
 
 
@@ -308,7 +312,8 @@ def _q_block(ensemble: PathEnsemble, j0: int, j1: int, p_next: np.ndarray, out: 
     Ft, Linv = _block_design(ensemble, j0, j1)
     dW = _time_major(ensemble.increments)[j0:j1]
     with np.errstate(all="ignore"):  # checked below, by step
-        targets = p_next[:, :, None, :] * (dW[:, :, :, None] / ensemble.grid.dt)
+        # C-ordered whatever the layout of p and dW: so Ft @ targets keeps its bits.
+        targets = np.multiply(p_next[:, :, None, :], dW[:, :, :, None] / ensemble.grid.dt, order="C")
         c = Linv.transpose(0, 2, 1) @ (Linv @ (Ft @ targets.reshape(B, M, d * n)))
     finite = np.isfinite(c).all(axis=(1, 2))
     if not finite.all():
@@ -337,12 +342,13 @@ def _fit_q(ensemble: PathEnsemble, p: np.ndarray):
 
 def _pathwise_dual(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
     """psi_j = psi_{j+1} + dt * (D_xb(X_j)^T psi_{j+1} + D_xf(X_j)), psi_N = 0,
-    on a new time-major (steps+1, M, n) buffer.  It is the exact discrete
-    adjoint of `simulate_affine_dual`: per path, <psi_j0, eta> + sum_{j>=j0}
-    <psi_{j+1}, gamma_j dt + rho_j dW_j> = dt sum_{j>=j0} <Y_j, D_xf(X_j)>.
+    on a new time-major (steps+1, M, n) `_slabs` buffer.  It is the exact
+    discrete adjoint of `simulate_affine_dual`: per path, <psi_j0, eta> +
+    sum_{j>=j0} <psi_{j+1}, gamma_j dt + rho_j dW_j> = dt sum_{j>=j0}
+    <Y_j, D_xf(X_j)>.
 
     The rows of `_pathwise_dual_blocks`, gathered into one array."""
-    psi = np.empty(_time_major(ensemble.states).shape)
+    psi = _slabs(_time_major(ensemble.states).shape)
     psi[-1] = 0.0
     for j0, rows in _pathwise_dual_blocks(model, ensemble, 0):
         psi[j0:j0 + len(rows) - 1] = rows[:-1]
@@ -363,40 +369,61 @@ def _pathwise_dual_blocks(model: ModelSpec, ensemble: PathEnsemble, stop: int, n
     Given a (len, K, n) array `coef`, this is the regression sweep of
     `solve_adjoint_finite`: each row, the target p_{j+1} + dt * driver, is
     replaced in place by its ridge fit on the step's design before the next
-    row reads it, and its coefficients go to coef[j] while j < len(coef).
-    The blocks then hold (K, M) designs, as `_block_design` builds them, and
-    a non-finite driver or fit raises AdjointError at its step."""
+    row reads it, and the coefficients of each block within len(coef) go to
+    coef[j0:j1].  The blocks then hold (K, M) designs, as `_block_design`
+    builds them.  Finiteness is checked once per block, on its coefficients:
+    a non-finite driver makes its step's fit non-finite, so the highest
+    failing step is the first one a per-step check would reach, and its
+    driver, recomputed from the fitted row above it, names the cause in the
+    AdjointError.  The rows are `_slabs` arrays, and the fit runs in the
+    orientations that keep its bits: Ft @ row, and the fitted row as the
+    (n, M) slab c^T Ft."""
     X, dt = _time_major(ensemble.states), np.asarray(ensemble.grid.dt)
     steps, (M, n) = len(X) - 1, X.shape[1:]
     block = _block_steps(8 * M * (n if coef is None else _feature_count(n)))
-    buf = np.empty((min(block, steps - stop) + 1, M, n))
+    buf = _slabs((min(block, steps - stop) + 1, M, n))
     buf[0] = 0.0 if nu is None else nu  # psi_N, carried into the first block's top row
     term = np.empty(M)
+    if coef is not None:
+        kept = np.empty((min(block, steps - stop), _feature_count(n), n))  # a block's coefficients not stored
     for j1 in range(steps, stop, -block):
         j0 = max(stop, j1 - block)
         rows = buf[:j1 - j0 + 1]
         rows[-1] = buf[0]
         if coef is not None:
             Ft, Linv = _block_design(ensemble, j0, j1)
+            cs = coef[j0:j1] if j1 <= len(coef) else kept[:j1 - j0]
         grad_x = cost_grad_x(model, X[j0:j1])
-        for b in range(j1 - j0 - 1, -1, -1):
-            row, nxt = rows[b], rows[b + 1]
-            drift_jacT_apply(model, X[j0 + b], nxt, row, term)
-            np.add(row, grad_x[b], row)
-            if coef is not None and not np.isfinite(row).all():
-                raise AdjointError(f"non-finite driver at step {j0 + b}")
-            np.multiply(row, dt, row)
-            np.add(row, nxt, row)
-            if coef is not None:
-                c = Linv[b].T @ (Linv[b] @ (Ft[b] @ row))
-                if not np.isfinite(c).all():
-                    raise AdjointError(f"non-finite regression coefficients at step {j0 + b}")
-                if j0 + b < len(coef):
-                    coef[j0 + b] = c
-                np.matmul(Ft[b].T, c, out=row)
+        with np.errstate(all="ignore"):  # checked once per block, below
+            for b in range(j1 - j0 - 1, -1, -1):
+                row, nxt = rows[b], rows[b + 1]
+                drift_jacT_apply(model, X[j0 + b], nxt, row, term)
+                np.add(row, grad_x[b], row)
+                np.multiply(row, dt, row)
+                np.add(row, nxt, row)
+                if coef is not None:
+                    np.matmul(Linv[b].T, Linv[b] @ (Ft[b] @ row), out=cs[b])
+                    np.matmul(cs[b].T, Ft[b], out=row.T)
+        if coef is not None:
+            _check_fit(model, X, rows, grad_x, cs, j0)
         _check_finite(rows[0], j0, "pathwise dual")
-        Ft = Linv = grad_x = None  # released before the next block's are made
+        Ft = Linv = grad_x = cs = None  # released before the next block's are made
         yield j0, rows
+
+
+def _check_fit(model: ModelSpec, X, rows, grad_x, cs, j0: int) -> None:
+    """Raise AdjointError at the highest step of a swept block whose
+    coefficients cs (B, K, n) are non-finite: its driver D_xb^T p_j+1 + D_xf,
+    recomputed from the fitted row above it, tells a non-finite driver from
+    non-finite regression coefficients."""
+    finite = np.isfinite(cs).all(axis=(1, 2))
+    if finite.all():
+        return
+    b = int(np.flatnonzero(~finite)[-1])
+    with np.errstate(all="ignore"):
+        driver = drift_jacT_apply(model, X[j0 + b], rows[b + 1]) + grad_x[b]
+    what = "regression coefficients" if np.isfinite(driver).all() else "driver"
+    raise AdjointError(f"non-finite {what} at step {j0 + b}")
 
 
 def _forgetting_buffer(model: ModelSpec, buffer: Optional[float], dt: float) -> float:
@@ -434,8 +461,8 @@ def extend_to_infinite(
     """
     grid = TimeGrid.from_horizon(T_report + _forgetting_buffer(model, T_buffer, dt), dt)
     report_grid = TimeGrid(dt=grid.dt, steps=grid.index_of(T_report))
-    head = np.empty((report_grid.steps + 1, M, model.n))
-    tail = np.empty((grid.steps - report_grid.steps + 1, M, model.n))
+    head = _slabs((report_grid.steps + 1, M, model.n))
+    tail = _slabs((grid.steps - report_grid.steps + 1, M, model.n))
     _simulate_into(model, u_bar, x0, grid, M, seed, (head, tail))
     # The buffer's ensemble is read for its states only: its seed's noise is
     # not the buffer's.  Its sweep stores no row but the fitted p at
@@ -499,7 +526,7 @@ def check_truncation_consistency(
 
     j_n = ens_short.grid.steps
     diff = sol_short.p[:, : j_n + 1] - sol_long.p[:, : j_n + 1]
-    diff_sq = (diff**2).sum(axis=-1).mean(axis=0)
+    diff_sq = _dot(diff, diff).mean(axis=0)
     times = np.arange(j_n + 1) * dt
 
     # Independent-seed rerun measures the solver's own function-space noise.

@@ -9,8 +9,9 @@ discarded tail bounded.  Both sides are per-path left-endpoint time
 integrals (`_path_integrals`).  One regression sweep of the costate serves every
 probe of a call (`_costate_sides`): it pairs each block's fitted p rows with
 gamma and the q it fits on the block with rho, so no p or q array is
-stored, only each forced probe's (steps, M) integrand rows.  Each probe's
-dual process is streamed through its recursion (`_pairing_sides`).
+stored, only each forced probe's integrand rows on the steps where its
+forcing is non-zero.  Each probe's dual process is streamed through its
+recursion (`_pairing_sides`).
 
 The quadrature leaves an O(dt) floor in the finite form: the forcing sum
 pairs p_j with gamma_j, where the exact discrete adjoint of the dual Euler
@@ -171,11 +172,27 @@ def _base_ensemble(model, u_bar, base, T, dt, M, seed, x0) -> PathEnsemble:
     return base
 
 
+def _support_runs(j0: int, gamma, rho) -> list:
+    """(first, end) of each run of consecutive steps j >= j0 where gamma_j or
+    rho_j is non-zero on some path: where a probe's costate integrand can be
+    non-zero.  A probe with no forcing has none."""
+    forced = False
+    for a in (gamma, rho):
+        if a is not None:
+            # One path stands for all when the forcing is broadcast over them.
+            forced = forced | a[:1 if a.strides[0] == 0 else None, j0:].any(axis=(0, *range(2, a.ndim)))
+    steps = np.flatnonzero(forced) + j0
+    return [(int(run[0]), int(run[-1]) + 1) for run in np.split(steps, np.flatnonzero(np.diff(steps) != 1) + 1)
+            if len(run)]
+
+
 def _costate_sides(model, base, probes, nu):
     """The costate side of each probe (j0, eta, gamma, rho), inputs that
-    `_affine_dual_inputs` checked: (<p_j0, eta> (M,), rows), rows the
-    (steps - j0, M) integrand <p_j, gamma_j> + sum_i <q^i_j, rho^i_j> of the
-    steps j0 <= j < steps, or None for a probe with no forcing.
+    `_affine_dual_inputs` checked: (<p_j0, eta> (M,), runs), runs a list of
+    (first, end, rows), rows the (end - first, M) integrand
+    <p_j, gamma_j> + sum_i <q^i_j, rho^i_j> on each run of `_support_runs`.
+    The integrand is built and stored on those steps only; on the others it
+    is an exact zero, which adds nothing to the running sum.
 
     One regression sweep of p from nu (None: 0) down to the lowest j0 serves
     every probe (`adjoint._pathwise_dual_blocks` with a fit): each block
@@ -184,7 +201,7 @@ def _costate_sides(model, base, probes, nu):
     with floating-point errors ignored: `_forms` checks them once the dual
     side has run, so a dual process that blows up is named first."""
     steps, M, n = base.grid.steps, base.n_paths, model.n
-    sides = [[None, None if gamma is None and rho is None else np.empty((steps - j0, M))]
+    sides = [[None, [(first, end, np.empty((end - first, M))) for first, end in _support_runs(j0, gamma, rho)]]
              for j0, _, gamma, rho in probes]
     fit_q = any(rho is not None for *_, rho in probes)
     stop = min(steps - 1, *(j0 for j0, *_ in probes))
@@ -195,16 +212,17 @@ def _costate_sides(model, base, probes, nu):
             for (j0, eta, gamma, rho), side in zip(probes, sides):
                 if side[0] is None and b0 <= j0 <= b1:
                     side[0] = _dot(rows[j0 - b0], eta)
-                a = max(b0, j0)
-                if side[1] is None or a >= b1:
-                    continue
-                forcing = np.zeros((b1 - a, M))
-                if gamma is not None:
-                    forcing = forcing + _dot(rows[a - b0:-1], _time_major(gamma)[a:b1])
-                if rho is not None:
-                    # <q, rho> sums d*n terms (9 on lq3), past _dot's column range
-                    forcing = forcing + (Q[a - b0:] * _time_major(rho)[a:b1]).sum(axis=(-1, -2))
-                side[1][a - j0:b1 - j0] = forcing
+                for first, end, kept in side[1]:
+                    a, b = max(b0, first), min(b1, end)
+                    if a >= b:
+                        continue
+                    forcing = np.zeros((b - a, M))
+                    if gamma is not None:
+                        forcing = forcing + _dot(rows[a - b0:b - b0], _time_major(gamma)[a:b])
+                    if rho is not None:
+                        # <q, rho> sums d*n terms over two axes, one numpy reduction
+                        forcing = forcing + (Q[a - b0:b - b0] * _time_major(rho)[a:b]).sum(axis=(-1, -2))
+                    kept[a - first:b - first] = forcing
     return sides
 
 
@@ -323,12 +341,12 @@ def _forms(model, u_bar, base, horizons: dict, probes: dict, nu=None) -> Dict[st
     costate = _costate_sides(model, base, checked, checked_nu)
 
     reports = {}
-    for (name, (t, eta, _, _)), (j0, eta_arr, gamma, rho), (eta_term, rows) in zip(probes.items(), checked, costate):
+    for (name, (t, eta, _, _)), (j0, eta_arr, gamma, rho), (eta_term, runs) in zip(probes.items(), checked, costate):
         pairing_rows, dual_end, psi_sup = _pairing_sides(model, base, j0, eta_arr, gamma, rho, checked_nu)
         with np.errstate(all="ignore"):
-            forcing = 0.0 if rows is None else _path_integrals(
-                grid, ((j0 + a, rows[a:b]) for a, b in _time_blocks(0, len(rows), 8 * M)), [grid.steps], (M,),
-                start=j0)[:, 0]
+            blocks = ((first + a, rows[a:b]) for first, end, rows in runs
+                      for a, b in _time_blocks(0, end - first, 8 * M))
+            forcing = 0.0 if not runs else _path_integrals(grid, blocks, [runs[-1][1]], (M,), start=j0)[:, 0]
             p_rows = eta_term + forcing
         if not np.isfinite(p_rows).all():
             raise AdjointError(f"non-finite costate side on path {int(np.argmin(np.isfinite(p_rows)))}")

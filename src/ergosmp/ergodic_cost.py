@@ -28,7 +28,7 @@ import numpy as np
 from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _noise_blocks,
                       _path_integrals, _perturbed_states, _require_base_under, _tamed_euler_blocks, _time_blocks,
                       _time_major, simulate_affine_dual)
-from .model import ControlLaw, ModelSpec, _dot, _Report, cost_at, cost_grad_u, cost_grad_x, drift_jacU_apply
+from .model import ControlLaw, ModelSpec, _dot, _Report, _slabs, cost_at, cost_grad_u, cost_grad_x, drift_jacU_apply
 
 __all__ = [
     "ErgodicCostReport",
@@ -159,7 +159,7 @@ def _simulate_priced(model: ModelSpec, control: ControlLaw, x0: np.ndarray, grid
     The report's sums stop at the horizon, and the states past it follow."""
     ts, indices, tail_mask = _checkpoint_ladder(TimeGrid(dt=grid.dt, steps=grid.index_of(horizon)))
     M = dW.shape[0]
-    X = np.empty((grid.steps + 1, M, model.n))
+    X = _slabs((grid.steps + 1, M, model.n))
     steps = _tamed_euler_blocks(model, x0, M, dW, grid.dt, lambda j, xj, out: control.evaluate(xj, out=out),
                                 "simulate_state", X)
     priced = ((j0, cost_at(model, rows[:-1], U)) for j0, rows, U in steps)
@@ -221,8 +221,9 @@ def verify_expansion_residual(
     sup_delta, sup_resid = [], []
     for theta, Xp in zip(thetas, perturbed):
         delta = Xp - base.states
-        sup_delta.append(float((delta**2).sum(axis=-1).mean(axis=0).max()))
-        sup_resid.append(float(((delta / theta - Y)**2).sum(axis=-1).mean(axis=0).max()))
+        resid = delta / theta - Y
+        sup_delta.append(float(_dot(delta, delta).mean(axis=0).max()))
+        sup_resid.append(float(_dot(resid, resid).mean(axis=0).max()))
 
     X, Ys, U, V = (_time_major(a) for a in (base.states, Y, ub, v))
     Xps = [_time_major(Xp) for Xp in perturbed]

@@ -28,16 +28,22 @@ and `_affine_dual_blocks` for the linearized equation.  A pass gathers their
 blocks into an array or hands them, mapped to integrand rows, to the one
 running sum `_path_integrals`, which pulls them only as far as it reads.
 
+Every path array (noise, states, dual and costate rows, block buffers) is
+one C-contiguous component-outermost (n, steps+1, M) buffer (`model._slabs`),
+seen as (M, steps+1, n) in public and as (steps+1, M, n) by the recursions
+(`_time_major`): each coordinate column of a step or a time block is one
+contiguous slab.  No output bit depends on the layout of its inputs.
+
 The three forward kernels keep those bits and run along the long axes: the
 noise stream draws whole paths into a path-major chunk and transposes it
-into its time-major block, the tamed-Euler step runs one time block at a
-time, making the noise terms of each block in one call and checking
-finiteness once, and the CSV writer formats each path with one `%` of a
-per-file template.  The step allocates its work buffers once and writes
-every quantity into them through the `out=` paths of `ControlLaw.evaluate`,
-`ConvexSet.project`, `drift_at` and `_mat_vec`, the routines that whole path
-stacks go through too: one ufunc call per scalar operation, in the order of
-the formula, on coefficients bound once.
+into its block, the tamed-Euler step runs one time block at a time, making
+the noise terms of each block in one call and checking finiteness once, and
+the CSV writer formats each path with one `%` of a per-file template.  The
+step allocates its work buffers once and writes every quantity into them
+through the `out=` paths of `ControlLaw.evaluate`, `ConvexSet.project`,
+`drift_at` and `_mat_vec`, the routines that whole path stacks go through
+too: one ufunc call per scalar operation, in the order of the formula, on
+coefficients bound once.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from .model import (
     ModelSpec,
     _dot,
     _mat_vec,
+    _slabs,
     drift_at,
     drift_jac_apply,
 )
@@ -147,8 +154,10 @@ def _require_grid(grid: TimeGrid, T: float, dt: float, what: str) -> None:
 
 
 def _time_major(arr: np.ndarray) -> np.ndarray:
-    """View with the path axis first; the underlying buffer is time-major so
-    per-step slices arr[:, j] stay contiguous."""
+    """The view with the first two axes swapped: the public (M, steps+1, n)
+    form of a path array and its time-major (steps+1, M, n) form, whose
+    leading slices are steps and time blocks.  The buffer underneath is the
+    component-outermost (n, steps+1, M) one of `model._slabs`."""
     return arr.transpose(1, 0, *range(2, arr.ndim))
 
 
@@ -176,7 +185,10 @@ def _path_integrals(grid: TimeGrid, blocks, indices, shape, start: int = 0) -> n
     an ensemble goes through this one running sum acc = acc + dt * g_j, taken
     per step in time order (row by row along the block, seeded with acc), so
     they all share one summation order and the blocking changes no bit.
-    Indices may be unsorted or repeated; an index equal to `start` reads 0.
+    The blocks may skip steps where the integrand is an exact zero: acc
+    starts at +0.0, so adding dt * 0 would leave it bitwise unchanged.  No
+    index may fall in such a gap.  Indices may be unsorted or repeated; an
+    index equal to `start` reads 0.
     """
     indices = np.asarray(indices, dtype=int)
     if indices.size and (indices.min() < start or indices.max() > grid.steps):
@@ -196,7 +208,7 @@ def _path_integrals(grid: TimeGrid, blocks, indices, shape, start: int = 0) -> n
         for i in range(1, len(run)):
             np.add(run[i - 1], run[i], out=run[i])
         sel = (indices >= j0) & (indices <= j1)
-        out[..., sel] = np.moveaxis(run[indices[sel] - j0], 0, -1)
+        out[..., sel] = run[indices[sel] - j0].transpose(*range(1, run.ndim), 0)
         acc = run[-1].copy()  # a view would keep this whole block alive through the next
         del g, run
         if j1 == end:
@@ -215,8 +227,9 @@ def _noise_blocks(seed: int, M: int, grid: TimeGrid, d: int, block: Optional[int
     """The increments of (seed, M, grid, d) in time order: yields
     (j0, j1, dW), dW the time-major (j1 - j0, M, d) increments of steps
     j0..j1-1 with per-cell variance dt, `block` steps at a time (default: as
-    many as fit in _NOISE_BYTES).  Every block is written into one buffer,
-    so a block is valid until the next one is drawn.
+    many as fit in _NOISE_BYTES).  Every block is written into one
+    component-outermost buffer (`_slabs`), so each channel's block is one
+    contiguous slab, valid until the next block is drawn.
 
     Path i draws from Philox keyed by (seed, i), through one Philox/Generator
     pair re-keyed per path by setting its `.state`.  At a block boundary each
@@ -226,10 +239,10 @@ def _noise_blocks(seed: int, M: int, grid: TimeGrid, d: int, block: Optional[int
     """
     seed, steps = _check_seed(seed), grid.steps
     block = min(steps, block or max(1, _NOISE_BYTES // max(1, 8 * M * d)))
-    buf = np.empty((block, M, d))
+    buf = _slabs((block, M, d))
     # Whole paths are drawn into a path-major chunk, which one transposed
-    # assignment copies into the time-major block; writing each path
-    # straight into it would stride M*d*8 bytes per step.
+    # assignment copies into the block; writing each path straight into it
+    # would stride M*8 bytes per step.
     per_chunk = _block_steps(8 * block * d)
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
@@ -278,7 +291,9 @@ def brownian_increments(seed: int, M: int, grid: TimeGrid, d: int) -> np.ndarray
 @dataclass(frozen=True)
 class PathEnsemble:
     """M trajectories of the state equation from x0 = states[:, 0], driven by
-    d noise channels.
+    d noise channels.  The library builds `states` and `noise` as views of
+    component-outermost buffers (`model._slabs`); an ensemble on arrays of
+    any other layout gives the same bits, only slower.
 
     `noise` is the (M, steps, d) array the ensemble was built on
     (`ensemble_from_binary`, the optimizer's shared noise), or None for the
@@ -368,10 +383,11 @@ def _tamed_euler_blocks(model: ModelSpec, x0, M: int, noise, dt: float, control_
 
     The rows are views of X when it is given, which then receives every
     state, or else of one block buffer that the next block overwrites.  X is
-    a time-major (steps+1, M, n) array, or a sequence of such arrays that
-    split the rows at their seams, each seam row held by the arrays on both
-    sides of it: no block straddles a seam, so each array can be released on
-    its own.
+    a time-major (steps+1, M, n) view of a `_slabs` buffer, or a sequence of
+    such views that split the rows at their seams, each seam row held by the
+    arrays on both sides of it: no block straddles a seam, so each array can
+    be released on its own.  The block buffer, U and the work rows are
+    `_slabs` arrays too, so every column a kernel reads is one slab.
 
     The drift increment is dt*b / (1 + dt*|b|), which keeps the scheme stable
     for the cubic drift term; the diffusion term is standard Euler.  Each
@@ -391,14 +407,14 @@ def _tamed_euler_blocks(model: ModelSpec, x0, M: int, noise, dt: float, control_
     # (first row, last row, array) of each array the rows go to.
     if X is None:
         spans = [(0, math.inf, None)]
-        buf = np.empty((block + 1, M, n))
+        buf = _slabs((block + 1, M, n))
     else:
         spans, first = [], 0
         for part in (X,) if isinstance(X, np.ndarray) else X:
             spans.append((first, first + len(part) - 1, part))
             first += len(part) - 1
-    U = np.empty((block if controls else 1, M, model.l))
-    b, bu = np.empty((M, n)), np.empty((M, n))
+    U = _slabs((block if controls else 1, M, model.l))
+    b, bu = _slabs((M, n)), _slabs((M, n))
     scale, term = np.empty(M), np.empty(M)
     scale_col = scale[:, None]
     dt, one = np.asarray(dt), np.asarray(1.0)  # 0-d, as the `_rows` coefficients
@@ -454,15 +470,15 @@ def simulate_state(
     (`_noise_blocks`), holding one noise block besides the states, and the
     ensemble draws them again when they are read (`PathEnsemble`).
     """
-    X = np.empty((grid.steps + 1, M, model.n))
+    X = _slabs((grid.steps + 1, M, model.n))
     _simulate_into(model, control, x0, grid, M, seed, X)
     return PathEnsemble(grid=grid, states=_time_major(X), seed=int(seed), control_id=control.describe(), d=model.d)
 
 
 def _simulate_into(model: ModelSpec, control: ControlLaw, x0, grid: TimeGrid, M: int, seed: int, X) -> None:
     """The states of `simulate_state`, written into X: one time-major
-    (steps+1, M, n) array or arrays split at seams, as `_tamed_euler_blocks`
-    takes them.  No view of X outlives the call."""
+    (steps+1, M, n) `_slabs` array or such arrays split at seams, as
+    `_tamed_euler_blocks` takes them.  No view of X outlives the call."""
     for _ in _tamed_euler_blocks(model, _initial_state(model, x0), M, _noise_blocks(seed, M, grid, model.d), grid.dt,
                                  lambda j, xj, out: control.evaluate(xj, out=out), "simulate_state", X, False):
         pass
@@ -482,7 +498,7 @@ def _perturbed_states(model: ModelSpec, base: PathEnsemble, U: np.ndarray) -> np
     perturbation when U = u_bar + theta*(u_alt - u_bar) along the base path.
     Under the base path's own controls it reproduces the base states
     bitwise."""
-    X = np.empty(_time_major(base.states).shape)
+    X = _slabs(_time_major(base.states).shape)
     for _ in _tamed_euler_blocks(model, base.states[:, 0], base.n_paths, base.increments, base.grid.dt,
                                  lambda j, xj, out: U[:, j], "perturbed state", X, False):
         pass
@@ -522,7 +538,8 @@ def simulate_affine_dual(
     read-only (M, steps+1, n) solution, zero before t0.
     """
     j0, eta, gamma, rho = _affine_dual_inputs(model, base, u_bar, t0, eta, gamma, rho)
-    Ybuf = np.zeros((base.grid.steps + 1,) + eta.shape)
+    Ybuf = _slabs((base.grid.steps + 1,) + eta.shape)
+    Ybuf[:j0] = 0.0
     Ybuf[j0] = eta
     for _ in _affine_dual_blocks(model, base, j0, eta, gamma, rho, Ybuf):
         pass
@@ -557,18 +574,19 @@ def _affine_dual_blocks(model: ModelSpec, base: PathEnsemble, j0: int, eta: np.n
     checked, Y_j+1 = Y_j + ((dt D_xb Y_j + dt gamma_j) + sum_i rho^i_j dW^i_j):
     yields (j0, rows) per time block of BLOCK_BYTES, rows (B+1, M, n) holding
     Y_j0 .. Y_j0+B, Y_j0 carried from the block before.  The rows are views
-    of `out`, a time-major (steps+1, M, n) array that then receives every
-    row from j0 on, or else of one block buffer that the next block
-    overwrites.  Each step writes into Y_j+1 and work buffers allocated
+    of `out`, a time-major (steps+1, M, n) `_slabs` array that then receives
+    every row from j0 on, or else of one `_slabs` block buffer that the next
+    block overwrites.  Each step writes into Y_j+1 and work buffers allocated
     once, one ufunc call per scalar operation.  One check per block names
     the first non-finite step and its lowest path, as a check per step
     would; steps after a blow-up run silently until it."""
     X, dt = _time_major(base.states), np.asarray(base.grid.dt)
     dW = None if rho is None else _time_major(base.increments)
     steps, (M, n) = base.grid.steps, eta.shape
-    buf = np.empty((min(_block_steps(8 * M * n), steps - j0) + 1, M, n)) if out is None else None
+    buf = _slabs((min(_block_steps(8 * M * n), steps - j0) + 1, M, n)) if out is None else None
     term = np.empty(M)
-    forcing = None if gamma is None and rho is None else np.empty((M, n))
+    forcing = None if gamma is None and rho is None else _slabs((M, n))
+    # C-ordered, so numpy sums its channels left to right for any d.
     channels = None if rho is None else np.empty((M, model.d, n))
     last = eta
     for b0, b1 in _time_blocks(j0, steps, 8 * M * n):
@@ -596,9 +614,8 @@ def estimate_moment(ensemble: PathEnsemble, q: int, t: float):
     """Monte Carlo estimate of E|X_t|^q with a 95% normal CI half-width."""
     if q < 2 or q % 2 != 0:
         raise SimulationError("moment order q must be a positive even integer")
-    j = ensemble.grid.index_of(t)
-    r = np.linalg.norm(ensemble.states[:, j], axis=-1)
-    vals = r**q
+    x = ensemble.states[:, ensemble.grid.index_of(t)]
+    vals = np.sqrt(_dot(x, x))**q
     return float(vals.mean()), _ci95_halfwidth(vals)
 
 
@@ -663,6 +680,9 @@ def ensemble_to_binary(ensemble: PathEnsemble, path: str) -> None:
     * float64   x0, n values;
     * float64   states, M*(steps+1)*n values in (path, step, coordinate) order;
     * float64   increments, M*steps*d values in (path, step, channel) order.
+
+    The on-disk order is the public (M, steps+1, n) one, whatever the layout
+    of the buffers in memory.
     """
     with open(path, "wb") as fh:
         fh.write(_BINARY_MAGIC)
@@ -686,7 +706,9 @@ def ensemble_from_binary(path: str) -> PathEnsemble:
     """Load a dump written by `ensemble_to_binary`; a file whose header or
     length does not match that layout, whose header has M, n or d = 0, that
     holds a non-finite number or whose paths do not all start at its x0
-    raises SimulationError, the last naming the lowest such path."""
+    raises SimulationError, the last naming the lowest such path.  The
+    arrays are re-buffered component-outermost (`model._slabs`), as the
+    library's own ensembles are."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != _BINARY_MAGIC:
@@ -706,18 +728,14 @@ def ensemble_from_binary(path: str) -> PathEnsemble:
                 f"implies {expected}"
             )
         x0 = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(float)
-        states = np.frombuffer(fh.read(8 * m * (steps + 1) * n), dtype="<f8")
-        states = states.reshape(m, steps + 1, n).astype(float)
-        incr = np.frombuffer(fh.read(8 * m * steps * d), dtype="<f8")
-        incr = incr.reshape(m, steps, d).astype(float)
+        states, incr = (_time_major(_slabs((length, m, k))) for length, k in ((steps + 1, n), (steps, d)))
+        states[...] = np.frombuffer(fh.read(states.nbytes), dtype="<f8").reshape(states.shape)
+        incr[...] = np.frombuffer(fh.read(incr.nbytes), dtype="<f8").reshape(incr.shape)
     for name, arr in (("x0", x0), ("states", states), ("increments", incr)):
         if not np.isfinite(arr).all():
             raise SimulationError(f"ensemble dump holds a non-finite value in its {name}")
     off = np.flatnonzero((states[:, 0] != x0).any(axis=-1))
     if off.size:
         raise SimulationError(f"ensemble dump: path {int(off[0])} does not start at the header's x0")
-    # Re-buffer time-major so per-step slices stay contiguous downstream.
-    states = _time_major(np.ascontiguousarray(states.transpose(1, 0, 2)))
-    incr = _time_major(np.ascontiguousarray(incr.transpose(1, 0, 2)))
     return PathEnsemble(grid=TimeGrid(dt=dt, steps=steps), states=states, seed=seed, control_id="imported",
                         d=d, noise=incr)

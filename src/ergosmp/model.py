@@ -52,6 +52,13 @@ def _require_finite(a, name):
         raise ModelError(f"{name} must be finite")
 
 
+def _slabs(shape) -> np.ndarray:
+    """An empty float array of `shape` (..., n) on one C-contiguous (n, ...)
+    buffer, where each column [..., k] of a step or a time block is one
+    contiguous slab; with n = 1 the memory order is the C order."""
+    return np.empty(shape[-1:] + shape[:-1]).transpose(*range(1, len(shape)), 0)
+
+
 def _mat_vec(mat, vec, offset=None, out=None, term=None):
     """mat @ vec (+ offset) over the last axes, each result row the column sum
     vec_0 * mat[i, 0] + vec_1 * mat[i, 1] + ..., accumulated left to right,
@@ -59,7 +66,9 @@ def _mat_vec(mat, vec, offset=None, out=None, term=None):
 
     The result is computed one row at a time on (..., M) columns, one ufunc
     call per scalar operation, so every numpy loop runs along the paths and
-    not along the short state axis.  `mat` is a (..., rows, cols) array or
+    not along the short state axis.  On `_slabs` arrays, the default `out`
+    among them, each column vec[..., k] and out[..., i] of a step or a whole
+    time block is one contiguous slab.  `mat` is a (..., rows, cols) array or
     its `_rows`; `offset` is a (..., rows) array or a vector's `_entries`.  The
     result goes into `out` and each product after a row's first into `term`
     (the batch shape); both are allocated when not given, and neither may
@@ -76,7 +85,7 @@ def _mat_vec(mat, vec, offset=None, out=None, term=None):
         batch = vec.shape[:-1]
         if rows[0][0].ndim:
             batch = np.broadcast_shapes(batch, rows[0][0].shape)
-        out = np.empty(batch + (len(rows),))
+        out = _slabs(batch + (len(rows),))
     for i, row in enumerate(rows):
         col = out[..., i]
         np.multiply(vec[..., 0], row[0], col)
@@ -114,9 +123,10 @@ def _dot(a, b, out=None, term=None):
     terms numpy reduces left to right, and so does this sum, a_0 b_0 +
     a_1 b_1 + ..., accumulated on (..., M) columns without a numpy loop along
     the short last axis; `out` and `term` are as in `_mat_vec`.  More terms
-    go to numpy's reduction, whose order is then no longer left to right."""
+    go to numpy's reduction of the C-ordered product, whose order is then no
+    longer left to right, but does not depend on the layout of a and b."""
     if a.shape[-1] > 7:
-        return np.sum(a * b, axis=-1, out=out)
+        return np.sum(np.multiply(a, b, order="C"), axis=-1, out=out)
     out = np.asarray(np.multiply(a[..., 0], b[..., 0], out))  # 1-d inputs give a 0-d array
     for k in range(1, a.shape[-1]):
         if term is None:
@@ -191,7 +201,7 @@ class ConvexSet:
         projection allocates (two with more than one coordinate)."""
         u = np.asarray(u, dtype=float)
         if out is None:
-            out = np.empty(u.shape)
+            out = _slabs(u.shape)
         if self.kind == "box":
             lower, upper = self._coef
             if len(lower) == 1:
@@ -312,7 +322,7 @@ class ControlLaw:
         a ball its norm, and a tabulated law its bin indices."""
         x = np.asarray(x, dtype=float)
         if out is None:
-            out = np.empty(x.shape[:-1] + (self.control_set.dim,))
+            out = _slabs(x.shape[:-1] + (self.control_set.dim,))
         if self.kind == "constant":
             for i, c in enumerate(self._coef):
                 out[..., i] = c
@@ -590,11 +600,15 @@ def _sub_cubic_jac(model: ModelSpec, X, Z, out, term=None) -> None:
 
 
 def drift_jacU_T_apply(model: ModelSpec, P) -> np.ndarray:
-    """(D_u b)^T P, shape (M, l); D_u b is the constant matrix B.  P @ B,
-    which for n = 1 is the exact product P * B[0]."""
+    """(D_u b)^T P for P of shape (..., n), shape (..., l); D_u b is the
+    constant matrix B.  P @ B, which for n = 1 is the exact product P * B[0],
+    taken as B^T P^T into the (l, M) slabs of a `_slabs` result, bitwise
+    P @ B."""
     if model.n == 1:
         return P * model.B[0]
-    return P @ model.B
+    out = _slabs(P.shape[:-1] + (model.l,))
+    np.matmul(model.B.T, P.swapaxes(-1, -2), out.swapaxes(-1, -2))
+    return out
 
 
 def cost_at(model: ModelSpec, X, U) -> np.ndarray:

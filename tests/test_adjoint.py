@@ -519,6 +519,24 @@ def test_non_finite_state_fails_at_its_driver_without_warning(bad, lq1, lq1_zero
                 solve_adjoint_finite(lq1, broken, lq1_zero)
 
 
+@pytest.mark.parametrize("plant,message", [
+    ({(3, 12): 1e200, (5, 5): np.inf}, "non-finite regression coefficients at step 12$"),
+    ({(3, 12): 1e308, (5, 5): 1e200}, "non-finite driver at step 12$"),
+], ids=["features-overflow", "driver-overflow"])
+def test_planted_overflow_names_the_highest_failing_step(plant, message, lq1, lq1_zero):
+    # The sweep checks its coefficients once per block (here one block of 20
+    # steps), yet names the step and cause a per-step check would: 1e200
+    # overflows the cubic features at step 12 with a finite driver, 1e308
+    # overflows the driver 2 Q x, and the lower planted step is not reached.
+    ens = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.05, steps=20), 64, seed=2)
+    states = ens.states.copy()
+    for index, value in plant.items():
+        states[index] = value
+    broken = dataclasses.replace(ens, states=states)
+    with pytest.raises(AdjointError, match=message), np.errstate(over="ignore"):
+        solve_adjoint_finite(lq1, broken, lq1_zero)
+
+
 # ---------------------------------------------------------------------------
 # Export and views
 
@@ -574,7 +592,7 @@ def test_pathwise_dual_is_the_adjoint_of_the_linearized_equation(family, cubic1,
     M, n, d = 128, model.n, model.d
     ens = simulate_state(model, law, np.ones(n), grid, M, seed=3)
     psi_tm = _pathwise_dual(model, ens)
-    assert psi_tm.shape == (grid.steps + 1, M, n) and psi_tm.flags.c_contiguous
+    assert psi_tm.shape == (grid.steps + 1, M, n) and psi_tm.transpose(2, 0, 1).flags.c_contiguous
     assert np.all(psi_tm[-1] == 0.0)
     psi = _time_major(psi_tm)
     rng = np.random.default_rng(17)

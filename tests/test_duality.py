@@ -388,6 +388,28 @@ def test_probes_store_no_costate(lq3):
     assert peak - (states + noise + designs) < p + q
 
 
+def test_infinite_rho_probe_stores_rows_only_where_it_forces(lq3):
+    # rho forces [0, T), a fifth of the grid [0, T + buffer] of the infinite
+    # form: the costate side builds and stores its integrand rows there only
+    # (0.7 MB), so beyond the inputs and the design store and increments the
+    # first call leaves, the check peaks below one full (steps, M) row set
+    # (3.4 MB), which storing every row would exceed alone.
+    law, M, dt, T = _lq3_law(lq3), 512, 0.01, 1.66
+    grid = TimeGrid.from_horizon(T + lq3.forgetting_time(dt), dt)
+    base = simulate_state(lq3, law, np.full(3, 0.5), grid, M, seed=4)
+    rho = build_rho(base, 3, 2, {0: np.ones(3)}, t_end=T)
+    assert grid.steps == 5 * grid.index_of(T)
+    check = lambda: verify_duality_infinite(lq3, law, 0.0, T, rho=rho, T_report=T, dt=dt, base=base)
+    check()
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.steps * M
+
+
 def test_non_finite_costate_side_is_reported(lq1):
     # <p, gamma> overflows at the step before last (p about nu = 10, gamma
     # 1e308) while the dual process and its pairing stay finite: the check

@@ -621,9 +621,9 @@ def test_noise_matches_per_path_philox_reference(monkeypatch):
     for i in range(M):
         ref = np.random.Generator(np.random.Philox(key=[seed, i])).standard_normal((grid.steps, d))
         assert dW[i].tobytes() == (ref * np.sqrt(grid.dt)).tobytes()
-    # The time-major view of a (steps, M, d) buffer.
+    # The (M, steps, d) view of a component-outermost (d, steps, M) buffer.
     assert dW.shape == (M, grid.steps, d)
-    assert dW.strides == (8 * d, 8 * M * d, 8)
+    assert dW.strides == (8, 8 * M, 8 * M * grid.steps)
     # A grid twice as long (one path per chunk now) starts with these increments.
     longer = brownian_increments(seed, M, TimeGrid(dt=grid.dt, steps=2 * grid.steps), d)
     assert longer[:, : grid.steps].tobytes() == dW.tobytes()

@@ -13,7 +13,7 @@ from ergosmp import (
     check_dissipativity,
     model_config_dict,
 )
-from ergosmp.model import (_dot, _mat_vec, cost_at, cost_grad_u, cost_grad_x, drift_at, drift_jac_apply,
+from ergosmp.model import (_dot, _mat_vec, _slabs, cost_at, cost_grad_u, cost_grad_x, drift_at, drift_jac_apply,
                            drift_jac_x, drift_jacT_apply)
 
 
@@ -174,11 +174,24 @@ def _wide_range(rng, shape):
     return rng.standard_normal(shape) * np.exp(3.0 * rng.standard_normal(shape))
 
 
+def _both_layouts(a):
+    """A C-ordered copy of `a` and one on a component-outermost buffer, as
+    the library builds its path arrays, both with every 5th entry set to
+    -0.0 and every 7th to 0.0, so that comparing the two checks the sign of
+    zero results too."""
+    c = a.copy()
+    c.reshape(-1)[::5], c.reshape(-1)[::7] = -0.0, 0.0
+    slab = _slabs(a.shape)
+    slab[...] = c
+    return c, slab
+
+
 def test_mat_vec_matches_broadcast_sum():
     # row by row on (..., M) columns, left to right, offset added last: bitwise
     # the broadcast sum plus offset for 1-7 rows and 1-7 columns, on states,
     # step stacks and per-path matrices; the first k paths of a batch equal the
-    # k-path call, and one call on a step stack equals per-step calls
+    # k-path call, and one call on a step stack equals per-step calls; inputs
+    # on component-outermost buffers give the same bits
     rng = np.random.default_rng(8)
     M, k = 257, 40
     for rows in range(1, 8):
@@ -193,6 +206,8 @@ def test_mat_vec_matches_broadcast_sum():
                     expected = expected + offset
                 got = _mat_vec(mat, vec, offset)
                 assert got.tobytes() == expected.tobytes(), (rows, cols, mat.shape)
+                c, slab = _both_layouts(vec)
+                assert _mat_vec(mat, slab, offset).tobytes() == _mat_vec(mat, c, offset).tobytes()
                 if len(mat) == M:  # per-path matrices and offsets
                     mat, offset = mat[:k], offset[:k]
                 assert _mat_vec(mat, vec[..., :k, :], offset).tobytes() == got[..., :k, :].tobytes()
@@ -203,7 +218,8 @@ def test_mat_vec_matches_broadcast_sum():
 
 def test_dot_matches_broadcast_sum():
     # left to right on (..., M) columns for 1-7 terms, numpy's reduction for
-    # more: bitwise (a * b).sum(-1) either way
+    # more: bitwise (a * b).sum(-1) either way, and the same bits on
+    # component-outermost inputs
     rng = np.random.default_rng(21)
     for n in range(1, 10):
         for shape in ((257, n), (3, 257, n)):
@@ -211,6 +227,8 @@ def test_dot_matches_broadcast_sum():
             got = _dot(a, b)
             assert got.tobytes() == (a * b).sum(axis=-1).tobytes()
             assert _dot(a[..., :40, :], b[..., :40, :]).tobytes() == got[..., :40].tobytes()
+            (a_c, a_slab), (b_c, b_slab) = _both_layouts(a), _both_layouts(b)
+            assert _dot(a_slab, b_slab).tobytes() == _dot(a_c, b_c).tobytes()
 
 
 # (lower, upper): one coordinate (np.clip) and two or three (maximum, then
@@ -228,9 +246,12 @@ def test_box_projection_matches_clip(lower, upper):
     rng = np.random.default_rng(23)
     u = np.concatenate([rng.choice(special, (64, dim)), _wide_range(rng, (193, dim))])
     for stack in (u, u.reshape(1, 257, dim), np.stack([u, u[::-1]])):
+        slab = _slabs(stack.shape)
+        slab[...] = stack
         got = box.project(stack)
         assert got.tobytes() == np.clip(stack, box.lower, box.upper).tobytes()
         assert box.project(stack[..., :50, :]).tobytes() == got[..., :50, :].tobytes()
+        assert box.project(slab).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("family", ["lq1", "cubic1", "lq3"])
