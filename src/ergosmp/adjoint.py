@@ -2,9 +2,9 @@
 
 The costate pair (p, q^1..q^d) solves, on [0, T],
 
-    p_j = E[ p_{j+1} + dt * (D_xb^T p_{j+1} + sum_i D_xsigma^i^T qhat^i_j
+    p_j = E[ p_{j+1} + dt * (D_xb^T p_{j+1} + sum_i D_xsigma^i^T q^i_j
              + D_xf) | X_j ],
-    q^i_j = E[ p_{j+1} * dW^i_j / dt | X_j ].
+    q^i_j = D_x p_j(X_j) sigma^i.
 
 `solve_adjoint_finite` estimates the conditional expectations by
 ridge-regularized least squares on polynomial features of the current state
@@ -12,18 +12,17 @@ ridge-regularized least squares on polynomial features of the current state
 total degree <= 3, standardized per step, with ridge 1e-8 on all but the
 intercept.  sigma is constant, so the D_xsigma^T q term vanishes and q does
 not feed back into p: the backward sweep fits p alone, one n-column target
-per step.  q_j depends only on X_j, dW_j and p_{j+1}, so its steps are
-independent and one time block is fitted at a time (`_q_block`):
-`AdjointSolution.q` fits them after the sweep, when first read, and the
-duality check inside its sweep, from each block's rows.  A state-dependent
-sigma would put q back into the sweep.
+per step.  q is p's spatial gradient times sigma (Ma & Zhang 2002), so it
+is not fitted: `AdjointSolution.q` differentiates each step's fitted p in
+closed form, on the states alone.  A state-dependent sigma would put q back
+into the sweep.
 
 A step's design depends on its states alone, so its factors (feature mean
 and std, the inverse Cholesky factor of its Gram matrix) are built once per
 ensemble and kept in the ensemble's design store, (K^2 + 2K) floats and K
-flags per step.  The q fit, the duality check's sweep, solves on
-`restricted` views and later solves on the same states read them from there
-and only re-form the features; no (K, M) design is kept.
+flags per step.  The duality check's sweep, solves on `restricted` views and
+later solves on the same states read them from there and only re-form the
+features; no (K, M) design is kept.
 `extend_to_infinite` sweeps its buffer on an ensemble and store of its own,
 both released with the buffer's states, so the store it hands on holds the
 steps of [0, T_report].
@@ -38,13 +37,13 @@ the next row reads it.  The optimizer only sums pairings over steps and
 paths, so it reduces psi one block at a time: besides the noise and one
 state array it holds block buffers only.  The regression serves the export
 and the checks; the duality check also reduces its rows as they pass and
-stores no p or q.
+stores no p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Optional
@@ -93,6 +92,23 @@ def _monomial_parents(n: int):
             parents.append((rows[tuple(rest)], i))
             rows[combo] = len(rows)
     return tuple(parents)
+
+
+@lru_cache(maxsize=None)
+def _monomial_derivative(n: int) -> np.ndarray:
+    """The (n, K, K) read-only matrix D of the basis derivatives: d/dx_l of
+    feature k is sum_k' D[l, k, k'] * feature k', the exponent of x_l in
+    monomial k times the monomial with one x_l fewer."""
+    exps = [(0,) * n]  # exponent tuple of each row, in the order of `_features_t`
+    for parent, i in _monomial_parents(n):
+        exps.append(tuple(e + (c == i) for c, e in enumerate(exps[parent])))
+    rows = {e: r for r, e in enumerate(exps)}
+    D = np.zeros((n, len(exps), len(exps)))
+    for r, e in enumerate(exps):
+        for l in np.flatnonzero(e):
+            D[l, r, rows[tuple(k - (c == l) for c, k in enumerate(e))]] = e[l]
+    D.setflags(write=False)
+    return D
 
 
 def _feature_count(n: int) -> int:
@@ -195,16 +211,16 @@ def _stored(ensemble: PathEnsemble, name: str, steps: int) -> np.ndarray:
 @dataclass(frozen=True)
 class AdjointSolution:
     """Per-step regression coefficients (standardized feature space) and
-    pathwise costate evaluations.  The backward sweep fits p; q and its
-    coefficients are fitted from p, the states and the increments when
-    first read, and cached.  The grid and the standardization
-    (`feature_mean`, `feature_std`) are read from the ensemble and its design
-    store."""
+    pathwise costate evaluations.  The backward sweep fits p; q is the
+    derivative of the fitted p, evaluated when first read and cached.  The
+    grid and the standardization (`feature_mean`, `feature_std`) are read
+    from the ensemble and its design store."""
 
     p: np.ndarray             # (M, steps+1, n)
     coef_p: np.ndarray        # (steps, K, n)
     terminal_id: str
     ensemble: PathEnsemble
+    _sigma: np.ndarray = field(repr=False, compare=False)  # (n, d) diffusion matrix
 
     def __post_init__(self):
         self.p.setflags(write=False)
@@ -229,29 +245,44 @@ class AdjointSolution:
         return float(_dot(self.p, self.p).mean(axis=0).max())
 
     @cached_property
-    def _q_fit(self):
-        return _fit_q(self.ensemble, self.p)
-
-    @property
     def q(self) -> np.ndarray:
-        """(M, steps, d, n) martingale-increment fit, read-only."""
-        return self._q_fit[0]
-
-    @property
-    def coef_q(self) -> np.ndarray:
-        """(steps, d, K, n) coefficients of the q fit, read-only."""
-        return self._q_fit[1]
+        """(M, steps, d, n) read-only q^i_j = D_x phi_j(X_j) sigma^i, phi_j
+        the fitted p of step j.  coef_p / feature_std are phi_j's coefficients
+        on the raw monomials (a flat feature's are 0); through the basis
+        derivatives they give per step one (K, d*n) matrix on the raw
+        features, evaluated with one product per time block.  A step whose
+        paths share one state (a deterministic x0) has a constant fit with no
+        derivative to read: it takes the next step's, at its own state."""
+        X, steps, (n, d) = _time_major(self.ensemble.states), self.grid.steps, self._sigma.shape
+        M, K = X.shape[1], _feature_count(n)
+        # SD[i, k', k] = sum_l sigma[l, i] D[l, k, k'], so that H_j = SD (coef_p / std) maps the raw
+        # features to q: H[j, k', i*n + m] is the coefficient of feature k' in q^i_m.
+        SD = np.tensordot(self._sigma, _monomial_derivative(n), axes=(0, 0)).transpose(0, 2, 1)
+        H = (SD @ (self.coef_p / self.feature_std[..., None])[:, None]).transpose(0, 2, 1, 3).reshape(steps, K, d * n)
+        for j in np.flatnonzero(_stored(self.ensemble, "flat", steps)[:-1, 1:].all(axis=1))[::-1]:
+            H[j] = H[j + 1]
+        Qbuf = np.empty((steps, M, d, n))
+        for j0, j1 in _time_blocks(0, steps, 8 * K * M):
+            np.matmul(_features_t(X[j0:j1]).transpose(0, 2, 1), H[j0:j1], out=Qbuf[j0:j1].reshape(j1 - j0, M, d * n))
+        q = Qbuf.transpose(1, 0, 2, 3)
+        q.setflags(write=False)
+        return q
 
     def evaluate_p(self, step: int, X: np.ndarray) -> np.ndarray:
-        """Fitted costate function of step `step` evaluated at states X."""
-        if step >= self.grid.steps:
-            raise AdjointError("terminal step has no regression representation")
+        """Fitted costate function of step `step`, 0 <= step < steps, at the
+        (m, n) states X."""
+        if not 0 <= step < self.grid.steps:
+            raise AdjointError(f"step {step} has no fitted costate: the fitted steps are 0 .. {self.grid.steps - 1}")
+        X = np.atleast_2d(X)
+        if X.ndim != 2 or X.shape[1] != self.p.shape[2]:
+            raise AdjointError(f"states must have shape (m, {self.p.shape[2]}), got {X.shape}")
         ft = _features_t(X)
         Ft = (ft - self.feature_mean[step][:, None]) / self.feature_std[step][:, None]
         return Ft.T @ self.coef_p[step]
 
     def restricted(self, horizon: float) -> "AdjointSolution":
-        """The solution on [0, horizon]; its q is fitted on its own steps."""
+        """The solution on [0, horizon]: its p, coefficients and q are
+        bitwise the prefixes of this solution's."""
         j = self.grid.index_of(horizon)
         return replace(self, p=self.p[:, : j + 1], coef_p=self.coef_p[:j], ensemble=self.ensemble.restricted(horizon))
 
@@ -275,8 +306,8 @@ def solve_adjoint_finite(
     Pbuf, coef_p = _slabs((steps + 1, M, n)), np.empty((steps, _feature_count(n), n))
     for j0, rows in _pathwise_dual_blocks(model, ensemble, 0, nu, coef_p):
         Pbuf[j0:j0 + len(rows)] = rows
-    return AdjointSolution(p=_time_major(Pbuf), coef_p=coef_p,
-                           terminal_id="zero" if nu is None else "custom", ensemble=ensemble)
+    return AdjointSolution(p=_time_major(Pbuf), coef_p=coef_p, terminal_id="zero" if nu is None else "custom",
+                           ensemble=ensemble, _sigma=model.S)
 
 
 def _sweep_inputs(model: ModelSpec, ensemble: PathEnsemble, u_bar: ControlLaw, nu):
@@ -299,45 +330,6 @@ def _sweep_inputs(model: ModelSpec, ensemble: PathEnsemble, u_bar: ControlLaw, n
         if not np.isfinite(nu).all():
             raise AdjointError("nu (terminal condition) must be finite")
     return nu
-
-
-def _q_block(ensemble: PathEnsemble, j0: int, j1: int, p_next: np.ndarray, out: Optional[np.ndarray] = None):
-    """The q fit of the steps j0 .. j1-1 from p_next, the costate rows
-    p_j0+1 .. p_j1 (B, M, n) in time order: the (B, K, d*n) coefficients and
-    the (B, M, d*n) fitted values, written into `out` when it is given.  The
-    steps are independent, so the block reads its designs from the
-    ensemble's store and fits all its steps with stacked products; a
-    non-finite fit raises at its first step."""
-    M, d, n, B = ensemble.n_paths, ensemble.d, ensemble.n, j1 - j0
-    Ft, Linv = _block_design(ensemble, j0, j1)
-    dW = _time_major(ensemble.increments)[j0:j1]
-    with np.errstate(all="ignore"):  # checked below, by step
-        # C-ordered whatever the layout of p and dW: so Ft @ targets keeps its bits.
-        targets = np.multiply(p_next[:, :, None, :], dW[:, :, :, None] / ensemble.grid.dt, order="C")
-        c = Linv.transpose(0, 2, 1) @ (Linv @ (Ft @ targets.reshape(B, M, d * n)))
-    finite = np.isfinite(c).all(axis=(1, 2))
-    if not finite.all():
-        raise AdjointError(f"non-finite q regression at step {j0 + int(np.argmin(finite))}")
-    return c, np.matmul(Ft.transpose(0, 2, 1), c, out=out)
-
-
-def _fit_q(ensemble: PathEnsemble, p: np.ndarray):
-    """q^i_j = E[p_{j+1} dW^i_j / dt | X_j] on every step of the ensemble,
-    from the costate p (M, steps+1, n): the (M, steps, d, n) fitted values
-    and the (steps, d, K, n) coefficients, both read-only, fitted per time
-    block by `_q_block`."""
-    M, steps, n, d = ensemble.n_paths, ensemble.grid.steps, ensemble.n, ensemble.d
-    K = _feature_count(n)
-    P_tm = _time_major(p)
-    Qbuf = np.empty((steps, M, d, n))
-    coef = np.empty((steps, K, d, n))
-    for j0, j1 in _time_blocks(0, steps, 8 * K * M):
-        c, _ = _q_block(ensemble, j0, j1, P_tm[j0 + 1:j1 + 1], Qbuf[j0:j1].reshape(j1 - j0, M, d * n))
-        coef[j0:j1] = c.reshape(j1 - j0, K, d, n)
-    q, coef_q = Qbuf.transpose(1, 0, 2, 3), coef.transpose(0, 2, 1, 3)
-    q.setflags(write=False)
-    coef_q.setflags(write=False)
-    return q, coef_q
 
 
 def _pathwise_dual(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
@@ -456,8 +448,7 @@ def extend_to_infinite(
     T_report] solved from that row.  Every stored bit is the full solve's
     restricted to [0, T_report] (a failure in the buffer's sweep names its
     step counted from T_report).  The solution's ensemble is the report
-    ensemble; it holds no noise until its increments are read (the q fit
-    reads them).
+    ensemble, which holds no noise: the costate reads its states alone.
     """
     grid = TimeGrid.from_horizon(T_report + _forgetting_buffer(model, T_buffer, dt), dt)
     report_grid = TimeGrid(dt=grid.dt, steps=grid.index_of(T_report))
@@ -582,12 +573,11 @@ def adjoint_coefficients_dict(sol: AdjointSolution) -> dict:
             "feature_mean": sol.feature_mean[j].tolist(),
             "feature_std": sol.feature_std[j].tolist(),
             "coef_p": sol.coef_p[j].tolist(),
-            "coef_q": sol.coef_q[j].tolist(),
         }
         for j in range(sol.grid.steps)
     ]
     return {
-        "schema_version": 1,
+        "schema_version": 2,  # 1 also had coef_q, which coef_p now implies
         "degree": _DEGREE,
         "ridge": _RIDGE,
         "terminal": sol.terminal_id,

@@ -6,19 +6,20 @@ bias (regression + quadrature), not Monte Carlo noise between independent
 runs.  The finite and infinite forms are one form (`_forms`); the infinite
 form is the finite one on a longer grid, with the sides swapped and the
 discarded tail bounded.  Both sides are per-path left-endpoint time
-integrals (`_path_integrals`).  One regression sweep of the costate serves every
-probe of a call (`_costate_sides`): it pairs each block's fitted p rows with
-gamma and the q it fits on the block with rho, so no p or q array is
-stored, only each forced probe's integrand rows on the steps where its
+integrals (`_path_integrals`).  One regression sweep of the costate serves
+every probe (`_costate_sides`): it pairs each block's fitted p rows with
+gamma, and with rho through p's own increments, so no q is fitted and no p
+is stored, only each forced probe's integrand rows on the steps where its
 forcing is non-zero.  Each probe's dual process is streamed through its
 recursion (`_pairing_sides`).
 
-The quadrature leaves an O(dt) floor in the finite form: the forcing sum
-pairs p_j with gamma_j, where the exact discrete adjoint of the dual Euler
-step pairs p_{j+1} (see `adjoint._pathwise_dual`).  On lq1 under the zero law
-from x0 = 1, gamma = 1 on [1, 3), T = 4, dt = 0.01, M = 4096 and seed 3,
-rel_residual reads 0.0102 with p_j and 1.8e-16 with p_{j+1} (cubic1: 0.0147
-and 0.0013), so a verdict on it needs a threshold above that floor.
+The quadrature leaves an O(dt) floor in the finite form's gamma term: the
+forcing sum pairs p_j with gamma_j, where the exact discrete adjoint of the
+dual Euler step pairs p_{j+1} (see `adjoint._pathwise_dual`).  On lq1 under
+the zero law from x0 = 1, gamma = 1 on [1, 3), T = 4, dt = 0.01, M = 4096
+and seed 3, rel_residual reads 0.0102 with p_j and 1.8e-16 with p_{j+1}
+(cubic1: 0.0147 and 0.0013), so a verdict on it needs a threshold above
+that floor.  A rho probe has no such floor: it pairs p_{j+1} already.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import ClassVar, Dict, Optional, Union
 
 import numpy as np
 
-from .adjoint import AdjointError, _feature_count, _forgetting_buffer, _pathwise_dual_blocks, _q_block, _sweep_inputs
+from .adjoint import AdjointError, _feature_count, _forgetting_buffer, _pathwise_dual_blocks, _sweep_inputs
 from .forward import (PathEnsemble, SimulationError, TimeGrid, _affine_dual_blocks, _affine_dual_inputs,
                       _ci95_halfwidth, _initial_per_path, _path_integrals, _require_grid, _time_blocks, _time_major,
                       simulate_state)
@@ -190,24 +191,24 @@ def _costate_sides(model, base, probes, nu):
     """The costate side of each probe (j0, eta, gamma, rho), inputs that
     `_affine_dual_inputs` checked: (<p_j0, eta> (M,), runs), runs a list of
     (first, end, rows), rows the (end - first, M) integrand
-    <p_j, gamma_j> + sum_i <q^i_j, rho^i_j> on each run of `_support_runs`.
-    The integrand is built and stored on those steps only; on the others it
-    is an exact zero, which adds nothing to the running sum.
+    <p_j, gamma_j> + <p_{j+1}, sum_i rho^i_j dW^i_j> / dt on each run of
+    `_support_runs`.  The integrand is built and stored on those steps only;
+    on the others it is an exact zero, which adds nothing to the running sum.
 
+    rho pairs with the costate's own increments, not with a fitted q:
+    rho_j is known at step j, so E<q_j, rho_j> dt = E<p_{j+1}, rho_j dW_j>.
     One regression sweep of p from nu (None: 0) down to the lowest j0 serves
     every probe (`adjoint._pathwise_dual_blocks` with a fit): each block
-    pairs its fitted rows, and fits q on its steps when a probe reads it
-    (`adjoint._q_block`), so no p or q array is stored.  The pairings run
-    with floating-point errors ignored: `_forms` checks them once the dual
-    side has run, so a dual process that blows up is named first."""
+    pairs its fitted rows, so no p array is stored.  The pairings run with
+    floating-point errors ignored: `_forms` checks them once the dual side
+    has run, so a dual process that blows up is named first."""
     steps, M, n = base.grid.steps, base.n_paths, model.n
     sides = [[None, [(first, end, np.empty((end - first, M))) for first, end in _support_runs(j0, gamma, rho)]]
              for j0, _, gamma, rho in probes]
-    fit_q = any(rho is not None for *_, rho in probes)
+    dW = _time_major(base.increments) if any(rho is not None for *_, rho in probes) else None
     stop = min(steps - 1, *(j0 for j0, *_ in probes))
     for b0, rows in _pathwise_dual_blocks(model, base, stop, nu, np.empty((0, _feature_count(n), n))):
         b1 = b0 + len(rows) - 1
-        Q = _q_block(base, b0, b1, rows[1:])[1].reshape(b1 - b0, M, model.d, n) if fit_q else None
         with np.errstate(all="ignore"):
             for (j0, eta, gamma, rho), side in zip(probes, sides):
                 if side[0] is None and b0 <= j0 <= b1:
@@ -220,8 +221,9 @@ def _costate_sides(model, base, probes, nu):
                     if gamma is not None:
                         forcing = forcing + _dot(rows[a - b0:b - b0], _time_major(gamma)[a:b])
                     if rho is not None:
-                        # <q, rho> sums d*n terms over two axes, one numpy reduction
-                        forcing = forcing + (Q[a - b0:b - b0] * _time_major(rho)[a:b]).sum(axis=(-1, -2))
+                        # C-ordered, so numpy sums the channels of sum_i rho^i dW^i left to right
+                        noise = np.multiply(_time_major(rho)[a:b], dW[a:b, :, :, None], order="C").sum(axis=-2)
+                        forcing = forcing + _dot(rows[a - b0 + 1:b - b0 + 1], noise) / base.grid.dt
                     kept[a - first:b - first] = forcing
     return sides
 
@@ -277,7 +279,8 @@ def verify_duality_finite(
 
     `gamma`/`rho` are full-grid forcing arrays (see build_gamma/build_rho);
     `eta` is a family name or array; Psi = D_xf along the base path.
-    Left-endpoint quadrature throughout, as per-path running sums.
+    Left-endpoint quadrature throughout, as per-path running sums; the q
+    term is E sum_j <p_{j+1}, rho_j dW_j>, which needs no fit of q.
     """
     base = _base_ensemble(model, u_bar, base, T, dt, M, seed, x0)
     return _forms(model, u_bar, base, {"T": T}, {"": (t, eta, gamma, rho)}, nu)[""]

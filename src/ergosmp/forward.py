@@ -18,9 +18,9 @@ time blocks of _NOISE_BYTES, each path's rows bitwise one draw of its whole
 path, and `brownian_increments` is that stream drawn as one block.
 `simulate_state` reads the stream in time order for its step loop, holding
 one noise block beside the states, and its ensemble (`noise=None`) draws the
-increments whole when `increments` is first read (the q fit, a noise forcing
-rho, a perturbed state, a binary dump).  An ensemble built on an array
-(`noise=`) reads that array instead.
+increments whole when `increments` is first read (a noise forcing rho and
+its costate pairing, a perturbed state, a binary dump).  An ensemble built
+on an array (`noise=`) reads that array instead.
 
 Each equation has one forward recursion, a generator of time blocks:
 `_tamed_euler_blocks` for the state, its blocks nested in the noise blocks,
@@ -299,7 +299,8 @@ class PathEnsemble:
     (`ensemble_from_binary`, the optimizer's shared noise), or None for the
     seed's noise.  `increments` returns it, or on first read draws
     `brownian_increments(seed, M, grid, d)` and keeps it; either way it is
-    read-only.  An ensemble of `simulate_state` holds no noise until then.
+    read-only.  An ensemble of `simulate_state` holds no noise until then;
+    the costate solve and its q read the states alone.
 
     `_designs` holds what the adjoint layer derives per step from the states
     alone, the regression design factors of `adjoint._block_design`, filled

@@ -13,16 +13,13 @@ from ergosmp import (
     TimeGrid,
     build_gamma,
     build_rho,
-    check_sufficiency,
     check_truncation_consistency,
-    evaluate_variational_inequality,
     extend_to_infinite,
     simulate_state,
     solve_adjoint_finite,
     verify_duality_finite,
 )
 import ergosmp.adjoint
-import ergosmp.duality
 from ergosmp.adjoint import (_RIDGE, _feature_count, _features_t, _pathwise_dual, _pathwise_dual_blocks,
                              adjoint_coefficients_dict, adjoint_to_csv)
 from ergosmp.ergodic_cost import verify_expansion_residual
@@ -164,64 +161,127 @@ def _per_step_ridge_reference(model, ens):
     return p, q
 
 
-@pytest.mark.parametrize("family, M, steps, tol", [
-    ("lq1", 512, 300, 1e-12), ("cubic1", 512, 300, 1e-12), ("lq3", 512, 60, 1e-6)])
-def test_blocked_solve_matches_per_step_reference(family, M, steps, tol):
+def _reference_case(family, M, steps):
+    """(model, law, ensemble) of the per-step reference comparisons: dt 0.02
+    from x0 = 0.7, seed 3."""
     if family == "lq3":
         model = ModelSpec.lq(A=[[-1.0, 0.4, 0.0], [0.0, -1.2, 0.4], [0.0, 0.0, -0.8]],
                              B=[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], S=[[0.6, 0.0], [0.3, 0.5], [0.0, 0.4]],
                              Q=np.eye(3), R=np.eye(2), control_set=ConvexSet.box([-5.0, -5.0], [5.0, 5.0]))
         law = ControlLaw.affine([[-0.4, -0.1, 0.0], [0.0, -0.05, -0.3]], [0.1, 0.0], model.control_set)
+    elif family == "cubic2ball":
+        ball = ConvexSet.ball([0.1, -0.1], 0.6)
+        model = ModelSpec.cubic([1.0, 0.5], A=[[-1.0, 0.3], [0.0, -0.5]], B=[[1.0, 0.0], [0.5, 1.0]],
+                                S=[[0.8, 0.0], [0.2, 0.6]], Q=np.eye(2), R=np.eye(2), control_set=ball)
+        law = ControlLaw.affine([[-0.8, 0.2], [0.1, -0.6]], [0.05, 0.0], ball)
     else:
         model = getattr(ModelSpec, family)()
         law = ControlLaw.affine([[-0.4]], [0.1], model.control_set)
     ens = simulate_state(model, law, np.full(model.n, 0.7), TimeGrid(dt=0.02, steps=steps), M, seed=3)
+    return model, law, ens
+
+
+def _finite_difference_q(sol, S, h=1e-2):
+    """q^i_j = D_x p_j(X_j) S[:, i] from finite differences of `evaluate_p` on
+    each step's states: (M, steps, d, n).  The five-point stencil is exact on
+    polynomials of degree <= 4, so on the cubic fit only round-off remains.
+    Step 0, whose paths share x0, differentiates step 1's fit."""
+    X = sol.ensemble.states
+    grad = np.empty((X.shape[0], sol.grid.steps, X.shape[2], X.shape[2]))  # [..., m, l] = dp_m / dx_l
+    for j in range(sol.grid.steps):
+        for l, e in enumerate(h * np.eye(X.shape[2])):
+            p = [sol.evaluate_p(max(j, 1), X[:, j] + k * e) for k in (-2, -1, 1, 2)]
+            grad[:, j, :, l] = (8.0 * (p[2] - p[1]) - (p[3] - p[0])) / (12.0 * h)
+    return np.einsum("...ml,li->...im", grad, S)
+
+
+@pytest.mark.parametrize("family, M, steps, tol", [
+    ("lq1", 512, 300, 1e-12), ("cubic1", 512, 300, 1e-12), ("lq3", 512, 60, 1e-6)])
+def test_blocked_solve_matches_per_step_reference(family, M, steps, tol):
+    model, law, ens = _reference_case(family, M, steps)
     assert steps > 2 * _block_steps(8 * _feature_count(model.n) * M)  # several time blocks
     sol = solve_adjoint_finite(model, ens, law)
-    p, q = _per_step_ridge_reference(model, ens)
+    p, _ = _per_step_ridge_reference(model, ens)
     assert np.abs(sol.p - p).max() <= tol * max(1.0, np.abs(p).max())
-    assert np.abs(sol.q - q).max() <= tol * max(1.0, np.abs(q).max())
+    q = _finite_difference_q(sol, model.S)
+    assert np.abs(sol.q - q).max() <= 1e-9 * max(1.0, np.abs(q).max())
 
 
-def test_q_is_fitted_only_when_read(lq1, lq1_zero, monkeypatch):
-    fits = []  # the steps of every q fit, one entry per step fitted
-    q_block = ergosmp.adjoint._q_block
+@pytest.mark.parametrize("family", ["lq1", "lq3", "cubic2ball"])
+def test_q_is_the_derivative_of_the_p_fit(family):
+    # cubic2ball's fit has mixed monomials x1^a x2^b, whose derivatives pair
+    # both coordinates; x0 is the same on every path, so step 0's fit is a
+    # constant and its q is step 1's derivative at x0.
+    model, law, ens = _reference_case(family, 256, 40)
+    sol = solve_adjoint_finite(model, ens, law)
+    q = sol.q
+    assert sol.q is q and not q.flags.writeable and q.shape == (256, 40, model.d, model.n)
+    assert np.all(sol.coef_p[0, 1:] == 0.0) and np.all(q[:, 0] == q[0, 0]) and np.all(q[0, 0] != 0.0)
+    fd = _finite_difference_q(sol, model.S)
+    assert np.abs(q - fd).max() <= 1e-9 * max(1.0, np.abs(fd).max())
 
-    def counting(ensemble, j0, j1, *args):
-        fits.extend(range(j0, j1))
-        return q_block(ensemble, j0, j1, *args)
 
-    for module in (ergosmp.adjoint, ergosmp.duality):
-        monkeypatch.setattr(module, "_q_block", counting)
-    one = ControlLaw.constant([1.0], lq1.control_set)
-    verify_duality_finite(lq1, lq1_zero, 0.0, 1.0, eta="one", M=64, seed=1, dt=0.05)
-    evaluate_variational_inequality(lq1, lq1_zero, [("one", one)], 2.0, 64, 1, dt=0.05, buffer=0.5)
-    check_sufficiency(lq1, lq1_zero, 2.0, 64, 1, dt=0.05, buffer=0.5)
-    assert fits == []
+def _costate_gradient(model, K):
+    """2 Pi, Pi solving Pi (A + B K) + A^T Pi + Q = 0: under u = K x + c the
+    bounded costate is p = 2 Pi x + const, so q^i = 2 Pi S[:, i]."""
+    A, B, Q = (np.asarray(m, dtype=float) for m in (model.A, model.B, model.Q))
+    eye = np.eye(len(A))
+    pi = np.linalg.solve(np.kron(eye, (A + B @ K).T) + np.kron(A.T, eye), -Q.reshape(-1))
+    return 2.0 * pi.reshape(A.shape)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.005])
+@pytest.mark.parametrize("family", ["lq1", "lq3"])
+def test_q_matches_the_lq_oracle(family, dt, lq1, lq3, riccati_p):
+    if family == "lq1":
+        model, K, law = lq1, np.array([[-riccati_p]]), ControlLaw.affine([[-riccati_p]], [0.0], lq1.control_set)
+    else:
+        model, K, law = lq3, np.array([[-0.4, -0.1, 0.0], [0.0, -0.05, -0.3]]), _lq3_law(lq3)
+    sol = extend_to_infinite(model, law, np.zeros(model.n), 6.0, 3.0, dt, 1024, seed=0)
+    oracle = (_costate_gradient(model, K) @ model.S).T  # (d, n)
+    err = sol.q - oracle
+    assert np.sqrt((err**2).sum(axis=(-1, -2)).mean() / (oracle**2).sum()) < 0.15
+
+
+def test_costate_reads_no_noise(lq3):
+    # p and q depend on the states alone: non-finite increments change no
+    # bit, and an ensemble of `simulate_state` never draws its noise.
+    law = _lq3_law(lq3)
+    ens = simulate_state(lq3, law, np.full(3, 0.5), TimeGrid(dt=0.05, steps=20), 64, seed=2)
+    sol = solve_adjoint_finite(lq3, ens, law)
+    sol.q
+    assert "increments" not in vars(ens)
+    dW = ens.increments.copy()
+    dW[5, 12, 0], dW[9, 7, 1], dW[:, 3] = np.inf, -np.inf, np.nan
+    broken = solve_adjoint_finite(lq3, dataclasses.replace(ens, noise=dW), law)
+    assert broken.p.tobytes() == sol.p.tobytes() and broken.q.tobytes() == sol.q.tobytes()
+
+
+@pytest.mark.parametrize("family, steps", [("lq1", 300), ("cubic1", 300), ("lq3", 60)])
+def test_rho_probe_pairs_the_mean_of_the_fitted_q(family, steps):
+    # The regression intercept is unpenalized, so over the paths the mean of
+    # the fitted q_j dt is the mean of its target p_{j+1} dW_j: the rho
+    # pairing with p's increments gives the lhs of the fitted q.
+    model, law, ens = _reference_case(family, 512, steps)
+    _, q = _per_step_ridge_reference(model, ens)
+    for ch in range(model.d):
+        rho = build_rho(ens, model.n, model.d, {ch: np.ones(model.n)}, t_end=ens.grid.horizon)
+        rep = verify_duality_finite(model, law, 0.0, ens.grid.horizon, rho=rho, dt=0.02, base=ens)
+        lhs = 0.02 * (q * rho).sum(axis=(-1, -2)).mean(axis=0).sum()
+        assert rep.lhs == pytest.approx(lhs, rel=1e-10)
+
+
+def test_evaluate_p_rejects_steps_and_states_it_has_no_fit_for(lq1, lq1_zero):
     ens = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.05, steps=20), 64, seed=1)
     sol = solve_adjoint_finite(lq1, ens, lq1_zero)
-    assert fits == []
-    q, coef_q = sol.q, sol.coef_q
-    assert sol.q is q and sol.coef_q is coef_q and sorted(fits) == list(range(20))
-    assert q.shape == (64, 20, 1, 1) and coef_q.shape == (20, 1, 4, 1)
-    assert not q.flags.writeable and not coef_q.flags.writeable
-    # noise forcing pairs with q, so the duality check fits it in its sweep
-    rho = build_rho(ens, 1, 1, {0: [1.0]})
-    verify_duality_finite(lq1, lq1_zero, 0.0, 1.0, eta="one", rho=rho, base=ens, dt=0.05)
-    assert sorted(fits) == sorted(2 * list(range(20)))
-
-
-def test_non_finite_increment_fails_only_the_q_fit(lq1, lq1_zero):
-    # p never reads the increments; q's targets do, and each step's fit is
-    # its own, so the error names the first bad step of the block.
-    ens = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.05, steps=20), 64, seed=2)
-    dW = ens.increments.copy()
-    dW[5, 12, 0] = np.inf
-    dW[9, 7, 0] = np.nan
-    sol = solve_adjoint_finite(lq1, dataclasses.replace(ens, noise=dW), lq1_zero)
-    assert np.array_equal(sol.p, solve_adjoint_finite(lq1, ens, lq1_zero).p)
-    with pytest.raises(AdjointError, match="non-finite q regression at step 7$"):
-        sol.q
+    x = np.array([[0.5], [1.0]])
+    assert sol.evaluate_p(19, x).shape == (2, 1)
+    for step in (-1, -21, 20):
+        with pytest.raises(AdjointError, match=f"step {step} has no fitted costate"):
+            sol.evaluate_p(step, x)
+    for states in (np.ones((2, 2)), np.ones((3, 2, 1))):
+        with pytest.raises(AdjointError, match=r"states must have shape \(m, 1\)"):
+            sol.evaluate_p(3, states)
 
 
 def test_martingale_residual_orthogonality(lq1, lq1_zero, lq1_base8):
@@ -238,11 +298,6 @@ def test_martingale_residual_orthogonality(lq1, lq1_zero, lq1_base8):
         expected = _RIDGE * sol.coef_p[j]
         expected[0] = 0.0
         assert np.max(np.abs(moment - expected)) < 1e-7
-        # the q fit of the same step solves its own normal equations
-        resid_q = p_next * (lq1_base8.increments[:, j, 0, None] / dt) - F @ sol.coef_q[j, 0]
-        expected_q = _RIDGE * sol.coef_q[j, 0]
-        expected_q[0] = 0.0
-        assert np.max(np.abs(F.T @ resid_q - expected_q)) < 1e-7
 
 
 def test_lq_regressions_are_affine(lq1, lq1_zero, lq1_base8):
@@ -344,7 +399,7 @@ def _lq3_law(lq3):
 
 
 def _solution_arrays(sol):
-    return [sol.p, sol.coef_p, sol.q, sol.coef_q, sol.feature_mean, sol.feature_std]
+    return [sol.p, sol.coef_p, sol.q, sol.feature_mean, sol.feature_std]
 
 
 def _assert_bitwise(a, b):
@@ -486,7 +541,7 @@ def test_replaced_states_get_a_fresh_store(lq1, lq1_zero):
     grid = TimeGrid(dt=0.05, steps=20)
     ens = simulate_state(lq1, lq1_zero, [1.0], grid, 64, seed=1)
     other = simulate_state(lq1, lq1_zero, [-0.5], grid, 64, seed=2)
-    solve_adjoint_finite(lq1, ens, lq1_zero).q  # fills ens's store
+    solve_adjoint_finite(lq1, ens, lq1_zero)  # fills ens's store
     swapped = dataclasses.replace(ens, states=other.states, noise=other.increments)
     _assert_bitwise(solve_adjoint_finite(lq1, swapped, lq1_zero), solve_adjoint_finite(lq1, other, lq1_zero))
 
@@ -503,7 +558,7 @@ def test_round_off_spread_is_a_flat_feature(lq1):
     assert np.all(sol.p[:, 0] == fitted)
     assert np.array_equal(sol.evaluate_p(0, np.array([[0.8], [0.7], [-3.0]])), np.tile(fitted, (3, 1)))
     assert np.all(sol.coef_p[1, 1:2] != 0.0)  # the paths spread from step 1 on
-    assert np.all(sol.coef_q[0][..., 1:, :] == 0.0)
+    assert np.all(sol.q[:, 0] == sol.q[0, 0]) and np.all(sol.q[:, 0] != 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -562,8 +617,9 @@ def test_coefficient_export_and_csv(tmp_path, lq1, lq1_zero):
     ens = simulate_state(lq1, lq1_zero, [1.0], TimeGrid(dt=0.05, steps=10), 64, seed=2)
     sol = solve_adjoint_finite(lq1, ens, lq1_zero)
     obj = adjoint_coefficients_dict(sol)
-    assert obj["schema_version"] == 1
+    assert obj["schema_version"] == 2
     assert len(obj["steps"]) == 10
+    assert set(obj["steps"][0]) == {"t", "feature_mean", "feature_std", "coef_p"}
     assert len(obj["steps"][0]["coef_p"]) == 4
     path = tmp_path / "adj.csv"
     adjoint_to_csv(sol, str(path))

@@ -8,6 +8,7 @@ import pytest
 
 import ergosmp.cli
 import ergosmp.duality
+import ergosmp.forward
 from ergosmp import ConvexSet, ModelSpec, SimulationError, ensemble_from_binary, model_config_dict, save_model_config
 from ergosmp.cli import build_parser, run_command
 
@@ -41,8 +42,9 @@ SUBCOMMANDS = [
 BUFFERED = {"adjoint": "adjoint_coefficients.json", "smp-check": "smp_report.json",
             "sufficiency": "sufficiency_report.json", "optimize": "optimize_result.json"}
 
-# Artifacts whose shape changed: one report per duality probe, no probe_count.
-SCHEMA_VERSIONS = {"duality_report.json": 2, "sufficiency_report.json": 2}
+# Artifacts whose shape changed: one report per duality probe, no probe_count,
+# no coef_q.
+SCHEMA_VERSIONS = {"duality_report.json": 2, "sufficiency_report.json": 2, "adjoint_coefficients.json": 2}
 
 
 @pytest.mark.parametrize("argv,codes", SUBCOMMANDS, ids=[" ".join(a[:1] + a[-2:]) for a, _ in SUBCOMMANDS])
@@ -296,6 +298,21 @@ def test_optimize_trace_keeps_its_columns(tmp_path):
     cell = dict(zip(header, rows[0]))["gain"]
     gain = json.loads(cell)
     assert np.shape(gain) == (2, 3) and json.dumps(gain) == cell
+
+
+def test_adjoint_exports_the_p_fit_and_its_derived_q(lq1_config, tmp_path, monkeypatch):
+    """The JSON holds p's coefficients only, since q is their derivative, and
+    the run draws its noise once, to simulate: the costate reads none."""
+    streams = []
+    _counting(monkeypatch, ergosmp.forward, "_noise_blocks", streams)
+    assert _run(lq1_config, tmp_path, "adjoint", *COMMON, "--T", "1") == 0
+    assert streams == ["_noise_blocks"]
+    obj = json.loads((tmp_path / "adjoint_coefficients.json").read_text(), parse_constant=_reject_constant)
+    assert set(obj) == {"schema_version", "degree", "ridge", "terminal", "sup_p_sq", "dt", "steps", "buffer"}
+    assert obj["schema_version"] == 2 and len(obj["steps"]) == 20
+    assert all(set(step) == {"t", "feature_mean", "feature_std", "coef_p"} for step in obj["steps"])
+    lines = (tmp_path / "adjoint_paths.csv").read_text().splitlines()
+    assert lines[0] == "path,step,t,p_1,q1_1" and len(lines) == 1 + 64 * 21
 
 
 def test_unusable_out_dir_exits_1_before_estimating(lq1_config, tmp_path, capsys, monkeypatch):

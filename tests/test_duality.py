@@ -168,9 +168,9 @@ def test_build_rho_is_one_read_only_row_per_step(lq1_base8):
 
 @pytest.mark.parametrize("infinite", [False, True])
 def test_probes_draw_the_noise_once_after_simulating(infinite, lq3, monkeypatch):
-    # The base ensemble keeps no noise: simulating streams it once, the q fit
-    # of the rho probes draws it once more, and their dual processes read
-    # that draw.  Every draw of the noise opens a stream of `_noise_blocks`.
+    # The base ensemble keeps no noise: simulating streams it once, the rho
+    # probes' costate pairing draws it once more, and their dual processes
+    # read that draw.  Every draw of the noise opens a stream of `_noise_blocks`.
     streams = []
     stream = ergosmp.forward._noise_blocks
 
@@ -253,18 +253,20 @@ def test_finite_sides_recomputed(lq1):
     X = np.asarray(base.states)
     eta = X[:, j0]
     sol = solve_adjoint_finite(lq1, base, law, nu=nu)
-    p, q = np.asarray(sol.p), np.asarray(sol.q)
-    lhs = ((p[:, j0] * eta).sum(axis=-1).mean()
-           + dt * (p[:, j0:-1] * gamma[:, j0:]).sum(axis=-1).mean(axis=0).sum()
-           + dt * (q[:, j0:] * rho[:, j0:]).sum(axis=(-1, -2)).mean(axis=0).sum())
+    p, dW = np.asarray(sol.p), base.increments
+    # rho pairs with p's own increments, E<q_j, rho_j> dt = E<p_{j+1}, rho_j dW_j>, per path
+    lhs = ((p[:, j0] * eta).sum(axis=-1)
+           + dt * (p[:, j0:-1] * gamma[:, j0:]).sum(axis=(1, 2))
+           + (p[:, j0 + 1:] * (rho[:, j0:] * dW[:, j0:, :, None]).sum(axis=2)).sum(axis=(1, 2)))
     # lq1 dual: dYcal = (-Ycal + gamma) dt + rho dW from Ycal = eta; Psi = 2x.
     Y = np.zeros_like(X)
     Y[:, j0] = eta
     for j in range(j0, grid.steps):
         Y[:, j + 1] = Y[:, j] + dt * (-Y[:, j] + gamma[:, j]) + rho[:, j, 0] * base.increments[:, j]
-    rhs = dt * (Y[:, j0:-1] * 2.0 * X[:, j0:-1]).sum(axis=-1).mean(axis=0).sum() + (nu * Y[:, -1]).sum(axis=-1).mean()
-    assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
-    assert rep.rhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    rhs = dt * (Y[:, j0:-1] * 2.0 * X[:, j0:-1]).sum(axis=(1, 2)) + (nu * Y[:, -1]).sum(axis=-1)
+    assert rep.lhs == pytest.approx(lhs.mean(), rel=1e-12, abs=1e-12)
+    assert rep.ci == pytest.approx(1.96 * (lhs - rhs).std(ddof=1) / np.sqrt(M), rel=1e-10)
+    assert rep.rhs == pytest.approx(rhs.mean(), rel=1e-12, abs=1e-12)
 
 
 def _stored_dual_sides(model, law, base, sol, t, eta, gamma=None, rho=None, nu=None):
@@ -284,7 +286,8 @@ def _stored_dual_sides(model, law, base, sol, t, eta, gamma=None, rho=None, nu=N
         if gamma is not None:
             forcing = forcing + _dot(P[a:b], _time_major(gamma)[a:b])
         if rho is not None:
-            forcing = forcing + (_time_major(sol.q)[a:b] * _time_major(rho)[a:b]).sum(axis=(-1, -2))
+            noise = np.multiply(_time_major(rho)[a:b], _time_major(base.increments)[a:b, :, :, None], order="C")
+            forcing = forcing + _dot(P[a + 1:b + 1], noise.sum(axis=-2)) / grid.dt
         return np.stack([forcing, _dot(Y[a:b], psi)], axis=1)
 
     blocks = ((a, rows(a, b)) for a, b in _time_blocks(j0, grid.steps, 8 * 2 * base.n_paths))
@@ -328,8 +331,8 @@ def _lq3_law(lq3):
 @pytest.mark.parametrize("infinite", [False, True], ids=["finite", "infinite"])
 def test_streamed_costate_sides_equal_the_stored_costate(infinite, lq3):
     """Each probe's sides are bitwise the stored-costate arithmetic on the
-    p and q of `solve_adjoint_finite`: the one sweep pairs p and fits q per
-    sweep block, over 5 blocks on [0, 1] (32 with the buffer), and eta-state
+    p of `solve_adjoint_finite`: the one sweep pairs p with gamma and, through
+    the increments, with rho per sweep block, over 5 blocks on [0, 1] (32 with the buffer), and eta-state
     reads p at step 25, inside the block of steps 14..26."""
     law, M, dt, T = _lq3_law(lq3), 256, 0.02, 1.0
     assert _block_steps(8 * _feature_count(3) * M) == 12
@@ -371,9 +374,9 @@ def test_finite_check_holds_one_row_set(lq3):
 
 
 def test_probes_store_no_costate(lq3):
-    # Beyond the states, the noise the q fit draws and the design store, the
-    # probes hold their three (steps, M) integrand row sets (gamma, rho-0,
-    # rho-1) and block buffers: less than the p (steps+1, M, 3) and
+    # Beyond the states, the noise the rho pairing draws and the design
+    # store, the probes hold their three (steps, M) integrand row sets (gamma,
+    # rho-0, rho-1) and block buffers: less than the p (steps+1, M, 3) and
     # q (steps, M, 2, 3) a stored costate takes.
     law, M, dt, steps = _lq3_law(lq3), 512, 0.01, 200
     np.random.Philox

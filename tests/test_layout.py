@@ -11,6 +11,7 @@ from ergosmp import (
     ControlLaw,
     TimeGrid,
     build_gamma,
+    build_rho,
     candidate_battery,
     ensemble_from_binary,
     ensemble_to_binary,
@@ -63,10 +64,10 @@ def _reports(model, law, ens, T, dt):
                                          ens.seed, dt=dt, adjoint=sol)
     cost = ergodic_report_from_ensemble(model, ens, law)
     gamma = build_gamma(ens, model.n, value=np.ones(model.n), t_start=0.5, t_end=1.5)
-    dual = verify_duality_finite(model, law, 0.2, T, eta="state", gamma=gamma, dt=dt, base=ens)
+    rho = build_rho(ens, model.n, model.d, {1: np.ones(model.n)}, t_start=0.4, t_end=1.2)
+    dual = verify_duality_finite(model, law, 0.2, T, eta="state", gamma=gamma, rho=rho, dt=dt, base=ens)
     return {"p": sol.p.tobytes(), "coef_p": sol.coef_p.tobytes(), "q": sol.q.tobytes(),
-            "coef_q": sol.coef_q.tobytes(), "vi": [r.to_dict() for r in vi], "cost": cost.to_dict(),
-            "dual": (dual.lhs, dual.rhs, dual.ci)}
+            "vi": [r.to_dict() for r in vi], "cost": cost.to_dict(), "dual": (dual.lhs, dual.rhs, dual.ci)}
 
 
 @pytest.mark.parametrize("given", ["states", "states and noise"])

@@ -178,7 +178,6 @@ def fingerprint(values: bool = False) -> dict:
         h(f"{name}.p", sol.p)
         h(f"{name}.q", sol.q)
         h(f"{name}.coef_p", sol.coef_p)
-        h(f"{name}.coef_q", sol.coef_q)
         nu = np.full((96, n), 0.3)
         sol2 = E.solve_adjoint_finite(model, ens, law, nu=nu)
         h(f"{name}.p_nu", sol2.p)
@@ -225,10 +224,8 @@ def fingerprint(values: bool = False) -> dict:
         d = E.verify_duality_finite(model, law, 0.0, 2.0, eta="one", gamma=gamma_e, dt=0.02, base=ext.ensemble)
         h(f"{name}.dualfin_ext", [d.lhs, d.rhs, d.to_dict()])
         h(f"{name}.q_ext", ext.q)
-        h(f"{name}.coef_q_ext", ext.coef_q)
         short = sol.restricted(1.5)
         h(f"{name}.q_restricted", short.q)
-        h(f"{name}.coef_q_restricted", short.coef_q)
         gi = E.TimeGrid.from_horizon(3.0, 0.02)
         probe = E.simulate_state(model, law, np.ones(n), gi, 64, 9)
         rho_i = E.build_rho(probe, n, model.d, {0: np.ones(n)}, t_start=0.2, t_end=1.0)
@@ -307,8 +304,9 @@ def fingerprint(values: bool = False) -> dict:
     # The state gather across the seams of the same four noise blocks.
     h("lq3.states_noise_blocks", E.simulate_state(lq3, models["lq3"][1], np.full(3, 0.7),
                                                   E.TimeGrid.from_horizon(10.0, 0.01), 1024, 5).states)
-    # The duality probes, whose costate sweep pairs q as it fits it: 256
-    # paths make 12-step sweep blocks, 5 on [0, 1] and 32 with the buffer.
+    # The duality probes, whose costate sweep pairs p with each forcing as it
+    # fits it: 256 paths make 12-step sweep blocks, 5 on [0, 1] and 32 with
+    # the buffer.
     from ergosmp.duality import verify_duality_probes
     h("lq3.probes_blocks", {form: {name: rep.to_dict() for name, rep in verify_duality_probes(
         lq3, models["lq3"][1], 1.0, M=256, seed=5, dt=0.02, x0=np.full(3, 0.7), infinite=form == "infinite").items()}
