@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _initial_state, _noise_blocks,
-                      _path_integrals, _perturbed_states, _require_base_under, _tamed_euler_blocks, _time_blocks,
+from .forward import (PathEnsemble, SimulationError, TimeGrid, _ci95_halfwidth, _euler_blocks, _initial_state,
+                      _noise_blocks, _path_integrals, _perturbed_states, _require_base_under, _time_blocks,
                       _time_major, simulate_affine_dual)
 from .model import ControlLaw, ModelSpec, _dot, _Report, _slabs, cost_at, cost_grad_u, cost_grad_x, drift_jacU_apply
 
@@ -144,8 +144,8 @@ def estimate_ergodic_cost(
     grid = TimeGrid.from_horizon(T_max, dt)
     x0 = _initial_state(model, x0)
     ts, indices, tail_mask = _checkpoint_ladder(grid)
-    steps = _tamed_euler_blocks(model, x0, M, _noise_blocks(seed, M, grid, model.d), grid.dt,
-                                lambda j, xj, out: control.evaluate(xj, out=out), "simulate_state")
+    steps = _euler_blocks(model, x0, M, _noise_blocks(seed, M, grid, model.d), grid.dt,
+                          lambda j, xj, out: control.evaluate(xj, out=out), "simulate_state")
     priced = ((j0, cost_at(model, rows[:-1], U)) for j0, rows, U in steps)
     sums = _path_integrals(grid, priced, indices, (M,))
     return _ladder_report(ts, tail_mask, sums, control.describe(), int(seed))
@@ -160,8 +160,8 @@ def _simulate_priced(model: ModelSpec, control: ControlLaw, x0: np.ndarray, grid
     ts, indices, tail_mask = _checkpoint_ladder(TimeGrid(dt=grid.dt, steps=grid.index_of(horizon)))
     M = dW.shape[0]
     X = _slabs((grid.steps + 1, M, model.n))
-    steps = _tamed_euler_blocks(model, x0, M, dW, grid.dt, lambda j, xj, out: control.evaluate(xj, out=out),
-                                "simulate_state", X)
+    steps = _euler_blocks(model, x0, M, dW, grid.dt, lambda j, xj, out: control.evaluate(xj, out=out),
+                          "simulate_state", X)
     priced = ((j0, cost_at(model, rows[:-1], U)) for j0, rows, U in steps)
     sums = _path_integrals(grid, priced, indices, (M,))
     for _ in steps:

@@ -1,12 +1,14 @@
 """Path simulation on a shared noise basis.
 
-Two recursions run on the increments of a base ensemble: the tamed-Euler
-state equation and one perturbed linearized forward equation,
-dY = (D_x b Y + gamma)dt + sum_i rho^i dW^i from Y_t = eta
+Two recursions run on the increments of a base ensemble: the state equation
+by Euler, tamed only for the cubic drift, and one perturbed linearized
+forward equation, dY = (D_x b Y + gamma)dt + sum_i rho^i dW^i from Y_t = eta
 (`simulate_affine_dual`).  A convex perturbation of the control runs the
 first on open-loop controls along the base path (`_perturbed_states`); its
 first variation is the member of the second with t = 0, eta = 0 and
-gamma = D_u b v, and the dual process of the duality check is another.
+gamma = D_u b v, and the dual process of the duality check is another.  An
+LQ step is plain Euler, linear in (x, u), so there the first variation is
+the exact tangent of the simulated chain, not only of the SDE.
 Sharing the increments, coupled runs differ only by systematic effects,
 never by sampling noise.  Increments are generated from counter-based Philox
 streams keyed by (seed, path index), so every ensemble is bit-reproducible
@@ -23,7 +25,7 @@ its costate pairing, a perturbed state, a binary dump).  An ensemble built
 on an array (`noise=`) reads that array instead.
 
 Each equation has one forward recursion, a generator of time blocks:
-`_tamed_euler_blocks` for the state, its blocks nested in the noise blocks,
+`_euler_blocks` for the state, its blocks nested in the noise blocks,
 and `_affine_dual_blocks` for the linearized equation.  A pass gathers their
 blocks into an array or hands them, mapped to integrand rows, to the one
 running sum `_path_integrals`, which pulls them only as far as it reads.
@@ -36,7 +38,7 @@ contiguous slab.  No output bit depends on the layout of its inputs.
 
 The three forward kernels keep those bits and run along the long axes: the
 noise stream draws whole paths into a path-major chunk and transposes it
-into its block, the tamed-Euler step runs one time block at a time, making
+into its block, the Euler step runs one time block at a time, making
 the noise terms of each block in one call and checking finiteness once, and
 the CSV writer formats each path with one `%` of a per-file template.  The
 step allocates its work buffers once and writes every quantity into them
@@ -86,9 +88,10 @@ _BINARY_HEADER = struct.Struct("<IQQQQQd")  # version, M, steps, n, d, seed, dt
 
 # Bytes of one time block's stack.  The hot loops work on this many bytes of
 # steps at once: the time integrands, the costate design, the noise terms of
-# a tamed-Euler block and its finiteness check, and (of whole paths) a noise
-# chunk.  Enough to amortize numpy's per-call cost, few enough that a block's
-# handful of temporaries stays cache-sized whatever the horizon.
+# a block of the Euler step (tamed only for the cubic drift) and its
+# finiteness check, and (of whole paths) a noise chunk.  Enough to amortize
+# numpy's per-call cost, few enough that a block's handful of temporaries
+# stays cache-sized whatever the horizon.
 BLOCK_BYTES = 512 << 10
 
 # Bytes of one block of a noise stream (`_noise_blocks`): a forward pass that
@@ -370,10 +373,10 @@ def _check_finite(X, step, what):
         raise SimulationError(f"{what}: non-finite value at step {step + int(bad[0])}, path {int(bad[1])}")
 
 
-def _tamed_euler_blocks(model: ModelSpec, x0, M: int, noise, dt: float, control_at, what: str,
-                        X=None, controls: bool = True):
-    """The tamed Euler recursion of M paths from x0 ((n,) or (M, n)) on
-    `noise`, the time-ordered (k0, k1, dW) blocks of `_noise_blocks` or held
+def _euler_blocks(model: ModelSpec, x0, M: int, noise, dt: float, control_at, what: str,
+                  X=None, controls: bool = True):
+    """The Euler recursion of M paths from x0 ((n,) or (M, n)) on `noise`,
+    the time-ordered (k0, k1, dW) blocks of `_noise_blocks` or held
     (M, steps, d) increments as one block, in time blocks of BLOCK_BYTES of
     states nested in them.  Yields (j0, rows, U) per block: rows (B+1, M, n)
     holds x_j0 .. x_j0+B, x_j0 carried from the block before, and U (B, M, l)
@@ -390,16 +393,20 @@ def _tamed_euler_blocks(model: ModelSpec, x0, M: int, noise, dt: float, control_
     be released on its own.  The block buffer, U and the work rows are
     `_slabs` arrays too, so every column a kernel reads is one slab.
 
-    The drift increment is dt*b / (1 + dt*|b|), which keeps the scheme stable
-    for the cubic drift term; the diffusion term is standard Euler.  Each
-    step writes every quantity into work buffers allocated once, one ufunc
-    call per scalar operation, in the order of the formula: the controls,
-    A x + B u, the cubic term, then sqrt(<b, b>) * dt + 1, b * dt / scale and
-    x + b + noise.  One `_mat_vec` call per block makes its noise terms
-    (bitwise the per-step calls), released before the block is yielded, and
-    one check names the first non-finite step and its lowest path, as a check
-    per step would; steps after a blow-up run silently until it.  Blocks of
-    any length give the same bits.
+    Euler, tamed only for the cubic drift: with `model.has_cubic` the drift
+    increment is dt*b / (1 + dt*|b|), which keeps the scheme stable for the
+    superlinear term; an LQ drift is globally Lipschitz, so its step is plain
+    Euler, x + dt*b + noise, whose tangent and adjoint are the linearized
+    equations exactly.  The diffusion term is standard Euler.  Each step
+    writes every quantity into work buffers allocated once, one ufunc call
+    per scalar operation, in the order of the formula: the controls,
+    A x + B u, the cubic term, then (tamed) sqrt(<b, b>) * dt + 1 and
+    b * dt / scale, or (plain) b * dt, and x + b + noise.  One `_mat_vec`
+    call per block makes its noise terms (bitwise the per-step calls),
+    released before the block is yielded, and one check names the first
+    non-finite step and its lowest path, as a check per step would; steps
+    after a blow-up run silently until it.  Blocks of any length give the
+    same bits.
     """
     if isinstance(noise, np.ndarray):
         noise = [(0, noise.shape[1], _time_major(noise))]
@@ -417,7 +424,7 @@ def _tamed_euler_blocks(model: ModelSpec, x0, M: int, noise, dt: float, control_
     U = _slabs((block if controls else 1, M, model.l))
     b, bu = _slabs((M, n)), _slabs((M, n))
     scale, term = np.empty(M), np.empty(M)
-    scale_col = scale[:, None]
+    scale_col, tamed = scale[:, None], model.has_cubic
     dt, one = np.asarray(dt), np.asarray(1.0)  # 0-d, as the `_rows` coefficients
     last = x0
     for k0, k1, dW in noise:
@@ -431,13 +438,15 @@ def _tamed_euler_blocks(model: ModelSpec, x0, M: int, noise, dt: float, control_
                         xj, xn = rows[i], rows[i + 1]
                         uj = control_at(j0 + i, xj, U[i if controls else 0])
                         drift_at(model, xj, uj, b, bu, term)
-                        # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order.
-                        _dot(b, b, scale, term)
-                        np.sqrt(scale, scale)
-                        np.multiply(scale, dt, scale)
-                        np.add(scale, one, scale)
-                        np.multiply(b, dt, b)
-                        np.divide(b, scale_col, b)
+                        if tamed:  # x_j + (dt b) / (1 + dt |b|) + noise_j, in that order
+                            _dot(b, b, scale, term)
+                            np.sqrt(scale, scale)
+                            np.multiply(scale, dt, scale)
+                            np.add(scale, one, scale)
+                            np.multiply(b, dt, b)
+                            np.divide(b, scale_col, b)
+                        else:  # x_j + dt b + noise_j
+                            np.multiply(b, dt, b)
                         np.add(xj, b, xn)
                         np.add(xn, terms[i], xn)
                 del terms
@@ -464,7 +473,8 @@ def simulate_state(
     M: int,
     seed: int,
 ) -> PathEnsemble:
-    """Tamed Euler simulation of the controlled state equation.
+    """Euler simulation of the controlled state equation, tamed only for the
+    cubic drift (`_euler_blocks`).
 
     Deterministic for fixed (seed, M, grid); the first k paths equal the
     k-path ensemble.  The step loop reads the increments as a stream
@@ -479,9 +489,9 @@ def simulate_state(
 def _simulate_into(model: ModelSpec, control: ControlLaw, x0, grid: TimeGrid, M: int, seed: int, X) -> None:
     """The states of `simulate_state`, written into X: one time-major
     (steps+1, M, n) `_slabs` array or such arrays split at seams, as
-    `_tamed_euler_blocks` takes them.  No view of X outlives the call."""
-    for _ in _tamed_euler_blocks(model, _initial_state(model, x0), M, _noise_blocks(seed, M, grid, model.d), grid.dt,
-                                 lambda j, xj, out: control.evaluate(xj, out=out), "simulate_state", X, False):
+    `_euler_blocks` takes them.  No view of X outlives the call."""
+    for _ in _euler_blocks(model, _initial_state(model, x0), M, _noise_blocks(seed, M, grid, model.d), grid.dt,
+                           lambda j, xj, out: control.evaluate(xj, out=out), "simulate_state", X, False):
         pass
 
 
@@ -500,8 +510,8 @@ def _perturbed_states(model: ModelSpec, base: PathEnsemble, U: np.ndarray) -> np
     Under the base path's own controls it reproduces the base states
     bitwise."""
     X = _slabs(_time_major(base.states).shape)
-    for _ in _tamed_euler_blocks(model, base.states[:, 0], base.n_paths, base.increments, base.grid.dt,
-                                 lambda j, xj, out: U[:, j], "perturbed state", X, False):
+    for _ in _euler_blocks(model, base.states[:, 0], base.n_paths, base.increments, base.grid.dt,
+                           lambda j, xj, out: U[:, j], "perturbed state", X, False):
         pass
     return _time_major(X)
 

@@ -462,7 +462,9 @@ class ModelSpec:
 
     @cached_property
     def has_cubic(self) -> bool:
-        """Whether any alpha_i > 0; LQ models skip the cubic terms entirely."""
+        """Whether any alpha_i > 0.  LQ models skip the cubic terms entirely,
+        and their Euler step is plain, untamed: taming is only for the
+        superlinear cubic drift (`forward._euler_blocks`)."""
         return bool(self.alpha.any())
 
     @cached_property

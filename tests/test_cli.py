@@ -211,6 +211,11 @@ NON_FINITE = [
      "error: control: invalid JSON"),
 ]
 CASES = [case + (None,) for case in BAD_INPUT] + NON_FINITE
+# A state that overflows exits 1 and names its step, on the plain LQ step and
+# on the tamed cubic one alike.
+BLOW_UP = "simulate_state: non-finite value at step"
+CASES += [("cost-blow-up-lq", COST, {"Sigma": [[1e308]]}, BLOW_UP),
+          ("cost-blow-up-cubic", COST, {"Sigma": [[1e308]], "cubic": [1.0]}, BLOW_UP)]
 
 
 @pytest.mark.parametrize("argv,patch,message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])

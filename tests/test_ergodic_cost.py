@@ -80,6 +80,45 @@ def test_ergodic_tails_ou_and_riccati(lq1, lq1_zero, riccati_p):
     assert abs(rep2.tail_max - riccati_p) < 0.02  # optimal cost = sigma^2 P
 
 
+def _optimal_gain(model):
+    """K* by Kleinman's policy iteration from K = 0, each P_K a Kronecker
+    solve of (A + B K)^T P + P (A + B K) + Q + K^T R K = 0."""
+    A, B, Q, R = model.A, model.B, model.Q, model.R
+    eye, K = np.eye(model.n), np.zeros((model.l, model.n))
+    for _ in range(30):
+        Ac = A + B @ K
+        P = np.linalg.solve(np.kron(eye, Ac.T) + np.kron(Ac.T, eye), -(Q + K.T @ R @ K).reshape(-1))
+        K = -np.linalg.solve(R, B.T @ P.reshape(model.n, model.n))
+    return K
+
+
+def _discrete_lq_cost(model, K, c, x0, T, dt):
+    """E J_T / T of the plain Euler chain under u = K x + c, exactly: the
+    mean m_j+1 = F m_j + dt B c and covariance S_j+1 = F S_j F^T + dt S S^T,
+    F = I + dt (A + B K), priced by the left-endpoint sum of the running cost.
+    The law's box must not bind."""
+    F, W = np.eye(model.n) + dt * (model.A + model.B @ K), model.Q + K.T @ model.R @ K
+    m, cov, total = np.asarray(x0, dtype=float), np.zeros((model.n, model.n)), 0.0
+    for _ in range(round(T / dt)):
+        u = K @ m + c
+        total += dt * (np.trace(W @ cov) + m @ model.Q @ m + u @ model.R @ u)
+        m, cov = F @ m + dt * model.B @ c, F @ cov @ F.T + dt * model.S @ model.S.T
+    return total / T
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", ["lq1", "lq3"])
+def test_lq_cost_matches_the_discrete_oracle(family, seed, lq1, lq3):
+    # The LQ step is plain Euler, so J_T / T has no scheme bias against the
+    # chain's exact expectation: it sits within its own CI, with no O(dt)
+    # allowance.
+    model = lq1 if family == "lq1" else lq3
+    K, c, x0, T, dt = _optimal_gain(model), np.zeros(model.l), np.zeros(model.n), 8.0, 0.01
+    rep = estimate_ergodic_cost(model, ControlLaw.affine(K, c, model.control_set), x0, T, 4096, seed, dt=dt)
+    assert rep.checkpoints[-1][0] == T
+    assert abs(rep.checkpoints[-1][1] - _discrete_lq_cost(model, K, c, x0, T, dt)) <= rep.ci
+
+
 def test_constant_cost_checkpoints(lq1_zero, lq1_base8):
     model = _free_model()
     rep = ergodic_report_from_ensemble(model, lq1_base8, lq1_zero)
@@ -157,28 +196,41 @@ def test_streamed_cost_is_the_ensemble_report(name, lq1, cubic1, lq3):
 
 
 def test_streamed_cost_blow_up_names_the_step_of_simulate_state(monkeypatch):
-    # Noise of scale 1e308 overflows path 23 first, at step 55 of 8-step
-    # blocks.  The cost is zero, so pricing a state that is not finite would
-    # warn of an invalid value.
-    model = ModelSpec.lq(A=[[-1.0]], B=[[1.0]], S=[[1e308]], Q=[[0.0]], R=[[0.0]],
-                         control_set=ConvexSet.box([-5.0], [5.0]))
+    # Noise of scale S overflows the states, in 8-step time blocks and then
+    # in time blocks nested in 13-step noise blocks.  The cost is zero, so
+    # pricing a state that is not finite would warn of an invalid value.
+    # - LQ, S = 1e308, the plain step x + dt (-x) + S dW: x / S is the AR(1)
+    #   y_j+1 = 0.99 y_j + dW_j from 0, and x overflows once |y| exceeds
+    #   DBL_MAX / S = 1.798.  Path 23 does so first, at step 98, which lies in
+    #   [96, 104), and in [91, 99), the first time block of the noise block
+    #   [91, 104).
+    # - Cubic, S = 2e102, the tamed step: its drift increment is below 1 in
+    #   magnitude (-0 once |b|^2 overflows), so x / S is the walk of the dW.
+    #   Once |x| exceeds DBL_MAX^(1/3) = 5.64e102, x^3 overflows, b = -inf
+    #   and the tamed increment is inf / inf = nan one step later.  Path 23
+    #   first passes |W| > 2.82 at step 102, so the state is nan at step 103,
+    #   which lies in [96, 104), and in [99, 104), the second time block of
+    #   the noise block [91, 104).
+    box = ConvexSet.box([-5.0], [5.0])
+    cases = [(ModelSpec.lq(A=[[-1.0]], B=[[1.0]], S=[[1e308]], Q=[[0.0]], R=[[0.0]], control_set=box), 98),
+             (ModelSpec.cubic([1.0], A=[[-1.0]], B=[[1.0]], S=[[2e102]], Q=[[0.0]], R=[[0.0]], control_set=box), 103)]
     M = 32
-    monkeypatch.setattr(ergosmp.forward, "BLOCK_BYTES", 8 * 8 * M)
-    law = model.zero_control()
-    message = "^simulate_state: non-finite value at step 55, path 23$"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SimulationError, match=message):
-            simulate_state(model, law, [0.0], TimeGrid.from_horizon(4.0, 0.01), M, 0)
-        with pytest.raises(SimulationError, match=message):
-            estimate_ergodic_cost(model, law, [0.0], 4.0, M, 0, dt=0.01)
-        # Noise blocks of 13 steps: the time blocks nest in them, so step 55
-        # lies in [52, 60), the first time block of the noise block [52, 65).
-        monkeypatch.setattr(ergosmp.forward, "_NOISE_BYTES", 13 * 8 * M)
-        with pytest.raises(SimulationError, match=message):
-            simulate_state(model, law, [0.0], TimeGrid.from_horizon(4.0, 0.01), M, 0)
-        with pytest.raises(SimulationError, match=message):
-            estimate_ergodic_cost(model, law, [0.0], 4.0, M, 0, dt=0.01)
+    for model, step in cases:
+        monkeypatch.setattr(ergosmp.forward, "BLOCK_BYTES", 8 * 8 * M)
+        law = model.zero_control()
+        message = f"^simulate_state: non-finite value at step {step}, path 23$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match=message):
+                simulate_state(model, law, [0.0], TimeGrid.from_horizon(4.0, 0.01), M, 0)
+            with pytest.raises(SimulationError, match=message):
+                estimate_ergodic_cost(model, law, [0.0], 4.0, M, 0, dt=0.01)
+            monkeypatch.setattr(ergosmp.forward, "_NOISE_BYTES", 13 * 8 * M)
+            with pytest.raises(SimulationError, match=message):
+                simulate_state(model, law, [0.0], TimeGrid.from_horizon(4.0, 0.01), M, 0)
+            with pytest.raises(SimulationError, match=message):
+                estimate_ergodic_cost(model, law, [0.0], 4.0, M, 0, dt=0.01)
+        monkeypatch.undo()
 
 
 def test_priced_states_are_simulate_state(lq3, monkeypatch):
@@ -241,16 +293,34 @@ def test_gateaux_zero_direction(lq1, lq1_zero):
 
 
 def test_gateaux_lq_gap_linear_in_theta(lq1, lq1_zero, lq1_one):
-    # affine-quadratic structure: gap(theta) = theta * (1/T) int (E|Y|^2 + |v|^2)
+    # affine-quadratic structure: gap(theta) = theta * (1/T) int (E|Y|^2 + |v|^2),
+    # exactly, since the plain Euler step is linear and Y is its tangent
     base = _base(lq1, lq1_zero, 20.0, 0.01, 1024, 31)
     rep = verify_expansion_residual(lq1, lq1_zero, lq1_one, [0.004, 0.002], base)
     gap4, gap2 = rep.gateaux_gap
     fd4, fd2 = rep.finite_difference
     assert gap2 < 5e-3
-    assert 1.8 <= gap4 / gap2 <= 2.2
+    assert gap4 / 0.004 == pytest.approx(gap2 / 0.002, rel=1e-9)
     # theta -> 0 extrapolation of the finite difference hits the linearized value
     extrapolated = 2 * fd2 - fd4
     assert abs(extrapolated - rep.linearized) < 2e-3
+
+
+def test_lq3_closed_loop_base_has_an_exact_tangent(lq3):
+    # An open-loop constant perturbation of an affine feedback base whose box
+    # does not bind: the perturbed plain Euler states are affine in theta, so
+    # the state expansion holds to round-off and gap(theta) / theta is one
+    # number on every theta.
+    law = ControlLaw.affine([[-0.4, -0.1, 0.0], [0.0, -0.05, -0.3]], [0.1, 0.0], lq3.control_set)
+    alt = ControlLaw.constant([1.0, -1.0], lq3.control_set)
+    base = _base(lq3, law, 6.0, 0.01, 1024, 5)
+    assert np.abs(law.evaluate(base.states)).max() < 5.0
+    thetas = [0.2, 0.1, 0.05]
+    rep = verify_expansion_residual(lq3, law, alt, thetas, base)
+    assert max(rep.sup_residual_sq) <= 1e-24
+    assert 1.9 <= rep.scaling_slope <= 2.1
+    slopes = [gap / theta for gap, theta in zip(rep.gateaux_gap, thetas)]
+    assert slopes == pytest.approx([slopes[0]] * len(thetas), rel=1e-9)
 
 
 def test_gateaux_rejects_theta_outside_unit_interval(lq1, lq1_zero, lq1_one):
